@@ -12,7 +12,6 @@ import numpy as np
 from vismem import (
     FlatIndex,
     IvfPqParams,
-    flat_search,
     ivfpq_add,
     ivfpq_search,
     rescore,
@@ -48,7 +47,7 @@ print(f"\nrecall@{k} vs the flat oracle (50 queries, recall pool 200):")
 for nprobe in (1, 4, 16, 64):
     overlap = 0
     for q in queries:
-        truth = {h.entry_id for h in flat_search(flat, q, k)}
+        truth = {h.entry_id for h in flat.search(q, k)}
         candidates = ivfpq_search(index, q, nprobe=nprobe, recall_size=200)
         approx = {h.entry_id for h in rescore(keys, candidates, q, k)}
         overlap += len(truth & approx)
@@ -60,4 +59,4 @@ for nprobe in (1, 4, 16, 64):
 q = queries[0]
 candidates = ivfpq_search(index, q, nprobe=params.nlist, recall_size=n)
 print("\nexhaustive probe + rescore == flat search:",
-      rescore(keys, candidates, q, k) == flat_search(flat, q, k))
+      rescore(keys, candidates, q, k) == flat.search(q, k))

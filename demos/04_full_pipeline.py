@@ -55,7 +55,7 @@ print("""
 The same run via the CLI:
   vismem gen-synthetic --out /tmp/scn --seed 1 --categories 2 --regions 2
   vismem build-memory  --scenario /tmp/scn --out /tmp/bank.pbnk --set drop_fraction=0.0
-  vismem build-index   --bank /tmp/bank.pbnk --out /tmp/idx.pivf --set nlist=4 --set m=4 --set nbits=4
-  vismem pipeline      --scenario /tmp/scn --bank /tmp/bank.pbnk --index /tmp/idx.pivf
+  vismem build-index   --bank /tmp/bank.pbnk --out /tmp/idx.pivf --set nlist=4 --set m=4 --set nbits=4 --set nprobe=4
+  vismem pipeline      --scenario /tmp/scn --bank /tmp/bank.pbnk --index /tmp/idx.pivf --set nprobe=4
   vismem bench         --bank /tmp/bank.pbnk --index /tmp/idx.pivf --set nprobe=4
 """)

@@ -39,7 +39,6 @@ from .index import (
     IvfPqIndex,
     IvfPqParams,
     SearchHit,
-    flat_search,
     ivfpq_add,
     ivfpq_search,
     kmeans,

@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,10 +28,9 @@ from .grids import (
 )
 from .serial import Reader, Writer, atomic_write_bytes, read_file
 
-# Fixed per-entry metadata stride in the bank file: category and image id as
-# 64-byte zero-padded UTF-8, box as 4 f32, blur score as 1 f32.
+# Fixed width of the category and image id fields in the bank file:
+# zero-padded UTF-8.
 NAME_FIELD_BYTES = 64
-ENTRY_META_BYTES = 2 * NAME_FIELD_BYTES + 5 * 4
 
 BANK_MAGIC = "PBNK"
 BANK_VERSION = 1
@@ -39,9 +38,18 @@ TABLE_MAGIC = "PMEM"
 TABLE_VERSION = 1
 
 
+def _record_dtype(d_key: int, d_val: int) -> np.dtype:
+    """One v1 bank file entry: key and value as f32, category and image id,
+    box (x0, y0, x1, y1) as 4 f32, blur score as f32 (NaN for none)."""
+    name = f"S{NAME_FIELD_BYTES}"
+    return np.dtype([("key", "<f4", (d_key,)), ("value", "<f4", (d_val,)),
+                     ("category", name), ("image_id", name),
+                     ("box", "<f4", (4,)), ("blur", "<f4")])
+
+
 def entry_stride(d_key: int, d_val: int) -> int:
     """On-disk byte size of one bank entry."""
-    return 4 * (d_key + d_val) + ENTRY_META_BYTES
+    return _record_dtype(d_key, d_val).itemsize
 
 
 @dataclass(frozen=True)
@@ -53,7 +61,7 @@ class KeyWeights:
     w_g: float = 0.01
 
     def as_dict(self) -> dict:
-        return {"w_p": self.w_p, "w_s": self.w_s, "w_g": self.w_g}
+        return asdict(self)
 
 
 @dataclass
@@ -152,53 +160,61 @@ class MemoryEntry:
     box: Box2D
     blur_score: float | None = None
 
-    def __eq__(self, other):
-        if not isinstance(other, MemoryEntry):
-            return NotImplemented
-        blur_equal = (
-            (self.blur_score is None and other.blur_score is None)
-            or (self.blur_score is not None and other.blur_score is not None
-                and float(np.float32(self.blur_score)) == float(np.float32(other.blur_score)))
-        )
-        return (
-            np.array_equal(self.key, other.key)
-            and np.array_equal(self.value, other.value)
-            and self.category == other.category
-            and self.image_id == other.image_id
-            and self.box == other.box
-            and blur_equal
-        )
+
+def _column(data, dtype, shape: tuple) -> np.ndarray:
+    column = np.array(data, dtype=dtype).reshape(shape)
+    column.flags.writeable = False
+    return column
 
 
-@dataclass(eq=False)
 class MemoryBank:
-    """Immutable ordered collection of memory entries. Entry ids are positions."""
+    """Immutable ordered memory stored as columns. Entry ids are row positions.
 
-    entries: list[MemoryEntry]
-    d_key: int
-    d_val: int
-    weights: KeyWeights = field(default_factory=KeyWeights)
-    manifest: dict = field(default_factory=dict)
+    keys (N, d_key) and values (N, d_val) are float32; categories and
+    image_ids are numpy string arrays; boxes (N, 4) are float32 x0, y0, x1,
+    y1; blur (N,) is float32 with NaN for an entry without a score. Every
+    column is a read-only copy of what was passed in. `entries` is accepted
+    as rows and converted to columns.
+    """
+
+    def __init__(self, entries: list[MemoryEntry] | None = None, d_key: int = 0,
+                 d_val: int = 0, weights: KeyWeights = KeyWeights(),
+                 manifest: dict | None = None, *, keys=(), values=(), categories=(),
+                 image_ids=(), boxes=(), blur=()):
+        if entries is not None:
+            keys = [e.key for e in entries]
+            values = [e.value for e in entries]
+            categories = [e.category for e in entries]
+            image_ids = [e.image_id for e in entries]
+            boxes = [e.box.as_list() for e in entries]
+            blur = [e.blur_score for e in entries]
+        n = len(image_ids)
+        self.d_key, self.d_val, self.weights = d_key, d_val, weights
+        self.manifest = {} if manifest is None else manifest
+        self.keys = _column(keys, np.float32, (n, d_key))
+        self.values = _column(values, np.float32, (n, d_val))
+        self.categories = _column(categories, str, (n,))
+        self.image_ids = _column(image_ids, str, (n,))
+        self.boxes = _column(boxes, np.float32, (n, 4))
+        self.blur = _column(blur, np.float32, (n,))  # None becomes NaN
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.image_ids.shape[0]
 
     def keys_matrix(self) -> np.ndarray:
-        if not self.entries:
-            return np.zeros((0, self.d_key), dtype=np.float32)
-        return np.stack([e.key for e in self.entries])
+        return self.keys
 
     def values_matrix(self) -> np.ndarray:
-        if not self.entries:
-            return np.zeros((0, self.d_val), dtype=np.float32)
-        return np.stack([e.value for e in self.entries])
+        return self.values
 
-    def entry_ids_for_image(self, image_id: str) -> list[int]:
-        return [i for i, e in enumerate(self.entries) if e.image_id == image_id]
-
-    def view_excluding(self, image_id: str) -> list[tuple[int, MemoryEntry]]:
-        """Self-exclusion view: (original id, entry) pairs skipping one image."""
-        return [(i, e) for i, e in enumerate(self.entries) if e.image_id != image_id]
+    @property
+    def entries(self) -> list[MemoryEntry]:
+        """The bank as row objects, built on each access."""
+        rows = zip(self.keys, self.values, self.categories.tolist(), self.image_ids.tolist(),
+                   self.boxes.tolist(), self.blur.tolist())
+        return [MemoryEntry(key, value, category, image_id, Box2D(*box),
+                            None if math.isnan(blur) else blur)
+                for key, value, category, image_id, box, blur in rows]
 
     def __eq__(self, other):
         if not isinstance(other, MemoryBank):
@@ -208,7 +224,8 @@ class MemoryBank:
             and self.d_val == other.d_val
             and self.weights == other.weights
             and self.manifest == other.manifest
-            and self.entries == other.entries
+            and all(np.array_equal(getattr(self, c), getattr(other, c), equal_nan=c == "blur")
+                    for c in ("keys", "values", "categories", "image_ids", "boxes", "blur"))
         )
 
 
@@ -330,58 +347,57 @@ def build_bank(records: list[GroundingRecord], provider: EmbeddingProvider,
         survivors = after_merge
     removed_blur = len(after_merge) - len(survivors)
 
-    entries = []
+    keys, values = [], []
     for rec in survivors:
         try:
-            key = build_key(
+            keys.append(build_key(
                 provider.text_embedding(rec.phrase),
                 provider.text_embedding(rec.scene),
                 provider.image_embedding(rec.image_id),
                 config.weights,
-            )
-            value = build_value(provider, rec.image_id, rec.box)
+            ))
+            values.append(build_value(provider, rec.image_id, rec.box))
         except MissingEmbeddingError as exc:
             raise MissingEmbeddingError(
                 f"record (image {rec.image_id!r}, phrase {rec.phrase!r}): {exc}"
             ) from exc
-        entries.append(MemoryEntry(
-            key=key, value=value, category=rec.phrase,
-            image_id=rec.image_id, box=rec.box,
-            blur_score=rec.blur_score if rec.blur_score is not None else None,
-        ))
 
-    d_key = provider.d_key if provider.d_key else (entries[0].key.shape[0] if entries else 0)
-    d_val = provider.d_val if provider.d_val else (entries[0].value.shape[0] if entries else 0)
+    d_key = provider.d_key or (keys[0].shape[0] if keys else 0)
+    d_val = provider.d_val or (values[0].shape[0] if values else 0)
     manifest = {
         "input_count": input_count,
         "removed_excluded": removed_excluded,
         "removed_small": removed_small,
         "removed_merge": removed_merge,
         "removed_blur": removed_blur,
-        "output_count": len(entries),
+        "output_count": len(survivors),
         "min_area": config.min_area,
         "iou_threshold": config.iou_threshold,
         "drop_fraction": config.drop_fraction,
     }
-    return MemoryBank(entries=entries, d_key=d_key, d_val=d_val,
-                      weights=config.weights, manifest=manifest)
+    return MemoryBank(d_key=d_key, d_val=d_val, weights=config.weights, manifest=manifest,
+                      keys=keys, values=values, categories=[r.phrase for r in survivors],
+                      image_ids=[r.image_id for r in survivors],
+                      boxes=[r.box.as_list() for r in survivors],
+                      blur=[r.blur_score for r in survivors])
 
 
 # --- persistence -----------------------------------------------------------
 
 def save_bank(bank: MemoryBank, path) -> None:
-    w = Writer()
-    w.magic(BANK_MAGIC).u32(BANK_VERSION)
-    w.u32(bank.d_key).u32(bank.d_val).u64(len(bank.entries))
+    records = np.zeros(len(bank), dtype=_record_dtype(bank.d_key, bank.d_val))
+    records["key"], records["value"] = bank.keys, bank.values
+    records["box"], records["blur"] = bank.boxes, bank.blur
+    for name, column in (("category", bank.categories), ("image_id", bank.image_ids)):
+        encoded = np.char.encode(column, "utf-8")
+        if encoded.itemsize > NAME_FIELD_BYTES:
+            longest = column[np.argmax(np.char.str_len(encoded))]
+            raise FormatError(f"{name} {longest!r} exceeds the {NAME_FIELD_BYTES}-byte field")
+        records[name] = encoded
+    w = Writer().magic(BANK_MAGIC).u32(BANK_VERSION)
+    w.u32(bank.d_key).u32(bank.d_val).u64(len(bank))
     w.json_block({"weights": bank.weights.as_dict(), "manifest": bank.manifest})
-    for e in bank.entries:
-        w.f32_array(e.key)
-        w.f32_array(e.value)
-        w.fixed_string(e.category, NAME_FIELD_BYTES)
-        w.fixed_string(e.image_id, NAME_FIELD_BYTES)
-        w.f32_array(np.asarray(e.box.as_list(), dtype=np.float32))
-        w.f32(math.nan if e.blur_score is None else float(e.blur_score))
-    atomic_write_bytes(path, w.getvalue())
+    atomic_write_bytes(path, w.raw(records.tobytes()).getvalue())
 
 
 def load_bank(path) -> MemoryBank:
@@ -390,27 +406,28 @@ def load_bank(path) -> MemoryBank:
     version = r.u32()
     if version != BANK_VERSION:
         raise FormatError(f"unsupported bank version {version}", offset=4)
-    d_key = r.u32()
-    d_val = r.u32()
-    count = r.u64()
+    d_key, d_val, count = r.u32(), r.u32(), r.u64()
+    meta_at = r.offset
     meta = r.json_block()
-    weights = KeyWeights(**meta["weights"])
-    entries = []
-    for _ in range(count):
-        key = r.f32_array(d_key)
-        value = r.f32_array(d_val)
-        category = r.fixed_string(NAME_FIELD_BYTES)
-        image_id = r.fixed_string(NAME_FIELD_BYTES)
-        bx = r.f32_array(4)
-        blur = r.f32()
-        entries.append(MemoryEntry(
-            key=key, value=value, category=category, image_id=image_id,
-            box=Box2D(float(bx[0]), float(bx[1]), float(bx[2]), float(bx[3])),
-            blur_score=None if math.isnan(blur) else float(blur),
-        ))
+    weights = meta.get("weights") if isinstance(meta, dict) else None
+    if not (isinstance(weights, dict) and weights.keys() == KeyWeights().as_dict().keys()
+            and all(type(v) in (int, float) for v in weights.values())
+            and isinstance(meta.get("manifest"), dict)):
+        raise FormatError(f"bad weights or manifest in bank header: {meta!r:.200}", offset=meta_at)
+    records = r.records(_record_dtype(d_key, d_val), count)
     r.expect_eof()
-    return MemoryBank(entries=entries, d_key=d_key, d_val=d_val,
-                      weights=weights, manifest=meta["manifest"])
+    x0, y0, x1, y1 = records["box"].T
+    if not np.all((0 <= x0) & (x0 < x1) & (x1 <= 1) & (0 <= y0) & (y0 < y1) & (y1 <= 1)):
+        raise FormatError("bank has a box outside 0 <= x0 < x1 <= 1, 0 <= y0 < y1 <= 1")
+    try:
+        categories, image_ids = (np.char.decode(records[name], "utf-8")
+                                 for name in ("category", "image_id"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"bad UTF-8 in a category or image id: {exc}") from exc
+    return MemoryBank(d_key=d_key, d_val=d_val, weights=KeyWeights(**weights),
+                      manifest=meta["manifest"], keys=records["key"], values=records["value"],
+                      categories=categories, image_ids=image_ids, boxes=records["box"],
+                      blur=records["blur"])
 
 
 def save_embedding_table(table: dict[str, np.ndarray], path) -> None:

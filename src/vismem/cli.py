@@ -11,11 +11,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
-from . import artifacts, bank as bank_mod, index as index_mod
+from . import artifacts, bank as bank_mod
 from .bank import (
     BankBuildConfig,
     EmbeddingProvider,
@@ -27,7 +27,7 @@ from .bank import (
     write_pgm,
 )
 from .errors import InvalidInputError, VismemError
-from .grids import Box2D, Point2D
+from .grids import Point2D
 from .index import FlatIndex, ivfpq_add, load_index, save_index, train_ivfpq
 from .pipeline import (
     PipelineConfig,
@@ -37,9 +37,10 @@ from .pipeline import (
     run_pipeline,
 )
 from .priors import AnchorSet, DensePrior, dense_prior, extract_anchors, radius_cells_to_normalized
-from .refine import RefinementParams, load_params, refine_all, save_params
+from .refine import RefinementParams, load_params, refine_all
 from .retrieval import Prototype, aggregate_prototype, build_query, retrieve
-from .synthetic import INPUT_IMAGE_ID, PlantedRegion, ScenarioSpec, gen_synthetic
+from .serial import atomic_write_bytes
+from .synthetic import INPUT_IMAGE_ID, ScenarioSpec, gen_synthetic
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,21 +61,16 @@ def _add_config_args(p: argparse.ArgumentParser):
 
 def _resolve_config(args) -> PipelineConfig:
     config = load_config(args.config) if args.config else PipelineConfig()
-    if not args.set:
-        return config
-    values = config.to_dict()
-    int_fields = {f.name for f in fields(PipelineConfig) if f.type in (int, "int")}
+    updates = {}
     for item in args.set:
-        if "=" not in item:
+        key, sep, raw = item.partition("=")
+        if not sep:
             raise _UsageError(f"--set expects KEY=VALUE, got {item!r}")
-        key, raw = item.split("=", 1)
-        if key not in values:
-            raise _UsageError(f"unknown config key {key!r}")
         try:
-            values[key] = int(raw) if key in int_fields else float(raw)
-        except ValueError:
-            raise _UsageError(f"bad value {raw!r} for config key {key!r}") from None
-    return PipelineConfig.from_dict(values)
+            updates[key] = PipelineConfig.parse_value(key, raw)
+        except InvalidInputError as exc:
+            raise _UsageError(str(exc)) from None
+    return replace(config, **updates)
 
 
 def _add_provider_args(p: argparse.ArgumentParser):
@@ -119,9 +115,7 @@ def _resolve_provider(args) -> EmbeddingProvider:
 
 
 def _load_any_index(path, bank):
-    if path is None:
-        return FlatIndex.from_bank(bank)
-    return load_index(path)
+    return FlatIndex.from_bank(bank) if path is None else load_index(path)
 
 
 def _read_categories(path) -> list[str]:
@@ -191,8 +185,8 @@ def cmd_build_memory(args) -> int:
 def cmd_build_index(args) -> int:
     config = _resolve_config(args)
     memory = load_bank(args.bank)
-    index = train_ivfpq(memory.keys_matrix(), config.index_params())
-    ivfpq_add(index, np.arange(len(memory)), memory.keys_matrix())
+    index = train_ivfpq(memory.keys, config.index_params())
+    ivfpq_add(index, np.arange(len(memory)), memory.keys)
     save_index(index, args.out)
     print(f"trained IVF-PQ index over {len(memory)} keys -> {args.out}")
     return 0
@@ -305,8 +299,6 @@ def cmd_pipeline(args) -> int:
     report = pipeline_report(config, results, image_id)
     payload = json.dumps(report, indent=2, sort_keys=True)
     if args.report:
-        from .serial import atomic_write_bytes
-
         atomic_write_bytes(args.report, payload.encode("utf-8"))
     else:
         print(payload)
@@ -427,7 +419,7 @@ def main(argv=None) -> int:
     except VismemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,7 @@ full-precision keys repairs approximation errors before the final top-K cut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,21 +41,18 @@ def exact_scores(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
 
 
 class FlatIndex:
-    """Exact inner-product search over a full-precision copy of the keys."""
+    """Exact inner-product search over full-precision keys; entry ids are
+    row positions, so `keys` can also serve `rescore`."""
 
-    def __init__(self, keys: np.ndarray, ids: np.ndarray | None = None):
+    def __init__(self, keys: np.ndarray):
         self.keys = np.ascontiguousarray(keys, dtype=np.float32)
         if self.keys.ndim != 2:
             raise InvalidInputError("keys must be an (N, D) matrix")
-        if ids is None:
-            ids = np.arange(self.keys.shape[0], dtype=np.int64)
-        self.ids = np.asarray(ids, dtype=np.int64)
-        if self.ids.shape[0] != self.keys.shape[0]:
-            raise InvalidInputError("row count must equal id count")
+        self.ids = np.arange(self.keys.shape[0], dtype=np.int64)
 
     @classmethod
     def from_bank(cls, bank) -> "FlatIndex":
-        return cls(bank.keys_matrix())
+        return cls(bank.keys)
 
     @property
     def dim(self) -> int:
@@ -71,10 +68,6 @@ class FlatIndex:
             raise InvalidInputError(f"k must be >= 1, got {k}")
         scores = exact_scores(self.keys, query)
         return _sorted_hits(self.ids, scores, k)
-
-
-def flat_search(index: FlatIndex, query, k: int) -> list[SearchHit]:
-    return index.search(query, k)
 
 
 def _pairwise_sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -178,33 +171,43 @@ class IvfPqParams:
     seed: int = 0
     kmeans_iters: int = 25
 
+    def __post_init__(self):
+        if not (all(type(v) is int for v in self.as_dict().values())
+                and min(self.nlist, self.m, self.kmeans_iters) >= 1
+                and 1 <= self.nbits <= 8 and self.seed >= 0):
+            raise InvalidInputError(
+                f"IVF-PQ parameters must be ints with nlist, m, kmeans_iters >= 1, "
+                f"1 <= nbits <= 8 (one-byte codes) and seed >= 0; got {self.as_dict()}")
+
     @property
     def ksub(self) -> int:
         return 1 << self.nbits
 
     def as_dict(self) -> dict:
-        return {"nlist": self.nlist, "m": self.m, "nbits": self.nbits,
-                "seed": self.seed, "kmeans_iters": self.kmeans_iters}
+        return asdict(self)
 
 
 @dataclass
 class IvfPqIndex:
-    """Trained IVF-PQ structure. Add entries, then search."""
+    """Trained IVF-PQ structure. Add entries, then search.
+
+    The inverted lists are stored CSR-style: list l is rows
+    offsets[l]:offsets[l + 1] of ids and codes, in the order they were added.
+    """
 
     params: IvfPqParams
     dim: int
     coarse_centroids: np.ndarray                 # (nlist, D) float32
     pq_codebooks: np.ndarray                     # (m, 2^nbits, D/m) float32
-    list_ids: list[np.ndarray] = field(default_factory=list)      # per-list int64
-    list_codes: list[np.ndarray] = field(default_factory=list)    # per-list (n, m) uint8
+    ids: np.ndarray | None = None                # (N,) int64, grouped by list
+    codes: np.ndarray | None = None              # (N, m) uint8, one row per id
+    offsets: np.ndarray | None = None            # (nlist + 1,) int64
 
     def __post_init__(self):
-        if not self.list_ids:
-            self.list_ids = [np.zeros(0, dtype=np.int64) for _ in range(self.params.nlist)]
-            self.list_codes = [
-                np.zeros((0, self.params.m), dtype=np.uint8) for _ in range(self.params.nlist)
-            ]
-        self._known_ids: set[int] = {int(i) for ids in self.list_ids for i in ids}
+        if self.offsets is None:  # no entries yet
+            self.ids = np.zeros(0, dtype=np.int64)
+            self.codes = np.zeros((0, self.params.m), dtype=np.uint8)
+            self.offsets = np.zeros(self.params.nlist + 1, dtype=np.int64)
 
     @property
     def dsub(self) -> int:
@@ -212,7 +215,7 @@ class IvfPqIndex:
 
     @property
     def ntotal(self) -> int:
-        return sum(ids.shape[0] for ids in self.list_ids)
+        return int(self.offsets[-1])
 
     def _assign_coarse(self, keys: np.ndarray) -> np.ndarray:
         # Assignment and probing both use inner product, matching the
@@ -273,17 +276,19 @@ def ivfpq_add(index: IvfPqIndex, ids, keys) -> None:
         raise InvalidInputError(f"keys must be (N, {index.dim})")
     if ids.shape[0] != keys.shape[0]:
         raise InvalidInputError("ids and keys must have equal length")
-    new_ids = set(int(i) for i in ids)
-    if len(new_ids) != ids.shape[0] or index._known_ids & new_ids:
+    all_ids = np.concatenate([index.ids, ids])
+    if np.unique(all_ids).size != all_ids.size:
         raise InvalidInputError("duplicate entry id in add")
     assign = index._assign_coarse(keys)
     residuals = keys - index.coarse_centroids[assign]
     codes = index.encode_residuals(residuals)
-    for list_no in np.unique(assign):
-        sel = assign == list_no
-        index.list_ids[list_no] = np.concatenate([index.list_ids[list_no], ids[sel]])
-        index.list_codes[list_no] = np.concatenate([index.list_codes[list_no], codes[sel]])
-    index._known_ids |= new_ids
+    # A stable sort by list keeps the rows already in a list ahead of new ones.
+    nlist = index.params.nlist
+    lists = np.concatenate([np.repeat(np.arange(nlist), np.diff(index.offsets)), assign])
+    order = np.argsort(lists, kind="stable")
+    index.ids = all_ids[order]
+    index.codes = np.concatenate([index.codes, codes])[order]
+    index.offsets = np.concatenate([[0], np.cumsum(np.bincount(lists, minlength=nlist))])
 
 
 def ivfpq_search(index: IvfPqIndex, query, nprobe: int, recall_size: int) -> list[SearchHit]:
@@ -309,30 +314,23 @@ def ivfpq_search(index: IvfPqIndex, query, nprobe: int, recall_size: int) -> lis
     # lut[j, code] = <query_sub_j, codeword>
     lut = np.einsum("mkd,md->mk", index.pq_codebooks, query.reshape(m, dsub))
 
-    probed = [list_no for list_no in probe_order if index.list_ids[list_no].shape[0] > 0]
-    if not probed:
-        return []
-    all_ids = np.concatenate([index.list_ids[l] for l in probed])
-    all_codes = np.concatenate([index.list_codes[l] for l in probed])
-    lengths = [index.list_ids[l].shape[0] for l in probed]
-    coarse_part = np.repeat(coarse_scores[probed], lengths)
+    starts, ends = index.offsets[probe_order], index.offsets[probe_order + 1]
+    all_ids = np.concatenate([index.ids[a:b] for a, b in zip(starts, ends)])
+    all_codes = np.concatenate([index.codes[a:b] for a, b in zip(starts, ends)])
+    coarse_part = np.repeat(coarse_scores[probe_order], ends - starts)
     res_scores = lut[np.arange(m)[None, :], all_codes].sum(axis=1, dtype=np.float64)
     return _sorted_hits(all_ids, res_scores + coarse_part, recall_size)
 
 
-def rescore(keys_source, candidates: list[SearchHit], query, k: int) -> list[SearchHit]:
+def rescore(keys, candidates: list[SearchHit], query, k: int) -> list[SearchHit]:
     """Re-rank candidates with exact full-precision inner products.
 
-    keys_source may be a MemoryBank, a FlatIndex, or an (N, D) key matrix.
+    keys is the (N, D) matrix the candidate ids index, such as a bank's or a
+    FlatIndex's `keys`.
     """
-    if hasattr(keys_source, "keys_matrix"):
-        keys = keys_source.keys_matrix()
-    elif isinstance(keys_source, FlatIndex):
-        keys = keys_source.keys
-    else:
-        keys = np.asarray(keys_source, dtype=np.float32)
     if not candidates:
         return []
+    keys = np.asarray(keys, dtype=np.float32)
     ids = np.asarray([h.entry_id for h in candidates], dtype=np.int64)
     if ids.min() < 0 or ids.max() >= keys.shape[0]:
         raise InvalidInputError("candidate entry id out of range")
@@ -349,10 +347,10 @@ def save_index(index: IvfPqIndex, path) -> None:
     w.u32(index.dim)
     w.f32_array(index.coarse_centroids)
     w.f32_array(index.pq_codebooks)
-    for ids, codes in zip(index.list_ids, index.list_codes):
-        w.u64(ids.shape[0])
-        w.i64_array(ids)
-        w.u8_array(codes)
+    for a, b in zip(index.offsets[:-1].tolist(), index.offsets[1:].tolist()):
+        w.u64(b - a)
+        w.i64_array(index.ids[a:b])
+        w.u8_array(index.codes[a:b])
     atomic_write_bytes(path, w.getvalue())
 
 
@@ -362,17 +360,31 @@ def load_index(path) -> IvfPqIndex:
     version = r.u32()
     if version != INDEX_VERSION:
         raise FormatError(f"unsupported index version {version}", offset=4)
-    params = IvfPqParams(**r.json_block())
+    header_at = r.offset
+    header = r.json_block()
+    expected = IvfPqParams().as_dict().keys()
+    try:
+        if not isinstance(header, dict) or header.keys() != expected:
+            raise InvalidInputError(f"header keys must be exactly {sorted(expected)}")
+        params = IvfPqParams(**header)
+    except InvalidInputError as exc:
+        raise FormatError(f"bad index header: {exc}", offset=header_at) from exc
     dim = r.u32()
+    if dim % params.m != 0:
+        raise FormatError(f"index dim {dim} not divisible by m={params.m}", offset=r.offset - 4)
     coarse = r.f32_array(params.nlist * dim, shape=(params.nlist, dim))
     dsub = dim // params.m
     codebooks = r.f32_array(params.m * params.ksub * dsub,
                             shape=(params.m, params.ksub, dsub))
-    list_ids, list_codes = [], []
+    ids, codes = [], []
     for _ in range(params.nlist):
         n = r.u64()
-        list_ids.append(r.i64_array(n))
-        list_codes.append(r.u8_array(n * params.m, shape=(n, params.m)))
+        ids.append(r.i64_array(n))
+        codes.append(r.u8_array(n * params.m, shape=(n, params.m)))
     r.expect_eof()
-    return IvfPqIndex(params=params, dim=dim, coarse_centroids=coarse,
-                      pq_codebooks=codebooks, list_ids=list_ids, list_codes=list_codes)
+    offsets = np.concatenate([[0], np.cumsum([len(chunk) for chunk in ids])])
+    ids = np.concatenate(ids)
+    if np.unique(ids).size != ids.size:
+        raise FormatError("duplicate entry id in index lists")
+    return IvfPqIndex(params=params, dim=dim, coarse_centroids=coarse, pq_codebooks=codebooks,
+                      ids=ids, codes=np.concatenate(codes), offsets=offsets)

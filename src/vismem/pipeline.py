@@ -6,56 +6,50 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .bank import EmbeddingProvider, KeyWeights, MemoryBank, entry_stride
+from .bank import BankBuildConfig, EmbeddingProvider, KeyWeights, MemoryBank
 from .errors import InvalidInputError, VismemError
-from .index import FlatIndex, IvfPqIndex, IvfPqParams, SearchHit, flat_search
-from .priors import (
-    AnchorSet,
-    DensePrior,
-    dense_prior,
-    extract_anchors,
-    radius_cells_to_normalized,
-)
-from .refine import (
-    LogitsMatrix,
-    MemoryGuidedPrompt,
-    RefinementParams,
-    constrain_logits,
-    refine_all,
-    score_prompts,
-)
-from .retrieval import Prototype, aggregate_prototype, build_query, retrieve
+from .index import FlatIndex, IvfPqIndex, IvfPqParams, SearchHit
+from .priors import (DEFAULT_MAX_ANCHORS, DEFAULT_PEAK_THRESHOLD, DEFAULT_RADIUS_CELLS,
+                     DEFAULT_SIGMA, AnchorSet, DensePrior, dense_prior, extract_anchors,
+                     radius_cells_to_normalized)
+from .refine import (DEFAULT_WINDOW, LogitsMatrix, MemoryGuidedPrompt, constrain_logits,
+                     refine_all, score_prompts)
+from .retrieval import (DEFAULT_NPROBE, DEFAULT_RECALL_SIZE, DEFAULT_TAU, DEFAULT_TOP_K,
+                        Prototype, RetrievalQuery, aggregate_prototype, build_query, retrieve)
+from .serial import atomic_write_bytes
 
 
 @dataclass
 class PipelineConfig:
-    """Every tunable of the pipeline, with published defaults."""
+    """Every tunable of the pipeline, with the published defaults of the
+    modules that use it."""
 
-    w_p: float = 1.0
-    w_s: float = 0.3
-    w_g: float = 0.01
-    k: int = 12
-    tau_p: float = 0.07
-    recall_size: int = 200
-    sigma: float = 1.0
-    peak_threshold: float = 0.5
-    radius_cells: float = 3.0
-    max_anchors: int = 10
-    window: int = 5
-    nlist: int = 256
-    m: int = 16
-    nbits: int = 8
-    nprobe: int = 16
-    min_area: float = 1e-4
-    iou_threshold: float = 0.9
-    drop_fraction: float = 0.10
-    seed: int = 0
-    kmeans_iters: int = 25
+    w_p: float = KeyWeights.w_p
+    w_s: float = KeyWeights.w_s
+    w_g: float = KeyWeights.w_g
+    k: int = DEFAULT_TOP_K
+    tau_p: float = DEFAULT_TAU
+    recall_size: int = DEFAULT_RECALL_SIZE
+    sigma: float = DEFAULT_SIGMA
+    peak_threshold: float = DEFAULT_PEAK_THRESHOLD
+    radius_cells: float = DEFAULT_RADIUS_CELLS
+    max_anchors: int = DEFAULT_MAX_ANCHORS
+    window: int = DEFAULT_WINDOW
+    nlist: int = IvfPqParams.nlist
+    m: int = IvfPqParams.m
+    nbits: int = IvfPqParams.nbits
+    nprobe: int = DEFAULT_NPROBE
+    min_area: float = BankBuildConfig.min_area
+    iou_threshold: float = BankBuildConfig.iou_threshold
+    drop_fraction: float = BankBuildConfig.drop_fraction
+    seed: int = IvfPqParams.seed
+    kmeans_iters: int = IvfPqParams.kmeans_iters
 
     _SECTIONS = {
         "weights": ("w_p", "w_s", "w_g"),
@@ -78,6 +72,9 @@ class PipelineConfig:
             raise InvalidInputError("drop_fraction must be in [0, 1)")
         if self.window < 1 or self.window % 2 == 0:
             raise InvalidInputError("window must be odd and positive")
+        self.index_params()  # IvfPqParams checks its own fields
+        if not 1 <= self.nprobe <= self.nlist:
+            raise InvalidInputError(f"nprobe must be in [1, nlist={self.nlist}], got {self.nprobe}")
 
     def weights(self) -> KeyWeights:
         return KeyWeights(self.w_p, self.w_s, self.w_g)
@@ -91,11 +88,24 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        valid = {f.name: f.type for f in fields(cls)}
-        unknown = set(d) - set(valid)
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
         return cls(**d)
+
+    @classmethod
+    def parse_value(cls, key: str, raw: str):
+        """One config value from text: int fields as int, the rest as float."""
+        types = {f.name: f.type for f in fields(cls)}
+        if key not in types:
+            raise InvalidInputError(f"unknown config key {key!r}")
+        try:
+            value = int(raw) if types[key] in (int, "int") else float(raw)
+        except ValueError:
+            raise InvalidInputError(f"bad value {raw!r} for config key {key!r}") from None
+        if not math.isfinite(value):
+            raise InvalidInputError(f"config key {key!r} must be finite, got {raw!r}")
+        return value
 
     def to_ini(self) -> str:
         parser = configparser.ConfigParser()
@@ -107,23 +117,23 @@ class PipelineConfig:
 
     @classmethod
     def from_ini(cls, text: str) -> "PipelineConfig":
-        parser = configparser.ConfigParser()
-        parser.read_string(text)
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            parser.read_string(text)
+        except configparser.Error as exc:
+            raise InvalidInputError(f"bad config file: {exc}") from None
         values: dict = {}
-        int_fields = {f.name for f in fields(cls) if f.type in (int, "int")}
         for section in parser.sections():
             if section not in cls._SECTIONS:
                 raise InvalidInputError(f"unknown config section [{section}]")
             for key, raw in parser[section].items():
                 if key not in cls._SECTIONS[section]:
                     raise InvalidInputError(f"unknown config key {key!r} in [{section}]")
-                values[key] = int(raw) if key in int_fields else float(raw)
+                values[key] = cls.parse_value(key, raw)
         return cls(**values)
 
 
 def save_config(config: PipelineConfig, path) -> None:
-    from .serial import atomic_write_bytes
-
     atomic_write_bytes(path, config.to_ini().encode("utf-8"))
 
 
@@ -247,45 +257,33 @@ class BenchReport:
     repetitions: int
 
     def as_dict(self) -> dict:
-        return {
-            "queries_per_second": self.queries_per_second,
-            "recall_at_k": self.recall_at_k,
-            "k": self.k,
-            "per_entry_bytes": self.per_entry_bytes,
-            "query_count": self.query_count,
-            "repetitions": self.repetitions,
-        }
+        return asdict(self)
 
 
 def bench_queries(bank: MemoryBank, query_count: int, seed: int) -> np.ndarray:
     """Deterministic query set: perturbed copies of randomly chosen bank keys."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    keys = bank.keys_matrix()
-    picks = rng.integers(0, keys.shape[0], size=query_count)
-    noisy = keys[picks].astype(np.float64) + 0.1 * rng.standard_normal((query_count, bank.d_key))
+    picks = rng.integers(0, len(bank), size=query_count)
+    noisy = bank.keys[picks].astype(np.float64) + 0.1 * rng.standard_normal((query_count, bank.d_key))
     norms = np.linalg.norm(noisy, axis=1, keepdims=True)
     return (noisy / np.where(norms > 1e-12, norms, 1.0)).astype(np.float32)
 
 
 def bench(bank: MemoryBank, index, query_count: int = 100, seed: int = 0,
-          k: int = 12, nprobe: int = 16, recall_size: int = 200,
-          repetitions: int = 3) -> BenchReport:
-    """Median-of-repetitions retrieval throughput and recall@k vs the flat oracle."""
+          k: int = DEFAULT_TOP_K, nprobe: int = DEFAULT_NPROBE,
+          recall_size: int = DEFAULT_RECALL_SIZE, repetitions: int = 3) -> BenchReport:
+    """Median-of-repetitions retrieve() throughput and recall@k vs flat retrieve()."""
     if len(bank) == 0:
         raise InvalidInputError("cannot benchmark an empty bank")
-    queries = bench_queries(bank, query_count, seed)
-    flat = FlatIndex.from_bank(bank)
+    queries = [RetrievalQuery(category="", vector=q)
+               for q in bench_queries(bank, query_count, seed)]
 
-    def search_one(q):
-        if isinstance(index, IvfPqIndex):
-            return retrieve(bank, index, _RawQuery(q), k=k,
-                            nprobe=nprobe, recall_size=recall_size)
-        return flat_search(index, q, k)
+    def search_all(searched):
+        return [retrieve(bank, searched, q, k=k, nprobe=nprobe, recall_size=recall_size)
+                for q in queries]
 
     total_overlap = 0.0
-    for q in queries:
-        hits = search_one(q)
-        exact = flat_search(flat, q, k)
+    for hits, exact in zip(search_all(index), search_all(FlatIndex.from_bank(bank))):
         total_overlap += len({h.entry_id for h in hits}
                              & {h.entry_id for h in exact}) / max(len(exact), 1)
     recall = total_overlap / query_count
@@ -293,25 +291,15 @@ def bench(bank: MemoryBank, index, query_count: int = 100, seed: int = 0,
     timings = []
     for _ in range(max(repetitions, 3)):
         start = time.perf_counter()
-        for q in queries:
-            search_one(q)
+        search_all(index)
         timings.append(time.perf_counter() - start)
     elapsed = float(np.median(timings))
     return BenchReport(
         queries_per_second=query_count / elapsed if elapsed > 0 else float("inf"),
         recall_at_k=recall,
         k=k,
-        per_entry_bytes=entry_stride(bank.d_key, bank.d_val),
+        # index bytes per entry: PQ codes plus an int64 id, or f32 keys
+        per_entry_bytes=index.params.m + 8 if isinstance(index, IvfPqIndex) else 4 * bank.d_key,
         query_count=query_count,
         repetitions=max(repetitions, 3),
     )
-
-
-class _RawQuery:
-    """Adapter: a bare vector in place of a RetrievalQuery for benchmarking."""
-
-    def __init__(self, vector: np.ndarray):
-        self.vector = vector
-        self.category = ""
-        self.scene = ""
-        self.image_id = ""

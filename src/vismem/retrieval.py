@@ -15,12 +15,13 @@ import numpy as np
 
 from .bank import EmbeddingProvider, KeyWeights, MemoryBank, build_key
 from .errors import InvalidInputError
-from .index import FlatIndex, IvfPqIndex, SearchHit, ivfpq_search, rescore
+from .index import IvfPqIndex, SearchHit, ivfpq_search, rescore
 from .grids import l2_normalize
 
 DEFAULT_TOP_K = 12
 DEFAULT_TAU = 0.07
 DEFAULT_RECALL_SIZE = 200
+DEFAULT_NPROBE = 16
 
 
 @dataclass
@@ -71,7 +72,7 @@ def softmax_weights(scores, tau: float) -> np.ndarray:
 
 
 def retrieve(bank: MemoryBank, index, query: RetrievalQuery, k: int = DEFAULT_TOP_K,
-             exclude_image: str | None = None, nprobe: int = 16,
+             exclude_image: str | None = None, nprobe: int = DEFAULT_NPROBE,
              recall_size: int = DEFAULT_RECALL_SIZE) -> list[SearchHit]:
     """Two-stage top-k retrieval with optional self-exclusion.
 
@@ -83,19 +84,16 @@ def retrieve(bank: MemoryBank, index, query: RetrievalQuery, k: int = DEFAULT_TO
         raise InvalidInputError(f"k must be >= 1, got {k}")
     if len(bank) == 0:
         return []
+    excluded = None if exclude_image is None else bank.image_ids == exclude_image
     if isinstance(index, IvfPqIndex):
         candidates = ivfpq_search(index, query.vector, nprobe=nprobe,
                                   recall_size=recall_size)
-        pool = rescore(bank, candidates, query.vector, k=len(candidates))
+        pool = rescore(bank.keys, candidates, query.vector, k=len(candidates))
     else:
-        pool_size = len(bank)
-        if exclude_image is None:
-            pool_size = min(pool_size, k)
-        else:
-            pool_size = min(pool_size, k + len(bank.entry_ids_for_image(exclude_image)))
-        pool = index.search(query.vector, pool_size)
-    if exclude_image is not None:
-        pool = [h for h in pool if bank.entries[h.entry_id].image_id != exclude_image]
+        extra = 0 if excluded is None else int(excluded.sum())
+        pool = index.search(query.vector, min(len(bank), k + extra))
+    if excluded is not None:
+        pool = [h for h in pool if not excluded[h.entry_id]]
     return pool[:k]
 
 
@@ -109,9 +107,7 @@ def aggregate_prototype(bank: MemoryBank, hits: list[SearchHit],
                          vector=np.zeros(bank.d_val, dtype=np.float32),
                          neighbors=[], tau=tau)
     weights = softmax_weights([h.score for h in hits], tau)
-    acc = np.zeros(bank.d_val, dtype=np.float64)
-    for hit, alpha in zip(hits, weights):
-        acc += alpha * bank.entries[hit.entry_id].value.astype(np.float64)
+    acc = weights @ bank.values[[h.entry_id for h in hits]].astype(np.float64)
     vector = l2_normalize(acc.astype(np.float32))
     neighbors = [(h.entry_id, h.score, float(a)) for h, a in zip(hits, weights)]
     return Prototype(category=query.category, vector=vector, neighbors=neighbors, tau=tau)

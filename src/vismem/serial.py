@@ -71,13 +71,6 @@ class Writer:
         self._chunks.append(payload)
         return self
 
-    def fixed_string(self, s: str, length: int) -> "Writer":
-        encoded = s.encode("utf-8")
-        if len(encoded) > length:
-            raise FormatError(f"string {s!r} exceeds fixed field length {length}")
-        self._chunks.append(encoded + b"\x00" * (length - len(encoded)))
-        return self
-
     def getvalue(self) -> bytes:
         return b"".join(self._chunks)
 
@@ -89,15 +82,18 @@ class Reader:
         self.data = data
         self.offset = 0
 
-    def _take(self, n: int) -> bytes:
-        if self.offset + n > len(self.data):
-            raise FormatError(
-                f"truncated file: need {n} bytes, have {len(self.data) - self.offset}",
-                offset=self.offset,
-            )
-        chunk = self.data[self.offset : self.offset + n]
+    def _advance(self, n: int) -> int:
+        """Claim the next n bytes and return where they start."""
+        start = self.offset
+        if start + n > len(self.data):
+            raise FormatError(f"truncated file: need {n} bytes, have {len(self.data) - start}",
+                              offset=start)
         self.offset += n
-        return chunk
+        return start
+
+    def _take(self, n: int) -> bytes:
+        start = self._advance(n)
+        return self.data[start : start + n]
 
     def magic(self, expected: str) -> None:
         start = self.offset
@@ -133,13 +129,10 @@ class Reader:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"bad JSON block: {exc}", offset=start) from exc
 
-    def fixed_string(self, length: int) -> str:
-        start = self.offset
-        raw = self._take(length)
-        try:
-            return raw.rstrip(b"\x00").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"bad UTF-8 in fixed string: {exc}", offset=start) from exc
+    def records(self, dtype: np.dtype, count: int) -> np.ndarray:
+        """count fixed-size records as a read-only view of the data (no copy)."""
+        start = self._advance(dtype.itemsize * count)
+        return np.frombuffer(self.data, dtype=dtype, count=count, offset=start)
 
     def expect_eof(self) -> None:
         if self.offset != len(self.data):

@@ -35,7 +35,6 @@ from vismem.index import (
     FlatIndex,
     IvfPqParams,
     SearchHit,
-    flat_search,
     ivfpq_add,
     ivfpq_search,
     load_index,
@@ -82,7 +81,7 @@ class TestOracleEquivalence:
     def test_exhaustive_probe_plus_rescore_equals_flat(self):
         """10 seeded banks of 10k x 128 unit keys: ivfpq_search with
         nprobe=nlist and an exhaustive recall pool, rescored, must equal
-        flat_search exactly for k in {1, 12, 50}; total runtime < 60 s."""
+        FlatIndex.search exactly for k in {1, 12, 50}; total runtime < 60 s."""
         start = time.perf_counter()
         n, d = 10_000, 128
         params = IvfPqParams(nlist=16, m=8, nbits=4, seed=0, kmeans_iters=4)
@@ -97,7 +96,7 @@ class TestOracleEquivalence:
                 candidates = ivfpq_search(index, q, nprobe=params.nlist, recall_size=n)
                 for k in (1, 12, 50):
                     approx = rescore(keys, candidates, q, k=k)
-                    exact = flat_search(flat, q, k=k)
+                    exact = flat.search(q, k=k)
                     assert approx == exact, (
                         f"bank {bank_seed}, query {q_num}, k={k}: "
                         "two-stage result differs from the flat oracle")

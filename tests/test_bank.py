@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from vismem.bank import (
     GroundingRecord,
     HashingProvider,
     KeyWeights,
+    MemoryBank,
+    MemoryEntry,
     blur_filter,
     build_bank,
     build_key,
@@ -27,6 +30,7 @@ from vismem.bank import (
 )
 from vismem.errors import FormatError, InvalidInputError, MissingEmbeddingError
 from vismem.grids import Box2D, l2_normalize
+from vismem.serial import Writer
 
 
 def rng_for(seed):
@@ -294,13 +298,14 @@ class TestBuildBank:
         with pytest.raises(MissingEmbeddingError, match="unseen-phrase"):
             build_bank([rec], prov, BankBuildConfig(drop_fraction=0.0))
 
-    def test_view_excluding(self):
+    def test_image_id_mask_excludes_one_image(self):
         bank = build_bank(self._records(20), make_provider(), BankBuildConfig(drop_fraction=0.0))
-        view = bank.view_excluding("img1")
-        assert all(e.image_id != "img1" for _, e in view)
-        held_out = set(bank.entry_ids_for_image("img1"))
+        held = bank.image_ids == "img1"
+        kept = np.flatnonzero(~held)
+        assert all(bank.entries[i].image_id != "img1" for i in kept)
+        held_out = set(np.flatnonzero(held).tolist())
         assert held_out
-        assert {i for i, _ in view} | held_out == set(range(len(bank)))
+        assert set(kept.tolist()) | held_out == set(range(len(bank)))
 
 
 class TestBankPersistence:
@@ -376,6 +381,109 @@ class TestBankPersistence:
         with pytest.raises(OSError):
             save_bank(self._bank(), target)
         assert not target.exists()
+
+
+def reference_bank_bytes(bank):
+    """The v1 bank file written one entry and one field at a time."""
+    w = Writer()
+    w.magic("PBNK").u32(1).u32(bank.d_key).u32(bank.d_val).u64(len(bank))
+    w.json_block({"weights": bank.weights.as_dict(), "manifest": bank.manifest})
+    for e in bank.entries:
+        w.f32_array(e.key).f32_array(e.value)
+        for name in (e.category, e.image_id):
+            encoded = name.encode("utf-8")
+            assert len(encoded) <= 64
+            w.raw(encoded + b"\x00" * (64 - len(encoded)))
+        w.f32_array(np.asarray(e.box.as_list(), dtype=np.float32))
+        w.f32(math.nan if e.blur_score is None else e.blur_score)
+    return w.getvalue()
+
+
+def hand_bank(categories, image_ids, blur_scores, d_key=6, d_val=3):
+    rng = rng_for(11)
+    entries = [
+        MemoryEntry(key=l2_normalize(rng.standard_normal(d_key).astype(np.float32)),
+                    value=l2_normalize(rng.standard_normal(d_val).astype(np.float32)),
+                    category=c, image_id=i, box=Box2D(0.1, 0.2, 0.3 + 0.1 * n, 0.9),
+                    blur_score=b)
+        for n, (c, i, b) in enumerate(zip(categories, image_ids, blur_scores))
+    ]
+    return MemoryBank(entries=entries, d_key=d_key, d_val=d_val, manifest={"n": len(entries)})
+
+
+class TestBankEncoding:
+    NAMES = ["caf\u00e9 \u732b", "x" * 64, "plain"]
+
+    def test_save_matches_reference_encoding(self, tmp_path):
+        bank = hand_bank(self.NAMES, ["\u00fcber", "img", "y" * 64], [None, 2.5, 0.0])
+        path = tmp_path / "b.pbnk"
+        save_bank(bank, path)
+        assert path.read_bytes() == reference_bank_bytes(bank)
+        loaded = load_bank(path)
+        assert loaded == bank
+        assert loaded.categories.tolist() == self.NAMES
+        assert [e.blur_score for e in loaded.entries] == [None, 2.5, 0.0]
+        assert math.isnan(loaded.blur[0])
+
+    def test_built_bank_matches_reference_encoding(self, tmp_path):
+        bank = TestBankPersistence()._bank()
+        path = tmp_path / "b.pbnk"
+        save_bank(bank, path)
+        assert path.read_bytes() == reference_bank_bytes(bank)
+
+    def test_empty_bank_matches_reference_encoding(self, tmp_path):
+        bank = build_bank([], make_provider())
+        path = tmp_path / "b.pbnk"
+        save_bank(bank, path)
+        assert path.read_bytes() == reference_bank_bytes(bank)
+        assert load_bank(path) == bank
+
+    def test_columns_are_read_only(self):
+        bank = hand_bank(self.NAMES, ["a", "b", "c"], [1.0, 2.0, 3.0])
+        assert bank.keys_matrix() is bank.keys
+        for column in (bank.keys, bank.values, bank.categories, bank.image_ids,
+                       bank.boxes, bank.blur):
+            assert not column.flags.writeable
+
+    def test_name_over_64_bytes_rejected(self, tmp_path):
+        # 33 two-byte characters: 33 code points but 66 bytes
+        bank = hand_bank(["\u00e9" * 33], ["img"], [None])
+        with pytest.raises(FormatError, match="exceeds"):
+            save_bank(bank, tmp_path / "b.pbnk")
+        with pytest.raises(FormatError, match="exceeds"):
+            save_bank(hand_bank(["cat"], ["i" * 65], [None]), tmp_path / "b.pbnk")
+        assert not (tmp_path / "b.pbnk").exists()
+
+    @pytest.mark.parametrize("corner, value", [(0, -5.0), (2, 0.05), (3, float("nan"))])
+    def test_box_out_of_range_rejected(self, tmp_path, corner, value):
+        bank = hand_bank(["cat", "dog"], ["img0", "img1"], [None, None])
+        path = tmp_path / "b.pbnk"
+        save_bank(bank, path)
+        raw = bytearray(path.read_bytes())
+        stride = entry_stride(bank.d_key, bank.d_val)
+        box_at = len(raw) - stride + 4 * (bank.d_key + bank.d_val) + 2 * 64
+        raw[box_at + 4 * corner:box_at + 4 * corner + 4] = struct.pack("<f", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="box"):
+            load_bank(path)
+
+    def test_invalid_utf8_name_rejected(self, tmp_path):
+        bank = hand_bank(["cat", "dog"], ["img0", "img1"], [None, None])
+        path = tmp_path / "b.pbnk"
+        save_bank(bank, path)
+        raw = bytearray(path.read_bytes())
+        stride = entry_stride(bank.d_key, bank.d_val)
+        records_start = len(raw) - 2 * stride
+        category_at = records_start + stride + 4 * (bank.d_key + bank.d_val)
+        raw[category_at] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_bank(path)
+        raw[category_at] = ord("d")
+        raw[category_at + 64 + 1] = 0xC3  # truncated two-byte sequence in an image id
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_bank(path)
 
 
 class TestEmbeddingTableIO:

@@ -38,7 +38,7 @@ def index_path(scenario_dir, bank_path, tmp_path_factory):
     rc = main([
         "build-index", "--bank", str(bank_path), "--out", str(out),
         "--set", "nlist=4", "--set", "m=4", "--set", "nbits=4",
-        "--set", "kmeans_iters=5",
+        "--set", "nprobe=4", "--set", "kmeans_iters=5",
     ])
     assert rc == 0
     return out
@@ -241,7 +241,7 @@ class TestBench:
         report = json.loads(capsys.readouterr().out)
         assert report["recall_at_k"] == pytest.approx(1.0)
         assert report["queries_per_second"] > 0
-        assert report["per_entry_bytes"] == 4 * (32 + 16) + 148
+        assert report["per_entry_bytes"] == 4 * 32
 
     def test_ivfpq_bench(self, bank_path, index_path, capsys):
         rc = main(["bench", "--bank", str(bank_path), "--index", str(index_path),
@@ -249,6 +249,36 @@ class TestBench:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert 0.0 <= report["recall_at_k"] <= 1.0
+        assert report["per_entry_bytes"] == 4 + 8
+
+
+class TestConfigErrors:
+    """A bad config value or file is a data error: exit 2 and one error line."""
+
+    def _build_index(self, bank_path, tmp_path, *extra):
+        return main(["build-index", "--bank", str(bank_path),
+                     "--out", str(tmp_path / "i.pivf"), *extra])
+
+    def _assert_reported(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_bad_ini_value_exits_2(self, bank_path, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[retrieval]\nk = abc\n")
+        assert self._build_index(bank_path, tmp_path, "--config", str(cfg)) == 2
+        self._assert_reported(capsys)
+
+    def test_ini_without_section_exits_2(self, bank_path, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("k = 5\n")
+        assert self._build_index(bank_path, tmp_path, "--config", str(cfg)) == 2
+        self._assert_reported(capsys)
+
+    def test_zero_m_exits_2(self, bank_path, tmp_path, capsys):
+        assert self._build_index(bank_path, tmp_path, "--set", "m=0") == 2
+        self._assert_reported(capsys)
+        assert not (tmp_path / "i.pivf").exists()
 
 
 class TestUsageErrors:

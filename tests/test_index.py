@@ -1,6 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from vismem.bank import MemoryBank, load_bank, save_bank
 from vismem.errors import FormatError, IndexStateError, InvalidInputError
 from vismem.index import (
     FlatIndex,
@@ -8,7 +12,6 @@ from vismem.index import (
     IvfPqParams,
     SearchHit,
     exact_scores,
-    flat_search,
     ivfpq_add,
     ivfpq_search,
     kmeans,
@@ -36,6 +39,12 @@ def naive_top_k(keys, query, k):
     return [(i, s) for s, i in scored[:k]]
 
 
+def list_rows(index, list_no):
+    """(ids, codes) of one inverted list: its slice of the CSR arrays."""
+    a, b = index.offsets[list_no], index.offsets[list_no + 1]
+    return index.ids[a:b], index.codes[a:b]
+
+
 def small_index(seed=0, n=400, d=16, nlist=8, m=4, nbits=4, iters=10):
     rng = rng_for(seed)
     keys = unit_rows(rng, n, d)
@@ -48,18 +57,18 @@ def small_index(seed=0, n=400, d=16, nlist=8, m=4, nbits=4, iters=10):
 class TestFlatSearch:
     def test_three_key_example(self):
         keys = np.eye(3, dtype=np.float32)
-        hits = flat_search(FlatIndex(keys), [0.9, 0.5, 0.1], k=2)
+        hits = FlatIndex(keys).search([0.9, 0.5, 0.1], k=2)
         assert [h.entry_id for h in hits] == [0, 1]
         assert hits[0].score == pytest.approx(0.9, abs=1e-6)
 
     def test_tie_break_by_ascending_id(self):
         keys = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
-        hits = flat_search(FlatIndex(keys), [1.0, 0.0], k=3)
+        hits = FlatIndex(keys).search([1.0, 0.0], k=3)
         assert [h.entry_id for h in hits] == [0, 1, 2]
 
     def test_k_larger_than_n(self):
         keys = unit_rows(rng_for(0), 5, 8)
-        hits = flat_search(FlatIndex(keys), keys[0], k=50)
+        hits = FlatIndex(keys).search(keys[0], k=50)
         assert len(hits) == 5
 
     @pytest.mark.parametrize("seed", range(10))
@@ -67,7 +76,7 @@ class TestFlatSearch:
         rng = rng_for(seed)
         keys = unit_rows(rng, 1000, 24)
         query = unit_rows(rng, 1, 24)[0]
-        hits = flat_search(FlatIndex(keys), query, k=20)
+        hits = FlatIndex(keys).search(query, k=20)
         oracle = naive_top_k(keys, query, 20)
         assert [h.entry_id for h in hits] == [i for i, _ in oracle]
         for h, (_, s) in zip(hits, [(i, s) for i, s in oracle]):
@@ -76,7 +85,7 @@ class TestFlatSearch:
     def test_scores_strictly_sorted(self):
         rng = rng_for(3)
         keys = unit_rows(rng, 200, 16)
-        hits = flat_search(FlatIndex(keys), unit_rows(rng, 1, 16)[0], k=200)
+        hits = FlatIndex(keys).search(unit_rows(rng, 1, 16)[0], k=200)
         scores = [h.score for h in hits]
         assert scores == sorted(scores, reverse=True)
 
@@ -143,8 +152,9 @@ class TestTrainIvfPq:
         params = IvfPqParams(nlist=1, m=1, nbits=6, seed=0, kmeans_iters=30)
         index = train_ivfpq(keys, params)
         ivfpq_add(index, np.arange(64), keys)
-        recon = index.decode(0, index.list_codes[0])
-        order = np.argsort(index.list_ids[0])
+        ids, codes = list_rows(index, 0)
+        recon = index.decode(0, codes)
+        order = np.argsort(ids)
         np.testing.assert_allclose(recon[order], keys, atol=1e-4)
 
     def test_dim_not_divisible_rejected(self):
@@ -160,12 +170,12 @@ class TestIvfPqAdd:
     def test_total_count_preserved(self):
         index, _ = small_index(n=400)
         assert index.ntotal == 400
-        assert sum(len(ids) for ids in index.list_ids) == 400
+        assert sum(len(list_rows(index, l)[0]) for l in range(index.params.nlist)) == 400
 
     def test_each_key_in_nearest_list(self):
         index, keys = small_index(n=100)
         for list_no in range(index.params.nlist):
-            for i in index.list_ids[list_no]:
+            for i in list_rows(index, list_no)[0]:
                 scores = index.coarse_centroids @ keys[i]
                 assert scores.argmax() == list_no
 
@@ -173,6 +183,34 @@ class TestIvfPqAdd:
         index, keys = small_index(n=50)
         with pytest.raises(InvalidInputError):
             ivfpq_add(index, [10], keys[:1])
+
+    def test_two_batches_save_same_bytes_as_one(self, tmp_path):
+        rng = rng_for(8)
+        keys = unit_rows(rng, 150, 16)
+        ids = rng.permutation(150)
+        params = IvfPqParams(nlist=4, m=4, nbits=4, seed=0, kmeans_iters=5)
+        one = train_ivfpq(keys, params)
+        ivfpq_add(one, ids, keys)
+        two = train_ivfpq(keys, params)
+        ivfpq_add(two, ids[:70], keys[:70])
+        ivfpq_add(two, ids[70:], keys[70:])
+        p1, p2 = tmp_path / "one.pivf", tmp_path / "two.pivf"
+        save_index(one, p1)
+        save_index(two, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert two.ntotal == 150 and two.offsets[0] == 0
+        assert np.all(np.diff(two.offsets) >= 0)
+
+    def test_duplicate_id_across_batches_rejected(self):
+        rng = rng_for(9)
+        keys = unit_rows(rng, 60, 16)
+        index = train_ivfpq(keys, IvfPqParams(nlist=4, m=4, nbits=4, seed=0, kmeans_iters=5))
+        ivfpq_add(index, np.arange(30), keys[:30])
+        with pytest.raises(InvalidInputError):
+            ivfpq_add(index, np.arange(29, 59), keys[30:])
+        with pytest.raises(InvalidInputError):
+            ivfpq_add(index, [40, 40], keys[30:32])
+        assert index.ntotal == 30
 
     def test_incremental_add_matches_bulk(self):
         rng = rng_for(5)
@@ -214,8 +252,9 @@ class TestIvfPqSearch:
         probe = np.lexsort((np.arange(index.params.nlist), -coarse))[:nprobe]
         oracle = []
         for list_no in probe:
-            recon = index.decode(list_no, index.list_codes[list_no])
-            for i, row in zip(index.list_ids[list_no], recon):
+            ids, codes = list_rows(index, list_no)
+            recon = index.decode(list_no, codes)
+            for i, row in zip(ids, recon):
                 oracle.append((float(row.astype(np.float64) @ query), int(i)))
         oracle.sort(key=lambda t: (-t[0], t[1]))
         hits = ivfpq_search(index, query, nprobe=nprobe, recall_size=25)
@@ -251,7 +290,7 @@ class TestIvfPqSearch:
             q = unit_rows(rng_for(1000 + qseed), 1, 16)[0]
             cands = ivfpq_search(index, q, nprobe=index.params.nlist, recall_size=300)
             approx = rescore(keys, cands, q, k=10)
-            exact = flat_search(flat, q, k=10)
+            exact = flat.search(q, k=10)
             assert approx == exact
 
 
@@ -334,6 +373,72 @@ class TestIndexPersistence:
         path.write_bytes(raw[:-6])
         with pytest.raises(FormatError):
             load_index(path)
+
+
+def with_json_header(raw: bytes, at: int, header) -> bytes:
+    """raw with the JSON block at byte offset `at` replaced by `header`."""
+    old_len = int.from_bytes(raw[at:at + 4], "little")
+    payload = json.dumps(header).encode("utf-8")
+    return raw[:at] + struct.pack("<I", len(payload)) + payload + raw[at + 4 + old_len:]
+
+
+# Byte offset of the JSON header block: after magic and version in an index
+# file, and after magic, version, d_key, d_val and count in a bank file.
+INDEX_HEADER_AT, BANK_HEADER_AT = 8, 24
+PARAMS = {"nlist": 8, "m": 4, "nbits": 4, "seed": 0, "kmeans_iters": 10}
+WEIGHTS = {"w_p": 1.0, "w_s": 0.3, "w_g": 0.01}
+
+
+class TestHeaderValidation:
+    @pytest.mark.parametrize("kind, header", [
+        ("index", {**PARAMS, "extra": 1}),
+        ("index", {**PARAMS, "m": 0}),
+        ("index", {**PARAMS, "nlist": -1}),
+        ("index", {**PARAMS, "m": "4"}),
+        ("index", {**PARAMS, "nbits": 9}),
+        ("index", {**PARAMS, "m": 3}),  # dim 16 is not a multiple of 3
+        ("index", {k: v for k, v in PARAMS.items() if k != "seed"}),
+        ("index", [8, 4, 4, 0, 10]),
+        ("bank", {"weights": {**WEIGHTS, "extra": 1.0}, "manifest": {}}),
+        ("bank", {"manifest": {}}),
+        ("bank", {"weights": {**WEIGHTS, "w_s": "0.3"}, "manifest": {}}),
+        ("bank", {"weights": WEIGHTS, "manifest": []}),
+    ])
+    def test_bad_header_is_format_error(self, tmp_path, kind, header):
+        if kind == "index":
+            index, _ = small_index(n=120)
+            path, at, loader = tmp_path / "f.pivf", INDEX_HEADER_AT, load_index
+            save_index(index, path)
+        else:
+            bank = MemoryBank(keys=np.eye(2, dtype=np.float32), values=np.eye(2, dtype=np.float32),
+                              categories=["a", "b"], image_ids=["i", "j"],
+                              boxes=[[0, 0, 1, 1]] * 2, blur=[None, 1.0], d_key=2, d_val=2)
+            path, at, loader = tmp_path / "f.pbnk", BANK_HEADER_AT, load_bank
+            save_bank(bank, path)
+        path.write_bytes(with_json_header(path.read_bytes(), at, header))
+        with pytest.raises(FormatError) as exc:
+            loader(path)
+        assert exc.value.offset is not None
+
+    def test_unchanged_header_loads(self, tmp_path):
+        index, _ = small_index(n=120)
+        path = tmp_path / "f.pivf"
+        save_index(index, path)
+        path.write_bytes(with_json_header(path.read_bytes(), INDEX_HEADER_AT, PARAMS))
+        assert load_index(path).params == index.params
+
+
+class TestIvfPqParams:
+    @pytest.mark.parametrize("fields", [
+        {"nlist": 0}, {"m": 0}, {"kmeans_iters": 0}, {"nbits": 0}, {"nbits": 9},
+        {"seed": -1}, {"m": "4"}, {"nlist": 8.0}, {"nbits": True},
+    ])
+    def test_invalid_fields_rejected(self, fields):
+        with pytest.raises(InvalidInputError):
+            IvfPqParams(**fields)
+
+    def test_eight_bit_codes_accepted(self):
+        assert IvfPqParams(nbits=8).ksub == 256
 
 
 class TestExactScores:

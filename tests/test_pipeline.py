@@ -91,8 +91,29 @@ class TestPipelineConfig:
         with pytest.raises(InvalidInputError):
             PipelineConfig(window=4)
 
+    def test_index_fields_validated_up_front(self):
+        with pytest.raises(InvalidInputError):
+            PipelineConfig(m=0)
+        with pytest.raises(InvalidInputError):
+            PipelineConfig(nbits=9)
+        with pytest.raises(InvalidInputError, match="nprobe"):
+            PipelineConfig(nlist=8, nprobe=9)
+        assert PipelineConfig(nlist=8, nprobe=8).nprobe == 8
+
+    def test_parse_value(self):
+        assert PipelineConfig.parse_value("k", "7") == 7
+        assert PipelineConfig.parse_value("tau_p", "0.5") == 0.5
+        for key, raw in (("k", "abc"), ("k", "1.5"), ("tau_p", "nan"), ("bogus", "1")):
+            with pytest.raises(InvalidInputError):
+                PipelineConfig.parse_value(key, raw)
+
+    def test_malformed_ini_rejected(self):
+        for text in ("k = 3\n", "[retrieval]\nk = abc\n", "[retrieval]\nk = 1\nk = 2\n"):
+            with pytest.raises(InvalidInputError):
+                PipelineConfig.from_ini(text)
+
     def test_weights_and_index_params(self):
-        c = PipelineConfig(w_p=0.5, nlist=8, m=2, nbits=3, seed=4, kmeans_iters=6)
+        c = PipelineConfig(w_p=0.5, nlist=8, m=2, nbits=3, nprobe=8, seed=4, kmeans_iters=6)
         assert c.weights().w_p == 0.5
         p = c.index_params()
         assert (p.nlist, p.m, p.nbits, p.seed, p.kmeans_iters) == (8, 2, 3, 4, 6)
@@ -279,16 +300,17 @@ class TestBench:
         assert report.queries_per_second > 0
         assert report.k == 12 and report.query_count == 10
         assert report.repetitions >= 3
-        assert report.per_entry_bytes == 4 * (bank.d_key + bank.d_val) + 148
+        assert report.per_entry_bytes == 4 * bank.d_key
 
     def test_ivfpq_bench_recall_bounded(self):
         bank, _ = self._bank()
         keys = bank.keys_matrix()
-        cfg = PipelineConfig(nlist=4, m=4, nbits=4, kmeans_iters=6)
+        cfg = PipelineConfig(nlist=4, m=4, nbits=4, nprobe=4, kmeans_iters=6)
         index = train_ivfpq(keys, cfg.index_params())
         ivfpq_add(index, np.arange(len(bank)), keys)
         report = bench(bank, index, query_count=10, nprobe=4, recall_size=len(bank))
         assert 0.0 <= report.recall_at_k <= 1.0
+        assert report.per_entry_bytes == 4 + 8
 
     def test_empty_bank_rejected(self):
         s = standard_scenario()

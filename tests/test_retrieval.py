@@ -11,7 +11,7 @@ from vismem.bank import (
 )
 from vismem.errors import InvalidInputError
 from vismem.grids import Box2D
-from vismem.index import FlatIndex, IvfPqParams, flat_search, ivfpq_add, train_ivfpq
+from vismem.index import FlatIndex, IvfPqParams, ivfpq_add, train_ivfpq
 from vismem.retrieval import (
     DEFAULT_RECALL_SIZE,
     DEFAULT_TAU,
@@ -152,7 +152,7 @@ class TestRetrieve:
         provider, bank = make_fixture()
         q = build_query(provider, "dog", "street", "img1", bank.weights)
         index = FlatIndex.from_bank(bank)
-        assert retrieve(bank, index, q, k=8) == flat_search(index, q.vector, 8)
+        assert retrieve(bank, index, q, k=8) == index.search(q.vector, 8)
 
     @pytest.mark.parametrize("exclude", ["img0", "img2"])
     def test_exclusion_matches_filtered_bank_oracle(self, exclude):
@@ -163,10 +163,9 @@ class TestRetrieve:
         hits = retrieve(bank, FlatIndex.from_bank(bank), q, k=10, exclude_image=exclude)
         assert all(bank.entries[h.entry_id].image_id != exclude for h in hits)
 
-        view = bank.view_excluding(exclude)
-        keys = np.stack([e.key for _, e in view])
-        sub_hits = flat_search(FlatIndex(keys), q.vector, 10)
-        orig_ids = [view[h.entry_id][0] for h in sub_hits]
+        kept = np.flatnonzero(bank.image_ids != exclude)
+        sub_hits = FlatIndex(bank.keys[kept]).search(q.vector, 10)
+        orig_ids = [int(kept[h.entry_id]) for h in sub_hits]
         assert [h.entry_id for h in hits] == orig_ids
         np.testing.assert_allclose([h.score for h in hits],
                                    [h.score for h in sub_hits], atol=1e-12)
