@@ -53,6 +53,7 @@ from .priors import (
     DensePrior,
     anchors_from_gt,
     dense_prior,
+    dense_priors,
     extract_anchors,
 )
 from .refine import (

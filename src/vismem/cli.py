@@ -28,7 +28,7 @@ from .bank import (
 )
 from .errors import InvalidInputError, VismemError
 from .grids import Point2D
-from .index import FlatIndex, ivfpq_add, load_index, save_index, train_ivfpq
+from .index import FlatIndex, IvfPqIndex, ivfpq_add, load_index, save_index, train_ivfpq
 from .pipeline import (
     PipelineConfig,
     bench,
@@ -59,7 +59,9 @@ def _add_config_args(p: argparse.ArgumentParser):
                    help="override one config value (repeatable)")
 
 
-def _resolve_config(args) -> PipelineConfig:
+def _resolve_config(args, index=None) -> PipelineConfig:
+    """Config file, then --set. A loaded IVF-PQ index supplies nlist, so
+    nprobe is checked against the lists that index has."""
     config = load_config(args.config) if args.config else PipelineConfig()
     updates = {}
     for item in args.set:
@@ -70,6 +72,14 @@ def _resolve_config(args) -> PipelineConfig:
             updates[key] = PipelineConfig.parse_value(key, raw)
         except InvalidInputError as exc:
             raise _UsageError(str(exc)) from None
+    if isinstance(index, IvfPqIndex):
+        nlist = index.params.nlist
+        nprobe = updates.get("nprobe", config.nprobe)
+        if not 1 <= nprobe <= nlist:
+            raise InvalidInputError(
+                f"nprobe={nprobe} does not fit the loaded index, which has nlist={nlist}; "
+                f"pass --set nprobe=N with 1 <= N <= {nlist}")
+        updates["nlist"] = nlist
     return replace(config, **updates)
 
 
@@ -193,10 +203,10 @@ def cmd_build_index(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    config = _resolve_config(args)
     memory = load_bank(args.bank)
-    provider = _resolve_provider(args)
     index = _load_any_index(args.index, memory)
+    config = _resolve_config(args, index)
+    provider = _resolve_provider(args)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for category in _read_categories(args.categories):
@@ -273,10 +283,10 @@ def cmd_refine(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    config = _resolve_config(args)
     memory = load_bank(args.bank)
-    provider = _resolve_provider(args)
     index = _load_any_index(args.index, memory)
+    config = _resolve_config(args, index)
+    provider = _resolve_provider(args)
     if args.params:
         params = load_params(args.params)
     else:
@@ -306,9 +316,9 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    config = _resolve_config(args)
     memory = load_bank(args.bank)
     index = _load_any_index(args.index, memory)
+    config = _resolve_config(args, index)
     report = bench(memory, index, query_count=args.queries, seed=config.seed,
                    k=config.k, nprobe=config.nprobe, recall_size=config.recall_size)
     print(json.dumps(report.as_dict(), sort_keys=True))

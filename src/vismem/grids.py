@@ -160,7 +160,12 @@ def bilinear_sample(grid, p: Point2D) -> np.ndarray:
     Coordinates are clamped to the cell-center range at the borders, so
     corner samples reduce to the corner cell's feature.
     """
-    grid = as_grid(grid)
+    return _bilinear(as_grid(grid), p)
+
+
+def _bilinear(grid: np.ndarray, p: Point2D) -> np.ndarray:
+    """bilinear_sample on a grid that as_grid has already checked; only the
+    four cells read are cast to float64."""
     h, w, _ = grid.shape
     gx = min(max(p.x * w - 0.5, 0.0), w - 1.0)
     gy = min(max(p.y * h - 0.5, 0.0), h - 1.0)
@@ -170,9 +175,10 @@ def bilinear_sample(grid, p: Point2D) -> np.ndarray:
     r1 = min(r0 + 1, h - 1)
     fx = gx - c0
     fy = gy - r0
-    g = grid.astype(np.float64)
-    top = (1.0 - fx) * g[r0, c0] + fx * g[r0, c1]
-    bot = (1.0 - fx) * g[r1, c0] + fx * g[r1, c1]
+    g00, g01, g10, g11 = (grid[r, c].astype(np.float64)
+                          for r, c in ((r0, c0), (r0, c1), (r1, c0), (r1, c1)))
+    top = (1.0 - fx) * g00 + fx * g01
+    bot = (1.0 - fx) * g10 + fx * g11
     return ((1.0 - fy) * top + fy * bot).astype(np.float32)
 
 

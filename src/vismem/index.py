@@ -28,10 +28,20 @@ class SearchHit:
 
 
 def _sorted_hits(ids: np.ndarray, scores: np.ndarray, k: int) -> list[SearchHit]:
-    """Top-k by (score desc, id asc)."""
+    """Top-k by (score desc, id asc).
+
+    Only the rows scoring at least the k-th best score, every tie with it
+    included, are sorted; that gives the order of a full sort.
+    """
     if ids.size == 0 or k <= 0:
         return []
-    order = np.lexsort((ids, -scores))[: min(k, ids.size)]
+    if k < ids.size:
+        neg = -scores
+        kth = np.partition(neg, k - 1)[k - 1]
+        if not np.isnan(kth):  # NaN sorts last in both; then keep every row
+            keep = np.flatnonzero(neg <= kth)
+            ids, scores = ids[keep], scores[keep]
+    order = np.lexsort((ids, -scores))[:k]
     return [SearchHit(int(ids[i]), float(scores[i])) for i in order]
 
 

@@ -14,12 +14,13 @@ import numpy as np
 
 from .bank import BankBuildConfig, EmbeddingProvider, KeyWeights, MemoryBank
 from .errors import InvalidInputError, VismemError
+from .grids import as_grid
 from .index import FlatIndex, IvfPqIndex, IvfPqParams, SearchHit
 from .priors import (DEFAULT_MAX_ANCHORS, DEFAULT_PEAK_THRESHOLD, DEFAULT_RADIUS_CELLS,
-                     DEFAULT_SIGMA, AnchorSet, DensePrior, dense_prior, extract_anchors,
+                     DEFAULT_SIGMA, AnchorSet, DensePrior, dense_priors, extract_anchors,
                      radius_cells_to_normalized)
-from .refine import (DEFAULT_WINDOW, LogitsMatrix, MemoryGuidedPrompt, constrain_logits,
-                     refine_all, score_prompts)
+from .refine import (DEFAULT_WINDOW, LogitsMatrix, MemoryGuidedPrompt, _refine,
+                     constrain_logits, score_prompts)
 from .retrieval import (DEFAULT_NPROBE, DEFAULT_RECALL_SIZE, DEFAULT_TAU, DEFAULT_TOP_K,
                         Prototype, RetrievalQuery, aggregate_prototype, build_query, retrieve)
 from .serial import atomic_write_bytes
@@ -166,14 +167,21 @@ def run_pipeline(config: PipelineConfig, bank: MemoryBank, index,
     The input feature grid doubles as the single detector scale unless
     explicit scales are given. Prototypes of non-empty categories serve as
     the stand-in classification embeddings.
+
+    Per-image work is done once: the input grid and every scale are checked
+    on entry, and the dense priors of all categories share one normalized
+    grid.
     """
-    if scales is None:
-        scales = [provider.feature_grid(image_id)]
-    input_grid = provider.feature_grid(image_id)
+    stage = "input_grid"
+    try:
+        input_grid = as_grid(provider.feature_grid(image_id))
+        stage = "scales"
+        scales = [input_grid] if scales is None else [as_grid(s) for s in scales]
+    except VismemError as exc:
+        raise type(exc)(f"[stage {stage}] {exc}") from exc
     weights = config.weights()
 
     results: dict[str, CategoryResult] = {}
-    prototypes: dict[str, Prototype] = {}
     for category in categories:
         stage = "build_query"
         try:
@@ -184,36 +192,39 @@ def run_pipeline(config: PipelineConfig, bank: MemoryBank, index,
                             recall_size=config.recall_size)
             stage = "aggregate_prototype"
             proto = aggregate_prototype(bank, hits, query, tau=config.tau_p)
-            prototypes[category] = proto
-            if proto.is_empty:
-                results[category] = CategoryResult(
-                    category=category, hits=[], prototype=proto, prior=None,
-                    anchors=None, prompts=[], logits=None)
-                continue
-            stage = "dense_prior"
-            prior = dense_prior(input_grid, proto, sigma=config.sigma)
-            stage = "extract_anchors"
+        except VismemError as exc:
+            raise type(exc)(f"[stage {stage}, category {category!r}] {exc}") from exc
+        results[category] = CategoryResult(
+            category=category, hits=[] if proto.is_empty else hits, prototype=proto,
+            prior=None, anchors=None, prompts=[], logits=None)
+
+    found = [r for r in results.values() if not r.prototype.is_empty]
+    try:
+        priors = dense_priors(input_grid, [r.prototype for r in found], sigma=config.sigma)
+    except VismemError as exc:
+        raise type(exc)(f"[stage dense_prior] {exc}") from exc
+    for result, prior in zip(found, priors):
+        stage = "extract_anchors"
+        try:
             radius = radius_cells_to_normalized(
                 config.radius_cells, prior.heatmap.shape[0], prior.heatmap.shape[1])
             anchors = extract_anchors(prior, threshold=config.peak_threshold,
                                       radius=radius, max_anchors=config.max_anchors)
             stage = "refine_all"
-            prompts = refine_all(scales, prior, anchors, params, category)
-            results[category] = CategoryResult(
-                category=category, hits=hits, prototype=proto, prior=prior,
-                anchors=anchors, prompts=prompts, logits=None)
+            prompts = _refine(scales, prior.heatmap, anchors, params, result.category)
         except VismemError as exc:
-            raise type(exc)(f"[stage {stage}, category {category!r}] {exc}") from exc
+            raise type(exc)(f"[stage {stage}, category {result.category!r}] {exc}") from exc
+        result.prior, result.anchors, result.prompts = prior, anchors, prompts
 
-    category_embs = {c: p.vector for c, p in prototypes.items() if not p.is_empty}
-    for category, result in results.items():
-        if not result.prompts or not category_embs:
+    category_embs = {r.category: r.prototype.vector for r in found}
+    for result in found:
+        if not result.prompts:
             continue
         try:
             logits = score_prompts(result.prompts, category_embs)
             result.logits = constrain_logits(logits)
         except VismemError as exc:
-            raise type(exc)(f"[stage score_prompts, category {category!r}] {exc}") from exc
+            raise type(exc)(f"[stage score_prompts, category {result.category!r}] {exc}") from exc
     return results
 
 

@@ -50,23 +50,37 @@ def radius_cells_to_normalized(radius_cells: float, height: int, width: int) -> 
 
 def dense_prior(grid, proto: Prototype, sigma: float = DEFAULT_SIGMA) -> DensePrior:
     """Smoothed, rescaled compatibility heatmap between grid cells and prototype."""
+    return dense_priors(grid, [proto], sigma)[0]
+
+
+def dense_priors(grid, protos: list[Prototype], sigma: float = DEFAULT_SIGMA) -> list[DensePrior]:
+    """dense_prior of each prototype over one grid, which is checked and
+    unit-normalized once.
+
+    Each heatmap comes from its own float64 product with the normalized grid:
+    one (H*W, D) @ (D, C) product for all prototypes rounds differently.
+    """
     grid = as_grid(grid)
-    if grid.shape[2] != proto.vector.shape[0]:
-        raise InvalidInputError(
-            f"grid dim {grid.shape[2]} != prototype dim {proto.vector.shape[0]}"
-        )
-    if proto.is_empty:
-        h, w, _ = grid.shape
-        return DensePrior(category=proto.category,
-                          heatmap=np.zeros((h, w), dtype=np.float32), sigma=sigma)
-    g = grid.astype(np.float64)
-    norms = np.linalg.norm(g, axis=2)
-    safe = np.where(norms > 1e-12, norms, 1.0)
-    normalized = g / safe[:, :, None]
-    normalized[norms <= 1e-12] = 0.0
-    raw = (normalized @ proto.vector.astype(np.float64)).astype(np.float32)
-    heat = minmax_rescale(gaussian_smooth(raw, sigma))
-    return DensePrior(category=proto.category, heatmap=heat, sigma=sigma)
+    h, w, d = grid.shape
+    for proto in protos:
+        if proto.vector.shape[0] != d:
+            raise InvalidInputError(f"grid dim {d} != prototype dim {proto.vector.shape[0]}")
+    normalized = None
+    priors = []
+    for proto in protos:
+        if proto.is_empty:
+            priors.append(DensePrior(category=proto.category,
+                                     heatmap=np.zeros((h, w), dtype=np.float32), sigma=sigma))
+            continue
+        if normalized is None:
+            normalized = grid.astype(np.float64)
+            norms = np.linalg.norm(normalized, axis=2)
+            normalized /= np.where(norms > 1e-12, norms, 1.0)[:, :, None]
+            normalized[norms <= 1e-12] = 0.0
+        raw = (normalized @ proto.vector.astype(np.float64)).astype(np.float32)
+        heat = minmax_rescale(gaussian_smooth(raw, sigma))
+        priors.append(DensePrior(category=proto.category, heatmap=heat, sigma=sigma))
+    return priors
 
 
 def find_peaks(heatmap: np.ndarray, threshold: float) -> list[tuple[int, int, float]]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, InvalidInputError, MissingEmbeddingError
-from .grids import Point2D, as_grid, as_scalar_map, as_vector, bilinear_sample, inner, layer_norm
+from .grids import Point2D, _bilinear, as_grid, as_scalar_map, as_vector, bilinear_sample, layer_norm
 from .priors import AnchorSet, DensePrior
 from .serial import Reader, Writer, atomic_write_bytes, read_file
 
@@ -128,6 +128,13 @@ def dense_feature(features, heat, anchor: Point2D, window: int = DEFAULT_WINDOW)
         raise InvalidInputError(f"heatmap shape {heat.shape} != feature shape {(h, w)}")
     if window < 1 or window % 2 == 0:
         raise InvalidInputError(f"window must be odd and positive, got {window}")
+    return _window_sum(features, heat, anchor, window)
+
+
+def _window_sum(features: np.ndarray, heat: np.ndarray, anchor: Point2D,
+                window: int) -> np.ndarray:
+    """dense_feature on arrays it has already checked."""
+    h, w, _ = features.shape
     r = min(h - 1, int(anchor.y * h))
     c = min(w - 1, int(anchor.x * w))
     half = window // 2
@@ -187,6 +194,13 @@ def refine_all(scales, prior: DensePrior, anchors: AnchorSet,
     params may be a single RefinementParams shared across scales, or a list
     with one parameter set per scale.
     """
+    return _refine([as_grid(features) for features in scales], prior.heatmap, anchors,
+                   params, category)
+
+
+def _refine(scales: list[np.ndarray], heatmap, anchors: AnchorSet,
+            params, category: str) -> list[MemoryGuidedPrompt]:
+    """refine_all on scales that as_grid has already checked."""
     if isinstance(params, RefinementParams):
         per_scale = [params] * len(scales)
     else:
@@ -195,11 +209,10 @@ def refine_all(scales, prior: DensePrior, anchors: AnchorSet,
             raise InvalidInputError("need one parameter set per scale")
     prompts = []
     for s_idx, (features, p) in enumerate(zip(scales, per_scale)):
-        features = as_grid(features)
-        heat = resample_heatmap(prior.heatmap, features.shape[0], features.shape[1])
+        heat = resample_heatmap(heatmap, features.shape[0], features.shape[1])
         for point, _resp in anchors.anchors:
-            f_s = sparse_feature(features, point)
-            f_d = dense_feature(features, heat, point, p.window)
+            f_s = _bilinear(features, point)
+            f_d = _window_sum(features, heat, point, p.window)
             prompts.append(MemoryGuidedPrompt(
                 embedding=refine_prompt(p, f_s, f_d),
                 source_category=category,
@@ -211,17 +224,29 @@ def refine_all(scales, prior: DensePrior, anchors: AnchorSet,
 
 def score_prompts(prompts: list[MemoryGuidedPrompt],
                   category_embs: dict[str, np.ndarray]) -> LogitsMatrix:
-    """Stand-in inner-product scoring head over candidate categories."""
+    """Stand-in inner-product scoring head over candidate categories: one
+    float64 product of prompt rows and category rows, stored as float32."""
     categories = list(category_embs.keys())
     sources = [p.source_category for p in prompts]
-    values = np.zeros((len(prompts), len(categories)), dtype=np.float32)
-    for j, cat in enumerate(categories):
-        emb = category_embs[cat]
-        if emb is None:
+    for cat in categories:
+        if category_embs[cat] is None:
             raise MissingEmbeddingError(f"no embedding for category {cat!r}")
-        for i, p in enumerate(prompts):
-            values[i, j] = inner(p.embedding, emb)
+    values = np.zeros((len(prompts), len(categories)), dtype=np.float32)
+    if prompts and categories:
+        rows = _stack_vectors([p.embedding for p in prompts])
+        embs = _stack_vectors([category_embs[cat] for cat in categories])
+        if rows.shape[1] != embs.shape[1]:
+            raise InvalidInputError(f"dimension mismatch: {rows.shape[1]} vs {embs.shape[1]}")
+        values = (rows.astype(np.float64) @ embs.astype(np.float64).T).astype(np.float32)
     return LogitsMatrix(values=values, categories=categories, sources=sources)
+
+
+def _stack_vectors(vectors) -> np.ndarray:
+    """Finite 1-D vectors of one dimension as the rows of a float32 matrix."""
+    rows = [as_vector(v) for v in vectors]
+    if len({r.shape[0] for r in rows}) > 1:
+        raise InvalidInputError("all vectors must share one dimension")
+    return np.stack(rows)
 
 
 def constrain_logits(logits: LogitsMatrix, sources: list[str] | None = None) -> LogitsMatrix:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from vismem import artifacts
+from vismem.bank import load_bank
 from vismem.cli import main
+from vismem.index import IvfPqIndex, IvfPqParams, ivfpq_add, save_index
 from vismem.refine import RefinementParams, save_params
 
 
@@ -250,6 +252,56 @@ class TestBench:
         report = json.loads(capsys.readouterr().out)
         assert 0.0 <= report["recall_at_k"] <= 1.0
         assert report["per_entry_bytes"] == 4 + 8
+
+
+class TestNprobeBoundToIndex:
+    """nprobe is checked against the loaded index's nlist, not the config's."""
+
+    @pytest.fixture(scope="class")
+    def wide_index_path(self, bank_path, tmp_path_factory):
+        # 512 lists, more than the config's default nlist of 256; the
+        # centroids are random, as no bank here has 512 keys to train on.
+        memory = load_bank(bank_path)
+        rng = np.random.Generator(np.random.PCG64(0))
+        params = IvfPqParams(nlist=512, m=4, nbits=4)
+        index = IvfPqIndex(
+            params=params, dim=memory.d_key,
+            coarse_centroids=rng.standard_normal((512, memory.d_key)).astype(np.float32),
+            pq_codebooks=rng.standard_normal((4, 16, memory.d_key // 4)).astype(np.float32))
+        ivfpq_add(index, np.arange(len(memory)), memory.keys)
+        out = tmp_path_factory.mktemp("wide") / "wide.pivf"
+        save_index(index, out)
+        return out
+
+    @pytest.mark.parametrize("command", ["pipeline", "retrieve", "bench"])
+    def test_nprobe_over_index_nlist_exits_2(self, command, scenario_dir, bank_path,
+                                             index_path, tmp_path, capsys):
+        # The index has nlist=4; the default nprobe of 16 fits the config's
+        # nlist of 256 but not the index.
+        (tmp_path / "cats.txt").write_text("cat-0\n")
+        extra = {"pipeline": ["--scenario", str(scenario_dir)],
+                 "retrieve": ["--scenario", str(scenario_dir), "--image-id", "input",
+                              "--categories", str(tmp_path / "cats.txt")],
+                 "bench": ["--queries", "2"]}[command]
+        rc = main([command, "--bank", str(bank_path), "--index", str(index_path), *extra])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "nprobe=16" in err and "nlist=4" in err and "--set nprobe=" in err
+
+    def test_nprobe_over_config_nlist_accepted(self, scenario_dir, bank_path,
+                                               wide_index_path, tmp_path, capsys):
+        (tmp_path / "cats.txt").write_text("cat-0\n")
+        rc = main(["retrieve", "--scenario", str(scenario_dir), "--bank", str(bank_path),
+                   "--index", str(wide_index_path), "--categories", str(tmp_path / "cats.txt"),
+                   "--image-id", "input", "--set", "nprobe=300"])
+        assert rc == 0
+        assert len(json.loads(capsys.readouterr().out)["hits"]) >= 1
+        rc = main(["pipeline", "--scenario", str(scenario_dir), "--bank", str(bank_path),
+                   "--index", str(wide_index_path), "--set", "nprobe=300"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["nprobe"] == 300 and report["config"]["nlist"] == 512
 
 
 class TestConfigErrors:

@@ -162,6 +162,31 @@ class TestBilinearSample:
         assert np.max(np.abs(a - b)) < 1e-3
 
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_whole_grid_float64_formula(self, seed):
+        """Gathering the four cells before the cast changes no bit against
+        interpolating in a float64 copy of the whole grid."""
+        def oracle(grid, p):
+            h, w, _ = grid.shape
+            gx = min(max(p.x * w - 0.5, 0.0), w - 1.0)
+            gy = min(max(p.y * h - 0.5, 0.0), h - 1.0)
+            c0, r0 = int(math.floor(gx)), int(math.floor(gy))
+            c1, r1 = min(c0 + 1, w - 1), min(r0 + 1, h - 1)
+            fx, fy = gx - c0, gy - r0
+            g = grid.astype(np.float64)
+            top = (1.0 - fx) * g[r0, c0] + fx * g[r0, c1]
+            bot = (1.0 - fx) * g[r1, c0] + fx * g[r1, c1]
+            return ((1.0 - fy) * top + fy * bot).astype(np.float32)
+
+        rng = rng_for(seed)
+        for h, w in ((1, 1), (1, 5), (6, 1), (7, 9)):
+            grid = rng.standard_normal((h, w, 5)).astype(np.float32)
+            edges = [0.0, 0.5 / w, 1.0 - 0.5 / w, 1.0]
+            points = [Point2D(x, y) for x in edges for y in (0.0, 0.5 / h, 1.0)]
+            points += [Point2D(*rng.uniform(0.0, 1.0, size=2)) for _ in range(50)]
+            for p in points:
+                np.testing.assert_array_equal(bilinear_sample(grid, p), oracle(grid, p))
+
 def reflect_convolve_oracle(scalar_map, sigma):
     """Direct 2-D convolution with an explicit edge-including reflect pad."""
     radius = math.ceil(3 * sigma)

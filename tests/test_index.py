@@ -11,6 +11,7 @@ from vismem.index import (
     IvfPqIndex,
     IvfPqParams,
     SearchHit,
+    _sorted_hits,
     exact_scores,
     ivfpq_add,
     ivfpq_search,
@@ -88,6 +89,70 @@ class TestFlatSearch:
         hits = FlatIndex(keys).search(unit_rows(rng, 1, 16)[0], k=200)
         scores = [h.score for h in hits]
         assert scores == sorted(scores, reverse=True)
+
+
+def full_sort(ids, scores, k):
+    """Full-lexsort oracle: every candidate ordered by (score desc, id asc)."""
+    order = np.lexsort((ids, -scores))[:k]
+    return pairs([SearchHit(int(ids[i]), float(scores[i])) for i in order])
+
+
+def pairs(hits):
+    """(id, repr(score)) per hit: compares NaN and the sign of zero exactly."""
+    return [(h.entry_id, repr(h.score)) for h in hits]
+
+
+def tied_keys(rng, n, d, distinct):
+    """n keys drawn from only `distinct` unit rows, so scores tie heavily."""
+    return unit_rows(rng, distinct, d)[rng.integers(0, distinct, n)]
+
+
+class TestPartialTopK:
+    """Top-k sorts only the rows scoring at least the k-th score; the result
+    must equal a full lexsort, with ties across the k boundary."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flat_search_heavy_ties(self, seed):
+        rng = rng_for(seed)
+        keys = tied_keys(rng, 600, 8, distinct=6)
+        q = unit_rows(rng, 1, 8)[0]
+        scores = exact_scores(keys, q)
+        assert np.unique(scores).size <= 6
+        index = FlatIndex(keys)
+        for k in (1, 7, 99, 100, 101, 250, 599, 600, 700):
+            assert pairs(index.search(q, k)) == full_sort(np.arange(600), scores, k)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ivfpq_search_heavy_ties(self, seed):
+        rng = rng_for(seed)
+        params = IvfPqParams(nlist=4, m=4, nbits=4, seed=seed, kmeans_iters=5)
+        index = train_ivfpq(unit_rows(rng, 300, 16), params)
+        ivfpq_add(index, rng.permutation(600), tied_keys(rng, 600, 16, distinct=5))
+        q = unit_rows(rng, 1, 16)[0]
+        # recall_size >= the candidate count sorts every candidate in full
+        full = ivfpq_search(index, q, nprobe=2, recall_size=index.ntotal)
+        ids = np.array([h.entry_id for h in full])
+        scores = np.array([h.score for h in full])
+        assert np.unique(scores).size <= 5 and len(full) >= 100
+        for r in (1, 40, 100, 150, len(full) - 1):
+            assert pairs(ivfpq_search(index, q, nprobe=2, recall_size=r)) == full_sort(ids, scores, r)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rescore_heavy_ties(self, seed):
+        rng = rng_for(seed)
+        keys = tied_keys(rng, 400, 8, distinct=4)
+        q = unit_rows(rng, 1, 8)[0]
+        cand = rng.choice(400, 250, replace=False)
+        cands = [SearchHit(int(i), 0.0) for i in cand]
+        scores = exact_scores(keys[cand], q)
+        for k in (1, 30, 62, 63, 64, 249, 250, 300):
+            assert pairs(rescore(keys, cands, q, k)) == full_sort(cand, scores, k)
+
+    def test_nan_and_signed_zero_scores(self):
+        ids = np.array([7, 3, 1, 5, 2, 0, 6, 4, 8])
+        scores = np.array([0.0, -0.0, np.nan, 1.0, 0.0, np.nan, -0.0, 1.0, -1.0])
+        for k in range(1, 11):
+            assert pairs(_sorted_hits(ids, scores, k)) == full_sort(ids, scores, k)
 
 
 class TestKmeans:

@@ -14,7 +14,9 @@ from vismem.pipeline import (
     run_pipeline,
     save_config,
 )
-from vismem.refine import RefinementParams
+from vismem.priors import dense_prior, extract_anchors, radius_cells_to_normalized
+from vismem.refine import RefinementParams, constrain_logits, refine_all, score_prompts
+from vismem.retrieval import aggregate_prototype, build_query, retrieve
 from vismem.synthetic import (
     INPUT_IMAGE_ID,
     PlantedRegion,
@@ -285,6 +287,127 @@ class TestRunPipeline:
         top_hits = results["cat"].hits[:5]
         for h in top_hits:
             assert bank.entries[h.entry_id].category == "cat"
+
+
+def avg_pool(grid, factor):
+    h, w, d = grid.shape
+    return grid.reshape(h // factor, factor, w // factor, factor, d).mean(axis=(1, 3))
+
+
+class BlindIndex(FlatIndex):
+    """Flat search that finds nothing for one query vector, so one category
+    gets an empty prototype while the others do not."""
+
+    def __init__(self, keys, blind):
+        super().__init__(keys)
+        self.blind = blind
+
+    def search(self, query, k):
+        return [] if np.array_equal(query, self.blind) else super().search(query, k)
+
+
+class TestPipelineComposesPublicFunctions:
+    """run_pipeline does its per-image work once, yet gives what composing the
+    public functions per category gives, bit for bit."""
+
+    def _oracle(self, config, bank, index, provider, image_id, categories, params,
+                scene, scales, exclude_image):
+        out, protos = {}, {}
+        for category in categories:
+            query = build_query(provider, category, scene, image_id, config.weights())
+            hits = retrieve(bank, index, query, k=config.k, exclude_image=exclude_image,
+                            nprobe=config.nprobe, recall_size=config.recall_size)
+            proto = aggregate_prototype(bank, hits, query, tau=config.tau_p)
+            protos[category] = proto
+            if proto.is_empty:
+                out[category] = (hits, proto, None, None, [])
+                continue
+            prior = dense_prior(provider.feature_grid(image_id), proto, sigma=config.sigma)
+            radius = radius_cells_to_normalized(config.radius_cells, *prior.heatmap.shape)
+            anchors = extract_anchors(prior, threshold=config.peak_threshold,
+                                      radius=radius, max_anchors=config.max_anchors)
+            out[category] = (hits, proto, prior, anchors,
+                             refine_all(scales, prior, anchors, params, category))
+        embs = {c: p.vector for c, p in protos.items() if not p.is_empty}
+        return {c: (*r, constrain_logits(score_prompts(r[4], embs)) if r[4] else None)
+                for c, r in out.items()}
+
+    def test_multi_scale_with_exclusion_and_an_empty_prototype(self):
+        regions = [PlantedRegion(8, 8, 3, "cat"), PlantedRegion(24, 20, 3, "dog"),
+                   PlantedRegion(20, 6, 3, "bird")]
+        s = standard_scenario(seed=4, noise=0.05, regions=regions)
+        bank = build_bank(s.records, s.provider, BankBuildConfig(drop_fraction=0.0))
+        config = PipelineConfig(peak_threshold=0.3)
+        bird = build_query(s.provider, "bird", s.spec.scene, INPUT_IMAGE_ID, config.weights())
+        index = BlindIndex(bank.keys, bird.vector)
+        grid = s.provider.feature_grid(INPUT_IMAGE_ID)
+        scales = [grid, avg_pool(grid, 2), avg_pool(grid, 4)]
+        params = [RefinementParams.seeded_init(s.spec.d_val, seed=i) for i in range(3)]
+        exclude = str(bank.image_ids[bank.categories == "cat"][0])
+        args = (config, bank, index, s.provider, INPUT_IMAGE_ID, s.categories, params)
+        kwargs = dict(scene=s.spec.scene, scales=scales, exclude_image=exclude)
+        results = run_pipeline(*args, **kwargs)
+        oracle = self._oracle(*args, **kwargs)
+
+        assert list(results) == s.categories == list(oracle)
+        assert results["bird"].prototype.is_empty and results["bird"].logits is None
+        assert exclude not in {str(bank.image_ids[h.entry_id]) for h in results["cat"].hits}
+        for category, (hits, proto, prior, anchors, prompts, logits) in oracle.items():
+            res = results[category]
+            assert [(h.entry_id, h.score) for h in res.hits] == [(h.entry_id, h.score) for h in hits]
+            np.testing.assert_array_equal(res.prototype.vector, proto.vector)
+            assert res.prototype.neighbors == proto.neighbors
+            if prior is None:
+                assert res.prior is None and res.anchors is None and res.prompts == []
+                continue
+            np.testing.assert_array_equal(res.prior.heatmap, prior.heatmap)
+            assert res.anchors.anchors == anchors.anchors and len(anchors) >= 1
+            assert len(res.prompts) == len(prompts) == 3 * len(anchors)
+            for got, want in zip(res.prompts, prompts):
+                np.testing.assert_array_equal(got.embedding, want.embedding)
+                assert (got.anchor, got.scale_index, got.source_category) == \
+                    (want.anchor, want.scale_index, want.source_category)
+            np.testing.assert_array_equal(res.logits.values, logits.values)
+
+
+class TestBadFeatureGrids:
+    """A non-finite input grid or scale fails loudly with a stage name, even
+    when no category reaches refinement."""
+
+    def _nan_at(self, grid, r=3, c=5):
+        bad = np.array(grid, dtype=np.float32)
+        bad[r, c, 0] = np.nan
+        return bad
+
+    @pytest.mark.parametrize("empty_bank", [False, True])
+    def test_nan_in_one_scale(self, empty_bank):
+        s = standard_scenario()
+        bank, index = bank_and_index(s)
+        if empty_bank:
+            bank = build_bank([], s.provider)
+            index = FlatIndex.from_bank(bank)
+        grid = s.provider.feature_grid(INPUT_IMAGE_ID)
+        scales = [grid, self._nan_at(avg_pool(grid, 2), 1, 1), avg_pool(grid, 4)]
+        with pytest.raises(InvalidInputError, match=r"\[stage scales\].*non-finite"):
+            run_pipeline(PipelineConfig(), bank, index, s.provider, INPUT_IMAGE_ID,
+                         s.categories, RefinementParams.zero_init(s.spec.d_val),
+                         scene=s.spec.scene, scales=scales)
+
+    @pytest.mark.parametrize("empty_bank", [False, True])
+    @pytest.mark.parametrize("explicit_scales", [False, True])
+    def test_nan_in_input_grid(self, empty_bank, explicit_scales):
+        s = standard_scenario()
+        bank, index = bank_and_index(s)
+        if empty_bank:
+            bank = build_bank([], s.provider)
+            index = FlatIndex.from_bank(bank)
+        grid = s.provider.feature_grid(INPUT_IMAGE_ID)
+        scales = [grid] if explicit_scales else None
+        s.provider.feature_table[INPUT_IMAGE_ID] = self._nan_at(grid)
+        with pytest.raises(InvalidInputError, match=r"\[stage input_grid\].*non-finite"):
+            run_pipeline(PipelineConfig(), bank, index, s.provider, INPUT_IMAGE_ID,
+                         s.categories, RefinementParams.zero_init(s.spec.d_val),
+                         scene=s.spec.scene, scales=scales)
 
 
 class TestBench:

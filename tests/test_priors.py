@@ -10,6 +10,7 @@ from vismem.priors import (
     DensePrior,
     anchors_from_gt,
     dense_prior,
+    dense_priors,
     extract_anchors,
     find_peaks,
     radius_cells_to_normalized,
@@ -69,6 +70,37 @@ class TestDensePrior:
         raw = ((g / norms) @ p.vector.astype(np.float64)).astype(np.float32)
         oracle = minmax_rescale(gaussian_smooth(raw, sigma))
         np.testing.assert_allclose(dense_prior(grid, p, sigma).heatmap, oracle, atol=1e-6)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_priors_share_one_normalized_grid(self, seed):
+        """Many prototypes over one grid, a zero cell and empty prototypes
+        among them, give the composition oracle's heatmap for each, in order."""
+        rng = rng_for(seed)
+        grid = rng.standard_normal((8, 10, 6)).astype(np.float32)
+        grid[2, 3] = 0.0
+        protos = [proto_of(rng.standard_normal(6), f"c{i}") for i in range(5)]
+        protos[1] = empty_proto(6, "c1")
+        priors = dense_priors(grid, protos, sigma=0.7)
+        assert [p.category for p in priors] == [p.category for p in protos]
+        g = grid.astype(np.float64)
+        norms = np.linalg.norm(g, axis=2, keepdims=True)
+        unit = np.where(norms > 1e-12, g / np.where(norms > 1e-12, norms, 1.0), 0.0)
+        for proto, prior in zip(protos, priors):
+            assert prior.sigma == 0.7
+            if proto.is_empty:
+                np.testing.assert_array_equal(prior.heatmap, np.zeros((8, 10), np.float32))
+                continue
+            raw = (unit @ proto.vector.astype(np.float64)).astype(np.float32)
+            np.testing.assert_array_equal(prior.heatmap, minmax_rescale(gaussian_smooth(raw, 0.7)))
+
+    def test_dense_priors_check_grid_and_every_prototype(self):
+        grid = rng_for(4).standard_normal((3, 3, 4)).astype(np.float32)
+        assert dense_priors(grid, []) == []
+        with pytest.raises(InvalidInputError):
+            dense_priors(grid, [proto_of([1.0, 0.0, 0.0, 0.0]), empty_proto(3)])
+        grid[1, 1, 2] = np.nan
+        with pytest.raises(InvalidInputError):
+            dense_priors(grid, [])
 
     def test_range_zero_one(self):
         rng = rng_for(3)

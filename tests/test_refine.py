@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from vismem.errors import FormatError, InvalidInputError
-from vismem.grids import Point2D, bilinear_sample, layer_norm
+from vismem.errors import FormatError, InvalidInputError, MissingEmbeddingError
+from vismem.grids import Point2D, bilinear_sample, inner, layer_norm
 from vismem.priors import AnchorSet, DensePrior
 from vismem.refine import (
     UNCONSTRAINED,
@@ -268,6 +268,31 @@ class TestScoreAndConstrain:
         logits = score_prompts(prompts, embs)
         assert logits.values[0, 0] == pytest.approx(float(prompts[0].embedding[0]), abs=1e-6)
         assert logits.values[0, 1] == pytest.approx(float(prompts[0].embedding[1]), abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_inner_oracle_to_one_ulp(self, seed):
+        """One float64 product for every (prompt, category) pair stays within
+        one float32 ulp of a separate inner() per pair."""
+        rng = rng_for(seed)
+        cats = [f"c{j}" for j in range(7)]
+        prompts = self._prompts([cats[int(i)] for i in rng.integers(0, 7, 40)], dim=33, seed=seed)
+        embs = {c: rng.standard_normal(33).astype(np.float32) for c in cats}
+        logits = score_prompts(prompts, embs)
+        oracle = np.array([[inner(p.embedding, embs[c]) for c in cats] for p in prompts],
+                          dtype=np.float32)
+        assert logits.values.dtype == np.float32
+        np.testing.assert_array_max_ulp(logits.values, oracle, maxulp=1)
+
+    def test_missing_embedding_and_dimension_rejected(self):
+        prompts = self._prompts(["cat"])
+        with pytest.raises(MissingEmbeddingError, match="'dog'"):
+            score_prompts(prompts, {"cat": np.ones(4, dtype=np.float32), "dog": None})
+        with pytest.raises(MissingEmbeddingError):
+            score_prompts([], {"dog": None})
+        with pytest.raises(InvalidInputError):
+            score_prompts(prompts, {"cat": np.ones(5, dtype=np.float32)})
+        with pytest.raises(InvalidInputError):
+            score_prompts(prompts, {"cat": np.array([1.0, np.nan, 0.0, 0.0], dtype=np.float32)})
 
     def test_constrain_masks_off_source(self):
         prompts = self._prompts(["cat", "dog"])
