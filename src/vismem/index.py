@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import FormatError, IndexStateError, InvalidInputError
 from .serial import Reader, Writer, atomic_write_bytes, read_file
@@ -80,6 +81,25 @@ class FlatIndex:
         return _sorted_hits(self.ids, scores, k)
 
 
+_BLOCK = 4096  # rows per block: bounds the (rows, k) temporaries of assignment and encoding
+
+
+def _row_blocks(n: int):
+    return (slice(a, min(a + _BLOCK, n)) for a in range(0, n, _BLOCK))
+
+
+def _finite_matrix(x, what: str) -> np.ndarray:
+    """x as a contiguous float32 (N, D) matrix with no NaN or inf."""
+    x = np.ascontiguousarray(x, dtype=np.float32)
+    if x.ndim != 2:
+        raise InvalidInputError(f"{what} must be an (N, D) matrix")
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise InvalidInputError(f"{what} must be finite; row {bad[0]} holds NaN or inf "
+                                f"({bad.size} of {len(x)} rows do)")
+    return x
+
+
 def _pairwise_sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, (N, K), computed via the expansion trick."""
     # ||x||^2 is constant per row for argmin purposes but kept for distortion.
@@ -92,53 +112,59 @@ def _pairwise_sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = points.shape[0]
-    centroids = np.empty((k, points.shape[1]), dtype=points.dtype)
+    """k-means++ seeding: each next centroid is a row drawn with probability
+    proportional to its squared distance to the nearest centroid so far.
+
+    A step's distances come from ||x||^2 - 2<x, c> + ||c||^2: one float32
+    product with the new centroid, combined in float64 with norms computed
+    once. Rows within that product's rounding bound of zero are recomputed
+    from their difference, so the chosen row and its duplicates weigh
+    exactly 0. One uniform draw per step picks the row by cumulative weight.
+    """
+    n, dim = points.shape
+    p2 = np.einsum("ij,ij->i", points, points, dtype=np.float64)
+    # |fl32(<x, c>) - <x, c>| <= dim * 2^-24 * |x| |c|, and d uses the product twice.
+    near_scale = 2.0 * (dim + 2) * 2.0**-24 * np.sqrt(p2.max())
+
+    def sq_dists(idx: int) -> np.ndarray:
+        d = p2 - 2.0 * (points @ points[idx]) + p2[idx]
+        np.maximum(d, 0.0, out=d)
+        near = np.flatnonzero(d <= near_scale * np.sqrt(p2[idx]))
+        diff = points[near] - points[idx]
+        d[near] = np.einsum("ij,ij->i", diff, diff)
+        return d
+
+    centroids = np.empty((k, dim), dtype=points.dtype)
     first = int(rng.integers(n))
     centroids[0] = points[first]
-    diff = points - centroids[0]
-    closest = np.einsum("ij,ij->i", diff, diff)
+    closest = sq_dists(first)
     for j in range(1, k):
-        total = float(closest.sum())
+        cum = np.cumsum(closest)
+        total = cum[-1]
         if total <= 0:
             idx = int(rng.integers(n))
         else:
-            probs = closest.astype(np.float64)
-            probs /= probs.sum()
-            idx = int(rng.choice(n, p=probs))
+            # random() <= 1 - 2^-53 keeps the draw below total, so the first
+            # cumulative weight above it belongs to a row with weight > 0.
+            idx = int(np.searchsorted(cum, rng.random() * total, side="right"))
         centroids[j] = points[idx]
-        diff = points - centroids[j]
-        d = np.einsum("ij,ij->i", diff, diff)
-        np.minimum(closest, d, out=closest)
+        np.minimum(closest, sq_dists(idx), out=closest)
     return centroids
-
-
-def _cluster_sums(points: np.ndarray, assign: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cluster sums (float64) and counts via sort + add.reduceat."""
-    counts = np.bincount(assign, minlength=k)
-    sums = np.zeros((k, points.shape[1]), dtype=np.float64)
-    order = np.argsort(assign, kind="stable")
-    starts = np.zeros(k, dtype=np.int64)
-    starts[1:] = np.cumsum(counts)[:-1]
-    nonempty = np.flatnonzero(counts)
-    if nonempty.size:
-        sums[nonempty] = np.add.reduceat(
-            points[order].astype(np.float64), starts[nonempty], axis=0
-        )
-    return sums, counts
 
 
 def kmeans(points, k: int, iters: int = 25, seed=0,
            return_distortions: bool = False):
     """Lloyd's algorithm with seeded k-means++ init and fixed iteration count.
 
-    Distances are computed in float32 (BLAS) with float64 accumulation for
-    the centroid updates. Empty clusters are reseeded to the point farthest
-    from its current centroid. Deterministic given the seed.
+    Each step assigns every point to the centroid maximising
+    <x, c> - |c|^2 / 2 (the nearest one), from a float32 product taken in
+    row blocks. The distortion is the float64 sum of each point's squared
+    distance |x|^2 - 2<x, c> + |c|^2. New centroids are float64 sums of
+    their points, taken in point order, divided by the counts. An empty
+    cluster is reseeded to the point farthest from its centroid, one point
+    per empty cluster. Deterministic given the seed; points must be finite.
     """
-    points = np.ascontiguousarray(points, dtype=np.float32)
-    if points.ndim != 2:
-        raise InvalidInputError("points must be an (N, D) matrix")
+    points = _finite_matrix(points, "points")
     n = points.shape[0]
     if k > n:
         raise InvalidInputError(f"k={k} exceeds point count {n}")
@@ -146,28 +172,37 @@ def kmeans(points, k: int, iters: int = 25, seed=0,
         raise InvalidInputError("k and iters must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.Generator(np.random.PCG64(seed))
 
-    centroids = _kmeans_pp_init(points, k, rng).astype(np.float32)
+    centroids = _kmeans_pp_init(points, k, rng)
     p2 = np.einsum("ij,ij->i", points, points).astype(np.float64)
+    points64 = points.astype(np.float64)
+    ones, cols = np.ones(n), np.arange(n)
+    assign = np.empty(n, dtype=np.int64)
+    point_d = np.empty(n, dtype=np.float64)
     distortions = []
     for _ in range(iters):
-        cross = points @ centroids.T
         c2 = np.einsum("ij,ij->i", centroids, centroids)
-        # argmin distance == argmax(cross - c2/2); p2 is constant per row
-        assign = (cross - 0.5 * c2).argmax(axis=1)
-        rows = np.arange(n)
-        point_d = p2 - 2.0 * cross[rows, assign].astype(np.float64) + c2[assign]
+        half_c2 = 0.5 * c2
+        for rows in _row_blocks(n):
+            cross = points[rows] @ centroids.T
+            # argmin distance == argmax(cross - c2/2); p2 is constant per row
+            a = (cross - half_c2).argmax(axis=1)
+            assign[rows] = a
+            at = np.take_along_axis(cross, a[:, None], axis=1)[:, 0]
+            point_d[rows] = p2[rows] - 2.0 * at.astype(np.float64) + c2[a]
         np.maximum(point_d, 0.0, out=point_d)
         distortions.append(float(point_d.sum()))
-        sums, counts = _cluster_sums(points, assign, k)
+        # Row c of the one-hot matrix lists cluster c's points in point order,
+        # and the product adds them one by one in that order, starting at +0.0.
+        one_hot = csr_matrix((ones, (assign, cols)), shape=(k, n))
+        counts = np.diff(one_hot.indptr)
+        sums = one_hot @ points64
         nonempty = counts > 0
         centroids[nonempty] = (sums[nonempty] / counts[nonempty, None]).astype(np.float32)
-        if not nonempty.all():
-            # Reseed each empty cluster to the currently farthest point.
-            point_d = point_d.copy()
-            for j in np.flatnonzero(~nonempty):
-                idx = int(point_d.argmax())
-                centroids[j] = points[idx]
-                point_d[idx] = -1.0
+        # Reseed each empty cluster to the currently farthest point.
+        for j in np.flatnonzero(~nonempty):
+            idx = int(point_d.argmax())
+            centroids[j] = points[idx]
+            point_d[idx] = -1.0
     if return_distortions:
         return centroids, distortions
     return centroids
@@ -237,9 +272,10 @@ class IvfPqIndex:
         m, dsub = self.params.m, self.dsub
         codes = np.empty((n, m), dtype=np.uint8)
         sub = np.ascontiguousarray(residuals.reshape(n, m, dsub), dtype=np.float32)
-        for j in range(m):
-            d = _pairwise_sq_dists(sub[:, j, :], self.pq_codebooks[j])
-            codes[:, j] = d.argmin(axis=1).astype(np.uint8)
+        for rows in _row_blocks(n):
+            for j in range(m):
+                d = _pairwise_sq_dists(sub[rows, j, :], self.pq_codebooks[j])
+                codes[rows, j] = d.argmin(axis=1).astype(np.uint8)
         return codes
 
     def decode(self, list_no: int, codes: np.ndarray) -> np.ndarray:
@@ -253,9 +289,7 @@ class IvfPqIndex:
 
 def train_ivfpq(keys, params: IvfPqParams) -> IvfPqIndex:
     """Train the coarse quantizer on the keys and PQ codebooks on residuals."""
-    keys = np.ascontiguousarray(keys, dtype=np.float32)
-    if keys.ndim != 2:
-        raise InvalidInputError("keys must be an (N, D) matrix")
+    keys = _finite_matrix(keys, "keys")
     n, dim = keys.shape
     if dim % params.m != 0:
         raise InvalidInputError(f"dim {dim} not divisible by m={params.m}")
@@ -280,9 +314,9 @@ def train_ivfpq(keys, params: IvfPqParams) -> IvfPqIndex:
 
 def ivfpq_add(index: IvfPqIndex, ids, keys) -> None:
     """Assign keys to their nearest coarse list and store PQ codes."""
-    keys = np.ascontiguousarray(keys, dtype=np.float32)
+    keys = _finite_matrix(keys, "keys")
     ids = np.asarray(ids, dtype=np.int64)
-    if keys.ndim != 2 or keys.shape[1] != index.dim:
+    if keys.shape[1] != index.dim:
         raise InvalidInputError(f"keys must be (N, {index.dim})")
     if ids.shape[0] != keys.shape[0]:
         raise InvalidInputError("ids and keys must have equal length")

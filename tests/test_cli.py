@@ -332,6 +332,22 @@ class TestConfigErrors:
         self._assert_reported(capsys)
         assert not (tmp_path / "i.pivf").exists()
 
+    def test_nan_key_in_bank_exits_2(self, bank_path, tmp_path, capsys):
+        # load_bank does not check key values, so the bank loads; training refuses it
+        data = bank_path.read_bytes()
+        at = data.find(load_bank(bank_path).keys[0].tobytes())
+        assert at > 0
+        nan_bank = tmp_path / "nan.pbnk"
+        nan_bank.write_bytes(data[:at] + np.float32(np.nan).tobytes() + data[at + 4:])
+        rc = main(["build-index", "--bank", str(nan_bank), "--out", str(tmp_path / "i.pivf"),
+                   "--set", "nlist=4", "--set", "m=4", "--set", "nbits=4",
+                   "--set", "nprobe=4", "--set", "kmeans_iters=5"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert "row 0" in err
+        assert not (tmp_path / "i.pivf").exists()
+
 
 class TestUsageErrors:
     def test_no_subcommand_exits_1(self):

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from vismem import index as index_module
 from vismem.bank import MemoryBank, load_bank, save_bank
 from vismem.errors import FormatError, IndexStateError, InvalidInputError
 from vismem.index import (
@@ -11,6 +12,7 @@ from vismem.index import (
     IvfPqIndex,
     IvfPqParams,
     SearchHit,
+    _kmeans_pp_init,
     _sorted_hits,
     exact_scores,
     ivfpq_add,
@@ -155,13 +157,16 @@ class TestPartialTopK:
             assert pairs(_sorted_hits(ids, scores, k)) == full_sort(ids, scores, k)
 
 
+def sorted_rows(x):
+    return x[np.lexsort(x.T[::-1])]
+
+
 class TestKmeans:
     def test_k_equals_n_recovers_points(self):
         pts = rng_for(0).standard_normal((6, 4)).astype(np.float32)
         cents = kmeans(pts, k=6, iters=5, seed=0)
-        # every point must be one of the centroids (up to permutation)
-        for p in pts:
-            assert np.min(np.linalg.norm(cents - p, axis=1)) < 1e-5
+        # the centroids are exactly the points, up to permutation
+        np.testing.assert_array_equal(sorted_rows(cents), sorted_rows(pts))
 
     def test_two_well_separated_blobs(self):
         rng = rng_for(1)
@@ -193,6 +198,149 @@ class TestKmeans:
     def test_k_exceeds_n_rejected(self):
         with pytest.raises(InvalidInputError):
             kmeans(np.ones((3, 2), dtype=np.float32), k=4)
+
+
+def lloyd_oracle(points, centroids, iters):
+    """Reference Lloyd steps over the whole (N, k) product at once: argmax of
+    all rows, sums by argsort + add.reduceat, farthest-point reseed of empty
+    clusters."""
+    points = np.ascontiguousarray(points, dtype=np.float32)
+    centroids = centroids.astype(np.float32)
+    n, k = points.shape[0], centroids.shape[0]
+    p2 = np.einsum("ij,ij->i", points, points).astype(np.float64)
+    distortions, empties = [], 0
+    for _ in range(iters):
+        cross = points @ centroids.T
+        c2 = np.einsum("ij,ij->i", centroids, centroids)
+        assign = (cross - 0.5 * c2).argmax(axis=1)
+        point_d = p2 - 2.0 * cross[np.arange(n), assign].astype(np.float64) + c2[assign]
+        np.maximum(point_d, 0.0, out=point_d)
+        distortions.append(float(point_d.sum()))
+        counts = np.bincount(assign, minlength=k)
+        sums = np.zeros((k, points.shape[1]), dtype=np.float64)
+        order = np.argsort(assign, kind="stable")
+        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        nonempty = counts > 0
+        sums[nonempty] = np.add.reduceat(points[order].astype(np.float64),
+                                         starts[nonempty], axis=0)
+        centroids[nonempty] = (sums[nonempty] / counts[nonempty, None]).astype(np.float32)
+        for j in np.flatnonzero(~nonempty):
+            empties += 1
+            idx = int(point_d.argmax())
+            centroids[j] = points[idx]
+            point_d[idx] = -1.0
+    return centroids, distortions, empties
+
+
+class TestLloydOracle:
+    """From the same initial centroids, kmeans's Lloyd steps (row blocks,
+    sparse one-hot sums) equal the full-matrix oracle bit for bit."""
+
+    def run_both(self, monkeypatch, points, init, iters):
+        monkeypatch.setattr(index_module, "_kmeans_pp_init", lambda p, k, rng: init.copy())
+        cents, dists = kmeans(points, k=init.shape[0], iters=iters, return_distortions=True)
+        want, want_dists, empties = lloyd_oracle(points, init, iters)
+        np.testing.assert_array_equal(cents, want)
+        assert dists == want_dists
+        return empties
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_several_row_blocks(self, monkeypatch, seed):
+        rng = rng_for(seed)
+        n = 2 * index_module._BLOCK + 808  # two full blocks and a partial one
+        centers = rng.standard_normal((20, 8))
+        points = (centers[rng.integers(0, 20, n)]
+                  + 0.3 * rng.standard_normal((n, 8))).astype(np.float32)
+        init = points[rng.choice(n, 24, replace=False)]
+        self.run_both(monkeypatch, points, init, iters=6)
+
+    def test_empty_clusters_reseeded(self, monkeypatch):
+        rng = rng_for(5)
+        points = rng.standard_normal((500, 4)).astype(np.float32)
+        init = points[:8].copy()
+        init[3] = 1e3       # far from every point: empty on the first step
+        init[6] = init[2]   # a duplicate loses every tie to its twin
+        empties = self.run_both(monkeypatch, points, init, iters=4)
+        assert empties >= 2
+
+
+class CountingRng:
+    """A Generator that records which of its draws the caller made."""
+
+    def __init__(self, seed):
+        self.gen, self.calls = rng_for(seed), []
+
+    def integers(self, n):
+        self.calls.append("integers")
+        return self.gen.integers(n)
+
+    def random(self):
+        self.calls.append("random")
+        return self.gen.random()
+
+
+class HighDrawRng:
+    """Picks row `first`, then always draws the largest value that
+    Generator.random can return."""
+
+    def __init__(self, first):
+        self.first = first
+
+    def integers(self, n):
+        return self.first
+
+    def random(self):
+        return 1.0 - 2.0**-53
+
+
+class TestKmeansPlusPlusInit:
+    def test_k_equals_n_distinct_points_gives_a_permutation(self):
+        pts = rng_for(3).standard_normal((40, 6)).astype(np.float32)
+        cents = _kmeans_pp_init(pts, 40, rng_for(0))
+        np.testing.assert_array_equal(sorted_rows(cents), sorted_rows(pts))
+
+    def test_identical_points_fall_back_to_uniform_draws(self):
+        pts = np.tile(np.array([0.3, -1.2, 2.5], dtype=np.float32), (50, 1))
+        rng = CountingRng(0)
+        cents = _kmeans_pp_init(pts, 5, rng)
+        # every weight is exactly 0 after the first pick: no weighted draw
+        assert rng.calls == ["integers"] * 5
+        np.testing.assert_array_equal(cents, pts[:5])
+        full = kmeans(pts, k=5, iters=3, seed=0)
+        assert np.isfinite(full).all()
+        np.testing.assert_array_equal(full, pts[:5])
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 7.3, 1e3])
+    def test_zero_weight_tail_is_never_drawn(self, scale):
+        pts = np.array([[1, 0], [0, 1], [-1, 0]] + [[0, -1]] * 7, dtype=np.float32) * scale
+        # rows 3..9 are one point: once row 3 is picked they all weigh 0
+        cents = _kmeans_pp_init(pts, 4, HighDrawRng(first=3))
+        np.testing.assert_array_equal(cents, pts[[3, 2, 1, 0]])
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_kmeans(self, bad):
+        pts = rng_for(0).standard_normal((50, 4)).astype(np.float32)
+        pts[7, 2] = bad
+        with pytest.raises(InvalidInputError, match="row 7"):
+            kmeans(pts, k=4, iters=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_train_ivfpq(self, bad):
+        keys = unit_rows(rng_for(0), 300, 16)
+        keys[11, 0] = bad
+        with pytest.raises(InvalidInputError, match="row 11"):
+            train_ivfpq(keys, IvfPqParams(nlist=4, m=4, nbits=4, kmeans_iters=2))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_ivfpq_add(self, bad):
+        index, keys = small_index()
+        more = keys[:5].copy()
+        more[4, 3] = bad
+        with pytest.raises(InvalidInputError, match="row 4"):
+            ivfpq_add(index, np.arange(1000, 1005), more)
+        assert index.ntotal == len(keys)
 
 
 class TestTrainIvfPq:
