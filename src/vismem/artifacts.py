@@ -1,16 +1,19 @@
 """File formats for feature grids, scalar rasters, and prompt vectors.
 
-All formats are little-endian with a 4-byte magic and a u32 version, matching
-the bank/index/parameter files.
+Each file is a 4-byte magic and a u32 version, matching the
+bank/index/parameter files, then the array's shape as one u32 per axis and
+its values as little-endian float32.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import FormatError
 from .grids import as_grid, as_scalar_map
-from .serial import Reader, Writer, atomic_write_bytes, read_file
+from .serial import Reader, Writer, atomic_write_bytes
 
 GRID_MAGIC = "PGRD"
 MAP_MAGIC = "PMAP"
@@ -18,60 +21,43 @@ VECS_MAGIC = "PVEC"
 VERSION = 1
 
 
+def _save_array(arr: np.ndarray, magic: str, path) -> None:
+    out = Writer().magic(magic).u32(VERSION)
+    for n in arr.shape:
+        out.u32(n)
+    atomic_write_bytes(path, out.f32_array(arr).getvalue())
+
+
+def _load_array(path, magic: str, ndim: int) -> np.ndarray:
+    r = Reader.open(path, magic, VERSION)
+    shape = tuple(r.u32() for _ in range(ndim))
+    arr = r.f32_array(math.prod(shape), shape=shape)
+    r.expect_eof()
+    return arr
+
+
 def save_feature_grid(grid, path) -> None:
-    grid = as_grid(grid)
-    h, w, d = grid.shape
-    out = Writer().magic(GRID_MAGIC).u32(VERSION).u32(h).u32(w).u32(d).f32_array(grid)
-    atomic_write_bytes(path, out.getvalue())
+    _save_array(as_grid(grid), GRID_MAGIC, path)
 
 
 def load_feature_grid(path) -> np.ndarray:
-    r = Reader(read_file(path))
-    r.magic(GRID_MAGIC)
-    version = r.u32()
-    if version != VERSION:
-        raise FormatError(f"unsupported grid version {version}", offset=4)
-    h, w, d = r.u32(), r.u32(), r.u32()
-    grid = r.f32_array(h * w * d, shape=(h, w, d))
-    r.expect_eof()
-    return grid
+    return _load_array(path, GRID_MAGIC, 3)
 
 
 def save_scalar_map(scalar_map, path) -> None:
-    scalar_map = as_scalar_map(scalar_map)
-    h, w = scalar_map.shape
-    out = Writer().magic(MAP_MAGIC).u32(VERSION).u32(h).u32(w).f32_array(scalar_map)
-    atomic_write_bytes(path, out.getvalue())
+    _save_array(as_scalar_map(scalar_map), MAP_MAGIC, path)
 
 
 def load_scalar_map(path) -> np.ndarray:
-    r = Reader(read_file(path))
-    r.magic(MAP_MAGIC)
-    version = r.u32()
-    if version != VERSION:
-        raise FormatError(f"unsupported map version {version}", offset=4)
-    h, w = r.u32(), r.u32()
-    scalar_map = r.f32_array(h * w, shape=(h, w))
-    r.expect_eof()
-    return scalar_map
+    return _load_array(path, MAP_MAGIC, 2)
 
 
 def save_vectors(vectors: np.ndarray, path) -> None:
     arr = np.asarray(vectors, dtype=np.float32)
     if arr.ndim != 2:
         raise FormatError("vectors must be an (N, D) matrix")
-    out = Writer().magic(VECS_MAGIC).u32(VERSION).u32(arr.shape[0]).u32(arr.shape[1])
-    out.f32_array(arr)
-    atomic_write_bytes(path, out.getvalue())
+    _save_array(arr, VECS_MAGIC, path)
 
 
 def load_vectors(path) -> np.ndarray:
-    r = Reader(read_file(path))
-    r.magic(VECS_MAGIC)
-    version = r.u32()
-    if version != VERSION:
-        raise FormatError(f"unsupported vector-file version {version}", offset=4)
-    n, d = r.u32(), r.u32()
-    arr = r.f32_array(n * d, shape=(n, d))
-    r.expect_eof()
-    return arr
+    return _load_array(path, VECS_MAGIC, 2)

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -26,7 +27,7 @@ from .grids import (
     mean_pool_region,
     weighted_combine,
 )
-from .serial import Reader, Writer, atomic_write_bytes, read_file
+from .serial import Reader, Writer, atomic_write_bytes, format_errors, read_file
 
 # Fixed width of the category and image id fields in the bank file:
 # zero-padded UTF-8.
@@ -400,30 +401,31 @@ def save_bank(bank: MemoryBank, path) -> None:
     atomic_write_bytes(path, w.raw(records.tobytes()).getvalue())
 
 
+def _is_number(value) -> bool:
+    """A JSON number: int or float, not bool."""
+    return type(value) in (int, float)
+
+
 def load_bank(path) -> MemoryBank:
-    r = Reader(read_file(path))
-    r.magic(BANK_MAGIC)
-    version = r.u32()
-    if version != BANK_VERSION:
-        raise FormatError(f"unsupported bank version {version}", offset=4)
+    r = Reader.open(path, BANK_MAGIC, BANK_VERSION)
     d_key, d_val, count = r.u32(), r.u32(), r.u64()
     meta_at = r.offset
     meta = r.json_block()
     weights = meta.get("weights") if isinstance(meta, dict) else None
     if not (isinstance(weights, dict) and weights.keys() == KeyWeights().as_dict().keys()
-            and all(type(v) in (int, float) for v in weights.values())
+            and all(map(_is_number, weights.values()))
             and isinstance(meta.get("manifest"), dict)):
         raise FormatError(f"bad weights or manifest in bank header: {meta!r:.200}", offset=meta_at)
-    records = r.records(_record_dtype(d_key, d_val), count)
+    records_at = r.offset
+    with format_errors("bad bank record layout", 8):
+        records = r.records(_record_dtype(d_key, d_val), count)
     r.expect_eof()
     x0, y0, x1, y1 = records["box"].T
     if not np.all((0 <= x0) & (x0 < x1) & (x1 <= 1) & (0 <= y0) & (y0 < y1) & (y1 <= 1)):
         raise FormatError("bank has a box outside 0 <= x0 < x1 <= 1, 0 <= y0 < y1 <= 1")
-    try:
+    with format_errors("bad UTF-8 in a category or image id", records_at):
         categories, image_ids = (np.char.decode(records[name], "utf-8")
                                  for name in ("category", "image_id"))
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"bad UTF-8 in a category or image id: {exc}") from exc
     return MemoryBank(d_key=d_key, d_val=d_val, weights=KeyWeights(**weights),
                       manifest=meta["manifest"], keys=records["key"], values=records["value"],
                       categories=categories, image_ids=image_ids, boxes=records["box"],
@@ -446,22 +448,13 @@ def save_embedding_table(table: dict[str, np.ndarray], path) -> None:
 
 
 def load_embedding_table(path) -> dict[str, np.ndarray]:
-    r = Reader(read_file(path))
-    r.magic(TABLE_MAGIC)
-    version = r.u32()
-    if version != TABLE_VERSION:
-        raise FormatError(f"unsupported table version {version}", offset=4)
-    dim = r.u32()
-    count = r.u64()
+    r = Reader.open(path, TABLE_MAGIC, TABLE_VERSION)
+    dim, count = r.u32(), r.u64()
     table = {}
     for _ in range(count):
-        name_len = r.u32()
-        start = r.offset
-        try:
-            name = r._take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"bad UTF-8 name: {exc}", offset=start) from exc
-        table[name] = r.f32_array(dim)
+        name = r._take(r.u32())
+        with format_errors("bad UTF-8 name", r.offset - len(name)):
+            table[name.decode("utf-8")] = r.f32_array(dim)
     r.expect_eof()
     return table
 
@@ -474,63 +467,52 @@ def load_grounding_records(path) -> list[GroundingRecord]:
     """
     base = os.path.dirname(os.path.abspath(os.fspath(path)))
     records = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:
         for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"bad JSON on line {line_no}: {exc}") from exc
-            missing = [k for k in ("image_id", "box", "phrase") if k not in obj]
-            if missing:
-                raise FormatError(
-                    f"line {line_no}: missing required field(s) {missing}")
-            box = obj["box"]
-            if not isinstance(box, list) or len(box) != 4:
-                raise FormatError(f"line {line_no}: box must be [x0, y0, x1, y1]")
-            gray = None
-            if obj.get("gray_crop"):
-                gray = read_pgm(os.path.join(base, obj["gray_crop"]))
-            records.append(GroundingRecord(
-                image_id=obj["image_id"],
-                box=Box2D(*[float(v) for v in box]),
-                phrase=obj["phrase"],
-                scene=obj.get("scene", ""),
-                gray_crop=gray,
-                blur_score=obj.get("blur_score"),
-            ))
+            with format_errors(f"line {line_no}", f.tell() - len(line)):
+                obj = json.loads(line.decode("utf-8"))
+                if not isinstance(obj, dict):
+                    raise InvalidInputError(f"expected a JSON object, got {obj!r:.80}")
+                missing = [k for k in ("image_id", "box", "phrase") if k not in obj]
+                if missing:
+                    raise InvalidInputError(f"missing required field(s) {missing}")
+                image_id, phrase, scene, crop = (obj["image_id"], obj["phrase"],
+                                                 obj.get("scene", ""), obj.get("gray_crop") or "")
+                box, blur = obj["box"], obj.get("blur_score")
+                if not (all(isinstance(v, str) for v in (image_id, phrase, scene, crop))
+                        and isinstance(box, list) and len(box) == 4 and all(map(_is_number, box))
+                        and (blur is None or _is_number(blur) and math.isfinite(blur))):
+                    raise InvalidInputError("want string image_id, phrase, scene and gray_crop, "
+                                            "a box [x0, y0, x1, y1] of numbers and a finite "
+                                            "numeric blur_score")
+                records.append(GroundingRecord(
+                    image_id=image_id, box=Box2D(*map(float, box)), phrase=phrase, scene=scene,
+                    gray_crop=read_pgm(os.path.join(base, crop)) if crop else None,
+                    blur_score=blur))
     return records
+
+
+# "P5", then width, height and maxval, each after whitespace or "#" comments
+# that run to the end of their line, then one whitespace byte.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*)+(\S+)" * 3 + rb"\s")
 
 
 def read_pgm(path) -> np.ndarray:
     """Read a binary (P5) 8-bit PGM into a float32 (H, W) map of 0..255."""
     data = read_file(path)
-    parts = []
-    idx = 0
-    while len(parts) < 4:
-        while idx < len(data) and data[idx : idx + 1].isspace():
-            idx += 1
-        if idx < len(data) and data[idx : idx + 1] == b"#":
-            while idx < len(data) and data[idx : idx + 1] != b"\n":
-                idx += 1
-            continue
-        start = idx
-        while idx < len(data) and not data[idx : idx + 1].isspace():
-            idx += 1
-        if start == idx:
-            raise FormatError("truncated PGM header", offset=start)
-        parts.append(data[start:idx])
-    if parts[0] != b"P5":
-        raise FormatError(f"not a binary PGM: {parts[0]!r}", offset=0)
-    width, height, maxval = int(parts[1]), int(parts[2]), int(parts[3])
-    if maxval > 255:
-        raise FormatError("only 8-bit PGM supported")
-    idx += 1  # single whitespace after maxval
-    pixels = data[idx : idx + width * height]
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise FormatError("not a binary PGM: want P5, width, height and maxval", offset=0)
+    with format_errors("bad PGM header", 0):
+        width, height, maxval = map(int, header.groups())
+    if not (width > 0 and height > 0 and 0 < maxval <= 255):
+        raise FormatError(f"PGM must be 8-bit with width, height >= 1, got {width}x{height} "
+                          f"with maxval {maxval}", offset=0)
+    pixels = data[header.end() : header.end() + width * height]
     if len(pixels) < width * height:
-        raise FormatError("truncated PGM pixel data", offset=idx)
+        raise FormatError("truncated PGM pixel data", offset=header.end())
     return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width).astype(np.float32)
 
 

@@ -59,9 +59,11 @@ def _add_config_args(p: argparse.ArgumentParser):
                    help="override one config value (repeatable)")
 
 
-def _resolve_config(args, index=None) -> PipelineConfig:
-    """Config file, then --set. A loaded IVF-PQ index supplies nlist, so
-    nprobe is checked against the lists that index has."""
+def _resolve_config(args, bank=None, index=None, params=None) -> PipelineConfig:
+    """Config file, then --set, then the values that loaded files store: a
+    bank's key weights, an IVF-PQ index's nlist and a parameter file's
+    window. These override the config file; a --set that disagrees with one
+    is an error. nprobe is checked against the lists a loaded index has."""
     config = load_config(args.config) if args.config else PipelineConfig()
     updates = {}
     for item in args.set:
@@ -72,14 +74,24 @@ def _resolve_config(args, index=None) -> PipelineConfig:
             updates[key] = PipelineConfig.parse_value(key, raw)
         except InvalidInputError as exc:
             raise _UsageError(str(exc)) from None
+    stored = {}  # key: (value, the loaded file that stores it)
+    if bank is not None:
+        stored.update({k: (float(v), "bank") for k, v in bank.weights.as_dict().items()})
     if isinstance(index, IvfPqIndex):
-        nlist = index.params.nlist
-        nprobe = updates.get("nprobe", config.nprobe)
+        stored["nlist"] = (index.params.nlist, "index")
+    if params is not None:
+        first = params if isinstance(params, RefinementParams) else params[0]
+        stored["window"] = (first.window, "parameter file")
+    for key, (value, source) in stored.items():
+        if updates.setdefault(key, value) != value:
+            raise InvalidInputError(f"--set {key}={updates[key]} disagrees with the loaded "
+                                    f"{source}, which has {key}={value}")
+    if isinstance(index, IvfPqIndex):
+        nlist, nprobe = updates["nlist"], updates.get("nprobe", config.nprobe)
         if not 1 <= nprobe <= nlist:
             raise InvalidInputError(
                 f"nprobe={nprobe} does not fit the loaded index, which has nlist={nlist}; "
                 f"pass --set nprobe=N with 1 <= N <= {nlist}")
-        updates["nlist"] = nlist
     return replace(config, **updates)
 
 
@@ -193,8 +205,8 @@ def cmd_build_memory(args) -> int:
 
 
 def cmd_build_index(args) -> int:
-    config = _resolve_config(args)
     memory = load_bank(args.bank)
+    config = _resolve_config(args, memory)
     index = train_ivfpq(memory.keys, config.index_params())
     ivfpq_add(index, np.arange(len(memory)), memory.keys)
     save_index(index, args.out)
@@ -205,7 +217,7 @@ def cmd_build_index(args) -> int:
 def cmd_retrieve(args) -> int:
     memory = load_bank(args.bank)
     index = _load_any_index(args.index, memory)
-    config = _resolve_config(args, index)
+    config = _resolve_config(args, memory, index)
     provider = _resolve_provider(args)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -285,11 +297,10 @@ def cmd_refine(args) -> int:
 def cmd_pipeline(args) -> int:
     memory = load_bank(args.bank)
     index = _load_any_index(args.index, memory)
-    config = _resolve_config(args, index)
+    params = load_params(args.params) if args.params else None
+    config = _resolve_config(args, memory, index, params)
     provider = _resolve_provider(args)
-    if args.params:
-        params = load_params(args.params)
-    else:
+    if params is None:
         params = RefinementParams.zero_init(memory.d_val, window=config.window)
     image_id = args.image_id
     scene = args.scene
@@ -318,7 +329,7 @@ def cmd_pipeline(args) -> int:
 def cmd_bench(args) -> int:
     memory = load_bank(args.bank)
     index = _load_any_index(args.index, memory)
-    config = _resolve_config(args, index)
+    config = _resolve_config(args, memory, index)
     report = bench(memory, index, query_count=args.queries, seed=config.seed,
                    k=config.k, nprobe=config.nprobe, recall_size=config.recall_size)
     print(json.dumps(report.as_dict(), sort_keys=True))

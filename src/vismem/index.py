@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import FormatError, IndexStateError, InvalidInputError
-from .serial import Reader, Writer, atomic_write_bytes, read_file
+from .serial import Reader, Writer, atomic_write_bytes, format_errors
 
 INDEX_MAGIC = "PIVF"
 INDEX_VERSION = 1
@@ -399,20 +399,14 @@ def save_index(index: IvfPqIndex, path) -> None:
 
 
 def load_index(path) -> IvfPqIndex:
-    r = Reader(read_file(path))
-    r.magic(INDEX_MAGIC)
-    version = r.u32()
-    if version != INDEX_VERSION:
-        raise FormatError(f"unsupported index version {version}", offset=4)
+    r = Reader.open(path, INDEX_MAGIC, INDEX_VERSION)
     header_at = r.offset
     header = r.json_block()
     expected = IvfPqParams().as_dict().keys()
-    try:
+    with format_errors("bad index header", header_at):
         if not isinstance(header, dict) or header.keys() != expected:
             raise InvalidInputError(f"header keys must be exactly {sorted(expected)}")
         params = IvfPqParams(**header)
-    except InvalidInputError as exc:
-        raise FormatError(f"bad index header: {exc}", offset=header_at) from exc
     dim = r.u32()
     if dim % params.m != 0:
         raise FormatError(f"index dim {dim} not divisible by m={params.m}", offset=r.offset - 4)
@@ -427,8 +421,10 @@ def load_index(path) -> IvfPqIndex:
         codes.append(r.u8_array(n * params.m, shape=(n, params.m)))
     r.expect_eof()
     offsets = np.concatenate([[0], np.cumsum([len(chunk) for chunk in ids])])
-    ids = np.concatenate(ids)
+    ids, codes = np.concatenate(ids), np.concatenate(codes)
     if np.unique(ids).size != ids.size:
         raise FormatError("duplicate entry id in index lists")
+    if codes.size and codes.max() >= params.ksub:
+        raise FormatError(f"PQ code {codes.max()} out of range for ksub={params.ksub}")
     return IvfPqIndex(params=params, dim=dim, coarse_centroids=coarse, pq_codebooks=codebooks,
-                      ids=ids, codes=np.concatenate(codes), offsets=offsets)
+                      ids=ids, codes=codes, offsets=offsets)

@@ -8,6 +8,7 @@ import configparser
 import io
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -143,6 +144,17 @@ def load_config(path) -> PipelineConfig:
         return PipelineConfig.from_ini(f.read())
 
 
+@contextmanager
+def _stage(name: str, category: str | None = None):
+    """Tag a VismemError raised inside with the pipeline stage, and the
+    category it was working on."""
+    try:
+        yield
+    except VismemError as exc:
+        where = name if category is None else f"{name}, category {category!r}"
+        raise type(exc)(f"[stage {where}] {exc}") from exc
+
+
 @dataclass
 class CategoryResult:
     """Everything the pipeline produced for one candidate category."""
@@ -172,59 +184,44 @@ def run_pipeline(config: PipelineConfig, bank: MemoryBank, index,
     on entry, and the dense priors of all categories share one normalized
     grid.
     """
-    stage = "input_grid"
-    try:
+    with _stage("input_grid"):
         input_grid = as_grid(provider.feature_grid(image_id))
-        stage = "scales"
+    with _stage("scales"):
         scales = [input_grid] if scales is None else [as_grid(s) for s in scales]
-    except VismemError as exc:
-        raise type(exc)(f"[stage {stage}] {exc}") from exc
     weights = config.weights()
 
     results: dict[str, CategoryResult] = {}
     for category in categories:
-        stage = "build_query"
-        try:
+        with _stage("build_query", category):
             query = build_query(provider, category, scene, image_id, weights)
-            stage = "retrieve"
+        with _stage("retrieve", category):
             hits = retrieve(bank, index, query, k=config.k,
                             exclude_image=exclude_image, nprobe=config.nprobe,
                             recall_size=config.recall_size)
-            stage = "aggregate_prototype"
+        with _stage("aggregate_prototype", category):
             proto = aggregate_prototype(bank, hits, query, tau=config.tau_p)
-        except VismemError as exc:
-            raise type(exc)(f"[stage {stage}, category {category!r}] {exc}") from exc
         results[category] = CategoryResult(
             category=category, hits=[] if proto.is_empty else hits, prototype=proto,
             prior=None, anchors=None, prompts=[], logits=None)
 
     found = [r for r in results.values() if not r.prototype.is_empty]
-    try:
+    with _stage("dense_prior"):
         priors = dense_priors(input_grid, [r.prototype for r in found], sigma=config.sigma)
-    except VismemError as exc:
-        raise type(exc)(f"[stage dense_prior] {exc}") from exc
     for result, prior in zip(found, priors):
-        stage = "extract_anchors"
-        try:
+        with _stage("extract_anchors", result.category):
             radius = radius_cells_to_normalized(
                 config.radius_cells, prior.heatmap.shape[0], prior.heatmap.shape[1])
             anchors = extract_anchors(prior, threshold=config.peak_threshold,
                                       radius=radius, max_anchors=config.max_anchors)
-            stage = "refine_all"
+        with _stage("refine_all", result.category):
             prompts = _refine(scales, prior.heatmap, anchors, params, result.category)
-        except VismemError as exc:
-            raise type(exc)(f"[stage {stage}, category {result.category!r}] {exc}") from exc
         result.prior, result.anchors, result.prompts = prior, anchors, prompts
 
     category_embs = {r.category: r.prototype.vector for r in found}
     for result in found:
-        if not result.prompts:
-            continue
-        try:
-            logits = score_prompts(result.prompts, category_embs)
-            result.logits = constrain_logits(logits)
-        except VismemError as exc:
-            raise type(exc)(f"[stage score_prompts, category {result.category!r}] {exc}") from exc
+        if result.prompts:
+            with _stage("score_prompts", result.category):
+                result.logits = constrain_logits(score_prompts(result.prompts, category_embs))
     return results
 
 

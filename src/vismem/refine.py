@@ -17,7 +17,7 @@ import numpy as np
 from .errors import FormatError, InvalidInputError, MissingEmbeddingError
 from .grids import Point2D, _bilinear, as_grid, as_scalar_map, as_vector, bilinear_sample, layer_norm
 from .priors import AnchorSet, DensePrior
-from .serial import Reader, Writer, atomic_write_bytes, read_file
+from .serial import Reader, Writer, atomic_write_bytes, format_errors
 
 PARAMS_MAGIC = "PPRM"
 PARAMS_VERSION = 1
@@ -48,10 +48,12 @@ class RefinementParams:
         self.ln_bias = as_vector(self.ln_bias)
         if self.w_sparse.shape != (d, d) or self.w_dense.shape != (d, d):
             raise InvalidInputError("projection matrices must be (D, D)")
+        if not (np.all(np.isfinite(self.w_sparse)) and np.all(np.isfinite(self.w_dense))):
+            raise InvalidInputError("projection matrices contain non-finite entries")
         if self.ln_gain.shape[0] != d or self.ln_bias.shape[0] != d:
             raise InvalidInputError("layer-norm gain/bias must match dimension D")
-        if self.ln_eps <= 0:
-            raise InvalidInputError("ln_eps must be > 0")
+        if not 0 < self.ln_eps < np.inf:
+            raise InvalidInputError(f"ln_eps must be finite and > 0, got {self.ln_eps}")
         if self.window < 1 or self.window % 2 == 0:
             raise InvalidInputError(f"window must be odd and positive, got {self.window}")
 
@@ -297,28 +299,23 @@ def save_params(params, path) -> None:
 
 def load_params(path):
     """Load a PPRM file; returns RefinementParams or a per-scale list."""
-    r = Reader(read_file(path))
-    r.magic(PARAMS_MAGIC)
-    version = r.u32()
-    if version != PARAMS_VERSION:
-        raise FormatError(f"unsupported parameter version {version}", offset=4)
-    dim = r.u32()
-    per_scale = r.u32()
-    count = r.u32()
-    window = r.u32()
+    r = Reader.open(path, PARAMS_MAGIC, PARAMS_VERSION)
+    dim, per_scale, count, window = r.u32(), r.u32(), r.u32(), r.u32()
     ln_eps = r.f32()
+    if per_scale not in (0, 1) or count < 1 or (count > 1 and not per_scale):
+        raise FormatError(f"a shared parameter file holds one set and a per-scale file at "
+                          f"least one; got per_scale={per_scale} with {count} sets", offset=12)
     sets = []
     for _ in range(count):
-        sets.append(RefinementParams(
-            e=r.f32_array(dim),
-            w_sparse=r.f32_array(dim * dim, shape=(dim, dim)),
-            w_dense=r.f32_array(dim * dim, shape=(dim, dim)),
-            ln_gain=r.f32_array(dim),
-            ln_bias=r.f32_array(dim),
-            ln_eps=ln_eps,
-            window=window,
-        ))
+        with format_errors("bad parameter set", r.offset):
+            sets.append(RefinementParams(
+                e=r.f32_array(dim),
+                w_sparse=r.f32_array(dim * dim, shape=(dim, dim)),
+                w_dense=r.f32_array(dim * dim, shape=(dim, dim)),
+                ln_gain=r.f32_array(dim),
+                ln_bias=r.f32_array(dim),
+                ln_eps=ln_eps,
+                window=window,
+            ))
     r.expect_eof()
-    if per_scale:
-        return sets
-    return sets[0]
+    return sets if per_scale else sets[0]

@@ -1,4 +1,13 @@
-"""Little-endian binary IO helpers shared by the bank/index/parameter formats."""
+"""Little-endian binary IO helpers shared by every vismem file format.
+
+The loader contract: `Reader.open` reads a file and checks its magic and
+version; a short read or trailing bytes are `FormatError` at their offset.
+`format_errors` reports a field that does not build a valid object
+(`InvalidInputError`, or a `ValueError`, `OverflowError` or `RecursionError`
+from numpy, `int()`, UTF-8 or JSON decoding) as `FormatError` at the field's
+offset, for the binary, PGM and records loaders alike. Other failures are
+checked explicitly, so a malformed file raises `FormatError` and nothing else.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +15,11 @@ import json
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InvalidInputError
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -75,12 +85,35 @@ class Writer:
         return b"".join(self._chunks)
 
 
+@contextmanager
+def format_errors(what: str, offset: int | None = None):
+    """Report a field that does not build a valid object as FormatError
+    "<what>: <reason>" at the field's byte offset."""
+    try:
+        yield
+    except (InvalidInputError, ValueError, OverflowError, RecursionError) as exc:
+        raise FormatError(f"{what}: {exc}", offset=offset) from exc
+
+
 class Reader:
     """Sequential reader that raises FormatError with the failing byte offset."""
 
     def __init__(self, data: bytes):
         self.data = data
         self.offset = 0
+
+    @classmethod
+    def open(cls, path, magic: str, version: int) -> "Reader":
+        """A reader over the whole file, past its checked magic and version."""
+        r = cls(read_file(path))
+        tag = r._take(len(magic))
+        if tag != magic.encode("ascii"):
+            raise FormatError(f"bad magic {tag!r}, expected {magic!r}", offset=0)
+        found = r.u32()
+        if found != version:
+            raise FormatError(f"unsupported {magic} version {found}, expected {version}",
+                              offset=4)
+        return r
 
     def _advance(self, n: int) -> int:
         """Claim the next n bytes and return where they start."""
@@ -94,12 +127,6 @@ class Reader:
     def _take(self, n: int) -> bytes:
         start = self._advance(n)
         return self.data[start : start + n]
-
-    def magic(self, expected: str) -> None:
-        start = self.offset
-        tag = self._take(len(expected))
-        if tag != expected.encode("ascii"):
-            raise FormatError(f"bad magic {tag!r}, expected {expected!r}", offset=start)
 
     def u32(self) -> int:
         return struct.unpack("<I", self._take(4))[0]
@@ -123,11 +150,9 @@ class Reader:
 
     def json_block(self):
         start = self.offset
-        length = self.u32()
-        try:
-            return json.loads(self._take(length).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"bad JSON block: {exc}", offset=start) from exc
+        payload = self._take(self.u32())
+        with format_errors("bad JSON block", start):
+            return json.loads(payload.decode("utf-8"))
 
     def records(self, dtype: np.dtype, count: int) -> np.ndarray:
         """count fixed-size records as a read-only view of the data (no copy)."""

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from vismem import artifacts
-from vismem.bank import load_bank
+from vismem.bank import HashingProvider, KeyWeights, load_bank
 from vismem.cli import main
-from vismem.index import IvfPqIndex, IvfPqParams, ivfpq_add, save_index
+from vismem.index import IvfPqIndex, IvfPqParams, exact_scores, ivfpq_add, save_index
 from vismem.refine import RefinementParams, save_params
+from vismem.retrieval import build_query
 
 
 @pytest.fixture(scope="module")
@@ -363,3 +364,115 @@ class TestUsageErrors:
         rc = main(["build-index", "--bank", str(bank_path),
                    "--out", str(tmp_path / "i.pivf"), "--set", "nonsense=3"])
         assert rc == 1
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+class TestMalformedFilesExit2:
+    """A malformed input file exits 2 with one error line, never a traceback."""
+
+    def test_bank_with_huge_d_key(self, scenario_dir, bank_path, tmp_path, capsys):
+        raw = bytearray(bank_path.read_bytes())
+        raw[8:12] = (2**31).to_bytes(4, "little")  # d_key
+        bad = tmp_path / "bad.pbnk"
+        bad.write_bytes(bytes(raw))
+        (tmp_path / "cats.txt").write_text("cat-0\n")
+        rc = main(["retrieve", "--scenario", str(scenario_dir), "--bank", str(bad),
+                   "--categories", str(tmp_path / "cats.txt"), "--image-id", "input"])
+        assert rc == 2
+        assert "offset 8" in assert_one_error_line(capsys)
+
+    def test_params_with_zero_sets(self, scenario_dir, tmp_path, capsys):
+        params = tmp_path / "p.pprm"
+        save_params(RefinementParams.zero_init(16), params)
+        raw = bytearray(params.read_bytes()[:28])  # the header of a shared file, no set
+        raw[16:20] = (0).to_bytes(4, "little")  # set count
+        params.write_bytes(bytes(raw))
+        heat = tmp_path / "h.pmap"
+        artifacts.save_scalar_map(np.ones((24, 24), dtype=np.float32), heat)
+        (tmp_path / "anchors.jsonl").write_text('{"x": 0.5, "y": 0.5, "response": 1.0}\n')
+        rc = main(["refine", "--grids", str(scenario_dir / "features" / "input.pgrd"),
+                   "--heatmap", str(heat), "--anchors", str(tmp_path / "anchors.jsonl"),
+                   "--params", str(params), "--out-prompts", str(tmp_path / "o.pvec"),
+                   "--out-sidecar", str(tmp_path / "o.jsonl")])
+        assert rc == 2
+        assert "0 sets" in assert_one_error_line(capsys)
+
+    def test_records_line_not_an_object(self, scenario_dir, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        lines = (scenario_dir / "records.jsonl").read_text().splitlines()
+        records.write_text("\n".join([lines[0], "5", *lines[1:]]) + "\n")
+        rc = main(["build-memory", "--scenario", str(scenario_dir), "--records", str(records),
+                   "--out", str(tmp_path / "b.pbnk")])
+        assert rc == 2
+        assert "line 2" in assert_one_error_line(capsys)
+        assert not (tmp_path / "b.pbnk").exists()
+
+
+class TestLoadedFilesSupplyConfig:
+    """A loaded bank supplies the key weights, an index nlist and a parameter
+    file the window; a --set that disagrees exits 2 and names both values."""
+
+    @pytest.fixture(scope="class")
+    def params_path(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("params") / "p.pprm"
+        save_params(RefinementParams.zero_init(16, window=3), out)
+        return out
+
+    @pytest.fixture(scope="class")
+    def w_s_bank_path(self, scenario_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("bank") / "w_s.pbnk"
+        assert main(["build-memory", "--scenario", str(scenario_dir), "--out", str(out),
+                     "--set", "drop_fraction=0.0", "--set", "w_s=0.5"]) == 0
+        return out
+
+    def _pipeline(self, scenario_dir, bank, *extra):
+        return main(["pipeline", "--scenario", str(scenario_dir), "--bank", str(bank), *extra])
+
+    def test_window_from_params_file(self, scenario_dir, bank_path, params_path, capsys):
+        assert self._pipeline(scenario_dir, bank_path, "--params", str(params_path)) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["window"] == 3
+        assert self._pipeline(scenario_dir, bank_path, "--params", str(params_path),
+                              "--set", "window=3") == 0
+
+    def test_window_conflict_exits_2(self, scenario_dir, bank_path, params_path, capsys):
+        rc = self._pipeline(scenario_dir, bank_path, "--params", str(params_path),
+                            "--set", "window=7")
+        assert rc == 2
+        err = assert_one_error_line(capsys)
+        assert "window=7" in err and "window=3" in err
+
+    def test_weights_from_bank(self, scenario_dir, w_s_bank_path, tmp_path, capsys):
+        assert self._pipeline(scenario_dir, w_s_bank_path) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["config"]["w_p"], report["config"]["w_s"]) == (1.0, 0.5)
+        # retrieve queries with the bank's weights: its best hit is the exact
+        # flat maximum for a query keyed with w_s=0.5
+        meta = json.loads((scenario_dir / "scenario.json").read_text())
+        (tmp_path / "cats.txt").write_text("cat-0\n")
+        assert main(["retrieve", "--scenario", str(scenario_dir), "--bank", str(w_s_bank_path),
+                     "--categories", str(tmp_path / "cats.txt"), "--image-id", "input",
+                     "--scene", meta["scene"]]) == 0
+        best = json.loads(capsys.readouterr().out)["hits"][0]["score"]
+        provider = HashingProvider(d_key=meta["d_key"], d_val=meta["d_val"], seed=meta["seed"])
+        keys = load_bank(w_s_bank_path).keys
+        scores = {w_s: exact_scores(keys, build_query(provider, "cat-0", meta["scene"], "input",
+                                                      KeyWeights(w_s=w_s)).vector).max()
+                  for w_s in (0.3, 0.5)}
+        assert best == scores[0.5] != scores[0.3]
+
+    def test_weight_conflict_exits_2(self, scenario_dir, w_s_bank_path, capsys):
+        assert self._pipeline(scenario_dir, w_s_bank_path, "--set", "w_s=0.3") == 2
+        err = assert_one_error_line(capsys)
+        assert "w_s=0.3" in err and "w_s=0.5" in err
+
+    def test_nlist_conflict_exits_2(self, bank_path, index_path, capsys):
+        rc = main(["bench", "--bank", str(bank_path), "--index", str(index_path),
+                   "--queries", "2", "--set", "nprobe=4", "--set", "nlist=8"])
+        assert rc == 2
+        err = assert_one_error_line(capsys)
+        assert "nlist=8" in err and "nlist=4" in err

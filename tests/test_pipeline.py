@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from vismem.bank import BankBuildConfig, build_bank, save_bank
+from vismem.bank import BankBuildConfig, EmbeddingProvider, build_bank, save_bank
 from vismem.errors import InvalidInputError, VismemError
-from vismem.index import FlatIndex, ivfpq_add, train_ivfpq
+from vismem.index import FlatIndex, IvfPqParams, ivfpq_add, train_ivfpq
 from vismem.pipeline import (
     BenchReport,
     CategoryResult,
@@ -255,6 +255,32 @@ class TestRunPipeline:
         with pytest.raises(VismemError, match=r"stage refine_all.*'cat'"):
             run_pipeline(PipelineConfig(), bank, index, s.provider, INPUT_IMAGE_ID,
                          ["cat"], bad_params, scene=s.spec.scene)
+
+    @pytest.mark.parametrize("stage", ["build_query", "retrieve", "dense_prior",
+                                       "extract_anchors", "score_prompts"])
+    def test_error_tag_per_stage(self, stage):
+        s = standard_scenario()
+        bank, index = bank_and_index(s)
+        grid = s.provider.feature_grid(INPUT_IMAGE_ID)
+        wider = np.concatenate([grid, grid[..., :1]], axis=2)  # one channel more than d_val
+        provider, config, scales = s.provider, PipelineConfig(), None
+        params = RefinementParams.zero_init(s.spec.d_val)
+        if stage == "build_query":  # no text embedding for "cat"
+            provider = EmbeddingProvider(feature_table={INPUT_IMAGE_ID: grid}, d_key=bank.d_key)
+        elif stage == "retrieve":  # the default nprobe=16 does not fit 4 lists
+            index = train_ivfpq(bank.keys, IvfPqParams(nlist=4, m=4, nbits=4, kmeans_iters=2))
+            ivfpq_add(index, np.arange(len(bank)), bank.keys)
+        elif stage == "dense_prior":  # prototypes have d_val channels, the grid one more
+            s.provider.feature_table[INPUT_IMAGE_ID] = wider
+        elif stage == "extract_anchors":
+            config = PipelineConfig(radius_cells=0.0)
+        else:  # prompts from the wider scale do not match the prototypes' dim
+            scales, params = [wider], RefinementParams.zero_init(s.spec.d_val + 1)
+        with pytest.raises(VismemError) as exc:
+            run_pipeline(config, bank, index, provider, INPUT_IMAGE_ID, ["cat"], params,
+                         scene=s.spec.scene, scales=scales)
+        where = stage if stage == "dense_prior" else f"{stage}, category 'cat'"
+        assert str(exc.value).startswith(f"[stage {where}] ")
 
     def test_report_structure(self):
         s = standard_scenario()
