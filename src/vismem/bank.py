@@ -466,53 +466,58 @@ def load_grounding_records(path) -> list[GroundingRecord]:
     gray_crop?: path to an 8-bit binary PGM, relative to the records file}.
     """
     base = os.path.dirname(os.path.abspath(os.fspath(path)))
-    records = []
-    with open(path, "rb") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            with format_errors(f"line {line_no}", f.tell() - len(line)):
-                obj = json.loads(line.decode("utf-8"))
-                if not isinstance(obj, dict):
-                    raise InvalidInputError(f"expected a JSON object, got {obj!r:.80}")
-                missing = [k for k in ("image_id", "box", "phrase") if k not in obj]
-                if missing:
-                    raise InvalidInputError(f"missing required field(s) {missing}")
-                image_id, phrase, scene, crop = (obj["image_id"], obj["phrase"],
-                                                 obj.get("scene", ""), obj.get("gray_crop") or "")
-                box, blur = obj["box"], obj.get("blur_score")
-                if not (all(isinstance(v, str) for v in (image_id, phrase, scene, crop))
-                        and isinstance(box, list) and len(box) == 4 and all(map(_is_number, box))
-                        and (blur is None or _is_number(blur) and math.isfinite(blur))):
-                    raise InvalidInputError("want string image_id, phrase, scene and gray_crop, "
-                                            "a box [x0, y0, x1, y1] of numbers and a finite "
-                                            "numeric blur_score")
-                records.append(GroundingRecord(
-                    image_id=image_id, box=Box2D(*map(float, box)), phrase=phrase, scene=scene,
-                    gray_crop=read_pgm(os.path.join(base, crop)) if crop else None,
-                    blur_score=blur))
+    records, end = [], 0
+    for line_no, line in enumerate(read_file(path).splitlines(keepends=True), start=1):
+        start, end = end, end + len(line)  # lines end at \n, \r or \r\n, as in text mode
+        if not line.strip():
+            continue
+        with format_errors(f"line {line_no}", start):
+            obj = json.loads(line.decode("utf-8"))
+            if not isinstance(obj, dict):
+                raise InvalidInputError(f"expected a JSON object, got {obj!r:.80}")
+            missing = [k for k in ("image_id", "box", "phrase") if k not in obj]
+            if missing:
+                raise InvalidInputError(f"missing required field(s) {missing}")
+            image_id, phrase, scene, crop = (obj["image_id"], obj["phrase"],
+                                             obj.get("scene", ""), obj.get("gray_crop") or "")
+            box, blur = obj["box"], obj.get("blur_score")
+            if not (all(isinstance(v, str) for v in (image_id, phrase, scene, crop))
+                    and isinstance(box, list) and len(box) == 4 and all(map(_is_number, box))
+                    and (blur is None or _is_number(blur) and math.isfinite(blur))):
+                raise InvalidInputError("want string image_id, phrase, scene and gray_crop, "
+                                        "a box [x0, y0, x1, y1] of numbers and a finite "
+                                        "numeric blur_score")
+            records.append(GroundingRecord(
+                image_id=image_id, box=Box2D(*map(float, box)), phrase=phrase, scene=scene,
+                gray_crop=read_pgm(os.path.join(base, crop)) if crop else None,
+                blur_score=blur))
     return records
 
 
-# "P5", then width, height and maxval, each after whitespace or "#" comments
-# that run to the end of their line, then one whitespace byte.
-_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*)+(\S+)" * 3 + rb"\s")
+# One step of a PGM header scan: whitespace, a "#" comment to the end of its
+# line where a token would start, or a token; each step is linear in its length.
+_PGM_STEP = re.compile(rb"\s+|#[^\n]*|(\S+)")
 
 
 def read_pgm(path) -> np.ndarray:
     """Read a binary (P5) 8-bit PGM into a float32 (H, W) map of 0..255."""
     data = read_file(path)
-    header = _PGM_HEADER.match(data)
-    if header is None:
-        raise FormatError("not a binary PGM: want P5, width, height and maxval", offset=0)
+    tokens, pos = [], 0
+    while len(tokens) < 4:
+        step = _PGM_STEP.match(data, pos)
+        if step is None:
+            raise FormatError("truncated PGM header", offset=pos)
+        tokens += filter(None, step.groups())
+        pos = step.end()
     with format_errors("bad PGM header", 0):
-        width, height, maxval = map(int, header.groups())
-    if not (width > 0 and height > 0 and 0 < maxval <= 255):
-        raise FormatError(f"PGM must be 8-bit with width, height >= 1, got {width}x{height} "
-                          f"with maxval {maxval}", offset=0)
-    pixels = data[header.end() : header.end() + width * height]
+        width, height, maxval = map(int, tokens[1:])
+    if not (tokens[0] == b"P5" and width > 0 and height > 0 and 0 < maxval <= 255):
+        raise FormatError(f"want a binary 8-bit PGM with width, height >= 1, got {tokens[0]!r:.40} "
+                          f"{width}x{height} with maxval {maxval}", offset=0)
+    pos += 1  # one whitespace byte after maxval
+    pixels = data[pos : pos + width * height]
     if len(pixels) < width * height:
-        raise FormatError("truncated PGM pixel data", offset=header.end())
+        raise FormatError("truncated PGM pixel data", offset=pos)
     return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width).astype(np.float32)
 
 

@@ -11,6 +11,7 @@ raise FormatError.
 import json
 import math
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -319,7 +320,48 @@ def test_index_code_out_of_range(tmp_path):
         load_index(tmp_path / "i.pivf")
 
 
-def test_pgm_with_comment_loads(tmp_path):
+@pytest.mark.parametrize("header", [
+    b"P5\n# a comment\n2 1\n255\n",
+    b"# a comment before the magic\nP5 2 1 255\n",
+    b" P5\t2 #\n#\n1\r255\r",
+])
+def test_pgm_with_comment_loads(tmp_path, header):
     path = tmp_path / "im.pgm"
-    path.write_bytes(b"P5\n# a comment\n2 1\n255\n" + bytes([0, 255]))
+    path.write_bytes(header + bytes([0, 255]))
     np.testing.assert_array_equal(read_pgm(path), [[0.0, 255.0]])
+
+
+@pytest.mark.parametrize("data", [
+    b"P5\n" + b"#" * 64,
+    b"P5\n" + b"#" * 64 + b"\n",
+    b"P5\n" + b"#" * 64 + b"\n4 3\n",
+    b"P5 " + b"#\n" * 64 + b"4 3",
+    b"P5 4" + b"#" * 64 + b" 3 255\n" + bytes(12),
+])
+def test_pgm_header_of_hashes_fails_fast(tmp_path, data):
+    # a run of "#" splits into comments in one way only, so a bad header
+    # fails in time linear in its length
+    path = tmp_path / "im.pgm"
+    path.write_bytes(data)
+    started = time.perf_counter()
+    with pytest.raises(FormatError):
+        read_pgm(path)
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_records_line_endings(tmp_path, newline):
+    path = tmp_path / "records.jsonl"
+    lines = [json.dumps(r).encode() for r in RECORDS]
+    path.write_bytes(newline.join(lines) + newline)
+    assert load_grounding_records(path) == load_grounding_records_from(tmp_path, RECORDS)
+    path.write_bytes(newline.join(lines + [b"5"]) + newline)
+    with pytest.raises(FormatError, match="line 3") as exc:
+        load_grounding_records(path)
+    assert exc.value.offset == sum(len(line) + len(newline) for line in lines)
+
+
+def load_grounding_records_from(tmp_path, records):
+    path = tmp_path / "reference.jsonl"
+    path.write_text(records_text(records))
+    return load_grounding_records(path)
