@@ -9,7 +9,6 @@ EmbeddingProvider; no model inference happens here.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import re
@@ -27,7 +26,8 @@ from .grids import (
     mean_pool_region,
     weighted_combine,
 )
-from .serial import Reader, Writer, atomic_write_bytes, format_errors, read_file
+from .serial import (Reader, Writer, atomic_write_bytes, format_errors, is_json_number,
+                     json_fields, read_file, read_json_lines)
 
 # Fixed width of the category and image id fields in the bank file:
 # zero-padded UTF-8.
@@ -89,19 +89,10 @@ class EmbeddingProvider:
         self.text_table = {k: as_vector(v) for k, v in (text_table or {}).items()}
         self.image_table = {k: as_vector(v) for k, v in (image_table or {}).items()}
         self.feature_table = {k: as_grid(g) for k, g in (feature_table or {}).items()}
-        self.d_key = d_key or self._infer_dim()
-        self.d_val = d_val or self._infer_val_dim()
-
-    def _infer_dim(self):
-        for table in (self.text_table, self.image_table):
-            for v in table.values():
-                return v.shape[0]
-        return None
-
-    def _infer_val_dim(self):
-        for g in self.feature_table.values():
-            return g.shape[2]
-        return None
+        # Unless given, the dims are those of the first table entry.
+        self.d_key = d_key or next((v.shape[0] for table in (self.text_table, self.image_table)
+                                    for v in table.values()), None)
+        self.d_val = d_val or next((g.shape[2] for g in self.feature_table.values()), None)
 
     def text_embedding(self, text: str) -> np.ndarray:
         if text == "":
@@ -204,9 +195,6 @@ class MemoryBank:
 
     def keys_matrix(self) -> np.ndarray:
         return self.keys
-
-    def values_matrix(self) -> np.ndarray:
-        return self.values
 
     @property
     def entries(self) -> list[MemoryEntry]:
@@ -401,11 +389,6 @@ def save_bank(bank: MemoryBank, path) -> None:
     atomic_write_bytes(path, w.raw(records.tobytes()).getvalue())
 
 
-def _is_number(value) -> bool:
-    """A JSON number: int or float, not bool."""
-    return type(value) in (int, float)
-
-
 def load_bank(path) -> MemoryBank:
     r = Reader.open(path, BANK_MAGIC, BANK_VERSION)
     d_key, d_val, count = r.u32(), r.u32(), r.u64()
@@ -413,7 +396,7 @@ def load_bank(path) -> MemoryBank:
     meta = r.json_block()
     weights = meta.get("weights") if isinstance(meta, dict) else None
     if not (isinstance(weights, dict) and weights.keys() == KeyWeights().as_dict().keys()
-            and all(map(_is_number, weights.values()))
+            and all(map(is_json_number, weights.values()))
             and isinstance(meta.get("manifest"), dict)):
         raise FormatError(f"bad weights or manifest in bank header: {meta!r:.200}", offset=meta_at)
     records_at = r.offset
@@ -466,32 +449,21 @@ def load_grounding_records(path) -> list[GroundingRecord]:
     gray_crop?: path to an 8-bit binary PGM, relative to the records file}.
     """
     base = os.path.dirname(os.path.abspath(os.fspath(path)))
-    records, end = [], 0
-    for line_no, line in enumerate(read_file(path).splitlines(keepends=True), start=1):
-        start, end = end, end + len(line)  # lines end at \n, \r or \r\n, as in text mode
-        if not line.strip():
-            continue
-        with format_errors(f"line {line_no}", start):
-            obj = json.loads(line.decode("utf-8"))
-            if not isinstance(obj, dict):
-                raise InvalidInputError(f"expected a JSON object, got {obj!r:.80}")
-            missing = [k for k in ("image_id", "box", "phrase") if k not in obj]
-            if missing:
-                raise InvalidInputError(f"missing required field(s) {missing}")
-            image_id, phrase, scene, crop = (obj["image_id"], obj["phrase"],
-                                             obj.get("scene", ""), obj.get("gray_crop") or "")
-            box, blur = obj["box"], obj.get("blur_score")
-            if not (all(isinstance(v, str) for v in (image_id, phrase, scene, crop))
-                    and isinstance(box, list) and len(box) == 4 and all(map(_is_number, box))
-                    and (blur is None or _is_number(blur) and math.isfinite(blur))):
-                raise InvalidInputError("want string image_id, phrase, scene and gray_crop, "
-                                        "a box [x0, y0, x1, y1] of numbers and a finite "
-                                        "numeric blur_score")
-            records.append(GroundingRecord(
-                image_id=image_id, box=Box2D(*map(float, box)), phrase=phrase, scene=scene,
-                gray_crop=read_pgm(os.path.join(base, crop)) if crop else None,
-                blur_score=blur))
-    return records
+
+    def record(obj) -> GroundingRecord:
+        image_id, box, phrase = json_fields(obj, image_id=str, box=list, phrase=str)
+        scene, crop, blur = obj.get("scene", ""), obj.get("gray_crop") or "", obj.get("blur_score")
+        if not (isinstance(scene, str) and isinstance(crop, str)
+                and len(box) == 4 and all(map(is_json_number, box))
+                and (blur is None or is_json_number(blur) and math.isfinite(blur))):
+            raise InvalidInputError("want string scene and gray_crop, a box [x0, y0, x1, y1] "
+                                    "of numbers and a finite numeric blur_score")
+        return GroundingRecord(
+            image_id=image_id, box=Box2D(*map(float, box)), phrase=phrase, scene=scene,
+            gray_crop=read_pgm(os.path.join(base, crop)) if crop else None,
+            blur_score=blur)
+
+    return read_json_lines(path, record)
 
 
 # One step of a PGM header scan: whitespace, a "#" comment to the end of its

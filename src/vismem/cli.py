@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import fields, replace
 
 import numpy as np
@@ -26,8 +27,8 @@ from .bank import (
     save_bank,
     write_pgm,
 )
-from .errors import InvalidInputError, VismemError
-from .grids import Point2D
+from .errors import FormatError, InvalidInputError, VismemError
+from .grids import Point2D, as_vector
 from .index import FlatIndex, IvfPqIndex, ivfpq_add, load_index, save_index, train_ivfpq
 from .pipeline import (
     PipelineConfig,
@@ -39,8 +40,9 @@ from .pipeline import (
 from .priors import AnchorSet, DensePrior, dense_prior, extract_anchors, radius_cells_to_normalized
 from .refine import RefinementParams, load_params, refine_all
 from .retrieval import Prototype, aggregate_prototype, build_query, retrieve
-from .serial import atomic_write_bytes
-from .synthetic import INPUT_IMAGE_ID, ScenarioSpec, gen_synthetic
+from .serial import (atomic_write_bytes, is_json_number, json_fields, read_json_lines,
+                     read_json_object)
+from .synthetic import INPUT_IMAGE_ID, ScenarioSpec, gen_synthetic, random_regions
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,10 +116,23 @@ def _load_features_dir(path) -> dict:
     return table
 
 
-def _resolve_provider(args) -> EmbeddingProvider:
+def _read_scenario(directory) -> dict:
+    """The scenario.json that gen-synthetic writes, with the fields the CLI
+    reads checked."""
+    def check(meta) -> dict:
+        d_key, d_val, _, categories, _, _ = json_fields(
+            meta, d_key=int, d_val=int, seed=int, categories=list, image_id=str, scene=str)
+        if d_key < 1 or d_val < 1 or not all(type(c) is str for c in categories):
+            raise InvalidInputError("want d_key and d_val >= 1 and string categories")
+        return meta
+
+    return read_json_object(os.path.join(directory, "scenario.json"), check)
+
+
+def _resolve_provider(args, scenario: dict | None = None) -> EmbeddingProvider:
+    """The embedding source the flags name; scenario is --scenario's scenario.json, if read."""
     if args.scenario:
-        with open(os.path.join(args.scenario, "scenario.json"), encoding="utf-8") as f:
-            meta = json.load(f)
+        meta = scenario or _read_scenario(args.scenario)
         features = _load_features_dir(os.path.join(args.scenario, "features"))
         return HashingProvider(d_key=meta["d_key"], d_val=meta["d_val"],
                                seed=meta["seed"], feature_table=features)
@@ -150,8 +165,6 @@ def _read_categories(path) -> list[str]:
 def cmd_gen_synthetic(args) -> int:
     rng = np.random.Generator(np.random.PCG64(args.seed))
     categories = [f"cat-{i}" for i in range(args.categories)]
-    from .synthetic import random_regions
-
     regions = random_regions(args.regions, args.grid_size, args.grid_size,
                              extent=3, min_separation=8.0, rng=rng,
                              categories=categories)
@@ -219,8 +232,7 @@ def cmd_retrieve(args) -> int:
     index = _load_any_index(args.index, memory)
     config = _resolve_config(args, memory, index)
     provider = _resolve_provider(args)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
         for category in _read_categories(args.categories):
             query = build_query(provider, category, args.scene, args.image_id,
                                 config.weights())
@@ -233,23 +245,27 @@ def cmd_retrieve(args) -> int:
                 "hits": [{"entry_id": h.entry_id, "score": h.score} for h in hits],
                 "prototype": [float(v) for v in proto.vector],
             }, sort_keys=True) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
 def cmd_priors(args) -> int:
     config = _resolve_config(args)
     grid = artifacts.load_feature_grid(args.grid)
-    with open(args.prototype, encoding="utf-8") as f:
-        proto_obj = json.loads(f.readline())
-    proto = Prototype(
-        category=proto_obj["category"],
-        vector=np.asarray(proto_obj["prototype"], dtype=np.float32),
-        neighbors=[(h["entry_id"], h["score"], 0.0) for h in proto_obj.get("hits", [])],
-        tau=config.tau_p,
-    )
+
+    def prototype(obj) -> Prototype:
+        category, vector = json_fields(obj, category=str, prototype=list)
+        hits = obj.get("hits", [])
+        if not (all(map(is_json_number, vector)) and type(hits) is list):
+            raise InvalidInputError("want a list of numbers as prototype and a list as hits")
+        return Prototype(category=category, vector=as_vector(vector),
+                         neighbors=[(*json_fields(h, entry_id=int, score=float), 0.0)
+                                    for h in hits],
+                         tau=config.tau_p)
+
+    protos = read_json_lines(args.prototype, prototype)
+    if not protos:
+        raise FormatError(f"{args.prototype}: no prototype line")
+    proto = protos[0]
     prior = dense_prior(grid, proto, sigma=config.sigma)
     radius = radius_cells_to_normalized(config.radius_cells, *prior.heatmap.shape)
     anchors = extract_anchors(prior, threshold=config.peak_threshold,
@@ -269,15 +285,17 @@ def cmd_refine(args) -> int:
     scales = [artifacts.load_feature_grid(p) for p in args.grids]
     heat = artifacts.load_scalar_map(args.heatmap)
     params = load_params(args.params)
-    anchors = []
-    category = args.category
-    with open(args.anchors, encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                obj = json.loads(line)
-                anchors.append((Point2D(obj["x"], obj["y"]), obj["response"]))
-                category = category or obj.get("category")
-    anchor_set = AnchorSet(category=category or "", anchors=anchors)
+
+    def anchor(obj) -> tuple[Point2D, float, str | None]:
+        x, y, response = json_fields(obj, x=float, y=float, response=float)
+        category = obj.get("category")
+        if category is not None and type(category) is not str:
+            raise InvalidInputError(f"field 'category' must be a string, got {category!r:.80}")
+        return Point2D(x, y), response, category
+
+    rows = read_json_lines(args.anchors, anchor)
+    category = args.category or next((c for _, _, c in rows if c), "")
+    anchor_set = AnchorSet(category=category, anchors=[(p, r) for p, r, _ in rows])
     prior = DensePrior(category=anchor_set.category, heatmap=heat, sigma=0.0)
     prompts = refine_all(scales, prior, anchor_set, params, anchor_set.category)
     if prompts:
@@ -299,17 +317,16 @@ def cmd_pipeline(args) -> int:
     index = _load_any_index(args.index, memory)
     params = load_params(args.params) if args.params else None
     config = _resolve_config(args, memory, index, params)
-    provider = _resolve_provider(args)
+    scenario = _read_scenario(args.scenario) if args.scenario else None
+    provider = _resolve_provider(args, scenario)
     if params is None:
         params = RefinementParams.zero_init(memory.d_val, window=config.window)
     image_id = args.image_id
     scene = args.scene
-    if args.scenario and not args.categories:
-        with open(os.path.join(args.scenario, "scenario.json"), encoding="utf-8") as f:
-            meta = json.load(f)
-        categories = meta["categories"]
-        image_id = image_id or meta["image_id"]
-        scene = scene if scene is not None else meta["scene"]
+    if scenario and not args.categories:
+        categories = scenario["categories"]
+        image_id = image_id or scenario["image_id"]
+        scene = scene if scene is not None else scenario["scene"]
     else:
         categories = _read_categories(args.categories)
     if image_id is None:
@@ -344,15 +361,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synthetic", help="generate a deterministic synthetic scenario")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid-size", type=int, default=32)
-    p.add_argument("--key-dim", type=int, default=64)
-    p.add_argument("--val-dim", type=int, default=32)
+    p.add_argument("--seed", type=int, default=ScenarioSpec.seed)
+    p.add_argument("--grid-size", type=int, default=ScenarioSpec.grid_h)
+    p.add_argument("--key-dim", type=int, default=ScenarioSpec.d_key)
+    p.add_argument("--val-dim", type=int, default=ScenarioSpec.d_val)
     p.add_argument("--categories", type=int, default=3)
     p.add_argument("--regions", type=int, default=3)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--entries-per-category", type=int, default=20)
-    p.add_argument("--distractors", type=int, default=50)
+    p.add_argument("--noise", type=float, default=ScenarioSpec.noise)
+    p.add_argument("--entries-per-category", type=int, default=ScenarioSpec.entries_per_category)
+    p.add_argument("--distractors", type=int, default=ScenarioSpec.distractors)
     p.set_defaults(func=cmd_gen_synthetic)
 
     p = sub.add_parser("build-memory", help="build and save a memory bank")
@@ -429,18 +446,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
-        return 1
     try:
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except VismemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:
+    except (VismemError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

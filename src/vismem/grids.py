@@ -21,34 +21,29 @@ from .errors import InvalidInputError
 EPS_NORM = 1e-12
 
 
+def _finite(a, ndims: tuple[int, ...], what: str) -> np.ndarray:
+    """a as a non-empty, finite float32 array of one of the given ranks."""
+    arr = np.asarray(a, dtype=np.float32)
+    if arr.ndim not in ndims or arr.size == 0:
+        raise InvalidInputError(f"expected a non-empty {what}, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"{what} contains non-finite entries")
+    return arr
+
+
 def as_vector(v) -> np.ndarray:
     """Coerce to a finite 1-D float32 vector."""
-    arr = np.asarray(v, dtype=np.float32)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidInputError(f"expected a non-empty 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("vector contains non-finite entries")
-    return arr
+    return _finite(v, (1,), "1-D vector")
 
 
 def as_grid(g) -> np.ndarray:
     """Coerce to a finite (H, W, D) float32 feature grid."""
-    arr = np.asarray(g, dtype=np.float32)
-    if arr.ndim != 3 or min(arr.shape) == 0:
-        raise InvalidInputError(f"expected a non-empty (H, W, D) grid, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("feature grid contains non-finite entries")
-    return arr
+    return _finite(g, (3,), "(H, W, D) feature grid")
 
 
 def as_scalar_map(m) -> np.ndarray:
     """Coerce to a finite (H, W) float32 scalar map."""
-    arr = np.asarray(m, dtype=np.float32)
-    if arr.ndim != 2 or min(arr.shape) == 0:
-        raise InvalidInputError(f"expected a non-empty (H, W) map, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("scalar map contains non-finite entries")
-    return arr
+    return _finite(m, (2,), "(H, W) scalar map")
 
 
 @dataclass(frozen=True)
@@ -160,25 +155,25 @@ def bilinear_sample(grid, p: Point2D) -> np.ndarray:
     Coordinates are clamped to the cell-center range at the borders, so
     corner samples reduce to the corner cell's feature.
     """
-    return _bilinear(as_grid(grid), p)
+    return _bilinear(as_grid(grid), p.x, p.y)
 
 
-def _bilinear(grid: np.ndarray, p: Point2D) -> np.ndarray:
-    """bilinear_sample on a grid that as_grid has already checked; only the
-    four cells read are cast to float64."""
-    h, w, _ = grid.shape
-    gx = min(max(p.x * w - 0.5, 0.0), w - 1.0)
-    gy = min(max(p.y * h - 0.5, 0.0), h - 1.0)
-    c0 = int(math.floor(gx))
-    r0 = int(math.floor(gy))
-    c1 = min(c0 + 1, w - 1)
-    r1 = min(r0 + 1, h - 1)
-    fx = gx - c0
-    fy = gy - r0
-    g00, g01, g10, g11 = (grid[r, c].astype(np.float64)
-                          for r, c in ((r0, c0), (r0, c1), (r1, c0), (r1, c1)))
-    top = (1.0 - fx) * g00 + fx * g01
-    bot = (1.0 - fx) * g10 + fx * g11
+def _bilinear(grid: np.ndarray, xs, ys) -> np.ndarray:
+    """The one bilinear interpolation: sample a checked (H, W) map or (H, W, D)
+    grid at normalized points. xs and ys broadcast to a shape S and the result
+    is S or (*S, D). Only the cells read are cast to float64."""
+    h, w = grid.shape[:2]
+    gx = np.clip(np.asarray(xs, dtype=np.float64) * w - 0.5, 0.0, w - 1.0)
+    gy = np.clip(np.asarray(ys, dtype=np.float64) * h - 0.5, 0.0, h - 1.0)
+    c0 = np.floor(gx).astype(np.intp)
+    r0 = np.floor(gy).astype(np.intp)
+    c1 = np.minimum(c0 + 1, w - 1)
+    r1 = np.minimum(r0 + 1, h - 1)
+    per_cell = (1,) * (grid.ndim - 2)  # a weight per point, shared by a cell's features
+    fx = (gx - c0).reshape(gx.shape + per_cell)
+    fy = (gy - r0).reshape(gy.shape + per_cell)
+    top = (1.0 - fx) * grid[r0, c0].astype(np.float64) + fx * grid[r0, c1].astype(np.float64)
+    bot = (1.0 - fx) * grid[r1, c0].astype(np.float64) + fx * grid[r1, c1].astype(np.float64)
     return ((1.0 - fy) * top + fy * bot).astype(np.float32)
 
 
@@ -216,16 +211,24 @@ def minmax_rescale(scalar_map) -> np.ndarray:
 
 
 def layer_norm(v, gain, bias, eps: float = 1e-5) -> np.ndarray:
-    """Layer normalization over the feature dimension with population variance."""
-    v = as_vector(v)
+    """Layer normalization over the last axis with population variance: one
+    vector, or each row of an (N, D) stack with the bits it gives alone."""
+    v = _finite(v, (1, 2), "(D,) vector or (N, D) stack")
     gain = as_vector(gain)
     bias = as_vector(bias)
-    if not (v.shape == gain.shape == bias.shape):
+    if not (v.shape[-1] == gain.shape[0] == bias.shape[0]):
         raise InvalidInputError("v, gain and bias must share one dimension")
     if eps <= 0:
         raise InvalidInputError(f"eps must be > 0, got {eps}")
+    return _layer_norm(v, gain, bias, eps)
+
+
+def _layer_norm(v: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float) -> np.ndarray:
+    """layer_norm on arrays it has already checked."""
     x = v.astype(np.float64)
-    mean = x.mean()
-    var = x.var()
-    normed = (x - mean) / math.sqrt(var + eps)
+    n = x.shape[-1]
+    # The sums and divisions of np.mean and np.var, with x - mean taken once.
+    centered = x - x.sum(axis=-1, keepdims=True) / n
+    var = (centered * centered).sum(axis=-1, keepdims=True) / n
+    normed = centered / np.sqrt(var + eps)
     return (normed * gain.astype(np.float64) + bias.astype(np.float64)).astype(np.float32)

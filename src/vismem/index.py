@@ -52,13 +52,12 @@ def exact_scores(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
 
 
 class FlatIndex:
-    """Exact inner-product search over full-precision keys; entry ids are
-    row positions, so `keys` can also serve `rescore`."""
+    """Exact inner-product search over full-precision keys, which must be
+    finite as for training; entry ids are row positions, so `keys` can also
+    serve `rescore`."""
 
     def __init__(self, keys: np.ndarray):
-        self.keys = np.ascontiguousarray(keys, dtype=np.float32)
-        if self.keys.ndim != 2:
-            raise InvalidInputError("keys must be an (N, D) matrix")
+        self.keys = _finite_matrix(keys, "keys")
         self.ids = np.arange(self.keys.shape[0], dtype=np.int64)
 
     @classmethod
@@ -93,8 +92,9 @@ def _finite_matrix(x, what: str) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=np.float32)
     if x.ndim != 2:
         raise InvalidInputError(f"{what} must be an (N, D) matrix")
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-    if bad.size:
+    finite = np.isfinite(x)
+    if not finite.all():  # the flat test is cheap; find the rows only on failure
+        bad = np.flatnonzero(~finite.all(axis=1))
         raise InvalidInputError(f"{what} must be finite; row {bad[0]} holds NaN or inf "
                                 f"({bad.size} of {len(x)} rows do)")
     return x
@@ -262,11 +262,6 @@ class IvfPqIndex:
     def ntotal(self) -> int:
         return int(self.offsets[-1])
 
-    def _assign_coarse(self, keys: np.ndarray) -> np.ndarray:
-        # Assignment and probing both use inner product, matching the
-        # similarity metric of the search itself.
-        return (keys @ self.coarse_centroids.T).argmax(axis=1)
-
     def encode_residuals(self, residuals: np.ndarray) -> np.ndarray:
         n = residuals.shape[0]
         m, dsub = self.params.m, self.dsub
@@ -323,7 +318,9 @@ def ivfpq_add(index: IvfPqIndex, ids, keys) -> None:
     all_ids = np.concatenate([index.ids, ids])
     if np.unique(all_ids).size != all_ids.size:
         raise InvalidInputError("duplicate entry id in add")
-    assign = index._assign_coarse(keys)
+    # Assignment and probing both use inner product, matching the similarity
+    # metric of the search itself.
+    assign = (keys @ index.coarse_centroids.T).argmax(axis=1)
     residuals = keys - index.coarse_centroids[assign]
     codes = index.encode_residuals(residuals)
     # A stable sort by list keeps the rows already in a list ahead of new ones.

@@ -230,10 +230,8 @@ def pipeline_report(config: PipelineConfig, results: dict[str, CategoryResult],
     """JSON-serializable per-image report of the pipeline run."""
     per_category = {}
     for category, res in results.items():
-        argmaxes = []
-        if res.logits is not None:
-            for row in res.logits.values:
-                argmaxes.append(res.logits.categories[int(np.argmax(row))])
+        argmaxes = [] if res.logits is None else [
+            res.logits.categories[int(j)] for j in res.logits.values.argmax(axis=1)]
         per_category[category] = {
             "retrieval": [
                 {"entry_id": eid, "score": score, "alpha": alpha}

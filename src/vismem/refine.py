@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, InvalidInputError, MissingEmbeddingError
-from .grids import Point2D, _bilinear, as_grid, as_scalar_map, as_vector, bilinear_sample, layer_norm
+from .grids import (Point2D, _bilinear, _finite, _layer_norm, as_grid, as_scalar_map, as_vector,
+                    bilinear_sample, cell_centers)
 from .priors import AnchorSet, DensePrior
 from .serial import Reader, Writer, atomic_write_bytes, format_errors
 
@@ -42,14 +43,12 @@ class RefinementParams:
     def __post_init__(self):
         self.e = as_vector(self.e)
         d = self.e.shape[0]
-        self.w_sparse = np.asarray(self.w_sparse, dtype=np.float32)
-        self.w_dense = np.asarray(self.w_dense, dtype=np.float32)
+        self.w_sparse = _finite(self.w_sparse, (2,), "projection matrix")
+        self.w_dense = _finite(self.w_dense, (2,), "projection matrix")
         self.ln_gain = as_vector(self.ln_gain)
         self.ln_bias = as_vector(self.ln_bias)
         if self.w_sparse.shape != (d, d) or self.w_dense.shape != (d, d):
             raise InvalidInputError("projection matrices must be (D, D)")
-        if not (np.all(np.isfinite(self.w_sparse)) and np.all(np.isfinite(self.w_dense))):
-            raise InvalidInputError("projection matrices contain non-finite entries")
         if self.ln_gain.shape[0] != d or self.ln_bias.shape[0] != d:
             raise InvalidInputError("layer-norm gain/bias must match dimension D")
         if not 0 < self.ln_eps < np.inf:
@@ -61,17 +60,12 @@ class RefinementParams:
     def dim(self) -> int:
         return self.e.shape[0]
 
+    # The initializers pass float64 arrays, which __post_init__ stores as float32.
     @classmethod
     def zero_init(cls, dim: int, window: int = DEFAULT_WINDOW) -> "RefinementParams":
         """Identity layer norm, zero projections: the no-memory baseline."""
-        return cls(
-            e=np.zeros(dim, dtype=np.float32),
-            w_sparse=np.zeros((dim, dim), dtype=np.float32),
-            w_dense=np.zeros((dim, dim), dtype=np.float32),
-            ln_gain=np.ones(dim, dtype=np.float32),
-            ln_bias=np.zeros(dim, dtype=np.float32),
-            window=window,
-        )
+        return cls(e=np.zeros(dim), w_sparse=np.zeros((dim, dim)), w_dense=np.zeros((dim, dim)),
+                   ln_gain=np.ones(dim), ln_bias=np.zeros(dim), window=window)
 
     @classmethod
     def seeded_init(cls, dim: int, seed: int = 0,
@@ -79,14 +73,9 @@ class RefinementParams:
         """Deterministic random parameters for property tests and demos."""
         rng = np.random.Generator(np.random.PCG64(seed))
         scale = 1.0 / np.sqrt(dim)
-        return cls(
-            e=rng.standard_normal(dim).astype(np.float32),
-            w_sparse=(rng.standard_normal((dim, dim)) * scale).astype(np.float32),
-            w_dense=(rng.standard_normal((dim, dim)) * scale).astype(np.float32),
-            ln_gain=np.ones(dim, dtype=np.float32),
-            ln_bias=np.zeros(dim, dtype=np.float32),
-            window=window,
-        )
+        return cls(e=rng.standard_normal(dim), w_sparse=rng.standard_normal((dim, dim)) * scale,
+                   w_dense=rng.standard_normal((dim, dim)) * scale, ln_gain=np.ones(dim),
+                   ln_bias=np.zeros(dim), window=window)
 
 
 @dataclass
@@ -112,9 +101,8 @@ class LogitsMatrix:
             raise InvalidInputError("logits shape must be (len(sources), len(categories))")
 
 
-def sparse_feature(features, anchor: Point2D) -> np.ndarray:
-    """Bilinear feature sample at the anchor location."""
-    return bilinear_sample(features, anchor)
+# The sparse feature of an anchor is the bilinear sample of the grid there.
+sparse_feature = bilinear_sample
 
 
 def dense_feature(features, heat, anchor: Point2D, window: int = DEFAULT_WINDOW) -> np.ndarray:
@@ -149,44 +137,40 @@ def _window_sum(features: np.ndarray, heat: np.ndarray, anchor: Point2D,
 def resample_heatmap(heat, target_h: int, target_w: int) -> np.ndarray:
     """Bilinear resampling under the cell-center convention; identity on same shape."""
     heat = as_scalar_map(heat)
-    h, w = heat.shape
     if target_h < 1 or target_w < 1:
         raise InvalidInputError("target shape must be >= 1 in both dimensions")
-    if (h, w) == (target_h, target_w):
+    if heat.shape == (target_h, target_w):
         return heat.copy()
-    gx = np.clip((np.arange(target_w) + 0.5) / target_w * w - 0.5, 0.0, w - 1.0)
-    gy = np.clip((np.arange(target_h) + 0.5) / target_h * h - 0.5, 0.0, h - 1.0)
-    c0 = np.floor(gx).astype(int)
-    r0 = np.floor(gy).astype(int)
-    c1 = np.minimum(c0 + 1, w - 1)
-    r1 = np.minimum(r0 + 1, h - 1)
-    fx = gx - c0
-    fy = gy - r0
-    hm = heat.astype(np.float64)
-    top = (1.0 - fx)[None, :] * hm[np.ix_(r0, c0)] + fx[None, :] * hm[np.ix_(r0, c1)]
-    bot = (1.0 - fx)[None, :] * hm[np.ix_(r1, c0)] + fx[None, :] * hm[np.ix_(r1, c1)]
-    out = (1.0 - fy)[:, None] * top + fy[:, None] * bot
-    return out.astype(np.float32)
+    cx, cy = cell_centers(target_h, target_w)
+    return _bilinear(heat, cx[:1], cy[:, :1])
 
 
 def refine_preactivation(params: RefinementParams, f_s, f_d) -> np.ndarray:
     """e + W_s f_s + W_d f_d, before layer normalization. Linear in (f_s, f_d)."""
-    f_s = as_vector(f_s)
-    f_d = as_vector(f_d)
-    if f_s.shape[0] != params.dim or f_d.shape[0] != params.dim:
+    return _preactivations(params, as_vector(f_s)[None], as_vector(f_d)[None])[0]
+
+
+def _preactivations(params: RefinementParams, f_s: np.ndarray, f_d: np.ndarray) -> np.ndarray:
+    """refine_preactivation of each row of two finite float32 (A, D) stacks.
+    The parameters are cast to float64 once; each row gets its own
+    matrix-vector product, since one (A, D) @ (D, D) product rounds
+    differently."""
+    if f_s.shape[1] != params.dim or f_d.shape[1] != params.dim:
         raise InvalidInputError("feature dimensions must match the parameter dimension")
-    pre = (
-        params.e.astype(np.float64)
-        + params.w_sparse.astype(np.float64) @ f_s.astype(np.float64)
-        + params.w_dense.astype(np.float64) @ f_d.astype(np.float64)
-    )
-    return pre.astype(np.float32)
+    e, w_s, w_d, f_s, f_d = (a.astype(np.float64)
+                             for a in (params.e, params.w_sparse, params.w_dense, f_s, f_d))
+    pre = np.empty(f_s.shape, dtype=np.float32)
+    for i in range(len(pre)):
+        pre[i] = e + w_s @ f_s[i] + w_d @ f_d[i]
+    if not np.all(np.isfinite(pre)):
+        raise InvalidInputError("prompt pre-activation overflows float32")
+    return pre
 
 
 def refine_prompt(params: RefinementParams, f_s, f_d) -> np.ndarray:
     """Layer-normalized fusion of the prompt prior with sparse and dense features."""
     pre = refine_preactivation(params, f_s, f_d)
-    return layer_norm(pre, params.ln_gain, params.ln_bias, params.ln_eps)
+    return _layer_norm(pre, params.ln_gain, params.ln_bias, params.ln_eps)
 
 
 def refine_all(scales, prior: DensePrior, anchors: AnchorSet,
@@ -210,17 +194,17 @@ def _refine(scales: list[np.ndarray], heatmap, anchors: AnchorSet,
         if len(per_scale) != len(scales):
             raise InvalidInputError("need one parameter set per scale")
     prompts = []
+    xs, ys = np.array([(p.x, p.y) for p in anchors.points()], dtype=np.float64).reshape(-1, 2).T
     for s_idx, (features, p) in enumerate(zip(scales, per_scale)):
         heat = resample_heatmap(heatmap, features.shape[0], features.shape[1])
-        for point, _resp in anchors.anchors:
-            f_s = _bilinear(features, point)
-            f_d = _window_sum(features, heat, point, p.window)
-            prompts.append(MemoryGuidedPrompt(
-                embedding=refine_prompt(p, f_s, f_d),
-                source_category=category,
-                anchor=point,
-                scale_index=s_idx,
-            ))
+        f_s = _bilinear(features, xs, ys)
+        f_d = np.empty_like(f_s)
+        for i, (point, _resp) in enumerate(anchors.anchors):
+            f_d[i] = _window_sum(features, heat, point, p.window)
+        embeddings = _layer_norm(_preactivations(p, f_s, f_d), p.ln_gain, p.ln_bias, p.ln_eps)
+        prompts += [MemoryGuidedPrompt(embedding=emb, source_category=category,
+                                       anchor=point, scale_index=s_idx)
+                    for emb, (point, _resp) in zip(embeddings, anchors.anchors)]
     return prompts
 
 

@@ -5,13 +5,16 @@ version; a short read or trailing bytes are `FormatError` at their offset.
 `format_errors` reports a field that does not build a valid object
 (`InvalidInputError`, or a `ValueError`, `OverflowError` or `RecursionError`
 from numpy, `int()`, UTF-8 or JSON decoding) as `FormatError` at the field's
-offset, for the binary, PGM and records loaders alike. Other failures are
-checked explicitly, so a malformed file raises `FormatError` and nothing else.
+offset, for the binary, PGM and JSON loaders alike. `read_json_lines` and
+`read_json_object` read JSON text through it, naming the file and the line,
+and `json_fields` checks an object's fields. Other failures are checked
+explicitly, so a malformed file raises `FormatError` and nothing else.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -169,3 +172,50 @@ class Reader:
 def read_file(path) -> bytes:
     with open(path, "rb") as f:
         return f.read()
+
+
+def read_json_lines(path, build) -> list:
+    """build(value) for the JSON value on each non-blank line of a JSONL file (lines
+    end at \n, \r or \r\n, as in text mode). A line that is not JSON, or that
+    build rejects, is a FormatError naming the file, the line and its byte offset."""
+    values, end = [], 0
+    for line_no, line in enumerate(read_file(path).splitlines(keepends=True), start=1):
+        start, end = end, end + len(line)
+        if line.strip():
+            with format_errors(f"{os.fspath(path)} line {line_no}", start):
+                values.append(build(json.loads(line.decode("utf-8"))))
+    return values
+
+
+def read_json_object(path, build):
+    """build(value) for a file of one JSON value. A FormatError names the file
+    and the line: that of a JSON error, or where the value build rejects
+    starts."""
+    data = read_file(path)
+    with format_errors(os.fspath(path)):
+        obj = json.loads(data.decode("utf-8"))
+    line = data[:len(data) - len(data.lstrip())].count(b"\n") + 1
+    with format_errors(f"{os.fspath(path)} line {line}"):
+        return build(obj)
+
+
+def is_json_number(value) -> bool:
+    """A JSON number: int or float, not bool."""
+    return type(value) in (int, float)
+
+
+def json_fields(obj, **kinds) -> list:
+    """The values of a JSON object's named fields, each of its kind: str, int,
+    list, or float for any finite JSON number."""
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"expected a JSON object, got {obj!r:.80}")
+    missing = [key for key in kinds if key not in obj]
+    if missing:
+        raise InvalidInputError(f"missing required field(s) {missing}")
+    for key, kind in kinds.items():
+        value = obj[key]
+        if not (is_json_number(value) and math.isfinite(value) if kind is float
+                else type(value) is kind):
+            want = "a finite number" if kind is float else f"a JSON {kind.__name__}"
+            raise InvalidInputError(f"field {key!r} must be {want}, got {value!r:.80}")
+    return [obj[key] for key in kinds]

@@ -60,14 +60,7 @@ class SyntheticScenario:
     input_grid: np.ndarray
     gt_centers: dict[str, list[Point2D]]
     directions: dict[str, np.ndarray]
-
-    @property
-    def categories(self) -> list[str]:
-        seen = []
-        for reg in self.spec.regions:
-            if reg.category not in seen:
-                seen.append(reg.category)
-        return seen
+    categories: list[str]  # the regions' categories, each once, in region order
 
 
 def _orthonormal_directions(categories: list[str], dim: int,
@@ -82,38 +75,29 @@ def _orthonormal_directions(categories: list[str], dim: int,
 def gen_synthetic(spec: ScenarioSpec) -> SyntheticScenario:
     """Build bank records, provider tables, input grid, and ground truth."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed)))
-    categories = []
-    for reg in spec.regions:
-        if reg.category not in categories:
-            categories.append(reg.category)
+    categories = list(dict.fromkeys(reg.category for reg in spec.regions))
     directions = _orthonormal_directions(categories, spec.d_val, rng)
 
     feature_table: dict[str, np.ndarray] = {}
     records: list[GroundingRecord] = []
     full_box = Box2D(0.0, 0.0, 1.0, 1.0)
 
-    for cat in categories:
-        v = directions[cat]
-        for i in range(spec.entries_per_category):
-            image_id = f"mem-{cat}-{i}"
-            feature_table[image_id] = np.broadcast_to(
-                v, (4, 4, spec.d_val)
-            ).astype(np.float32).copy()
-            records.append(GroundingRecord(
-                image_id=image_id, box=full_box, phrase=cat, scene=spec.scene,
-                blur_score=float(rng.uniform(0.5, 1.0)),
-            ))
-
-    for i in range(spec.distractors):
-        image_id = f"dis-{i}"
-        direction = l2_normalize(rng.standard_normal(spec.d_val).astype(np.float32))
+    def add_entry(image_id: str, direction: np.ndarray, phrase: str) -> None:
+        """A 4x4 memory image of one direction, grounded as a whole."""
         feature_table[image_id] = np.broadcast_to(
             direction, (4, 4, spec.d_val)
         ).astype(np.float32).copy()
         records.append(GroundingRecord(
-            image_id=image_id, box=full_box, phrase=f"distractor-{i}",
-            scene=spec.scene, blur_score=float(rng.uniform(0.5, 1.0)),
+            image_id=image_id, box=full_box, phrase=phrase, scene=spec.scene,
+            blur_score=float(rng.uniform(0.5, 1.0)),
         ))
+
+    for cat in categories:
+        for i in range(spec.entries_per_category):
+            add_entry(f"mem-{cat}-{i}", directions[cat], cat)
+    for i in range(spec.distractors):
+        add_entry(f"dis-{i}", l2_normalize(rng.standard_normal(spec.d_val).astype(np.float32)),
+                  f"distractor-{i}")
 
     # Input grid: background nearly orthogonal to every planted direction.
     h, w = spec.grid_h, spec.grid_w
@@ -143,7 +127,7 @@ def gen_synthetic(spec: ScenarioSpec) -> SyntheticScenario:
                                feature_table=feature_table)
     return SyntheticScenario(spec=spec, records=records, provider=provider,
                              input_grid=grid, gt_centers=gt_centers,
-                             directions=directions)
+                             directions=directions, categories=categories)
 
 
 def random_regions(count: int, grid_h: int, grid_w: int, extent: int,

@@ -279,7 +279,7 @@ class TestBuildBank:
         np.testing.assert_allclose(
             np.linalg.norm(bank.keys_matrix(), axis=1), 1.0, atol=1e-5)
         np.testing.assert_allclose(
-            np.linalg.norm(bank.values_matrix(), axis=1), 1.0, atol=1e-5)
+            np.linalg.norm(bank.values, axis=1), 1.0, atol=1e-5)
 
     def test_deterministic_and_byte_identical(self, tmp_path):
         prov = make_provider()

@@ -1,14 +1,21 @@
 import json
+import re
+import shlex
+import shutil
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vismem import artifacts
 from vismem.bank import HashingProvider, KeyWeights, load_bank
-from vismem.cli import main
-from vismem.index import IvfPqIndex, IvfPqParams, exact_scores, ivfpq_add, save_index
+from vismem.cli import build_parser, main
+from vismem.errors import InvalidInputError
+from vismem.index import FlatIndex, IvfPqIndex, IvfPqParams, exact_scores, ivfpq_add, save_index
 from vismem.refine import RefinementParams, save_params
 from vismem.retrieval import build_query
+from vismem.synthetic import ScenarioSpec
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +79,15 @@ class TestGenSynthetic:
                 == (scenario_dir / "records.jsonl").read_bytes())
         assert ((tmp_path / "features" / "input.pgrd").read_bytes()
                 == (scenario_dir / "features" / "input.pgrd").read_bytes())
+
+    def test_parser_defaults_are_the_spec_defaults(self):
+        args = build_parser().parse_args(["gen-synthetic", "--out", "x"])
+        spec = {f.name: f.default for f in fields(ScenarioSpec)}
+        assert args.grid_size == spec["grid_h"] == spec["grid_w"]
+        assert (args.key_dim, args.val_dim, args.noise, args.seed) == (
+            spec["d_key"], spec["d_val"], spec["noise"], spec["seed"])
+        assert (args.entries_per_category, args.distractors) == (
+            spec["entries_per_category"], spec["distractors"])
 
 
 class TestBuildMemory:
@@ -476,3 +492,108 @@ class TestLoadedFilesSupplyConfig:
         assert rc == 2
         err = assert_one_error_line(capsys)
         assert "nlist=8" in err and "nlist=4" in err
+
+
+class TestNonFiniteKeys:
+    """A bank whose entry 0 has a NaN key: the flat index refuses it, as
+    build-index does, instead of dropping that entry in silence."""
+
+    @pytest.fixture()
+    def nan_bank(self, bank_path, tmp_path):
+        raw = bank_path.read_bytes()
+        key0 = load_bank(bank_path).keys[0].tobytes()
+        assert raw.count(key0) == 1
+        at = raw.index(key0)
+        bad = tmp_path / "nan.pbnk"
+        bad.write_bytes(raw[:at] + np.float32(np.nan).tobytes() + raw[at + 4:])
+        return bad
+
+    def test_flat_index_refuses(self, nan_bank):
+        bank = load_bank(nan_bank)
+        assert len(bank) == 26 and np.isnan(bank.keys[0, 0])
+        with pytest.raises(InvalidInputError, match="row 0 holds NaN"):
+            FlatIndex.from_bank(bank)
+
+    @pytest.mark.parametrize("command", ["retrieve", "pipeline", "bench"])
+    def test_cli_exits_2_like_build_index(self, command, nan_bank, scenario_dir, tmp_path,
+                                          capsys):
+        assert main(["build-index", "--bank", str(nan_bank),
+                     "--out", str(tmp_path / "i.pivf")]) == 2
+        expected = assert_one_error_line(capsys)
+        (tmp_path / "cats.txt").write_text("cat-0\n")
+        extra = {"retrieve": ["--scenario", str(scenario_dir), "--image-id", "input",
+                              "--categories", str(tmp_path / "cats.txt")],
+                 "pipeline": ["--scenario", str(scenario_dir)],
+                 "bench": []}[command]
+        assert main([command, "--bank", str(nan_bank), *extra]) == 2
+        assert assert_one_error_line(capsys) == expected
+
+
+class TestMalformedJsonInputsExit2:
+    """The CLI's own JSON inputs follow the loader contract: one error line
+    naming the file and the line, exit 2."""
+
+    def _refine(self, scenario_dir, tmp_path, anchors_text):
+        params = tmp_path / "p.pprm"
+        save_params(RefinementParams.zero_init(16), params)
+        heat = tmp_path / "h.pmap"
+        artifacts.save_scalar_map(np.ones((24, 24), dtype=np.float32), heat)
+        anchors = tmp_path / "anchors.jsonl"
+        anchors.write_text(anchors_text)
+        rc = main(["refine", "--grids", str(scenario_dir / "features" / "input.pgrd"),
+                   "--heatmap", str(heat), "--anchors", str(anchors),
+                   "--params", str(params), "--out-prompts", str(tmp_path / "o.pvec"),
+                   "--out-sidecar", str(tmp_path / "o.jsonl")])
+        return rc, anchors
+
+    @pytest.mark.parametrize("text, line, reason", [
+        ('{"x": 0.5}\n', 1, "missing required field(s) ['y', 'response']"),
+        ('{"x": 0.5, "y": 0.5, "response": 1.0}\nnot json\n', 2, "Expecting value"),
+        ('{"x": 0.5, "y": 2.0, "response": 1.0}\n', 1, "outside [0, 1]^2"),
+        ('{"x": 0.5, "y": 0.5, "response": true}\n', 1, "'response' must be a finite number"),
+    ])
+    def test_refine_anchors(self, scenario_dir, tmp_path, capsys, text, line, reason):
+        rc, anchors = self._refine(scenario_dir, tmp_path, text)
+        assert rc == 2
+        err = assert_one_error_line(capsys)
+        assert f"{anchors} line {line}: " in err and reason in err
+
+    def test_priors_prototype(self, scenario_dir, tmp_path, capsys):
+        proto = tmp_path / "proto.json"
+        proto.write_text('{"category": "c"}\n')
+        rc = main(["priors", "--grid", str(scenario_dir / "features" / "input.pgrd"),
+                   "--prototype", str(proto), "--out-heatmap", str(tmp_path / "h.pmap"),
+                   "--out-anchors", str(tmp_path / "a.jsonl")])
+        assert rc == 2
+        err = assert_one_error_line(capsys)
+        assert f"{proto} line 1: " in err and "['prototype']" in err
+
+    @pytest.mark.parametrize("command", ["retrieve", "pipeline"])
+    def test_scenario_without_d_key(self, command, scenario_dir, bank_path, tmp_path, capsys):
+        scenario = tmp_path / "scn"
+        shutil.copytree(scenario_dir, scenario)
+        meta = json.loads((scenario / "scenario.json").read_text())
+        del meta["d_key"]
+        (scenario / "scenario.json").write_text(json.dumps(meta, indent=2))
+        (tmp_path / "cats.txt").write_text("cat-0\n")
+        extra = (["--categories", str(tmp_path / "cats.txt"), "--image-id", "input"]
+                 if command == "retrieve" else [])
+        rc = main([command, "--scenario", str(scenario), "--bank", str(bank_path), *extra])
+        assert rc == 2
+        err = assert_one_error_line(capsys)
+        assert f"{scenario / 'scenario.json'} line 1: " in err and "['d_key']" in err
+
+
+def test_readme_cli_quick_start_runs(tmp_path, capsys):
+    """Every command of the README's CLI block, with its paths moved to a
+    temporary directory, exits 0."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    block = next(b for b in blocks if "vismem gen-synthetic" in b)
+    commands = block.replace("\\\n", " ").replace("/tmp/", f"{tmp_path}/").splitlines()
+    assert len(commands) >= 5
+    for command in commands:
+        argv = shlex.split(command)
+        assert argv[0] == "vismem"
+        assert main(argv[1:]) == 0, command
+    assert (tmp_path / "idx.pivf").exists()

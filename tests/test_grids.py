@@ -286,6 +286,29 @@ class TestLayerNorm:
         with pytest.raises(InvalidInputError):
             layer_norm([1.0, 2.0], [1.0], [0.0, 0.0])
 
+    @pytest.mark.parametrize("dim", [1, 32, 33, 256])
+    def test_stack_equals_single_rows(self, dim):
+        rng = rng_for(dim)
+        rows = (rng.standard_normal((10, dim)) * 3.0 + 1.0).astype(np.float32)
+        gain = rng.uniform(0.5, 1.5, dim).astype(np.float32)
+        bias = rng.standard_normal(dim).astype(np.float32)
+        out = layer_norm(rows, gain, bias, 1e-5)
+        assert out.shape == rows.shape and out.dtype == np.float32
+        np.testing.assert_array_equal(out, np.stack([layer_norm(r, gain, bias, 1e-5)
+                                                     for r in rows]))
+
+    def test_stack_rejects_bad_rows(self):
+        ones, zeros = np.ones(4, dtype=np.float32), np.zeros(4, dtype=np.float32)
+        with pytest.raises(InvalidInputError, match="share one dimension"):
+            layer_norm(np.zeros((3, 5), dtype=np.float32), ones, zeros)
+        for bad in (np.nan, np.inf):
+            rows = np.zeros((3, 4), dtype=np.float32)
+            rows[1, 2] = bad
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                layer_norm(rows, ones, zeros)
+        with pytest.raises(InvalidInputError):
+            layer_norm(np.zeros((2, 3, 4), dtype=np.float32), ones, zeros)
+
 
 class TestGeometry:
     def test_invalid_box_rejected(self):

@@ -137,6 +137,18 @@ class TestResampleHeatmap:
                 pt = Point2D((c + 0.5) / tw, (r + 0.5) / th)
                 assert out[r, c] == pytest.approx(float(bilinear_sample(grid3, pt)[0]), abs=1e-5)
 
+    @pytest.mark.parametrize("source, target", [((6, 5), (9, 11)), ((7, 9), (3, 4)),
+                                                ((1, 4), (5, 1)), ((16, 16), (128, 64))])
+    def test_bit_equal_to_bilinear_sample_at_cell_centers(self, source, target):
+        """Resampling and point sampling share one kernel, so every target
+        cell center gives the same bits."""
+        hm = rng_for(sum(target)).uniform(0, 1, source).astype(np.float32)
+        th, tw = target
+        grid3 = hm[:, :, None]
+        expected = np.array([[bilinear_sample(grid3, Point2D((c + 0.5) / tw, (r + 0.5) / th))[0]
+                              for c in range(tw)] for r in range(th)], dtype=np.float32)
+        np.testing.assert_array_equal(resample_heatmap(hm, th, tw), expected)
+
     def test_bad_target_rejected(self):
         with pytest.raises(InvalidInputError):
             resample_heatmap(np.zeros((3, 3), dtype=np.float32), 0, 4)
@@ -232,6 +244,36 @@ class TestRefineAll:
             f_d = dense_feature(feats, heat, pt, params.window)
             np.testing.assert_array_equal(prompts[s_idx].embedding,
                                           refine_prompt(params, f_s, f_d))
+
+    @pytest.mark.parametrize("n_anchors", [1, 3, 10])
+    @pytest.mark.parametrize("dim", [32, 33])
+    @pytest.mark.parametrize("per_scale", [False, True])
+    def test_bit_equal_to_refine_prompt_per_anchor(self, n_anchors, dim, per_scale):
+        """The batched path gives each (scale, anchor) the bits of
+        refine_prompt on its own sparse and dense features."""
+        rng = rng_for(100 * dim + n_anchors)
+        scales = [rng.standard_normal((s, s + 2, dim)).astype(np.float32) for s in (16, 8, 4)]
+        prior = DensePrior(category="cat", heatmap=rng.uniform(0, 1, (16, 18)).astype(np.float32),
+                           sigma=1.0)
+        points = [Point2D(*rng.uniform(0.0, 1.0, size=2)) for _ in range(n_anchors)]
+        if n_anchors >= 3:  # clamped borders and corners
+            points[-2:] = [Point2D(0.0, 1.0), Point2D(1.0, 0.03)]
+        anchors = AnchorSet(category="cat",
+                            anchors=[(p, 1.0 - 0.01 * i) for i, p in enumerate(points)])
+        if per_scale:
+            params = [RefinementParams.seeded_init(dim, seed=s, window=3) for s in range(3)]
+        else:
+            params = RefinementParams.seeded_init(dim, seed=7)
+        prompts = refine_all(scales, prior, anchors, params, "cat")
+        assert len(prompts) == 3 * n_anchors
+        for s_idx, feats in enumerate(scales):
+            p = params[s_idx] if per_scale else params
+            heat = resample_heatmap(prior.heatmap, feats.shape[0], feats.shape[1])
+            for a_idx, pt in enumerate(points):
+                expected = refine_prompt(p, sparse_feature(feats, pt),
+                                         dense_feature(feats, heat, pt, p.window))
+                np.testing.assert_array_equal(prompts[s_idx * n_anchors + a_idx].embedding,
+                                              expected)
 
     def test_per_scale_params(self):
         scales, prior, anchors = self._setup(n_anchors=1, n_scales=2)
