@@ -19,6 +19,7 @@ import numpy as np
 from .errors import FormatError, InvalidInputError, MissingEmbeddingError
 from .grids import (
     Box2D,
+    _mean_pool,
     as_grid,
     as_scalar_map,
     as_vector,
@@ -336,16 +337,22 @@ def build_bank(records: list[GroundingRecord], provider: EmbeddingProvider,
         survivors = after_merge
     removed_blur = len(after_merge) - len(survivors)
 
+    # Each distinct text, image and feature grid is looked up (and a grid
+    # checked) once, in the order a record-by-record build first asks for it.
+    texts, images, grids = {}, {}, {}
     keys, values = [], []
     for rec in survivors:
         try:
-            keys.append(build_key(
-                provider.text_embedding(rec.phrase),
-                provider.text_embedding(rec.scene),
-                provider.image_embedding(rec.image_id),
-                config.weights,
-            ))
-            values.append(build_value(provider, rec.image_id, rec.box))
+            for text in (rec.phrase, rec.scene):
+                if text not in texts:
+                    texts[text] = provider.text_embedding(text)
+            if rec.image_id not in images:
+                images[rec.image_id] = provider.image_embedding(rec.image_id)
+            keys.append(build_key(texts[rec.phrase], texts[rec.scene], images[rec.image_id],
+                                  config.weights))
+            if rec.image_id not in grids:
+                grids[rec.image_id] = as_grid(provider.feature_grid(rec.image_id))
+            values.append(l2_normalize(_mean_pool(grids[rec.image_id], rec.box)))
         except MissingEmbeddingError as exc:
             raise MissingEmbeddingError(
                 f"record (image {rec.image_id!r}, phrase {rec.phrase!r}): {exc}"

@@ -327,6 +327,8 @@ def cmd_pipeline(args) -> int:
         categories = scenario["categories"]
         image_id = image_id or scenario["image_id"]
         scene = scene if scene is not None else scenario["scene"]
+    elif args.categories is None:
+        raise InvalidInputError("--categories is required without --scenario")
     else:
         categories = _read_categories(args.categories)
     if image_id is None:

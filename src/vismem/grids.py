@@ -137,7 +137,11 @@ def mean_pool_region(grid, box: Box2D) -> np.ndarray:
     Falls back to the single cell containing the box center when no cell
     center is covered (very small boxes).
     """
-    grid = as_grid(grid)
+    return _mean_pool(as_grid(grid), box)
+
+
+def _mean_pool(grid: np.ndarray, box: Box2D) -> np.ndarray:
+    """mean_pool_region on a grid that as_grid has already checked."""
     h, w, _ = grid.shape
     cx, cy = cell_centers(h, w)
     mask = (cx >= box.x0) & (cx <= box.x1) & (cy >= box.y0) & (cy <= box.y1)

@@ -10,20 +10,21 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 
 import numpy as np
 
-from .bank import BankBuildConfig, EmbeddingProvider, KeyWeights, MemoryBank
+from .bank import BankBuildConfig, EmbeddingProvider, KeyWeights, MemoryBank, build_key
 from .errors import InvalidInputError, VismemError
-from .grids import as_grid
+from .grids import _finite, as_grid
 from .index import FlatIndex, IvfPqIndex, IvfPqParams, SearchHit
 from .priors import (DEFAULT_MAX_ANCHORS, DEFAULT_PEAK_THRESHOLD, DEFAULT_RADIUS_CELLS,
                      DEFAULT_SIGMA, AnchorSet, DensePrior, dense_priors, extract_anchors,
                      radius_cells_to_normalized)
-from .refine import (DEFAULT_WINDOW, LogitsMatrix, MemoryGuidedPrompt, _refine,
-                     constrain_logits, score_prompts)
+from .refine import (DEFAULT_WINDOW, LogitsMatrix, MemoryGuidedPrompt, _logits, _mask, _refine,
+                     _stack_rows)
 from .retrieval import (DEFAULT_NPROBE, DEFAULT_RECALL_SIZE, DEFAULT_TAU, DEFAULT_TOP_K,
-                        Prototype, RetrievalQuery, aggregate_prototype, build_query, retrieve)
+                        Prototype, RetrievalQuery, aggregate_prototype, retrieve)
 from .serial import atomic_write_bytes
 
 
@@ -181,8 +182,10 @@ def run_pipeline(config: PipelineConfig, bank: MemoryBank, index,
     the stand-in classification embeddings.
 
     Per-image work is done once: the input grid and every scale are checked
-    on entry, and the dense priors of all categories share one normalized
-    grid.
+    on entry, the scene and image embeddings are looked up once, the dense
+    priors of all categories share one normalized grid, and all categories
+    are refined together, each scale in one pass. The results equal those
+    of composing the public functions category by category, bit for bit.
     """
     with _stage("input_grid"):
         input_grid = as_grid(provider.feature_grid(image_id))
@@ -191,9 +194,14 @@ def run_pipeline(config: PipelineConfig, bank: MemoryBank, index,
     weights = config.weights()
 
     results: dict[str, CategoryResult] = {}
+    context = None  # the scene and image embeddings, looked up after the first phrase
     for category in categories:
         with _stage("build_query", category):
-            query = build_query(provider, category, scene, image_id, weights)
+            phrase = provider.text_embedding(category)
+            if context is None:
+                context = (provider.text_embedding(scene), provider.image_embedding(image_id))
+            query = RetrievalQuery(category=category, vector=build_key(phrase, *context, weights),
+                                   scene=scene, image_id=image_id)
         with _stage("retrieve", category):
             hits = retrieve(bank, index, query, k=config.k,
                             exclude_image=exclude_image, nprobe=config.nprobe,
@@ -205,23 +213,31 @@ def run_pipeline(config: PipelineConfig, bank: MemoryBank, index,
             prior=None, anchors=None, prompts=[], logits=None)
 
     found = [r for r in results.values() if not r.prototype.is_empty]
+    if not found:
+        return results
     with _stage("dense_prior"):
         priors = dense_priors(input_grid, [r.prototype for r in found], sigma=config.sigma)
     for result, prior in zip(found, priors):
         with _stage("extract_anchors", result.category):
             radius = radius_cells_to_normalized(
                 config.radius_cells, prior.heatmap.shape[0], prior.heatmap.shape[1])
-            anchors = extract_anchors(prior, threshold=config.peak_threshold,
-                                      radius=radius, max_anchors=config.max_anchors)
-        with _stage("refine_all", result.category):
-            prompts = _refine(scales, prior.heatmap, anchors, params, result.category)
-        result.prior, result.anchors, result.prompts = prior, anchors, prompts
+            result.anchors = extract_anchors(prior, threshold=config.peak_threshold,
+                                             radius=radius, max_anchors=config.max_anchors)
+        result.prior = prior
+    names = [r.category for r in found]
+    prompt_lists = _refine(scales, [r.prior.heatmap for r in found], [r.anchors for r in found],
+                           params, names, stage=partial(_stage, "refine_all"))
 
-    category_embs = {r.category: r.prototype.vector for r in found}
-    for result in found:
-        if result.prompts:
+    embs = np.stack([r.prototype.vector for r in found])
+    for column, (result, prompts) in enumerate(zip(found, prompt_lists)):
+        result.prompts = prompts
+        if prompts:
             with _stage("score_prompts", result.category):
-                result.logits = constrain_logits(score_prompts(result.prompts, category_embs))
+                rows = _finite(_stack_rows([p.embedding for p in prompts]), (2,),
+                               "stack of prompt embeddings")
+                masked = _mask(_logits(rows, embs), np.full(len(prompts), column))
+                result.logits = LogitsMatrix(values=masked, categories=list(names),
+                                             sources=[result.category] * len(prompts))
     return results
 
 

@@ -10,6 +10,7 @@ sentinel are left untouched.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,17 +142,29 @@ def resample_heatmap(heat, target_h: int, target_w: int) -> np.ndarray:
         raise InvalidInputError("target shape must be >= 1 in both dimensions")
     if heat.shape == (target_h, target_w):
         return heat.copy()
+    return _resample(heat, target_h, target_w)
+
+
+def _resample(grid: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
+    """_bilinear of a checked map or grid at the target shape's cell centers."""
     cx, cy = cell_centers(target_h, target_w)
-    return _bilinear(heat, cx[:1], cy[:, :1])
+    return _bilinear(grid, cx[:1], cy[:, :1])
+
+
+_OVERFLOW = "prompt pre-activation overflows float32"
 
 
 def refine_preactivation(params: RefinementParams, f_s, f_d) -> np.ndarray:
     """e + W_s f_s + W_d f_d, before layer normalization. Linear in (f_s, f_d)."""
-    return _preactivations(params, as_vector(f_s)[None], as_vector(f_d)[None])[0]
+    pre = _preactivations(params, as_vector(f_s)[None], as_vector(f_d)[None])[0]
+    if not np.all(np.isfinite(pre)):
+        raise InvalidInputError(_OVERFLOW)
+    return pre
 
 
 def _preactivations(params: RefinementParams, f_s: np.ndarray, f_d: np.ndarray) -> np.ndarray:
-    """refine_preactivation of each row of two finite float32 (A, D) stacks.
+    """refine_preactivation of each row of two finite float32 (A, D) stacks,
+    with rows that overflow float32 left non-finite.
     The parameters are cast to float64 once; each row gets its own
     matrix-vector product, since one (A, D) @ (D, D) product rounds
     differently."""
@@ -162,8 +175,6 @@ def _preactivations(params: RefinementParams, f_s: np.ndarray, f_d: np.ndarray) 
     pre = np.empty(f_s.shape, dtype=np.float32)
     for i in range(len(pre)):
         pre[i] = e + w_s @ f_s[i] + w_d @ f_d[i]
-    if not np.all(np.isfinite(pre)):
-        raise InvalidInputError("prompt pre-activation overflows float32")
     return pre
 
 
@@ -180,31 +191,67 @@ def refine_all(scales, prior: DensePrior, anchors: AnchorSet,
     params may be a single RefinementParams shared across scales, or a list
     with one parameter set per scale.
     """
-    return _refine([as_grid(features) for features in scales], prior.heatmap, anchors,
-                   params, category)
+    return _refine([as_grid(features) for features in scales], [as_scalar_map(prior.heatmap)],
+                   [anchors], params, [category])[0]
 
 
-def _refine(scales: list[np.ndarray], heatmap, anchors: AnchorSet,
-            params, category: str) -> list[MemoryGuidedPrompt]:
-    """refine_all on scales that as_grid has already checked."""
+def _untagged(category: str):
+    return nullcontext()
+
+
+def _refine(scales: list[np.ndarray], heatmaps: list[np.ndarray], anchor_sets: list[AnchorSet],
+            params, categories: list[str], stage=_untagged) -> list[list[MemoryGuidedPrompt]]:
+    """refine_all of every category at once: one prompt list per category, on
+    scales that as_grid and heatmaps of one shape that as_scalar_map have
+    already checked.
+
+    Per scale, the heatmaps are resampled as one stack, every anchor of every
+    category is sampled in one _bilinear call, and all rows are projected and
+    layer-normalized together. Each of these steps works per element or per
+    row, so every prompt has the bits that refining its category alone gives.
+    A failure is raised inside stage(category) for the first category it
+    concerns, as refining the categories one by one would raise it.
+    """
     if isinstance(params, RefinementParams):
         per_scale = [params] * len(scales)
     else:
         per_scale = list(params)
+    with stage(categories[0]):
         if len(per_scale) != len(scales):
             raise InvalidInputError("need one parameter set per scale")
-    prompts = []
-    xs, ys = np.array([(p.x, p.y) for p in anchors.points()], dtype=np.float64).reshape(-1, 2).T
-    for s_idx, (features, p) in enumerate(zip(scales, per_scale)):
-        heat = resample_heatmap(heatmap, features.shape[0], features.shape[1])
+        if any(features.shape[2] != p.dim for features, p in zip(scales, per_scale)):
+            raise InvalidInputError("feature dimensions must match the parameter dimension")
+    counts = [len(anchors) for anchors in anchor_sets]
+    points = [point for anchors in anchor_sets for point, _resp in anchors.anchors]
+    owners = np.repeat(np.arange(len(categories)), counts)
+    xs, ys = np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(-1, 2).T
+    heats = np.stack(heatmaps)  # (C, H, W), each map C-contiguous for _window_sum
+    stacked = np.moveaxis(heats, 0, -1)  # the maps as the D axis of an (H, W, C) grid
+    pres = []
+    for features, p in zip(scales, per_scale):
+        h, w = features.shape[:2]
+        heat = heats if heats.shape[1:] == (h, w) else np.ascontiguousarray(
+            np.moveaxis(_resample(stacked, h, w), -1, 0))
         f_s = _bilinear(features, xs, ys)
         f_d = np.empty_like(f_s)
-        for i, (point, _resp) in enumerate(anchors.anchors):
-            f_d[i] = _window_sum(features, heat, point, p.window)
-        embeddings = _layer_norm(_preactivations(p, f_s, f_d), p.ln_gain, p.ln_bias, p.ln_eps)
-        prompts += [MemoryGuidedPrompt(embedding=emb, source_category=category,
-                                       anchor=point, scale_index=s_idx)
-                    for emb, (point, _resp) in zip(embeddings, anchors.anchors)]
+        for i, (point, owner) in enumerate(zip(points, owners)):
+            f_d[i] = _window_sum(features, heat[owner], point, p.window)
+        pres.append(_preactivations(p, f_s, f_d))
+    finite = np.ones(len(points), dtype=bool)
+    for pre in pres:
+        finite &= np.isfinite(pre).all(axis=1)
+    if not finite.all():
+        with stage(categories[owners[~finite][0]]):
+            raise InvalidInputError(_OVERFLOW)
+    embeddings = [_layer_norm(pre, p.ln_gain, p.ln_bias, p.ln_eps)
+                  for pre, p in zip(pres, per_scale)]
+    prompts, start = [], 0
+    for anchors, category, count in zip(anchor_sets, categories, counts):
+        prompts.append([MemoryGuidedPrompt(embedding=emb[start + i], source_category=category,
+                                           anchor=point, scale_index=s_idx)
+                        for s_idx, emb in enumerate(embeddings)
+                        for i, (point, _resp) in enumerate(anchors.anchors)])
+        start += count
     return prompts
 
 
@@ -219,17 +266,21 @@ def score_prompts(prompts: list[MemoryGuidedPrompt],
             raise MissingEmbeddingError(f"no embedding for category {cat!r}")
     values = np.zeros((len(prompts), len(categories)), dtype=np.float32)
     if prompts and categories:
-        rows = _stack_vectors([p.embedding for p in prompts])
-        embs = _stack_vectors([category_embs[cat] for cat in categories])
-        if rows.shape[1] != embs.shape[1]:
-            raise InvalidInputError(f"dimension mismatch: {rows.shape[1]} vs {embs.shape[1]}")
-        values = (rows.astype(np.float64) @ embs.astype(np.float64).T).astype(np.float32)
+        values = _logits(_stack_rows([as_vector(p.embedding) for p in prompts]),
+                         _stack_rows([as_vector(category_embs[cat]) for cat in categories]))
     return LogitsMatrix(values=values, categories=categories, sources=sources)
 
 
-def _stack_vectors(vectors) -> np.ndarray:
-    """Finite 1-D vectors of one dimension as the rows of a float32 matrix."""
-    rows = [as_vector(v) for v in vectors]
+def _logits(rows: np.ndarray, embs: np.ndarray) -> np.ndarray:
+    """score_prompts' values from checked float32 prompt rows and category
+    rows: one float64 product, stored as float32."""
+    if rows.shape[1] != embs.shape[1]:
+        raise InvalidInputError(f"dimension mismatch: {rows.shape[1]} vs {embs.shape[1]}")
+    return (rows.astype(np.float64) @ embs.astype(np.float64).T).astype(np.float32)
+
+
+def _stack_rows(rows: list[np.ndarray]) -> np.ndarray:
+    """1-D float32 vectors of one dimension as the rows of a matrix."""
     if len({r.shape[0] for r in rows}) > 1:
         raise InvalidInputError("all vectors must share one dimension")
     return np.stack(rows)
@@ -245,17 +296,23 @@ def constrain_logits(logits: LogitsMatrix, sources: list[str] | None = None) -> 
     if len(sources) != logits.values.shape[0]:
         raise InvalidInputError("sources length must equal row count")
     col_of = {c: j for j, c in enumerate(logits.categories)}
-    masked = logits.values.copy()
-    for i, src in enumerate(sources):
-        if src == UNCONSTRAINED:
-            continue
-        if src not in col_of:
+    columns = []
+    for src in sources:
+        if src != UNCONSTRAINED and src not in col_of:
             raise InvalidInputError(f"source category {src!r} not in candidate columns")
-        keep = masked[i, col_of[src]]
-        masked[i, :] = -np.inf
-        masked[i, col_of[src]] = keep
-    return LogitsMatrix(values=masked, categories=list(logits.categories),
-                        sources=list(sources))
+        columns.append(-1 if src == UNCONSTRAINED else col_of[src])
+    return LogitsMatrix(values=_mask(logits.values, np.array(columns, dtype=np.intp)),
+                        categories=list(logits.categories), sources=list(sources))
+
+
+def _mask(values: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """A copy of values with each row i at -inf outside column columns[i];
+    rows whose column is -1 stay as they are."""
+    rows = np.flatnonzero(columns >= 0)
+    masked = values.copy()
+    masked[rows] = -np.inf
+    masked[rows, columns[rows]] = values[rows, columns[rows]]
+    return masked
 
 
 # --- parameter persistence ---------------------------------------------------

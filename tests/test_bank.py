@@ -292,6 +292,37 @@ class TestBuildBank:
         save_bank(b2, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_each_embedding_and_grid_looked_up_once(self):
+        """The bank equals the record-by-record composition, while each
+        distinct text, image and feature grid is asked for only once."""
+        base = make_provider()
+        calls = []
+
+        class Counting(EmbeddingProvider):
+            def text_embedding(self, text):
+                calls.append(("text", text))
+                return super().text_embedding(text)
+
+            def image_embedding(self, image_id):
+                calls.append(("image", image_id))
+                return super().image_embedding(image_id)
+
+            def feature_grid(self, image_id):
+                calls.append(("grid", image_id))
+                return super().feature_grid(image_id)
+
+        prov = Counting(base.text_table, base.image_table, base.feature_table)
+        recs = self._records(40)
+        bank = build_bank(recs, prov, BankBuildConfig(drop_fraction=0.0, iou_threshold=1.0))
+        assert len(bank) == len(recs)
+        # Two phrases and one scene, four images, four grids.
+        assert len(calls) == len(set(calls)) == 3 + 4 + 4
+        for key, value, rec in zip(bank.keys, bank.values, recs):
+            np.testing.assert_array_equal(key, build_key(
+                base.text_embedding(rec.phrase), base.text_embedding(rec.scene),
+                base.image_embedding(rec.image_id), KeyWeights()))
+            np.testing.assert_array_equal(value, build_value(base, rec.image_id, rec.box))
+
     def test_missing_embedding_names_offender(self):
         prov = make_provider()
         rec = GroundingRecord("img0", Box2D(0, 0, 0.5, 0.5), "unseen-phrase", "indoor", blur_score=1.0)

@@ -252,6 +252,16 @@ class TestPipeline:
         ])
         assert rc == 2
 
+    def test_no_scenario_and_no_categories_exits_2(self, scenario_dir, bank_path, capsys):
+        rc = main([
+            "pipeline", "--bank", str(bank_path),
+            "--features-dir", str(scenario_dir / "features"),
+            "--hash-key-dim", "32", "--image-id", "input",
+        ])
+        assert rc == 2
+        assert load_bank(bank_path).keys.shape == (26, 32)
+        assert "--categories" in assert_one_error_line(capsys)
+
 
 class TestBench:
     def test_flat_bench(self, bank_path, capsys):

@@ -378,6 +378,33 @@ class TestPipelineComposesPublicFunctions:
         assert list(results) == s.categories == list(oracle)
         assert results["bird"].prototype.is_empty and results["bird"].logits is None
         assert exclude not in {str(bank.image_ids[h.entry_id]) for h in results["cat"].hits}
+        self._assert_bit_equal(results, oracle, len(scales))
+
+    def test_many_categories_unsmoothed_with_shared_params(self):
+        """Six categories of one image refined in one pass, with one parameter
+        set for every scale; the smallest scale is narrower than the window."""
+        names = [f"c{i}" for i in range(6)]
+        regions = random_regions(12, 48, 48, extent=3, min_separation=7.0, rng=rng_for(5),
+                                 categories=names)
+        s = standard_scenario(seed=9, noise=0.05, regions=regions, grid_h=48, grid_w=48)
+        bank, index = bank_and_index(s)
+        config = PipelineConfig(sigma=0.0, peak_threshold=0.4)
+        grid = s.provider.feature_grid(INPUT_IMAGE_ID)
+        scales = [grid, avg_pool(grid, 2), avg_pool(grid, 16)]
+        params = RefinementParams.seeded_init(s.spec.d_val, seed=2)
+        args = (config, bank, index, s.provider, INPUT_IMAGE_ID, s.categories, params)
+        kwargs = dict(scene=s.spec.scene, scales=scales, exclude_image=None)
+        results = run_pipeline(*args, **kwargs)
+        oracle = self._oracle(*args, **kwargs)
+
+        assert list(results) == s.categories == names
+        assert all(not r.prototype.is_empty for r in results.values())
+        assert scales[2].shape[:2] == (3, 3) and params.window == 5
+        assert max(len(r.anchors) for r in results.values()) > 1
+        self._assert_bit_equal(results, oracle, len(scales))
+
+    @staticmethod
+    def _assert_bit_equal(results, oracle, n_scales):
         for category, (hits, proto, prior, anchors, prompts, logits) in oracle.items():
             res = results[category]
             assert [(h.entry_id, h.score) for h in res.hits] == [(h.entry_id, h.score) for h in hits]
@@ -388,12 +415,14 @@ class TestPipelineComposesPublicFunctions:
                 continue
             np.testing.assert_array_equal(res.prior.heatmap, prior.heatmap)
             assert res.anchors.anchors == anchors.anchors and len(anchors) >= 1
-            assert len(res.prompts) == len(prompts) == 3 * len(anchors)
+            assert len(res.prompts) == len(prompts) == n_scales * len(anchors)
             for got, want in zip(res.prompts, prompts):
                 np.testing.assert_array_equal(got.embedding, want.embedding)
                 assert (got.anchor, got.scale_index, got.source_category) == \
                     (want.anchor, want.scale_index, want.source_category)
             np.testing.assert_array_equal(res.logits.values, logits.values)
+            assert (res.logits.categories, res.logits.sources) == \
+                (logits.categories, logits.sources)
 
 
 class TestBadFeatureGrids:

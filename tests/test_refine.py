@@ -1,10 +1,13 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from vismem.errors import FormatError, InvalidInputError, MissingEmbeddingError
 from vismem.grids import Point2D, bilinear_sample, inner, layer_norm
-from vismem.priors import AnchorSet, DensePrior
+from vismem.priors import DEFAULT_MAX_ANCHORS, AnchorSet, DensePrior
 from vismem.refine import (
+    _refine,
     UNCONSTRAINED,
     LogitsMatrix,
     MemoryGuidedPrompt,
@@ -293,6 +296,77 @@ class TestRefineAll:
         scales, prior, _ = self._setup()
         empty = AnchorSet(category="cat", anchors=[])
         assert refine_all(scales, prior, empty, RefinementParams.seeded_init(6), "cat") == []
+
+
+class TestRefineEveryCategoryAtOnce:
+    """_refine of several categories gives each category the bits that
+    refine_all gives it alone."""
+
+    @pytest.mark.parametrize("dim", [32, 33])
+    @pytest.mark.parametrize("per_scale", [False, True])
+    def test_bit_equal_to_refine_all_per_category(self, dim, per_scale):
+        rng = rng_for(10 * dim + per_scale)
+        # The heatmaps' own shape (resampling copies), a taller and narrower
+        # one, and one narrower than the window.
+        scales = [rng.standard_normal(shape + (dim,)).astype(np.float32)
+                  for shape in ((16, 18), (24, 12), (3, 2))]
+        counts = {"none": 0, "one": 1, "full": DEFAULT_MAX_ANCHORS, "few": 3}
+        borders = [Point2D(0.0, 0.0), Point2D(1.0, 1.0), Point2D(0.0, 1.0), Point2D(1.0, 0.03)]
+        priors, anchor_sets = [], []
+        for category, count in counts.items():
+            points = [Point2D(*rng.uniform(0.0, 1.0, size=2)) for _ in range(count)]
+            if count == DEFAULT_MAX_ANCHORS:
+                points[-len(borders):] = borders
+            anchor_sets.append(AnchorSet(category=category, anchors=[
+                (p, 1.0 - 0.01 * i) for i, p in enumerate(points)]))
+            priors.append(DensePrior(category=category, sigma=1.0,
+                                     heatmap=rng.uniform(0, 1, (16, 18)).astype(np.float32)))
+        if per_scale:
+            params = [RefinementParams.seeded_init(dim, seed=s, window=w)
+                      for s, w in enumerate((3, 5, 7))]
+        else:
+            params = RefinementParams.seeded_init(dim, seed=7, window=5)
+
+        batched = _refine(scales, [p.heatmap for p in priors], anchor_sets, params, list(counts))
+        assert [len(prompts) for prompts in batched] == [3 * n for n in counts.values()]
+        for category, prior, anchors, prompts in zip(counts, priors, anchor_sets, batched):
+            alone = refine_all(scales, prior, anchors, params, category)
+            assert len(prompts) == len(alone)
+            for got, want in zip(prompts, alone):
+                np.testing.assert_array_equal(got.embedding, want.embedding)
+                assert (got.anchor, got.scale_index, got.source_category) == \
+                    (want.anchor, want.scale_index, want.source_category)
+
+    def test_overflow_reported_for_the_first_category_it_hits(self):
+        """'late' overflows on the second scale only and 'hot' on the first:
+        refined one by one, 'late' comes first, so its failure is raised."""
+        calm, late, hot = (anchor_at(r, r, 8, 8)[0] for r in (1, 4, 6))
+        scales = []
+        for cell in (6, 4):  # hot's cell, then late's
+            grid = np.zeros((8, 8, 4), dtype=np.float32)
+            grid[cell, cell] = 3e38
+            scales.append(grid)
+        params = RefinementParams(e=np.zeros(4), w_sparse=2 * np.eye(4), w_dense=np.zeros((4, 4)),
+                                  ln_gain=np.ones(4), ln_bias=np.zeros(4))
+        names = ["calm", "late", "hot"]
+        anchor_sets = [AnchorSet(category=c, anchors=[(p, 1.0)])
+                       for c, p in zip(names, (calm, late, hot))]
+        tagged = []
+
+        @contextmanager
+        def stage(category):
+            try:
+                yield
+            except InvalidInputError:
+                tagged.append(category)
+                raise
+
+        heat = np.ones((8, 8), dtype=np.float32)
+        with pytest.raises(InvalidInputError, match="overflows float32"), \
+                np.errstate(over="ignore"):
+            _refine(scales, [heat] * 3, anchor_sets, params, names, stage=stage)
+        assert tagged == ["late"]
+        assert len(_refine(scales, [heat], anchor_sets[:1], params, names[:1], stage=stage)[0]) == 2
 
 
 class TestScoreAndConstrain:
