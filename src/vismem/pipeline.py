@@ -16,13 +16,13 @@ import numpy as np
 
 from .bank import BankBuildConfig, EmbeddingProvider, KeyWeights, MemoryBank, build_key
 from .errors import InvalidInputError, VismemError
-from .grids import _finite, as_grid
+from .grids import as_grid
 from .index import FlatIndex, IvfPqIndex, IvfPqParams, SearchHit
 from .priors import (DEFAULT_MAX_ANCHORS, DEFAULT_PEAK_THRESHOLD, DEFAULT_RADIUS_CELLS,
                      DEFAULT_SIGMA, AnchorSet, DensePrior, dense_priors, extract_anchors,
                      radius_cells_to_normalized)
-from .refine import (DEFAULT_WINDOW, LogitsMatrix, MemoryGuidedPrompt, _logits, _mask, _refine,
-                     _stack_rows)
+from .refine import (DEFAULT_WINDOW, LogitsMatrix, MemoryGuidedPrompt, _refine, constrain_logits,
+                     score_prompts)
 from .retrieval import (DEFAULT_NPROBE, DEFAULT_RECALL_SIZE, DEFAULT_TAU, DEFAULT_TOP_K,
                         Prototype, RetrievalQuery, aggregate_prototype, retrieve)
 from .serial import atomic_write_bytes
@@ -224,20 +224,15 @@ def run_pipeline(config: PipelineConfig, bank: MemoryBank, index,
             result.anchors = extract_anchors(prior, threshold=config.peak_threshold,
                                              radius=radius, max_anchors=config.max_anchors)
         result.prior = prior
-    names = [r.category for r in found]
     prompt_lists = _refine(scales, [r.prior.heatmap for r in found], [r.anchors for r in found],
-                           params, names, stage=partial(_stage, "refine_all"))
+                           params, [r.category for r in found], stage=partial(_stage, "refine_all"))
 
-    embs = np.stack([r.prototype.vector for r in found])
-    for column, (result, prompts) in enumerate(zip(found, prompt_lists)):
+    category_embs = {r.category: r.prototype.vector for r in found}
+    for result, prompts in zip(found, prompt_lists):
         result.prompts = prompts
         if prompts:
             with _stage("score_prompts", result.category):
-                rows = _finite(_stack_rows([p.embedding for p in prompts]), (2,),
-                               "stack of prompt embeddings")
-                masked = _mask(_logits(rows, embs), np.full(len(prompts), column))
-                result.logits = LogitsMatrix(values=masked, categories=list(names),
-                                             sources=[result.category] * len(prompts))
+                result.logits = constrain_logits(score_prompts(prompts, category_embs))
     return results
 
 

@@ -266,24 +266,27 @@ def score_prompts(prompts: list[MemoryGuidedPrompt],
             raise MissingEmbeddingError(f"no embedding for category {cat!r}")
     values = np.zeros((len(prompts), len(categories)), dtype=np.float32)
     if prompts and categories:
-        values = _logits(_stack_rows([as_vector(p.embedding) for p in prompts]),
-                         _stack_rows([as_vector(category_embs[cat]) for cat in categories]))
+        rows = _stack_vectors([p.embedding for p in prompts])
+        embs = _stack_vectors([category_embs[cat] for cat in categories])
+        if rows.shape[1] != embs.shape[1]:
+            raise InvalidInputError(f"dimension mismatch: {rows.shape[1]} vs {embs.shape[1]}")
+        values = (rows.astype(np.float64) @ embs.astype(np.float64).T).astype(np.float32)
     return LogitsMatrix(values=values, categories=categories, sources=sources)
 
 
-def _logits(rows: np.ndarray, embs: np.ndarray) -> np.ndarray:
-    """score_prompts' values from checked float32 prompt rows and category
-    rows: one float64 product, stored as float32."""
-    if rows.shape[1] != embs.shape[1]:
-        raise InvalidInputError(f"dimension mismatch: {rows.shape[1]} vs {embs.shape[1]}")
-    return (rows.astype(np.float64) @ embs.astype(np.float64).T).astype(np.float32)
+def _stack_vectors(vectors) -> np.ndarray:
+    """Finite 1-D vectors of one dimension as the rows of a float32 matrix.
 
-
-def _stack_rows(rows: list[np.ndarray]) -> np.ndarray:
-    """1-D float32 vectors of one dimension as the rows of a matrix."""
+    Each vector's rank is checked on its own and finiteness once over the
+    stack, with the messages as_vector gives.
+    """
+    rows = [np.asarray(v, dtype=np.float32) for v in vectors]
+    for row in rows:
+        if row.ndim != 1 or row.size == 0:
+            as_vector(row)  # raises the rank error
     if len({r.shape[0] for r in rows}) > 1:
         raise InvalidInputError("all vectors must share one dimension")
-    return np.stack(rows)
+    return _finite(np.stack(rows), (2,), "1-D vector")
 
 
 def constrain_logits(logits: LogitsMatrix, sources: list[str] | None = None) -> LogitsMatrix:
@@ -296,23 +299,19 @@ def constrain_logits(logits: LogitsMatrix, sources: list[str] | None = None) -> 
     if len(sources) != logits.values.shape[0]:
         raise InvalidInputError("sources length must equal row count")
     col_of = {c: j for j, c in enumerate(logits.categories)}
-    columns = []
-    for src in sources:
-        if src != UNCONSTRAINED and src not in col_of:
+    rows, columns = [], []
+    for i, src in enumerate(sources):
+        if src == UNCONSTRAINED:
+            continue
+        if src not in col_of:
             raise InvalidInputError(f"source category {src!r} not in candidate columns")
-        columns.append(-1 if src == UNCONSTRAINED else col_of[src])
-    return LogitsMatrix(values=_mask(logits.values, np.array(columns, dtype=np.intp)),
-                        categories=list(logits.categories), sources=list(sources))
-
-
-def _mask(values: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """A copy of values with each row i at -inf outside column columns[i];
-    rows whose column is -1 stay as they are."""
-    rows = np.flatnonzero(columns >= 0)
-    masked = values.copy()
+        rows.append(i)
+        columns.append(col_of[src])
+    masked = logits.values.copy()
     masked[rows] = -np.inf
-    masked[rows, columns[rows]] = values[rows, columns[rows]]
-    return masked
+    masked[rows, columns] = logits.values[rows, columns]
+    return LogitsMatrix(values=masked, categories=list(logits.categories),
+                        sources=list(sources))
 
 
 # --- parameter persistence ---------------------------------------------------

@@ -282,6 +282,20 @@ class TestRunPipeline:
         where = stage if stage == "dense_prior" else f"{stage}, category 'cat'"
         assert str(exc.value).startswith(f"[stage {where}] ")
 
+    def test_prompt_overflowing_in_layer_norm_tagged_in_scoring(self):
+        """A finite layer-norm gain that overflows float32 makes non-finite
+        prompts, which scoring rejects for the first category it scores."""
+        s = standard_scenario()
+        bank, index = bank_and_index(s)
+        params = RefinementParams.seeded_init(s.spec.d_val, seed=1)
+        params = RefinementParams(e=params.e, w_sparse=params.w_sparse, w_dense=params.w_dense,
+                                  ln_gain=np.full(s.spec.d_val, 3e38), ln_bias=params.ln_bias)
+        with np.errstate(over="ignore"), pytest.raises(InvalidInputError) as exc:
+            run_pipeline(PipelineConfig(), bank, index, s.provider, INPUT_IMAGE_ID,
+                         ["cat", "dog"], params, scene=s.spec.scene)
+        assert str(exc.value) == ("[stage score_prompts, category 'cat'] "
+                                  "1-D vector contains non-finite entries")
+
     def test_report_structure(self):
         s = standard_scenario()
         bank, index = bank_and_index(s)

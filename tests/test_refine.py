@@ -410,6 +410,19 @@ class TestScoreAndConstrain:
         with pytest.raises(InvalidInputError):
             score_prompts(prompts, {"cat": np.array([1.0, np.nan, 0.0, 0.0], dtype=np.float32)})
 
+    @pytest.mark.parametrize("bad, message", [
+        (np.ones((2, 2), dtype=np.float32), r"non-empty 1-D vector, got shape \(2, 2\)"),
+        (np.zeros(0, dtype=np.float32), r"non-empty 1-D vector, got shape \(0,\)"),
+        (np.ones(5, dtype=np.float32), "all vectors must share one dimension"),
+        (np.array([0.0, np.inf, 0.0, 0.0]), "^1-D vector contains non-finite entries$"),
+        ([0.0, 0.0, np.nan, 0.0], "^1-D vector contains non-finite entries$"),
+    ])
+    def test_bad_prompt_embedding_rejected_as_as_vector_would(self, bad, message):
+        prompts = self._prompts(["cat", "cat", "cat"])
+        prompts[1].embedding = bad
+        with pytest.raises(InvalidInputError, match=message):
+            score_prompts(prompts, {"cat": np.ones(4, dtype=np.float32)})
+
     def test_constrain_masks_off_source(self):
         prompts = self._prompts(["cat", "dog"])
         embs = {"cat": np.ones(4, dtype=np.float32), "dog": np.ones(4, dtype=np.float32)}
