@@ -134,9 +134,7 @@ class HashingProvider(EmbeddingProvider):
         return l2_normalize(rng.standard_normal(self.d_key).astype(np.float32))
 
     def text_embedding(self, text: str) -> np.ndarray:
-        if text == "":
-            return np.zeros(self.d_key, dtype=np.float32)
-        return self._hash_vector("text", text)
+        return super().text_embedding(text) if text == "" else self._hash_vector("text", text)
 
     def image_embedding(self, image_id: str) -> np.ndarray:
         return self._hash_vector("image", image_id)

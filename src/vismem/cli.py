@@ -2,7 +2,8 @@
 
 Subcommands: gen-synthetic, build-memory, build-index, retrieve, priors,
 refine, pipeline, bench. Exit codes: 0 success, 1 usage error, 2 data or
-format error.
+format error. Every output file is written whole and atomically, so a run
+that fails leaves none behind.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
 from dataclasses import fields, replace
 
 import numpy as np
@@ -40,8 +40,8 @@ from .pipeline import (
 from .priors import AnchorSet, DensePrior, dense_prior, extract_anchors, radius_cells_to_normalized
 from .refine import RefinementParams, load_params, refine_all
 from .retrieval import Prototype, aggregate_prototype, build_query, retrieve
-from .serial import (atomic_write_bytes, is_json_number, json_fields, read_json_lines,
-                     read_json_object)
+from .serial import (atomic_write_bytes, is_json_number, json_fields, json_lines,
+                     read_json_lines, read_json_object)
 from .synthetic import INPUT_IMAGE_ID, ScenarioSpec, gen_synthetic, random_regions
 
 
@@ -175,25 +175,16 @@ def cmd_gen_synthetic(args) -> int:
     scenario = gen_synthetic(spec)
 
     os.makedirs(os.path.join(args.out, "features"), exist_ok=True)
-    lines = []
-    for rec in scenario.records:
-        lines.append(json.dumps({
-            "image_id": rec.image_id, "box": rec.box.as_list(),
-            "phrase": rec.phrase, "scene": rec.scene,
-            "blur_score": rec.blur_score,
-        }, sort_keys=True))
-    with open(os.path.join(args.out, "records.jsonl"), "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    atomic_write_bytes(os.path.join(args.out, "records.jsonl"), json_lines(
+        {"image_id": rec.image_id, "box": rec.box.as_list(), "phrase": rec.phrase,
+         "scene": rec.scene, "blur_score": rec.blur_score} for rec in scenario.records))
     for image_id, grid in scenario.provider.feature_table.items():
         artifacts.save_feature_grid(grid, os.path.join(args.out, "features", f"{image_id}.pgrd"))
-    with open(os.path.join(args.out, "scenario.json"), "w", encoding="utf-8") as f:
-        json.dump({
-            "d_key": spec.d_key, "d_val": spec.d_val, "seed": spec.seed,
-            "scene": spec.scene, "image_id": INPUT_IMAGE_ID,
-            "categories": scenario.categories,
-            "gt_centers": {c: [[p.x, p.y] for p in pts]
-                           for c, pts in scenario.gt_centers.items()},
-        }, f, indent=2, sort_keys=True)
+    atomic_write_bytes(os.path.join(args.out, "scenario.json"), json.dumps({
+        "d_key": spec.d_key, "d_val": spec.d_val, "seed": spec.seed, "scene": spec.scene,
+        "image_id": INPUT_IMAGE_ID, "categories": scenario.categories,
+        "gt_centers": {c: [[p.x, p.y] for p in pts] for c, pts in scenario.gt_centers.items()},
+    }, indent=2, sort_keys=True).encode("utf-8"))
     print(f"wrote scenario with {len(scenario.records)} records to {args.out}")
     return 0
 
@@ -232,19 +223,19 @@ def cmd_retrieve(args) -> int:
     index = _load_any_index(args.index, memory)
     config = _resolve_config(args, memory, index)
     provider = _resolve_provider(args)
-    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
-        for category in _read_categories(args.categories):
-            query = build_query(provider, category, args.scene, args.image_id,
-                                config.weights())
-            hits = retrieve(memory, index, query, k=config.k,
-                            exclude_image=args.exclude_image,
-                            nprobe=config.nprobe, recall_size=config.recall_size)
-            proto = aggregate_prototype(memory, hits, query, tau=config.tau_p)
-            out.write(json.dumps({
-                "category": category,
-                "hits": [{"entry_id": h.entry_id, "score": h.score} for h in hits],
-                "prototype": [float(v) for v in proto.vector],
-            }, sort_keys=True) + "\n")
+    lines = []
+    for category in _read_categories(args.categories):
+        query = build_query(provider, category, args.scene, args.image_id, config.weights())
+        hits = retrieve(memory, index, query, k=config.k, exclude_image=args.exclude_image,
+                        nprobe=config.nprobe, recall_size=config.recall_size)
+        proto = aggregate_prototype(memory, hits, query, tau=config.tau_p)
+        lines.append({"category": category, "prototype": [float(v) for v in proto.vector],
+                      "hits": [{"entry_id": h.entry_id, "score": h.score} for h in hits]})
+    data = json_lines(lines)
+    if args.out:
+        atomic_write_bytes(args.out, data)
+    else:
+        sys.stdout.write(data.decode("utf-8"))
     return 0
 
 
@@ -259,8 +250,7 @@ def cmd_priors(args) -> int:
             raise InvalidInputError("want a list of numbers as prototype and a list as hits")
         return Prototype(category=category, vector=as_vector(vector),
                          neighbors=[(*json_fields(h, entry_id=int, score=float), 0.0)
-                                    for h in hits],
-                         tau=config.tau_p)
+                                    for h in hits])
 
     protos = read_json_lines(args.prototype, prototype)
     if not protos:
@@ -273,10 +263,9 @@ def cmd_priors(args) -> int:
     artifacts.save_scalar_map(prior.heatmap, args.out_heatmap)
     if args.out_pgm:
         write_pgm(prior.heatmap, args.out_pgm)
-    with open(args.out_anchors, "w", encoding="utf-8") as f:
-        for point, resp in anchors.anchors:
-            f.write(json.dumps({"x": point.x, "y": point.y, "response": resp,
-                                "category": anchors.category}, sort_keys=True) + "\n")
+    atomic_write_bytes(args.out_anchors, json_lines(
+        {"x": point.x, "y": point.y, "response": resp, "category": anchors.category}
+        for point, resp in anchors.anchors))
     print(f"{len(anchors)} anchors for {proto.category!r}")
     return 0
 
@@ -298,16 +287,11 @@ def cmd_refine(args) -> int:
     anchor_set = AnchorSet(category=category, anchors=[(p, r) for p, r, _ in rows])
     prior = DensePrior(category=anchor_set.category, heatmap=heat, sigma=0.0)
     prompts = refine_all(scales, prior, anchor_set, params, anchor_set.category)
-    if prompts:
-        artifacts.save_vectors(np.stack([p.embedding for p in prompts]), args.out_prompts)
-    else:
-        artifacts.save_vectors(np.zeros((0, 0), dtype=np.float32), args.out_prompts)
-    with open(args.out_sidecar, "w", encoding="utf-8") as f:
-        for p in prompts:
-            f.write(json.dumps({
-                "category": p.source_category, "x": p.anchor.x, "y": p.anchor.y,
-                "scale": p.scale_index,
-            }, sort_keys=True) + "\n")
+    artifacts.save_vectors(np.stack([p.embedding for p in prompts]) if prompts
+                           else np.zeros((0, 0), dtype=np.float32), args.out_prompts)
+    atomic_write_bytes(args.out_sidecar, json_lines(
+        {"category": p.source_category, "x": p.anchor.x, "y": p.anchor.y,
+         "scale": p.scale_index} for p in prompts))
     print(f"{len(prompts)} prompts")
     return 0
 

@@ -27,6 +27,8 @@ from .retrieval import (DEFAULT_NPROBE, DEFAULT_RECALL_SIZE, DEFAULT_TAU, DEFAUL
                         Prototype, RetrievalQuery, aggregate_prototype, retrieve)
 from .serial import atomic_write_bytes
 
+BENCH_REPETITIONS = 3  # timed passes over the query set in bench; the median is reported
+
 
 @dataclass
 class PipelineConfig:
@@ -187,11 +189,14 @@ def run_pipeline(config: PipelineConfig, bank: MemoryBank, index,
     are refined together, each scale in one pass. The results equal those
     of composing the public functions category by category, bit for bit.
     """
+    weights = config.weights()
+    if weights != bank.weights:
+        raise InvalidInputError(f"the config's key weights {weights} differ from "
+                                f"the bank's {bank.weights}")
     with _stage("input_grid"):
         input_grid = as_grid(provider.feature_grid(image_id))
     with _stage("scales"):
         scales = [input_grid] if scales is None else [as_grid(s) for s in scales]
-    weights = config.weights()
 
     results: dict[str, CategoryResult] = {}
     context = None  # the scene and image embeddings, looked up after the first phrase
@@ -200,8 +205,7 @@ def run_pipeline(config: PipelineConfig, bank: MemoryBank, index,
             phrase = provider.text_embedding(category)
             if context is None:
                 context = (provider.text_embedding(scene), provider.image_embedding(image_id))
-            query = RetrievalQuery(category=category, vector=build_key(phrase, *context, weights),
-                                   scene=scene, image_id=image_id)
+            query = RetrievalQuery(category=category, vector=build_key(phrase, *context, weights))
         with _stage("retrieve", category):
             hits = retrieve(bank, index, query, k=config.k,
                             exclude_image=exclude_image, nprobe=config.nprobe,
@@ -209,7 +213,7 @@ def run_pipeline(config: PipelineConfig, bank: MemoryBank, index,
         with _stage("aggregate_prototype", category):
             proto = aggregate_prototype(bank, hits, query, tau=config.tau_p)
         results[category] = CategoryResult(
-            category=category, hits=[] if proto.is_empty else hits, prototype=proto,
+            category=category, hits=hits, prototype=proto,
             prior=None, anchors=None, prompts=[], logits=None)
 
     found = [r for r in results.values() if not r.prototype.is_empty]
@@ -288,10 +292,12 @@ def bench_queries(bank: MemoryBank, query_count: int, seed: int) -> np.ndarray:
 
 def bench(bank: MemoryBank, index, query_count: int = 100, seed: int = 0,
           k: int = DEFAULT_TOP_K, nprobe: int = DEFAULT_NPROBE,
-          recall_size: int = DEFAULT_RECALL_SIZE, repetitions: int = 3) -> BenchReport:
+          recall_size: int = DEFAULT_RECALL_SIZE) -> BenchReport:
     """Median-of-repetitions retrieve() throughput and recall@k vs flat retrieve()."""
     if len(bank) == 0:
         raise InvalidInputError("cannot benchmark an empty bank")
+    if query_count < 1:
+        raise InvalidInputError(f"query_count must be >= 1, got {query_count}")
     queries = [RetrievalQuery(category="", vector=q)
                for q in bench_queries(bank, query_count, seed)]
 
@@ -306,7 +312,7 @@ def bench(bank: MemoryBank, index, query_count: int = 100, seed: int = 0,
     recall = total_overlap / query_count
 
     timings = []
-    for _ in range(max(repetitions, 3)):
+    for _ in range(BENCH_REPETITIONS):
         start = time.perf_counter()
         search_all(index)
         timings.append(time.perf_counter() - start)
@@ -318,5 +324,5 @@ def bench(bank: MemoryBank, index, query_count: int = 100, seed: int = 0,
         # index bytes per entry: PQ codes plus an int64 id, or f32 keys
         per_entry_bytes=index.params.m + 8 if isinstance(index, IvfPqIndex) else 4 * bank.d_key,
         query_count=query_count,
-        repetitions=max(repetitions, 3),
+        repetitions=BENCH_REPETITIONS,
     )

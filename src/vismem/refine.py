@@ -173,8 +173,9 @@ def _preactivations(params: RefinementParams, f_s: np.ndarray, f_d: np.ndarray) 
     e, w_s, w_d, f_s, f_d = (a.astype(np.float64)
                              for a in (params.e, params.w_sparse, params.w_dense, f_s, f_d))
     pre = np.empty(f_s.shape, dtype=np.float32)
-    for i in range(len(pre)):
-        pre[i] = e + w_s @ f_s[i] + w_d @ f_d[i]
+    with np.errstate(over="ignore"):  # callers report the overflow as an error
+        for i in range(len(pre)):
+            pre[i] = e + w_s @ f_s[i] + w_d @ f_d[i]
     return pre
 
 
@@ -289,18 +290,14 @@ def _stack_vectors(vectors) -> np.ndarray:
     return _finite(np.stack(rows), (2,), "1-D vector")
 
 
-def constrain_logits(logits: LogitsMatrix, sources: list[str] | None = None) -> LogitsMatrix:
+def constrain_logits(logits: LogitsMatrix) -> LogitsMatrix:
     """Mask each constrained prompt's logits to -inf outside its source category.
 
     Rows whose source is the UNCONSTRAINED sentinel are left fully unmasked.
     """
-    if sources is None:
-        sources = logits.sources
-    if len(sources) != logits.values.shape[0]:
-        raise InvalidInputError("sources length must equal row count")
     col_of = {c: j for j, c in enumerate(logits.categories)}
     rows, columns = [], []
-    for i, src in enumerate(sources):
+    for i, src in enumerate(logits.sources):
         if src == UNCONSTRAINED:
             continue
         if src not in col_of:
@@ -311,7 +308,7 @@ def constrain_logits(logits: LogitsMatrix, sources: list[str] | None = None) -> 
     masked[rows] = -np.inf
     masked[rows, columns] = logits.values[rows, columns]
     return LogitsMatrix(values=masked, categories=list(logits.categories),
-                        sources=list(sources))
+                        sources=list(logits.sources))
 
 
 # --- parameter persistence ---------------------------------------------------

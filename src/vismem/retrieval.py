@@ -28,8 +28,6 @@ DEFAULT_NPROBE = 16
 class RetrievalQuery:
     category: str
     vector: np.ndarray
-    scene: str = ""
-    image_id: str = ""
 
 
 @dataclass
@@ -43,7 +41,6 @@ class Prototype:
     category: str
     vector: np.ndarray
     neighbors: list[tuple[int, float, float]]  # (entry_id, key score, weight)
-    tau: float
 
     @property
     def is_empty(self) -> bool:
@@ -58,7 +55,7 @@ def build_query(provider: EmbeddingProvider, category: str, scene: str,
         provider.image_embedding(image_id),
         weights,
     )
-    return RetrievalQuery(category=category, vector=vector, scene=scene, image_id=image_id)
+    return RetrievalQuery(category=category, vector=vector)
 
 
 def softmax_weights(scores, tau: float) -> np.ndarray:
@@ -105,9 +102,9 @@ def aggregate_prototype(bank: MemoryBank, hits: list[SearchHit],
     if not hits:
         return Prototype(category=query.category,
                          vector=np.zeros(bank.d_val, dtype=np.float32),
-                         neighbors=[], tau=tau)
+                         neighbors=[])
     weights = softmax_weights([h.score for h in hits], tau)
     acc = weights @ bank.values[[h.entry_id for h in hits]].astype(np.float64)
     vector = l2_normalize(acc.astype(np.float32))
     neighbors = [(h.entry_id, h.score, float(a)) for h, a in zip(hits, weights)]
-    return Prototype(category=query.category, vector=vector, neighbors=neighbors, tau=tau)
+    return Prototype(category=query.category, vector=vector, neighbors=neighbors)

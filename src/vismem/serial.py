@@ -174,6 +174,11 @@ def read_file(path) -> bytes:
         return f.read()
 
 
+def json_lines(values) -> bytes:
+    """Each value as one line of sorted-key JSON ending in \n: what read_json_lines reads."""
+    return "".join(json.dumps(value, sort_keys=True) + "\n" for value in values).encode("utf-8")
+
+
 def read_json_lines(path, build) -> list:
     """build(value) for the JSON value on each non-blank line of a JSONL file (lines
     end at \n, \r or \r\n, as in text mode). A line that is not JSON, or that

@@ -42,6 +42,12 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if min(self.grid_h, self.grid_w, self.d_key, self.d_val) < 1:
+            raise InvalidInputError("grid_h, grid_w, d_key and d_val must be >= 1")
+        if min(self.entries_per_category, self.distractors) < 0:
+            raise InvalidInputError("entries_per_category and distractors must be >= 0")
+        if not 0 <= self.noise < np.inf:
+            raise InvalidInputError(f"noise must be finite and >= 0, got {self.noise}")
         for reg in self.regions:
             half = reg.extent // 2
             if not (half <= reg.center_row < self.grid_h - half
@@ -135,6 +141,12 @@ def random_regions(count: int, grid_h: int, grid_w: int, extent: int,
                    categories: list[str]) -> list[PlantedRegion]:
     """Sample non-overlapping planted regions with a minimum center distance."""
     half = extent // 2
+    if count < 0:
+        raise InvalidInputError(f"region count must be >= 0, got {count}")
+    if count and not categories:
+        raise InvalidInputError(f"no categories to assign {count} regions to")
+    if count and min(grid_h, grid_w) <= 2 * half:
+        raise InvalidInputError(f"a {grid_h}x{grid_w} grid has no room for extent {extent}")
     placed: list[tuple[int, int]] = []
     regions = []
     attempts = 0

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vismem import artifacts
-from vismem.bank import HashingProvider, KeyWeights, load_bank
+from vismem import artifacts, cli
+from vismem.bank import HashingProvider, KeyWeights, load_bank, save_embedding_table
 from vismem.cli import build_parser, main
 from vismem.errors import InvalidInputError
 from vismem.index import FlatIndex, IvfPqIndex, IvfPqParams, exact_scores, ivfpq_add, save_index
@@ -142,6 +142,28 @@ class TestRetrieve:
             norm = float(np.linalg.norm(line["prototype"]))
             assert norm == pytest.approx(1.0, abs=1e-4)
 
+    @pytest.mark.parametrize("existing", [None, b"an earlier run's output\n"])
+    def test_failure_partway_writes_no_output(self, scenario_dir, bank_path, tmp_path, capsys,
+                                              existing):
+        """cat-0 retrieves and cat-1 has no text embedding: exit 2, and --out
+        is neither created nor changed."""
+        provider = HashingProvider(d_key=32, d_val=16, seed=7)
+        save_embedding_table({"cat-0": provider.text_embedding("cat-0")}, tmp_path / "t.pmem")
+        save_embedding_table({"input": provider.image_embedding("input")}, tmp_path / "i.pmem")
+        (tmp_path / "cats.txt").write_text("cat-0\ncat-1\n")
+        out = tmp_path / "part.jsonl"
+        if existing is not None:
+            out.write_bytes(existing)
+        rc = main(["retrieve", "--text-table", str(tmp_path / "t.pmem"),
+                   "--image-table", str(tmp_path / "i.pmem"), "--bank", str(bank_path),
+                   "--categories", str(tmp_path / "cats.txt"), "--image-id", "input",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "no text embedding for 'cat-1'" in assert_one_error_line(capsys)
+        assert (out.read_bytes() if out.exists() else None) == existing
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["t.pmem", "i.pmem", "cats.txt"] + ([out.name] if existing else []))
+
     def test_with_ivfpq_index(self, scenario_dir, bank_path, index_path, tmp_path):
         meta = json.loads((scenario_dir / "scenario.json").read_text())
         cats = tmp_path / "cats.txt"
@@ -261,6 +283,32 @@ class TestPipeline:
         assert rc == 2
         assert load_bank(bank_path).keys.shape == (26, 32)
         assert "--categories" in assert_one_error_line(capsys)
+
+
+class TestOutOfRangeValuesExit2:
+    """Values the commands cannot run with end in one error line and exit
+    2, not in a traceback or a file a later command refuses."""
+
+    @pytest.mark.parametrize("flags, reason", [
+        (["--categories", "0", "--regions", "2"], "no categories"),
+        (["--grid-size", "2"], "no room"),
+        (["--key-dim", "0"], "d_key"),
+        (["--val-dim", "0"], "d_val"),
+        (["--noise", "-1"], "noise"),
+        (["--noise", "nan"], "noise"),
+        (["--regions", "-1"], "count"),
+        (["--entries-per-category", "-1"], "entries_per_category"),
+        (["--distractors", "-1"], "distractors"),
+    ])
+    def test_gen_synthetic(self, tmp_path, capsys, flags, reason):
+        assert main(["gen-synthetic", "--out", str(tmp_path / "scn"), *flags]) == 2
+        assert reason in assert_one_error_line(capsys)
+        assert not (tmp_path / "scn").exists()
+
+    @pytest.mark.parametrize("queries", ["0", "-3"])
+    def test_bench_queries(self, bank_path, capsys, queries):
+        assert main(["bench", "--bank", str(bank_path), "--queries", queries]) == 2
+        assert "query_count must be >= 1" in assert_one_error_line(capsys)
 
 
 class TestBench:
@@ -607,3 +655,38 @@ def test_readme_cli_quick_start_runs(tmp_path, capsys):
         assert argv[0] == "vismem"
         assert main(argv[1:]) == 0, command
     assert (tmp_path / "idx.pivf").exists()
+
+
+def test_readme_cli_block_writes_through_one_path(tmp_path, monkeypatch):
+    """The README's CLI block, and retrieve, priors, refine and pipeline
+    --report after it, run with `open` in vismem.cli refusing every write
+    mode: each file the CLI writes goes through serial.atomic_write_bytes."""
+    real_open = open
+
+    def read_only_open(file, mode="r", *args, **kwargs):
+        assert not set(mode) & set("wax+"), f"vismem.cli opened {file} with mode {mode!r}"
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", read_only_open, raising=False)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = next(b for b in re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+                 if "vismem gen-synthetic" in b)
+    for command in block.replace("\\\n", " ").replace("/tmp/", f"{tmp_path}/").splitlines():
+        assert main(shlex.split(command)[1:]) == 0, command
+    (tmp_path / "cats.txt").write_text("cat-0\ncat-1\n")
+    save_params(RefinementParams.seeded_init(32, seed=0), tmp_path / "p.pprm")
+    grid = str(tmp_path / "scn" / "features" / "input.pgrd")
+    for argv in (
+        ["retrieve", "--scenario", f"{tmp_path}/scn", "--bank", f"{tmp_path}/bank.pbnk",
+         "--categories", f"{tmp_path}/cats.txt", "--image-id", "input",
+         "--out", f"{tmp_path}/hits.jsonl"],
+        ["priors", "--grid", grid, "--prototype", f"{tmp_path}/hits.jsonl",
+         "--out-heatmap", f"{tmp_path}/h.pmap", "--out-anchors", f"{tmp_path}/a.jsonl"],
+        ["refine", "--grids", grid, "--heatmap", f"{tmp_path}/h.pmap",
+         "--anchors", f"{tmp_path}/a.jsonl", "--params", f"{tmp_path}/p.pprm",
+         "--out-prompts", f"{tmp_path}/p.pvec", "--out-sidecar", f"{tmp_path}/side.jsonl"],
+        ["pipeline", "--scenario", f"{tmp_path}/scn", "--bank", f"{tmp_path}/bank.pbnk",
+         "--report", f"{tmp_path}/report.json"],
+    ):
+        assert main(argv) == 0, argv
+    assert (tmp_path / "side.jsonl").read_text().count("\n") >= 1

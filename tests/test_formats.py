@@ -30,7 +30,7 @@ from vismem.bank import (
 from vismem.errors import FormatError
 from vismem.index import IvfPqIndex, IvfPqParams, ivfpq_add, load_index, save_index
 from vismem.refine import RefinementParams, load_params, save_params
-from vismem.serial import Writer
+from vismem.serial import Writer, json_lines, read_json_lines
 
 CORRUPTIONS_PER_FORMAT = 300
 EXTREME_U32 = (0, 1, 3, 2**16, 2**31, 2**32 - 1)
@@ -359,6 +359,22 @@ def test_records_line_endings(tmp_path, newline):
     with pytest.raises(FormatError, match="line 3") as exc:
         load_grounding_records(path)
     assert exc.value.offset == sum(len(line) + len(newline) for line in lines)
+
+
+def test_json_lines_read_back(tmp_path):
+    """read_json_lines reads back exactly what json_lines encodes: non-ASCII
+    strings, floats down to the smallest subnormal, nested values."""
+    values = [
+        {"phrase": "café ☕ 猫", "score": 0.1, "tiny": 5e-324, "neg_zero": -0.0},
+        {"big": 1.7976931348623157e308, "int": 2**63, "nested": [{"b": [1.5, None]}, True]},
+        "a line\nbreak",
+        [],
+    ]
+    path = tmp_path / "values.jsonl"
+    path.write_bytes(json_lines(values))
+    assert read_json_lines(path, lambda value: value) == values
+    assert path.read_bytes().count(b"\n") == len(values) and path.read_bytes().endswith(b"\n")
+    assert json_lines([]) == b""
 
 
 def load_grounding_records_from(tmp_path, records):

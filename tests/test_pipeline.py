@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vismem.bank import BankBuildConfig, EmbeddingProvider, build_bank, save_bank
+from vismem.bank import BankBuildConfig, EmbeddingProvider, KeyWeights, build_bank, save_bank
 from vismem.errors import InvalidInputError, VismemError
 from vismem.index import FlatIndex, IvfPqParams, ivfpq_add, train_ivfpq
 from vismem.pipeline import (
@@ -166,6 +166,29 @@ class TestGenSynthetic:
         with pytest.raises(InvalidInputError):
             ScenarioSpec(regions=[PlantedRegion(0, 0, 5, "cat")])
 
+    @pytest.mark.parametrize("field, value", [
+        ("grid_h", 0), ("grid_w", 0), ("d_key", 0), ("d_val", 0),
+        ("entries_per_category", -1), ("distractors", -1),
+        ("noise", -1.0), ("noise", float("nan")), ("noise", float("inf")),
+    ])
+    def test_spec_values_validated(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            ScenarioSpec(**{field: value})
+
+    @pytest.mark.parametrize("count, size, categories, message", [
+        (-1, 32, ["a"], "count must be >= 0"),
+        (2, 32, [], "no categories"),
+        (2, 2, ["a"], "no room"),
+    ])
+    def test_random_regions_arguments_validated(self, count, size, categories, message):
+        with pytest.raises(InvalidInputError, match=message):
+            random_regions(count, size, size, 3, min_separation=1.0, rng=rng_for(0),
+                           categories=categories)
+
+    def test_no_regions_need_no_category_or_room(self):
+        assert random_regions(0, 2, 2, 3, min_separation=1.0, rng=rng_for(0),
+                              categories=[]) == []
+
     def test_random_regions_respect_separation(self):
         rng = rng_for(0)
         regions = random_regions(5, 32, 32, 3, min_separation=6.0, rng=rng,
@@ -178,6 +201,23 @@ class TestGenSynthetic:
 
 
 class TestRunPipeline:
+    def test_key_weights_must_be_the_banks(self):
+        """A config keyed differently from the bank is refused, naming both
+        weight sets, before any embedding is looked up."""
+        s = standard_scenario()
+        bank_weights = KeyWeights(w_s=0.9, w_g=0.5)
+        bank = build_bank(s.records, s.provider, BankBuildConfig(weights=bank_weights))
+        params = RefinementParams.zero_init(s.spec.d_val)
+        with pytest.raises(InvalidInputError) as exc:
+            run_pipeline(PipelineConfig(), bank, FlatIndex.from_bank(bank), EmbeddingProvider(),
+                         INPUT_IMAGE_ID, ["cat"], params)
+        assert str(KeyWeights()) in str(exc.value) and str(bank_weights) in str(exc.value)
+        config = PipelineConfig(w_s=0.9, w_g=0.5)
+        results = run_pipeline(config, bank, FlatIndex.from_bank(bank), s.provider,
+                               INPUT_IMAGE_ID, ["cat"], params, scene=s.spec.scene)
+        query = build_query(s.provider, "cat", s.spec.scene, INPUT_IMAGE_ID, bank_weights)
+        assert results["cat"].hits == retrieve(bank, FlatIndex.from_bank(bank), query)
+
     def test_planted_categories_found(self):
         s = standard_scenario()
         bank, index = bank_and_index(s)
@@ -486,7 +526,7 @@ class TestBench:
 
     def test_flat_bench_fields(self):
         bank, index = self._bank()
-        report = bench(bank, index, query_count=10, repetitions=3)
+        report = bench(bank, index, query_count=10)
         assert isinstance(report, BenchReport)
         assert report.recall_at_k == pytest.approx(1.0)
         assert report.queries_per_second > 0
@@ -503,6 +543,12 @@ class TestBench:
         report = bench(bank, index, query_count=10, nprobe=4, recall_size=len(bank))
         assert 0.0 <= report.recall_at_k <= 1.0
         assert report.per_entry_bytes == 4 + 8
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_query_count_below_one_rejected(self, count):
+        bank, index = self._bank()
+        with pytest.raises(InvalidInputError, match="query_count must be >= 1"):
+            bench(bank, index, query_count=count)
 
     def test_empty_bank_rejected(self):
         s = standard_scenario()

@@ -25,12 +25,12 @@ def rng_for(seed):
 def proto_of(vec, category="cat"):
     v = np.asarray(vec, dtype=np.float32)
     v = v / np.linalg.norm(v)
-    return Prototype(category=category, vector=v, neighbors=[(0, 1.0, 1.0)], tau=0.07)
+    return Prototype(category=category, vector=v, neighbors=[(0, 1.0, 1.0)])
 
 
 def empty_proto(d, category="cat"):
     return Prototype(category=category, vector=np.zeros(d, dtype=np.float32),
-                     neighbors=[], tau=0.07)
+                     neighbors=[])
 
 
 class TestDensePrior:

@@ -1,3 +1,4 @@
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -367,6 +368,35 @@ class TestRefineEveryCategoryAtOnce:
             _refine(scales, [heat] * 3, anchor_sets, params, names, stage=stage)
         assert tagged == ["late"]
         assert len(_refine(scales, [heat], anchor_sets[:1], params, names[:1], stage=stage)[0]) == 2
+
+
+class TestOverflowIsAnErrorNotAWarning:
+    """A pre-activation that overflows float32 raises InvalidInputError and
+    prints no RuntimeWarning first: a sparse feature of 3e38 times 2."""
+
+    def _params(self):
+        return RefinementParams(e=np.zeros(4), w_sparse=2 * np.eye(4), w_dense=np.zeros((4, 4)),
+                                ln_gain=np.ones(4), ln_bias=np.zeros(4))
+
+    def _big(self):
+        return np.full(4, 3e38, dtype=np.float32)
+
+    @pytest.mark.parametrize("refine", [refine_prompt, refine_preactivation])
+    def test_single_prompt(self, refine):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="overflows float32"):
+                refine(self._params(), self._big(), np.zeros(4, dtype=np.float32))
+
+    def test_refine_all(self):
+        grid = np.zeros((8, 8, 4), dtype=np.float32)
+        grid[3, 3] = self._big()
+        heat = np.ones((8, 8), dtype=np.float32)
+        anchors = AnchorSet(category="cat", anchors=[anchor_at(3, 3, 8, 8)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="overflows float32"):
+                refine_all([grid], DensePrior("cat", heat, 0.0), anchors, self._params(), "cat")
 
 
 class TestScoreAndConstrain:
