@@ -63,9 +63,10 @@ def _add_config_args(p: argparse.ArgumentParser):
 
 def _resolve_config(args, bank=None, index=None, params=None) -> PipelineConfig:
     """Config file, then --set, then the values that loaded files store: a
-    bank's key weights, an IVF-PQ index's nlist and a parameter file's
-    window. These override the config file; a --set that disagrees with one
-    is an error. nprobe is checked against the lists a loaded index has."""
+    bank's key weights, an IVF-PQ index's nlist, m, nbits and kmeans_iters,
+    and a parameter file's window. These override the config file; a --set
+    that disagrees with one is an error. nprobe is checked against the lists
+    a loaded index has."""
     config = load_config(args.config) if args.config else PipelineConfig()
     updates = {}
     for item in args.set:
@@ -80,7 +81,8 @@ def _resolve_config(args, bank=None, index=None, params=None) -> PipelineConfig:
     if bank is not None:
         stored.update({k: (float(v), "bank") for k, v in bank.weights.as_dict().items()})
     if isinstance(index, IvfPqIndex):
-        stored["nlist"] = (index.params.nlist, "index")
+        stored.update({k: (getattr(index.params, k), "index")
+                       for k in ("nlist", "m", "nbits", "kmeans_iters")})
     if params is not None:
         first = params if isinstance(params, RefinementParams) else params[0]
         stored["window"] = (first.window, "parameter file")
@@ -163,16 +165,17 @@ def _read_categories(path) -> list[str]:
 # --- subcommand implementations ---------------------------------------------
 
 def cmd_gen_synthetic(args) -> int:
-    rng = np.random.Generator(np.random.PCG64(args.seed))
-    categories = [f"cat-{i}" for i in range(args.categories)]
-    regions = random_regions(args.regions, args.grid_size, args.grid_size,
-                             extent=3, min_separation=8.0, rng=rng,
-                             categories=categories)
+    # The spec checks every value, the seed included, before the regions are drawn.
     spec = ScenarioSpec(grid_h=args.grid_size, grid_w=args.grid_size,
-                        d_key=args.key_dim, d_val=args.val_dim, regions=regions,
+                        d_key=args.key_dim, d_val=args.val_dim,
                         noise=args.noise, entries_per_category=args.entries_per_category,
                         distractors=args.distractors, seed=args.seed)
-    scenario = gen_synthetic(spec)
+    categories = [f"cat-{i}" for i in range(args.categories)]
+    regions = random_regions(args.regions, args.grid_size, args.grid_size,
+                             extent=3, min_separation=8.0,
+                             rng=np.random.Generator(np.random.PCG64(spec.seed)),
+                             categories=categories)
+    scenario = gen_synthetic(replace(spec, regions=regions))
 
     os.makedirs(os.path.join(args.out, "features"), exist_ok=True)
     atomic_write_bytes(os.path.join(args.out, "records.jsonl"), json_lines(

@@ -214,9 +214,13 @@ def minmax_rescale(scalar_map) -> np.ndarray:
     return ((scalar_map.astype(np.float64) - lo) / (hi - lo)).astype(np.float32)
 
 
+LN_OVERFLOW = "layer norm overflows float32"
+
+
 def layer_norm(v, gain, bias, eps: float = 1e-5) -> np.ndarray:
     """Layer normalization over the last axis with population variance: one
-    vector, or each row of an (N, D) stack with the bits it gives alone."""
+    vector, or each row of an (N, D) stack with the bits it gives alone. An
+    output that overflows float32 raises InvalidInputError."""
     v = _finite(v, (1, 2), "(D,) vector or (N, D) stack")
     gain = as_vector(gain)
     bias = as_vector(bias)
@@ -224,15 +228,21 @@ def layer_norm(v, gain, bias, eps: float = 1e-5) -> np.ndarray:
         raise InvalidInputError("v, gain and bias must share one dimension")
     if eps <= 0:
         raise InvalidInputError(f"eps must be > 0, got {eps}")
-    return _layer_norm(v, gain, bias, eps)
+    out = _layer_norm(v, gain, bias, eps)
+    if not np.all(np.isfinite(out)):
+        raise InvalidInputError(LN_OVERFLOW)
+    return out
 
 
 def _layer_norm(v: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float) -> np.ndarray:
-    """layer_norm on arrays it has already checked."""
+    """layer_norm on arrays it has already checked, with rows that overflow
+    float32 left non-finite."""
     x = v.astype(np.float64)
     n = x.shape[-1]
     # The sums and divisions of np.mean and np.var, with x - mean taken once.
     centered = x - x.sum(axis=-1, keepdims=True) / n
     var = (centered * centered).sum(axis=-1, keepdims=True) / n
     normed = centered / np.sqrt(var + eps)
-    return (normed * gain.astype(np.float64) + bias.astype(np.float64)).astype(np.float32)
+    out = normed * gain.astype(np.float64) + bias.astype(np.float64)
+    with np.errstate(over="ignore"):  # callers report the overflow as an error
+        return out.astype(np.float32)

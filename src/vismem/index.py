@@ -80,11 +80,7 @@ class FlatIndex:
         return _sorted_hits(self.ids, scores, k)
 
 
-_BLOCK = 4096  # rows per block: bounds the (rows, k) temporaries of assignment and encoding
-
-
-def _row_blocks(n: int):
-    return (slice(a, min(a + _BLOCK, n)) for a in range(0, n, _BLOCK))
+_BLOCK = 4096  # rows per block: bounds the (rows, k) temporaries of _nearest
 
 
 def _finite_matrix(x, what: str) -> np.ndarray:
@@ -100,15 +96,23 @@ def _finite_matrix(x, what: str) -> np.ndarray:
     return x
 
 
-def _pairwise_sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, (N, K), computed via the expansion trick."""
-    # ||x||^2 is constant per row for argmin purposes but kept for distortion.
-    cross = points @ centroids.T
-    p2 = np.einsum("ij,ij->i", points, points)[:, None]
-    c2 = np.einsum("ij,ij->i", centroids, centroids)[None, :]
-    d = p2 - 2.0 * cross + c2
-    np.maximum(d, 0.0, out=d)
-    return d
+def _nearest(points: np.ndarray, centroids: np.ndarray, bias) -> tuple[np.ndarray, np.ndarray]:
+    """For each row x, the centroid c maximising <x, c> - bias[c] (the first
+    on ties), and that winner's <x, c>.
+
+    The float32 product is taken in blocks of _BLOCK rows. With bias |c|^2 / 2
+    the choice is the nearest centroid, since |x|^2 is constant per row; with
+    a bias of 0.0 it is the best inner product.
+    """
+    n = points.shape[0]
+    choice = np.empty(n, dtype=np.int64)
+    cross_at = np.empty(n, dtype=np.float32)
+    for a in range(0, n, _BLOCK):
+        cross = points[a:a + _BLOCK] @ centroids.T
+        c = (cross - bias).argmax(axis=1)
+        choice[a:a + _BLOCK] = c
+        cross_at[a:a + _BLOCK] = np.take_along_axis(cross, c[:, None], axis=1)[:, 0]
+    return choice, cross_at
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -176,19 +180,11 @@ def kmeans(points, k: int, iters: int = 25, seed=0,
     p2 = np.einsum("ij,ij->i", points, points).astype(np.float64)
     points64 = points.astype(np.float64)
     ones, cols = np.ones(n), np.arange(n)
-    assign = np.empty(n, dtype=np.int64)
-    point_d = np.empty(n, dtype=np.float64)
     distortions = []
     for _ in range(iters):
         c2 = np.einsum("ij,ij->i", centroids, centroids)
-        half_c2 = 0.5 * c2
-        for rows in _row_blocks(n):
-            cross = points[rows] @ centroids.T
-            # argmin distance == argmax(cross - c2/2); p2 is constant per row
-            a = (cross - half_c2).argmax(axis=1)
-            assign[rows] = a
-            at = np.take_along_axis(cross, a[:, None], axis=1)[:, 0]
-            point_d[rows] = p2[rows] - 2.0 * at.astype(np.float64) + c2[a]
+        assign, at = _nearest(points, centroids, 0.5 * c2)
+        point_d = p2 - 2.0 * at.astype(np.float64) + c2[assign]
         np.maximum(point_d, 0.0, out=point_d)
         distortions.append(float(point_d.sum()))
         # Row c of the one-hot matrix lists cluster c's points in point order,
@@ -263,22 +259,18 @@ class IvfPqIndex:
         return int(self.offsets[-1])
 
     def encode_residuals(self, residuals: np.ndarray) -> np.ndarray:
-        n = residuals.shape[0]
-        m, dsub = self.params.m, self.dsub
+        """Each subvector's nearest codeword of its subspace."""
+        n, m = residuals.shape[0], self.params.m
+        sub = np.ascontiguousarray(residuals, dtype=np.float32).reshape(n, m, self.dsub)
+        half_c2 = 0.5 * np.einsum("mkd,mkd->mk", self.pq_codebooks, self.pq_codebooks)
         codes = np.empty((n, m), dtype=np.uint8)
-        sub = np.ascontiguousarray(residuals.reshape(n, m, dsub), dtype=np.float32)
-        for rows in _row_blocks(n):
-            for j in range(m):
-                d = _pairwise_sq_dists(sub[rows, j, :], self.pq_codebooks[j])
-                codes[rows, j] = d.argmin(axis=1).astype(np.uint8)
+        for j in range(m):
+            codes[:, j] = _nearest(sub[:, j, :], self.pq_codebooks[j], half_c2[j])[0]
         return codes
 
     def decode(self, list_no: int, codes: np.ndarray) -> np.ndarray:
         """Reconstruct approximate keys: centroid + decoded residual."""
-        m, dsub = self.params.m, self.dsub
-        recon = np.empty((codes.shape[0], self.dim), dtype=np.float32)
-        for j in range(m):
-            recon[:, j * dsub : (j + 1) * dsub] = self.pq_codebooks[j][codes[:, j]]
+        recon = self.pq_codebooks[np.arange(self.params.m), codes].reshape(codes.shape[0], self.dim)
         return recon + self.coarse_centroids[list_no]
 
 
@@ -295,7 +287,7 @@ def train_ivfpq(keys, params: IvfPqParams) -> IvfPqIndex:
     seeds = np.random.SeedSequence(params.seed).spawn(params.m + 1)
     coarse = kmeans(keys, params.nlist, iters=params.kmeans_iters,
                     seed=np.random.Generator(np.random.PCG64(seeds[0])))
-    assign = (keys @ coarse.T).argmax(axis=1)
+    assign = _nearest(keys, coarse, 0.0)[0]
     residuals = keys - coarse[assign]
     dsub = dim // params.m
     sub = residuals.reshape(n, params.m, dsub)
@@ -320,7 +312,7 @@ def ivfpq_add(index: IvfPqIndex, ids, keys) -> None:
         raise InvalidInputError("duplicate entry id in add")
     # Assignment and probing both use inner product, matching the similarity
     # metric of the search itself.
-    assign = (keys @ index.coarse_centroids.T).argmax(axis=1)
+    assign = _nearest(keys, index.coarse_centroids, 0.0)[0]
     residuals = keys - index.coarse_centroids[assign]
     codes = index.encode_residuals(residuals)
     # A stable sort by list keeps the rows already in a list ahead of new ones.

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bank import BankBuildConfig, EmbeddingProvider, KeyWeights, MemoryBank, build_key
 from .errors import InvalidInputError, VismemError
-from .grids import as_grid
+from .grids import EPS_NORM, as_grid
 from .index import FlatIndex, IvfPqIndex, IvfPqParams, SearchHit
 from .priors import (DEFAULT_MAX_ANCHORS, DEFAULT_PEAK_THRESHOLD, DEFAULT_RADIUS_CELLS,
                      DEFAULT_SIGMA, AnchorSet, DensePrior, dense_priors, extract_anchors,
@@ -287,7 +287,7 @@ def bench_queries(bank: MemoryBank, query_count: int, seed: int) -> np.ndarray:
     picks = rng.integers(0, len(bank), size=query_count)
     noisy = bank.keys[picks].astype(np.float64) + 0.1 * rng.standard_normal((query_count, bank.d_key))
     norms = np.linalg.norm(noisy, axis=1, keepdims=True)
-    return (noisy / np.where(norms > 1e-12, norms, 1.0)).astype(np.float32)
+    return (noisy / np.where(norms > EPS_NORM, norms, 1.0)).astype(np.float32)
 
 
 def bench(bank: MemoryBank, index, query_count: int = 100, seed: int = 0,

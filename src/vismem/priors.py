@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .grids import Box2D, Point2D, as_grid, gaussian_smooth, minmax_rescale
+from .grids import EPS_NORM, Box2D, Point2D, as_grid, gaussian_smooth, minmax_rescale
 from .retrieval import Prototype
 
 DEFAULT_SIGMA = 1.0
@@ -75,8 +75,8 @@ def dense_priors(grid, protos: list[Prototype], sigma: float = DEFAULT_SIGMA) ->
         if normalized is None:
             normalized = grid.astype(np.float64)
             norms = np.linalg.norm(normalized, axis=2)
-            normalized /= np.where(norms > 1e-12, norms, 1.0)[:, :, None]
-            normalized[norms <= 1e-12] = 0.0
+            normalized /= np.where(norms > EPS_NORM, norms, 1.0)[:, :, None]
+            normalized[norms <= EPS_NORM] = 0.0
         raw = (normalized @ proto.vector.astype(np.float64)).astype(np.float32)
         heat = minmax_rescale(gaussian_smooth(raw, sigma))
         priors.append(DensePrior(category=proto.category, heatmap=heat, sigma=sigma))

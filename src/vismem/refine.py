@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, InvalidInputError, MissingEmbeddingError
-from .grids import (Point2D, _bilinear, _finite, _layer_norm, as_grid, as_scalar_map, as_vector,
-                    bilinear_sample, cell_centers)
+from .grids import (LN_OVERFLOW, Point2D, _bilinear, _finite, _layer_norm, as_grid, as_scalar_map,
+                    as_vector, bilinear_sample, cell_centers, layer_norm)
 from .priors import AnchorSet, DensePrior
 from .serial import Reader, Writer, atomic_write_bytes, format_errors
 
@@ -182,7 +182,7 @@ def _preactivations(params: RefinementParams, f_s: np.ndarray, f_d: np.ndarray) 
 def refine_prompt(params: RefinementParams, f_s, f_d) -> np.ndarray:
     """Layer-normalized fusion of the prompt prior with sparse and dense features."""
     pre = refine_preactivation(params, f_s, f_d)
-    return _layer_norm(pre, params.ln_gain, params.ln_bias, params.ln_eps)
+    return layer_norm(pre, params.ln_gain, params.ln_bias, params.ln_eps)
 
 
 def refine_all(scales, prior: DensePrior, anchors: AnchorSet,
@@ -190,10 +190,14 @@ def refine_all(scales, prior: DensePrior, anchors: AnchorSet,
     """Refine every (scale, anchor) pair, ordered by scale then anchor rank.
 
     params may be a single RefinementParams shared across scales, or a list
-    with one parameter set per scale.
+    with one parameter set per scale. A prompt whose pre-activation or layer
+    norm overflows float32 raises InvalidInputError.
     """
-    return _refine([as_grid(features) for features in scales], [as_scalar_map(prior.heatmap)],
-                   [anchors], params, [category])[0]
+    prompts = _refine([as_grid(features) for features in scales], [as_scalar_map(prior.heatmap)],
+                      [anchors], params, [category])[0]
+    if not all(np.isfinite(p.embedding).all() for p in prompts):
+        raise InvalidInputError(LN_OVERFLOW)
+    return prompts
 
 
 def _untagged(category: str):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bank import GroundingRecord, HashingProvider
 from .errors import InvalidInputError
-from .grids import Box2D, Point2D, l2_normalize
+from .grids import EPS_NORM, Box2D, Point2D, l2_normalize
 
 INPUT_IMAGE_ID = "input"
 
@@ -46,6 +46,8 @@ class ScenarioSpec:
             raise InvalidInputError("grid_h, grid_w, d_key and d_val must be >= 1")
         if min(self.entries_per_category, self.distractors) < 0:
             raise InvalidInputError("entries_per_category and distractors must be >= 0")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.noise < np.inf:
             raise InvalidInputError(f"noise must be finite and >= 0, got {self.noise}")
         for reg in self.regions:
@@ -112,7 +114,7 @@ def gen_synthetic(spec: ScenarioSpec) -> SyntheticScenario:
         basis = np.stack([directions[c] for c in categories]).astype(np.float64)
         bg -= (bg @ basis.T) @ basis
     norms = np.linalg.norm(bg, axis=1, keepdims=True)
-    bg = bg / np.where(norms > 1e-12, norms, 1.0)
+    bg = bg / np.where(norms > EPS_NORM, norms, 1.0)
     grid = bg.reshape(h, w, spec.d_val).astype(np.float32)
 
     gt_centers: dict[str, list[Point2D]] = {c: [] for c in categories}

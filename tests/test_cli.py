@@ -299,6 +299,7 @@ class TestOutOfRangeValuesExit2:
         (["--regions", "-1"], "count"),
         (["--entries-per-category", "-1"], "entries_per_category"),
         (["--distractors", "-1"], "distractors"),
+        (["--seed", "-1"], "seed"),
     ])
     def test_gen_synthetic(self, tmp_path, capsys, flags, reason):
         assert main(["gen-synthetic", "--out", str(tmp_path / "scn"), *flags]) == 2
@@ -488,8 +489,9 @@ class TestMalformedFilesExit2:
 
 
 class TestLoadedFilesSupplyConfig:
-    """A loaded bank supplies the key weights, an index nlist and a parameter
-    file the window; a --set that disagrees exits 2 and names both values."""
+    """A loaded bank supplies the key weights, an index nlist, m, nbits and
+    kmeans_iters, and a parameter file the window; a --set that disagrees
+    exits 2 and names both values."""
 
     @pytest.fixture(scope="class")
     def params_path(self, tmp_path_factory):
@@ -550,6 +552,25 @@ class TestLoadedFilesSupplyConfig:
         assert rc == 2
         err = assert_one_error_line(capsys)
         assert "nlist=8" in err and "nlist=4" in err
+
+    def test_index_params_from_index(self, scenario_dir, bank_path, index_path, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        assert self._pipeline(scenario_dir, bank_path, "--index", str(index_path),
+                              "--set", "nprobe=2", "--set", "seed=9", "--report", str(report)) == 0
+        config = json.loads(report.read_text())["config"]
+        # the index fixture's values; seed stays settable, as bench draws its queries from it
+        assert {k: config[k] for k in ("nlist", "m", "nbits", "kmeans_iters", "seed")} == {
+            "nlist": 4, "m": 4, "nbits": 4, "kmeans_iters": 5, "seed": 9}
+
+    @pytest.mark.parametrize("key, value, stored", [
+        ("m", "8", "4"), ("nbits", "8", "4"), ("kmeans_iters", "25", "5")])
+    def test_index_param_conflict_exits_2(self, scenario_dir, bank_path, index_path, capsys,
+                                          key, value, stored):
+        rc = self._pipeline(scenario_dir, bank_path, "--index", str(index_path),
+                            "--set", "nprobe=2", "--set", f"{key}={value}")
+        assert rc == 2
+        err = assert_one_error_line(capsys)
+        assert f"{key}={value}" in err and f"{key}={stored}" in err
 
 
 class TestNonFiniteKeys:

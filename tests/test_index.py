@@ -440,6 +440,44 @@ class TestIvfPqAdd:
         assert h1 == h2
 
 
+class TestNearestKernel:
+    """Coarse assignment and PQ encoding both go through index._nearest."""
+
+    def test_row_blocks_save_same_bytes(self, monkeypatch, tmp_path):
+        keys = unit_rows(rng_for(4), 4 * 37 + 9, 16)  # four blocks of 37 rows and a partial one
+        params = IvfPqParams(nlist=4, m=4, nbits=4, seed=3, kmeans_iters=5)
+
+        def saved(name):
+            index = train_ivfpq(keys, params)
+            ivfpq_add(index, np.arange(len(keys)), keys)
+            save_index(index, tmp_path / name)
+            return (tmp_path / name).read_bytes()
+
+        default = saved("default.pivf")
+        monkeypatch.setattr(index_module, "_BLOCK", 37)
+        assert saved("blocked.pivf") == default
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_codes_are_nearest_codewords(self, seed):
+        """Each code's float64 squared distance to its residual's subvector is
+        the float64 minimum over its codebook, up to the rounding of the
+        float32 decision <x, c> - |c|^2 / 2."""
+        index, keys = small_index(seed=seed, n=3000, d=32, nlist=8, m=8, nbits=6, iters=5)
+        dsub = index.dsub
+        lists = np.repeat(np.arange(index.params.nlist), np.diff(index.offsets))
+        residuals = (keys[index.ids] - index.coarse_centroids[lists]).astype(np.float64)
+        for j in range(index.params.m):
+            sub = residuals[:, j * dsub:(j + 1) * dsub]
+            book = index.pq_codebooks[j].astype(np.float64)
+            d = ((sub[:, None, :] - book[None, :, :]) ** 2).sum(axis=2)
+            chosen = d[np.arange(len(d)), index.codes[:, j]]
+            # Each of the two compared scores is off by at most (dsub + 2) u
+            # (|x| |c| + |c|^2) with u = 2^-24, and a distance is |x|^2 - 2 score.
+            c_max = np.linalg.norm(book, axis=1).max()
+            bound = 4 * (dsub + 2) * 2.0**-24 * (np.linalg.norm(sub, axis=1) * c_max + c_max**2)
+            assert np.all(chosen - d.min(axis=1) <= bound)
+
+
 class TestIvfPqSearch:
     def test_untrained_index_rejected(self):
         params = IvfPqParams(nlist=2, m=2, nbits=2)

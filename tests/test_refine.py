@@ -372,7 +372,8 @@ class TestRefineEveryCategoryAtOnce:
 
 class TestOverflowIsAnErrorNotAWarning:
     """A pre-activation that overflows float32 raises InvalidInputError and
-    prints no RuntimeWarning first: a sparse feature of 3e38 times 2."""
+    prints no RuntimeWarning first: a sparse feature of 3e38 times 2. So does
+    a layer norm whose gain of 3e38 scales a normalized entry above 1."""
 
     def _params(self):
         return RefinementParams(e=np.zeros(4), w_sparse=2 * np.eye(4), w_dense=np.zeros((4, 4)),
@@ -397,6 +398,36 @@ class TestOverflowIsAnErrorNotAWarning:
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match="overflows float32"):
                 refine_all([grid], DensePrior("cat", heat, 0.0), anchors, self._params(), "cat")
+
+    def _ln_params(self):
+        return RefinementParams(e=np.zeros(4), w_sparse=np.eye(4), w_dense=np.zeros((4, 4)),
+                                ln_gain=np.full(4, 3e38), ln_bias=np.zeros(4))
+
+    def _spread(self):
+        return np.array([1, 2, 3, 4], dtype=np.float32)  # normalizes to +-0.45, +-1.34
+
+    @contextmanager
+    def _raises_ln_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="layer norm overflows float32"):
+                yield
+
+    def test_layer_norm(self):
+        with self._raises_ln_overflow():
+            layer_norm(self._spread(), np.full(4, 3e38), np.zeros(4))
+
+    def test_refine_prompt_layer_norm(self):
+        with self._raises_ln_overflow():
+            refine_prompt(self._ln_params(), self._spread(), np.zeros(4, dtype=np.float32))
+
+    def test_refine_all_layer_norm(self):
+        grid = np.zeros((8, 8, 4), dtype=np.float32)
+        grid[3, 3] = self._spread()
+        heat = np.ones((8, 8), dtype=np.float32)
+        anchors = AnchorSet(category="cat", anchors=[anchor_at(3, 3, 8, 8)])
+        with self._raises_ln_overflow():
+            refine_all([grid], DensePrior("cat", heat, 0.0), anchors, self._ln_params(), "cat")
 
 
 class TestScoreAndConstrain:
