@@ -152,8 +152,15 @@ class MemoryEntry:
     blur_score: float | None = None
 
 
-def _column(data, dtype, shape: tuple) -> np.ndarray:
-    column = np.array(data, dtype=dtype).reshape(shape)
+def _column(name: str, data, dtype, shape: tuple) -> np.ndarray:
+    """A read-only copy of data, which must have exactly its shape unless both are empty."""
+    try:
+        column = np.array(data, dtype=dtype)
+    except ValueError as exc:  # ragged rows
+        raise InvalidInputError(f"bank column {name!r}: {exc}") from exc
+    if column.shape != shape and (column.size or math.prod(shape)):
+        raise InvalidInputError(f"bank column {name!r} has shape {column.shape}, want {shape}")
+    column = column.reshape(shape)
     column.flags.writeable = False
     return column
 
@@ -182,12 +189,12 @@ class MemoryBank:
         n = len(image_ids)
         self.d_key, self.d_val, self.weights = d_key, d_val, weights
         self.manifest = {} if manifest is None else manifest
-        self.keys = _column(keys, np.float32, (n, d_key))
-        self.values = _column(values, np.float32, (n, d_val))
-        self.categories = _column(categories, str, (n,))
-        self.image_ids = _column(image_ids, str, (n,))
-        self.boxes = _column(boxes, np.float32, (n, 4))
-        self.blur = _column(blur, np.float32, (n,))  # None becomes NaN
+        self.keys = _column("keys", keys, np.float32, (n, d_key))
+        self.values = _column("values", values, np.float32, (n, d_val))
+        self.categories = _column("categories", categories, str, (n,))
+        self.image_ids = _column("image_ids", image_ids, str, (n,))
+        self.boxes = _column("boxes", boxes, np.float32, (n, 4))
+        self.blur = _column("blur", blur, np.float32, (n,))  # None becomes NaN
 
     def __len__(self) -> int:
         return self.image_ids.shape[0]

@@ -119,20 +119,27 @@ def dense_feature(features, heat, anchor: Point2D, window: int = DEFAULT_WINDOW)
         raise InvalidInputError(f"heatmap shape {heat.shape} != feature shape {(h, w)}")
     if window < 1 or window % 2 == 0:
         raise InvalidInputError(f"window must be odd and positive, got {window}")
-    return _window_sum(features, heat, anchor, window)
+    xs, ys = np.array([anchor.x]), np.array([anchor.y])
+    return _window_sums(features, heat[None], np.zeros(1, dtype=np.int64), xs, ys, window)[0]
 
 
-def _window_sum(features: np.ndarray, heat: np.ndarray, anchor: Point2D,
-                window: int) -> np.ndarray:
-    """dense_feature on arrays it has already checked."""
+def _window_sums(features: np.ndarray, heats: np.ndarray, owners: np.ndarray,
+                 xs: np.ndarray, ys: np.ndarray, window: int) -> np.ndarray:
+    """dense_feature of each anchor (xs[i], ys[i]) with heatmap heats[owners[i]],
+    on checked arrays, in one gather. Cells outside the grid add -0.0, the
+    identity of IEEE addition, and for D >= 2 numpy adds a window's cells in
+    row-major order, so each sum has the bits of the clipped window's. For
+    D = 1 numpy sums pairwise, which can group a border window's terms apart."""
     h, w, _ = features.shape
-    r = min(h - 1, int(anchor.y * h))
-    c = min(w - 1, int(anchor.x * w))
-    half = window // 2
-    r0, r1 = max(0, r - half), min(h, r + half + 1)
-    c0, c1 = max(0, c - half), min(w, c + half + 1)
-    weighted = heat[r0:r1, c0:c1, None].astype(np.float64) * features[r0:r1, c0:c1].astype(np.float64)
-    return weighted.sum(axis=(0, 1)).astype(np.float32)
+    offsets = np.arange(window) - window // 2
+    rows = np.minimum(h - 1, (ys * h).astype(np.int64))[:, None, None] + offsets[:, None]
+    cols = np.minimum(w - 1, (xs * w).astype(np.int64))[:, None, None] + offsets
+    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)  # (A, window, window)
+    rows, cols = rows.clip(0, h - 1), cols.clip(0, w - 1)
+    weighted = (heats[owners[:, None, None], rows, cols][..., None].astype(np.float64)
+                * features[rows, cols].astype(np.float64))  # (A, window, window, D)
+    weighted[~inside] = -0.0
+    return weighted.sum(axis=(1, 2)).astype(np.float32)
 
 
 def resample_heatmap(heat, target_h: int, target_w: int) -> np.ndarray:
@@ -200,12 +207,9 @@ def refine_all(scales, prior: DensePrior, anchors: AnchorSet,
     return prompts
 
 
-def _untagged(category: str):
-    return nullcontext()
-
-
 def _refine(scales: list[np.ndarray], heatmaps: list[np.ndarray], anchor_sets: list[AnchorSet],
-            params, categories: list[str], stage=_untagged) -> list[list[MemoryGuidedPrompt]]:
+            params, categories: list[str],
+            stage=lambda category: nullcontext()) -> list[list[MemoryGuidedPrompt]]:
     """refine_all of every category at once: one prompt list per category, on
     scales that as_grid and heatmaps of one shape that as_scalar_map have
     already checked.
@@ -217,10 +221,7 @@ def _refine(scales: list[np.ndarray], heatmaps: list[np.ndarray], anchor_sets: l
     A failure is raised inside stage(category) for the first category it
     concerns, as refining the categories one by one would raise it.
     """
-    if isinstance(params, RefinementParams):
-        per_scale = [params] * len(scales)
-    else:
-        per_scale = list(params)
+    per_scale = [params] * len(scales) if isinstance(params, RefinementParams) else list(params)
     with stage(categories[0]):
         if len(per_scale) != len(scales):
             raise InvalidInputError("need one parameter set per scale")
@@ -230,34 +231,27 @@ def _refine(scales: list[np.ndarray], heatmaps: list[np.ndarray], anchor_sets: l
     points = [point for anchors in anchor_sets for point, _resp in anchors.anchors]
     owners = np.repeat(np.arange(len(categories)), counts)
     xs, ys = np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(-1, 2).T
-    heats = np.stack(heatmaps)  # (C, H, W), each map C-contiguous for _window_sum
+    heats = np.stack(heatmaps)  # (C, H, W)
     stacked = np.moveaxis(heats, 0, -1)  # the maps as the D axis of an (H, W, C) grid
     pres = []
     for features, p in zip(scales, per_scale):
         h, w = features.shape[:2]
-        heat = heats if heats.shape[1:] == (h, w) else np.ascontiguousarray(
-            np.moveaxis(_resample(stacked, h, w), -1, 0))
+        heat = heats if heats.shape[1:] == (h, w) else np.moveaxis(_resample(stacked, h, w), -1, 0)
         f_s = _bilinear(features, xs, ys)
-        f_d = np.empty_like(f_s)
-        for i, (point, owner) in enumerate(zip(points, owners)):
-            f_d[i] = _window_sum(features, heat[owner], point, p.window)
+        f_d = _window_sums(features, heat, owners, xs, ys, p.window)
         pres.append(_preactivations(p, f_s, f_d))
-    finite = np.ones(len(points), dtype=bool)
-    for pre in pres:
-        finite &= np.isfinite(pre).all(axis=1)
+    finite = np.all([np.isfinite(pre).all(axis=1) for pre in pres], axis=0)
     if not finite.all():
         with stage(categories[owners[~finite][0]]):
             raise InvalidInputError(_OVERFLOW)
     embeddings = [_layer_norm(pre, p.ln_gain, p.ln_bias, p.ln_eps)
                   for pre, p in zip(pres, per_scale)]
-    prompts, start = [], 0
-    for anchors, category, count in zip(anchor_sets, categories, counts):
-        prompts.append([MemoryGuidedPrompt(embedding=emb[start + i], source_category=category,
-                                           anchor=point, scale_index=s_idx)
-                        for s_idx, emb in enumerate(embeddings)
-                        for i, (point, _resp) in enumerate(anchors.anchors)])
-        start += count
-    return prompts
+    starts = np.cumsum([0, *counts]).tolist()
+    return [[MemoryGuidedPrompt(embedding=emb[start + i], source_category=category,
+                                anchor=point, scale_index=s_idx)
+             for s_idx, emb in enumerate(embeddings)
+             for i, (point, _resp) in enumerate(anchors.anchors)]
+            for anchors, category, start in zip(anchor_sets, categories, starts)]
 
 
 def score_prompts(prompts: list[MemoryGuidedPrompt],

@@ -74,8 +74,9 @@ def retrieve(bank: MemoryBank, index, query: RetrievalQuery, k: int = DEFAULT_TO
     """Two-stage top-k retrieval with optional self-exclusion.
 
     With an IVF-PQ index the approximate recall pool is exactly rescored
-    first; excluded hits are dropped and replaced from the rescored pool so
-    the result keeps k entries whenever enough candidates remain.
+    first, as one block; only its k best are ranked unless hits are excluded,
+    which are dropped and replaced from the rescored pool so the result
+    keeps k entries whenever enough candidates remain.
     """
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
@@ -83,9 +84,8 @@ def retrieve(bank: MemoryBank, index, query: RetrievalQuery, k: int = DEFAULT_TO
         return []
     excluded = None if exclude_image is None else bank.image_ids == exclude_image
     if isinstance(index, IvfPqIndex):
-        candidates = ivfpq_search(index, query.vector, nprobe=nprobe,
-                                  recall_size=recall_size)
-        pool = rescore(bank.keys, candidates, query.vector, k=len(candidates))
+        pool = ivfpq_search(index, query.vector, nprobe=nprobe, recall_size=recall_size)
+        pool = rescore(bank.keys, pool, query.vector, k=k if excluded is None else len(pool))
     else:
         extra = 0 if excluded is None else int(excluded.sum())
         pool = index.search(query.vector, min(len(bank), k + extra))

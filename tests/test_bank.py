@@ -517,6 +517,48 @@ class TestBankEncoding:
             load_bank(path)
 
 
+class TestColumnShapes:
+    """Every column of a non-empty bank has exactly its (n,) or (n, d) shape,
+    with n taken from image_ids."""
+
+    def columns(self, n=2, d_key=4, d_val=3):
+        return dict(keys=np.ones((n, d_key)), values=np.ones((n, d_val)),
+                    categories=["c"] * n, image_ids=[f"i{j}" for j in range(n)],
+                    boxes=[[0.0, 0.0, 1.0, 1.0]] * n, blur=[None] * n)
+
+    def test_well_shaped_columns_build(self):
+        bank = MemoryBank(d_key=4, d_val=3, **self.columns())
+        assert len(bank) == 2 and bank.keys.shape == (2, 4) and bank.values.shape == (2, 3)
+
+    def test_rows_glued_together_rejected(self):
+        """Four 8-wide rows have the size of two 16-wide ones; a reshape
+        would accept them."""
+        with pytest.raises(InvalidInputError) as exc:
+            MemoryBank(d_key=16, d_val=3, **{**self.columns(), "keys": np.ones((4, 8))})
+        message = str(exc.value)
+        assert "'keys'" in message and "(4, 8)" in message and "(2, 16)" in message
+
+    @pytest.mark.parametrize("column, data", [
+        ("keys", np.ones((2, 5))),
+        ("values", np.ones((3, 3))),
+        ("values", np.ones(6)),
+        ("categories", ["c"]),
+        ("boxes", [[0.0, 0.0, 1.0, 1.0]] * 3),
+        ("blur", [[1.0], [2.0]]),
+        ("keys", [np.ones(4), np.ones(3)]),
+    ])
+    def test_mis_shaped_column_rejected(self, column, data):
+        with pytest.raises(InvalidInputError, match=f"'{column}'"):
+            MemoryBank(d_key=4, d_val=3, **{**self.columns(), column: data})
+
+    def test_empty_bank_builds(self):
+        for bank in (MemoryBank(d_key=4, d_val=3), MemoryBank(entries=[], d_key=4, d_val=3),
+                     MemoryBank(d_key=4, d_val=3, **self.columns(n=0))):
+            assert len(bank) == 0
+            assert bank.keys.shape == (0, 4) and bank.values.shape == (0, 3)
+            assert bank.boxes.shape == (0, 4) and bank.blur.shape == (0,)
+
+
 class TestEmbeddingTableIO:
     def test_round_trip(self, tmp_path):
         rng = rng_for(0)

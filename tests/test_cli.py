@@ -477,6 +477,26 @@ class TestMalformedFilesExit2:
         assert rc == 2
         assert "0 sets" in assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("val_dim, grid_dims, shapes", [
+        (4, 16, [", 16)", ", 4)"]),  # every pooled value has 16 dims
+        (16, 8, ["inhomogeneous"]),  # one memory image's grid has 8 of 16 dims
+    ])
+    def test_values_that_fit_no_value_column(self, scenario_dir, tmp_path, capsys, val_dim,
+                                             grid_dims, shapes):
+        features = tmp_path / "features"
+        shutil.copytree(scenario_dir / "features", features)
+        grid = artifacts.load_feature_grid(features / "mem-cat-0-0.pgrd")
+        artifacts.save_feature_grid(np.ascontiguousarray(grid[:, :, :grid_dims]),
+                                    features / "mem-cat-0-0.pgrd")
+        out = tmp_path / "b.pbnk"
+        rc = main(["build-memory", "--hash-key-dim", "8", "--hash-val-dim", str(val_dim),
+                   "--features-dir", str(features),
+                   "--records", str(scenario_dir / "records.jsonl"), "--out", str(out)])
+        assert rc == 2
+        message = assert_one_error_line(capsys)
+        assert "bank column 'values'" in message and all(s in message for s in shapes)
+        assert not out.exists()
+
     def test_records_line_not_an_object(self, scenario_dir, tmp_path, capsys):
         records = tmp_path / "records.jsonl"
         lines = (scenario_dir / "records.jsonl").read_text().splitlines()

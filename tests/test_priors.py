@@ -179,10 +179,21 @@ class TestFindPeaks:
         hm[4, 0] = hm[0, 4] = hm[2, 2] = 0.9
         assert [(r, c) for r, c, _ in find_peaks(hm, 0.5)] == [(0, 4), (2, 2), (4, 0)]
 
-    @pytest.mark.parametrize("seed", range(20))
-    def test_matches_exhaustive_oracle(self, seed):
-        hm = rng_for(seed).uniform(0, 1, (12, 14)).astype(np.float32)
-        assert find_peaks(hm, 0.3) == peaks_oracle(hm.astype(np.float64), 0.3)
+    @pytest.mark.parametrize("seed, shape, threshold, levels", [
+        *(pytest.param(seed, (12, 14), 0.3, None, id=str(seed)) for seed in range(20)),
+        *(pytest.param(seed, shape, threshold, levels,
+                       id=f"{seed}-{shape[0]}x{shape[1]}-t{threshold}-q{levels}")
+          for seed in range(3)
+          for shape in [(12, 14), (1, 1), (1, 9), (9, 1)]
+          for threshold in [0.0, 1.0]
+          for levels in [None, 3]),
+    ])
+    def test_matches_exhaustive_oracle(self, seed, shape, threshold, levels):
+        """levels=3 quantizes the map to {0, 0.5, 1}, which makes plateaus."""
+        hm = rng_for(seed).uniform(0, 1, shape).astype(np.float32)
+        if levels is not None:
+            hm = (np.floor(hm * levels) / (levels - 1)).astype(np.float32)
+        assert find_peaks(hm, threshold) == peaks_oracle(hm.astype(np.float64), threshold)
 
 
 def greedy_oracle(peaks, h, w, radius, max_anchors):

@@ -96,6 +96,40 @@ class TestDenseFeature:
                           np.zeros((5, 4), dtype=np.float32), Point2D(0.5, 0.5))
 
 
+def clipped_window_sum(feats, heat, r, c, window):
+    """The float64 sum of the heatmap-weighted features of the window's
+    cells inside the grid, in row-major order, stored as float32."""
+    h, w, _ = feats.shape
+    half = window // 2
+    r0, r1 = max(0, r - half), min(h, r + half + 1)
+    c0, c1 = max(0, c - half), min(w, c + half + 1)
+    weighted = heat[r0:r1, c0:c1, None].astype(np.float64) * feats[r0:r1, c0:c1].astype(np.float64)
+    return weighted.sum(axis=(0, 1)).astype(np.float32)
+
+
+class TestDenseFeatureBytes:
+    """dense_feature has exactly the bits of the clipped window's sum."""
+
+    @pytest.mark.parametrize("d", [1, 5])
+    @pytest.mark.parametrize("window", [1, 3, 5, 7])
+    @pytest.mark.parametrize("shape", [(9, 8), (3, 2)])
+    @pytest.mark.parametrize("zero_heat", [False, True])
+    def test_equals_clipped_window_sum(self, d, window, shape, zero_heat):
+        h, w = shape
+        rng = rng_for(window * 10 + d)
+        feats = rng.standard_normal((h, w, d)).astype(np.float32)
+        heat = rng.uniform(0, 1, (h, w)).astype(np.float32)
+        if zero_heat:  # every term is 0.0 * negative = -0.0
+            feats, heat = -np.abs(feats) - 1.0, np.zeros((h, w), dtype=np.float32)
+        cells = [(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1), (h // 2, 0), (h // 2, w // 2)]
+        anchors = [(anchor_at(r, c, h, w)[0], r, c) for r, c in cells]
+        anchors.append((Point2D(1.0, 1.0), h - 1, w - 1))  # x = 1 lies in the last cell
+        for pt, r, c in anchors:
+            out = dense_feature(feats, heat, pt, window)
+            assert out.dtype == np.float32 and out.shape == (d,)
+            assert out.tobytes() == clipped_window_sum(feats, heat, r, c, window).tobytes(), (r, c)
+
+
 class TestSparseFeature:
     def test_is_bilinear_sample(self):
         feats = rng_for(0).standard_normal((6, 6, 4)).astype(np.float32)

@@ -11,7 +11,7 @@ from vismem.bank import (
 )
 from vismem.errors import InvalidInputError
 from vismem.grids import Box2D
-from vismem.index import FlatIndex, IvfPqParams, ivfpq_add, train_ivfpq
+from vismem.index import FlatIndex, IvfPqParams, ivfpq_add, ivfpq_search, rescore, train_ivfpq
 from vismem.retrieval import (
     DEFAULT_RECALL_SIZE,
     DEFAULT_TAU,
@@ -194,6 +194,30 @@ class TestRetrieve:
         approx = retrieve(bank, index, q, k=12, nprobe=4, recall_size=len(bank))
         exact = retrieve(bank, FlatIndex.from_bank(bank), q, k=12)
         assert approx == exact
+
+    @pytest.mark.parametrize("exclude", [None, "img3"])
+    @pytest.mark.parametrize("nprobe", [2, 4])
+    def test_ivfpq_equals_rescored_pool_filtered_and_cut(self, exclude, nprobe):
+        """Ranking only the k best when nothing is excluded keeps the hits and
+        the score bits of ranking the whole rescored pool."""
+        provider, bank = make_fixture(n_records=60, seed=4)
+        index = train_ivfpq(bank.keys, IvfPqParams(nlist=4, m=4, nbits=4, seed=2, kmeans_iters=8))
+        ivfpq_add(index, np.arange(len(bank)), bank.keys)
+        pool_sizes = set()
+        for category, image in [("cat", "img3"), ("bird", "img0"), ("dog", "img2")]:
+            q = build_query(provider, category, "street", image, bank.weights)
+            for recall_size in (12, 13, 14, 15, 17, 22):
+                pool = ivfpq_search(index, q.vector, nprobe=nprobe, recall_size=recall_size)
+                pool_sizes.add(len(pool) % 4)
+                ranked = rescore(bank.keys, pool, q.vector, k=len(pool))
+                for k in (1, 5, 12):
+                    expected = [h for h in ranked
+                                if exclude is None or bank.image_ids[h.entry_id] != exclude][:k]
+                    hits = retrieve(bank, index, q, k=k, exclude_image=exclude, nprobe=nprobe,
+                                    recall_size=recall_size)
+                    assert ([(h.entry_id, repr(h.score)) for h in hits]
+                            == [(h.entry_id, repr(h.score)) for h in expected])
+        assert pool_sizes == {0, 1, 2, 3}
 
     def test_invalid_k(self):
         provider, bank = make_fixture()
