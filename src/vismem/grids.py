@@ -191,7 +191,11 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
 
 def gaussian_smooth(scalar_map, sigma: float) -> np.ndarray:
     """Separable Gaussian blur with reflect padding. sigma=0 is a no-op copy."""
-    scalar_map = as_scalar_map(scalar_map)
+    return _gaussian_smooth(as_scalar_map(scalar_map), sigma)
+
+
+def _gaussian_smooth(scalar_map: np.ndarray, sigma: float) -> np.ndarray:
+    """gaussian_smooth on a map that as_scalar_map has already checked."""
     if sigma < 0:
         raise InvalidInputError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0:
@@ -206,7 +210,11 @@ def gaussian_smooth(scalar_map, sigma: float) -> np.ndarray:
 
 def minmax_rescale(scalar_map) -> np.ndarray:
     """Affine rescale to [0, 1]. A (near-)constant map rescales to all zeros."""
-    scalar_map = as_scalar_map(scalar_map)
+    return _minmax_rescale(as_scalar_map(scalar_map))
+
+
+def _minmax_rescale(scalar_map: np.ndarray) -> np.ndarray:
+    """minmax_rescale on a map that as_scalar_map has already checked."""
     lo = float(scalar_map.min())
     hi = float(scalar_map.max())
     if hi - lo <= EPS_NORM:

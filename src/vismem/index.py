@@ -28,22 +28,42 @@ class SearchHit:
     score: float
 
 
-def _sorted_hits(ids: np.ndarray, scores: np.ndarray, k: int) -> list[SearchHit]:
-    """Top-k by (score desc, id asc).
+def _top_k(ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the top-k rows by (score desc, id asc).
 
     Only the rows scoring at least the k-th best score, every tie with it
     included, are sorted; that gives the order of a full sort.
     """
-    if ids.size == 0 or k <= 0:
-        return []
+    if k <= 0:
+        return np.zeros(0, dtype=np.intp)
     if k < ids.size:
         neg = -scores
         kth = np.partition(neg, k - 1)[k - 1]
         if not np.isnan(kth):  # NaN sorts last in both; then keep every row
             keep = np.flatnonzero(neg <= kth)
-            ids, scores = ids[keep], scores[keep]
-    order = np.lexsort((ids, -scores))[:k]
-    return [SearchHit(int(ids[i]), float(scores[i])) for i in order]
+            return keep[np.lexsort((ids[keep], neg[keep]))[:k]]
+    return np.lexsort((ids, -scores))[:k]
+
+
+def _hits(ids: np.ndarray, scores: np.ndarray) -> list[SearchHit]:
+    """The public form of ranked (ids, scores) arrays."""
+    return [SearchHit(i, s) for i, s in zip(ids.tolist(), scores.tolist())]
+
+
+def _sorted_hits(ids: np.ndarray, scores: np.ndarray, k: int) -> list[SearchHit]:
+    """Top-k by (score desc, id asc), as hits."""
+    order = _top_k(ids, scores, k)
+    return _hits(ids[order], scores[order])
+
+
+def _check_query(query, dim: int) -> np.ndarray:
+    """query as a finite (dim,) float32 vector: the one check of every search."""
+    query = np.asarray(query, dtype=np.float32)
+    if query.shape != (dim,):
+        raise InvalidInputError(f"query dim {query.shape} != index dim {dim}")
+    if not np.isfinite(query).all():
+        raise InvalidInputError("query must be finite")
+    return query
 
 
 def exact_scores(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -69,11 +89,9 @@ class FlatIndex:
         return self.keys.shape[1]
 
     def search(self, query, k: int) -> list[SearchHit]:
-        query = np.asarray(query, dtype=np.float32)
+        query = _check_query(query, self.dim)
         if self.keys.shape[0] == 0:
             return []
-        if query.shape != (self.dim,):
-            raise InvalidInputError(f"query dim {query.shape} != index dim {self.dim}")
         if k < 1:
             raise InvalidInputError(f"k must be >= 1, got {k}")
         scores = exact_scores(self.keys, query)
@@ -324,26 +342,27 @@ def ivfpq_add(index: IvfPqIndex, ids, keys) -> None:
     index.offsets = np.concatenate([[0], np.cumsum(np.bincount(lists, minlength=nlist))])
 
 
-def ivfpq_search(index: IvfPqIndex, query, nprobe: int, recall_size: int) -> list[SearchHit]:
-    """Probe the nprobe nearest lists and return the approximate top candidates.
-
-    Scores are asymmetric: exact query against reconstructed
-    (centroid + codeword) entries, via per-subspace lookup tables.
-    """
+def _check_probe(index: IvfPqIndex, query, nprobe: int, recall_size: int) -> np.ndarray:
+    """The checked query of an IVF-PQ search, once the index and the
+    search parameters have been checked."""
     if index.coarse_centroids is None or index.pq_codebooks is None:
         raise IndexStateError("index is not trained")
-    query = np.asarray(query, dtype=np.float32)
-    if query.shape != (index.dim,):
-        raise InvalidInputError(f"query dim {query.shape} != index dim {index.dim}")
+    query = _check_query(query, index.dim)
     if nprobe < 1 or nprobe > index.params.nlist:
         raise InvalidInputError(f"nprobe must be in [1, nlist], got {nprobe}")
     if recall_size < 1:
         raise InvalidInputError(f"recall_size must be >= 1, got {recall_size}")
+    return query
 
+
+def _ivfpq_pool(index: IvfPqIndex, query: np.ndarray, nprobe: int,
+                recall_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, ADC scores) of the recall_size best candidates of the nprobe
+    nearest lists, ranked by (score desc, id asc); query is checked."""
     coarse_scores = (index.coarse_centroids @ query).astype(np.float64)
     probe_order = np.lexsort((np.arange(index.params.nlist), -coarse_scores))[:nprobe]
 
-    m, dsub = index.params.m, index.dsub
+    m, dsub, ksub = index.params.m, index.dsub, index.params.ksub
     # lut[j, code] = <query_sub_j, codeword>
     lut = np.einsum("mkd,md->mk", index.pq_codebooks, query.reshape(m, dsub))
 
@@ -351,8 +370,30 @@ def ivfpq_search(index: IvfPqIndex, query, nprobe: int, recall_size: int) -> lis
     all_ids = np.concatenate([index.ids[a:b] for a, b in zip(starts, ends)])
     all_codes = np.concatenate([index.codes[a:b] for a, b in zip(starts, ends)])
     coarse_part = np.repeat(coarse_scores[probe_order], ends - starts)
-    res_scores = lut[np.arange(m)[None, :], all_codes].sum(axis=1, dtype=np.float64)
-    return _sorted_hits(all_ids, res_scores + coarse_part, recall_size)
+    # Code c of subspace j is entry j * ksub + c of the flat table.
+    entries = lut.ravel()[all_codes + np.arange(0, m * ksub, ksub)]
+    scores = entries.sum(axis=1, dtype=np.float64) + coarse_part
+    order = _top_k(all_ids, scores, recall_size)
+    return all_ids[order], scores[order]
+
+
+def ivfpq_search(index: IvfPqIndex, query, nprobe: int, recall_size: int) -> list[SearchHit]:
+    """Probe the nprobe nearest lists and return the approximate top candidates.
+
+    Scores are asymmetric: exact query against reconstructed
+    (centroid + codeword) entries, via per-subspace lookup tables. The
+    candidates stay arrays until this function builds their hits.
+    """
+    query = _check_probe(index, query, nprobe, recall_size)
+    return _hits(*_ivfpq_pool(index, query, nprobe, recall_size))
+
+
+def _exact_rescore(keys: np.ndarray, ids: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Exact scores of the rows ids of keys, as one block in the given order,
+    since a row's bits depend on the block it is scored in."""
+    if ids.size and (ids.min() < 0 or ids.max() >= keys.shape[0]):
+        raise InvalidInputError("candidate entry id out of range")
+    return exact_scores(keys[ids], query)
 
 
 def rescore(keys, candidates: list[SearchHit], query, k: int) -> list[SearchHit]:
@@ -361,14 +402,14 @@ def rescore(keys, candidates: list[SearchHit], query, k: int) -> list[SearchHit]
     keys is the (N, D) matrix the candidate ids index, such as a bank's or a
     FlatIndex's `keys`.
     """
+    keys = np.asarray(keys, dtype=np.float32)
+    if keys.ndim != 2:
+        raise InvalidInputError(f"keys must be an (N, D) matrix, got shape {keys.shape}")
+    query = _check_query(query, keys.shape[1])
     if not candidates:
         return []
-    keys = np.asarray(keys, dtype=np.float32)
-    ids = np.asarray([h.entry_id for h in candidates], dtype=np.int64)
-    if ids.min() < 0 or ids.max() >= keys.shape[0]:
-        raise InvalidInputError("candidate entry id out of range")
-    scores = exact_scores(keys[ids], query)
-    return _sorted_hits(ids, scores, k)
+    ids = np.fromiter((h.entry_id for h in candidates), dtype=np.int64, count=len(candidates))
+    return _sorted_hits(ids, _exact_rescore(keys, ids, query), k)
 
 
 # --- persistence -----------------------------------------------------------

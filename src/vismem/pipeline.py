@@ -19,7 +19,7 @@ from .errors import InvalidInputError, VismemError
 from .grids import EPS_NORM, as_grid
 from .index import FlatIndex, IvfPqIndex, IvfPqParams, SearchHit
 from .priors import (DEFAULT_MAX_ANCHORS, DEFAULT_PEAK_THRESHOLD, DEFAULT_RADIUS_CELLS,
-                     DEFAULT_SIGMA, AnchorSet, DensePrior, dense_priors, extract_anchors,
+                     DEFAULT_SIGMA, AnchorSet, DensePrior, _dense_priors, extract_anchors,
                      radius_cells_to_normalized)
 from .refine import (DEFAULT_WINDOW, LogitsMatrix, MemoryGuidedPrompt, _refine, constrain_logits,
                      score_prompts)
@@ -220,7 +220,7 @@ def run_pipeline(config: PipelineConfig, bank: MemoryBank, index,
     if not found:
         return results
     with _stage("dense_prior"):
-        priors = dense_priors(input_grid, [r.prototype for r in found], sigma=config.sigma)
+        priors = _dense_priors(input_grid, [r.prototype for r in found], config.sigma)
     for result, prior in zip(found, priors):
         with _stage("extract_anchors", result.category):
             radius = radius_cells_to_normalized(

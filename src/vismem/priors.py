@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .grids import EPS_NORM, Box2D, Point2D, as_grid, gaussian_smooth, minmax_rescale
+from .grids import (EPS_NORM, Box2D, Point2D, _gaussian_smooth, _minmax_rescale, as_grid,
+                    as_vector)
 from .retrieval import Prototype
 
 DEFAULT_SIGMA = 1.0
@@ -61,6 +62,14 @@ def dense_priors(grid, protos: list[Prototype], sigma: float = DEFAULT_SIGMA) ->
     one (H*W, D) @ (D, C) product for all prototypes rounds differently.
     """
     grid = as_grid(grid)
+    for proto in protos:
+        as_vector(proto.vector)
+    return _dense_priors(grid, protos, sigma)
+
+
+def _dense_priors(grid: np.ndarray, protos: list[Prototype], sigma: float) -> list[DensePrior]:
+    """dense_priors on a grid that as_grid has checked and finite prototypes,
+    so no heatmap needs a check of its own."""
     h, w, d = grid.shape
     for proto in protos:
         if proto.vector.shape[0] != d:
@@ -78,7 +87,7 @@ def dense_priors(grid, protos: list[Prototype], sigma: float = DEFAULT_SIGMA) ->
             normalized /= np.where(norms > EPS_NORM, norms, 1.0)[:, :, None]
             normalized[norms <= EPS_NORM] = 0.0
         raw = (normalized @ proto.vector.astype(np.float64)).astype(np.float32)
-        heat = minmax_rescale(gaussian_smooth(raw, sigma))
+        heat = _minmax_rescale(_gaussian_smooth(raw, sigma))
         priors.append(DensePrior(category=proto.category, heatmap=heat, sigma=sigma))
     return priors
 

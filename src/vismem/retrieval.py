@@ -15,7 +15,8 @@ import numpy as np
 
 from .bank import EmbeddingProvider, KeyWeights, MemoryBank, build_key
 from .errors import InvalidInputError
-from .index import IvfPqIndex, SearchHit, ivfpq_search, rescore
+from .index import (IvfPqIndex, SearchHit, _check_probe, _exact_rescore, _ivfpq_pool,
+                    _sorted_hits)
 from .grids import l2_normalize
 
 DEFAULT_TOP_K = 12
@@ -74,9 +75,11 @@ def retrieve(bank: MemoryBank, index, query: RetrievalQuery, k: int = DEFAULT_TO
     """Two-stage top-k retrieval with optional self-exclusion.
 
     With an IVF-PQ index the approximate recall pool is exactly rescored
-    first, as one block; only its k best are ranked unless hits are excluded,
-    which are dropped and replaced from the rescored pool so the result
-    keeps k entries whenever enough candidates remain.
+    as one block, in its ranked order, with the arithmetic of `ivfpq_search`
+    and `rescore`; excluded entries are then dropped and the k best of the
+    rest ranked. The pool stays id and score arrays throughout, and hits are
+    built only for the entries returned. Any other index is searched through
+    its `search`, with enough extra hits to refill the excluded ones.
     """
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
@@ -84,11 +87,15 @@ def retrieve(bank: MemoryBank, index, query: RetrievalQuery, k: int = DEFAULT_TO
         return []
     excluded = None if exclude_image is None else bank.image_ids == exclude_image
     if isinstance(index, IvfPqIndex):
-        pool = ivfpq_search(index, query.vector, nprobe=nprobe, recall_size=recall_size)
-        pool = rescore(bank.keys, pool, query.vector, k=k if excluded is None else len(pool))
-    else:
-        extra = 0 if excluded is None else int(excluded.sum())
-        pool = index.search(query.vector, min(len(bank), k + extra))
+        vector = _check_probe(index, query.vector, nprobe, recall_size)
+        ids, _ = _ivfpq_pool(index, vector, nprobe, recall_size)
+        scores = _exact_rescore(bank.keys, ids, vector)
+        if excluded is not None:
+            kept = ~excluded[ids]
+            ids, scores = ids[kept], scores[kept]
+        return _sorted_hits(ids, scores, k)
+    extra = 0 if excluded is None else int(excluded.sum())
+    pool = index.search(query.vector, min(len(bank), k + extra))
     if excluded is not None:
         pool = [h for h in pool if not excluded[h.entry_id]]
     return pool[:k]

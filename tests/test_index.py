@@ -545,6 +545,33 @@ class TestIvfPqSearch:
             assert approx == exact
 
 
+    @pytest.mark.parametrize("m, nbits", [(1, 1), (1, 4), (1, 8), (4, 1), (4, 4), (4, 8)])
+    def test_adc_scores_equal_per_subspace_gather(self, tmp_path, m, nbits):
+        """Every candidate's score is bit for bit the float64 sum of its m
+        table entries, gathered per subspace as lut[j, code_j], plus its
+        list's coarse score; the ranking is a full lexsort's. A wrong stride
+        into the flattened table shows for every ksub; so does a change in
+        the index read back from disk."""
+        index, _ = small_index(seed=nbits, n=300, m=m, nbits=nbits, iters=4)
+        save_index(index, tmp_path / "idx.pivf")
+        loaded = load_index(tmp_path / "idx.pivf")
+        query = unit_rows(rng_for(m + 10 * nbits), 1, 16)[0]
+        lut = np.einsum("mkd,md->mk", index.pq_codebooks, query.reshape(m, index.dsub))
+        coarse = (index.coarse_centroids @ query).astype(np.float64)
+        probe = np.lexsort((np.arange(index.params.nlist), -coarse))[:5]
+        ids, scores = [], []
+        for list_no in probe:
+            list_ids, codes = list_rows(index, list_no)
+            ids.append(list_ids)
+            adc = lut[np.arange(m)[None, :], codes].sum(axis=1, dtype=np.float64)
+            scores.append(adc + coarse[list_no])
+        ids, scores = np.concatenate(ids), np.concatenate(scores)
+        for r in (1, 13, 50, ids.size):
+            expected = full_sort(ids, scores, r)
+            assert pairs(ivfpq_search(index, query, nprobe=5, recall_size=r)) == expected
+            assert pairs(ivfpq_search(loaded, query, nprobe=5, recall_size=r)) == expected
+
+
 class TestRescore:
     def test_uses_exact_scores(self):
         keys = np.eye(4, dtype=np.float32)
@@ -583,6 +610,27 @@ class TestRescore:
         out = rescore(keys, cands, q, k=15)
         oracle = [(i, s) for i, s in naive_top_k(keys, q, 200) if i in set(cand_ids)][:15]
         assert [h.entry_id for h in out] == [i for i, _ in oracle]
+
+
+class TestQueryCheck:
+    """Every search entry point takes a finite (D,) float32 query and raises
+    InvalidInputError for anything else."""
+
+    @pytest.mark.parametrize("bad", ["short", "long", "matrix", "nan", "inf"])
+    @pytest.mark.parametrize("entry", ["flat", "ivfpq", "rescore"])
+    def test_bad_query_rejected(self, entry, bad):
+        index, keys = small_index(n=60)
+        query = {"short": keys[0, :15], "long": np.append(keys[0], 0.0),
+                 "matrix": keys[:1]}.get(bad, keys[0].copy())
+        if bad in ("nan", "inf"):
+            query[3] = np.nan if bad == "nan" else -np.inf
+        with pytest.raises(InvalidInputError):
+            if entry == "flat":
+                FlatIndex(keys).search(query, k=5)
+            elif entry == "ivfpq":
+                ivfpq_search(index, query, nprobe=2, recall_size=10)
+            else:
+                rescore(keys, [SearchHit(0, 0.0), SearchHit(7, 0.0)], query, k=2)
 
 
 class TestIndexPersistence:

@@ -11,7 +11,8 @@ from vismem.bank import (
 )
 from vismem.errors import InvalidInputError
 from vismem.grids import Box2D
-from vismem.index import FlatIndex, IvfPqParams, ivfpq_add, ivfpq_search, rescore, train_ivfpq
+from vismem.index import (FlatIndex, IvfPqParams, ivfpq_add, ivfpq_search, load_index, rescore,
+                          save_index, train_ivfpq)
 from vismem.retrieval import (
     DEFAULT_RECALL_SIZE,
     DEFAULT_TAU,
@@ -197,27 +198,49 @@ class TestRetrieve:
 
     @pytest.mark.parametrize("exclude", [None, "img3"])
     @pytest.mark.parametrize("nprobe", [2, 4])
-    def test_ivfpq_equals_rescored_pool_filtered_and_cut(self, exclude, nprobe):
-        """Ranking only the k best when nothing is excluded keeps the hits and
-        the score bits of ranking the whole rescored pool."""
-        provider, bank = make_fixture(n_records=60, seed=4)
-        index = train_ivfpq(bank.keys, IvfPqParams(nlist=4, m=4, nbits=4, seed=2, kmeans_iters=8))
+    def test_ivfpq_equals_rescored_pool_filtered_and_cut(self, tmp_path, exclude, nprobe):
+        """retrieve keeps the hits and the score bits of rescoring the whole
+        pool of ivfpq_search, ranking it, filtering it and cutting it to k:
+        for 1, 4 and 8 code bits, 1 and 4 subspaces, an index read back from
+        disk, pools of every size mod 4, and keys repeated ten times each, so
+        that ties fall on the recall_size cut."""
+        provider, bank = make_fixture(n_records=300, seed=4)
+        pool_sizes, tied_cuts = set(), 0
+        for m, nbits, reload in [(4, 4, False), (1, 1, False), (4, 8, False), (1, 8, True),
+                                 (4, 1, True)]:
+            index = train_ivfpq(bank.keys, IvfPqParams(nlist=4, m=m, nbits=nbits, seed=2,
+                                                       kmeans_iters=8))
+            ivfpq_add(index, np.arange(len(bank)), bank.keys)
+            if reload:
+                save_index(index, tmp_path / "index.pivf")
+                index = load_index(tmp_path / "index.pivf")
+            for category, image in [("cat", "img3"), ("bird", "img0"), ("dog", "img2")]:
+                q = build_query(provider, category, "street", image, bank.weights)
+                full = ivfpq_search(index, q.vector, nprobe=nprobe, recall_size=index.ntotal)
+                for recall_size in (12, 13, 14, 15, 17, 22):
+                    pool = ivfpq_search(index, q.vector, nprobe=nprobe, recall_size=recall_size)
+                    pool_sizes.add(len(pool) % 4)
+                    tied_cuts += full[recall_size - 1].score == full[recall_size].score
+                    ranked = rescore(bank.keys, pool, q.vector, k=len(pool))
+                    for k in (1, 5, 12):
+                        expected = [h for h in ranked
+                                    if exclude is None or bank.image_ids[h.entry_id] != exclude][:k]
+                        hits = retrieve(bank, index, q, k=k, exclude_image=exclude, nprobe=nprobe,
+                                        recall_size=recall_size)
+                        assert ([(h.entry_id, repr(h.score)) for h in hits]
+                                == [(h.entry_id, repr(h.score)) for h in expected])
+        assert pool_sizes == {0, 1, 2, 3} and tied_cuts > 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_query_rejected(self, bad):
+        provider, bank = make_fixture(n_records=60, seed=2)
+        index = train_ivfpq(bank.keys, IvfPqParams(nlist=4, m=4, nbits=4, seed=0, kmeans_iters=4))
         ivfpq_add(index, np.arange(len(bank)), bank.keys)
-        pool_sizes = set()
-        for category, image in [("cat", "img3"), ("bird", "img0"), ("dog", "img2")]:
-            q = build_query(provider, category, "street", image, bank.weights)
-            for recall_size in (12, 13, 14, 15, 17, 22):
-                pool = ivfpq_search(index, q.vector, nprobe=nprobe, recall_size=recall_size)
-                pool_sizes.add(len(pool) % 4)
-                ranked = rescore(bank.keys, pool, q.vector, k=len(pool))
-                for k in (1, 5, 12):
-                    expected = [h for h in ranked
-                                if exclude is None or bank.image_ids[h.entry_id] != exclude][:k]
-                    hits = retrieve(bank, index, q, k=k, exclude_image=exclude, nprobe=nprobe,
-                                    recall_size=recall_size)
-                    assert ([(h.entry_id, repr(h.score)) for h in hits]
-                            == [(h.entry_id, repr(h.score)) for h in expected])
-        assert pool_sizes == {0, 1, 2, 3}
+        q = build_query(provider, "bird", "indoor", "img3", bank.weights)
+        q.vector[5] = bad
+        for searched in (index, FlatIndex.from_bank(bank)):
+            with pytest.raises(InvalidInputError):
+                retrieve(bank, searched, q)
 
     def test_invalid_k(self):
         provider, bank = make_fixture()
