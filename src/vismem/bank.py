@@ -385,12 +385,39 @@ def build_bank(records: list[GroundingRecord], provider: EmbeddingProvider,
 
 # --- persistence -----------------------------------------------------------
 
+def _ascii_names(units: np.ndarray, kind: str) -> np.ndarray | None:
+    """The names whose code units (bytes or UCS-4) are the rows of units, as a
+    column of kind "S" or "U" as wide as the longest name, which is the column
+    np.char.encode or decode makes of them; None if a unit is not ASCII."""
+    if units.size and units.max() >= 128:
+        return None
+    used = np.flatnonzero(units.any(axis=0))
+    width = int(used[-1]) + 1 if used.size else 1
+    unit = np.uint32 if kind == "U" else np.uint8
+    return np.ascontiguousarray(units[:, :width], dtype=unit).view(f"{kind}{width}")[:, 0]
+
+
+def _encode_names(column: np.ndarray) -> np.ndarray:
+    """A name column as np.char.encode(column, "utf-8") makes it."""
+    units = np.ascontiguousarray(column).view(np.uint32)
+    encoded = _ascii_names(units.reshape(len(column), column.itemsize // 4), "S")
+    return np.char.encode(column, "utf-8") if encoded is None else encoded
+
+
+def _decode_names(records: np.ndarray, name: str) -> np.ndarray:
+    """A name field as np.char.decode(records[name], "utf-8") makes it."""
+    start = records.dtype.fields[name][1]
+    rows = records.view(np.uint8).reshape(len(records), records.itemsize)
+    names = _ascii_names(rows[:, start:start + NAME_FIELD_BYTES], "U")
+    return np.char.decode(records[name], "utf-8") if names is None else names
+
+
 def save_bank(bank: MemoryBank, path) -> None:
     records = np.zeros(len(bank), dtype=_record_dtype(bank.d_key, bank.d_val))
     records["key"], records["value"] = bank.keys, bank.values
     records["box"], records["blur"] = bank.boxes, bank.blur
     for name, column in (("category", bank.categories), ("image_id", bank.image_ids)):
-        encoded = np.char.encode(column, "utf-8")
+        encoded = _encode_names(column)
         if encoded.itemsize > NAME_FIELD_BYTES:
             longest = column[np.argmax(np.char.str_len(encoded))]
             raise FormatError(f"{name} {longest!r} exceeds the {NAME_FIELD_BYTES}-byte field")
@@ -419,7 +446,7 @@ def load_bank(path) -> MemoryBank:
     if not np.all((0 <= x0) & (x0 < x1) & (x1 <= 1) & (0 <= y0) & (y0 < y1) & (y1 <= 1)):
         raise FormatError("bank has a box outside 0 <= x0 < x1 <= 1, 0 <= y0 < y1 <= 1")
     with format_errors("bad UTF-8 in a category or image id", records_at):
-        categories, image_ids = (np.char.decode(records[name], "utf-8")
+        categories, image_ids = (_decode_names(records, name)
                                  for name in ("category", "image_id"))
     return MemoryBank(d_key=d_key, d_val=d_val, weights=KeyWeights(**weights),
                       manifest=meta["manifest"], keys=records["key"], values=records["value"],

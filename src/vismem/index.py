@@ -317,6 +317,13 @@ def train_ivfpq(keys, params: IvfPqParams) -> IvfPqIndex:
                       pq_codebooks=codebooks)
 
 
+def _has_duplicates(ids: np.ndarray) -> bool:
+    """Whether an id occurs twice. A sort: numpy 2's hashing np.unique takes
+    about 20 times as long on 50k ids."""
+    ordered = np.sort(ids)
+    return bool(np.any(ordered[1:] == ordered[:-1]))
+
+
 def ivfpq_add(index: IvfPqIndex, ids, keys) -> None:
     """Assign keys to their nearest coarse list and store PQ codes."""
     keys = _finite_matrix(keys, "keys")
@@ -326,7 +333,7 @@ def ivfpq_add(index: IvfPqIndex, ids, keys) -> None:
     if ids.shape[0] != keys.shape[0]:
         raise InvalidInputError("ids and keys must have equal length")
     all_ids = np.concatenate([index.ids, ids])
-    if np.unique(all_ids).size != all_ids.size:
+    if _has_duplicates(all_ids):
         raise InvalidInputError("duplicate entry id in add")
     # Assignment and probing both use inner product, matching the similarity
     # metric of the search itself.
@@ -444,15 +451,17 @@ def load_index(path) -> IvfPqIndex:
     dsub = dim // params.m
     codebooks = r.f32_array(params.m * params.ksub * dsub,
                             shape=(params.m, params.ksub, dsub))
-    ids, codes = [], []
+    # Each list is read as views of the file; one concatenation copies them all.
+    sizes, ids, codes = [], [], []
     for _ in range(params.nlist):
         n = r.u64()
-        ids.append(r.i64_array(n))
-        codes.append(r.u8_array(n * params.m, shape=(n, params.m)))
+        sizes.append(n)
+        ids.append(r.records(np.dtype("<i8"), n))
+        codes.append(r.records(np.dtype(np.uint8), n * params.m).reshape(n, params.m))
     r.expect_eof()
-    offsets = np.concatenate([[0], np.cumsum([len(chunk) for chunk in ids])])
-    ids, codes = np.concatenate(ids), np.concatenate(codes)
-    if np.unique(ids).size != ids.size:
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    ids, codes = np.concatenate(ids, dtype=np.int64), np.concatenate(codes)
+    if _has_duplicates(ids):
         raise FormatError("duplicate entry id in index lists")
     if codes.size and codes.max() >= params.ksub:
         raise FormatError(f"PQ code {codes.max()} out of range for ksub={params.ksub}")

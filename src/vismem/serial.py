@@ -2,6 +2,8 @@
 
 The loader contract: `Reader.open` reads a file and checks its magic and
 version; a short read or trailing bytes are `FormatError` at their offset.
+The file is read once into one read-only buffer: `records` hands out views of
+it and the typed arrays are one copy each.
 `format_errors` reports a field that does not build a valid object
 (`InvalidInputError`, or a `ValueError`, `OverflowError` or `RecursionError`
 from numpy, `int()`, UTF-8 or JSON decoding) as `FormatError` at the field's
@@ -16,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import struct
 import tempfile
 from contextlib import contextmanager
@@ -99,16 +102,27 @@ def format_errors(what: str, offset: int | None = None):
 
 
 class Reader:
-    """Sequential reader that raises FormatError with the failing byte offset."""
+    """Sequential reader over a byte buffer (bytes or a uint8 array) that raises
+    FormatError with the failing byte offset."""
 
-    def __init__(self, data: bytes):
-        self.data = data
+    def __init__(self, data):
+        self.data = np.frombuffer(data, dtype=np.uint8)
+        self.data.flags.writeable = False
         self.offset = 0
 
     @classmethod
     def open(cls, path, magic: str, version: int) -> "Reader":
-        """A reader over the whole file, past its checked magic and version."""
-        r = cls(read_file(path))
+        """A reader over the whole file, past its checked magic and version.
+
+        The file is read in one call, not mapped: a mapped file that shrinks
+        while it is read kills the process with SIGBUS instead of raising
+        FormatError."""
+        with open(path, "rb") as f:
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                data = np.fromfile(f, dtype=np.uint8)
+            else:  # a pipe has no size for np.fromfile to read up to
+                data = f.read()
+        r = cls(data)
         tag = r._take(len(magic))
         if tag != magic.encode("ascii"):
             raise FormatError(f"bad magic {tag!r}, expected {magic!r}", offset=0)
@@ -129,7 +143,7 @@ class Reader:
 
     def _take(self, n: int) -> bytes:
         start = self._advance(n)
-        return self.data[start : start + n]
+        return self.data[start : start + n].tobytes()
 
     def u32(self) -> int:
         return struct.unpack("<I", self._take(4))[0]
@@ -141,14 +155,7 @@ class Reader:
         return struct.unpack("<f", self._take(4))[0]
 
     def f32_array(self, count: int, shape=None) -> np.ndarray:
-        arr = np.frombuffer(self._take(4 * count), dtype="<f4").astype(np.float32)
-        return arr.reshape(shape) if shape is not None else arr
-
-    def i64_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self._take(8 * count), dtype="<i8").astype(np.int64)
-
-    def u8_array(self, count: int, shape=None) -> np.ndarray:
-        arr = np.frombuffer(self._take(count), dtype=np.uint8).copy()
+        arr = self.records(np.dtype("<f4"), count).astype(np.float32)
         return arr.reshape(shape) if shape is not None else arr
 
     def json_block(self):

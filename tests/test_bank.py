@@ -1,5 +1,7 @@
 import math
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from vismem.bank import (
 )
 from vismem.errors import FormatError, InvalidInputError, MissingEmbeddingError
 from vismem.grids import Box2D, l2_normalize
-from vismem.serial import Writer
+from vismem.serial import Reader, Writer
 
 
 def rng_for(seed):
@@ -516,6 +518,102 @@ class TestBankEncoding:
         with pytest.raises(FormatError, match="UTF-8"):
             load_bank(path)
 
+
+
+class TestNameColumns:
+    """All-ASCII name columns take a cast and others UTF-8 coding; both give
+    the bytes and dtypes of np.char.encode and np.char.decode."""
+
+    CASES = {
+        "ascii categories, non-ASCII image ids": (["cat", "dog", "cat"],
+                                                  ["\u00fcber", "\u732b-1", "img"]),
+        "non-ASCII categories, ascii image ids": (["caf\u00e9", "dog", "\u732b"],
+                                                  ["img-0", "img-1", "img-22"]),
+        "embedded NUL, trailing space, 64 bytes": (["a\x00b", "cat ", "c" * 64],
+                                                   ["\x00x", "img ", "i" * 64]),
+        "every name empty": (["", "", ""], ["", "", ""]),
+    }
+
+    @staticmethod
+    def decoded_dtype(names):
+        return np.char.decode(np.array([n.encode("utf-8") for n in names], dtype="S64"),
+                              "utf-8").dtype
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_round_trip_bytes_and_dtypes(self, tmp_path, case):
+        categories, image_ids = self.CASES[case]
+        bank = hand_bank(categories, image_ids, [None, 1.5, 0.0])
+        path = tmp_path / "b.pbnk"
+        save_bank(bank, path)
+        assert path.read_bytes() == reference_bank_bytes(bank)
+        loaded = load_bank(path)
+        assert loaded == bank
+        assert loaded.categories.tolist() == categories
+        assert loaded.image_ids.tolist() == image_ids
+        assert loaded.categories.dtype == self.decoded_dtype(categories)
+        assert loaded.image_ids.dtype == self.decoded_dtype(image_ids)
+        save_bank(loaded, tmp_path / "again.pbnk")
+        assert (tmp_path / "again.pbnk").read_bytes() == path.read_bytes()
+
+    def test_column_wider_than_its_names(self, tmp_path):
+        base = hand_bank(["cat", "dog"], ["img0", "img1"], [None, None])
+        bank = MemoryBank(d_key=base.d_key, d_val=base.d_val, manifest=base.manifest,
+                          keys=base.keys, values=base.values,
+                          categories=np.array(["cat", "dog"], dtype="U80"),
+                          image_ids=np.array(["img0", "img1"], dtype="U100"),
+                          boxes=base.boxes, blur=base.blur)
+        path = tmp_path / "b.pbnk"
+        save_bank(bank, path)
+        assert path.read_bytes() == reference_bank_bytes(base)
+        loaded = load_bank(path)
+        assert loaded == bank
+        assert (loaded.categories.dtype, loaded.image_ids.dtype) == (np.dtype("<U3"),
+                                                                      np.dtype("<U4"))
+
+    def test_loaded_columns_hold_no_file_buffer(self, tmp_path):
+        bank = hand_bank(["cat", "caf\u00e9"], ["img0", "img1"], [None, 2.0])
+        path = tmp_path / "b.pbnk"
+        save_bank(bank, path)
+        loaded = load_bank(path)
+        columns = [loaded.keys, loaded.values, loaded.categories, loaded.image_ids,
+                   loaded.boxes, loaded.blur]
+        for column in columns:
+            owner = column
+            while isinstance(owner.base, np.ndarray):
+                owner = owner.base
+                assert owner.nbytes <= column.nbytes
+            assert owner.base is None
+        for i, a in enumerate(columns):
+            for b in columns[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_reader_records_are_read_only(self, tmp_path):
+        bank = hand_bank(["cat", "dog"], ["img0", "img1"], [None, None])
+        path = tmp_path / "b.pbnk"
+        save_bank(bank, path)
+        r = Reader.open(path, "PBNK", 1)
+        d_key, _, _ = r.u32(), r.u32(), r.u64()
+        r.json_block()
+        first_key = r.records(np.dtype("<f4"), d_key)
+        assert not first_key.flags.writeable
+        with pytest.raises(ValueError):
+            first_key[0] = 1.0
+        for data in (bytes(16), bytearray(16), np.zeros(16, dtype=np.uint8)):
+            assert not Reader(data).records(np.dtype("<f4"), 4).flags.writeable
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_bank_loads_from_a_pipe(self, tmp_path):
+        bank = hand_bank(["cat", "caf\u00e9"], ["img0", "img1"], [None, 2.0])
+        save_bank(bank, tmp_path / "b.pbnk")
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes,
+                                  args=((tmp_path / "b.pbnk").read_bytes(),), daemon=True)
+        writer.start()
+        loaded = load_bank(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert loaded == bank
 
 class TestColumnShapes:
     """Every column of a non-empty bank has exactly its (n,) or (n, d) shape,
