@@ -425,7 +425,7 @@ def save_bank(bank: MemoryBank, path) -> None:
     w = Writer().magic(BANK_MAGIC).u32(BANK_VERSION)
     w.u32(bank.d_key).u32(bank.d_val).u64(len(bank))
     w.json_block({"weights": bank.weights.as_dict(), "manifest": bank.manifest})
-    atomic_write_bytes(path, w.raw(records.tobytes()).getvalue())
+    atomic_write_bytes(path, w.getvalue(), records)
 
 
 def load_bank(path) -> MemoryBank:

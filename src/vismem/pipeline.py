@@ -16,13 +16,13 @@ import numpy as np
 
 from .bank import BankBuildConfig, EmbeddingProvider, KeyWeights, MemoryBank, build_key
 from .errors import InvalidInputError, VismemError
-from .grids import EPS_NORM, as_grid
+from .grids import EPS_NORM, _finite, as_grid
 from .index import FlatIndex, IvfPqIndex, IvfPqParams, SearchHit
 from .priors import (DEFAULT_MAX_ANCHORS, DEFAULT_PEAK_THRESHOLD, DEFAULT_RADIUS_CELLS,
                      DEFAULT_SIGMA, AnchorSet, DensePrior, _dense_priors, extract_anchors,
                      radius_cells_to_normalized)
-from .refine import (DEFAULT_WINDOW, LogitsMatrix, MemoryGuidedPrompt, _refine, constrain_logits,
-                     score_prompts)
+from .refine import (DEFAULT_WINDOW, LogitsMatrix, MemoryGuidedPrompt, _prompts, _refine, _scores,
+                     constrain_logits)
 from .retrieval import (DEFAULT_NPROBE, DEFAULT_RECALL_SIZE, DEFAULT_TAU, DEFAULT_TOP_K,
                         Prototype, RetrievalQuery, aggregate_prototype, retrieve)
 from .serial import atomic_write_bytes
@@ -186,8 +186,9 @@ def run_pipeline(config: PipelineConfig, bank: MemoryBank, index,
     Per-image work is done once: the input grid and every scale are checked
     on entry, the scene and image embeddings are looked up once, the dense
     priors of all categories share one normalized grid, and all categories
-    are refined together, each scale in one pass. The results equal those
-    of composing the public functions category by category, bit for bit.
+    are refined together, each scale in one pass, into one prompt array per
+    category, scored against the prototypes stacked once. The results equal
+    those of composing the public functions category by category, bit for bit.
     """
     weights = config.weights()
     if weights != bank.weights:
@@ -228,15 +229,18 @@ def run_pipeline(config: PipelineConfig, bank: MemoryBank, index,
             result.anchors = extract_anchors(prior, threshold=config.peak_threshold,
                                              radius=radius, max_anchors=config.max_anchors)
         result.prior = prior
-    prompt_lists = _refine(scales, [r.prior.heatmap for r in found], [r.anchors for r in found],
-                           params, [r.category for r in found], stage=partial(_stage, "refine_all"))
+    names = [r.category for r in found]
+    stacks = _refine(scales, [r.prior.heatmap for r in found], [r.anchors for r in found],
+                     params, names, stage=partial(_stage, "refine_all"))
 
-    category_embs = {r.category: r.prototype.vector for r in found}
-    for result, prompts in zip(found, prompt_lists):
-        result.prompts = prompts
-        if prompts:
+    category_embs = np.stack([r.prototype.vector for r in found])
+    for result, stack in zip(found, stacks):
+        result.prompts = _prompts(stack, result.anchors, result.category)
+        if len(stack):
             with _stage("score_prompts", result.category):
-                result.logits = constrain_logits(score_prompts(prompts, category_embs))
+                values = _scores(_finite(stack, (2,), "1-D vector"), category_embs)
+                logits = LogitsMatrix(values, names, [result.category] * len(stack))
+                result.logits = constrain_logits(logits)
     return results
 
 

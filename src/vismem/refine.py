@@ -200,19 +200,28 @@ def refine_all(scales, prior: DensePrior, anchors: AnchorSet,
     with one parameter set per scale. A prompt whose pre-activation or layer
     norm overflows float32 raises InvalidInputError.
     """
-    prompts = _refine([as_grid(features) for features in scales], [as_scalar_map(prior.heatmap)],
-                      [anchors], params, [category])[0]
-    if not all(np.isfinite(p.embedding).all() for p in prompts):
+    stack = _refine([as_grid(features) for features in scales], [as_scalar_map(prior.heatmap)],
+                    [anchors], params, [category])[0]
+    if not np.isfinite(stack).all():
         raise InvalidInputError(LN_OVERFLOW)
-    return prompts
+    return _prompts(stack, anchors, category)
+
+
+def _prompts(stack: np.ndarray, anchors: AnchorSet, category: str) -> list[MemoryGuidedPrompt]:
+    """The prompt of each row of one category's _refine stack."""
+    n = len(anchors)
+    return [MemoryGuidedPrompt(embedding=row, source_category=category,
+                               anchor=anchors.anchors[i % n][0], scale_index=i // n)
+            for i, row in enumerate(stack)]
 
 
 def _refine(scales: list[np.ndarray], heatmaps: list[np.ndarray], anchor_sets: list[AnchorSet],
             params, categories: list[str],
-            stage=lambda category: nullcontext()) -> list[list[MemoryGuidedPrompt]]:
-    """refine_all of every category at once: one prompt list per category, on
-    scales that as_grid and heatmaps of one shape that as_scalar_map have
-    already checked.
+            stage=lambda category: nullcontext()) -> list[np.ndarray]:
+    """refine_all of every category at once, on scales that as_grid and
+    heatmaps of one shape that as_scalar_map have already checked: one float32
+    (scales x anchors, D) stack per category, its rows ordered by scale then
+    anchor rank. Rows that overflow in the layer norm are left non-finite.
 
     Per scale, the heatmaps are resampled as one stack, every anchor of every
     category is sampled in one _bilinear call, and all rows are projected and
@@ -246,18 +255,14 @@ def _refine(scales: list[np.ndarray], heatmaps: list[np.ndarray], anchor_sets: l
             raise InvalidInputError(_OVERFLOW)
     embeddings = [_layer_norm(pre, p.ln_gain, p.ln_bias, p.ln_eps)
                   for pre, p in zip(pres, per_scale)]
-    starts = np.cumsum([0, *counts]).tolist()
-    return [[MemoryGuidedPrompt(embedding=emb[start + i], source_category=category,
-                                anchor=point, scale_index=s_idx)
-             for s_idx, emb in enumerate(embeddings)
-             for i, (point, _resp) in enumerate(anchors.anchors)]
-            for anchors, category, start in zip(anchor_sets, categories, starts)]
+    bounds = np.cumsum([0, *counts]).tolist()
+    return [np.concatenate([emb[start:end] for emb in embeddings])
+            for start, end in zip(bounds, bounds[1:])]
 
 
 def score_prompts(prompts: list[MemoryGuidedPrompt],
                   category_embs: dict[str, np.ndarray]) -> LogitsMatrix:
-    """Stand-in inner-product scoring head over candidate categories: one
-    float64 product of prompt rows and category rows, stored as float32."""
+    """Stand-in inner-product scoring head over candidate categories."""
     categories = list(category_embs.keys())
     sources = [p.source_category for p in prompts]
     for cat in categories:
@@ -265,27 +270,25 @@ def score_prompts(prompts: list[MemoryGuidedPrompt],
             raise MissingEmbeddingError(f"no embedding for category {cat!r}")
     values = np.zeros((len(prompts), len(categories)), dtype=np.float32)
     if prompts and categories:
-        rows = _stack_vectors([p.embedding for p in prompts])
-        embs = _stack_vectors([category_embs[cat] for cat in categories])
-        if rows.shape[1] != embs.shape[1]:
-            raise InvalidInputError(f"dimension mismatch: {rows.shape[1]} vs {embs.shape[1]}")
-        values = (rows.astype(np.float64) @ embs.astype(np.float64).T).astype(np.float32)
+        values = _scores(_stack_vectors([p.embedding for p in prompts]),
+                         _stack_vectors([category_embs[cat] for cat in categories]))
     return LogitsMatrix(values=values, categories=categories, sources=sources)
 
 
-def _stack_vectors(vectors) -> np.ndarray:
-    """Finite 1-D vectors of one dimension as the rows of a float32 matrix.
+def _scores(rows: np.ndarray, embs: np.ndarray) -> np.ndarray:
+    """One float64 product of checked prompt rows and category rows, stored
+    as float32."""
+    if rows.shape[1] != embs.shape[1]:
+        raise InvalidInputError(f"dimension mismatch: {rows.shape[1]} vs {embs.shape[1]}")
+    return (rows.astype(np.float64) @ embs.astype(np.float64).T).astype(np.float32)
 
-    Each vector's rank is checked on its own and finiteness once over the
-    stack, with the messages as_vector gives.
-    """
-    rows = [np.asarray(v, dtype=np.float32) for v in vectors]
-    for row in rows:
-        if row.ndim != 1 or row.size == 0:
-            as_vector(row)  # raises the rank error
+
+def _stack_vectors(vectors) -> np.ndarray:
+    """Finite 1-D vectors of one dimension as the rows of a float32 matrix."""
+    rows = [as_vector(v) for v in vectors]
     if len({r.shape[0] for r in rows}) > 1:
         raise InvalidInputError("all vectors must share one dimension")
-    return _finite(np.stack(rows), (2,), "1-D vector")
+    return np.stack(rows)
 
 
 def constrain_logits(logits: LogitsMatrix) -> LogitsMatrix:

@@ -28,14 +28,14 @@ import numpy as np
 from .errors import FormatError, InvalidInputError
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write a file atomically (temp file in the same directory + rename)."""
+def atomic_write_bytes(path, *chunks) -> None:
+    """Write byte chunks to a file atomically (temp file in the same directory + rename)."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -270,6 +270,22 @@ class TestRunPipeline:
         assert res.prior is None and res.anchors is None
         assert res.prompts == [] and res.logits is None
 
+    def test_found_categories_without_anchors(self):
+        """An all-zero input grid gives every found category a zero heatmap
+        and no anchors, so no prompts and no logits, and raises nothing."""
+        s = standard_scenario()
+        bank, index = bank_and_index(s)
+        grid = s.provider.feature_grid(INPUT_IMAGE_ID)
+        s.provider.feature_table[INPUT_IMAGE_ID] = np.zeros_like(grid)
+        results = run_pipeline(PipelineConfig(), bank, index, s.provider, INPUT_IMAGE_ID,
+                               s.categories, RefinementParams.seeded_init(s.spec.d_val),
+                               scene=s.spec.scene)
+        assert all(not res.prototype.is_empty for res in results.values())
+        for res in results.values():
+            assert not res.prior.heatmap.any()
+            assert res.anchors.anchors == []
+            assert res.prompts == [] and res.logits is None
+
     def test_ivfpq_path_matches_flat_on_exhaustive_settings(self):
         s = standard_scenario(seed=3)
         bank, flat = bank_and_index(s)

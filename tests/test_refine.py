@@ -8,6 +8,7 @@ from vismem.errors import FormatError, InvalidInputError, MissingEmbeddingError
 from vismem.grids import Point2D, bilinear_sample, inner, layer_norm
 from vismem.priors import DEFAULT_MAX_ANCHORS, AnchorSet, DensePrior
 from vismem.refine import (
+    _prompts,
     _refine,
     UNCONSTRAINED,
     LogitsMatrix,
@@ -362,7 +363,9 @@ class TestRefineEveryCategoryAtOnce:
         else:
             params = RefinementParams.seeded_init(dim, seed=7, window=5)
 
-        batched = _refine(scales, [p.heatmap for p in priors], anchor_sets, params, list(counts))
+        stacks = _refine(scales, [p.heatmap for p in priors], anchor_sets, params, list(counts))
+        batched = [_prompts(stack, anchors, category)
+                   for stack, anchors, category in zip(stacks, anchor_sets, counts)]
         assert [len(prompts) for prompts in batched] == [3 * n for n in counts.values()]
         for category, prior, anchors, prompts in zip(counts, priors, anchor_sets, batched):
             alone = refine_all(scales, prior, anchors, params, category)
@@ -511,10 +514,14 @@ class TestScoreAndConstrain:
         (np.ones(5, dtype=np.float32), "all vectors must share one dimension"),
         (np.array([0.0, np.inf, 0.0, 0.0]), "^1-D vector contains non-finite entries$"),
         ([0.0, 0.0, np.nan, 0.0], "^1-D vector contains non-finite entries$"),
+        # Two bad embeddings: the first one's error wins.
+        ((np.array([np.nan, 0.0, 0.0, 0.0]), np.ones((2, 2), dtype=np.float32)),
+         "^1-D vector contains non-finite entries$"),
     ])
     def test_bad_prompt_embedding_rejected_as_as_vector_would(self, bad, message):
         prompts = self._prompts(["cat", "cat", "cat"])
-        prompts[1].embedding = bad
+        for prompt, embedding in zip(prompts[1:], bad if isinstance(bad, tuple) else (bad,)):
+            prompt.embedding = embedding
         with pytest.raises(InvalidInputError, match=message):
             score_prompts(prompts, {"cat": np.ones(4, dtype=np.float32)})
 
