@@ -194,10 +194,14 @@ def gaussian_smooth(scalar_map, sigma: float) -> np.ndarray:
     return _gaussian_smooth(as_scalar_map(scalar_map), sigma)
 
 
+def _check_sigma(sigma: float) -> None:
+    if not 0 <= sigma < np.inf:
+        raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma}")
+
+
 def _gaussian_smooth(scalar_map: np.ndarray, sigma: float) -> np.ndarray:
     """gaussian_smooth on a map that as_scalar_map has already checked."""
-    if sigma < 0:
-        raise InvalidInputError(f"sigma must be >= 0, got {sigma}")
+    _check_sigma(sigma)
     if sigma == 0:
         return scalar_map.copy()
     kernel = gaussian_kernel_1d(sigma)

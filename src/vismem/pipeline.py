@@ -67,6 +67,10 @@ class PipelineConfig:
     }
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in (float, "float") and not math.isfinite(value):
+                raise InvalidInputError(f"config key {f.name!r} must be finite, got {value!r}")
         if self.k < 1 or self.recall_size < 1 or self.max_anchors < 1:
             raise InvalidInputError("k, recall_size and max_anchors must be >= 1")
         if self.tau_p <= 0 or self.sigma < 0:

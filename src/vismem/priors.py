@@ -15,14 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .grids import (EPS_NORM, Box2D, Point2D, _gaussian_smooth, _minmax_rescale, as_grid,
-                    as_vector)
+from .grids import (EPS_NORM, Box2D, Point2D, _check_sigma, _gaussian_smooth, _minmax_rescale,
+                    as_grid, as_vector)
 from .retrieval import Prototype
 
 DEFAULT_SIGMA = 1.0
 DEFAULT_PEAK_THRESHOLD = 0.5
 DEFAULT_RADIUS_CELLS = 3.0
 DEFAULT_MAX_ANCHORS = 10
+
+_BLOCK = 2048  # grid cells per block of whole rows: its float64 copy stays in cache
 
 
 @dataclass
@@ -55,11 +57,12 @@ def dense_prior(grid, proto: Prototype, sigma: float = DEFAULT_SIGMA) -> DensePr
 
 
 def dense_priors(grid, protos: list[Prototype], sigma: float = DEFAULT_SIGMA) -> list[DensePrior]:
-    """dense_prior of each prototype over one grid, which is checked and
-    unit-normalized once.
+    """dense_prior of each prototype over one grid, which is checked once and
+    unit-normalized once, a block of grid rows at a time.
 
-    Each heatmap comes from its own float64 product with the normalized grid:
-    one (H*W, D) @ (D, C) product for all prototypes rounds differently.
+    Each heatmap comes from float64 products of its own with the normalized
+    grid, one GEMV per grid row: one (H*W, D) @ (D, C) product for all
+    prototypes rounds differently.
     """
     grid = as_grid(grid)
     for proto in protos:
@@ -69,27 +72,35 @@ def dense_priors(grid, protos: list[Prototype], sigma: float = DEFAULT_SIGMA) ->
 
 def _dense_priors(grid: np.ndarray, protos: list[Prototype], sigma: float) -> list[DensePrior]:
     """dense_priors on a grid that as_grid has checked and finite prototypes,
-    so no heatmap needs a check of its own."""
+    so no heatmap needs a check of its own.
+
+    The grid is cast and normalized in blocks of whole grid rows, and every
+    prototype's product is taken while a block is in cache, so the float64
+    copy of the whole grid is never built. numpy takes `(h, w, d) @ (d,)` as
+    one (w, d) GEMV per grid row, so a block of whole rows gives each cell the
+    bits of the product over the whole grid; a block that split a row, or a
+    flattened (cells, d) product, would not.
+    """
     h, w, d = grid.shape
+    _check_sigma(sigma)
     for proto in protos:
         if proto.vector.shape[0] != d:
             raise InvalidInputError(f"grid dim {d} != prototype dim {proto.vector.shape[0]}")
-    normalized = None
-    priors = []
-    for proto in protos:
-        if proto.is_empty:
-            priors.append(DensePrior(category=proto.category,
-                                     heatmap=np.zeros((h, w), dtype=np.float32), sigma=sigma))
-            continue
-        if normalized is None:
-            normalized = grid.astype(np.float64)
-            norms = np.linalg.norm(normalized, axis=2)
-            normalized /= np.where(norms > EPS_NORM, norms, 1.0)[:, :, None]
-            normalized[norms <= EPS_NORM] = 0.0
-        raw = (normalized @ proto.vector.astype(np.float64)).astype(np.float32)
-        heat = _minmax_rescale(_gaussian_smooth(raw, sigma))
-        priors.append(DensePrior(category=proto.category, heatmap=heat, sigma=sigma))
-    return priors
+    vectors = [proto.vector.astype(np.float64) for proto in protos if not proto.is_empty]
+    raw = np.empty((len(vectors), h, w), dtype=np.float32)
+    rows = max(1, _BLOCK // w)
+    for r in range(0, h if vectors else 0, rows):
+        block = grid[r:r + rows].astype(np.float64)
+        norms = np.linalg.norm(block, axis=2)
+        block /= np.where(norms > EPS_NORM, norms, 1.0)[:, :, None]
+        block[norms <= EPS_NORM] = 0.0
+        for c, v in enumerate(vectors):
+            raw[c, r:r + rows] = block @ v
+    maps = iter(raw)
+    return [DensePrior(category=proto.category, sigma=sigma,
+                       heatmap=np.zeros((h, w), dtype=np.float32) if proto.is_empty
+                       else _minmax_rescale(_gaussian_smooth(next(maps), sigma)))
+            for proto in protos]
 
 
 def find_peaks(heatmap: np.ndarray, threshold: float) -> list[tuple[int, int, float]]:

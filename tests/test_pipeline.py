@@ -102,6 +102,22 @@ class TestPipelineConfig:
             PipelineConfig(nlist=8, nprobe=9)
         assert PipelineConfig(nlist=8, nprobe=8).nprobe == 8
 
+    FLOAT_FIELDS = ("w_p", "w_s", "w_g", "tau_p", "sigma", "peak_threshold", "radius_cells",
+                    "min_area", "iou_threshold", "drop_fraction")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("key", FLOAT_FIELDS)
+    def test_non_finite_float_fields_rejected(self, key, value):
+        with pytest.raises(InvalidInputError, match=f"config key '{key}' must be finite"):
+            PipelineConfig(**{key: value})
+        with pytest.raises(InvalidInputError, match=f"config key '{key}' must be finite"):
+            PipelineConfig.from_dict({key: value})
+
+    def test_non_finite_ini_value_message(self):
+        with pytest.raises(InvalidInputError,
+                           match=r"^config key 'sigma' must be finite, got 'nan'$"):
+            PipelineConfig.from_ini("[priors]\nsigma = nan\n")
+
     def test_parse_value(self):
         assert PipelineConfig.parse_value("k", "7") == 7
         assert PipelineConfig.parse_value("tau_p", "0.5") == 0.5

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vismem import priors as priors_module
 from vismem.errors import InvalidInputError
 from vismem.grids import Box2D, gaussian_smooth, minmax_rescale
 from vismem.priors import (
@@ -125,6 +126,99 @@ class TestDensePrior:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             dense_prior(np.zeros((3, 3, 4), dtype=np.float32), proto_of([1.0, 0.0]))
+
+
+def heatmap_oracle(grid, proto, sigma):
+    """The straightforward composition: the whole grid normalized in float64,
+    then one product of it with the prototype."""
+    g = grid.astype(np.float64)
+    norms = np.linalg.norm(g, axis=2)
+    g /= np.where(norms > 1e-12, norms, 1.0)[:, :, None]
+    g[norms <= 1e-12] = 0.0
+    raw = (g @ proto.vector.astype(np.float64)).astype(np.float32)
+    return minmax_rescale(gaussian_smooth(raw, sigma))
+
+
+class TestBlockedDensePriors:
+    """The grid is normalized and multiplied a block of whole grid rows at a
+    time; every heatmap keeps the bits of the whole-grid product."""
+
+    SHAPES = [
+        (300, 7, 64),   # one block and a few rows more
+        (1200, 5, 8),   # several blocks, the last one short
+        (3, 2049, 8),   # a row wider than a block: one row per block
+        (5, 1, 4),      # H*W = 5, 1 (mod 4)
+        (6, 3, 4),      # H*W = 18, 2 (mod 4)
+        (7, 5, 4),      # H*W = 35, 3 (mod 4)
+        (40, 60, 1),    # D = 1
+        (30, 70, 33),   # D = 33
+    ]
+
+    @staticmethod
+    def _set_block(monkeypatch, block, h, w):
+        if block == "one_row":
+            monkeypatch.setattr(priors_module, "_BLOCK", 1)
+        elif block == "whole_grid":
+            monkeypatch.setattr(priors_module, "_BLOCK", (h + 1) * w)
+
+    @pytest.mark.parametrize("block", ["default", "one_row", "whole_grid"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_bit_identical_to_whole_grid_product(self, shape, block, monkeypatch):
+        h, w, d = shape
+        self._set_block(monkeypatch, block, h, w)
+        rng = rng_for(h * w + d)
+        grid = rng.standard_normal(shape).astype(np.float32)
+        grid[0, 0] = 0.0
+        grid[h // 2, w - 1] = 1e-13  # below EPS_NORM: a zero cell too
+        protos = [proto_of(rng.standard_normal(d), f"c{i}") for i in range(4)]
+        protos.insert(1, empty_proto(d, "e0"))
+        protos.append(empty_proto(d, "e1"))
+        priors = dense_priors(grid, protos, sigma=1.0)
+        assert [p.category for p in priors] == [p.category for p in protos]
+        for proto, prior in zip(protos, priors):
+            expected = (np.zeros((h, w), np.float32) if proto.is_empty
+                        else heatmap_oracle(grid, proto, 1.0))
+            assert prior.heatmap.dtype == np.float32
+            assert prior.heatmap.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("block", ["default", "one_row", "whole_grid"])
+    @pytest.mark.parametrize("shape", [(8, 10, 8), (7, 5, 16), (300, 7, 32), (30, 70, 32)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_summation_order_kept_on_cancelling_cells(self, shape, block, monkeypatch):
+        """Half the cells are (x, -x) against a prototype (a, a): their exact
+        product is 0, so the float64 rounding of the sum survives the float32
+        cast and the rescale (sigma 0). A product that sums in another order,
+        as a flattened (H*W, D) GEMV or a GEMM over all prototypes do, changes
+        their bits."""
+        h, w, d = shape
+        self._set_block(monkeypatch, block, h, w)
+        rng = rng_for(d)
+        a = rng.standard_normal(d // 2).astype(np.float32)
+        x = rng.standard_normal((h, w, d // 2)).astype(np.float32)
+        cancel = np.concatenate([x, -x], axis=2)
+        agree = np.concatenate([np.abs(x) * np.sign(a)] * 2, axis=2)
+        grid = np.where(rng.random((h, w, 1)) < 0.5, cancel, agree)
+        protos = [Prototype(category="c", vector=np.concatenate([a, a]), neighbors=[(0, 1.0, 1.0)]),
+                  proto_of(rng.standard_normal(d), "r")]
+        for proto, prior in zip(protos, dense_priors(grid, protos, sigma=0.0)):
+            assert prior.heatmap.tobytes() == heatmap_oracle(grid, proto, 0.0).tobytes()
+
+
+class TestSigmaChecked:
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("empty_only", [True, False])
+    def test_dense_priors_reject_bad_sigma(self, sigma, empty_only):
+        grid = rng_for(5).standard_normal((4, 4, 3)).astype(np.float32)
+        protos = [empty_proto(3)] if empty_only else [empty_proto(3), proto_of([1.0, 2.0, 3.0])]
+        with pytest.raises(InvalidInputError, match="sigma"):
+            dense_priors(grid, protos, sigma)
+        with pytest.raises(InvalidInputError, match="sigma"):
+            dense_prior(grid, protos[-1], sigma)
+
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+    def test_gaussian_smooth_rejects_bad_sigma(self, sigma):
+        with pytest.raises(InvalidInputError, match="sigma"):
+            gaussian_smooth(np.ones((3, 3), np.float32), sigma)
 
 
 def peaks_oracle(hm, threshold):
