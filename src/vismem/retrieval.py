@@ -15,8 +15,8 @@ import numpy as np
 
 from .bank import EmbeddingProvider, KeyWeights, MemoryBank, build_key
 from .errors import InvalidInputError
-from .index import (IvfPqIndex, SearchHit, _check_probe, _exact_rescore, _ivfpq_pool,
-                    _sorted_hits)
+from .index import (FlatIndex, IvfPqIndex, SearchHit, _check_probe, _check_query,
+                    _exact_rescore, _ivfpq_pool, _sorted_hits, exact_scores)
 from .grids import l2_normalize
 
 DEFAULT_TOP_K = 12
@@ -69,36 +69,33 @@ def softmax_weights(scores, tau: float) -> np.ndarray:
     return e / e.sum()
 
 
-def retrieve(bank: MemoryBank, index, query: RetrievalQuery, k: int = DEFAULT_TOP_K,
-             exclude_image: str | None = None, nprobe: int = DEFAULT_NPROBE,
-             recall_size: int = DEFAULT_RECALL_SIZE) -> list[SearchHit]:
+def retrieve(bank: MemoryBank, index: FlatIndex | IvfPqIndex, query: RetrievalQuery,
+             k: int = DEFAULT_TOP_K, exclude_image: str | None = None,
+             nprobe: int = DEFAULT_NPROBE, recall_size: int = DEFAULT_RECALL_SIZE) -> list[SearchHit]:
     """Two-stage top-k retrieval with optional self-exclusion.
 
-    With an IVF-PQ index the approximate recall pool is exactly rescored
-    as one block, in its ranked order, with the arithmetic of `ivfpq_search`
-    and `rescore`; excluded entries are then dropped and the k best of the
-    rest ranked. The pool stays id and score arrays throughout, and hits are
-    built only for the entries returned. Any other index is searched through
-    its `search`, with enough extra hits to refill the excluded ones.
+    The candidates are, with an IVF-PQ index, its approximate recall pool
+    rescored exactly from the bank's keys and, with a flat index, every row
+    of its keys, scored exactly. Entries of the excluded image are dropped
+    and the k best of the rest ranked. The candidates stay id and score
+    arrays throughout, and hits are built only for the entries returned.
     """
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
     if len(bank) == 0:
         return []
-    excluded = None if exclude_image is None else bank.image_ids == exclude_image
     if isinstance(index, IvfPqIndex):
         vector = _check_probe(index, query.vector, nprobe, recall_size)
         ids, _ = _ivfpq_pool(index, vector, nprobe, recall_size)
         scores = _exact_rescore(bank.keys, ids, vector)
-        if excluded is not None:
-            kept = ~excluded[ids]
-            ids, scores = ids[kept], scores[kept]
-        return _sorted_hits(ids, scores, k)
-    extra = 0 if excluded is None else int(excluded.sum())
-    pool = index.search(query.vector, min(len(bank), k + extra))
-    if excluded is not None:
-        pool = [h for h in pool if not excluded[h.entry_id]]
-    return pool[:k]
+    elif isinstance(index, FlatIndex):
+        ids, scores = index.ids, exact_scores(index.keys, _check_query(query.vector, index.dim))
+    else:
+        raise InvalidInputError(f"not a FlatIndex or an IvfPqIndex: {type(index).__name__}")
+    if exclude_image is not None:
+        kept = bank.image_ids[ids] != exclude_image
+        ids, scores = ids[kept], scores[kept]
+    return _sorted_hits(ids, scores, k)
 
 
 def aggregate_prototype(bank: MemoryBank, hits: list[SearchHit],

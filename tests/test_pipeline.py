@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vismem import pipeline as pipeline_module
 from vismem.bank import BankBuildConfig, EmbeddingProvider, KeyWeights, build_bank, save_bank
 from vismem.errors import InvalidInputError, VismemError
 from vismem.index import FlatIndex, IvfPqParams, ivfpq_add, train_ivfpq
@@ -406,16 +407,12 @@ def avg_pool(grid, factor):
     return grid.reshape(h // factor, factor, w // factor, factor, d).mean(axis=(1, 3))
 
 
-class BlindIndex(FlatIndex):
-    """Flat search that finds nothing for one query vector, so one category
+def blind_retrieve(blind):
+    """retrieve that finds nothing for one query vector, so one category
     gets an empty prototype while the others do not."""
-
-    def __init__(self, keys, blind):
-        super().__init__(keys)
-        self.blind = blind
-
-    def search(self, query, k):
-        return [] if np.array_equal(query, self.blind) else super().search(query, k)
+    def search(bank, index, query, **kwargs):
+        return [] if np.array_equal(query.vector, blind) else retrieve(bank, index, query, **kwargs)
+    return search
 
 
 class TestPipelineComposesPublicFunctions:
@@ -423,12 +420,12 @@ class TestPipelineComposesPublicFunctions:
     public functions per category gives, bit for bit."""
 
     def _oracle(self, config, bank, index, provider, image_id, categories, params,
-                scene, scales, exclude_image):
+                scene, scales, exclude_image, search=retrieve):
         out, protos = {}, {}
         for category in categories:
             query = build_query(provider, category, scene, image_id, config.weights())
-            hits = retrieve(bank, index, query, k=config.k, exclude_image=exclude_image,
-                            nprobe=config.nprobe, recall_size=config.recall_size)
+            hits = search(bank, index, query, k=config.k, exclude_image=exclude_image,
+                          nprobe=config.nprobe, recall_size=config.recall_size)
             proto = aggregate_prototype(bank, hits, query, tau=config.tau_p)
             protos[category] = proto
             if proto.is_empty:
@@ -444,14 +441,16 @@ class TestPipelineComposesPublicFunctions:
         return {c: (*r, constrain_logits(score_prompts(r[4], embs)) if r[4] else None)
                 for c, r in out.items()}
 
-    def test_multi_scale_with_exclusion_and_an_empty_prototype(self):
+    def test_multi_scale_with_exclusion_and_an_empty_prototype(self, monkeypatch):
         regions = [PlantedRegion(8, 8, 3, "cat"), PlantedRegion(24, 20, 3, "dog"),
                    PlantedRegion(20, 6, 3, "bird")]
         s = standard_scenario(seed=4, noise=0.05, regions=regions)
         bank = build_bank(s.records, s.provider, BankBuildConfig(drop_fraction=0.0))
         config = PipelineConfig(peak_threshold=0.3)
         bird = build_query(s.provider, "bird", s.spec.scene, INPUT_IMAGE_ID, config.weights())
-        index = BlindIndex(bank.keys, bird.vector)
+        search = blind_retrieve(bird.vector)
+        monkeypatch.setattr(pipeline_module, "retrieve", search)
+        index = FlatIndex.from_bank(bank)
         grid = s.provider.feature_grid(INPUT_IMAGE_ID)
         scales = [grid, avg_pool(grid, 2), avg_pool(grid, 4)]
         params = [RefinementParams.seeded_init(s.spec.d_val, seed=i) for i in range(3)]
@@ -459,7 +458,7 @@ class TestPipelineComposesPublicFunctions:
         args = (config, bank, index, s.provider, INPUT_IMAGE_ID, s.categories, params)
         kwargs = dict(scene=s.spec.scene, scales=scales, exclude_image=exclude)
         results = run_pipeline(*args, **kwargs)
-        oracle = self._oracle(*args, **kwargs)
+        oracle = self._oracle(*args, search=search, **kwargs)
 
         assert list(results) == s.categories == list(oracle)
         assert results["bird"].prototype.is_empty and results["bird"].logits is None

@@ -248,6 +248,20 @@ class TestRetrieve:
         with pytest.raises(InvalidInputError):
             retrieve(bank, FlatIndex.from_bank(bank), q, k=0)
 
+    def test_other_index_types_rejected(self):
+        """retrieve searches a FlatIndex or an IvfPqIndex; an object that
+        only has a search method is refused, as is the key matrix itself."""
+        provider, bank = make_fixture()
+        q = build_query(provider, "cat", "indoor", "img0", bank.weights)
+
+        class Searchable:
+            def search(self, query, k):
+                return []
+
+        for index in (Searchable(), bank.keys, None):
+            with pytest.raises(InvalidInputError, match="FlatIndex or an IvfPqIndex"):
+                retrieve(bank, index, q)
+
 
 class TestAggregatePrototype:
     def test_single_hit_returns_normalized_value(self):
