@@ -67,8 +67,10 @@ def _check_query(query, dim: int) -> np.ndarray:
 
 
 def exact_scores(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Full-precision inner products used by both flat search and rescoring."""
-    return keys.astype(np.float64) @ np.asarray(query, dtype=np.float64)
+    """Full-precision inner products of flat search and rescoring. einsum sums
+    each row's float64 product on its own, so a score depends only on its row
+    and the query; a BLAS GEMV rounds a row by how many rows share its block."""
+    return np.einsum("ij,j->i", keys.astype(np.float64), np.asarray(query, dtype=np.float64))
 
 
 class FlatIndex:
@@ -396,8 +398,7 @@ def ivfpq_search(index: IvfPqIndex, query, nprobe: int, recall_size: int) -> lis
 
 
 def _exact_rescore(keys: np.ndarray, ids: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Exact scores of the rows ids of keys, as one block in the given order,
-    since a row's bits depend on the block it is scored in."""
+    """Exact scores of the rows ids of keys."""
     if ids.size and (ids.min() < 0 or ids.max() >= keys.shape[0]):
         raise InvalidInputError("candidate entry id out of range")
     return exact_scores(keys[ids], query)

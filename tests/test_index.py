@@ -534,15 +534,23 @@ class TestIvfPqSearch:
         for a, b in zip(recalls, recalls[1:]):
             assert b >= a
 
-    def test_exhaustive_probe_plus_rescore_equals_flat(self):
-        index, keys = small_index(seed=9, n=300)
+    @pytest.mark.parametrize("n, d", [(300, 16), (2000, 128), (2001, 128), (2002, 128),
+                                      (2003, 128)])
+    def test_exhaustive_probe_plus_rescore_equals_flat(self, n, d):
+        """Rescoring the whole pool of an exhaustive probe gives flat search's
+        hits, score bits included, for bank sizes of every residue mod 4. Half
+        the queries lie near the bank's last rows, which end the flat product
+        but not the pool."""
+        index, keys = small_index(seed=9, n=n, d=d)
         flat = FlatIndex(keys)
-        for qseed in range(10):
-            q = unit_rows(rng_for(1000 + qseed), 1, 16)[0]
-            cands = ivfpq_search(index, q, nprobe=index.params.nlist, recall_size=300)
-            approx = rescore(keys, cands, q, k=10)
-            exact = flat.search(q, k=10)
-            assert approx == exact
+        rng = rng_for(1000 + n)
+        near = keys[-5:] + 0.05 * rng.standard_normal((5, d)).astype(np.float32)
+        queries = np.concatenate([near / np.linalg.norm(near, axis=1, keepdims=True),
+                                  unit_rows(rng, 5, d)])
+        for q in queries:
+            cands = ivfpq_search(index, q, nprobe=index.params.nlist, recall_size=n)
+            for k in (1, 12, 50):
+                assert rescore(keys, cands, q, k=k) == flat.search(q, k=k)
 
 
     @pytest.mark.parametrize("m, nbits", [(1, 1), (1, 4), (1, 8), (4, 1), (4, 4), (4, 8)])
@@ -750,3 +758,26 @@ class TestExactScores:
         assert scores.dtype == np.float64
         oracle = keys.astype(np.float64) @ q.astype(np.float64)
         np.testing.assert_allclose(scores, oracle, atol=1e-9)
+
+    @pytest.mark.parametrize("d", [31, 32, 33, 128])
+    def test_a_score_depends_only_on_its_row_and_query(self, d):
+        """A row gets the same bits scored alone, in subsets of every size
+        mod 4, through a view at any row offset, and as a row of a batch of
+        queries. A float64 GEMV rounds a row by the rows in its block."""
+        rng = rng_for(d)
+        buffer = rng.standard_normal((208, d)).astype(np.float32)
+        keys, queries = buffer[8:], unit_rows(rng, 6, d)
+        full = exact_scores(keys, queries[0])
+        for i in range(len(keys)):
+            assert exact_scores(keys[i:i + 1], queries[0])[0] == full[i]
+        sizes = [*range(2, 41), 63, 64, 65, 66, 101, 102, 199]
+        assert {size % 4 for size in sizes} == {0, 1, 2, 3}
+        for size in sizes:
+            rows = rng.choice(len(keys), size=size, replace=False)
+            np.testing.assert_array_equal(exact_scores(keys[rows], queries[0]), full[rows])
+        for offset in range(9):
+            np.testing.assert_array_equal(exact_scores(buffer[offset:offset + 200], queries[0]),
+                                          exact_scores(buffer, queries[0])[offset:offset + 200])
+        batch = np.einsum("ij,qj->qi", keys.astype(np.float64), queries.astype(np.float64))
+        for q, row in zip(queries, batch):
+            np.testing.assert_array_equal(row, exact_scores(keys, q))

@@ -168,8 +168,7 @@ class TestRetrieve:
         sub_hits = FlatIndex(bank.keys[kept]).search(q.vector, 10)
         orig_ids = [int(kept[h.entry_id]) for h in sub_hits]
         assert [h.entry_id for h in hits] == orig_ids
-        np.testing.assert_allclose([h.score for h in hits],
-                                   [h.score for h in sub_hits], atol=1e-12)
+        assert [h.score for h in hits] == [h.score for h in sub_hits]
 
     def test_exclusion_with_ivfpq_index(self):
         provider, bank = make_fixture(n_records=60, seed=2)
