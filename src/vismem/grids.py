@@ -182,7 +182,10 @@ def _bilinear(grid: np.ndarray, xs, ys) -> np.ndarray:
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
-    """Normalized 1-D Gaussian kernel with radius ceil(3*sigma), float64."""
+    """Normalized 1-D Gaussian kernel with radius ceil(3*sigma), float64;
+    sigma must be finite and > 0."""
+    if not 0 < sigma < np.inf:
+        raise InvalidInputError(f"sigma must be finite and > 0, got {sigma}")
     radius = int(math.ceil(3.0 * sigma))
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-0.5 * (x / sigma) ** 2)

@@ -134,8 +134,10 @@ def extract_anchors(prior: DensePrior, threshold: float = DEFAULT_PEAK_THRESHOLD
     h, w = prior.heatmap.shape
     if radius is None:
         radius = radius_cells_to_normalized(DEFAULT_RADIUS_CELLS, h, w)
-    if radius <= 0:
-        raise InvalidInputError(f"radius must be > 0, got {radius}")
+    if not 0 < radius < math.inf:
+        raise InvalidInputError(f"radius must be finite and > 0, got {radius}")
+    if max_anchors < 1:
+        raise InvalidInputError(f"max_anchors must be >= 1, got {max_anchors}")
     accepted: list[tuple[Point2D, float]] = []
     for r, c, resp in find_peaks(prior.heatmap, threshold):
         if len(accepted) >= max_anchors:

@@ -59,10 +59,14 @@ def build_query(provider: EmbeddingProvider, category: str, scene: str,
     return RetrievalQuery(category=category, vector=vector)
 
 
+def _check_tau(tau: float) -> None:
+    if not 0 < tau < np.inf:
+        raise InvalidInputError(f"tau must be finite and > 0, got {tau}")
+
+
 def softmax_weights(scores, tau: float) -> np.ndarray:
     """Temperature softmax with max-subtraction, accumulated in float64."""
-    if tau <= 0:
-        raise InvalidInputError(f"tau must be > 0, got {tau}")
+    _check_tau(tau)
     s = np.asarray(scores, dtype=np.float64) / tau
     s -= s.max()
     e = np.exp(s)
@@ -101,8 +105,7 @@ def retrieve(bank: MemoryBank, index: FlatIndex | IvfPqIndex, query: RetrievalQu
 def aggregate_prototype(bank: MemoryBank, hits: list[SearchHit],
                         query: RetrievalQuery, tau: float = DEFAULT_TAU) -> Prototype:
     """Combine retrieved values with softmax weights over exact key scores."""
-    if tau <= 0:
-        raise InvalidInputError(f"tau must be > 0, got {tau}")
+    _check_tau(tau)
     if not hits:
         return Prototype(category=query.category,
                          vector=np.zeros(bank.d_val, dtype=np.float32),

@@ -9,6 +9,7 @@ from vismem.grids import (
     Point2D,
     bilinear_sample,
     cell_centers,
+    gaussian_kernel_1d,
     gaussian_smooth,
     inner,
     l2_normalize,
@@ -236,6 +237,13 @@ class TestGaussianSmooth:
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvalidInputError):
             gaussian_smooth(np.ones((3, 3), dtype=np.float32), -0.1)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_kernel_refuses_sigma_not_finite_and_positive(self, sigma):
+        """Without the check, 0 gives [nan], NaN a bare ValueError and -1 an
+        empty kernel."""
+        with pytest.raises(InvalidInputError, match="sigma must be finite and > 0"):
+            gaussian_kernel_1d(sigma)
 
 
 class TestMinmaxRescale:

@@ -359,6 +359,18 @@ class TestExtractAnchors:
         with pytest.raises(InvalidInputError):
             extract_anchors(self._prior(np.zeros((4, 4))), radius=0.0)
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, -0.25])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        with pytest.raises(InvalidInputError, match="radius must be finite and > 0"):
+            extract_anchors(self._prior(np.eye(4)), radius=radius)
+
+    @pytest.mark.parametrize("max_anchors", [0, -3])
+    def test_max_anchors_must_be_positive(self, max_anchors):
+        """The map has peaks, so a cap below 1 would silently keep none."""
+        assert len(extract_anchors(self._prior(np.eye(4)))) > 0
+        with pytest.raises(InvalidInputError, match="max_anchors must be >= 1"):
+            extract_anchors(self._prior(np.eye(4)), max_anchors=max_anchors)
+
     def test_radius_conversion(self):
         assert radius_cells_to_normalized(3.0, 10, 20) == 3.0 / 20
         assert radius_cells_to_normalized(3.0, 40, 20) == 3.0 / 40

@@ -131,6 +131,11 @@ class TestSoftmaxWeights:
         with pytest.raises(InvalidInputError):
             softmax_weights([1.0], tau=-0.07)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_nonfinite_tau_rejected(self, tau):
+        with pytest.raises(InvalidInputError, match="tau must be finite and > 0"):
+            softmax_weights([1.0, 2.0], tau=tau)
+
 
 class TestRetrieve:
     def test_empty_bank(self):
@@ -309,6 +314,17 @@ class TestAggregatePrototype:
         q = build_query(provider, "cat", "indoor", "img0", bank.weights)
         with pytest.raises(InvalidInputError):
             aggregate_prototype(bank, [], q, tau=0.0)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -0.07])
+    def test_tau_must_be_finite_and_positive(self, tau):
+        """A bad tau is reported as such, with hits or without, and not as
+        the non-finite weights it would give."""
+        provider, bank = make_fixture()
+        q = build_query(provider, "cat", "indoor", "img0", bank.weights)
+        hits = retrieve(bank, FlatIndex.from_bank(bank), q, k=3)
+        for given in ([], hits):
+            with pytest.raises(InvalidInputError, match="tau must be finite and > 0"):
+                aggregate_prototype(bank, given, q, tau=tau)
 
     def test_neighbor_weights_sum_to_one(self):
         provider, bank = make_fixture(seed=6)
