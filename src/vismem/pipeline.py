@@ -21,8 +21,8 @@ from .index import FlatIndex, IvfPqIndex, IvfPqParams, SearchHit
 from .priors import (DEFAULT_MAX_ANCHORS, DEFAULT_PEAK_THRESHOLD, DEFAULT_RADIUS_CELLS,
                      DEFAULT_SIGMA, AnchorSet, DensePrior, _dense_priors, extract_anchors,
                      radius_cells_to_normalized)
-from .refine import (DEFAULT_WINDOW, LogitsMatrix, MemoryGuidedPrompt, _prompts, _refine, _scores,
-                     constrain_logits)
+from .refine import (DEFAULT_WINDOW, LogitsMatrix, MemoryGuidedPrompt, RefinementParams, _prompts,
+                     _refine, _scores, constrain_logits)
 from .retrieval import (DEFAULT_NPROBE, DEFAULT_RECALL_SIZE, DEFAULT_TAU, DEFAULT_TOP_K,
                         Prototype, RetrievalQuery, aggregate_prototype, retrieve)
 from .serial import atomic_write_bytes
@@ -198,6 +198,10 @@ def run_pipeline(config: PipelineConfig, bank: MemoryBank, index,
     if weights != bank.weights:
         raise InvalidInputError(f"the config's key weights {weights} differ from "
                                 f"the bank's {bank.weights}")
+    for p in [params] if isinstance(params, RefinementParams) else params:
+        if p.window != config.window:
+            raise InvalidInputError(f"the config's window {config.window} differs from "
+                                    f"a parameter set's window {p.window}")
     with _stage("input_grid"):
         input_grid = as_grid(provider.feature_grid(image_id))
     with _stage("scales"):

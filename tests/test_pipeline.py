@@ -235,6 +235,26 @@ class TestRunPipeline:
         query = build_query(s.provider, "cat", s.spec.scene, INPUT_IMAGE_ID, bank_weights)
         assert results["cat"].hits == retrieve(bank, FlatIndex.from_bank(bank), query)
 
+    def test_window_must_be_the_parameters(self):
+        """A config whose window differs from a parameter set's is refused,
+        naming both windows, before any embedding is looked up: refinement
+        uses the parameters' window, so the report's config would be wrong."""
+        s = standard_scenario()
+        bank, index = bank_and_index(s)
+        shared = RefinementParams.zero_init(s.spec.d_val, window=5)
+        per_scale = [shared, RefinementParams.zero_init(s.spec.d_val, window=3), shared]
+        for params in (shared, per_scale):
+            with pytest.raises(InvalidInputError,
+                               match="config's window 7 differs from a parameter set's window"):
+                run_pipeline(PipelineConfig(window=7), bank, index, EmbeddingProvider(),
+                             INPUT_IMAGE_ID, ["cat"], params)
+        with pytest.raises(InvalidInputError, match="window 5 differs from .* window 3"):
+            run_pipeline(PipelineConfig(window=5), bank, index, EmbeddingProvider(),
+                         INPUT_IMAGE_ID, ["cat"], per_scale)
+        results = run_pipeline(PipelineConfig(window=5), bank, index, s.provider,
+                               INPUT_IMAGE_ID, ["cat"], shared, scene=s.spec.scene)
+        assert results["cat"].prompts
+
     def test_planted_categories_found(self):
         s = standard_scenario()
         bank, index = bank_and_index(s)
