@@ -57,5 +57,5 @@ The same run via the CLI:
   vismem build-memory  --scenario /tmp/scn --out /tmp/bank.pbnk --set drop_fraction=0.0
   vismem build-index   --bank /tmp/bank.pbnk --out /tmp/idx.pivf --set nlist=4 --set m=4 --set nbits=4 --set nprobe=4
   vismem pipeline      --scenario /tmp/scn --bank /tmp/bank.pbnk --index /tmp/idx.pivf --set nprobe=4
-  vismem bench         --bank /tmp/bank.pbnk --index /tmp/idx.pivf --set nprobe=4
+  vismem pipeline      --scenario /tmp/scn --bank /tmp/bank.pbnk --report /tmp/flat.json
 """)

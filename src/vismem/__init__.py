@@ -47,7 +47,7 @@ from .index import (
     save_index,
     train_ivfpq,
 )
-from .pipeline import BenchReport, PipelineConfig, bench, pipeline_report, run_pipeline
+from .pipeline import PipelineConfig, pipeline_report, run_pipeline
 from .priors import (
     AnchorSet,
     DensePrior,

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: gen-synthetic, build-memory, build-index, retrieve, priors,
-refine, pipeline, bench. Exit codes: 0 success, 1 usage error, 2 data or
+refine, pipeline. Exit codes: 0 success, 1 usage error, 2 data or
 format error. Every output file is written whole and atomically, so a run
 that fails leaves none behind.
 """
@@ -30,13 +30,7 @@ from .bank import (
 from .errors import FormatError, InvalidInputError, VismemError
 from .grids import Point2D, as_vector
 from .index import FlatIndex, IvfPqIndex, ivfpq_add, load_index, save_index, train_ivfpq
-from .pipeline import (
-    PipelineConfig,
-    bench,
-    load_config,
-    pipeline_report,
-    run_pipeline,
-)
+from .pipeline import PipelineConfig, load_config, pipeline_report, run_pipeline
 from .priors import AnchorSet, DensePrior, dense_prior, extract_anchors, radius_cells_to_normalized
 from .refine import RefinementParams, load_params, refine_all
 from .retrieval import Prototype, aggregate_prototype, build_query, retrieve
@@ -63,10 +57,10 @@ def _add_config_args(p: argparse.ArgumentParser):
 
 def _resolve_config(args, bank=None, index=None, params=None) -> PipelineConfig:
     """Config file, then --set, then the values that loaded files store: a
-    bank's key weights, an IVF-PQ index's nlist, m, nbits and kmeans_iters,
-    and a parameter file's window. These override the config file; a --set
-    that disagrees with one is an error. nprobe is checked against the lists
-    a loaded index has."""
+    bank's key weights, an IVF-PQ index's nlist, m, nbits, seed and
+    kmeans_iters, and a parameter file's window. These override the config
+    file; a --set that disagrees with one is an error. nprobe is checked
+    against the lists a loaded index has."""
     config = load_config(args.config) if args.config else PipelineConfig()
     updates = {}
     for item in args.set:
@@ -82,7 +76,7 @@ def _resolve_config(args, bank=None, index=None, params=None) -> PipelineConfig:
         stored.update({k: (float(v), "bank") for k, v in bank.weights.as_dict().items()})
     if isinstance(index, IvfPqIndex):
         stored.update({k: (getattr(index.params, k), "index")
-                       for k in ("nlist", "m", "nbits", "kmeans_iters")})
+                       for k in ("nlist", "m", "nbits", "seed", "kmeans_iters")})
     if params is not None:
         first = params if isinstance(params, RefinementParams) else params[0]
         stored["window"] = (first.window, "parameter file")
@@ -332,16 +326,6 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    memory = load_bank(args.bank)
-    index = _load_any_index(args.index, memory)
-    config = _resolve_config(args, memory, index)
-    report = bench(memory, index, query_count=args.queries, seed=config.seed,
-                   k=config.k, nprobe=config.nprobe, recall_size=config.recall_size)
-    print(json.dumps(report.as_dict(), sort_keys=True))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     epilog = "config defaults: " + ", ".join(
         f"{f.name}={getattr(PipelineConfig(), f.name)}" for f in fields(PipelineConfig))
@@ -419,13 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", help="refinement parameters (.pprm); zero init if omitted")
     p.add_argument("--report", help="write the JSON report here (stdout if omitted)")
     p.set_defaults(func=cmd_pipeline)
-
-    p = sub.add_parser("bench", help="queries/second and recall@K vs the flat oracle")
-    _add_config_args(p)
-    p.add_argument("--bank", required=True)
-    p.add_argument("--index", help="IVF-PQ index file; times flat search if omitted")
-    p.add_argument("--queries", type=int, default=100)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

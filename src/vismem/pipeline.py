@@ -1,5 +1,5 @@
 """End-to-end orchestration: configuration, the per-category pipeline, and
-retrieval benchmarking.
+its JSON report.
 """
 
 from __future__ import annotations
@@ -7,17 +7,16 @@ from __future__ import annotations
 import configparser
 import io
 import math
-import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
 
 from .bank import BankBuildConfig, EmbeddingProvider, KeyWeights, MemoryBank, build_key
 from .errors import InvalidInputError, VismemError
-from .grids import EPS_NORM, _finite, as_grid
-from .index import FlatIndex, IvfPqIndex, IvfPqParams, SearchHit
+from .grids import _finite, as_grid
+from .index import IvfPqParams, SearchHit
 from .priors import (DEFAULT_MAX_ANCHORS, DEFAULT_PEAK_THRESHOLD, DEFAULT_RADIUS_CELLS,
                      DEFAULT_SIGMA, AnchorSet, DensePrior, _dense_priors, extract_anchors,
                      radius_cells_to_normalized)
@@ -26,8 +25,6 @@ from .refine import (DEFAULT_WINDOW, LogitsMatrix, MemoryGuidedPrompt, Refinemen
 from .retrieval import (DEFAULT_NPROBE, DEFAULT_RECALL_SIZE, DEFAULT_TAU, DEFAULT_TOP_K,
                         Prototype, RetrievalQuery, aggregate_prototype, retrieve)
 from .serial import atomic_write_bytes
-
-BENCH_REPETITIONS = 3  # timed passes over the query set in bench; the median is reported
 
 
 @dataclass
@@ -278,63 +275,3 @@ def pipeline_report(config: PipelineConfig, results: dict[str, CategoryResult],
         "config": config.to_dict(),
         "results": per_category,
     }
-
-
-@dataclass
-class BenchReport:
-    queries_per_second: float
-    recall_at_k: float
-    k: int
-    per_entry_bytes: int
-    query_count: int
-    repetitions: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def bench_queries(bank: MemoryBank, query_count: int, seed: int) -> np.ndarray:
-    """Deterministic query set: perturbed copies of randomly chosen bank keys."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    picks = rng.integers(0, len(bank), size=query_count)
-    noisy = bank.keys[picks].astype(np.float64) + 0.1 * rng.standard_normal((query_count, bank.d_key))
-    norms = np.linalg.norm(noisy, axis=1, keepdims=True)
-    return (noisy / np.where(norms > EPS_NORM, norms, 1.0)).astype(np.float32)
-
-
-def bench(bank: MemoryBank, index, query_count: int = 100, seed: int = 0,
-          k: int = DEFAULT_TOP_K, nprobe: int = DEFAULT_NPROBE,
-          recall_size: int = DEFAULT_RECALL_SIZE) -> BenchReport:
-    """Median-of-repetitions retrieve() throughput and recall@k vs flat retrieve()."""
-    if len(bank) == 0:
-        raise InvalidInputError("cannot benchmark an empty bank")
-    if query_count < 1:
-        raise InvalidInputError(f"query_count must be >= 1, got {query_count}")
-    queries = [RetrievalQuery(category="", vector=q)
-               for q in bench_queries(bank, query_count, seed)]
-
-    def search_all(searched):
-        return [retrieve(bank, searched, q, k=k, nprobe=nprobe, recall_size=recall_size)
-                for q in queries]
-
-    total_overlap = 0.0
-    for hits, exact in zip(search_all(index), search_all(FlatIndex.from_bank(bank))):
-        total_overlap += len({h.entry_id for h in hits}
-                             & {h.entry_id for h in exact}) / max(len(exact), 1)
-    recall = total_overlap / query_count
-
-    timings = []
-    for _ in range(BENCH_REPETITIONS):
-        start = time.perf_counter()
-        search_all(index)
-        timings.append(time.perf_counter() - start)
-    elapsed = float(np.median(timings))
-    return BenchReport(
-        queries_per_second=query_count / elapsed if elapsed > 0 else float("inf"),
-        recall_at_k=recall,
-        k=k,
-        # index bytes per entry: PQ codes plus an int64 id, or f32 keys
-        per_entry_bytes=index.params.m + 8 if isinstance(index, IvfPqIndex) else 4 * bank.d_key,
-        query_count=query_count,
-        repetitions=BENCH_REPETITIONS,
-    )

@@ -83,19 +83,31 @@ def retrieve(bank: MemoryBank, index: FlatIndex | IvfPqIndex, query: RetrievalQu
     of its keys, scored exactly. Entries of the excluded image are dropped
     and the k best of the rest ranked. The candidates stay id and score
     arrays throughout, and hits are built only for the entries returned.
+
+    The index must fit the bank: a flat index holds as many keys of the
+    same dim as the bank, and an IVF-PQ index has the bank's key dim.
     """
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
+    if isinstance(index, FlatIndex):
+        if index.keys.shape != bank.keys.shape:
+            raise InvalidInputError(
+                f"the flat index holds {index.keys.shape[0]} keys of dim {index.dim}, "
+                f"the bank {len(bank)} keys of dim {bank.d_key}")
+    elif isinstance(index, IvfPqIndex):
+        if index.dim != bank.d_key:
+            raise InvalidInputError(
+                f"the index has dim {index.dim}, the bank's keys dim {bank.d_key}")
+    else:
+        raise InvalidInputError(f"not a FlatIndex or an IvfPqIndex: {type(index).__name__}")
     if len(bank) == 0:
         return []
     if isinstance(index, IvfPqIndex):
         vector = _check_probe(index, query.vector, nprobe, recall_size)
         ids, _ = _ivfpq_pool(index, vector, nprobe, recall_size)
         scores = _exact_rescore(bank.keys, ids, vector)
-    elif isinstance(index, FlatIndex):
-        ids, scores = index.ids, exact_scores(index.keys, _check_query(query.vector, index.dim))
     else:
-        raise InvalidInputError(f"not a FlatIndex or an IvfPqIndex: {type(index).__name__}")
+        ids, scores = index.ids, exact_scores(index.keys, _check_query(query.vector, index.dim))
     if exclude_image is not None:
         kept = bank.image_ids[ids] != exclude_image
         ids, scores = ids[kept], scores[kept]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import shlex
@@ -306,29 +307,6 @@ class TestOutOfRangeValuesExit2:
         assert reason in assert_one_error_line(capsys)
         assert not (tmp_path / "scn").exists()
 
-    @pytest.mark.parametrize("queries", ["0", "-3"])
-    def test_bench_queries(self, bank_path, capsys, queries):
-        assert main(["bench", "--bank", str(bank_path), "--queries", queries]) == 2
-        assert "query_count must be >= 1" in assert_one_error_line(capsys)
-
-
-class TestBench:
-    def test_flat_bench(self, bank_path, capsys):
-        rc = main(["bench", "--bank", str(bank_path), "--queries", "5"])
-        assert rc == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["recall_at_k"] == pytest.approx(1.0)
-        assert report["queries_per_second"] > 0
-        assert report["per_entry_bytes"] == 4 * 32
-
-    def test_ivfpq_bench(self, bank_path, index_path, capsys):
-        rc = main(["bench", "--bank", str(bank_path), "--index", str(index_path),
-                   "--queries", "5", "--set", "nprobe=4"])
-        assert rc == 0
-        report = json.loads(capsys.readouterr().out)
-        assert 0.0 <= report["recall_at_k"] <= 1.0
-        assert report["per_entry_bytes"] == 4 + 8
-
 
 class TestNprobeBoundToIndex:
     """nprobe is checked against the loaded index's nlist, not the config's."""
@@ -349,7 +327,7 @@ class TestNprobeBoundToIndex:
         save_index(index, out)
         return out
 
-    @pytest.mark.parametrize("command", ["pipeline", "retrieve", "bench"])
+    @pytest.mark.parametrize("command", ["pipeline", "retrieve"])
     def test_nprobe_over_index_nlist_exits_2(self, command, scenario_dir, bank_path,
                                              index_path, tmp_path, capsys):
         # The index has nlist=4; the default nprobe of 16 fits the config's
@@ -357,8 +335,7 @@ class TestNprobeBoundToIndex:
         (tmp_path / "cats.txt").write_text("cat-0\n")
         extra = {"pipeline": ["--scenario", str(scenario_dir)],
                  "retrieve": ["--scenario", str(scenario_dir), "--image-id", "input",
-                              "--categories", str(tmp_path / "cats.txt")],
-                 "bench": ["--queries", "2"]}[command]
+                              "--categories", str(tmp_path / "cats.txt")]}[command]
         rc = main([command, "--bank", str(bank_path), "--index", str(index_path), *extra])
         assert rc == 2
         err = capsys.readouterr().err
@@ -566,9 +543,9 @@ class TestLoadedFilesSupplyConfig:
         err = assert_one_error_line(capsys)
         assert "w_s=0.3" in err and "w_s=0.5" in err
 
-    def test_nlist_conflict_exits_2(self, bank_path, index_path, capsys):
-        rc = main(["bench", "--bank", str(bank_path), "--index", str(index_path),
-                   "--queries", "2", "--set", "nprobe=4", "--set", "nlist=8"])
+    def test_nlist_conflict_exits_2(self, scenario_dir, bank_path, index_path, capsys):
+        rc = self._pipeline(scenario_dir, bank_path, "--index", str(index_path),
+                            "--set", "nprobe=4", "--set", "nlist=8")
         assert rc == 2
         err = assert_one_error_line(capsys)
         assert "nlist=8" in err and "nlist=4" in err
@@ -576,14 +553,14 @@ class TestLoadedFilesSupplyConfig:
     def test_index_params_from_index(self, scenario_dir, bank_path, index_path, tmp_path, capsys):
         report = tmp_path / "r.json"
         assert self._pipeline(scenario_dir, bank_path, "--index", str(index_path),
-                              "--set", "nprobe=2", "--set", "seed=9", "--report", str(report)) == 0
+                              "--set", "nprobe=2", "--report", str(report)) == 0
         config = json.loads(report.read_text())["config"]
-        # the index fixture's values; seed stays settable, as bench draws its queries from it
+        # the index fixture's values
         assert {k: config[k] for k in ("nlist", "m", "nbits", "kmeans_iters", "seed")} == {
-            "nlist": 4, "m": 4, "nbits": 4, "kmeans_iters": 5, "seed": 9}
+            "nlist": 4, "m": 4, "nbits": 4, "kmeans_iters": 5, "seed": 0}
 
     @pytest.mark.parametrize("key, value, stored", [
-        ("m", "8", "4"), ("nbits", "8", "4"), ("kmeans_iters", "25", "5")])
+        ("m", "8", "4"), ("nbits", "8", "4"), ("kmeans_iters", "25", "5"), ("seed", "9", "0")])
     def test_index_param_conflict_exits_2(self, scenario_dir, bank_path, index_path, capsys,
                                           key, value, stored):
         rc = self._pipeline(scenario_dir, bank_path, "--index", str(index_path),
@@ -613,7 +590,7 @@ class TestNonFiniteKeys:
         with pytest.raises(InvalidInputError, match="row 0 holds NaN"):
             FlatIndex.from_bank(bank)
 
-    @pytest.mark.parametrize("command", ["retrieve", "pipeline", "bench"])
+    @pytest.mark.parametrize("command", ["retrieve", "pipeline"])
     def test_cli_exits_2_like_build_index(self, command, nan_bank, scenario_dir, tmp_path,
                                           capsys):
         assert main(["build-index", "--bank", str(nan_bank),
@@ -622,8 +599,7 @@ class TestNonFiniteKeys:
         (tmp_path / "cats.txt").write_text("cat-0\n")
         extra = {"retrieve": ["--scenario", str(scenario_dir), "--image-id", "input",
                               "--categories", str(tmp_path / "cats.txt")],
-                 "pipeline": ["--scenario", str(scenario_dir)],
-                 "bench": []}[command]
+                 "pipeline": ["--scenario", str(scenario_dir)]}[command]
         assert main([command, "--bank", str(nan_bank), *extra]) == 2
         assert assert_one_error_line(capsys) == expected
 
@@ -696,6 +672,19 @@ def test_readme_cli_quick_start_runs(tmp_path, capsys):
         assert argv[0] == "vismem"
         assert main(argv[1:]) == 0, command
     assert (tmp_path / "idx.pivf").exists()
+
+
+def test_documented_subcommands_are_the_parser_s():
+    """The subcommands that cli.py's docstring (argparse's description) and
+    the README's "Subcommands:" sentence name are exactly the parser's."""
+    parser = build_parser()
+    choices = set(next(a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices)
+    docstring = re.search(r"Subcommands: (.*?)\.", cli.__doc__, flags=re.S).group(1)
+    assert set(re.split(r",\s*", docstring)) == choices
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sentence = re.search(r"Subcommands: (.*?)\.", readme, flags=re.S).group(1)
+    assert set(re.findall(r"`([^`]+)`", sentence)) == choices
 
 
 def test_readme_cli_block_writes_through_one_path(tmp_path, monkeypatch):

@@ -6,10 +6,8 @@ from vismem.bank import BankBuildConfig, EmbeddingProvider, KeyWeights, build_ba
 from vismem.errors import InvalidInputError, VismemError
 from vismem.index import FlatIndex, IvfPqParams, ivfpq_add, train_ivfpq
 from vismem.pipeline import (
-    BenchReport,
     CategoryResult,
     PipelineConfig,
-    bench,
     load_config,
     pipeline_report,
     run_pipeline,
@@ -568,47 +566,3 @@ class TestBadFeatureGrids:
             run_pipeline(PipelineConfig(), bank, index, s.provider, INPUT_IMAGE_ID,
                          s.categories, RefinementParams.zero_init(s.spec.d_val),
                          scene=s.spec.scene, scales=scales)
-
-
-class TestBench:
-    def _bank(self):
-        s = standard_scenario()
-        return bank_and_index(s)
-
-    def test_flat_bench_fields(self):
-        bank, index = self._bank()
-        report = bench(bank, index, query_count=10)
-        assert isinstance(report, BenchReport)
-        assert report.recall_at_k == pytest.approx(1.0)
-        assert report.queries_per_second > 0
-        assert report.k == 12 and report.query_count == 10
-        assert report.repetitions >= 3
-        assert report.per_entry_bytes == 4 * bank.d_key
-
-    def test_ivfpq_bench_recall_bounded(self):
-        bank, _ = self._bank()
-        keys = bank.keys_matrix()
-        cfg = PipelineConfig(nlist=4, m=4, nbits=4, nprobe=4, kmeans_iters=6)
-        index = train_ivfpq(keys, cfg.index_params())
-        ivfpq_add(index, np.arange(len(bank)), keys)
-        report = bench(bank, index, query_count=10, nprobe=4, recall_size=len(bank))
-        assert 0.0 <= report.recall_at_k <= 1.0
-        assert report.per_entry_bytes == 4 + 8
-
-    @pytest.mark.parametrize("count", [0, -3])
-    def test_query_count_below_one_rejected(self, count):
-        bank, index = self._bank()
-        with pytest.raises(InvalidInputError, match="query_count must be >= 1"):
-            bench(bank, index, query_count=count)
-
-    def test_empty_bank_rejected(self):
-        s = standard_scenario()
-        empty = build_bank([], s.provider)
-        with pytest.raises(InvalidInputError):
-            bench(empty, FlatIndex(np.zeros((1, 4), dtype=np.float32)))
-
-    def test_as_dict_round_trips_json(self):
-        bank, index = self._bank()
-        report = bench(bank, index, query_count=5)
-        import json
-        json.dumps(report.as_dict())

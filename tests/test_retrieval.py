@@ -266,6 +266,31 @@ class TestRetrieve:
             with pytest.raises(InvalidInputError, match="FlatIndex or an IvfPqIndex"):
                 retrieve(bank, index, q)
 
+    @pytest.mark.parametrize("exclude", [None, "img0"])
+    @pytest.mark.parametrize("rows, d_key", [(60, 32), (10, 32), (40, 16)])
+    def test_flat_index_of_other_shape_rejected(self, rows, d_key, exclude):
+        """A flat index with more rows than the bank would return ids past
+        its end, one with fewer would search keys that are not the bank's,
+        and one of another dim would score other vectors: each is refused,
+        naming both shapes."""
+        provider, bank = make_fixture(n_records=40, d_key=d_key)
+        _, other = make_fixture(n_records=rows, d_key=32)
+        q = build_query(provider, "cat", "indoor", "img1", bank.weights)
+        with pytest.raises(InvalidInputError,
+                           match=f"{rows} keys of dim 32, the bank 40 keys of dim {d_key}"):
+            retrieve(bank, FlatIndex.from_bank(other), q, exclude_image=exclude)
+
+    def test_ivfpq_index_of_other_dim_rejected(self):
+        """A 16-dim index over an 8-dim bank, searched with a query the
+        index accepts, is refused before its pool is rescored."""
+        provider, wide = make_fixture(n_records=60, d_key=16)
+        _, bank = make_fixture(n_records=60, d_key=8)
+        index = train_ivfpq(wide.keys, IvfPqParams(nlist=4, m=4, nbits=4, seed=0, kmeans_iters=4))
+        ivfpq_add(index, np.arange(len(wide)), wide.keys)
+        q = build_query(provider, "cat", "indoor", "img1", wide.weights)
+        with pytest.raises(InvalidInputError, match="index has dim 16, the bank's keys dim 8"):
+            retrieve(bank, index, q, nprobe=4)
+
 
 class TestAggregatePrototype:
     def test_single_hit_returns_normalized_value(self):
