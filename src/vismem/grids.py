@@ -162,22 +162,27 @@ def bilinear_sample(grid, p: Point2D) -> np.ndarray:
     return _bilinear(as_grid(grid), p.x, p.y)
 
 
-def _bilinear(grid: np.ndarray, xs, ys) -> np.ndarray:
+def _bilinear(grid: np.ndarray, xs, ys, layers=None) -> np.ndarray:
     """The one bilinear interpolation: sample a checked (H, W) map or (H, W, D)
     grid at normalized points. xs and ys broadcast to a shape S and the result
-    is S or (*S, D). Only the cells read are cast to float64."""
-    h, w = grid.shape[:2]
+    is S or (*S, D). Only the cells read are cast to float64. With `layers`,
+    integer indices that broadcast to S, grid is an (L, H, W) stack of maps
+    and each point samples its own layer alone."""
+    lead = () if layers is None else (layers,)
+    h, w = grid.shape[len(lead):len(lead) + 2]
     gx = np.clip(np.asarray(xs, dtype=np.float64) * w - 0.5, 0.0, w - 1.0)
     gy = np.clip(np.asarray(ys, dtype=np.float64) * h - 0.5, 0.0, h - 1.0)
     c0 = np.floor(gx).astype(np.intp)
     r0 = np.floor(gy).astype(np.intp)
     c1 = np.minimum(c0 + 1, w - 1)
     r1 = np.minimum(r0 + 1, h - 1)
-    per_cell = (1,) * (grid.ndim - 2)  # a weight per point, shared by a cell's features
+    per_cell = (1,) * (grid.ndim - len(lead) - 2)  # a point's weight, shared by a cell's features
     fx = (gx - c0).reshape(gx.shape + per_cell)
     fy = (gy - r0).reshape(gy.shape + per_cell)
-    top = (1.0 - fx) * grid[r0, c0].astype(np.float64) + fx * grid[r0, c1].astype(np.float64)
-    bot = (1.0 - fx) * grid[r1, c0].astype(np.float64) + fx * grid[r1, c1].astype(np.float64)
+    def at(r, c):
+        return grid[(*lead, r, c)].astype(np.float64)
+    top = (1.0 - fx) * at(r0, c0) + fx * at(r0, c1)
+    bot = (1.0 - fx) * at(r1, c0) + fx * at(r1, c1)
     return ((1.0 - fy) * top + fy * bot).astype(np.float32)
 
 

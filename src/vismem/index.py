@@ -70,16 +70,19 @@ def exact_scores(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Full-precision inner products of flat search and rescoring. einsum sums
     each row's float64 product on its own, so a score depends only on its row
     and the query; a BLAS GEMV rounds a row by how many rows share its block."""
-    return np.einsum("ij,j->i", keys.astype(np.float64), np.asarray(query, dtype=np.float64))
+    return np.einsum("ij,j->i", keys.astype(np.float64, copy=False),
+                     np.asarray(query, dtype=np.float64))
 
 
 class FlatIndex:
     """Exact inner-product search over full-precision keys, which must be
     finite as for training; entry ids are row positions, so `keys` can also
-    serve `rescore`."""
+    serve `rescore`. The keys are also held cast to float64, once, for the
+    exact scores of every search."""
 
     def __init__(self, keys: np.ndarray):
         self.keys = _finite_matrix(keys, "keys")
+        self._keys64 = self.keys.astype(np.float64)
         self.ids = np.arange(self.keys.shape[0], dtype=np.int64)
 
     @classmethod
@@ -96,7 +99,7 @@ class FlatIndex:
             return []
         if k < 1:
             raise InvalidInputError(f"k must be >= 1, got {k}")
-        scores = exact_scores(self.keys, query)
+        scores = exact_scores(self._keys64, query)
         return _sorted_hits(self.ids, scores, k)
 
 

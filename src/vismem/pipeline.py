@@ -16,14 +16,15 @@ import numpy as np
 from .bank import BankBuildConfig, EmbeddingProvider, KeyWeights, MemoryBank, build_key
 from .errors import InvalidInputError, VismemError
 from .grids import _finite, as_grid
-from .index import IvfPqParams, SearchHit
+from .index import IvfPqParams, SearchHit, _hits
 from .priors import (DEFAULT_MAX_ANCHORS, DEFAULT_PEAK_THRESHOLD, DEFAULT_RADIUS_CELLS,
                      DEFAULT_SIGMA, AnchorSet, DensePrior, _dense_priors, extract_anchors,
                      radius_cells_to_normalized)
 from .refine import (DEFAULT_WINDOW, LogitsMatrix, MemoryGuidedPrompt, RefinementParams, _prompts,
                      _refine, _scores, constrain_logits)
 from .retrieval import (DEFAULT_NPROBE, DEFAULT_RECALL_SIZE, DEFAULT_TAU, DEFAULT_TOP_K,
-                        Prototype, RetrievalQuery, aggregate_prototype, retrieve)
+                        Prototype, _check_search, _check_vector, _prototype,
+                        _retrieve_all)
 from .serial import atomic_write_bytes
 
 
@@ -185,8 +186,10 @@ def run_pipeline(config: PipelineConfig, bank: MemoryBank, index,
     the stand-in classification embeddings.
 
     Per-image work is done once: the input grid and every scale are checked
-    on entry, the scene and image embeddings are looked up once, the dense
-    priors of all categories share one normalized grid, and all categories
+    on entry, a scale that is the provider's grid object by that one check,
+    the scene and image embeddings are looked up once, every category's
+    query is searched in one retrieval pass, the dense priors of all
+    categories share one normalized grid, and all categories
     are refined together, each scale in one pass, into one prompt array per
     category, scored against the prototypes stacked once. The results equal
     those of composing the public functions category by category, bit for bit.
@@ -200,26 +203,35 @@ def run_pipeline(config: PipelineConfig, bank: MemoryBank, index,
             raise InvalidInputError(f"the config's window {config.window} differs from "
                                     f"a parameter set's window {p.window}")
     with _stage("input_grid"):
-        input_grid = as_grid(provider.feature_grid(image_id))
+        raw_grid = provider.feature_grid(image_id)
+        input_grid = as_grid(raw_grid)
     with _stage("scales"):
-        scales = [input_grid] if scales is None else [as_grid(s) for s in scales]
+        scales = [input_grid] if scales is None else [
+            input_grid if s is raw_grid else as_grid(s) for s in scales]
+    if not categories:
+        return {}
 
-    results: dict[str, CategoryResult] = {}
+    queries = []
     context = None  # the scene and image embeddings, looked up after the first phrase
     for category in categories:
         with _stage("build_query", category):
             phrase = provider.text_embedding(category)
             if context is None:
                 context = (provider.text_embedding(scene), provider.image_embedding(image_id))
-            query = RetrievalQuery(category=category, vector=build_key(phrase, *context, weights))
+            key = build_key(phrase, *context, weights)
         with _stage("retrieve", category):
-            hits = retrieve(bank, index, query, k=config.k,
-                            exclude_image=exclude_image, nprobe=config.nprobe,
-                            recall_size=config.recall_size)
+            if not queries:  # the index and k, checked in the first category's turn
+                _check_search(bank, index, config.k)
+            queries.append(_check_vector(bank, index, key, config.nprobe, config.recall_size))
+    with _stage("retrieve"):
+        ranked = _retrieve_all(bank, index, queries, config.k, exclude_image,
+                               config.nprobe, config.recall_size)
+    results: dict[str, CategoryResult] = {}
+    for category, (ids, scores) in zip(categories, ranked):
         with _stage("aggregate_prototype", category):
-            proto = aggregate_prototype(bank, hits, query, tau=config.tau_p)
+            proto = _prototype(bank, ids, scores, category, config.tau_p)
         results[category] = CategoryResult(
-            category=category, hits=hits, prototype=proto,
+            category=category, hits=_hits(ids, scores), prototype=proto,
             prior=None, anchors=None, prompts=[], logits=None)
 
     found = [r for r in results.values() if not r.prototype.is_empty]

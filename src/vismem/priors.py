@@ -107,15 +107,20 @@ def find_peaks(heatmap: np.ndarray, threshold: float) -> list[tuple[int, int, fl
     """Cells >= all 8 neighbors (out-of-bounds ignored) with response >= threshold.
 
     Returned sorted by (response desc, row asc, col asc).
+
+    A float map is searched in its own dtype, since maxima, negation and
+    order are exact in any of them. The threshold is compared as a float64
+    scalar, which NumPy 2's promotion keeps float64, so a float32 map is not
+    compared with the threshold rounded to float32.
     """
     h, w = heatmap.shape
-    hm = heatmap.astype(np.float64)
-    padded = np.full((h + 2, w + 2), -np.inf)
+    hm = heatmap if heatmap.dtype.kind == "f" else heatmap.astype(np.float64)
+    padded = np.full((h + 2, w + 2), -np.inf, dtype=hm.dtype)
     padded[1:-1, 1:-1] = hm
     # The 3x3 window maximum in two separable passes; np.maximum keeps NaN, never a peak.
     cols_max = np.maximum(np.maximum(padded[:, :-2], padded[:, 1:-1]), padded[:, 2:])
     window_max = np.maximum(np.maximum(cols_max[:-2], cols_max[1:-1]), cols_max[2:])
-    rows, cols = np.nonzero((hm >= window_max) & (hm >= threshold))
+    rows, cols = np.nonzero((hm >= window_max) & (hm >= np.float64(threshold)))
     order = np.argsort(-hm[rows, cols], kind="stable")  # ties keep nonzero's row-major order
     rows, cols = rows[order], cols[order]
     return list(zip(rows.tolist(), cols.tolist(), hm[rows, cols].tolist()))

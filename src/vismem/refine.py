@@ -129,14 +129,25 @@ def _window_sums(features: np.ndarray, heats: np.ndarray, owners: np.ndarray,
     on checked arrays, in one gather. Cells outside the grid add -0.0, the
     identity of IEEE addition, and for D >= 2 numpy adds a window's cells in
     row-major order, so each sum has the bits of the clipped window's. For
-    D = 1 numpy sums pairwise, which can group a border window's terms apart."""
+    D = 1 numpy sums pairwise, which can group a border window's terms apart.
+
+    Heatmaps of another shape than the features' are read as
+    resample_heatmap to the features' shape gives them, but only at the
+    window cells: each cell's heat is the bilinear sample of its owner's map
+    at the cell's centre. The sample of a point depends on that point and map
+    alone, so it has the bits of the whole resampled map's cell.
+    """
     h, w, _ = features.shape
     offsets = np.arange(window) - window // 2
     rows = np.minimum(h - 1, (ys * h).astype(np.int64))[:, None, None] + offsets[:, None]
     cols = np.minimum(w - 1, (xs * w).astype(np.int64))[:, None, None] + offsets
     inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)  # (A, window, window)
     rows, cols = rows.clip(0, h - 1), cols.clip(0, w - 1)
-    weighted = (heats[owners[:, None, None], rows, cols][..., None].astype(np.float64)
+    if heats.shape[1:] == (h, w):
+        heat = heats[owners[:, None, None], rows, cols]
+    else:
+        heat = _bilinear(heats, (cols + 0.5) / w, (rows + 0.5) / h, owners[:, None, None])
+    weighted = (heat[..., None].astype(np.float64)
                 * features[rows, cols].astype(np.float64))  # (A, window, window, D)
     weighted[~inside] = -0.0
     return weighted.sum(axis=(1, 2)).astype(np.float32)
@@ -149,13 +160,8 @@ def resample_heatmap(heat, target_h: int, target_w: int) -> np.ndarray:
         raise InvalidInputError("target shape must be >= 1 in both dimensions")
     if heat.shape == (target_h, target_w):
         return heat.copy()
-    return _resample(heat, target_h, target_w)
-
-
-def _resample(grid: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
-    """_bilinear of a checked map or grid at the target shape's cell centers."""
     cx, cy = cell_centers(target_h, target_w)
-    return _bilinear(grid, cx[:1], cy[:, :1])
+    return _bilinear(heat, cx[:1], cy[:, :1])
 
 
 _OVERFLOW = "prompt pre-activation overflows float32"
@@ -223,8 +229,9 @@ def _refine(scales: list[np.ndarray], heatmaps: list[np.ndarray], anchor_sets: l
     (scales x anchors, D) stack per category, its rows ordered by scale then
     anchor rank. Rows that overflow in the layer norm are left non-finite.
 
-    Per scale, the heatmaps are resampled as one stack, every anchor of every
-    category is sampled in one _bilinear call, and all rows are projected and
+    Per scale, every anchor of every category is sampled in one _bilinear
+    call, its window's heat is read or, at another shape than the heatmaps',
+    sampled at the window cells alone, and all rows are projected and
     layer-normalized together. Each of these steps works per element or per
     row, so every prompt has the bits that refining its category alone gives.
     A failure is raised inside stage(category) for the first category it
@@ -241,13 +248,10 @@ def _refine(scales: list[np.ndarray], heatmaps: list[np.ndarray], anchor_sets: l
     owners = np.repeat(np.arange(len(categories)), counts)
     xs, ys = np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(-1, 2).T
     heats = np.stack(heatmaps)  # (C, H, W)
-    stacked = np.moveaxis(heats, 0, -1)  # the maps as the D axis of an (H, W, C) grid
     pres = []
     for features, p in zip(scales, per_scale):
-        h, w = features.shape[:2]
-        heat = heats if heats.shape[1:] == (h, w) else np.moveaxis(_resample(stacked, h, w), -1, 0)
         f_s = _bilinear(features, xs, ys)
-        f_d = _window_sums(features, heat, owners, xs, ys, p.window)
+        f_d = _window_sums(features, heats, owners, xs, ys, p.window)
         pres.append(_preactivations(p, f_s, f_d))
     finite = np.all([np.isfinite(pre).all(axis=1) for pre in pres], axis=0)
     if not finite.all():

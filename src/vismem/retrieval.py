@@ -16,7 +16,7 @@ import numpy as np
 from .bank import EmbeddingProvider, KeyWeights, MemoryBank, build_key
 from .errors import InvalidInputError
 from .index import (FlatIndex, IvfPqIndex, SearchHit, _check_probe, _check_query,
-                    _exact_rescore, _ivfpq_pool, _sorted_hits, exact_scores)
+                    _exact_rescore, _hits, _ivfpq_pool, _top_k)
 from .grids import l2_normalize
 
 DEFAULT_TOP_K = 12
@@ -85,8 +85,17 @@ def retrieve(bank: MemoryBank, index: FlatIndex | IvfPqIndex, query: RetrievalQu
     arrays throughout, and hits are built only for the entries returned.
 
     The index must fit the bank: a flat index holds as many keys of the
-    same dim as the bank, and an IVF-PQ index has the bank's key dim.
+    same dim as the bank, and an IVF-PQ index has the bank's key dim and
+    holds as many entries as the bank.
     """
+    _check_search(bank, index, k)
+    vector = _check_vector(bank, index, query.vector, nprobe, recall_size)
+    (ids, scores), = _retrieve_all(bank, index, [vector], k, exclude_image, nprobe, recall_size)
+    return _hits(ids, scores)
+
+
+def _check_search(bank: MemoryBank, index, k: int) -> None:
+    """retrieve's checks of k and of the index against the bank."""
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
     if isinstance(index, FlatIndex):
@@ -98,32 +107,78 @@ def retrieve(bank: MemoryBank, index: FlatIndex | IvfPqIndex, query: RetrievalQu
         if index.dim != bank.d_key:
             raise InvalidInputError(
                 f"the index has dim {index.dim}, the bank's keys dim {bank.d_key}")
+        if index.ntotal != len(bank):
+            raise InvalidInputError(
+                f"the index holds {index.ntotal} entries, the bank {len(bank)}")
     else:
         raise InvalidInputError(f"not a FlatIndex or an IvfPqIndex: {type(index).__name__}")
+
+
+def _check_vector(bank: MemoryBank, index, vector, nprobe: int, recall_size: int):
+    """retrieve's check of a query vector, once _check_search has passed; an
+    empty bank finds nothing whatever the vector, so it is left as given."""
     if len(bank) == 0:
-        return []
+        return vector
     if isinstance(index, IvfPqIndex):
-        vector = _check_probe(index, query.vector, nprobe, recall_size)
-        ids, _ = _ivfpq_pool(index, vector, nprobe, recall_size)
-        scores = _exact_rescore(bank.keys, ids, vector)
+        return _check_probe(index, vector, nprobe, recall_size)
+    return _check_query(vector, index.dim)
+
+
+def _retrieve_all(bank: MemoryBank, index: FlatIndex | IvfPqIndex, vectors,
+                  k: int, exclude_image: str | None, nprobe: int,
+                  recall_size: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """retrieve of each of Q checked query vectors, given as a (Q, D) stack
+    or a list, as ranked (ids, exact scores) arrays: the one search path of
+    `retrieve` and `run_pipeline`.
+
+    A flat index scores every query in one einsum over its float64 keys,
+    which sums each (row, query) product on its own and so gives each score
+    the bits of `exact_scores`; its exclusion mask, over every row, is built
+    once. An IVF-PQ index collects, rescores and masks each query's pool on
+    its own.
+    """
+    if len(bank) == 0:
+        return [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))] * len(vectors)
+    candidates = []
+    if isinstance(index, IvfPqIndex):
+        for q in vectors:
+            ids, _ = _ivfpq_pool(index, q, nprobe, recall_size)
+            scores = _exact_rescore(bank.keys, ids, q)
+            if exclude_image is not None:
+                kept = bank.image_ids[ids] != exclude_image
+                ids, scores = ids[kept], scores[kept]
+            candidates.append((ids, scores))
     else:
-        ids, scores = index.ids, exact_scores(index.keys, _check_query(query.vector, index.dim))
-    if exclude_image is not None:
-        kept = bank.image_ids[ids] != exclude_image
-        ids, scores = ids[kept], scores[kept]
-    return _sorted_hits(ids, scores, k)
+        all_scores = np.einsum("ij,qj->qi", index._keys64, np.asarray(vectors, np.float64))
+        ids, kept = index.ids, None
+        if exclude_image is not None:
+            kept = bank.image_ids != exclude_image
+            ids = ids[kept]
+        candidates = [(ids, scores if kept is None else scores[kept]) for scores in all_scores]
+    ranked = []
+    for ids, scores in candidates:
+        order = _top_k(ids, scores, k)
+        ranked.append((ids[order], scores[order]))
+    return ranked
 
 
 def aggregate_prototype(bank: MemoryBank, hits: list[SearchHit],
                         query: RetrievalQuery, tau: float = DEFAULT_TAU) -> Prototype:
     """Combine retrieved values with softmax weights over exact key scores."""
     _check_tau(tau)
-    if not hits:
-        return Prototype(category=query.category,
-                         vector=np.zeros(bank.d_val, dtype=np.float32),
+    ids = np.fromiter((h.entry_id for h in hits), dtype=np.int64, count=len(hits))
+    scores = np.fromiter((h.score for h in hits), dtype=np.float64, count=len(hits))
+    return _prototype(bank, ids, scores, query.category, tau)
+
+
+def _prototype(bank: MemoryBank, ids: np.ndarray, scores: np.ndarray, category: str,
+               tau: float) -> Prototype:
+    """aggregate_prototype of ranked (ids, scores) arrays."""
+    if ids.size == 0:
+        return Prototype(category=category, vector=np.zeros(bank.d_val, dtype=np.float32),
                          neighbors=[])
-    weights = softmax_weights([h.score for h in hits], tau)
-    acc = weights @ bank.values[[h.entry_id for h in hits]].astype(np.float64)
+    weights = softmax_weights(scores, tau)
+    acc = weights @ bank.values[ids].astype(np.float64)
     vector = l2_normalize(acc.astype(np.float32))
-    neighbors = [(h.entry_id, h.score, float(a)) for h, a in zip(hits, weights)]
-    return Prototype(category=query.category, vector=vector, neighbors=neighbors)
+    neighbors = list(zip(ids.tolist(), scores.tolist(), weights.tolist()))
+    return Prototype(category=category, vector=vector, neighbors=neighbors)

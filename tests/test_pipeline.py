@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from vismem import pipeline as pipeline_module
-from vismem.bank import BankBuildConfig, EmbeddingProvider, KeyWeights, build_bank, save_bank
+from vismem.bank import (BankBuildConfig, EmbeddingProvider, KeyWeights, build_bank, build_key,
+                         save_bank)
 from vismem.errors import InvalidInputError, VismemError
+from vismem.grids import as_grid
 from vismem.index import FlatIndex, IvfPqParams, ivfpq_add, train_ivfpq
 from vismem.pipeline import (
     CategoryResult,
@@ -15,7 +17,7 @@ from vismem.pipeline import (
 )
 from vismem.priors import dense_prior, extract_anchors, radius_cells_to_normalized
 from vismem.refine import RefinementParams, constrain_logits, refine_all, score_prompts
-from vismem.retrieval import aggregate_prototype, build_query, retrieve
+from vismem.retrieval import _retrieve_all, aggregate_prototype, build_query, retrieve
 from vismem.synthetic import (
     INPUT_IMAGE_ID,
     PlantedRegion,
@@ -373,6 +375,41 @@ class TestRunPipeline:
         where = stage if stage == "dense_prior" else f"{stage}, category 'cat'"
         assert str(exc.value).startswith(f"[stage {where}] ")
 
+    def test_ivfpq_index_of_other_count_refused_in_retrieve(self):
+        """An index filled with half the bank's entries is refused before any
+        search, tagged with the first category."""
+        s = standard_scenario()
+        bank, _ = bank_and_index(s)
+        index = train_ivfpq(bank.keys, IvfPqParams(nlist=4, m=4, nbits=4, kmeans_iters=2))
+        half = len(bank) // 2
+        ivfpq_add(index, np.arange(half), bank.keys[:half])
+        with pytest.raises(InvalidInputError) as exc:
+            run_pipeline(PipelineConfig(nprobe=4), bank, index, s.provider, INPUT_IMAGE_ID,
+                         ["dog", "cat"], RefinementParams.zero_init(s.spec.d_val),
+                         scene=s.spec.scene)
+        assert str(exc.value) == (f"[stage retrieve, category 'dog'] the index holds {half} "
+                                  f"entries, the bank {len(bank)}")
+
+    @pytest.mark.parametrize("kind", ["flat", "ivfpq"])
+    def test_query_fault_tagged_with_its_category(self, kind, monkeypatch):
+        """A non-finite query of the second category is refused under that
+        category, though all queries are searched in one pass."""
+        s = standard_scenario()
+        bank, index = bank_and_index(s)
+        if kind == "ivfpq":
+            index = train_ivfpq(bank.keys, IvfPqParams(nlist=4, m=4, nbits=4, kmeans_iters=2))
+            ivfpq_add(index, np.arange(len(bank)), bank.keys)
+        cat = s.provider.text_embedding("cat")
+        def build_key_nan_for_cat(phrase, *context):
+            key = build_key(phrase, *context)
+            return np.full_like(key, np.nan) if np.array_equal(phrase, cat) else key
+        monkeypatch.setattr(pipeline_module, "build_key", build_key_nan_for_cat)
+        with pytest.raises(InvalidInputError) as exc:
+            run_pipeline(PipelineConfig(nprobe=4), bank, index, s.provider, INPUT_IMAGE_ID,
+                         ["dog", "cat"], RefinementParams.zero_init(s.spec.d_val),
+                         scene=s.spec.scene)
+        assert str(exc.value) == "[stage retrieve, category 'cat'] query must be finite"
+
     def test_prompt_overflowing_in_layer_norm_tagged_in_scoring(self):
         """A finite layer-norm gain that overflows float32 makes non-finite
         prompts, which scoring rejects for the first category it scores."""
@@ -433,6 +470,15 @@ def blind_retrieve(blind):
     return search
 
 
+def blind_retrieve_all(blind):
+    """run_pipeline's retrieval pass, blind to the same query vector."""
+    def search(bank, index, queries, *args):
+        ranked = _retrieve_all(bank, index, queries, *args)
+        nothing = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
+        return [nothing if np.array_equal(q, blind) else r for q, r in zip(queries, ranked)]
+    return search
+
+
 class TestPipelineComposesPublicFunctions:
     """run_pipeline does its per-image work once, yet gives what composing the
     public functions per category gives, bit for bit."""
@@ -467,7 +513,7 @@ class TestPipelineComposesPublicFunctions:
         config = PipelineConfig(peak_threshold=0.3)
         bird = build_query(s.provider, "bird", s.spec.scene, INPUT_IMAGE_ID, config.weights())
         search = blind_retrieve(bird.vector)
-        monkeypatch.setattr(pipeline_module, "retrieve", search)
+        monkeypatch.setattr(pipeline_module, "_retrieve_all", blind_retrieve_all(bird.vector))
         index = FlatIndex.from_bank(bank)
         grid = s.provider.feature_grid(INPUT_IMAGE_ID)
         scales = [grid, avg_pool(grid, 2), avg_pool(grid, 4)]
@@ -505,6 +551,30 @@ class TestPipelineComposesPublicFunctions:
         assert scales[2].shape[:2] == (3, 3) and params.window == 5
         assert max(len(r.anchors) for r in results.values()) > 1
         self._assert_bit_equal(results, oracle, len(scales))
+
+    def test_provider_grid_as_a_scale_is_checked_once(self, monkeypatch):
+        """A scale that is the provider's grid object reuses the input grid's
+        check; a copy of it is checked on its own. Both give the same bits."""
+        s = standard_scenario(seed=4, noise=0.05)
+        bank, index = bank_and_index(s)
+        grid = s.provider.feature_grid(INPUT_IMAGE_ID)
+        params = RefinementParams.seeded_init(s.spec.d_val, seed=1)
+        checked = []
+        def as_grid_counted(g):
+            checked.append(g)
+            return as_grid(g)
+        monkeypatch.setattr(pipeline_module, "as_grid", as_grid_counted)
+        args = (PipelineConfig(peak_threshold=0.3), bank, index, s.provider, INPUT_IMAGE_ID,
+                s.categories, params)
+        results = run_pipeline(*args, scene=s.spec.scene, scales=[grid, avg_pool(grid, 2)])
+        assert len(checked) == 2 and checked[0] is grid and checked[1] is not grid
+        checked.clear()
+        copies = run_pipeline(*args, scene=s.spec.scene,
+                              scales=[grid.copy(), avg_pool(grid, 2)])
+        assert len(checked) == 3
+        oracle = {c: (r.hits, r.prototype, r.prior, r.anchors, r.prompts, r.logits)
+                  for c, r in copies.items()}
+        self._assert_bit_equal(results, oracle, 2)
 
     @staticmethod
     def _assert_bit_equal(results, oracle, n_scales):

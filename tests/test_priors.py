@@ -290,6 +290,60 @@ class TestFindPeaks:
         assert find_peaks(hm, threshold) == peaks_oracle(hm.astype(np.float64), threshold)
 
 
+def peaks_float64(heatmap, threshold):
+    """find_peaks computed on the map cast to float64, with NaN never a peak
+    nor beside one."""
+    h, w = heatmap.shape
+    hm = heatmap.astype(np.float64)
+    padded = np.full((h + 2, w + 2), -np.inf)
+    padded[1:-1, 1:-1] = hm
+    window_max = np.max([padded[dr:dr + h, dc:dc + w] for dr in range(3) for dc in range(3)],
+                        axis=0)  # np.max keeps NaN
+    rows, cols = np.nonzero((hm >= window_max) & (hm >= threshold))
+    order = np.argsort(-hm[rows, cols], kind="stable")
+    rows, cols = rows[order], cols[order]
+    return list(zip(rows.tolist(), cols.tolist(), hm[rows, cols].tolist()))
+
+
+class TestFindPeaksInTheMapsDtype:
+    """find_peaks works on a float32 map as it is, and gives the peaks and
+    the Python floats of the float64 reference."""
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.1, 0.5, 0.7, 0.9, 1.0])
+    @pytest.mark.parametrize("seed, levels", [(0, None), (1, None), (2, 3), (3, 5)])
+    def test_float32_equals_float64_reference(self, seed, levels, threshold):
+        """Isolated cells hold the threshold rounded to float32 and its two
+        float32 neighbours: 0.7 and 0.9 round down, so a float32 comparison
+        would admit a cell below them. NaN cells and their neighbours are
+        never peaks; levels quantizes the map into plateaus of ties."""
+        rng = rng_for(seed)
+        hm = rng.uniform(0, 1, (30, 24)).astype(np.float32)
+        if levels is not None:
+            hm = (np.floor(hm * levels) / (levels - 1)).astype(np.float32)
+        t32 = np.float32(threshold)
+        planted = [t32, np.nextafter(t32, np.float32(-1)), np.nextafter(t32, np.float32(2))]
+        for i, value in enumerate(planted):
+            r, c = 3 + 6 * i, 4
+            hm[r - 1:r + 2, c - 1:c + 2] = -1.0
+            hm[r, c] = value
+        hm[10, 15] = hm[20, 20] = hm[0, 23] = np.nan
+        peaks = find_peaks(hm, threshold)
+        assert peaks == peaks_float64(hm, threshold)
+        assert find_peaks(hm.astype(np.float64), threshold) == peaks
+        assert all(type(v) is float and v >= threshold for _, _, v in peaks)
+        admitted = {(r, c) for r, c, _ in peaks}
+        for i, value in enumerate(planted):
+            assert ((3 + 6 * i, 4) in admitted) == (float(value) >= threshold)
+        assert not admitted & {(r + dr, c + dc) for r, c in [(10, 15), (20, 20), (0, 23)]
+                               for dr in (-1, 0, 1) for dc in (-1, 0, 1)}
+
+    def test_float64_map_keeps_its_precision(self):
+        """Values that differ only below float32 precision stay apart."""
+        hm = np.zeros((3, 5))
+        hm[1, 1], hm[1, 3] = 0.7, 0.7 + 1e-12
+        assert find_peaks(hm, 0.7) == [(1, 3, 0.7 + 1e-12), (1, 1, 0.7)]
+
+
 def greedy_oracle(peaks, h, w, radius, max_anchors):
     accepted = []
     for r, c, resp in peaks:

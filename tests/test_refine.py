@@ -10,6 +10,7 @@ from vismem.priors import DEFAULT_MAX_ANCHORS, AnchorSet, DensePrior
 from vismem.refine import (
     _prompts,
     _refine,
+    _window_sums,
     UNCONSTRAINED,
     LogitsMatrix,
     MemoryGuidedPrompt,
@@ -129,6 +130,34 @@ class TestDenseFeatureBytes:
             out = dense_feature(feats, heat, pt, window)
             assert out.dtype == np.float32 and out.shape == (d,)
             assert out.tobytes() == clipped_window_sum(feats, heat, r, c, window).tobytes(), (r, c)
+
+
+class TestWindowOnlyHeat:
+    """At a scale of another shape than the heatmaps', the window sums read
+    the heat of the window cells alone, with the bits of resample_heatmap to
+    the scale's shape followed by the gather at that shape."""
+
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("window", [1, 3, 5, 7])
+    @pytest.mark.parametrize("heat_shape, scale_shape", [
+        ((7, 5), (4, 3)), ((12, 16), (6, 8)), ((3, 4), (8, 9)), ((16, 16), (4, 4)),
+        ((5, 5), (1, 1)), ((1, 6), (3, 2))])
+    def test_equals_resample_then_gather(self, d, window, heat_shape, scale_shape):
+        (hh, hw), (h, w) = heat_shape, scale_shape
+        rng = rng_for(window * 100 + hh * 10 + d)
+        heats = rng.uniform(0, 1, (3, hh, hw)).astype(np.float32)
+        feats = rng.standard_normal((h, w, d)).astype(np.float32)
+        cells = [(0, 0), (0, hw - 1), (hh - 1, 0), (hh - 1, hw - 1), (hh // 2, 0), (0, hw // 2),
+                 (hh // 2, hw // 2)]
+        points = [((c + 0.5) / hw, (r + 0.5) / hh) for r, c in cells]
+        points += [(1.0, 1.0), (0.0, 0.0), (1.0, 0.0), *rng.uniform(0, 1, (5, 2))]
+        xs, ys = np.array(points, dtype=np.float64).T
+        owners = np.arange(len(points)) % len(heats)
+        got = _window_sums(feats, heats, owners, xs, ys, window)
+        resampled = [resample_heatmap(heat, h, w) for heat in heats]
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            want = dense_feature(feats, resampled[owners[i]], Point2D(x, y), window)
+            assert got[i].tobytes() == want.tobytes(), (i, x, y)
 
 
 class TestSparseFeature:

@@ -6,18 +6,22 @@ from vismem.bank import (
     EmbeddingProvider,
     GroundingRecord,
     KeyWeights,
+    MemoryBank,
     build_bank,
     build_key,
 )
 from vismem.errors import InvalidInputError
 from vismem.grids import Box2D
-from vismem.index import (FlatIndex, IvfPqParams, ivfpq_add, ivfpq_search, load_index, rescore,
-                          save_index, train_ivfpq)
+from vismem.index import (FlatIndex, IvfPqParams, exact_scores, ivfpq_add, ivfpq_search,
+                          load_index, rescore, save_index, train_ivfpq)
 from vismem.retrieval import (
     DEFAULT_RECALL_SIZE,
     DEFAULT_TAU,
     DEFAULT_TOP_K,
     Prototype,
+    RetrievalQuery,
+    _prototype,
+    _retrieve_all,
     aggregate_prototype,
     build_query,
     retrieve,
@@ -290,6 +294,125 @@ class TestRetrieve:
         q = build_query(provider, "cat", "indoor", "img1", wide.weights)
         with pytest.raises(InvalidInputError, match="index has dim 16, the bank's keys dim 8"):
             retrieve(bank, index, q, nprobe=4)
+
+
+    @pytest.mark.parametrize("exclude", [None, "img0"])
+    def test_ivfpq_index_of_other_count_rejected(self, exclude):
+        """An index filled from a 10-entry bank, over a 40-entry bank of the
+        same dim, would search a quarter of the bank; it is refused, naming
+        both counts."""
+        provider, bank = make_fixture(n_records=40)
+        _, small = make_fixture(n_records=10)
+        index = train_ivfpq(small.keys, IvfPqParams(nlist=2, m=4, nbits=2, seed=0,
+                                                    kmeans_iters=4))
+        ivfpq_add(index, np.arange(len(small)), small.keys)
+        q = build_query(provider, "cat", "indoor", "img1", bank.weights)
+        with pytest.raises(InvalidInputError, match="index holds 10 entries, the bank 40"):
+            retrieve(bank, index, q, nprobe=2, exclude_image=exclude)
+
+
+def tied_bank(images, d_key=16, d_val=4, distinct=6, seed=0):
+    """A bank whose keys are `distinct` unit rows, each repeated many times
+    in shuffled order, so that most queries tie across many entries; entry
+    i belongs to image images[i]."""
+    rng = rng_for(seed)
+    base = rng.standard_normal((distinct, d_key)).astype(np.float32)
+    base /= np.linalg.norm(base, axis=1, keepdims=True)
+    n = len(images)
+    keys = base[rng.permutation(np.arange(n) % distinct)]
+    values = rng.standard_normal((n, d_val)).astype(np.float32)
+    return MemoryBank(d_key=d_key, d_val=d_val, keys=keys, values=values,
+                      categories=["c"] * n, image_ids=images, boxes=[[0.0, 0.0, 1.0, 1.0]] * n,
+                      blur=[None] * n), base
+
+
+class TestRetrieveAll:
+    """The one retrieval pass of run_pipeline equals a loop of single
+    retrieve calls, bit for bit, and its arrays build the same prototypes."""
+
+    N = 64
+
+    def _queries(self, base, seed=1):
+        rng = rng_for(seed)
+        noise = rng.standard_normal((3, base.shape[1])).astype(np.float32)
+        # rows of the bank (ties at the top), zero (every score ties), and random
+        return np.concatenate([base[:3], np.zeros((1, base.shape[1]), np.float32), noise])
+
+    def _indexes(self, bank):
+        index = train_ivfpq(bank.keys, IvfPqParams(nlist=4, m=4, nbits=4, seed=0,
+                                                   kmeans_iters=4))
+        ivfpq_add(index, np.arange(len(bank)), bank.keys)
+        return [(FlatIndex.from_bank(bank), 1, 1)] + [
+            (index, nprobe, recall_size) for nprobe in (1, 4) for recall_size in (5, self.N)]
+
+    def _assert_equals_loop(self, bank, index, queries, k, exclude, nprobe, recall_size):
+        ranked = _retrieve_all(bank, index, queries, k, exclude, nprobe, recall_size)
+        assert len(ranked) == len(queries)
+        for q, (ids, scores) in zip(queries, ranked):
+            query = RetrievalQuery(category="c", vector=q)
+            hits = retrieve(bank, index, query, k=k, exclude_image=exclude, nprobe=nprobe,
+                            recall_size=recall_size)
+            assert (list(zip(ids.tolist(), map(repr, scores.tolist())))
+                    == [(h.entry_id, repr(h.score)) for h in hits])
+            assert ids.dtype == np.int64 and scores.dtype == np.float64
+            if isinstance(index, FlatIndex):  # and a sort of exact_scores over the kept rows
+                exact = exact_scores(bank.keys, q)
+                rows = [i for i in range(len(bank))
+                        if exclude is None or bank.image_ids[i] != exclude]
+                expected = sorted(rows, key=lambda i: (-exact[i], i))[:k]
+                assert ids.tolist() == expected and scores.tolist() == exact[expected].tolist()
+            proto = _prototype(bank, ids, scores, "c", DEFAULT_TAU)
+            oracle = aggregate_prototype(bank, hits, query)
+            np.testing.assert_array_equal(proto.vector, oracle.vector)
+            assert proto.neighbors == oracle.neighbors
+        return ranked
+
+    @pytest.mark.parametrize("k", [1, 12, 1000])
+    @pytest.mark.parametrize("exclude", [None, "a", "b", "absent"])
+    def test_heavy_ties_and_exclusion(self, k, exclude):
+        """Image b holds 3 entries, so excluding a leaves fewer than k = 12;
+        k = 1000 is above N."""
+        bank, base = tied_bank(["b" if i in (5, 20, 41) else "a" for i in range(self.N)])
+        queries = self._queries(base)
+        for index, nprobe, recall_size in self._indexes(bank):
+            ranked = self._assert_equals_loop(bank, index, queries, k, exclude, nprobe,
+                                              recall_size)
+            if exclude == "a":
+                assert all(len(ids) <= 3 for ids, _ in ranked)
+        flat = FlatIndex.from_bank(bank)
+        ids, scores = _retrieve_all(bank, flat, queries[3:4], k, None, 1, 1)[0]
+        assert np.all(scores == 0.0) and ids.tolist() == list(range(min(k, self.N)))
+
+    def test_exclusion_removes_every_row(self):
+        bank, base = tied_bank(["a"] * self.N)
+        for index, nprobe, recall_size in self._indexes(bank):
+            ranked = self._assert_equals_loop(bank, index, self._queries(base), 12, "a",
+                                              nprobe, recall_size)
+            assert all(ids.size == 0 for ids, _ in ranked)
+
+    def test_empty_bank(self):
+        """Flat and IVF-PQ indexes of no entries give no hits and empty
+        prototypes for every query."""
+        bank, base = tied_bank([])
+        trained, _ = tied_bank(["a"] * self.N)
+        empty_ivfpq = train_ivfpq(trained.keys, IvfPqParams(nlist=4, m=4, nbits=4, seed=0,
+                                                            kmeans_iters=2))
+        for index in (FlatIndex.from_bank(bank), empty_ivfpq):
+            ranked = self._assert_equals_loop(bank, index, self._queries(base), 12, None, 4, 10)
+            assert all(ids.size == 0 for ids, _ in ranked)
+
+    def test_many_queries_on_a_built_bank(self):
+        """Every category and image of the shared fixture as one stack."""
+        provider, bank = make_fixture(n_records=60, seed=5)
+        queries = np.stack([build_query(provider, c, s, f"img{i}", bank.weights).vector
+                            for c in ("cat", "dog", "bird") for s in ("indoor", "street")
+                            for i in range(5)])
+        index = train_ivfpq(bank.keys, IvfPqParams(nlist=4, m=4, nbits=4, seed=3,
+                                                   kmeans_iters=4))
+        ivfpq_add(index, np.arange(len(bank)), bank.keys)
+        for searched, nprobe in ((FlatIndex.from_bank(bank), 1), (index, 2), (index, 4)):
+            for exclude in (None, "img2"):
+                self._assert_equals_loop(bank, searched, queries, 12, exclude, nprobe, 20)
 
 
 class TestAggregatePrototype:
