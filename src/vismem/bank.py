@@ -152,10 +152,11 @@ class MemoryEntry:
     blur_score: float | None = None
 
 
-def _column(name: str, data, dtype, shape: tuple) -> np.ndarray:
-    """A read-only copy of data, which must have exactly its shape unless both are empty."""
+def _column(name: str, data, dtype, shape: tuple, convert=np.array) -> np.ndarray:
+    """convert(data) (a copy by default) as a read-only array, which must have
+    exactly its shape unless both are empty."""
     try:
-        column = np.array(data, dtype=dtype)
+        column = convert(data, dtype=dtype)
     except ValueError as exc:  # ragged rows
         raise InvalidInputError(f"bank column {name!r}: {exc}") from exc
     if column.shape != shape and (column.size or math.prod(shape)):
@@ -186,15 +187,29 @@ class MemoryBank:
             image_ids = [e.image_id for e in entries]
             boxes = [e.box.as_list() for e in entries]
             blur = [e.blur_score for e in entries]
+        self._set_columns(np.array, d_key, d_val, weights, manifest, keys=keys, values=values,
+                          categories=categories, image_ids=image_ids, boxes=boxes, blur=blur)
+
+    @classmethod
+    def _adopt(cls, d_key: int, d_val: int, weights: KeyWeights, manifest: dict,
+               **columns) -> "MemoryBank":
+        """A bank whose columns are the given arrays themselves, checked and
+        made read-only but not copied, for a loader that made them."""
+        bank = cls.__new__(cls)
+        bank._set_columns(np.asarray, d_key, d_val, weights, manifest, **columns)
+        return bank
+
+    def _set_columns(self, convert, d_key, d_val, weights, manifest, *, keys, values,
+                     categories, image_ids, boxes, blur) -> None:
         n = len(image_ids)
         self.d_key, self.d_val, self.weights = d_key, d_val, weights
         self.manifest = {} if manifest is None else manifest
-        self.keys = _column("keys", keys, np.float32, (n, d_key))
-        self.values = _column("values", values, np.float32, (n, d_val))
-        self.categories = _column("categories", categories, str, (n,))
-        self.image_ids = _column("image_ids", image_ids, str, (n,))
-        self.boxes = _column("boxes", boxes, np.float32, (n, 4))
-        self.blur = _column("blur", blur, np.float32, (n,))  # None becomes NaN
+        self.keys = _column("keys", keys, np.float32, (n, d_key), convert)
+        self.values = _column("values", values, np.float32, (n, d_val), convert)
+        self.categories = _column("categories", categories, str, (n,), convert)
+        self.image_ids = _column("image_ids", image_ids, str, (n,), convert)
+        self.boxes = _column("boxes", boxes, np.float32, (n, 4), convert)
+        self.blur = _column("blur", blur, np.float32, (n,), convert)  # None becomes NaN
 
     def __len__(self) -> int:
         return self.image_ids.shape[0]
@@ -404,12 +419,11 @@ def _encode_names(column: np.ndarray) -> np.ndarray:
     return np.char.encode(column, "utf-8") if encoded is None else encoded
 
 
-def _decode_names(records: np.ndarray, name: str) -> np.ndarray:
-    """A name field as np.char.decode(records[name], "utf-8") makes it."""
-    start = records.dtype.fields[name][1]
-    rows = records.view(np.uint8).reshape(len(records), records.itemsize)
-    names = _ascii_names(rows[:, start:start + NAME_FIELD_BYTES], "U")
-    return np.char.decode(records[name], "utf-8") if names is None else names
+def _decode_names(column: np.ndarray) -> np.ndarray:
+    """A column of 64-byte name fields as np.char.decode(column, "utf-8") makes it."""
+    units = column.view(np.uint8).reshape(len(column), NAME_FIELD_BYTES)
+    names = _ascii_names(units, "U")
+    return np.char.decode(column, "utf-8") if names is None else names
 
 
 def save_bank(bank: MemoryBank, path) -> None:
@@ -428,30 +442,47 @@ def save_bank(bank: MemoryBank, path) -> None:
     atomic_write_bytes(path, w.getvalue(), records)
 
 
+def _read_records(r, layout: np.dtype, count: int) -> dict[str, np.ndarray]:
+    """Each field of the next count records of a `Reader.stream` reader as an
+    array of its own, in native byte order: float32 keys, values, boxes and
+    blur, and the raw 64-byte names."""
+    chunks = r.record_chunks(layout, count)  # refuses a count the file cannot hold
+    columns = {name: np.empty((count, *layout[name].shape), layout[name].base.newbyteorder("="))
+               for name in layout.names}
+    for first, chunk in chunks:
+        for name, column in columns.items():
+            column[first:first + len(chunk)] = chunk[name]
+    return columns
+
+
 def load_bank(path) -> MemoryBank:
-    r = Reader.open(path, BANK_MAGIC, BANK_VERSION)
-    d_key, d_val, count = r.u32(), r.u32(), r.u64()
-    meta_at = r.offset
-    meta = r.json_block()
-    weights = meta.get("weights") if isinstance(meta, dict) else None
-    if not (isinstance(weights, dict) and weights.keys() == KeyWeights().as_dict().keys()
-            and all(map(is_json_number, weights.values()))
-            and isinstance(meta.get("manifest"), dict)):
-        raise FormatError(f"bad weights or manifest in bank header: {meta!r:.200}", offset=meta_at)
-    records_at = r.offset
-    with format_errors("bad bank record layout", 8):
-        records = r.records(_record_dtype(d_key, d_val), count)
-    r.expect_eof()
-    x0, y0, x1, y1 = records["box"].T
+    """Read a bank file. Its records are read a chunk at a time and copied
+    into the bank's columns, so a load holds the bank plus one chunk."""
+    with Reader.stream(path, BANK_MAGIC, BANK_VERSION) as r:
+        d_key, d_val, count = r.u32(), r.u32(), r.u64()
+        meta_at = r.offset
+        meta = r.json_block()
+        weights = meta.get("weights") if isinstance(meta, dict) else None
+        if not (isinstance(weights, dict) and weights.keys() == KeyWeights().as_dict().keys()
+                and all(map(is_json_number, weights.values()))
+                and isinstance(meta.get("manifest"), dict)):
+            raise FormatError(f"bad weights or manifest in bank header: {meta!r:.200}",
+                              offset=meta_at)
+        records_at = r.offset
+        with format_errors("bad bank record layout", 8):
+            layout = _record_dtype(d_key, d_val)
+        columns = _read_records(r, layout, count)
+        r.expect_eof()
+    x0, y0, x1, y1 = columns["box"].T
     if not np.all((0 <= x0) & (x0 < x1) & (x1 <= 1) & (0 <= y0) & (y0 < y1) & (y1 <= 1)):
         raise FormatError("bank has a box outside 0 <= x0 < x1 <= 1, 0 <= y0 < y1 <= 1")
     with format_errors("bad UTF-8 in a category or image id", records_at):
-        categories, image_ids = (_decode_names(records, name)
+        categories, image_ids = (_decode_names(columns.pop(name))
                                  for name in ("category", "image_id"))
-    return MemoryBank(d_key=d_key, d_val=d_val, weights=KeyWeights(**weights),
-                      manifest=meta["manifest"], keys=records["key"], values=records["value"],
-                      categories=categories, image_ids=image_ids, boxes=records["box"],
-                      blur=records["blur"])
+    return MemoryBank._adopt(d_key, d_val, KeyWeights(**weights), meta["manifest"],
+                             keys=columns["key"], values=columns["value"],
+                             categories=categories, image_ids=image_ids,
+                             boxes=columns["box"], blur=columns["blur"])
 
 
 def save_embedding_table(table: dict[str, np.ndarray], path) -> None:

@@ -311,7 +311,8 @@ def train_ivfpq(keys, params: IvfPqParams) -> IvfPqIndex:
     coarse = kmeans(keys, params.nlist, iters=params.kmeans_iters,
                     seed=np.random.Generator(np.random.PCG64(seeds[0])))
     assign = _nearest(keys, coarse, 0.0)[0]
-    residuals = keys - coarse[assign]
+    residuals = coarse[assign]
+    np.subtract(keys, residuals, out=residuals)  # no second (N, D) temporary
     dsub = dim // params.m
     sub = residuals.reshape(n, params.m, dsub)
     codebooks = np.empty((params.m, params.ksub, dsub), dtype=np.float32)
@@ -343,7 +344,8 @@ def ivfpq_add(index: IvfPqIndex, ids, keys) -> None:
     # Assignment and probing both use inner product, matching the similarity
     # metric of the search itself.
     assign = _nearest(keys, index.coarse_centroids, 0.0)[0]
-    residuals = keys - index.coarse_centroids[assign]
+    residuals = index.coarse_centroids[assign]
+    np.subtract(keys, residuals, out=residuals)
     codes = index.encode_residuals(residuals)
     # A stable sort by list keeps the rows already in a list ahead of new ones.
     nlist = index.params.nlist

@@ -1,9 +1,16 @@
 """Little-endian binary IO helpers shared by every vismem file format.
 
-The loader contract: `Reader.open` reads a file and checks its magic and
-version; a short read or trailing bytes are `FormatError` at their offset.
-The file is read once into one read-only buffer: `records` hands out views of
-it and the typed arrays are one copy each.
+The loader contract: `Reader.open` and `Reader.stream` open a file and check
+its magic and version; a short read or trailing bytes are `FormatError` at
+their offset. `Reader.open` reads the file once into one read-only buffer:
+`records` hands out views of it and the typed arrays are one copy each.
+`Reader.stream` reads each field from the file as it is claimed, and
+`record_chunks` reads a section of fixed-size records in chunks of whole
+records into one reused buffer, so a loader copies each chunk into its own
+arrays and holds them plus one chunk, never the whole file; the section's
+size is checked against the bytes left before the first chunk is read. A
+pipe has no size, so `Reader.stream` reads it whole first. Neither maps the
+file.
 `format_errors` reports a field that does not build a valid object
 (`InvalidInputError`, or a `ValueError`, `OverflowError` or `RecursionError`
 from numpy, `int()`, UTF-8 or JSON decoding) as `FormatError` at the field's
@@ -15,6 +22,7 @@ explicitly, so a malformed file raises `FormatError` and nothing else.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -26,6 +34,11 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import FormatError, InvalidInputError
+
+# About how many bytes of records `record_chunks` reads at a time: large
+# enough that the read calls cost nothing, small enough to stay in cache
+# while a loader copies the chunk into its columns.
+RECORD_CHUNK_BYTES = 1 << 20
 
 
 def atomic_write_bytes(path, *chunks) -> None:
@@ -109,34 +122,58 @@ class Reader:
         self.data = np.frombuffer(data, dtype=np.uint8)
         self.data.flags.writeable = False
         self.offset = 0
+        self.size = len(self.data)
 
     @classmethod
     def open(cls, path, magic: str, version: int) -> "Reader":
         """A reader over the whole file, past its checked magic and version.
 
-        The file is read in one call, not mapped: a mapped file that shrinks
-        while it is read kills the process with SIGBUS instead of raising
-        FormatError."""
+        The file is read into one buffer in one call, not mapped: a mapped
+        file that shrinks while it is read kills the process with SIGBUS
+        instead of raising FormatError. A loader whose file is mostly
+        fixed-size records uses `stream`, which holds one chunk of them."""
         with open(path, "rb") as f:
             if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
                 data = np.fromfile(f, dtype=np.uint8)
             else:  # a pipe has no size for np.fromfile to read up to
                 data = f.read()
         r = cls(data)
-        tag = r._take(len(magic))
+        r._expect_header(magic, version)
+        return r
+
+    @staticmethod
+    @contextmanager
+    def stream(path, magic: str, version: int):
+        """A reader over the open file, past its checked magic and version,
+        that reads each field when it is claimed; see `_StreamReader`.
+
+        The size of a regular file is taken once, at open; a pipe has no
+        size, so it is read whole first. The file is read, not mapped, for
+        the reason `open` gives, and it is closed when the block ends."""
+        with open(path, "rb") as f:
+            st = os.fstat(f.fileno())
+            if stat.S_ISREG(st.st_mode):
+                r = _StreamReader(f, st.st_size)
+            else:
+                data = f.read()
+                r = _StreamReader(io.BytesIO(data), len(data))
+            r._expect_header(magic, version)
+            yield r
+
+    def _expect_header(self, magic: str, version: int) -> None:
+        tag = self._take(len(magic))
         if tag != magic.encode("ascii"):
             raise FormatError(f"bad magic {tag!r}, expected {magic!r}", offset=0)
-        found = r.u32()
+        found = self.u32()
         if found != version:
             raise FormatError(f"unsupported {magic} version {found}, expected {version}",
                               offset=4)
-        return r
 
     def _advance(self, n: int) -> int:
         """Claim the next n bytes and return where they start."""
         start = self.offset
-        if start + n > len(self.data):
-            raise FormatError(f"truncated file: need {n} bytes, have {len(self.data) - start}",
+        if start + n > self.size:
+            raise FormatError(f"truncated file: need {n} bytes, have {self.size - start}",
                               offset=start)
         self.offset += n
         return start
@@ -170,10 +207,55 @@ class Reader:
         return np.frombuffer(self.data, dtype=dtype, count=count, offset=start)
 
     def expect_eof(self) -> None:
-        if self.offset != len(self.data):
-            raise FormatError(
-                f"{len(self.data) - self.offset} trailing bytes", offset=self.offset
-            )
+        if self.offset != self.size:
+            raise FormatError(f"{self.size - self.offset} trailing bytes", offset=self.offset)
+
+
+class _StreamReader(Reader):
+    """A Reader that reads each field from a binary file when it is claimed,
+    and its records with `record_chunks`, as it holds no buffer to view.
+
+    Claims are checked against the size the file had at open, so a short
+    field is refused before anything is read or sized from it. A file that
+    shrinks after that is truncated at the first read that comes up short."""
+
+    def __init__(self, file, size: int):
+        self.file, self.size, self.offset = file, size, 0
+
+    def _fill(self, buf, start: int) -> None:
+        """Read the bytes at start, which the caller has claimed, into buf."""
+        view = memoryview(buf).cast("B")
+        got = 0
+        while got < len(view):
+            n = self.file.readinto(view[got:])
+            if not n:
+                raise FormatError(f"truncated file: need {len(view)} bytes, have {got}",
+                                  offset=start)
+            got += n
+
+    def _take(self, n: int) -> bytes:
+        buf = bytearray(n)
+        self._fill(buf, self._advance(n))
+        return bytes(buf)
+
+    def record_chunks(self, dtype: np.dtype, count: int):
+        """count fixed-size records as (first row, records) chunks of about
+        RECORD_CHUNK_BYTES, in order. Every chunk is read into the same
+        buffer, so a chunk is valid only until the next one is read.
+
+        The whole section is claimed here, before the first chunk is read:
+        a count the file cannot hold is refused before the caller sizes
+        anything from it."""
+        start = self._advance(dtype.itemsize * count)
+        return self._chunks(dtype, count, start)
+
+    def _chunks(self, dtype: np.dtype, count: int, start: int):
+        rows = max(1, RECORD_CHUNK_BYTES // dtype.itemsize)
+        buf = np.empty(min(rows, count) * dtype.itemsize, dtype=np.uint8)
+        for first in range(0, count, rows):
+            chunk = buf[:min(rows, count - first) * dtype.itemsize]
+            self._fill(chunk, start + first * dtype.itemsize)
+            yield first, chunk.view(dtype)
 
 
 def read_file(path) -> bytes:

@@ -1,7 +1,9 @@
+import io
 import math
 import os
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from vismem.bank import (
 )
 from vismem.errors import FormatError, InvalidInputError, MissingEmbeddingError
 from vismem.grids import Box2D, l2_normalize
+from vismem import serial
 from vismem.serial import Reader, Writer
 
 
@@ -614,6 +617,161 @@ class TestNameColumns:
         writer.join(timeout=10)
         assert not writer.is_alive()
         assert loaded == bank
+
+def buffer_load_error(raw: bytes) -> str:
+    """The FormatError that reading raw as a bank with one in-memory Reader
+    gives, field by field as load_bank reads it; "" if the fields all read."""
+    try:
+        r = Reader(raw)
+        r._expect_header("PBNK", 1)
+        d_key, d_val, count = r.u32(), r.u32(), r.u64()
+        r.json_block()
+        r.records(np.dtype([("x", "u1", (entry_stride(d_key, d_val),))]), count)
+        r.expect_eof()
+    except FormatError as exc:
+        return str(exc)
+    return ""
+
+
+class TestStreamedLoad:
+    """load_bank reads the records a chunk at a time into the bank's columns:
+    the bank equals the saved one for any chunk size, and a short, long or
+    oversized file fails as a read of the whole file into one buffer does."""
+
+    NAMES = ["caf\u00e9", "dog", "\u732b", "x" * 64, "\u00fc" * 32, "", "cat", "a\x00b"]
+
+    def saved(self, tmp_path, n=10):
+        rng = rng_for(12)
+        bank = MemoryBank(d_key=6, d_val=3, keys=rng.standard_normal((n, 6)),
+                          values=rng.standard_normal((n, 3)),
+                          categories=[self.NAMES[i % 8] for i in range(n)],
+                          image_ids=[f"img-{i}" + "\u00e9" * (i % 3) for i in range(n)],
+                          boxes=[[0.1, 0.2, 0.3 + 0.05 * i, 0.9] for i in range(n)],
+                          blur=[None if i % 3 else float(i) for i in range(n)],
+                          manifest={"n": n})
+        path = tmp_path / "b.pbnk"
+        save_bank(bank, path)
+        return bank, path
+
+    @pytest.mark.parametrize("records_per_chunk", [1, 2.5, 3, 1000])
+    def test_any_chunk_size_loads_the_same_bank(self, tmp_path, monkeypatch, records_per_chunk):
+        # 2.5 records per chunk read 2 whole records at a time, so neighbouring
+        # non-ASCII names land on both sides of each chunk boundary
+        bank, path = self.saved(tmp_path)
+        stride = entry_stride(bank.d_key, bank.d_val)
+        monkeypatch.setattr(serial, "RECORD_CHUNK_BYTES", int(records_per_chunk * stride))
+        loaded = load_bank(path)
+        assert loaded == bank
+        assert loaded.categories.tolist() == bank.categories.tolist()
+        assert loaded.image_ids.tolist() == bank.image_ids.tolist()
+        for column in ("categories", "image_ids"):
+            names = [name.encode("utf-8") for name in getattr(bank, column).tolist()]
+            want = np.char.decode(np.array(names, dtype="S64"), "utf-8").dtype
+            assert getattr(loaded, column).dtype == want
+
+    def test_chunks_are_whole_records_read_in_order(self, tmp_path, monkeypatch):
+        bank, path = self.saved(tmp_path)
+        stride = entry_stride(bank.d_key, bank.d_val)
+        monkeypatch.setattr(serial, "RECORD_CHUNK_BYTES", 3 * stride + 1)
+        raw = path.read_bytes()
+        with Reader.stream(path, "PBNK", 1) as r:
+            d_key, d_val, count = r.u32(), r.u32(), r.u64()
+            r.json_block()
+            start = r.offset
+            dtype = np.dtype([("x", "u1", (stride,))])
+            chunks = [(first, chunk.tobytes()) for first, chunk in r.record_chunks(dtype, count)]
+            r.expect_eof()
+        assert [first for first, _ in chunks] == [0, 3, 6, 9]
+        assert b"".join(data for _, data in chunks) == raw[start:]
+
+    def test_truncation_fails_as_a_buffer_read_does(self, tmp_path):
+        bank, path = self.saved(tmp_path)
+        raw = path.read_bytes()
+        stride = entry_stride(bank.d_key, bank.d_val)
+        records_at = len(raw) - len(bank) * stride
+        cuts = {"at a record boundary": records_at + 4 * stride,
+                "mid-record": records_at + 4 * stride + 7,
+                "right after the header": records_at,
+                "inside the JSON block": records_at - 3,
+                "inside the count": 20, "inside the magic": 2}
+        for where, cut in cuts.items():
+            path.write_bytes(raw[:cut])
+            with pytest.raises(FormatError) as exc:
+                load_bank(path)
+            assert str(exc.value) == buffer_load_error(raw[:cut]) != "", where
+            assert "truncated file" in str(exc.value), where
+        path.write_bytes(raw[:records_at + 4 * stride])
+        with pytest.raises(FormatError) as exc:
+            load_bank(path)
+        assert exc.value.offset == records_at
+        assert f"need {len(bank) * stride} bytes, have {4 * stride}" in str(exc.value)
+
+    def test_trailing_bytes_fail_as_a_buffer_read_does(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw + b"\x00" * 5)
+        with pytest.raises(FormatError) as exc:
+            load_bank(path)
+        assert str(exc.value) == buffer_load_error(raw + b"\x00" * 5)
+        assert "5 trailing bytes" in str(exc.value) and exc.value.offset == len(raw)
+
+    def test_count_past_the_file_fails_before_any_column_is_sized(self, tmp_path):
+        bank, path = self.saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<Q", raw, 16, 10**6)  # columns of about 90 MB
+        path.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as exc:
+                load_bank(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == buffer_load_error(bytes(raw))
+        assert f"need {10**6 * entry_stride(bank.d_key, bank.d_val)} bytes" in str(exc.value)
+        assert peak < 2**20
+
+    def test_file_that_shrinks_while_read_is_truncated(self):
+        dtype = np.dtype([("x", "<f4", (3,))])
+        r = serial._StreamReader(io.BytesIO(bytes(5 * dtype.itemsize)), 6 * dtype.itemsize)
+        with pytest.raises(FormatError) as exc:
+            list(r.record_chunks(dtype, 6))
+        assert exc.value.offset == 0
+        assert f"need {6 * dtype.itemsize} bytes, have {5 * dtype.itemsize}" in str(exc.value)
+
+    def test_load_holds_the_columns_plus_one_chunk(self, tmp_path):
+        """A whole-file buffer would take the peak to about twice the file."""
+        n, d_key, d_val = 20_000, 256, 32
+        rng = rng_for(5)
+        bank = MemoryBank(d_key=d_key, d_val=d_val, keys=rng.standard_normal((n, d_key)),
+                          values=rng.standard_normal((n, d_val)),
+                          categories=[f"c{i % 500}" for i in range(n)],
+                          image_ids=[f"img-{i}" for i in range(n)],
+                          boxes=[[0.0, 0.0, 1.0, 1.0]] * n, blur=[None] * n)
+        path = tmp_path / "b.pbnk"
+        save_bank(bank, path)
+        del bank
+        tracemalloc.start()
+        try:
+            loaded = load_bank(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = sum(getattr(loaded, c).nbytes for c in ("keys", "values", "categories",
+                                                          "image_ids", "boxes", "blur"))
+        assert path.stat().st_size > columns
+        assert peak < columns + 2 * serial.RECORD_CHUNK_BYTES + 2**20
+
+    def test_constructor_copies_what_a_loader_would_hand_over(self):
+        keys = np.ones((2, 4), dtype=np.float32)
+        names = np.array(["a", "b"])
+        bank = MemoryBank(d_key=4, d_val=0, keys=keys, values=np.zeros((2, 0), np.float32),
+                          categories=names, image_ids=names, boxes=[[0, 0, 1, 1]] * 2,
+                          blur=np.zeros(2, np.float32))
+        assert not np.shares_memory(bank.keys, keys)
+        assert not np.shares_memory(bank.categories, names)
+        assert keys.flags.writeable
+
 
 class TestColumnShapes:
     """Every column of a non-empty bank has exactly its (n,) or (n, d) shape,
