@@ -29,10 +29,10 @@ def _save_array(arr: np.ndarray, magic: str, path) -> None:
 
 
 def _load_array(path, magic: str, ndim: int) -> np.ndarray:
-    r = Reader.open(path, magic, VERSION)
-    shape = tuple(r.u32() for _ in range(ndim))
-    arr = r.f32_array(math.prod(shape), shape=shape)
-    r.expect_eof()
+    with Reader.stream(path, magic, VERSION) as r:
+        shape = tuple(r.u32() for _ in range(ndim))
+        arr = r.f32_array(math.prod(shape), shape=shape)
+        r.expect_eof()
     return arr
 
 

@@ -443,7 +443,7 @@ def save_bank(bank: MemoryBank, path) -> None:
 
 
 def _read_records(r, layout: np.dtype, count: int) -> dict[str, np.ndarray]:
-    """Each field of the next count records of a `Reader.stream` reader as an
+    """Each field of the next count records of a `Reader` as an
     array of its own, in native byte order: float32 keys, values, boxes and
     blur, and the raw 64-byte names."""
     chunks = r.record_chunks(layout, count)  # refuses a count the file cannot hold
@@ -501,14 +501,18 @@ def save_embedding_table(table: dict[str, np.ndarray], path) -> None:
 
 
 def load_embedding_table(path) -> dict[str, np.ndarray]:
-    r = Reader.open(path, TABLE_MAGIC, TABLE_VERSION)
-    dim, count = r.u32(), r.u64()
-    table = {}
-    for _ in range(count):
-        name = r._take(r.u32())
-        with format_errors("bad UTF-8 name", r.offset - len(name)):
-            table[name.decode("utf-8")] = r.f32_array(dim)
-    r.expect_eof()
+    with Reader.stream(path, TABLE_MAGIC, TABLE_VERSION) as r:
+        dim, count = r.u32(), r.u64()
+        table = {}
+        for _ in range(count):
+            encoded = r._take(r.u32())
+            name_at = r.offset - len(encoded)
+            with format_errors("bad UTF-8 name", name_at):
+                name = encoded.decode("utf-8")
+            if name in table:
+                raise FormatError(f"repeated name {name!r}", offset=name_at)
+            table[name] = r.f32_array(dim)
+        r.expect_eof()
     return table
 
 

@@ -10,6 +10,7 @@ full-precision keys repairs approximation errors before the final top-K cut.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -441,30 +442,40 @@ def save_index(index: IvfPqIndex, path) -> None:
     atomic_write_bytes(path, w.getvalue())
 
 
+def _finite_f32s(r: Reader, what: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The next float32 array of this shape; a NaN or inf in it is a
+    FormatError at its offset, as training never writes one."""
+    at = r.offset
+    arr = r.f32_array(math.prod(shape), shape=shape)
+    bad = ~np.isfinite(arr.ravel())
+    if bad.any():
+        raise FormatError(f"non-finite {what}", offset=at + 4 * int(np.argmax(bad)))
+    return arr
+
+
 def load_index(path) -> IvfPqIndex:
-    r = Reader.open(path, INDEX_MAGIC, INDEX_VERSION)
-    header_at = r.offset
-    header = r.json_block()
-    expected = IvfPqParams().as_dict().keys()
-    with format_errors("bad index header", header_at):
-        if not isinstance(header, dict) or header.keys() != expected:
-            raise InvalidInputError(f"header keys must be exactly {sorted(expected)}")
-        params = IvfPqParams(**header)
-    dim = r.u32()
-    if dim % params.m != 0:
-        raise FormatError(f"index dim {dim} not divisible by m={params.m}", offset=r.offset - 4)
-    coarse = r.f32_array(params.nlist * dim, shape=(params.nlist, dim))
-    dsub = dim // params.m
-    codebooks = r.f32_array(params.m * params.ksub * dsub,
-                            shape=(params.m, params.ksub, dsub))
-    # Each list is read as views of the file; one concatenation copies them all.
-    sizes, ids, codes = [], [], []
-    for _ in range(params.nlist):
-        n = r.u64()
-        sizes.append(n)
-        ids.append(r.records(np.dtype("<i8"), n))
-        codes.append(r.records(np.dtype(np.uint8), n * params.m).reshape(n, params.m))
-    r.expect_eof()
+    with Reader.stream(path, INDEX_MAGIC, INDEX_VERSION) as r:
+        header_at = r.offset
+        header = r.json_block()
+        expected = IvfPqParams().as_dict().keys()
+        with format_errors("bad index header", header_at):
+            if not isinstance(header, dict) or header.keys() != expected:
+                raise InvalidInputError(f"header keys must be exactly {sorted(expected)}")
+            params = IvfPqParams(**header)
+        dim = r.u32()
+        if dim % params.m != 0:
+            raise FormatError(f"index dim {dim} not divisible by m={params.m}",
+                              offset=r.offset - 4)
+        dsub = dim // params.m
+        coarse = _finite_f32s(r, "coarse centroid", (params.nlist, dim))
+        codebooks = _finite_f32s(r, "PQ codeword", (params.m, params.ksub, dsub))
+        sizes, ids, codes = [], [], []
+        for _ in range(params.nlist):
+            n = r.u64()
+            sizes.append(n)
+            ids.append(r.records(np.dtype("<i8"), n))
+            codes.append(r.records(np.dtype(np.uint8), n * params.m).reshape(n, params.m))
+        r.expect_eof()
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     ids, codes = np.concatenate(ids, dtype=np.int64), np.concatenate(codes)
     if _has_duplicates(ids):

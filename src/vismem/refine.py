@@ -341,23 +341,24 @@ def save_params(params, path) -> None:
 
 def load_params(path):
     """Load a PPRM file; returns RefinementParams or a per-scale list."""
-    r = Reader.open(path, PARAMS_MAGIC, PARAMS_VERSION)
-    dim, per_scale, count, window = r.u32(), r.u32(), r.u32(), r.u32()
-    ln_eps = r.f32()
-    if per_scale not in (0, 1) or count < 1 or (count > 1 and not per_scale):
-        raise FormatError(f"a shared parameter file holds one set and a per-scale file at "
-                          f"least one; got per_scale={per_scale} with {count} sets", offset=12)
-    sets = []
-    for _ in range(count):
-        with format_errors("bad parameter set", r.offset):
-            sets.append(RefinementParams(
-                e=r.f32_array(dim),
-                w_sparse=r.f32_array(dim * dim, shape=(dim, dim)),
-                w_dense=r.f32_array(dim * dim, shape=(dim, dim)),
-                ln_gain=r.f32_array(dim),
-                ln_bias=r.f32_array(dim),
-                ln_eps=ln_eps,
-                window=window,
-            ))
-    r.expect_eof()
+    with Reader.stream(path, PARAMS_MAGIC, PARAMS_VERSION) as r:
+        dim, per_scale, count, window = r.u32(), r.u32(), r.u32(), r.u32()
+        ln_eps = r.f32()
+        if per_scale not in (0, 1) or count < 1 or (count > 1 and not per_scale):
+            raise FormatError(f"a shared parameter file holds one set and a per-scale file at "
+                              f"least one; got per_scale={per_scale} with {count} sets",
+                              offset=12)
+        sets = []
+        for _ in range(count):
+            with format_errors("bad parameter set", r.offset):
+                sets.append(RefinementParams(
+                    e=r.f32_array(dim),
+                    w_sparse=r.f32_array(dim * dim, shape=(dim, dim)),
+                    w_dense=r.f32_array(dim * dim, shape=(dim, dim)),
+                    ln_gain=r.f32_array(dim),
+                    ln_bias=r.f32_array(dim),
+                    ln_eps=ln_eps,
+                    window=window,
+                ))
+        r.expect_eof()
     return sets if per_scale else sets[0]

@@ -1,16 +1,16 @@
 """Little-endian binary IO helpers shared by every vismem file format.
 
-The loader contract: `Reader.open` and `Reader.stream` open a file and check
-its magic and version; a short read or trailing bytes are `FormatError` at
-their offset. `Reader.open` reads the file once into one read-only buffer:
-`records` hands out views of it and the typed arrays are one copy each.
-`Reader.stream` reads each field from the file as it is claimed, and
-`record_chunks` reads a section of fixed-size records in chunks of whole
-records into one reused buffer, so a loader copies each chunk into its own
-arrays and holds them plus one chunk, never the whole file; the section's
-size is checked against the bytes left before the first chunk is read. A
-pipe has no size, so `Reader.stream` reads it whole first. Neither maps the
-file.
+The loader contract: every binary loader reads its file inside one
+`with Reader.stream(...)` block, which checks the magic and version and
+closes the file when the block ends; a short read or trailing bytes are
+`FormatError` at their offset. The reader reads each field from the file
+when it is claimed, after checking the claim against the bytes left, so a
+size taken from a header sizes nothing the file cannot hold. `records` reads
+a run of fixed-size records into a new array of their own, and
+`record_chunks` reads a section of them in chunks of whole records into one
+reused buffer, so the bank loader holds its columns plus one chunk, never
+the whole file. A pipe has no size, so it is read whole first. The file is
+never mapped.
 `format_errors` reports a field that does not build a valid object
 (`InvalidInputError`, or a `ValueError`, `OverflowError` or `RecursionError`
 from numpy, `int()`, UTF-8 or JSON decoding) as `FormatError` at the field's
@@ -115,48 +115,33 @@ def format_errors(what: str, offset: int | None = None):
 
 
 class Reader:
-    """Sequential reader over a byte buffer (bytes or a uint8 array) that raises
-    FormatError with the failing byte offset."""
+    """Sequential reader over a binary file that reads each field when it is
+    claimed and raises FormatError with the failing byte offset.
 
-    def __init__(self, data):
-        self.data = np.frombuffer(data, dtype=np.uint8)
-        self.data.flags.writeable = False
-        self.offset = 0
-        self.size = len(self.data)
+    Claims are checked against the size the file had at open, so a short
+    field is refused before anything is read or sized from it. A file that
+    shrinks after that is truncated at the first read that comes up short."""
+
+    def __init__(self, file, size: int):
+        self.file, self.size, self.offset = file, size, 0
 
     @classmethod
-    def open(cls, path, magic: str, version: int) -> "Reader":
-        """A reader over the whole file, past its checked magic and version.
-
-        The file is read into one buffer in one call, not mapped: a mapped
-        file that shrinks while it is read kills the process with SIGBUS
-        instead of raising FormatError. A loader whose file is mostly
-        fixed-size records uses `stream`, which holds one chunk of them."""
-        with open(path, "rb") as f:
-            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-                data = np.fromfile(f, dtype=np.uint8)
-            else:  # a pipe has no size for np.fromfile to read up to
-                data = f.read()
-        r = cls(data)
-        r._expect_header(magic, version)
-        return r
-
-    @staticmethod
     @contextmanager
-    def stream(path, magic: str, version: int):
-        """A reader over the open file, past its checked magic and version,
-        that reads each field when it is claimed; see `_StreamReader`.
+    def stream(cls, path, magic: str, version: int):
+        """A reader over the open file, past its checked magic and version.
 
         The size of a regular file is taken once, at open; a pipe has no
-        size, so it is read whole first. The file is read, not mapped, for
-        the reason `open` gives, and it is closed when the block ends."""
+        size, so it is read whole first. The file is read, not mapped: a
+        mapped file that shrinks while it is read kills the process with
+        SIGBUS instead of raising FormatError. It is closed when the block
+        ends."""
         with open(path, "rb") as f:
             st = os.fstat(f.fileno())
             if stat.S_ISREG(st.st_mode):
-                r = _StreamReader(f, st.st_size)
+                r = cls(f, st.st_size)
             else:
                 data = f.read()
-                r = _StreamReader(io.BytesIO(data), len(data))
+                r = cls(io.BytesIO(data), len(data))
             r._expect_header(magic, version)
             yield r
 
@@ -178,9 +163,23 @@ class Reader:
         self.offset += n
         return start
 
+    def _fill(self, buf: np.ndarray, start: int) -> None:
+        """Read the bytes at start, which the caller has claimed, into the uint8 array buf."""
+        view = memoryview(buf)
+        got = 0
+        while got < len(view):
+            n = self.file.readinto(view[got:])
+            if not n:
+                raise FormatError(f"truncated file: need {len(view)} bytes, have {got}",
+                                  offset=start)
+            got += n
+
     def _take(self, n: int) -> bytes:
         start = self._advance(n)
-        return self.data[start : start + n].tobytes()
+        data = self.file.read(n)
+        if len(data) != n:
+            raise FormatError(f"truncated file: need {n} bytes, have {len(data)}", offset=start)
+        return data
 
     def u32(self) -> int:
         return struct.unpack("<I", self._take(4))[0]
@@ -192,7 +191,7 @@ class Reader:
         return struct.unpack("<f", self._take(4))[0]
 
     def f32_array(self, count: int, shape=None) -> np.ndarray:
-        arr = self.records(np.dtype("<f4"), count).astype(np.float32)
+        arr = self.records(np.dtype("<f4"), count).astype(np.float32, copy=False)
         return arr.reshape(shape) if shape is not None else arr
 
     def json_block(self):
@@ -202,41 +201,13 @@ class Reader:
             return json.loads(payload.decode("utf-8"))
 
     def records(self, dtype: np.dtype, count: int) -> np.ndarray:
-        """count fixed-size records as a read-only view of the data (no copy)."""
+        """count fixed-size records as a new array of their own. The bytes are
+        claimed before the array is sized, so a count the file cannot hold
+        allocates nothing."""
         start = self._advance(dtype.itemsize * count)
-        return np.frombuffer(self.data, dtype=dtype, count=count, offset=start)
-
-    def expect_eof(self) -> None:
-        if self.offset != self.size:
-            raise FormatError(f"{self.size - self.offset} trailing bytes", offset=self.offset)
-
-
-class _StreamReader(Reader):
-    """A Reader that reads each field from a binary file when it is claimed,
-    and its records with `record_chunks`, as it holds no buffer to view.
-
-    Claims are checked against the size the file had at open, so a short
-    field is refused before anything is read or sized from it. A file that
-    shrinks after that is truncated at the first read that comes up short."""
-
-    def __init__(self, file, size: int):
-        self.file, self.size, self.offset = file, size, 0
-
-    def _fill(self, buf, start: int) -> None:
-        """Read the bytes at start, which the caller has claimed, into buf."""
-        view = memoryview(buf).cast("B")
-        got = 0
-        while got < len(view):
-            n = self.file.readinto(view[got:])
-            if not n:
-                raise FormatError(f"truncated file: need {len(view)} bytes, have {got}",
-                                  offset=start)
-            got += n
-
-    def _take(self, n: int) -> bytes:
-        buf = bytearray(n)
-        self._fill(buf, self._advance(n))
-        return bytes(buf)
+        arr = np.empty(count, dtype=dtype)
+        self._fill(arr.view(np.uint8), start)
+        return arr
 
     def record_chunks(self, dtype: np.dtype, count: int):
         """count fixed-size records as (first row, records) chunks of about
@@ -256,6 +227,10 @@ class _StreamReader(Reader):
             chunk = buf[:min(rows, count - first) * dtype.itemsize]
             self._fill(chunk, start + first * dtype.itemsize)
             yield first, chunk.view(dtype)
+
+    def expect_eof(self) -> None:
+        if self.offset != self.size:
+            raise FormatError(f"{self.size - self.offset} trailing bytes", offset=self.offset)
 
 
 def read_file(path) -> bytes:

@@ -32,8 +32,11 @@ from vismem.bank import (
     save_embedding_table,
     write_pgm,
 )
+from vismem.artifacts import load_feature_grid, save_feature_grid
 from vismem.errors import FormatError, InvalidInputError, MissingEmbeddingError
 from vismem.grids import Box2D, l2_normalize
+from vismem.index import IvfPqParams, ivfpq_add, load_index, save_index, train_ivfpq
+from vismem.refine import RefinementParams, load_params, save_params
 from vismem import serial
 from vismem.serial import Reader, Writer
 
@@ -578,31 +581,27 @@ class TestNameColumns:
         path = tmp_path / "b.pbnk"
         save_bank(bank, path)
         loaded = load_bank(path)
-        columns = [loaded.keys, loaded.values, loaded.categories, loaded.image_ids,
-                   loaded.boxes, loaded.blur]
-        for column in columns:
-            owner = column
-            while isinstance(owner.base, np.ndarray):
-                owner = owner.base
-                assert owner.nbytes <= column.nbytes
-            assert owner.base is None
-        for i, a in enumerate(columns):
-            for b in columns[i + 1:]:
-                assert not np.shares_memory(a, b)
+        assert_own_memory([loaded.keys, loaded.values, loaded.categories, loaded.image_ids,
+                           loaded.boxes, loaded.blur])
 
-    def test_reader_records_are_read_only(self, tmp_path):
-        bank = hand_bank(["cat", "dog"], ["img0", "img1"], [None, None])
-        path = tmp_path / "b.pbnk"
-        save_bank(bank, path)
-        r = Reader.open(path, "PBNK", 1)
-        d_key, _, _ = r.u32(), r.u32(), r.u64()
-        r.json_block()
-        first_key = r.records(np.dtype("<f4"), d_key)
-        assert not first_key.flags.writeable
-        with pytest.raises(ValueError):
-            first_key[0] = 1.0
-        for data in (bytes(16), bytearray(16), np.zeros(16, dtype=np.uint8)):
-            assert not Reader(data).records(np.dtype("<f4"), 4).flags.writeable
+    def test_other_loaders_hand_out_arrays_that_own_their_memory(self, tmp_path):
+        rng = rng_for(9)
+        index = train_ivfpq(rng.standard_normal((40, 8)).astype(np.float32),
+                            IvfPqParams(nlist=4, m=2, nbits=2, kmeans_iters=2))
+        ivfpq_add(index, np.arange(40), rng.standard_normal((40, 8)).astype(np.float32))
+        save_index(index, tmp_path / "i.pivf")
+        loaded = load_index(tmp_path / "i.pivf")
+        assert_own_memory([loaded.coarse_centroids, loaded.pq_codebooks, loaded.ids,
+                           loaded.codes, loaded.offsets])
+        save_params([RefinementParams.seeded_init(3, seed=s) for s in (1, 2)],
+                    tmp_path / "p.pprm")
+        assert_own_memory([getattr(p, name) for p in load_params(tmp_path / "p.pprm")
+                           for name in ("e", "w_sparse", "w_dense", "ln_gain", "ln_bias")])
+        save_feature_grid(rng.standard_normal((2, 3, 4)), tmp_path / "g.pgrd")
+        assert_own_memory([load_feature_grid(tmp_path / "g.pgrd")])
+        save_embedding_table({name: rng.standard_normal(3) for name in ("cat", "caf\u00e9")},
+                             tmp_path / "t.pmem")
+        assert_own_memory(list(load_embedding_table(tmp_path / "t.pmem").values()))
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_bank_loads_from_a_pipe(self, tmp_path):
@@ -618,11 +617,27 @@ class TestNameColumns:
         assert not writer.is_alive()
         assert loaded == bank
 
+
+def assert_own_memory(arrays):
+    """Each array owns its memory, or views an array of no more bytes that
+    does, and no two of them share any."""
+    for arr in arrays:
+        owner = arr
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+            assert owner.nbytes <= arr.nbytes
+        assert owner.base is None
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
 def buffer_load_error(raw: bytes) -> str:
-    """The FormatError that reading raw as a bank with one in-memory Reader
-    gives, field by field as load_bank reads it; "" if the fields all read."""
+    """The FormatError that reading raw as a bank with a Reader over it in
+    memory, as a pipe is read, gives, field by field as load_bank reads it,
+    with `records` in place of `record_chunks`; "" if the fields all read."""
     try:
-        r = Reader(raw)
+        r = Reader(io.BytesIO(raw), len(raw))
         r._expect_header("PBNK", 1)
         d_key, d_val, count = r.u32(), r.u32(), r.u64()
         r.json_block()
@@ -636,7 +651,8 @@ def buffer_load_error(raw: bytes) -> str:
 class TestStreamedLoad:
     """load_bank reads the records a chunk at a time into the bank's columns:
     the bank equals the saved one for any chunk size, and a short, long or
-    oversized file fails as a read of the whole file into one buffer does."""
+    oversized file fails as a Reader over the whole file in memory, the pipe
+    path, does."""
 
     NAMES = ["caf\u00e9", "dog", "\u732b", "x" * 64, "\u00fc" * 32, "", "cat", "a\x00b"]
 
@@ -733,11 +749,18 @@ class TestStreamedLoad:
 
     def test_file_that_shrinks_while_read_is_truncated(self):
         dtype = np.dtype([("x", "<f4", (3,))])
-        r = serial._StreamReader(io.BytesIO(bytes(5 * dtype.itemsize)), 6 * dtype.itemsize)
+        r = serial.Reader(io.BytesIO(bytes(5 * dtype.itemsize)), 6 * dtype.itemsize)
         with pytest.raises(FormatError) as exc:
             list(r.record_chunks(dtype, 6))
         assert exc.value.offset == 0
         assert f"need {6 * dtype.itemsize} bytes, have {5 * dtype.itemsize}" in str(exc.value)
+
+    def test_field_of_a_file_that_shrinks_is_truncated(self):
+        r = serial.Reader(io.BytesIO(bytes(6)), 8)
+        assert r.u32() == 0
+        with pytest.raises(FormatError) as exc:
+            r.u32()
+        assert exc.value.offset == 4 and "need 4 bytes, have 2" in str(exc.value)
 
     def test_load_holds_the_columns_plus_one_chunk(self, tmp_path):
         """A whole-file buffer would take the peak to about twice the file."""

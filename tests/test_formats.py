@@ -12,6 +12,7 @@ import json
 import math
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,10 +55,13 @@ def write_bank(path):
     save_bank(bank, path)
 
 
+INDEX_PARAMS = IvfPqParams(nlist=4, m=2, nbits=2, kmeans_iters=1)
+
+
 def make_index():
     """Random centroids and codebooks; codes have ksub = 4."""
     rng = rng_for(2)
-    index = IvfPqIndex(params=IvfPqParams(nlist=4, m=2, nbits=2, kmeans_iters=1), dim=4,
+    index = IvfPqIndex(params=INDEX_PARAMS, dim=4,
                        coarse_centroids=unit_rows(rng, 4, 4),
                        pq_codebooks=rng.standard_normal((2, 4, 2)).astype(np.float32))
     ivfpq_add(index, np.arange(10), unit_rows(rng, 10, 4))
@@ -223,6 +227,25 @@ def patched(write, tmp_path, at, fmt, value):
 # PPRM: magic, version, dim (8), per_scale (12), count (16), window (20),
 # ln_eps (24), then per set e (D floats) and w_sparse (D x D).
 PPRM_W_SPARSE_AT = 28 + 4 * 3
+# PIVF: magic, version, JSON length, JSON header, dim, then the 4 x 4 coarse
+# centroids, the 2 x 4 x 2 PQ codewords and the first list's u64 size.
+PIVF_COARSE_AT = 16 + len(json.dumps(INDEX_PARAMS.as_dict(), sort_keys=True,
+                                     separators=(",", ":")))
+PIVF_CODEWORDS_AT = PIVF_COARSE_AT + 4 * 4 * 4
+PIVF_FIRST_LIST_AT = PIVF_CODEWORDS_AT + 4 * 2 * 4 * 2
+# PMEM: magic, version, dim, u64 count, then u32 length, name and 3 floats
+# per entry: the second name, "dog", starts at 20 + 4 + 3 + 12 + 4.
+PMEM_SECOND_NAME_AT = 43
+
+# Files that once loaded in silence, each refused at its bad value's offset.
+REFUSED_AT_THE_VALUE = [
+    pytest.param(write_index, load_index, PIVF_COARSE_AT + 4 * 5, "<f", math.nan,
+                 id="PIVF NaN coarse centroid"),
+    pytest.param(write_index, load_index, PIVF_CODEWORDS_AT + 4 * 3, "<f", -math.inf,
+                 id="PIVF inf codeword"),
+    pytest.param(write_table, load_embedding_table, PMEM_SECOND_NAME_AT, "3s", b"cat",
+                 id="PMEM repeated name"),
+]
 
 
 @pytest.mark.parametrize("write, load, at, fmt, value", [
@@ -240,11 +263,39 @@ PPRM_W_SPARSE_AT = 28 + 4 * 3
     pytest.param(write_table, load_embedding_table, 24, "<B", 0xFF, id="PMEM bad UTF-8 name"),
     pytest.param(write_index, load_index, 4, "<I", 2, id="PIVF version 2"),
     pytest.param(write_grid, artifacts.load_feature_grid, 4, "<I", 0, id="PGRD version 0"),
+    *REFUSED_AT_THE_VALUE,
 ])
 def test_hand_made_binary_case(tmp_path, write, load, at, fmt, value):
     with pytest.raises(FormatError) as exc:
         load(patched(write, tmp_path, at, fmt, value))
     assert exc.value.offset is not None
+
+
+@pytest.mark.parametrize("write, load, at, fmt, value", REFUSED_AT_THE_VALUE)
+def test_refused_at_the_bad_value(tmp_path, write, load, at, fmt, value):
+    with pytest.raises(FormatError) as exc:
+        load(patched(write, tmp_path, at, fmt, value))
+    assert exc.value.offset == at
+
+
+@pytest.mark.parametrize("write, load, at, fmt, value", [
+    pytest.param(write_index, load_index, PIVF_FIRST_LIST_AT, "<Q", 10**7,
+                 id="PIVF list of 10^7 entries"),
+    pytest.param(write_grid, artifacts.load_feature_grid, 8, "<I", 2**20,
+                 id="PGRD height 2^20"),
+])
+def test_size_past_the_file_fails_before_any_array_is_sized(tmp_path, write, load, at, fmt,
+                                                            value):
+    # either size would take tens of MB: a list's ids, or the grid's floats
+    path = patched(write, tmp_path, at, fmt, value)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated file"):
+            load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 RECORD = b'"image_id": "a", "box": [0, 0, 1, 1], "phrase": "cat"'
