@@ -17,7 +17,6 @@ from .bank import (
 )
 from .errors import (
     FormatError,
-    IndexStateError,
     InvalidInputError,
     MissingEmbeddingError,
     VismemError,

@@ -21,7 +21,3 @@ class FormatError(VismemError):
             message = f"{message} (at byte offset {offset})"
         super().__init__(message)
         self.offset = offset
-
-
-class IndexStateError(VismemError):
-    """An index operation was attempted in the wrong lifecycle state."""

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .errors import FormatError, IndexStateError, InvalidInputError
+from .errors import FormatError, InvalidInputError
 from .serial import Reader, Writer, atomic_write_bytes, format_errors
 
 INDEX_MAGIC = "PIVF"
@@ -29,21 +29,21 @@ class SearchHit:
     score: float
 
 
-def _top_k(ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the top-k rows by (score desc, id asc).
+def _top_k(ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The top-k (ids, scores) by (score desc, id asc): the one ranking of
+    every search. k >= 1 is checked by the caller, with `_check_k`.
 
     Only the rows scoring at least the k-th best score, every tie with it
     included, are sorted; that gives the order of a full sort.
     """
-    if k <= 0:
-        return np.zeros(0, dtype=np.intp)
     if k < ids.size:
         neg = -scores
         kth = np.partition(neg, k - 1)[k - 1]
         if not np.isnan(kth):  # NaN sorts last in both; then keep every row
-            keep = np.flatnonzero(neg <= kth)
-            return keep[np.lexsort((ids[keep], neg[keep]))[:k]]
-    return np.lexsort((ids, -scores))[:k]
+            keep = neg <= kth
+            ids, scores = ids[keep], scores[keep]
+    order = np.lexsort((ids, -scores))[:k]
+    return ids[order], scores[order]
 
 
 def _hits(ids: np.ndarray, scores: np.ndarray) -> list[SearchHit]:
@@ -51,10 +51,17 @@ def _hits(ids: np.ndarray, scores: np.ndarray) -> list[SearchHit]:
     return [SearchHit(i, s) for i, s in zip(ids.tolist(), scores.tolist())]
 
 
-def _sorted_hits(ids: np.ndarray, scores: np.ndarray, k: int) -> list[SearchHit]:
-    """Top-k by (score desc, id asc), as hits."""
-    order = _top_k(ids, scores, k)
-    return _hits(ids[order], scores[order])
+def _check_k(k: int, what: str = "k") -> None:
+    """The one check of how many hits a search ranks."""
+    if k < 1:
+        raise InvalidInputError(f"{what} must be >= 1, got {k}")
+
+
+def _check_ids(ids: np.ndarray, n: int) -> np.ndarray:
+    """ids, once each is a row of an n-row matrix: the one check of hit ids."""
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise InvalidInputError(f"entry id out of range [0, {n})")
+    return ids
 
 
 def _check_query(query, dim: int) -> np.ndarray:
@@ -77,14 +84,13 @@ def exact_scores(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
 
 class FlatIndex:
     """Exact inner-product search over full-precision keys, which must be
-    finite as for training; entry ids are row positions, so `keys` can also
-    serve `rescore`. The keys are also held cast to float64, once, for the
-    exact scores of every search."""
+    finite as for training; entry ids are row positions, from `np.arange`, so
+    `keys` can also serve `rescore`. The keys are also held cast to float64,
+    once, for the exact scores of every search."""
 
     def __init__(self, keys: np.ndarray):
         self.keys = _finite_matrix(keys, "keys")
         self._keys64 = self.keys.astype(np.float64)
-        self.ids = np.arange(self.keys.shape[0], dtype=np.int64)
 
     @classmethod
     def from_bank(cls, bank) -> "FlatIndex":
@@ -96,25 +102,24 @@ class FlatIndex:
 
     def search(self, query, k: int) -> list[SearchHit]:
         query = _check_query(query, self.dim)
-        if self.keys.shape[0] == 0:
-            return []
-        if k < 1:
-            raise InvalidInputError(f"k must be >= 1, got {k}")
+        _check_k(k)
         scores = exact_scores(self._keys64, query)
-        return _sorted_hits(self.ids, scores, k)
+        return _hits(*_top_k(np.arange(scores.size), scores, k))
 
 
 _BLOCK = 4096  # rows per block: bounds the (rows, k) temporaries of _nearest
 
 
-def _finite_matrix(x, what: str) -> np.ndarray:
-    """x as a contiguous float32 (N, D) matrix with no NaN or inf."""
+def _finite_matrix(x, what: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """x as a contiguous float32 array with no NaN or inf, of this shape if
+    one is given and an (N, D) matrix if not."""
     x = np.ascontiguousarray(x, dtype=np.float32)
-    if x.ndim != 2:
-        raise InvalidInputError(f"{what} must be an (N, D) matrix")
+    if x.ndim != 2 if shape is None else x.shape != shape:
+        raise InvalidInputError(f"{what} must be an array of shape {shape or '(N, D)'}, "
+                                f"got shape {x.shape}")
     finite = np.isfinite(x)
     if not finite.all():  # the flat test is cheap; find the rows only on failure
-        bad = np.flatnonzero(~finite.all(axis=1))
+        bad = np.flatnonzero(~finite.reshape(len(x), -1).all(axis=1))
         raise InvalidInputError(f"{what} must be finite; row {bad[0]} holds NaN or inf "
                                 f"({bad.size} of {len(x)} rows do)")
     return x
@@ -256,8 +261,10 @@ class IvfPqParams:
 class IvfPqIndex:
     """Trained IVF-PQ structure. Add entries, then search.
 
-    The inverted lists are stored CSR-style: list l is rows
-    offsets[l]:offsets[l + 1] of ids and codes, in the order they were added.
+    The constructor refuses a dim that m does not divide, and centroids or
+    codebooks that are not finite arrays of shapes (nlist, dim) and
+    (m, 2^nbits, dim / m). The inverted lists are stored CSR-style: list l is
+    rows offsets[l]:offsets[l + 1] of ids and codes, in the order added.
     """
 
     params: IvfPqParams
@@ -269,6 +276,13 @@ class IvfPqIndex:
     offsets: np.ndarray | None = None            # (nlist + 1,) int64
 
     def __post_init__(self):
+        p = self.params
+        if self.dim % p.m:
+            raise InvalidInputError(f"dim {self.dim} not divisible by m={p.m}")
+        self.coarse_centroids = _finite_matrix(self.coarse_centroids, "coarse centroids",
+                                               (p.nlist, self.dim))
+        self.pq_codebooks = _finite_matrix(self.pq_codebooks, "PQ codebooks",
+                                           (p.m, p.ksub, self.dim // p.m))
         if self.offsets is None:  # no entries yet
             self.ids = np.zeros(0, dtype=np.int64)
             self.codes = np.zeros((0, self.params.m), dtype=np.uint8)
@@ -358,15 +372,12 @@ def ivfpq_add(index: IvfPqIndex, ids, keys) -> None:
 
 
 def _check_probe(index: IvfPqIndex, query, nprobe: int, recall_size: int) -> np.ndarray:
-    """The checked query of an IVF-PQ search, once the index and the
-    search parameters have been checked."""
-    if index.coarse_centroids is None or index.pq_codebooks is None:
-        raise IndexStateError("index is not trained")
+    """The checked query of an IVF-PQ search, once the search parameters
+    have been checked."""
     query = _check_query(query, index.dim)
     if nprobe < 1 or nprobe > index.params.nlist:
         raise InvalidInputError(f"nprobe must be in [1, nlist], got {nprobe}")
-    if recall_size < 1:
-        raise InvalidInputError(f"recall_size must be >= 1, got {recall_size}")
+    _check_k(recall_size, "recall_size")
     return query
 
 
@@ -388,8 +399,7 @@ def _ivfpq_pool(index: IvfPqIndex, query: np.ndarray, nprobe: int,
     # Code c of subspace j is entry j * ksub + c of the flat table.
     entries = lut.ravel()[all_codes + np.arange(0, m * ksub, ksub)]
     scores = entries.sum(axis=1, dtype=np.float64) + coarse_part
-    order = _top_k(all_ids, scores, recall_size)
-    return all_ids[order], scores[order]
+    return _top_k(all_ids, scores, recall_size)
 
 
 def ivfpq_search(index: IvfPqIndex, query, nprobe: int, recall_size: int) -> list[SearchHit]:
@@ -403,13 +413,6 @@ def ivfpq_search(index: IvfPqIndex, query, nprobe: int, recall_size: int) -> lis
     return _hits(*_ivfpq_pool(index, query, nprobe, recall_size))
 
 
-def _exact_rescore(keys: np.ndarray, ids: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Exact scores of the rows ids of keys."""
-    if ids.size and (ids.min() < 0 or ids.max() >= keys.shape[0]):
-        raise InvalidInputError("candidate entry id out of range")
-    return exact_scores(keys[ids], query)
-
-
 def rescore(keys, candidates: list[SearchHit], query, k: int) -> list[SearchHit]:
     """Re-rank candidates with exact full-precision inner products.
 
@@ -420,10 +423,9 @@ def rescore(keys, candidates: list[SearchHit], query, k: int) -> list[SearchHit]
     if keys.ndim != 2:
         raise InvalidInputError(f"keys must be an (N, D) matrix, got shape {keys.shape}")
     query = _check_query(query, keys.shape[1])
-    if not candidates:
-        return []
+    _check_k(k)
     ids = np.fromiter((h.entry_id for h in candidates), dtype=np.int64, count=len(candidates))
-    return _sorted_hits(ids, _exact_rescore(keys, ids, query), k)
+    return _hits(*_top_k(ids, exact_scores(keys[_check_ids(ids, len(keys))], query), k))
 
 
 # --- persistence -----------------------------------------------------------

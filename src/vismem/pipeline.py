@@ -77,6 +77,8 @@ class PipelineConfig:
             raise InvalidInputError("peak_threshold must be in [0, 1]")
         if not (0.0 <= self.drop_fraction < 1.0):
             raise InvalidInputError("drop_fraction must be in [0, 1)")
+        if self.min_area < 0 or not 0.0 < self.iou_threshold <= 1.0:
+            raise InvalidInputError("min_area must be >= 0 and iou_threshold in (0, 1]")
         if self.window < 1 or self.window % 2 == 0:
             raise InvalidInputError("window must be odd and positive")
         self.index_params()  # IvfPqParams checks its own fields

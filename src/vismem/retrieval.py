@@ -15,8 +15,8 @@ import numpy as np
 
 from .bank import EmbeddingProvider, KeyWeights, MemoryBank, build_key
 from .errors import InvalidInputError
-from .index import (FlatIndex, IvfPqIndex, SearchHit, _check_probe, _check_query,
-                    _exact_rescore, _hits, _ivfpq_pool, _top_k)
+from .index import (FlatIndex, IvfPqIndex, SearchHit, _check_ids, _check_k, _check_probe,
+                    _check_query, _hits, _ivfpq_pool, _top_k, exact_scores)
 from .grids import l2_normalize
 
 DEFAULT_TOP_K = 12
@@ -65,9 +65,13 @@ def _check_tau(tau: float) -> None:
 
 
 def softmax_weights(scores, tau: float) -> np.ndarray:
-    """Temperature softmax with max-subtraction, accumulated in float64."""
+    """Temperature softmax with max-subtraction, accumulated in float64, of
+    one or more scores that stay finite divided by tau."""
     _check_tau(tau)
-    s = np.asarray(scores, dtype=np.float64) / tau
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        s = np.asarray(scores, dtype=np.float64) / tau
+    if not s.size or not np.isfinite(s).all():
+        raise InvalidInputError(f"softmax needs scores, each finite divided by tau={tau}")
     s -= s.max()
     e = np.exp(s)
     return e / e.sum()
@@ -96,8 +100,7 @@ def retrieve(bank: MemoryBank, index: FlatIndex | IvfPqIndex, query: RetrievalQu
 
 def _check_search(bank: MemoryBank, index, k: int) -> None:
     """retrieve's checks of k and of the index against the bank."""
-    if k < 1:
-        raise InvalidInputError(f"k must be >= 1, got {k}")
+    _check_k(k)
     if isinstance(index, FlatIndex):
         if index.keys.shape != bank.keys.shape:
             raise InvalidInputError(
@@ -143,32 +146,29 @@ def _retrieve_all(bank: MemoryBank, index: FlatIndex | IvfPqIndex, vectors,
     if isinstance(index, IvfPqIndex):
         for q in vectors:
             ids, _ = _ivfpq_pool(index, q, nprobe, recall_size)
-            scores = _exact_rescore(bank.keys, ids, q)
+            scores = exact_scores(bank.keys[_check_ids(ids, len(bank))], q)
             if exclude_image is not None:
                 kept = bank.image_ids[ids] != exclude_image
                 ids, scores = ids[kept], scores[kept]
             candidates.append((ids, scores))
     else:
         all_scores = np.einsum("ij,qj->qi", index._keys64, np.asarray(vectors, np.float64))
-        ids, kept = index.ids, None
+        ids = np.arange(len(bank))
         if exclude_image is not None:
             kept = bank.image_ids != exclude_image
-            ids = ids[kept]
-        candidates = [(ids, scores if kept is None else scores[kept]) for scores in all_scores]
-    ranked = []
-    for ids, scores in candidates:
-        order = _top_k(ids, scores, k)
-        ranked.append((ids[order], scores[order]))
-    return ranked
+            ids, all_scores = np.flatnonzero(kept), all_scores[:, kept]
+        candidates = [(ids, scores) for scores in all_scores]
+    return [_top_k(ids, scores, k) for ids, scores in candidates]
 
 
 def aggregate_prototype(bank: MemoryBank, hits: list[SearchHit],
                         query: RetrievalQuery, tau: float = DEFAULT_TAU) -> Prototype:
-    """Combine retrieved values with softmax weights over exact key scores."""
+    """Combine the values of hits, whose ids must be rows of the bank, with
+    softmax weights over exact key scores."""
     _check_tau(tau)
     ids = np.fromiter((h.entry_id for h in hits), dtype=np.int64, count=len(hits))
     scores = np.fromiter((h.score for h in hits), dtype=np.float64, count=len(hits))
-    return _prototype(bank, ids, scores, query.category, tau)
+    return _prototype(bank, _check_ids(ids, len(bank)), scores, query.category, tau)
 
 
 def _prototype(bank: MemoryBank, ids: np.ndarray, scores: np.ndarray, category: str,

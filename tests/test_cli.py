@@ -380,6 +380,15 @@ class TestConfigErrors:
         assert self._build_index(bank_path, tmp_path, "--config", str(cfg)) == 2
         self._assert_reported(capsys)
 
+    @pytest.mark.parametrize("setting", ["iou_threshold=5", "iou_threshold=0", "min_area=-0.1"])
+    def test_bad_bank_filter_exits_2(self, scenario_dir, bank_path, index_path, setting, capsys):
+        args = ["pipeline", "--scenario", str(scenario_dir), "--bank", str(bank_path),
+                "--index", str(index_path), "--set", "nprobe=4"]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main([*args, "--set", setting]) == 2
+        self._assert_reported(capsys)
+
     def test_zero_m_exits_2(self, bank_path, tmp_path, capsys):
         assert self._build_index(bank_path, tmp_path, "--set", "m=0") == 2
         self._assert_reported(capsys)

@@ -6,14 +6,15 @@ import pytest
 
 from vismem import index as index_module
 from vismem.bank import MemoryBank, load_bank, save_bank
-from vismem.errors import FormatError, IndexStateError, InvalidInputError
+from vismem.errors import FormatError, InvalidInputError
 from vismem.index import (
     FlatIndex,
     IvfPqIndex,
     IvfPqParams,
     SearchHit,
+    _hits,
     _kmeans_pp_init,
-    _sorted_hits,
+    _top_k,
     exact_scores,
     ivfpq_add,
     ivfpq_search,
@@ -73,6 +74,13 @@ class TestFlatSearch:
         keys = unit_rows(rng_for(0), 5, 8)
         hits = FlatIndex(keys).search(keys[0], k=50)
         assert len(hits) == 5
+
+    def test_k_below_one_refused_on_an_empty_index_too(self):
+        for n in (0, 3):
+            index = FlatIndex(np.eye(n, 4, dtype=np.float32))
+            assert len(index.search([1.0, 0.0, 0.0, 0.0], k=3)) == n
+            with pytest.raises(InvalidInputError, match="k must be >= 1, got 0"):
+                index.search([1.0, 0.0, 0.0, 0.0], k=0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_naive_oracle(self, seed):
@@ -154,7 +162,7 @@ class TestPartialTopK:
         ids = np.array([7, 3, 1, 5, 2, 0, 6, 4, 8])
         scores = np.array([0.0, -0.0, np.nan, 1.0, 0.0, np.nan, -0.0, 1.0, -1.0])
         for k in range(1, 11):
-            assert pairs(_sorted_hits(ids, scores, k)) == full_sort(ids, scores, k)
+            assert pairs(_hits(*_top_k(ids, scores, k))) == full_sort(ids, scores, k)
 
 
 def sorted_rows(x):
@@ -478,12 +486,51 @@ class TestNearestKernel:
             assert np.all(chosen - d.min(axis=1) <= bound)
 
 
+def hand_index(coarse=None, codebooks=None, dim=4):
+    """An IVF-PQ index of nlist 4, m 2, nbits 2 built by hand, not trained."""
+    params = IvfPqParams(nlist=4, m=2, nbits=2)
+    rng = rng_for(0)
+    coarse = unit_rows(rng, 4, dim) if coarse is None else coarse
+    codebooks = rng.standard_normal((2, 4, 2)).astype(np.float32) if codebooks is None else codebooks
+    return IvfPqIndex(params=params, dim=dim, coarse_centroids=coarse, pq_codebooks=codebooks)
+
+
+class TestIvfPqIndexConstruction:
+    """The constructor refuses what load_index would refuse, so a hand-built
+    index cannot be saved into a file that does not load."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coarse_centroid_refused(self, bad):
+        coarse = unit_rows(rng_for(1), 4, 4)
+        coarse[0, 1] = bad
+        with pytest.raises(InvalidInputError, match="coarse centroids must be finite; row 0"):
+            hand_index(coarse=coarse)
+
+    def test_non_finite_codeword_refused(self):
+        codebooks = np.zeros((2, 4, 2), dtype=np.float32)
+        codebooks[1, 3, 0] = np.nan
+        with pytest.raises(InvalidInputError, match="PQ codebooks must be finite; row 1"):
+            hand_index(codebooks=codebooks)
+
+    def test_too_few_centroids_refused(self):
+        with pytest.raises(InvalidInputError, match=r"shape \(4, 4\), got shape \(3, 4\)"):
+            hand_index(coarse=unit_rows(rng_for(1), 3, 4))
+
+    @pytest.mark.parametrize("shape", [(2, 4, 3), (2, 3, 2), (1, 4, 2), (8, 2)])
+    def test_codebooks_of_the_wrong_shape_refused(self, shape):
+        with pytest.raises(InvalidInputError, match=r"PQ codebooks must be an array of shape"):
+            hand_index(codebooks=np.zeros(shape, dtype=np.float32))
+
+    def test_dim_not_divisible_by_m_refused(self):
+        with pytest.raises(InvalidInputError, match="dim 5 not divisible by m=2"):
+            hand_index(coarse=unit_rows(rng_for(1), 4, 5), dim=5)
+
+
 class TestIvfPqSearch:
-    def test_untrained_index_rejected(self):
+    def test_untrained_index_refused_at_construction(self):
         params = IvfPqParams(nlist=2, m=2, nbits=2)
-        index = IvfPqIndex(params=params, dim=8, coarse_centroids=None, pq_codebooks=None)
-        with pytest.raises(IndexStateError):
-            ivfpq_search(index, np.zeros(8, dtype=np.float32), nprobe=1, recall_size=10)
+        with pytest.raises(InvalidInputError, match="coarse centroids must be an array"):
+            IvfPqIndex(params=params, dim=8, coarse_centroids=None, pq_codebooks=None)
 
     def test_invalid_nprobe_rejected(self):
         index, keys = small_index(n=50)
@@ -607,6 +654,12 @@ class TestRescore:
     def test_out_of_range_id_rejected(self):
         with pytest.raises(InvalidInputError):
             rescore(np.eye(2, dtype=np.float32), [SearchHit(5, 0.0)], [1.0, 0.0], k=1)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_refused(self, k):
+        for cands in ([SearchHit(1, 0.0), SearchHit(0, 0.0)], []):
+            with pytest.raises(InvalidInputError, match=f"k must be >= 1, got {k}"):
+                rescore(np.eye(2, dtype=np.float32), cands, [1.0, 0.0], k=k)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_oracle_on_candidate_subset(self, seed):

@@ -103,6 +103,15 @@ class TestPipelineConfig:
             PipelineConfig(nlist=8, nprobe=9)
         assert PipelineConfig(nlist=8, nprobe=8).nprobe == 8
 
+    def test_bank_filters_validated_up_front(self):
+        for fields in ({"min_area": -1e-9}, {"iou_threshold": 0.0},
+                       {"iou_threshold": -0.5}, {"iou_threshold": 1.0 + 1e-9},
+                       {"iou_threshold": 5.0}):
+            with pytest.raises(InvalidInputError, match="min_area must be >= 0 and iou_threshold"):
+                PipelineConfig(**fields)
+        config = PipelineConfig(min_area=0.0, iou_threshold=1.0)
+        assert (config.min_area, config.iou_threshold) == (0.0, 1.0)
+
     FLOAT_FIELDS = ("w_p", "w_s", "w_g", "tau_p", "sigma", "peak_threshold", "radius_cells",
                     "min_area", "iou_threshold", "drop_fraction")
 

@@ -12,8 +12,8 @@ from vismem.bank import (
 )
 from vismem.errors import InvalidInputError
 from vismem.grids import Box2D
-from vismem.index import (FlatIndex, IvfPqParams, exact_scores, ivfpq_add, ivfpq_search,
-                          load_index, rescore, save_index, train_ivfpq)
+from vismem.index import (FlatIndex, IvfPqParams, SearchHit, exact_scores, ivfpq_add,
+                          ivfpq_search, load_index, rescore, save_index, train_ivfpq)
 from vismem.retrieval import (
     DEFAULT_RECALL_SIZE,
     DEFAULT_TAU,
@@ -139,6 +139,15 @@ class TestSoftmaxWeights:
     def test_nonfinite_tau_rejected(self, tau):
         with pytest.raises(InvalidInputError, match="tau must be finite and > 0"):
             softmax_weights([1.0, 2.0], tau=tau)
+
+    @pytest.mark.parametrize("scores, tau", [([], 0.07), ([np.nan, 1.0], 0.07),
+                                             ([1.0, np.inf], 0.07), ([-np.inf], 0.07),
+                                             ([1.0, 2.0], 1e-308)])
+    def test_empty_or_nonfinite_scores_rejected(self, scores, tau):
+        """No scores, or one that is not finite divided by tau, is refused
+        rather than giving NaN weights."""
+        with pytest.raises(InvalidInputError, match="softmax needs scores"):
+            softmax_weights(scores, tau)
 
 
 class TestRetrieve:
@@ -473,6 +482,16 @@ class TestAggregatePrototype:
         for given in ([], hits):
             with pytest.raises(InvalidInputError, match="tau must be finite and > 0"):
                 aggregate_prototype(bank, given, q, tau=tau)
+
+    @pytest.mark.parametrize("bad", ["minus_one", "n"])
+    def test_hit_id_outside_the_bank_rejected(self, bad):
+        """-1 is not read as the bank's last entry, nor N as an IndexError."""
+        provider, bank = make_fixture()
+        q = build_query(provider, "cat", "indoor", "img0", bank.weights)
+        hits = retrieve(bank, FlatIndex.from_bank(bank), q, k=3)
+        hits[1] = SearchHit(-1 if bad == "minus_one" else len(bank), hits[1].score)
+        with pytest.raises(InvalidInputError, match="entry id out of range"):
+            aggregate_prototype(bank, hits, q)
 
     def test_neighbor_weights_sum_to_one(self):
         provider, bank = make_fixture(seed=6)
