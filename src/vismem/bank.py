@@ -19,7 +19,9 @@ import numpy as np
 from .errors import FormatError, InvalidInputError, MissingEmbeddingError
 from .grids import (
     Box2D,
-    _mean_pool,
+    _box_cells,
+    _l2_normalize,
+    _pool_cells,
     as_grid,
     as_scalar_map,
     as_vector,
@@ -194,7 +196,7 @@ class MemoryBank:
     def _adopt(cls, d_key: int, d_val: int, weights: KeyWeights, manifest: dict,
                **columns) -> "MemoryBank":
         """A bank whose columns are the given arrays themselves, checked and
-        made read-only but not copied, for a loader that made them."""
+        made read-only but not copied, for a loader or builder that made them."""
         bank = cls.__new__(cls)
         bank._set_columns(np.asarray, d_key, d_val, weights, manifest, **columns)
         return bank
@@ -249,8 +251,7 @@ def build_key(phrase_emb, scene_emb, image_emb, weights: KeyWeights) -> np.ndarr
 
 def build_value(provider: EmbeddingProvider, image_id: str, box: Box2D) -> np.ndarray:
     """Normalized mean of the patch features inside the box."""
-    grid = provider.feature_grid(image_id)
-    return l2_normalize(mean_pool_region(grid, box))
+    return _l2_normalize(mean_pool_region(provider.feature_grid(image_id), box))
 
 
 def filter_small_boxes(records: list[GroundingRecord], min_area: float) -> list[GroundingRecord]:
@@ -357,29 +358,9 @@ def build_bank(records: list[GroundingRecord], provider: EmbeddingProvider,
         survivors = after_merge
     removed_blur = len(after_merge) - len(survivors)
 
-    # Each distinct text, image and feature grid is looked up (and a grid
-    # checked) once, in the order a record-by-record build first asks for it.
-    texts, images, grids = {}, {}, {}
-    keys, values = [], []
-    for rec in survivors:
-        try:
-            for text in (rec.phrase, rec.scene):
-                if text not in texts:
-                    texts[text] = provider.text_embedding(text)
-            if rec.image_id not in images:
-                images[rec.image_id] = provider.image_embedding(rec.image_id)
-            keys.append(build_key(texts[rec.phrase], texts[rec.scene], images[rec.image_id],
-                                  config.weights))
-            if rec.image_id not in grids:
-                grids[rec.image_id] = as_grid(provider.feature_grid(rec.image_id))
-            values.append(l2_normalize(_mean_pool(grids[rec.image_id], rec.box)))
-        except MissingEmbeddingError as exc:
-            raise MissingEmbeddingError(
-                f"record (image {rec.image_id!r}, phrase {rec.phrase!r}): {exc}"
-            ) from exc
-
-    d_key = provider.d_key or (keys[0].shape[0] if keys else 0)
-    d_val = provider.d_val or (values[0].shape[0] if values else 0)
+    keys, values = _embed(survivors, provider, config.weights)
+    d_key = provider.d_key or keys.shape[1]
+    d_val = provider.d_val or values.shape[1]
     manifest = {
         "input_count": input_count,
         "removed_excluded": removed_excluded,
@@ -391,11 +372,108 @@ def build_bank(records: list[GroundingRecord], provider: EmbeddingProvider,
         "iou_threshold": config.iou_threshold,
         "drop_fraction": config.drop_fraction,
     }
-    return MemoryBank(d_key=d_key, d_val=d_val, weights=config.weights, manifest=manifest,
-                      keys=keys, values=values, categories=[r.phrase for r in survivors],
-                      image_ids=[r.image_id for r in survivors],
-                      boxes=[r.box.as_list() for r in survivors],
-                      blur=[r.blur_score for r in survivors])
+    return MemoryBank._adopt(d_key, d_val, config.weights, manifest, keys=keys, values=values,
+                             categories=[r.phrase for r in survivors],
+                             image_ids=[r.image_id for r in survivors],
+                             boxes=[r.box.as_list() for r in survivors],
+                             blur=[r.blur_score for r in survivors])
+
+
+def _embed(records: list[GroundingRecord], provider: EmbeddingProvider,
+           weights: KeyWeights) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 key and value columns of the records.
+
+    Each distinct text, image and feature grid is looked up and checked once,
+    in the order a record-by-record build asks for them: a record's phrase,
+    scene and image, then its grid. The arithmetic then runs on columns, and
+    a refusal is the one that build made at its first failing record."""
+    vectors, grids = [], []  # distinct key inputs and grids, in first-use order
+    text_at, image_at, grid_at = {}, {}, {}
+    key_rows, grid_rows = [], []  # per record: its phrase, scene and image in vectors; its grid
+    checked = 0  # vectors[:checked] have passed as_vector
+    try:
+        for rec in records:
+            for text in (rec.phrase, rec.scene):
+                if text not in text_at:
+                    text_at[text] = len(vectors)
+                    vectors.append(provider.text_embedding(text))
+            if rec.image_id not in image_at:
+                image_at[rec.image_id] = len(vectors)
+                vectors.append(provider.image_embedding(rec.image_id))
+            vectors[checked:] = map(as_vector, vectors[checked:])
+            checked = len(vectors)
+            key_rows.append((text_at[rec.phrase], text_at[rec.scene], image_at[rec.image_id]))
+            if rec.image_id not in grid_at:
+                grid_at[rec.image_id] = len(grids)
+                grids.append(as_grid(provider.feature_grid(rec.image_id)))
+            grid_rows.append(grid_at[rec.image_id])
+    except (InvalidInputError, MissingEmbeddingError) as exc:
+        _key_column(vectors[:checked], key_rows, weights)  # an earlier record's key fails first
+        if isinstance(exc, MissingEmbeddingError):
+            raise MissingEmbeddingError(
+                f"record (image {rec.image_id!r}, phrase {rec.phrase!r}): {exc}"
+            ) from exc
+        raise
+    keys = _key_column(vectors, key_rows, weights)
+    # _key_column refused a record whose own vectors differ in width, so
+    # vectors (or grids) that still differ make a ragged column.
+    for name, widths in (("keys", {v.shape[0] for v in vectors}),
+                         ("values", {g.shape[2] for g in grids})):
+        if len(widths) > 1:
+            raise InvalidInputError(f"bank column {name!r} is inhomogeneous: "
+                                    f"its rows have {sorted(widths)} entries")
+    boxes = np.array([r.box.as_list() for r in records], dtype=np.float64).reshape(-1, 4)
+    return keys, _value_column(grids, grid_rows, boxes)
+
+
+def _key_column(vectors: list[np.ndarray], rows: list[tuple[int, int, int]],
+                weights: KeyWeights) -> np.ndarray:
+    """The unit float32 keys build_key makes of each row's (phrase, scene,
+    image) vectors, computed as one float64 column. Refuses, as build_key
+    does, the first row whose vectors differ in length or whose weighted sum
+    is not finite in float32. Shorter vectors are zero-padded to the longest,
+    so rows of different widths still make one column: a ragged column that
+    passes here is refused by _embed."""
+    rows = np.array(rows, dtype=np.intp).reshape(-1, 3)
+    dims = np.array([v.shape[0] for v in vectors], dtype=np.intp)
+    table = np.zeros((len(vectors), dims.max(initial=0)))
+    for at, v in enumerate(vectors):
+        table[at, :v.shape[0]] = v
+    # weighted_combine's arithmetic: from zeros, add w * vector in this order.
+    acc = np.zeros((len(rows), table.shape[1]))
+    term = np.empty_like(acc)
+    for column, weight in zip(rows.T, (weights.w_p, weights.w_s, weights.w_g)):
+        np.take(table, column, axis=0, out=term)
+        term *= float(weight)
+        acc += term
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        keys = acc.astype(np.float32)
+    del acc, term
+    row_dims = dims[rows]
+    mixed = (row_dims[:, 0] != row_dims[:, 1]) | (row_dims[:, 0] != row_dims[:, 2])
+    bad = mixed | ~np.isfinite(keys).all(axis=1)
+    if bad.any():
+        first = int(np.argmax(bad))
+        if mixed[first]:
+            raise InvalidInputError("all vectors must share one dimension")
+        as_vector(keys[first])  # raises build_key's error for a non-finite sum
+    return _l2_normalize(keys, out=keys)
+
+
+def _value_column(grids: list[np.ndarray], rows: list[int], boxes: np.ndarray) -> np.ndarray:
+    """The unit float32 values build_value makes of each record's grid and
+    box: the cell ranges come from one search per grid shape, then each
+    record pools its own range."""
+    rows = np.array(rows, dtype=np.intp)
+    shapes = np.array([g.shape[:2] for g in grids], dtype=np.intp).reshape(-1, 2)[rows]
+    cells = np.empty((len(rows), 4), dtype=np.intp)
+    for h, w in np.unique(shapes, axis=0).tolist():
+        same = np.flatnonzero((shapes[:, 0] == h) & (shapes[:, 1] == w))
+        cells[same] = _box_cells(h, w, boxes[same])
+    values = np.empty((len(rows), grids[0].shape[2] if grids else 0), dtype=np.float32)
+    for at, (grid, cell) in enumerate(zip(rows.tolist(), cells.tolist())):
+        values[at] = _pool_cells(grids[grid], cell)
+    return _l2_normalize(values, out=values)
 
 
 # --- persistence -----------------------------------------------------------

@@ -94,11 +94,24 @@ class Point2D:
 
 def l2_normalize(v) -> np.ndarray:
     """Scale v to unit L2 norm. Near-zero vectors map to the zero vector."""
-    v = as_vector(v)
-    norm = float(np.linalg.norm(v.astype(np.float64)))
-    if norm <= EPS_NORM:
-        return np.zeros_like(v)
-    return (v.astype(np.float64) / norm).astype(np.float32)
+    return _l2_normalize(as_vector(v))
+
+
+def _l2_normalize(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """l2_normalize of a checked float32 vector, or of each row of a checked
+    (N, D) stack one row at a time, since a batched row norm rounds
+    differently. The result goes to out if one is given; it may be v."""
+    x = v.astype(np.float64)
+    for row in x if x.ndim == 2 else (x,):
+        norm = np.linalg.norm(row)
+        if norm > EPS_NORM:
+            row /= norm
+        else:
+            row[...] = 0.0
+    if out is None:
+        return x.astype(np.float32)
+    out[...] = x
+    return out
 
 
 def inner(a, b) -> float:
@@ -142,15 +155,37 @@ def mean_pool_region(grid, box: Box2D) -> np.ndarray:
 
 def _mean_pool(grid: np.ndarray, box: Box2D) -> np.ndarray:
     """mean_pool_region on a grid that as_grid has already checked."""
-    h, w, _ = grid.shape
+    (cells,) = _box_cells(grid.shape[0], grid.shape[1], np.array([box.as_list()]))
+    return _pool_cells(grid, cells).astype(np.float32)
+
+
+def _box_cells(h: int, w: int, boxes: np.ndarray) -> np.ndarray:
+    """The cells of an h x w grid whose centers lie in each of the (N, 4)
+    float64 boxes x0, y0, x1, y1, as (N, 4) ranges r0, r1, c0, c1: rows
+    r0 <= r < r1 by columns c0 <= c < c1. A box that covers no center gets
+    the one cell holding its center, as the range (r, r, c, c)."""
+    x0, y0, x1, y1 = boxes.T
     cx, cy = cell_centers(h, w)
-    mask = (cx >= box.x0) & (cx <= box.x1) & (cy >= box.y0) & (cy <= box.y1)
-    if not mask.any():
-        center = box.center
-        r = min(h - 1, int(center.y * h))
-        c = min(w - 1, int(center.x * w))
-        return grid[r, c].copy()
-    return grid[mask].astype(np.float64).mean(axis=0).astype(np.float32)
+    cx, cy = cx[0], cy[:, 0]
+    # "left" finds the first center >= a lower edge, "right" the first > an upper one.
+    cells = np.stack([np.searchsorted(cy, y0, "left"), np.searchsorted(cy, y1, "right"),
+                      np.searchsorted(cx, x0, "left"), np.searchsorted(cx, x1, "right")], axis=1)
+    empty = (cells[:, 0] >= cells[:, 1]) | (cells[:, 2] >= cells[:, 3])
+    # Box2D.center's arithmetic, truncated as int() does.
+    r = np.minimum(h - 1, (0.5 * (y0[empty] + y1[empty]) * h).astype(np.intp))
+    c = np.minimum(w - 1, (0.5 * (x0[empty] + x1[empty]) * w).astype(np.intp))
+    cells[empty] = np.stack([r, r, c, c], axis=1)
+    return cells
+
+
+def _pool_cells(grid: np.ndarray, cells) -> np.ndarray:
+    """The float64 mean of grid[r0:r1, c0:c1] for one range of _box_cells,
+    whose cells come in the row-major order of a whole-grid mask; the float32
+    cell itself for a range (r, r, c, c)."""
+    r0, r1, c0, c1 = cells
+    if r0 == r1:
+        return grid[r0, c0].copy()
+    return grid[r0:r1, c0:c1].astype(np.float64).reshape(-1, grid.shape[2]).mean(axis=0)
 
 
 def bilinear_sample(grid, p: Point2D) -> np.ndarray:

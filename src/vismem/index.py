@@ -125,6 +125,15 @@ def _finite_matrix(x, what: str, shape: tuple[int, ...] | None = None) -> np.nda
     return x
 
 
+def _int64s(x, what: str) -> np.ndarray:
+    """x as a 1-D int64 array; it must hold integers."""
+    x = np.asarray(x)
+    if x.ndim != 1 or not (np.issubdtype(x.dtype, np.integer) or x.size == 0):
+        raise InvalidInputError(f"{what} must be a 1-D integer array, got {x.dtype} "
+                                f"of shape {x.shape}")
+    return x.astype(np.int64, copy=False)
+
+
 def _nearest(points: np.ndarray, centroids: np.ndarray, bias) -> tuple[np.ndarray, np.ndarray]:
     """For each row x, the centroid c maximising <x, c> - bias[c] (the first
     on ties), and that winner's <x, c>.
@@ -264,7 +273,9 @@ class IvfPqIndex:
     The constructor refuses a dim that m does not divide, and centroids or
     codebooks that are not finite arrays of shapes (nlist, dim) and
     (m, 2^nbits, dim / m). The inverted lists are stored CSR-style: list l is
-    rows offsets[l]:offsets[l + 1] of ids and codes, in the order added.
+    rows offsets[l]:offsets[l + 1] of ids and codes, in the order added. Given
+    lists must hold distinct integer ids, (len(ids), m) uint8 codes below
+    2^nbits, and offsets that rise from 0 to len(ids) in nlist + 1 steps.
     """
 
     params: IvfPqParams
@@ -287,6 +298,22 @@ class IvfPqIndex:
             self.ids = np.zeros(0, dtype=np.int64)
             self.codes = np.zeros((0, self.params.m), dtype=np.uint8)
             self.offsets = np.zeros(self.params.nlist + 1, dtype=np.int64)
+            return
+        self.ids = _int64s(self.ids, "ids")
+        self.offsets = offsets = _int64s(self.offsets, "offsets")
+        n, codes = len(self.ids), np.asarray(self.codes)
+        if codes.dtype != np.uint8 or codes.shape != (n, p.m):
+            raise InvalidInputError(f"codes must be a ({n}, {p.m}) uint8 array, "
+                                    f"got {codes.dtype} of shape {codes.shape}")
+        if codes.size and codes.max() >= p.ksub:
+            raise InvalidInputError(f"PQ code {codes.max()} out of range for ksub={p.ksub}")
+        self.codes = codes
+        if not (offsets.shape == (p.nlist + 1,) and offsets[0] == 0 and offsets[-1] == n
+                and np.all(offsets[1:] >= offsets[:-1])):
+            raise InvalidInputError(f"offsets must rise from 0 to len(ids) = {n} in "
+                                    f"nlist + 1 = {p.nlist + 1} steps, got {offsets.tolist()!r:.200}")
+        if _has_duplicates(self.ids):
+            raise InvalidInputError("duplicate entry id in index lists")
 
     @property
     def dsub(self) -> int:
@@ -479,10 +506,7 @@ def load_index(path) -> IvfPqIndex:
             codes.append(r.records(np.dtype(np.uint8), n * params.m).reshape(n, params.m))
         r.expect_eof()
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    ids, codes = np.concatenate(ids, dtype=np.int64), np.concatenate(codes)
-    if _has_duplicates(ids):
-        raise FormatError("duplicate entry id in index lists")
-    if codes.size and codes.max() >= params.ksub:
-        raise FormatError(f"PQ code {codes.max()} out of range for ksub={params.ksub}")
-    return IvfPqIndex(params=params, dim=dim, coarse_centroids=coarse, pq_codebooks=codebooks,
-                      ids=ids, codes=codes, offsets=offsets)
+    with format_errors("bad index lists"):  # a repeated id or a code past the codebook
+        return IvfPqIndex(params=params, dim=dim, coarse_centroids=coarse,
+                          pq_codebooks=codebooks, ids=np.concatenate(ids, dtype=np.int64),
+                          codes=np.concatenate(codes), offsets=offsets)

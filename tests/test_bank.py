@@ -40,6 +40,8 @@ from vismem.refine import RefinementParams, load_params, save_params
 from vismem import serial
 from vismem.serial import Reader, Writer
 
+from oracles import record_by_record_bank
+
 
 def rng_for(seed):
     return np.random.Generator(np.random.PCG64(seed))
@@ -345,6 +347,133 @@ class TestBuildBank:
         held_out = set(np.flatnonzero(held).tolist())
         assert held_out
         assert set(kept.tolist()) | held_out == set(range(len(bank)))
+
+
+def mixed_provider(d_key=16, d_val=6):
+    """Texts, images and grids for build_bank's oracle: grids of five shapes,
+    among them a single row and a single column, and a signed zero in every
+    key input."""
+    rng = rng_for(7)
+    shapes = {"wide": (1, 9), "tall": (7, 1), "square": (6, 6), "odd": (5, 8), "big": (16, 12)}
+    text = {t: rng.standard_normal(d_key).astype(np.float32) for t in ("cat", "dog", "fox", "indoor")}
+    images = {i: rng.standard_normal(d_key).astype(np.float32) for i in shapes}
+    for vector in (*text.values(), *images.values()):
+        vector[0] = -0.0  # a key's entry 0 is +0.0 only if its sum starts from zeros
+    grids = {i: rng.standard_normal((*shape, d_val)).astype(np.float32)
+             for i, shape in shapes.items()}
+    return EmbeddingProvider(text, images, grids, d_key=d_key)
+
+
+def mixed_records(n=120, seed=3):
+    """Records with repeated phrases and images, an empty scene on some, and
+    boxes that cover no cell center of their grid."""
+    rng = rng_for(seed)
+    images, phrases = ["wide", "tall", "square", "odd", "big"], ["cat", "dog", "fox"]
+    records = []
+    for i in range(n):
+        image = images[int(rng.integers(len(images)))]
+        if i % 5 == 0:  # a small box between centers of every grid shape above
+            x0, y0 = 0.5 + 0.001 * rng.random(), 0.52 + 0.001 * rng.random()
+            box = Box2D(x0, y0, x0 + 0.011, y0 + 0.011)
+        else:
+            x0, y0 = rng.uniform(0.0, 0.6, 2)
+            box = Box2D(x0, y0, x0 + rng.uniform(0.05, 0.4), y0 + rng.uniform(0.05, 0.4))
+        records.append(GroundingRecord(image, box, phrases[int(rng.integers(3))],
+                                       "" if i % 3 == 0 else "indoor",
+                                       blur_score=float(rng.uniform(0.1, 10.0))))
+    return records
+
+
+def build_outcome(build):
+    """The type and message of the error a build raised, which it must."""
+    with pytest.raises((InvalidInputError, MissingEmbeddingError)) as exc:
+        with np.errstate(over="ignore"):  # the oracle casts an overflowing key
+            build()
+    return type(exc.value), str(exc.value)
+
+
+class TestBuildBankOracle:
+    """The columnar build saves the same bytes as the record-by-record oracle
+    and refuses the same first record with the same error."""
+
+    @pytest.mark.parametrize("config", [BankBuildConfig(), BankBuildConfig(
+        drop_fraction=0.0, iou_threshold=1.0, exclude_images=frozenset({"odd"}),
+        weights=KeyWeights(0.7, 0.2, 0.05))])
+    def test_saved_bytes_equal_the_oracle(self, tmp_path, config):
+        records, provider = mixed_records(), mixed_provider()
+        bank = build_bank(records, provider, config)
+        oracle = record_by_record_bank(records, provider, config)
+        assert len(bank) > 60 and set(bank.categories) == {"cat", "dog", "fox"}
+        save_bank(bank, tmp_path / "got.pbnk")
+        save_bank(oracle, tmp_path / "want.pbnk")
+        assert (tmp_path / "got.pbnk").read_bytes() == (tmp_path / "want.pbnk").read_bytes()
+
+    def test_the_mixed_set_has_fallback_boxes(self):
+        provider = mixed_provider()
+        fallbacks = 0
+        for rec in mixed_records():
+            h, w, _ = provider.feature_grid(rec.image_id).shape
+            cx = (np.arange(w) + 0.5) / w
+            cy = (np.arange(h) + 0.5) / h
+            fallbacks += not (np.any((cx >= rec.box.x0) & (cx <= rec.box.x1))
+                              and np.any((cy >= rec.box.y0) & (cy <= rec.box.y1)))
+        assert fallbacks >= 10
+
+    class Faulty(EmbeddingProvider):
+        """A provider that hands out a NaN, an overflowing or a short vector
+        for the names it is told to, without the constructor's checks."""
+
+        def __init__(self, base, nan=(), huge=(), short=()):
+            super().__init__(base.text_table, base.image_table, base.feature_table,
+                             d_key=base.d_key)
+            self.nan, self.huge, self.short = nan, huge, short
+
+        def _fault(self, name, vector):
+            if name in self.nan:
+                vector = vector.copy()
+                vector[1] = np.nan
+            elif name in self.huge:
+                vector = np.full_like(vector, 3e38)
+            elif name in self.short:
+                vector = vector[:-1]
+            return vector
+
+        def text_embedding(self, text):
+            return self._fault(text, super().text_embedding(text))
+
+        def image_embedding(self, image_id):
+            return self._fault(image_id, super().image_embedding(image_id))
+
+    @pytest.mark.parametrize("faults, missing_grid, expected", [
+        # a NaN phrase embedding in record 2, a missing grid in record 5
+        (dict(nan=("fox",)), "tall", "non-finite"),
+        # the reverse order: the missing grid comes first
+        (dict(nan=("fox",)), "wide", "no feature grid"),
+        # a scene one entry short of the phrase and image
+        (dict(short=("indoor",)), None, "share one dimension"),
+        # an image vector one entry short, before the missing grid
+        (dict(short=("square",)), "tall", "share one dimension"),
+        # a key whose weighted sum overflows float32 (record 4), before the missing grid
+        (dict(huge=("dog", "indoor")), "tall", "non-finite"),
+        # the overflowing key and the missing grid in one record: the key first
+        (dict(huge=("dog", "indoor")), "big", "non-finite"),
+        # a NaN image embedding and a missing grid in one record
+        (dict(nan=("odd",)), "odd", "non-finite"),
+    ])
+    def test_first_failing_record_raises_the_oracle_error(self, faults, missing_grid, expected):
+        base = mixed_provider()
+        if missing_grid is not None:
+            del base.feature_table[missing_grid]
+        provider = self.Faulty(base, **faults)
+        records = [GroundingRecord(image, Box2D(0.1, 0.1, 0.6, 0.6), phrase, scene, blur_score=1.0)
+                   for image, phrase, scene in [
+                       ("wide", "cat", "indoor"), ("square", "cat", ""), ("odd", "fox", "indoor"),
+                       ("wide", "cat", ""), ("big", "dog", "indoor"), ("tall", "dog", "indoor"),
+                       ("big", "fox", "indoor"), ("square", "dog", "indoor")]]
+        config = BankBuildConfig(drop_fraction=0.0, iou_threshold=1.0)
+        got = build_outcome(lambda: build_bank(records, provider, config))
+        assert got == build_outcome(lambda: record_by_record_bank(records, provider, config))
+        assert expected in got[1]
 
 
 class TestBankPersistence:

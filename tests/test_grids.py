@@ -18,6 +18,9 @@ from vismem.grids import (
     minmax_rescale,
     weighted_combine,
 )
+from vismem.grids import _box_cells, _mean_pool, _pool_cells
+
+from oracles import mask_mean_pool
 
 
 def rng_for(seed):
@@ -135,6 +138,61 @@ class TestMeanPoolRegion:
         grid = rng_for(4).standard_normal((4, 4, 2)).astype(np.float32)
         out = mean_pool_region(grid, Box2D(0.26, 0.26, 0.27, 0.27))
         np.testing.assert_array_equal(out, grid[1, 1])
+
+
+def seeded_axis_range(rng, n, mode):
+    """Edges lo < hi on an axis of n cells: "random"; "centers", lo on a cell
+    center and hi on a later one (or 1); "upper", hi on a center; "gap",
+    strictly between two neighbouring centers (or a center and a border),
+    so that no center is covered."""
+    centers = (np.arange(n, dtype=np.float64) + 0.5) / n
+    if mode == "random":
+        lo, hi = np.sort(rng.uniform(0.0, 1.0, 2))
+    elif mode == "centers":
+        i = int(rng.integers(n))
+        j = int(rng.integers(i, n + 1))
+        lo, hi = centers[i], centers[j] if i < j < n else 1.0
+    elif mode == "upper":
+        hi = centers[rng.integers(n)]
+        lo = rng.uniform(0.0, hi)
+    else:
+        edges = np.concatenate([[0.0], centers, [1.0]])
+        k = int(rng.integers(n + 1))
+        lo, hi = edges[k] + (edges[k + 1] - edges[k]) * np.sort(rng.uniform(0.1, 0.9, 2))
+    return float(lo), float(hi)
+
+
+class TestMeanPoolOracle:
+    """The row-by-column slice of _box_cells pools the same cells, in the same
+    order, as the whole-grid mask, so the means agree bit for bit; and boxes
+    that cover no center pool the cell holding their center."""
+
+    @pytest.mark.parametrize("shape", [(1, 7), (6, 1), (5, 8), (9, 9), (16, 3)])
+    def test_slice_kernel_matches_mask_oracle(self, shape):
+        h, w = shape
+        rng = rng_for(h * 100 + w)
+        grid = rng.standard_normal((h, w, 5)).astype(np.float32)
+        signs = rng.random(grid.shape)
+        grid[signs < 0.1] = -0.0
+        grid[signs > 0.95] = 0.0
+        modes = ("random", "centers", "upper", "gap")
+        boxes, fallbacks = [], 0
+        for _ in range(400):
+            x0, x1 = seeded_axis_range(rng, w, modes[rng.integers(4)])
+            y0, y1 = seeded_axis_range(rng, h, modes[rng.integers(4)])
+            boxes.append(Box2D(x0, y0, x1, y1))
+        batch = _box_cells(h, w, np.array([b.as_list() for b in boxes]))
+        on_center = 0
+        for box, cells in zip(boxes, batch):
+            want = mask_mean_pool(grid, box)
+            for got in (_mean_pool(grid, box), mean_pool_region(grid, box),
+                        _pool_cells(grid, cells).astype(np.float32)):
+                assert got.dtype == np.float32
+                np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+            fallbacks += cells[0] == cells[1]
+            on_center += any(np.any(box_edge == (np.arange(n) + 0.5) / n) for box_edge, n in
+                             ((box.x0, w), (box.x1, w), (box.y0, h), (box.y1, h)))
+        assert fallbacks >= 50 and on_center >= 100
 
 
 class TestBilinearSample:

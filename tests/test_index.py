@@ -486,13 +486,18 @@ class TestNearestKernel:
             assert np.all(chosen - d.min(axis=1) <= bound)
 
 
-def hand_index(coarse=None, codebooks=None, dim=4):
-    """An IVF-PQ index of nlist 4, m 2, nbits 2 built by hand, not trained."""
+def hand_index(coarse=None, codebooks=None, dim=4, **lists):
+    """An IVF-PQ index of nlist 4, m 2, nbits 2 built by hand, not trained;
+    lists are its ids, codes and offsets, if any."""
     params = IvfPqParams(nlist=4, m=2, nbits=2)
     rng = rng_for(0)
     coarse = unit_rows(rng, 4, dim) if coarse is None else coarse
     codebooks = rng.standard_normal((2, 4, 2)).astype(np.float32) if codebooks is None else codebooks
-    return IvfPqIndex(params=params, dim=dim, coarse_centroids=coarse, pq_codebooks=codebooks)
+    return IvfPqIndex(params=params, dim=dim, coarse_centroids=coarse, pq_codebooks=codebooks,
+                      **lists)
+
+
+TWO_CODES = np.array([[0, 1], [2, 3]], dtype=np.uint8)
 
 
 class TestIvfPqIndexConstruction:
@@ -524,6 +529,57 @@ class TestIvfPqIndexConstruction:
     def test_dim_not_divisible_by_m_refused(self):
         with pytest.raises(InvalidInputError, match="dim 5 not divisible by m=2"):
             hand_index(coarse=unit_rows(rng_for(1), 4, 5), dim=5)
+
+    def test_hand_built_lists_are_searched(self):
+        index = hand_index(ids=[7, 3], codes=TWO_CODES, offsets=[0, 1, 1, 2, 2])
+        assert index.ntotal == 2 and index.ids.dtype == np.int64
+        hits = ivfpq_search(index, unit_rows(rng_for(2), 1, 4)[0], nprobe=4, recall_size=10)
+        assert sorted(h.entry_id for h in hits) == [3, 7]
+
+    @pytest.mark.parametrize("offsets", [
+        [0, 5, 5, 5, 5],  # ntotal 5 over 2 ids: ivfpq_search failed with a bare broadcast error
+        [0, 1, 1, 1, 1],  # one id left out of every list
+        [1, 1, 2, 2, 2],  # not from 0
+        [0, 2, 1, 2, 2],  # falling
+        [0, 1, 2, 2],  # nlist steps, not nlist + 1
+    ])
+    def test_offsets_that_do_not_cover_the_ids_refused(self, offsets):
+        with pytest.raises(InvalidInputError, match=r"offsets must rise from 0 to len\(ids\) = 2"):
+            hand_index(ids=[0, 1], codes=TWO_CODES, offsets=offsets)
+
+    @pytest.mark.parametrize("offsets", [[[0, 1, 1, 2, 2]], [0.0, 1.0, 1.0, 2.0, 2.0]])
+    def test_offsets_not_a_run_of_integers_refused(self, offsets):
+        with pytest.raises(InvalidInputError, match="offsets must be a 1-D integer array"):
+            hand_index(ids=[0, 1], codes=TWO_CODES, offsets=offsets)
+
+    @pytest.mark.parametrize("codes, match", [
+        (np.zeros((2, 3), dtype=np.uint8), r"codes must be a \(2, 2\) uint8 array"),
+        (np.zeros((3, 2), dtype=np.uint8), r"codes must be a \(2, 2\) uint8 array"),
+        (TWO_CODES.astype(np.int64), "codes must be a .* uint8 array, got int64"),
+        (np.array([[0, 1], [4, 3]], dtype=np.uint8), "PQ code 4 out of range for ksub=4"),
+    ])
+    def test_codes_of_the_wrong_shape_type_or_range_refused(self, codes, match):
+        with pytest.raises(InvalidInputError, match=match):
+            hand_index(ids=[0, 1], codes=codes, offsets=[0, 1, 1, 2, 2])
+
+    @pytest.mark.parametrize("ids, match", [
+        ([4, 4], "duplicate entry id"),
+        ([0.0, 1.0], "ids must be a 1-D integer array"),
+        ([[0, 1]], "ids must be a 1-D integer array"),
+        (None, "ids must be a 1-D integer array"),
+    ])
+    def test_repeated_or_non_integer_ids_refused(self, ids, match):
+        with pytest.raises(InvalidInputError, match=match):
+            hand_index(ids=ids, codes=TWO_CODES, offsets=[0, 1, 1, 2, 2])
+
+    def test_loaded_file_with_a_repeated_id_refused(self, tmp_path):
+        index, _ = small_index(n=50)
+        ids = index.ids.copy()
+        ids[1] = ids[0]
+        index.ids = ids
+        save_index(index, tmp_path / "i.pivf")
+        with pytest.raises(FormatError, match="bad index lists: duplicate entry id"):
+            load_index(tmp_path / "i.pivf")
 
 
 class TestIvfPqSearch:
