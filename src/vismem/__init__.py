@@ -11,7 +11,6 @@ from .bank import (
     MemoryEntry,
     build_bank,
     build_key,
-    build_value,
     load_bank,
     save_bank,
 )
@@ -26,12 +25,8 @@ from .grids import (
     Point2D,
     bilinear_sample,
     gaussian_smooth,
-    inner,
     l2_normalize,
     layer_norm,
-    mean_pool_region,
-    minmax_rescale,
-    weighted_combine,
 )
 from .index import (
     FlatIndex,
@@ -50,9 +45,7 @@ from .pipeline import PipelineConfig, pipeline_report, run_pipeline
 from .priors import (
     AnchorSet,
     DensePrior,
-    anchors_from_gt,
     dense_prior,
-    dense_priors,
     extract_anchors,
 )
 from .refine import (
@@ -61,14 +54,10 @@ from .refine import (
     MemoryGuidedPrompt,
     RefinementParams,
     constrain_logits,
-    dense_feature,
     load_params,
     refine_all,
-    refine_prompt,
-    resample_heatmap,
     save_params,
     score_prompts,
-    sparse_feature,
 )
 from .retrieval import Prototype, RetrievalQuery, aggregate_prototype, build_query, retrieve
 from .synthetic import PlantedRegion, ScenarioSpec, SyntheticScenario, gen_synthetic

@@ -26,8 +26,6 @@ from .grids import (
     as_scalar_map,
     as_vector,
     l2_normalize,
-    mean_pool_region,
-    weighted_combine,
 )
 from .serial import (Reader, Writer, atomic_write_bytes, format_errors, is_json_number,
                      json_fields, read_file, read_json_lines)
@@ -125,6 +123,8 @@ class HashingProvider(EmbeddingProvider):
     """
 
     def __init__(self, d_key: int, d_val: int, seed: int = 0, feature_table=None):
+        if d_key < 1 or d_val < 1:
+            raise InvalidInputError(f"hashing dims must be >= 1, got d_key={d_key}, d_val={d_val}")
         super().__init__(feature_table=feature_table, d_key=d_key, d_val=d_val)
         self.seed = seed
 
@@ -242,16 +242,16 @@ class MemoryBank:
 
 
 def build_key(phrase_emb, scene_emb, image_emb, weights: KeyWeights) -> np.ndarray:
-    """Normalized weighted mix of phrase, scene, and image embeddings."""
-    combined = weighted_combine(
-        [phrase_emb, scene_emb, image_emb], [weights.w_p, weights.w_s, weights.w_g]
-    )
-    return l2_normalize(combined)
-
-
-def build_value(provider: EmbeddingProvider, image_id: str, box: Box2D) -> np.ndarray:
-    """Normalized mean of the patch features inside the box."""
-    return _l2_normalize(mean_pool_region(provider.feature_grid(image_id), box))
+    """Normalized weighted mix of phrase, scene, and image embeddings: from
+    float64 zeros, w_p * phrase, w_s * scene and w_g * image are added in
+    this order."""
+    vecs = [as_vector(v) for v in (phrase_emb, scene_emb, image_emb)]
+    if len({v.shape[0] for v in vecs}) > 1:
+        raise InvalidInputError("all vectors must share one dimension")
+    acc = np.zeros(vecs[0].shape[0], dtype=np.float64)
+    for w, v in zip((weights.w_p, weights.w_s, weights.w_g), vecs):
+        acc += float(w) * v.astype(np.float64)
+    return l2_normalize(acc.astype(np.float32))
 
 
 def filter_small_boxes(records: list[GroundingRecord], min_area: float) -> list[GroundingRecord]:
@@ -439,7 +439,7 @@ def _key_column(vectors: list[np.ndarray], rows: list[tuple[int, int, int]],
     table = np.zeros((len(vectors), dims.max(initial=0)))
     for at, v in enumerate(vectors):
         table[at, :v.shape[0]] = v
-    # weighted_combine's arithmetic: from zeros, add w * vector in this order.
+    # build_key's arithmetic: from zeros, add w * vector in this order.
     acc = np.zeros((len(rows), table.shape[1]))
     term = np.empty_like(acc)
     for column, weight in zip(rows.T, (weights.w_p, weights.w_s, weights.w_g)):
@@ -461,9 +461,10 @@ def _key_column(vectors: list[np.ndarray], rows: list[tuple[int, int, int]],
 
 
 def _value_column(grids: list[np.ndarray], rows: list[int], boxes: np.ndarray) -> np.ndarray:
-    """The unit float32 values build_value makes of each record's grid and
-    box: the cell ranges come from one search per grid shape, then each
-    record pools its own range."""
+    """The unit float32 value of each record: the mean of the cells of its
+    grid whose centres lie in its box (or the one cell holding the box's
+    centre if none do), unit-normalized. The cell ranges come from one search
+    per grid shape, then each record pools its own range."""
     rows = np.array(rows, dtype=np.intp)
     shapes = np.array([g.shape[:2] for g in grids], dtype=np.intp).reshape(-1, 2)[rows]
     cells = np.empty((len(rows), 4), dtype=np.intp)

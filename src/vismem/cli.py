@@ -133,10 +133,12 @@ def _resolve_provider(args, scenario: dict | None = None) -> EmbeddingProvider:
         return HashingProvider(d_key=meta["d_key"], d_val=meta["d_val"],
                                seed=meta["seed"], feature_table=features)
     features = _load_features_dir(args.features_dir) if args.features_dir else None
-    if args.hash_key_dim:
-        if not args.hash_val_dim and not features:
-            raise InvalidInputError("--hash-val-dim or --features-dir required")
-        d_val = args.hash_val_dim or next(iter(features.values())).shape[2]
+    if args.hash_key_dim is not None:
+        d_val = args.hash_val_dim
+        if d_val is None:
+            if not features:
+                raise InvalidInputError("--hash-val-dim or --features-dir required")
+            d_val = next(iter(features.values())).shape[2]
         return HashingProvider(d_key=args.hash_key_dim, d_val=d_val,
                                seed=args.hash_seed, feature_table=features)
     text = load_embedding_table(args.text_table) if args.text_table else None

@@ -114,49 +114,11 @@ def _l2_normalize(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def inner(a, b) -> float:
-    """Inner product, accumulated in float64."""
-    a = as_vector(a)
-    b = as_vector(b)
-    if a.shape != b.shape:
-        raise InvalidInputError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(np.dot(a.astype(np.float64), b.astype(np.float64)))
-
-
-def weighted_combine(vectors, weights) -> np.ndarray:
-    """Weighted sum of equal-dimension vectors. No normalization."""
-    if len(vectors) == 0 or len(vectors) != len(weights):
-        raise InvalidInputError("vectors and weights must be equal-length and non-empty")
-    vecs = [as_vector(v) for v in vectors]
-    dim = vecs[0].shape[0]
-    if any(v.shape[0] != dim for v in vecs):
-        raise InvalidInputError("all vectors must share one dimension")
-    acc = np.zeros(dim, dtype=np.float64)
-    for w, v in zip(weights, vecs):
-        acc += float(w) * v.astype(np.float64)
-    return acc.astype(np.float32)
-
-
 def cell_centers(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Normalized (x, y) center coordinates of every cell, each shaped (H, W)."""
     cx = (np.arange(width, dtype=np.float64) + 0.5) / width
     cy = (np.arange(height, dtype=np.float64) + 0.5) / height
     return np.broadcast_to(cx, (height, width)), np.broadcast_to(cy[:, None], (height, width))
-
-
-def mean_pool_region(grid, box: Box2D) -> np.ndarray:
-    """Mean of grid cells whose centers fall inside box.
-
-    Falls back to the single cell containing the box center when no cell
-    center is covered (very small boxes).
-    """
-    return _mean_pool(as_grid(grid), box)
-
-
-def _mean_pool(grid: np.ndarray, box: Box2D) -> np.ndarray:
-    """mean_pool_region on a grid that as_grid has already checked."""
-    (cells,) = _box_cells(grid.shape[0], grid.shape[1], np.array([box.as_list()]))
-    return _pool_cells(grid, cells).astype(np.float32)
 
 
 def _box_cells(h: int, w: int, boxes: np.ndarray) -> np.ndarray:
@@ -255,13 +217,9 @@ def _gaussian_smooth(scalar_map: np.ndarray, sigma: float) -> np.ndarray:
     return out.astype(np.float32)
 
 
-def minmax_rescale(scalar_map) -> np.ndarray:
-    """Affine rescale to [0, 1]. A (near-)constant map rescales to all zeros."""
-    return _minmax_rescale(as_scalar_map(scalar_map))
-
-
 def _minmax_rescale(scalar_map: np.ndarray) -> np.ndarray:
-    """minmax_rescale on a map that as_scalar_map has already checked."""
+    """Affine rescale of a checked map to [0, 1]. A (near-)constant map
+    rescales to all zeros."""
     lo = float(scalar_map.min())
     hi = float(scalar_map.max())
     if hi - lo <= EPS_NORM:
@@ -281,8 +239,8 @@ def layer_norm(v, gain, bias, eps: float = 1e-5) -> np.ndarray:
     bias = as_vector(bias)
     if not (v.shape[-1] == gain.shape[0] == bias.shape[0]):
         raise InvalidInputError("v, gain and bias must share one dimension")
-    if eps <= 0:
-        raise InvalidInputError(f"eps must be > 0, got {eps}")
+    if not 0 < eps < np.inf:
+        raise InvalidInputError(f"eps must be finite and > 0, got {eps}")
     out = _layer_norm(v, gain, bias, eps)
     if not np.all(np.isfinite(out)):
         raise InvalidInputError(LN_OVERFLOW)

@@ -52,7 +52,9 @@ def _hits(ids: np.ndarray, scores: np.ndarray) -> list[SearchHit]:
 
 
 def _check_k(k: int, what: str = "k") -> None:
-    """The one check of how many hits a search ranks."""
+    """The one check of how many hits a search ranks: an integer >= 1."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise InvalidInputError(f"{what} must be an integer, got {k!r}")
     if k < 1:
         raise InvalidInputError(f"{what} must be >= 1, got {k}")
 

@@ -3,8 +3,8 @@
 The heatmap is the per-cell inner product between unit-normalized input
 features and the prototype, spatially smoothed and min-max rescaled to
 [0, 1]. Anchors are its local maxima after greedy distance-based suppression,
-in descending response order. A training-time shortcut derives anchors
-directly from ground-truth box centers.
+in descending response order. Anchors come only from the heatmap: the
+library has no training loop, so it derives none from ground-truth boxes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .grids import (EPS_NORM, Box2D, Point2D, _check_sigma, _gaussian_smooth, _minmax_rescale,
+from .grids import (EPS_NORM, Point2D, _check_sigma, _gaussian_smooth, _minmax_rescale,
                     as_grid, as_vector)
 from .retrieval import Prototype
 
@@ -53,33 +53,23 @@ def radius_cells_to_normalized(radius_cells: float, height: int, width: int) -> 
 
 def dense_prior(grid, proto: Prototype, sigma: float = DEFAULT_SIGMA) -> DensePrior:
     """Smoothed, rescaled compatibility heatmap between grid cells and prototype."""
-    return dense_priors(grid, [proto], sigma)[0]
-
-
-def dense_priors(grid, protos: list[Prototype], sigma: float = DEFAULT_SIGMA) -> list[DensePrior]:
-    """dense_prior of each prototype over one grid, which is checked once and
-    unit-normalized once, a block of grid rows at a time.
-
-    Each heatmap comes from float64 products of its own with the normalized
-    grid, one GEMV per grid row: one (H*W, D) @ (D, C) product for all
-    prototypes rounds differently.
-    """
     grid = as_grid(grid)
-    for proto in protos:
-        as_vector(proto.vector)
-    return _dense_priors(grid, protos, sigma)
+    as_vector(proto.vector)
+    return _dense_priors(grid, [proto], sigma)[0]
 
 
 def _dense_priors(grid: np.ndarray, protos: list[Prototype], sigma: float) -> list[DensePrior]:
-    """dense_priors on a grid that as_grid has checked and finite prototypes,
-    so no heatmap needs a check of its own.
+    """dense_prior of each prototype over one grid that as_grid has checked,
+    with finite prototypes, so no heatmap needs a check of its own.
 
     The grid is cast and normalized in blocks of whole grid rows, and every
     prototype's product is taken while a block is in cache, so the float64
     copy of the whole grid is never built. numpy takes `(h, w, d) @ (d,)` as
     one (w, d) GEMV per grid row, so a block of whole rows gives each cell the
     bits of the product over the whole grid; a block that split a row, or a
-    flattened (cells, d) product, would not.
+    flattened (cells, d) product, would not. Each heatmap comes from float64
+    products of its own with the normalized grid: one (H*W, D) @ (D, C)
+    product for all prototypes rounds differently.
     """
     h, w, d = grid.shape
     _check_sigma(sigma)
@@ -151,9 +141,3 @@ def extract_anchors(prior: DensePrior, threshold: float = DEFAULT_PEAK_THRESHOLD
         if all(math.hypot(pt.x - q.x, pt.y - q.y) >= radius for q, _ in accepted):
             accepted.append((pt, resp))
     return AnchorSet(category=prior.category, anchors=accepted)
-
-
-def anchors_from_gt(boxes: list[Box2D], category: str) -> AnchorSet:
-    """Training-time approximation: one unit-response anchor per box center."""
-    return AnchorSet(category=category,
-                     anchors=[(box.center, 1.0) for box in boxes])

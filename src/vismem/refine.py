@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import FormatError, InvalidInputError, MissingEmbeddingError
 from .grids import (LN_OVERFLOW, Point2D, _bilinear, _finite, _layer_norm, as_grid, as_scalar_map,
-                    as_vector, bilinear_sample, cell_centers, layer_norm)
+                    as_vector)
 from .priors import AnchorSet, DensePrior
 from .serial import Reader, Writer, atomic_write_bytes, format_errors
 
@@ -102,40 +102,21 @@ class LogitsMatrix:
             raise InvalidInputError("logits shape must be (len(sources), len(categories))")
 
 
-# The sparse feature of an anchor is the bilinear sample of the grid there.
-sparse_feature = bilinear_sample
-
-
-def dense_feature(features, heat, anchor: Point2D, window: int = DEFAULT_WINDOW) -> np.ndarray:
-    """Heatmap-weighted feature sum over a window centered at the anchor's cell.
-
-    Weights are used exactly as given (no normalization); the window is
-    clipped at the grid borders.
-    """
-    features = as_grid(features)
-    heat = as_scalar_map(heat)
-    h, w, _ = features.shape
-    if heat.shape != (h, w):
-        raise InvalidInputError(f"heatmap shape {heat.shape} != feature shape {(h, w)}")
-    if window < 1 or window % 2 == 0:
-        raise InvalidInputError(f"window must be odd and positive, got {window}")
-    xs, ys = np.array([anchor.x]), np.array([anchor.y])
-    return _window_sums(features, heat[None], np.zeros(1, dtype=np.int64), xs, ys, window)[0]
-
-
 def _window_sums(features: np.ndarray, heats: np.ndarray, owners: np.ndarray,
                  xs: np.ndarray, ys: np.ndarray, window: int) -> np.ndarray:
-    """dense_feature of each anchor (xs[i], ys[i]) with heatmap heats[owners[i]],
-    on checked arrays, in one gather. Cells outside the grid add -0.0, the
-    identity of IEEE addition, and for D >= 2 numpy adds a window's cells in
-    row-major order, so each sum has the bits of the clipped window's. For
-    D = 1 numpy sums pairwise, which can group a border window's terms apart.
+    """The dense feature of each anchor (xs[i], ys[i]) with heatmap
+    heats[owners[i]], on checked arrays, in one gather: the heatmap-weighted
+    sum of the features of the window x window cells centred on the anchor's
+    cell, clipped at the grid borders, with the weights used as given. Cells
+    outside the grid add -0.0, the identity of IEEE addition, and for D >= 2
+    numpy adds a window's cells in row-major order, so each sum has the bits
+    of the clipped window's. For D = 1 numpy sums pairwise, which can group a
+    border window's terms apart.
 
-    Heatmaps of another shape than the features' are read as
-    resample_heatmap to the features' shape gives them, but only at the
-    window cells: each cell's heat is the bilinear sample of its owner's map
-    at the cell's centre. The sample of a point depends on that point and map
-    alone, so it has the bits of the whole resampled map's cell.
+    Heatmaps of another shape than the features' are read at the window cells
+    alone: each cell's heat is the bilinear sample of its owner's map at the
+    cell's centre, so it has the bits of that cell in the whole map resampled
+    to the features' shape, since a sample depends on its point and map alone.
     """
     h, w, _ = features.shape
     offsets = np.arange(window) - window // 2
@@ -153,36 +134,16 @@ def _window_sums(features: np.ndarray, heats: np.ndarray, owners: np.ndarray,
     return weighted.sum(axis=(1, 2)).astype(np.float32)
 
 
-def resample_heatmap(heat, target_h: int, target_w: int) -> np.ndarray:
-    """Bilinear resampling under the cell-center convention; identity on same shape."""
-    heat = as_scalar_map(heat)
-    if target_h < 1 or target_w < 1:
-        raise InvalidInputError("target shape must be >= 1 in both dimensions")
-    if heat.shape == (target_h, target_w):
-        return heat.copy()
-    cx, cy = cell_centers(target_h, target_w)
-    return _bilinear(heat, cx[:1], cy[:, :1])
-
-
 _OVERFLOW = "prompt pre-activation overflows float32"
 
 
-def refine_preactivation(params: RefinementParams, f_s, f_d) -> np.ndarray:
-    """e + W_s f_s + W_d f_d, before layer normalization. Linear in (f_s, f_d)."""
-    pre = _preactivations(params, as_vector(f_s)[None], as_vector(f_d)[None])[0]
-    if not np.all(np.isfinite(pre)):
-        raise InvalidInputError(_OVERFLOW)
-    return pre
-
-
 def _preactivations(params: RefinementParams, f_s: np.ndarray, f_d: np.ndarray) -> np.ndarray:
-    """refine_preactivation of each row of two finite float32 (A, D) stacks,
-    with rows that overflow float32 left non-finite.
+    """e + W_s f_s + W_d f_d, the pre-activation before the layer norm, of
+    each row of two finite float32 (A, D) stacks of the parameters' D, with
+    rows that overflow float32 left non-finite.
     The parameters are cast to float64 once; each row gets its own
     matrix-vector product, since one (A, D) @ (D, D) product rounds
     differently."""
-    if f_s.shape[1] != params.dim or f_d.shape[1] != params.dim:
-        raise InvalidInputError("feature dimensions must match the parameter dimension")
     e, w_s, w_d, f_s, f_d = (a.astype(np.float64)
                              for a in (params.e, params.w_sparse, params.w_dense, f_s, f_d))
     pre = np.empty(f_s.shape, dtype=np.float32)
@@ -190,12 +151,6 @@ def _preactivations(params: RefinementParams, f_s: np.ndarray, f_d: np.ndarray) 
         for i in range(len(pre)):
             pre[i] = e + w_s @ f_s[i] + w_d @ f_d[i]
     return pre
-
-
-def refine_prompt(params: RefinementParams, f_s, f_d) -> np.ndarray:
-    """Layer-normalized fusion of the prompt prior with sparse and dense features."""
-    pre = refine_preactivation(params, f_s, f_d)
-    return layer_norm(pre, params.ln_gain, params.ln_bias, params.ln_eps)
 
 
 def refine_all(scales, prior: DensePrior, anchors: AnchorSet,

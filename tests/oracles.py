@@ -1,5 +1,9 @@
-"""Record-by-record oracles for the columnar bank build: the whole-grid-mask
-mean pool and the build loop that made one key and one value per record."""
+"""Plain reference formulas the library's batched kernels are judged
+against: for the columnar bank build, the whole-grid-mask mean pool and the
+build loop that made one key and one value per record; for refinement, one
+anchor's dense window feature, heatmap resampling and prompt."""
+
+import math
 
 import numpy as np
 
@@ -68,3 +72,48 @@ def record_by_record_bank(records, provider, config=None):
                       image_ids=[r.image_id for r in survivors],
                       boxes=[r.box.as_list() for r in survivors],
                       blur=[r.blur_score for r in survivors])
+
+
+def clipped_window_sum(feats, heat, r, c, window):
+    """The float64 sum of the heatmap-weighted features of the window's
+    cells inside the grid, in row-major order, stored as float32."""
+    h, w, _ = feats.shape
+    half = window // 2
+    r0, r1 = max(0, r - half), min(h, r + half + 1)
+    c0, c1 = max(0, c - half), min(w, c + half + 1)
+    weighted = heat[r0:r1, c0:c1, None].astype(np.float64) * feats[r0:r1, c0:c1].astype(np.float64)
+    return weighted.sum(axis=(0, 1)).astype(np.float32)
+
+
+def resample_heatmap(heat, target_h, target_w):
+    """The map bilinearly sampled at the centre of each cell of a target_h x
+    target_w grid, one cell at a time in float64, with the sample point
+    clamped to the map's cell centres; a copy at the map's own shape."""
+    h, w = heat.shape
+    if (h, w) == (target_h, target_w):
+        return heat.copy()
+    out = np.empty((target_h, target_w), dtype=np.float32)
+    for r in range(target_h):
+        gy = min(max((r + 0.5) / target_h * h - 0.5, 0.0), h - 1.0)
+        r0 = math.floor(gy)
+        r1, fy = min(r0 + 1, h - 1), gy - r0
+        for c in range(target_w):
+            gx = min(max((c + 0.5) / target_w * w - 0.5, 0.0), w - 1.0)
+            c0 = math.floor(gx)
+            c1, fx = min(c0 + 1, w - 1), gx - c0
+            top = (1.0 - fx) * float(heat[r0, c0]) + fx * float(heat[r0, c1])
+            bot = (1.0 - fx) * float(heat[r1, c0]) + fx * float(heat[r1, c1])
+            out[r, c] = (1.0 - fy) * top + fy * bot
+    return out
+
+
+def refine_prompt(params, f_s, f_d):
+    """One anchor's prompt from its sparse and dense features: e + W_s f_s +
+    W_d f_d in float64, stored as float32, then layer-normalized in float64
+    with np.mean and np.var."""
+    e, w_s, w_d = (a.astype(np.float64) for a in (params.e, params.w_sparse, params.w_dense))
+    pre = (e + w_s @ f_s.astype(np.float64) + w_d @ f_d.astype(np.float64)).astype(np.float32)
+    x = pre.astype(np.float64)
+    normed = (x - x.mean()) / np.sqrt(x.var() + params.ln_eps)
+    return (normed * params.ln_gain.astype(np.float64)
+            + params.ln_bias.astype(np.float64)).astype(np.float32)

@@ -1,0 +1,94 @@
+"""The package's public names and its modules' imports, read with `ast`.
+
+perfbench/ calls the library as `vm.<name>` and imports from its modules;
+tier-1 does not run it, so a deleted name would break it unseen. The
+exported set is pinned, so a name is added or deleted on purpose."""
+
+import ast
+import importlib
+import types
+from pathlib import Path
+
+import vismem
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PUBLIC = {
+    # bank
+    "BankBuildConfig", "EmbeddingProvider", "GroundingRecord", "HashingProvider", "KeyWeights",
+    "MemoryBank", "MemoryEntry", "build_bank", "build_key", "load_bank", "save_bank",
+    # errors
+    "FormatError", "InvalidInputError", "MissingEmbeddingError", "VismemError",
+    # grids
+    "Box2D", "Point2D", "bilinear_sample", "gaussian_smooth", "l2_normalize", "layer_norm",
+    # index
+    "FlatIndex", "IvfPqIndex", "IvfPqParams", "SearchHit", "ivfpq_add", "ivfpq_search", "kmeans",
+    "load_index", "rescore", "save_index", "train_ivfpq",
+    # pipeline
+    "PipelineConfig", "pipeline_report", "run_pipeline",
+    # priors
+    "AnchorSet", "DensePrior", "dense_prior", "extract_anchors",
+    # refine
+    "UNCONSTRAINED", "LogitsMatrix", "MemoryGuidedPrompt", "RefinementParams", "constrain_logits",
+    "load_params", "refine_all", "save_params", "score_prompts",
+    # retrieval
+    "Prototype", "RetrievalQuery", "aggregate_prototype", "build_query", "retrieve",
+    # synthetic
+    "PlantedRegion", "ScenarioSpec", "SyntheticScenario", "gen_synthetic",
+}
+
+
+def public_names() -> set[str]:
+    return {name for name, value in vars(vismem).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC) == 57
+    assert public_names() == PUBLIC
+
+
+def test_every_name_perfbench_uses_resolves():
+    missing, used = [], 0
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "vm"):
+                module, names = vismem, [node.attr]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("vismem"):
+                module, names = importlib.import_module(node.module), [a.name for a in node.names]
+            else:
+                continue
+            used += len(names)
+            missing += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if not hasattr(module, name)]
+    assert used > 20
+    assert missing == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def test_unused_import_is_found():
+    assert unused_imports("import os\nimport numpy as np\nfrom a import b, c\nnp.x(c)\n") == [
+        "os (line 1)", "b (line 3)"]
+
+
+def test_no_unused_imports_in_the_library():
+    found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "vismem").glob("*.py"))
+             if path.name != "__init__.py"}
+    assert len(found) >= 12
+    assert {name: unused for name, unused in found.items() if unused} == {}

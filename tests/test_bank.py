@@ -19,7 +19,6 @@ from vismem.bank import (
     blur_filter,
     build_bank,
     build_key,
-    build_value,
     entry_stride,
     filter_small_boxes,
     laplacian_variance,
@@ -40,7 +39,7 @@ from vismem.refine import RefinementParams, load_params, save_params
 from vismem import serial
 from vismem.serial import Reader, Writer
 
-from oracles import record_by_record_bank
+from oracles import mask_mean_pool, record_by_record_bank
 
 
 def rng_for(seed):
@@ -83,15 +82,20 @@ class TestBuildKey:
 
 
 class TestBuildValue:
+    """A bank value is the unit-normalized mean of the grid cells in its box."""
+
     def test_constant_grid_gives_unit_direction(self):
         u = np.array([1.0, 2.0, 2.0], dtype=np.float32)
-        prov = EmbeddingProvider(feature_table={"a": np.broadcast_to(u, (4, 4, 3)).copy()})
-        out = build_value(prov, "a", Box2D(0.0, 0.0, 1.0, 1.0))
-        np.testing.assert_allclose(out, u / 3.0, atol=1e-6)
+        prov = HashingProvider(d_key=4, d_val=3,
+                               feature_table={"a": np.broadcast_to(u, (4, 4, 3)).copy()})
+        rec = GroundingRecord("a", Box2D(0.0, 0.0, 1.0, 1.0), "x")
+        bank = build_bank([rec], prov, BankBuildConfig(drop_fraction=0.0))
+        np.testing.assert_allclose(bank.values[0], u / 3.0, atol=1e-6)
 
     def test_missing_grid_raises(self):
+        rec = GroundingRecord("nope", Box2D(0, 0, 1, 1), "x")
         with pytest.raises(MissingEmbeddingError):
-            build_value(EmbeddingProvider(), "nope", Box2D(0, 0, 1, 1))
+            build_bank([rec], HashingProvider(d_key=4, d_val=3), BankBuildConfig(drop_fraction=0.0))
 
 
 class TestFilterSmallBoxes:
@@ -260,7 +264,8 @@ class TestBuildBank:
             prov.text_embedding(rec.phrase), prov.text_embedding(rec.scene),
             prov.image_embedding(rec.image_id), KeyWeights())
         np.testing.assert_array_equal(entry.key, oracle_key)
-        np.testing.assert_array_equal(entry.value, build_value(prov, rec.image_id, rec.box))
+        np.testing.assert_array_equal(
+            entry.value, l2_normalize(mask_mean_pool(prov.feature_grid(rec.image_id), rec.box)))
         assert entry.category == rec.phrase
 
     def test_manifest_balances(self):
@@ -331,7 +336,8 @@ class TestBuildBank:
             np.testing.assert_array_equal(key, build_key(
                 base.text_embedding(rec.phrase), base.text_embedding(rec.scene),
                 base.image_embedding(rec.image_id), KeyWeights()))
-            np.testing.assert_array_equal(value, build_value(base, rec.image_id, rec.box))
+            np.testing.assert_array_equal(
+                value, l2_normalize(mask_mean_pool(base.feature_grid(rec.image_id), rec.box)))
 
     def test_missing_embedding_names_offender(self):
         prov = make_provider()

@@ -307,6 +307,20 @@ class TestOutOfRangeValuesExit2:
         assert reason in assert_one_error_line(capsys)
         assert not (tmp_path / "scn").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--hash-key-dim", "-4"],
+        ["--hash-key-dim", "0"],
+        ["--hash-key-dim", "8", "--hash-val-dim", "0"],
+    ])
+    def test_hashing_dims(self, scenario_dir, tmp_path, capsys, flags):
+        """Without the check, -4 ends in a numpy traceback, a key dim of 0
+        falls back to the embedding tables and a value dim of 0 to the grids'."""
+        out = tmp_path / "bank.pbnk"
+        assert main(["build-memory", *flags, "--features-dir", str(scenario_dir / "features"),
+                     "--records", str(scenario_dir / "records.jsonl"), "--out", str(out)]) == 2
+        assert "hashing dims must be >= 1" in assert_one_error_line(capsys)
+        assert not out.exists()
+
 
 class TestNprobeBoundToIndex:
     """nprobe is checked against the loaded index's nlist, not the config's."""

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vismem.bank import KeyWeights, build_key
 from vismem.errors import InvalidInputError
 from vismem.grids import (
     Box2D,
@@ -11,14 +12,11 @@ from vismem.grids import (
     cell_centers,
     gaussian_kernel_1d,
     gaussian_smooth,
-    inner,
     l2_normalize,
     layer_norm,
-    mean_pool_region,
-    minmax_rescale,
-    weighted_combine,
 )
-from vismem.grids import _box_cells, _mean_pool, _pool_cells
+from vismem.grids import _box_cells, _minmax_rescale, _pool_cells
+from vismem.index import FlatIndex, exact_scores
 
 from oracles import mask_mean_pool
 
@@ -51,13 +49,21 @@ class TestL2Normalize:
             l2_normalize([1.0, float("nan")])
 
 
+def exact_inner(a, b) -> float:
+    """exact_scores of one key row against a query."""
+    return float(exact_scores(np.array([a], dtype=np.float32), np.array(b, dtype=np.float32))[0])
+
+
 class TestInner:
+    """The exact inner product of flat search and rescoring, index.exact_scores:
+    float32 vectors multiplied and summed in float64."""
+
     def test_orthogonality(self):
-        assert inner([1.0, 0.0], [0.0, 1.0]) == 0.0
+        assert exact_inner([1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_self_similarity(self):
         u = l2_normalize([1.0, 2.0, 2.0])
-        assert abs(inner(u, u) - 1.0) < 1e-6
+        assert abs(exact_inner(u, u) - 1.0) < 1e-6
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_fsum_oracle(self, seed):
@@ -65,55 +71,69 @@ class TestInner:
         a = rng.standard_normal(300).astype(np.float32)
         b = rng.standard_normal(300).astype(np.float32)
         oracle = math.fsum(float(x) * float(y) for x, y in zip(a, b))
-        assert abs(inner(a, b) - oracle) < 1e-5
+        assert abs(exact_inner(a, b) - oracle) < 1e-5
 
     @pytest.mark.parametrize("seed", range(5))
     def test_symmetric_and_bilinear(self, seed):
         rng = rng_for(seed)
         a, b, c = (rng.standard_normal(64).astype(np.float32) for _ in range(3))
-        assert abs(inner(a, b) - inner(b, a)) < 1e-5
-        lhs = inner((2.0 * a + b).astype(np.float32), c)
-        assert abs(lhs - (2.0 * inner(a, c) + inner(b, c))) < 1e-5
+        assert abs(exact_inner(a, b) - exact_inner(b, a)) < 1e-5
+        lhs = exact_inner((2.0 * a + b).astype(np.float32), c)
+        assert abs(lhs - (2.0 * exact_inner(a, c) + exact_inner(b, c))) < 1e-5
 
     def test_dim_mismatch(self):
         with pytest.raises(InvalidInputError):
-            inner([1.0, 2.0], [1.0])
+            FlatIndex(np.array([[1.0, 2.0]], dtype=np.float32)).search([1.0], 1)
 
 
 class TestWeightedCombine:
+    """build_key's weighted mix of its phrase, scene and image vectors, which
+    it then unit-normalizes."""
+
+    ZERO = np.zeros(3, dtype=np.float32)
+
     def test_identity(self):
         u = np.array([1.0, 2.0, 3.0], dtype=np.float32)
-        np.testing.assert_allclose(weighted_combine([u], [1.0]), u)
+        np.testing.assert_allclose(build_key(u, self.ZERO, self.ZERO, KeyWeights(1.0, 0.0, 0.0)),
+                                   u / np.linalg.norm(u), atol=1e-7)
 
     def test_convexity(self):
         u = np.array([1.0, -1.0], dtype=np.float32)
-        np.testing.assert_allclose(weighted_combine([u, u], [0.5, 0.5]), u, atol=1e-7)
+        zero = np.zeros(2, dtype=np.float32)
+        np.testing.assert_allclose(build_key(u, u, zero, KeyWeights(0.5, 0.5, 0.0)),
+                                   u / np.linalg.norm(u), atol=1e-7)
 
     def test_basis_combination(self):
         e1 = np.array([1.0, 0.0, 0.0], dtype=np.float32)
         e2 = np.array([0.0, 1.0, 0.0], dtype=np.float32)
-        np.testing.assert_allclose(
-            weighted_combine([e1, e2], [1.0, 0.3]), [1.0, 0.3, 0.0], atol=1e-7)
+        np.testing.assert_allclose(build_key(e1, e2, self.ZERO, KeyWeights(1.0, 0.3, 0.0)),
+                                   np.array([1.0, 0.3, 0.0]) / math.hypot(1.0, 0.3), atol=1e-7)
 
     def test_empty_list_rejected(self):
         with pytest.raises(InvalidInputError):
-            weighted_combine([], [])
+            build_key([], [], [], KeyWeights())
 
     def test_dim_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            weighted_combine([[1.0, 2.0], [1.0]], [1.0, 1.0])
+        with pytest.raises(InvalidInputError, match="share one dimension"):
+            build_key([1.0, 2.0], [1.0], [1.0, 2.0], KeyWeights())
+
+
+def pool_box(grid, box: Box2D) -> np.ndarray:
+    """The bank's pool of one box: _pool_cells over its _box_cells range."""
+    (cells,) = _box_cells(grid.shape[0], grid.shape[1], np.array([box.as_list()]))
+    return _pool_cells(grid, cells).astype(np.float32)
 
 
 class TestMeanPoolRegion:
     def test_constant_field(self):
         u = np.array([1.5, -2.0, 0.25], dtype=np.float32)
         grid = np.broadcast_to(u, (5, 7, 3))
-        out = mean_pool_region(grid, Box2D(0.1, 0.2, 0.9, 0.8))
+        out = pool_box(grid, Box2D(0.1, 0.2, 0.9, 0.8))
         np.testing.assert_allclose(out, u, atol=1e-6)
 
     def test_exact_column_subset(self):
         grid = np.arange(2 * 2 * 1, dtype=np.float32).reshape(2, 2, 1)
-        out = mean_pool_region(grid, Box2D(0.0, 0.0, 0.5, 1.0))
+        out = pool_box(grid, Box2D(0.0, 0.0, 0.5, 1.0))
         np.testing.assert_allclose(out, [(grid[0, 0, 0] + grid[1, 0, 0]) / 2])
 
     @pytest.mark.parametrize("seed", range(10))
@@ -127,16 +147,16 @@ class TestMeanPoolRegion:
                 if box.x0 <= cx <= box.x1 and box.y0 <= cy <= box.y1:
                     covered.append(grid[r, c].astype(np.float64))
         oracle = np.mean(covered, axis=0)
-        np.testing.assert_allclose(mean_pool_region(grid, box), oracle, atol=1e-6)
+        np.testing.assert_allclose(pool_box(grid, box), oracle, atol=1e-6)
 
     def test_full_box_equals_global_mean(self):
         grid = rng_for(3).standard_normal((6, 5, 3)).astype(np.float32)
-        out = mean_pool_region(grid, Box2D(0.0, 0.0, 1.0, 1.0))
+        out = pool_box(grid, Box2D(0.0, 0.0, 1.0, 1.0))
         np.testing.assert_allclose(out, grid.reshape(-1, 3).mean(axis=0), atol=1e-5)
 
     def test_tiny_box_falls_back_to_center_cell(self):
         grid = rng_for(4).standard_normal((4, 4, 2)).astype(np.float32)
-        out = mean_pool_region(grid, Box2D(0.26, 0.26, 0.27, 0.27))
+        out = pool_box(grid, Box2D(0.26, 0.26, 0.27, 0.27))
         np.testing.assert_array_equal(out, grid[1, 1])
 
 
@@ -185,10 +205,8 @@ class TestMeanPoolOracle:
         on_center = 0
         for box, cells in zip(boxes, batch):
             want = mask_mean_pool(grid, box)
-            for got in (_mean_pool(grid, box), mean_pool_region(grid, box),
-                        _pool_cells(grid, cells).astype(np.float32)):
-                assert got.dtype == np.float32
-                np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+            got = _pool_cells(grid, cells).astype(np.float32)
+            np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
             fallbacks += cells[0] == cells[1]
             on_center += any(np.any(box_edge == (np.arange(n) + 0.5) / n) for box_edge, n in
                              ((box.x0, w), (box.x1, w), (box.y0, h), (box.y1, h)))
@@ -306,17 +324,17 @@ class TestGaussianSmooth:
 
 class TestMinmaxRescale:
     def test_affine_rescale(self):
-        out = minmax_rescale(np.array([[-2.0, 0.0, 2.0]], dtype=np.float32))
+        out = _minmax_rescale(np.array([[-2.0, 0.0, 2.0]], dtype=np.float32))
         np.testing.assert_allclose(out, [[0.0, 0.5, 1.0]], atol=1e-7)
 
     def test_constant_maps_to_zeros(self):
-        out = minmax_rescale(np.full((4, 4), 7.0, dtype=np.float32))
+        out = _minmax_rescale(np.full((4, 4), 7.0, dtype=np.float32))
         np.testing.assert_array_equal(out, np.zeros((4, 4), dtype=np.float32))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_range_and_order(self, seed):
         m = rng_for(seed).standard_normal((6, 8)).astype(np.float32)
-        out = minmax_rescale(m)
+        out = _minmax_rescale(m)
         assert out.min() == 0.0 and abs(out.max() - 1.0) < 1e-6
         assert np.argmax(out) == np.argmax(m) and np.argmin(out) == np.argmin(m)
         # rank order preserved
@@ -351,6 +369,12 @@ class TestLayerNorm:
     def test_dim_mismatch(self):
         with pytest.raises(InvalidInputError):
             layer_norm([1.0, 2.0], [1.0], [0.0, 0.0])
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, math.inf, math.nan])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        """Without the check, inf returns the bias and NaN reads as an overflow."""
+        with pytest.raises(InvalidInputError, match="eps must be finite and > 0"):
+            layer_norm([1.0, 2.0], [1.0, 1.0], [0.0, 0.0], eps)
 
     @pytest.mark.parametrize("dim", [1, 32, 33, 256])
     def test_stack_equals_single_rows(self, dim):

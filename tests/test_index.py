@@ -82,6 +82,21 @@ class TestFlatSearch:
             with pytest.raises(InvalidInputError, match="k must be >= 1, got 0"):
                 index.search([1.0, 0.0, 0.0, 0.0], k=0)
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, "3", None])
+    def test_non_integer_k_refused(self, k):
+        """Without the check, 2.5 fails in np.partition with a bare TypeError
+        and True passes as 1."""
+        index = FlatIndex(np.eye(3, 4, dtype=np.float32))
+        with pytest.raises(InvalidInputError, match="k must be an integer"):
+            index.search([1.0, 0.0, 0.0, 0.0], k=k)
+
+    def test_numpy_integer_k_accepted(self):
+        index, keys = small_index(n=50)
+        assert len(FlatIndex(keys).search(keys[0], k=np.int64(2))) == 2
+        assert len(ivfpq_search(index, keys[0], nprobe=2, recall_size=np.int32(3))) == 3
+        with pytest.raises(InvalidInputError, match="recall_size must be an integer"):
+            ivfpq_search(index, keys[0], nprobe=2, recall_size=3.0)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_naive_oracle(self, seed):
         rng = rng_for(seed)

@@ -5,13 +5,12 @@ import pytest
 
 from vismem import priors as priors_module
 from vismem.errors import InvalidInputError
-from vismem.grids import Box2D, gaussian_smooth, minmax_rescale
+from vismem.grids import _minmax_rescale, gaussian_smooth
 from vismem.priors import (
     AnchorSet,
     DensePrior,
-    anchors_from_gt,
+    _dense_priors,
     dense_prior,
-    dense_priors,
     extract_anchors,
     find_peaks,
     radius_cells_to_normalized,
@@ -69,7 +68,7 @@ class TestDensePrior:
         g = grid.astype(np.float64)
         norms = np.linalg.norm(g, axis=2, keepdims=True)
         raw = ((g / norms) @ p.vector.astype(np.float64)).astype(np.float32)
-        oracle = minmax_rescale(gaussian_smooth(raw, sigma))
+        oracle = _minmax_rescale(gaussian_smooth(raw, sigma))
         np.testing.assert_allclose(dense_prior(grid, p, sigma).heatmap, oracle, atol=1e-6)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -81,7 +80,7 @@ class TestDensePrior:
         grid[2, 3] = 0.0
         protos = [proto_of(rng.standard_normal(6), f"c{i}") for i in range(5)]
         protos[1] = empty_proto(6, "c1")
-        priors = dense_priors(grid, protos, sigma=0.7)
+        priors = _dense_priors(grid, protos, sigma=0.7)
         assert [p.category for p in priors] == [p.category for p in protos]
         g = grid.astype(np.float64)
         norms = np.linalg.norm(g, axis=2, keepdims=True)
@@ -92,16 +91,19 @@ class TestDensePrior:
                 np.testing.assert_array_equal(prior.heatmap, np.zeros((8, 10), np.float32))
                 continue
             raw = (unit @ proto.vector.astype(np.float64)).astype(np.float32)
-            np.testing.assert_array_equal(prior.heatmap, minmax_rescale(gaussian_smooth(raw, 0.7)))
+            np.testing.assert_array_equal(prior.heatmap, _minmax_rescale(gaussian_smooth(raw, 0.7)))
 
     def test_dense_priors_check_grid_and_every_prototype(self):
         grid = rng_for(4).standard_normal((3, 3, 4)).astype(np.float32)
-        assert dense_priors(grid, []) == []
+        assert _dense_priors(grid, [], 1.0) == []
         with pytest.raises(InvalidInputError):
-            dense_priors(grid, [proto_of([1.0, 0.0, 0.0, 0.0]), empty_proto(3)])
+            _dense_priors(grid, [proto_of([1.0, 0.0, 0.0, 0.0]), empty_proto(3)], 1.0)
+        with pytest.raises(InvalidInputError):
+            dense_prior(grid, Prototype(category="cat", vector=np.array([1.0, np.nan, 0.0, 0.0]),
+                                        neighbors=[(0, 1.0, 1.0)]))
         grid[1, 1, 2] = np.nan
         with pytest.raises(InvalidInputError):
-            dense_priors(grid, [])
+            dense_prior(grid, proto_of([1.0, 0.0, 0.0, 0.0]))
 
     def test_range_zero_one(self):
         rng = rng_for(3)
@@ -136,7 +138,7 @@ def heatmap_oracle(grid, proto, sigma):
     g /= np.where(norms > 1e-12, norms, 1.0)[:, :, None]
     g[norms <= 1e-12] = 0.0
     raw = (g @ proto.vector.astype(np.float64)).astype(np.float32)
-    return minmax_rescale(gaussian_smooth(raw, sigma))
+    return _minmax_rescale(gaussian_smooth(raw, sigma))
 
 
 class TestBlockedDensePriors:
@@ -173,7 +175,7 @@ class TestBlockedDensePriors:
         protos = [proto_of(rng.standard_normal(d), f"c{i}") for i in range(4)]
         protos.insert(1, empty_proto(d, "e0"))
         protos.append(empty_proto(d, "e1"))
-        priors = dense_priors(grid, protos, sigma=1.0)
+        priors = _dense_priors(grid, protos, sigma=1.0)
         assert [p.category for p in priors] == [p.category for p in protos]
         for proto, prior in zip(protos, priors):
             expected = (np.zeros((h, w), np.float32) if proto.is_empty
@@ -200,7 +202,7 @@ class TestBlockedDensePriors:
         grid = np.where(rng.random((h, w, 1)) < 0.5, cancel, agree)
         protos = [Prototype(category="c", vector=np.concatenate([a, a]), neighbors=[(0, 1.0, 1.0)]),
                   proto_of(rng.standard_normal(d), "r")]
-        for proto, prior in zip(protos, dense_priors(grid, protos, sigma=0.0)):
+        for proto, prior in zip(protos, _dense_priors(grid, protos, sigma=0.0)):
             assert prior.heatmap.tobytes() == heatmap_oracle(grid, proto, 0.0).tobytes()
 
 
@@ -211,7 +213,7 @@ class TestSigmaChecked:
         grid = rng_for(5).standard_normal((4, 4, 3)).astype(np.float32)
         protos = [empty_proto(3)] if empty_only else [empty_proto(3), proto_of([1.0, 2.0, 3.0])]
         with pytest.raises(InvalidInputError, match="sigma"):
-            dense_priors(grid, protos, sigma)
+            _dense_priors(grid, protos, sigma)
         with pytest.raises(InvalidInputError, match="sigma"):
             dense_prior(grid, protos[-1], sigma)
 
@@ -428,23 +430,6 @@ class TestExtractAnchors:
     def test_radius_conversion(self):
         assert radius_cells_to_normalized(3.0, 10, 20) == 3.0 / 20
         assert radius_cells_to_normalized(3.0, 40, 20) == 3.0 / 40
-
-
-class TestAnchorsFromGt:
-    def test_box_centers_unit_response(self):
-        boxes = [Box2D(0.0, 0.0, 0.4, 0.2), Box2D(0.5, 0.5, 1.0, 1.0)]
-        anchors = anchors_from_gt(boxes, "dog")
-        assert anchors.category == "dog"
-        assert [(p.x, p.y) for p in anchors.points()] == [(0.2, 0.1), (0.75, 0.75)]
-        assert all(r == 1.0 for _, r in anchors.anchors)
-
-    def test_no_suppression_between_overlapping_boxes(self):
-        b = Box2D(0.4, 0.4, 0.6, 0.6)
-        anchors = anchors_from_gt([b, b, b], "cat")
-        assert len(anchors) == 3
-
-    def test_empty(self):
-        assert len(anchors_from_gt([], "cat")) == 0
 
 
 class TestPlantedRecovery:

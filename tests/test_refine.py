@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from vismem.errors import FormatError, InvalidInputError, MissingEmbeddingError
-from vismem.grids import Point2D, bilinear_sample, inner, layer_norm
+from vismem.grids import _layer_norm, Point2D, bilinear_sample, cell_centers, layer_norm
 from vismem.priors import DEFAULT_MAX_ANCHORS, AnchorSet, DensePrior
 from vismem.refine import (
+    _preactivations,
     _prompts,
     _refine,
     _window_sums,
@@ -16,16 +17,13 @@ from vismem.refine import (
     MemoryGuidedPrompt,
     RefinementParams,
     constrain_logits,
-    dense_feature,
     load_params,
     refine_all,
-    refine_preactivation,
-    refine_prompt,
-    resample_heatmap,
     save_params,
     score_prompts,
-    sparse_feature,
 )
+
+from oracles import clipped_window_sum, refine_prompt, resample_heatmap
 
 
 def rng_for(seed):
@@ -36,20 +34,39 @@ def anchor_at(r, c, h, w, resp=1.0):
     return Point2D((c + 0.5) / w, (r + 0.5) / h), resp
 
 
+def window_sum(feats, heat, pt, window=5):
+    """_window_sums of one anchor: its dense feature."""
+    return _window_sums(feats, heat[None], np.zeros(1, dtype=np.intp), np.array([pt.x]),
+                        np.array([pt.y]), window)[0]
+
+
+def cell_of(pt, h, w):
+    """The (row, column) of the cell of an h x w grid that holds pt."""
+    return min(h - 1, int(pt.y * h)), min(w - 1, int(pt.x * w))
+
+
+def per_anchor_prompt(feats, heatmap, pt, params):
+    """One anchor's prompt at one scale, from the test-side oracles."""
+    h, w, _ = feats.shape
+    heat = resample_heatmap(heatmap, h, w)
+    dense = clipped_window_sum(feats, heat, *cell_of(pt, h, w), params.window)
+    return refine_prompt(params, bilinear_sample(feats, pt), dense)
+
+
 class TestDenseFeature:
     def test_unit_weights_sum_window(self):
         rng = rng_for(0)
         feats = rng.standard_normal((9, 9, 4)).astype(np.float32)
         heat = np.ones((9, 9), dtype=np.float32)
         pt, _ = anchor_at(4, 4, 9, 9)
-        out = dense_feature(feats, heat, pt, window=3)
+        out = window_sum(feats, heat, pt, window=3)
         oracle = feats[3:6, 3:6].astype(np.float64).sum(axis=(0, 1))
         np.testing.assert_allclose(out, oracle, atol=1e-5)
 
     def test_zero_heat_is_zero(self):
         feats = rng_for(1).standard_normal((7, 7, 3)).astype(np.float32)
         pt, _ = anchor_at(3, 3, 7, 7)
-        out = dense_feature(feats, np.zeros((7, 7), dtype=np.float32), pt)
+        out = window_sum(feats, np.zeros((7, 7), dtype=np.float32), pt)
         np.testing.assert_array_equal(out, np.zeros(3, dtype=np.float32))
 
     def test_window_clipped_at_border(self):
@@ -57,7 +74,7 @@ class TestDenseFeature:
         feats = rng.standard_normal((6, 6, 2)).astype(np.float32)
         heat = rng.uniform(0, 1, (6, 6)).astype(np.float32)
         pt, _ = anchor_at(0, 0, 6, 6)
-        out = dense_feature(feats, heat, pt, window=5)
+        out = window_sum(feats, heat, pt, window=5)
         region = (heat[0:3, 0:3, None].astype(np.float64) * feats[0:3, 0:3]).sum(axis=(0, 1))
         np.testing.assert_allclose(out, region, atol=1e-5)
 
@@ -75,7 +92,7 @@ class TestDenseFeature:
         for rr in range(max(0, r - half), min(h, r + half + 1)):
             for cc in range(max(0, c - half), min(w, c + half + 1)):
                 oracle += float(heat[rr, cc]) * feats[rr, cc].astype(np.float64)
-        np.testing.assert_allclose(dense_feature(feats, heat, pt, window), oracle, atol=1e-4)
+        np.testing.assert_allclose(window_sum(feats, heat, pt, window), oracle, atol=1e-4)
 
     def test_weights_not_normalized(self):
         """Doubling the heatmap must double the feature."""
@@ -83,34 +100,26 @@ class TestDenseFeature:
         feats = rng.standard_normal((8, 8, 3)).astype(np.float32)
         heat = rng.uniform(0, 1, (8, 8)).astype(np.float32)
         pt, _ = anchor_at(4, 4, 8, 8)
-        a = dense_feature(feats, heat, pt)
-        b = dense_feature(feats, 2.0 * heat, pt)
+        a = window_sum(feats, heat, pt)
+        b = window_sum(feats, 2.0 * heat, pt)
         np.testing.assert_allclose(b, 2.0 * a, atol=1e-4)
 
     def test_even_window_rejected(self):
-        feats = np.zeros((4, 4, 2), dtype=np.float32)
-        with pytest.raises(InvalidInputError):
-            dense_feature(feats, np.zeros((4, 4), dtype=np.float32), Point2D(0.5, 0.5), window=4)
+        with pytest.raises(InvalidInputError, match="window must be odd"):
+            RefinementParams.zero_init(2, window=4)
 
     def test_shape_mismatch_rejected(self):
+        """A heatmap of any (H, W) is read at the scale's cells; one of
+        another rank is refused."""
+        anchors = AnchorSet(category="cat", anchors=[anchor_at(1, 1, 4, 4)])
+        prior = DensePrior(category="cat", heatmap=np.zeros((5, 4, 1), dtype=np.float32), sigma=1.0)
         with pytest.raises(InvalidInputError):
-            dense_feature(np.zeros((4, 4, 2), dtype=np.float32),
-                          np.zeros((5, 4), dtype=np.float32), Point2D(0.5, 0.5))
-
-
-def clipped_window_sum(feats, heat, r, c, window):
-    """The float64 sum of the heatmap-weighted features of the window's
-    cells inside the grid, in row-major order, stored as float32."""
-    h, w, _ = feats.shape
-    half = window // 2
-    r0, r1 = max(0, r - half), min(h, r + half + 1)
-    c0, c1 = max(0, c - half), min(w, c + half + 1)
-    weighted = heat[r0:r1, c0:c1, None].astype(np.float64) * feats[r0:r1, c0:c1].astype(np.float64)
-    return weighted.sum(axis=(0, 1)).astype(np.float32)
+            refine_all([np.zeros((4, 4, 2), dtype=np.float32)], prior, anchors,
+                       RefinementParams.zero_init(2), "cat")
 
 
 class TestDenseFeatureBytes:
-    """dense_feature has exactly the bits of the clipped window's sum."""
+    """A window sum has exactly the bits of the clipped window's sum."""
 
     @pytest.mark.parametrize("d", [1, 5])
     @pytest.mark.parametrize("window", [1, 3, 5, 7])
@@ -127,15 +136,15 @@ class TestDenseFeatureBytes:
         anchors = [(anchor_at(r, c, h, w)[0], r, c) for r, c in cells]
         anchors.append((Point2D(1.0, 1.0), h - 1, w - 1))  # x = 1 lies in the last cell
         for pt, r, c in anchors:
-            out = dense_feature(feats, heat, pt, window)
+            out = window_sum(feats, heat, pt, window)
             assert out.dtype == np.float32 and out.shape == (d,)
             assert out.tobytes() == clipped_window_sum(feats, heat, r, c, window).tobytes(), (r, c)
 
 
 class TestWindowOnlyHeat:
     """At a scale of another shape than the heatmaps', the window sums read
-    the heat of the window cells alone, with the bits of resample_heatmap to
-    the scale's shape followed by the gather at that shape."""
+    the heat of the window cells alone, with the bits of the heatmap
+    resampled to the scale's shape followed by the clipped window's sum."""
 
     @pytest.mark.parametrize("d", [1, 4])
     @pytest.mark.parametrize("window", [1, 3, 5, 7])
@@ -156,33 +165,54 @@ class TestWindowOnlyHeat:
         got = _window_sums(feats, heats, owners, xs, ys, window)
         resampled = [resample_heatmap(heat, h, w) for heat in heats]
         for i, (x, y) in enumerate(zip(xs, ys)):
-            want = dense_feature(feats, resampled[owners[i]], Point2D(x, y), window)
+            r, c = cell_of(Point2D(x, y), h, w)
+            want = clipped_window_sum(feats, resampled[owners[i]], r, c, window)
             assert got[i].tobytes() == want.tobytes(), (i, x, y)
 
 
 class TestSparseFeature:
     def test_is_bilinear_sample(self):
+        """With e = 0, W_s = I, W_d = 0 and an identity layer norm, a prompt
+        is the layer norm of the bilinear sample at its anchor."""
         feats = rng_for(0).standard_normal((6, 6, 4)).astype(np.float32)
         pt = Point2D(0.31, 0.62)
-        np.testing.assert_array_equal(sparse_feature(feats, pt), bilinear_sample(feats, pt))
+        params = RefinementParams(e=np.zeros(4), w_sparse=np.eye(4), w_dense=np.zeros((4, 4)),
+                                  ln_gain=np.ones(4), ln_bias=np.zeros(4))
+        prior = DensePrior(category="cat", heatmap=np.ones((6, 6), dtype=np.float32), sigma=1.0)
+        (prompt,) = refine_all([feats], prior, AnchorSet(category="cat", anchors=[(pt, 1.0)]),
+                               params, "cat")
+        np.testing.assert_array_equal(prompt.embedding, layer_norm(
+            bilinear_sample(feats, pt), params.ln_gain, params.ln_bias, params.ln_eps))
+
+
+def heat_at_cells(heat, th, tw):
+    """The heat _window_sums reads at each cell of a th x tw scale: the sum of
+    a one-cell window over a one-channel grid of ones."""
+    cx, cy = cell_centers(th, tw)
+    return _window_sums(np.ones((th, tw, 1), dtype=np.float32), heat[None],
+                        np.zeros(th * tw, dtype=np.intp), cx.ravel(), cy.ravel(),
+                        1).reshape(th, tw)
 
 
 class TestResampleHeatmap:
+    """A heatmap is read at a scale of another shape as its bilinear
+    resampling to that shape."""
+
     def test_identity_on_same_shape(self):
         hm = rng_for(0).uniform(0, 1, (7, 9)).astype(np.float32)
-        out = resample_heatmap(hm, 7, 9)
+        out = heat_at_cells(hm, 7, 9)
         np.testing.assert_array_equal(out, hm)
         assert out is not hm
 
     def test_constant_preserved(self):
         hm = np.full((4, 4), 0.7, dtype=np.float32)
-        np.testing.assert_allclose(resample_heatmap(hm, 9, 13), 0.7, atol=1e-6)
+        np.testing.assert_allclose(heat_at_cells(hm, 9, 13), 0.7, atol=1e-6)
 
     def test_exact_integer_upsample_centers(self):
         """2x upsample: the four target cells covering a source cell whose
         neighbors are equal share its value."""
         hm = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=np.float32)
-        hm2 = resample_heatmap(hm, 4, 4)
+        hm2 = heat_at_cells(hm, 4, 4)
         np.testing.assert_allclose(hm2, 1.0, atol=1e-6)
 
     def test_linear_ramp_preserved(self):
@@ -190,7 +220,7 @@ class TestResampleHeatmap:
         from the clamped borders."""
         w = 8
         hm = np.tile(np.arange(w, dtype=np.float32), (8, 1))
-        out = resample_heatmap(hm, 8, 16)
+        out = heat_at_cells(hm, 8, 16)
         gx = np.clip((np.arange(16) + 0.5) / 16 * w - 0.5, 0.0, w - 1.0)
         np.testing.assert_allclose(out[0], gx, atol=1e-5)
 
@@ -198,7 +228,7 @@ class TestResampleHeatmap:
     def test_matches_pointwise_bilinear_sample(self, seed):
         hm = rng_for(seed).uniform(0, 1, (6, 5)).astype(np.float32)
         th, tw = 9, 11
-        out = resample_heatmap(hm, th, tw)
+        out = heat_at_cells(hm, th, tw)
         grid3 = hm[:, :, None]
         for r in range(th):
             for c in range(tw):
@@ -215,11 +245,21 @@ class TestResampleHeatmap:
         grid3 = hm[:, :, None]
         expected = np.array([[bilinear_sample(grid3, Point2D((c + 0.5) / tw, (r + 0.5) / th))[0]
                               for c in range(tw)] for r in range(th)], dtype=np.float32)
-        np.testing.assert_array_equal(resample_heatmap(hm, th, tw), expected)
+        np.testing.assert_array_equal(heat_at_cells(hm, th, tw), expected)
 
     def test_bad_target_rejected(self):
+        """A scale with no cells is refused."""
+        prior = DensePrior(category="cat", heatmap=np.zeros((3, 3), dtype=np.float32), sigma=1.0)
+        anchors = AnchorSet(category="cat", anchors=[(Point2D(0.5, 0.5), 1.0)])
         with pytest.raises(InvalidInputError):
-            resample_heatmap(np.zeros((3, 3), dtype=np.float32), 0, 4)
+            refine_all([np.zeros((0, 4, 2), dtype=np.float32)], prior, anchors,
+                       RefinementParams.zero_init(2), "cat")
+
+
+def prompt_rows(params, f_s, f_d):
+    """The prompts _refine makes of (A, D) stacks of sparse and dense features."""
+    return _layer_norm(_preactivations(params, f_s, f_d), params.ln_gain, params.ln_bias,
+                       params.ln_eps)
 
 
 class TestRefinePrompt:
@@ -227,8 +267,8 @@ class TestRefinePrompt:
         dim = 16
         params = RefinementParams.zero_init(dim)
         rng = rng_for(0)
-        out = refine_prompt(params, rng.standard_normal(dim).astype(np.float32),
-                            rng.standard_normal(dim).astype(np.float32))
+        out = prompt_rows(params, rng.standard_normal((1, dim)).astype(np.float32),
+                          rng.standard_normal((1, dim)).astype(np.float32))[0]
         oracle = layer_norm(np.zeros(dim, dtype=np.float32), params.ln_gain,
                             params.ln_bias, params.ln_eps)
         np.testing.assert_array_equal(out, oracle)
@@ -238,13 +278,15 @@ class TestRefinePrompt:
         rng = rng_for(seed)
         dim = 12
         params = RefinementParams.seeded_init(dim, seed=seed)
-        f_s = rng.standard_normal(dim).astype(np.float32)
-        f_d = rng.standard_normal(dim).astype(np.float32)
-        pre = (params.e.astype(np.float64)
-               + params.w_sparse.astype(np.float64) @ f_s
-               + params.w_dense.astype(np.float64) @ f_d).astype(np.float32)
-        oracle = layer_norm(pre, params.ln_gain, params.ln_bias, params.ln_eps)
-        np.testing.assert_allclose(refine_prompt(params, f_s, f_d), oracle, atol=1e-6)
+        f_s = rng.standard_normal((3, dim)).astype(np.float32)
+        f_d = rng.standard_normal((3, dim)).astype(np.float32)
+        out = prompt_rows(params, f_s, f_d)
+        for i in range(3):
+            pre = (params.e.astype(np.float64)
+                   + params.w_sparse.astype(np.float64) @ f_s[i]
+                   + params.w_dense.astype(np.float64) @ f_d[i]).astype(np.float32)
+            oracle = layer_norm(pre, params.ln_gain, params.ln_bias, params.ln_eps)
+            np.testing.assert_allclose(out[i], oracle, atol=1e-6)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_preactivation_is_linear(self, seed):
@@ -252,24 +294,24 @@ class TestRefinePrompt:
         dim = 8
         params = RefinementParams.seeded_init(dim, seed=seed)
         f1, f2, g1, g2 = (rng.standard_normal(dim).astype(np.float32) for _ in range(4))
-        lhs = refine_preactivation(params, (f1 + f2).astype(np.float32),
-                                   (g1 + g2).astype(np.float32))
-        rhs = (refine_preactivation(params, f1, g1).astype(np.float64)
-               + refine_preactivation(params, f2, g2) - params.e)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-4)
+        lhs = _preactivations(params, (f1 + f2)[None], (g1 + g2)[None])[0]
+        parts = _preactivations(params, np.stack([f1, f2]), np.stack([g1, g2])).astype(np.float64)
+        np.testing.assert_allclose(lhs, parts[0] + parts[1] - params.e, atol=1e-4)
 
     def test_output_moments(self):
         params = RefinementParams.seeded_init(64, seed=1)
         rng = rng_for(9)
-        out = refine_prompt(params, rng.standard_normal(64).astype(np.float32),
-                            rng.standard_normal(64).astype(np.float32)).astype(np.float64)
+        out = prompt_rows(params, rng.standard_normal((1, 64)).astype(np.float32),
+                          rng.standard_normal((1, 64)).astype(np.float32))[0].astype(np.float64)
         assert abs(out.mean()) < 1e-5
         assert abs(out.var() - 1.0) < 1e-2
 
     def test_dim_mismatch_rejected(self):
-        params = RefinementParams.zero_init(8)
-        with pytest.raises(InvalidInputError):
-            refine_prompt(params, np.zeros(4, dtype=np.float32), np.zeros(8, dtype=np.float32))
+        anchors = AnchorSet(category="cat", anchors=[anchor_at(1, 1, 4, 4)])
+        prior = DensePrior(category="cat", heatmap=np.ones((4, 4), dtype=np.float32), sigma=1.0)
+        with pytest.raises(InvalidInputError, match="feature dimensions"):
+            refine_all([np.zeros((4, 4, 4), dtype=np.float32)], prior, anchors,
+                       RefinementParams.zero_init(8), "cat")
 
 
 class TestRefineAll:
@@ -307,18 +349,15 @@ class TestRefineAll:
         prompts = refine_all(scales, prior, anchors, params, "cat")
         pt = anchors.points()[0]
         for s_idx, feats in enumerate(scales):
-            heat = resample_heatmap(prior.heatmap, feats.shape[0], feats.shape[1])
-            f_s = sparse_feature(feats, pt)
-            f_d = dense_feature(feats, heat, pt, params.window)
             np.testing.assert_array_equal(prompts[s_idx].embedding,
-                                          refine_prompt(params, f_s, f_d))
+                                          per_anchor_prompt(feats, prior.heatmap, pt, params))
 
     @pytest.mark.parametrize("n_anchors", [1, 3, 10])
     @pytest.mark.parametrize("dim", [32, 33])
     @pytest.mark.parametrize("per_scale", [False, True])
     def test_bit_equal_to_refine_prompt_per_anchor(self, n_anchors, dim, per_scale):
-        """The batched path gives each (scale, anchor) the bits of
-        refine_prompt on its own sparse and dense features."""
+        """The batched path gives each (scale, anchor) the bits of the
+        per-anchor oracle on its own sparse and dense features."""
         rng = rng_for(100 * dim + n_anchors)
         scales = [rng.standard_normal((s, s + 2, dim)).astype(np.float32) for s in (16, 8, 4)]
         prior = DensePrior(category="cat", heatmap=rng.uniform(0, 1, (16, 18)).astype(np.float32),
@@ -336,10 +375,8 @@ class TestRefineAll:
         assert len(prompts) == 3 * n_anchors
         for s_idx, feats in enumerate(scales):
             p = params[s_idx] if per_scale else params
-            heat = resample_heatmap(prior.heatmap, feats.shape[0], feats.shape[1])
             for a_idx, pt in enumerate(points):
-                expected = refine_prompt(p, sparse_feature(feats, pt),
-                                         dense_feature(feats, heat, pt, p.window))
+                expected = per_anchor_prompt(feats, prior.heatmap, pt, p)
                 np.testing.assert_array_equal(prompts[s_idx * n_anchors + a_idx].embedding,
                                               expected)
 
@@ -448,13 +485,6 @@ class TestOverflowIsAnErrorNotAWarning:
     def _big(self):
         return np.full(4, 3e38, dtype=np.float32)
 
-    @pytest.mark.parametrize("refine", [refine_prompt, refine_preactivation])
-    def test_single_prompt(self, refine):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(InvalidInputError, match="overflows float32"):
-                refine(self._params(), self._big(), np.zeros(4, dtype=np.float32))
-
     def test_refine_all(self):
         grid = np.zeros((8, 8, 4), dtype=np.float32)
         grid[3, 3] = self._big()
@@ -482,10 +512,6 @@ class TestOverflowIsAnErrorNotAWarning:
     def test_layer_norm(self):
         with self._raises_ln_overflow():
             layer_norm(self._spread(), np.full(4, 3e38), np.zeros(4))
-
-    def test_refine_prompt_layer_norm(self):
-        with self._raises_ln_overflow():
-            refine_prompt(self._ln_params(), self._spread(), np.zeros(4, dtype=np.float32))
 
     def test_refine_all_layer_norm(self):
         grid = np.zeros((8, 8, 4), dtype=np.float32)
@@ -515,14 +541,14 @@ class TestScoreAndConstrain:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_inner_oracle_to_one_ulp(self, seed):
         """One float64 product for every (prompt, category) pair stays within
-        one float32 ulp of a separate inner() per pair."""
+        one float32 ulp of a separate float64 dot per pair."""
         rng = rng_for(seed)
         cats = [f"c{j}" for j in range(7)]
         prompts = self._prompts([cats[int(i)] for i in rng.integers(0, 7, 40)], dim=33, seed=seed)
         embs = {c: rng.standard_normal(33).astype(np.float32) for c in cats}
         logits = score_prompts(prompts, embs)
-        oracle = np.array([[inner(p.embedding, embs[c]) for c in cats] for p in prompts],
-                          dtype=np.float32)
+        oracle = np.array([[np.dot(p.embedding.astype(np.float64), embs[c].astype(np.float64))
+                            for c in cats] for p in prompts], dtype=np.float32)
         assert logits.values.dtype == np.float32
         np.testing.assert_array_max_ulp(logits.values, oracle, maxulp=1)
 
@@ -623,10 +649,13 @@ class TestParamsPersistence:
         save_params(params, path)
         loaded = load_params(path)
         rng = rng_for(0)
-        f_s = rng.standard_normal(8).astype(np.float32)
-        f_d = rng.standard_normal(8).astype(np.float32)
-        np.testing.assert_array_equal(refine_prompt(params, f_s, f_d),
-                                      refine_prompt(loaded, f_s, f_d))
+        feats = rng.standard_normal((6, 6, 8)).astype(np.float32)
+        prior = DensePrior(category="cat", heatmap=rng.uniform(0, 1, (6, 6)).astype(np.float32),
+                           sigma=1.0)
+        anchors = AnchorSet(category="cat", anchors=[anchor_at(2, 3, 6, 6)])
+        for a, b in zip(refine_all([feats], prior, anchors, params, "cat"),
+                        refine_all([feats], prior, anchors, loaded, "cat")):
+            np.testing.assert_array_equal(a.embedding, b.embedding)
 
     def test_corrupt_magic(self, tmp_path):
         path = tmp_path / "p.pprm"
