@@ -12,6 +12,7 @@ import hashlib
 import math
 import os
 import re
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -25,7 +26,6 @@ from .grids import (
     as_grid,
     as_scalar_map,
     as_vector,
-    l2_normalize,
 )
 from .serial import (Reader, Writer, atomic_write_bytes, format_errors, is_json_number,
                      json_fields, read_file, read_json_lines)
@@ -87,13 +87,18 @@ class EmbeddingProvider:
 
     def __init__(self, text_table=None, image_table=None, feature_table=None,
                  d_key=None, d_val=None):
+        if any(dim is not None and dim < 1 for dim in (d_key, d_val)):
+            raise InvalidInputError(f"dims must be >= 1, got d_key={d_key}, d_val={d_val}")
         self.text_table = {k: as_vector(v) for k, v in (text_table or {}).items()}
         self.image_table = {k: as_vector(v) for k, v in (image_table or {}).items()}
         self.feature_table = {k: as_grid(g) for k, g in (feature_table or {}).items()}
         # Unless given, the dims are those of the first table entry.
-        self.d_key = d_key or next((v.shape[0] for table in (self.text_table, self.image_table)
-                                    for v in table.values()), None)
-        self.d_val = d_val or next((g.shape[2] for g in self.feature_table.values()), None)
+        if d_key is None:
+            d_key = next((v.shape[0] for table in (self.text_table, self.image_table)
+                          for v in table.values()), None)
+        if d_val is None:
+            d_val = next((g.shape[2] for g in self.feature_table.values()), None)
+        self.d_key, self.d_val = d_key, d_val
 
     def text_embedding(self, text: str) -> np.ndarray:
         if text == "":
@@ -133,7 +138,7 @@ class HashingProvider(EmbeddingProvider):
             f"{self.seed}|{kind}|{name}".encode("utf-8"), digest_size=8
         ).digest()
         rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
-        return l2_normalize(rng.standard_normal(self.d_key).astype(np.float32))
+        return _l2_normalize(rng.standard_normal(self.d_key).astype(np.float32))
 
     def text_embedding(self, text: str) -> np.ndarray:
         return super().text_embedding(text) if text == "" else self._hash_vector("text", text)
@@ -242,16 +247,10 @@ class MemoryBank:
 
 
 def build_key(phrase_emb, scene_emb, image_emb, weights: KeyWeights) -> np.ndarray:
-    """Normalized weighted mix of phrase, scene, and image embeddings: from
-    float64 zeros, w_p * phrase, w_s * scene and w_g * image are added in
-    this order."""
-    vecs = [as_vector(v) for v in (phrase_emb, scene_emb, image_emb)]
-    if len({v.shape[0] for v in vecs}) > 1:
-        raise InvalidInputError("all vectors must share one dimension")
-    acc = np.zeros(vecs[0].shape[0], dtype=np.float64)
-    for w, v in zip((weights.w_p, weights.w_s, weights.w_g), vecs):
-        acc += float(w) * v.astype(np.float64)
-    return l2_normalize(acc.astype(np.float32))
+    """Normalized weighted mix of phrase, scene, and image embeddings: the
+    one-row case of _key_column."""
+    vectors = [as_vector(v) for v in (phrase_emb, scene_emb, image_emb)]
+    return _key_column(vectors, [(0, 1, 2)], weights)[0]
 
 
 def filter_small_boxes(records: list[GroundingRecord], min_area: float) -> list[GroundingRecord]:
@@ -427,19 +426,19 @@ def _embed(records: list[GroundingRecord], provider: EmbeddingProvider,
 
 
 def _key_column(vectors: list[np.ndarray], rows: list[tuple[int, int, int]],
-                weights: KeyWeights) -> np.ndarray:
-    """The unit float32 keys build_key makes of each row's (phrase, scene,
-    image) vectors, computed as one float64 column. Refuses, as build_key
-    does, the first row whose vectors differ in length or whose weighted sum
-    is not finite in float32. Shorter vectors are zero-padded to the longest,
-    so rows of different widths still make one column: a ragged column that
+                weights: KeyWeights, stage=lambda row: nullcontext()) -> np.ndarray:
+    """The one key kernel: the unit float32 key of each row's (phrase, scene,
+    image) checked vectors, as one column: from float64 zeros, w_p * phrase,
+    w_s * scene and w_g * image are added in this order. The first row whose
+    vectors differ in length or whose sum is not finite in float32 is refused
+    inside stage(row). Shorter vectors are zero-padded to the longest, so
+    rows of different widths still make one column: a ragged column that
     passes here is refused by _embed."""
     rows = np.array(rows, dtype=np.intp).reshape(-1, 3)
     dims = np.array([v.shape[0] for v in vectors], dtype=np.intp)
     table = np.zeros((len(vectors), dims.max(initial=0)))
     for at, v in enumerate(vectors):
         table[at, :v.shape[0]] = v
-    # build_key's arithmetic: from zeros, add w * vector in this order.
     acc = np.zeros((len(rows), table.shape[1]))
     term = np.empty_like(acc)
     for column, weight in zip(rows.T, (weights.w_p, weights.w_s, weights.w_g)):
@@ -454,9 +453,10 @@ def _key_column(vectors: list[np.ndarray], rows: list[tuple[int, int, int]],
     bad = mixed | ~np.isfinite(keys).all(axis=1)
     if bad.any():
         first = int(np.argmax(bad))
-        if mixed[first]:
-            raise InvalidInputError("all vectors must share one dimension")
-        as_vector(keys[first])  # raises build_key's error for a non-finite sum
+        with stage(first):
+            if mixed[first]:
+                raise InvalidInputError("all vectors must share one dimension")
+            as_vector(keys[first])  # raises the error for a non-finite sum
     return _l2_normalize(keys, out=keys)
 
 

@@ -13,9 +13,9 @@ from functools import partial
 
 import numpy as np
 
-from .bank import BankBuildConfig, EmbeddingProvider, KeyWeights, MemoryBank, build_key
+from .bank import BankBuildConfig, EmbeddingProvider, KeyWeights, MemoryBank, _key_column
 from .errors import InvalidInputError, VismemError
-from .grids import _finite, as_grid
+from .grids import as_grid, as_vector
 from .index import IvfPqParams, SearchHit, _hits
 from .priors import (DEFAULT_MAX_ANCHORS, DEFAULT_PEAK_THRESHOLD, DEFAULT_RADIUS_CELLS,
                      DEFAULT_SIGMA, AnchorSet, DensePrior, _dense_priors, extract_anchors,
@@ -23,8 +23,7 @@ from .priors import (DEFAULT_MAX_ANCHORS, DEFAULT_PEAK_THRESHOLD, DEFAULT_RADIUS
 from .refine import (DEFAULT_WINDOW, LogitsMatrix, MemoryGuidedPrompt, RefinementParams, _prompts,
                      _refine, _scores, constrain_logits)
 from .retrieval import (DEFAULT_NPROBE, DEFAULT_RECALL_SIZE, DEFAULT_TAU, DEFAULT_TOP_K,
-                        Prototype, _check_search, _check_vector, _prototype,
-                        _retrieve_all)
+                        Prototype, _check_search, _prototype, _retrieve_all)
 from .serial import atomic_write_bytes
 
 
@@ -189,12 +188,13 @@ def run_pipeline(config: PipelineConfig, bank: MemoryBank, index,
 
     Per-image work is done once: the input grid and every scale are checked
     on entry, a scale that is the provider's grid object by that one check,
-    the scene and image embeddings are looked up once, every category's
-    query is searched in one retrieval pass, the dense priors of all
-    categories share one normalized grid, and all categories
-    are refined together, each scale in one pass, into one prompt array per
-    category, scored against the prototypes stacked once. The results equal
-    those of composing the public functions category by category, bit for bit.
+    each phrase, the scene and the image are looked up and checked once, the
+    queries are built as one key column, checked against the index on the
+    first alone, as all share one width, and searched in one pass, the dense
+    priors share one normalized grid, and all categories are refined together,
+    each scale in one pass, into one prompt array per category, scored against
+    the prototypes stacked once. The results equal those of composing the
+    public functions category by category, bit for bit.
     """
     weights = config.weights()
     if weights != bank.weights:
@@ -213,18 +213,19 @@ def run_pipeline(config: PipelineConfig, bank: MemoryBank, index,
     if not categories:
         return {}
 
-    queries = []
-    context = None  # the scene and image embeddings, looked up after the first phrase
-    for category in categories:
-        with _stage("build_query", category):
-            phrase = provider.text_embedding(category)
-            if context is None:
-                context = (provider.text_embedding(scene), provider.image_embedding(image_id))
-            key = build_key(phrase, *context, weights)
-        with _stage("retrieve", category):
-            if not queries:  # the index and k, checked in the first category's turn
-                _check_search(bank, index, config.k)
-            queries.append(_check_vector(bank, index, key, config.nprobe, config.recall_size))
+    vectors = []  # checked: the first phrase, the scene, the image, then each later phrase
+    try:
+        for category in categories:
+            with _stage("build_query", category):
+                lookups = [provider.text_embedding(category)]
+                if not vectors:  # the scene and image, looked up after the first phrase
+                    lookups += [provider.text_embedding(scene), provider.image_embedding(image_id)]
+                vectors += [as_vector(v) for v in lookups]
+    finally:  # also after a failed lookup, so that an earlier category's refused key wins
+        queries = _key_column(vectors, [(i, 1, 2) for i in range(len(vectors)) if i not in (1, 2)],
+                              weights, stage=lambda row: _stage("build_query", categories[row]))
+    with _stage("retrieve", categories[0]):
+        _check_search(bank, index, config.k, config.nprobe, config.recall_size, queries[0])
     with _stage("retrieve"):
         ranked = _retrieve_all(bank, index, queries, config.k, exclude_image,
                                config.nprobe, config.recall_size)
@@ -257,7 +258,7 @@ def run_pipeline(config: PipelineConfig, bank: MemoryBank, index,
         result.prompts = _prompts(stack, result.anchors, result.category)
         if len(stack):
             with _stage("score_prompts", result.category):
-                values = _scores(_finite(stack, (2,), "1-D vector"), category_embs)
+                values = _scores(stack, category_embs)
                 logits = LogitsMatrix(values, names, [result.category] * len(stack))
                 result.logits = constrain_logits(logits)
     return results

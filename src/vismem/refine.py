@@ -163,8 +163,6 @@ def refine_all(scales, prior: DensePrior, anchors: AnchorSet,
     """
     stack = _refine([as_grid(features) for features in scales], [as_scalar_map(prior.heatmap)],
                     [anchors], params, [category])[0]
-    if not np.isfinite(stack).all():
-        raise InvalidInputError(LN_OVERFLOW)
     return _prompts(stack, anchors, category)
 
 
@@ -182,7 +180,7 @@ def _refine(scales: list[np.ndarray], heatmaps: list[np.ndarray], anchor_sets: l
     """refine_all of every category at once, on scales that as_grid and
     heatmaps of one shape that as_scalar_map have already checked: one float32
     (scales x anchors, D) stack per category, its rows ordered by scale then
-    anchor rank. Rows that overflow in the layer norm are left non-finite.
+    anchor rank.
 
     Per scale, every anchor of every category is sampled in one _bilinear
     call, its window's heat is read or, at another shape than the heatmaps',
@@ -190,7 +188,8 @@ def _refine(scales: list[np.ndarray], heatmaps: list[np.ndarray], anchor_sets: l
     layer-normalized together. Each of these steps works per element or per
     row, so every prompt has the bits that refining its category alone gives.
     A failure is raised inside stage(category) for the first category it
-    concerns, as refining the categories one by one would raise it.
+    concerns, as refining the categories one by one would raise it: a
+    category's pre-activation overflow before its layer norm's.
     """
     per_scale = [params] * len(scales) if isinstance(params, RefinementParams) else list(params)
     with stage(categories[0]):
@@ -208,12 +207,15 @@ def _refine(scales: list[np.ndarray], heatmaps: list[np.ndarray], anchor_sets: l
         f_s = _bilinear(features, xs, ys)
         f_d = _window_sums(features, heats, owners, xs, ys, p.window)
         pres.append(_preactivations(p, f_s, f_d))
-    finite = np.all([np.isfinite(pre).all(axis=1) for pre in pres], axis=0)
+    with np.errstate(invalid="ignore"):  # a row whose pre-activation overflowed is NaN
+        embeddings = [_layer_norm(pre, p.ln_gain, p.ln_bias, p.ln_eps)
+                      for pre, p in zip(pres, per_scale)]
+    finite = np.all([np.isfinite(emb).all(axis=1) for emb in embeddings], axis=0)
     if not finite.all():
-        with stage(categories[owners[~finite][0]]):
-            raise InvalidInputError(_OVERFLOW)
-    embeddings = [_layer_norm(pre, p.ln_gain, p.ln_bias, p.ln_eps)
-                  for pre, p in zip(pres, per_scale)]
+        first = owners[~finite][0]
+        with stage(categories[first]):
+            pre_overflow = any(not np.isfinite(pre[owners == first]).all() for pre in pres)
+            raise InvalidInputError(_OVERFLOW if pre_overflow else LN_OVERFLOW)
     bounds = np.cumsum([0, *counts]).tolist()
     return [np.concatenate([emb[start:end] for emb in embeddings])
             for start, end in zip(bounds, bounds[1:])]

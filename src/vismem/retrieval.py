@@ -92,14 +92,15 @@ def retrieve(bank: MemoryBank, index: FlatIndex | IvfPqIndex, query: RetrievalQu
     same dim as the bank, and an IVF-PQ index has the bank's key dim and
     holds as many entries as the bank.
     """
-    _check_search(bank, index, k)
-    vector = _check_vector(bank, index, query.vector, nprobe, recall_size)
+    vector = _check_search(bank, index, k, nprobe, recall_size, query.vector)
     (ids, scores), = _retrieve_all(bank, index, [vector], k, exclude_image, nprobe, recall_size)
     return _hits(ids, scores)
 
 
-def _check_search(bank: MemoryBank, index, k: int) -> None:
-    """retrieve's checks of k and of the index against the bank."""
+def _check_search(bank: MemoryBank, index, k: int, nprobe: int, recall_size: int, vector):
+    """retrieve's checks of k, of the index against the bank and of a query
+    vector, which is returned checked; an empty bank finds nothing whatever
+    the vector, so it is left as given."""
     _check_k(k)
     if isinstance(index, FlatIndex):
         if index.keys.shape != bank.keys.shape:
@@ -115,11 +116,6 @@ def _check_search(bank: MemoryBank, index, k: int) -> None:
                 f"the index holds {index.ntotal} entries, the bank {len(bank)}")
     else:
         raise InvalidInputError(f"not a FlatIndex or an IvfPqIndex: {type(index).__name__}")
-
-
-def _check_vector(bank: MemoryBank, index, vector, nprobe: int, recall_size: int):
-    """retrieve's check of a query vector, once _check_search has passed; an
-    empty bank finds nothing whatever the vector, so it is left as given."""
     if len(bank) == 0:
         return vector
     if isinstance(index, IvfPqIndex):

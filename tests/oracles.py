@@ -1,16 +1,32 @@
 """Plain reference formulas the library's batched kernels are judged
-against: for the columnar bank build, the whole-grid-mask mean pool and the
-build loop that made one key and one value per record; for refinement, one
-anchor's dense window feature, heatmap resampling and prompt."""
+against: for the key kernel, one key's float64 loop; for the columnar bank
+build, the whole-grid-mask mean pool and the build loop that made one key and
+one value per record; for refinement, one anchor's dense window feature,
+heatmap resampling and prompt."""
 
 import math
 
 import numpy as np
 
-from vismem.bank import BankBuildConfig, MemoryBank, build_key
+from vismem.bank import BankBuildConfig, MemoryBank
 from vismem.bank import _record_blur_score, blur_filter, filter_small_boxes, merge_duplicates
-from vismem.errors import MissingEmbeddingError
-from vismem.grids import as_grid, cell_centers, l2_normalize
+from vismem.errors import InvalidInputError, MissingEmbeddingError
+from vismem.grids import as_grid, as_vector, cell_centers, l2_normalize
+
+
+def oracle_key(phrase, scene, image, weights):
+    """One memory key or query, one vector at a time: from float64 zeros,
+    w_p * phrase, w_s * scene and w_g * image are added in this order, and
+    the sum is stored as float32 and unit-normalized; refused as the library
+    refuses it."""
+    vectors = [as_vector(v) for v in (phrase, scene, image)]
+    if len({v.shape[0] for v in vectors}) > 1:
+        raise InvalidInputError("all vectors must share one dimension")
+    acc = np.zeros(vectors[0].shape[0], dtype=np.float64)
+    for w, v in zip((weights.w_p, weights.w_s, weights.w_g), vectors):
+        acc += float(w) * v.astype(np.float64)
+    with np.errstate(over="ignore"):  # l2_normalize refuses the overflow
+        return l2_normalize(acc.astype(np.float32))
 
 
 def mask_mean_pool(grid, box):
@@ -28,7 +44,7 @@ def mask_mean_pool(grid, box):
 
 
 def record_by_record_bank(records, provider, config=None):
-    """build_bank with one build_key and one mask_mean_pool call per record."""
+    """build_bank with one oracle_key and one mask_mean_pool call per record."""
     config = config or BankBuildConfig()
     stage = [r for r in records if r.image_id not in config.exclude_images]
     after_small = filter_small_boxes(stage, config.min_area)
@@ -46,8 +62,8 @@ def record_by_record_bank(records, provider, config=None):
                     texts[text] = provider.text_embedding(text)
             if rec.image_id not in images:
                 images[rec.image_id] = provider.image_embedding(rec.image_id)
-            keys.append(build_key(texts[rec.phrase], texts[rec.scene], images[rec.image_id],
-                                  config.weights))
+            keys.append(oracle_key(texts[rec.phrase], texts[rec.scene], images[rec.image_id],
+                                   config.weights))
             if rec.image_id not in grids:
                 grids[rec.image_id] = as_grid(provider.feature_grid(rec.image_id))
             values.append(l2_normalize(mask_mean_pool(grids[rec.image_id], rec.box)))

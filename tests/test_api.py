@@ -9,6 +9,8 @@ import importlib
 import types
 from pathlib import Path
 
+import pytest
+
 import vismem
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,18 +69,21 @@ def test_every_name_perfbench_uses_resolves():
 
 
 def unused_imports(source: str) -> list[str]:
-    """Names a module imports and never reads."""
+    """Names a module imports and never reads, except on a line marked
+    `# noqa: F401`, an import made for its side effects."""
     tree = ast.parse(source)
+    lines = source.splitlines()
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+                imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
+                imported[alias.asname or alias.name] = alias.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+    return [f"{name} (line {line})" for name, line in imported.items()
+            if name not in read and "# noqa: F401" not in lines[line - 1]]
 
 
 def test_unused_import_is_found():
@@ -86,9 +91,27 @@ def test_unused_import_is_found():
         "os (line 1)", "b (line 3)"]
 
 
-def test_no_unused_imports_in_the_library():
+def test_import_marked_for_its_side_effects_is_kept():
+    source = "import os  # noqa: F401\nfrom a import (\n    b,  # noqa: F401\n    c,\n)\n"
+    assert unused_imports(source) == ["c (line 4)"]
+
+
+def unused_imports_in(directory: Path) -> tuple[int, dict[str, list[str]]]:
+    """How many modules of a directory were read, and the unused imports of
+    each module that has one."""
     found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
-             for path in sorted((ROOT / "src" / "vismem").glob("*.py"))
-             if path.name != "__init__.py"}
-    assert len(found) >= 12
-    assert {name: unused for name, unused in found.items() if unused} == {}
+             for path in sorted(directory.glob("*.py")) if path.name != "__init__.py"}
+    return len(found), {name: unused for name, unused in found.items() if unused}
+
+
+def test_no_unused_imports_in_the_library():
+    count, unused = unused_imports_in(ROOT / "src" / "vismem")
+    assert count >= 12
+    assert unused == {}
+
+
+@pytest.mark.parametrize("directory", ["tests", "demos"])
+def test_no_unused_imports_in_the_tests_and_demos(directory):
+    count, unused = unused_imports_in(ROOT / directory)
+    assert count >= 4
+    assert unused == {}

@@ -4,6 +4,7 @@ import os
 import struct
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from vismem.refine import RefinementParams, load_params, save_params
 from vismem import serial
 from vismem.serial import Reader, Writer
 
-from oracles import mask_mean_pool, record_by_record_bank
+from oracles import mask_mean_pool, oracle_key, record_by_record_bank
 
 
 def rng_for(seed):
@@ -79,6 +80,60 @@ class TestBuildKey:
     def test_default_weights(self):
         w = KeyWeights()
         assert (w.w_p, w.w_s, w.w_g) == (1.0, 0.3, 0.01)
+
+    def test_overflow_refused_without_a_warning(self):
+        """A finite sum past the float32 range is refused, and the cast that
+        finds it warns of nothing first."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                build_key(np.full(4, 3.4e38, np.float32), np.full(4, 3e38, np.float32),
+                          np.zeros(4, np.float32), KeyWeights())
+
+
+class TestKeySummationOrder:
+    """A key adds w_p * phrase, then w_s * scene, then w_g * image to float64
+    zeros. In each entry the phrase and scene terms cancel to a residual that
+    the image term nearly cancels, so adding the terms in any other order
+    loses bits that survive the float32 cast and the normalization."""
+
+    def _cancelling(self, d=16, seed=0):
+        rng = rng_for(seed)
+        w = KeyWeights()
+        scene = (1e6 * rng.standard_normal(d)).astype(np.float32)
+        phrase = (-w.w_s * scene.astype(np.float64)).astype(np.float32)
+        residual = phrase.astype(np.float64) + w.w_s * scene.astype(np.float64)
+        image = (-residual / w.w_g).astype(np.float32)
+        return phrase, scene, image
+
+    def _summed(self, vectors, order):
+        w = KeyWeights()
+        terms = [float(a) * v.astype(np.float64) for a, v in zip((w.w_p, w.w_s, w.w_g), vectors)]
+        acc = np.zeros(len(vectors[0]))
+        for i in order:
+            acc += terms[i]
+        return l2_normalize(acc.astype(np.float32))
+
+    def test_the_inputs_tell_the_orders_apart(self):
+        vectors = self._cancelling()
+        want = self._summed(vectors, (0, 1, 2))
+        np.testing.assert_array_equal(oracle_key(*vectors, KeyWeights()), want)
+        for order in [(2, 1, 0), (0, 2, 1)]:  # reversed, and the image before the scene
+            assert self._summed(vectors, order).tobytes() != want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_build_key(self, seed):
+        vectors = self._cancelling(seed=seed)
+        assert build_key(*vectors, KeyWeights()).tobytes() == \
+            oracle_key(*vectors, KeyWeights()).tobytes()
+
+    def test_build_bank(self):
+        phrase, scene, image = self._cancelling()
+        provider = EmbeddingProvider({"cat": phrase, "indoor": scene}, {"img": image},
+                                     {"img": np.ones((4, 4, 3), np.float32)})
+        records = [GroundingRecord("img", Box2D(0.1, 0.1, 0.6, 0.6), "cat", "indoor")]
+        bank = build_bank(records, provider, BankBuildConfig(drop_fraction=0.0))
+        assert bank.keys[0].tobytes() == oracle_key(phrase, scene, image, KeyWeights()).tobytes()
 
 
 class TestBuildValue:
@@ -260,10 +315,10 @@ class TestBuildBank:
         bank = build_bank([rec], prov, BankBuildConfig(drop_fraction=0.0))
         assert len(bank) == 1
         entry = bank.entries[0]
-        oracle_key = build_key(
+        key = oracle_key(
             prov.text_embedding(rec.phrase), prov.text_embedding(rec.scene),
             prov.image_embedding(rec.image_id), KeyWeights())
-        np.testing.assert_array_equal(entry.key, oracle_key)
+        np.testing.assert_array_equal(entry.key, key)
         np.testing.assert_array_equal(
             entry.value, l2_normalize(mask_mean_pool(prov.feature_grid(rec.image_id), rec.box)))
         assert entry.category == rec.phrase
@@ -333,7 +388,7 @@ class TestBuildBank:
         # Two phrases and one scene, four images, four grids.
         assert len(calls) == len(set(calls)) == 3 + 4 + 4
         for key, value, rec in zip(bank.keys, bank.values, recs):
-            np.testing.assert_array_equal(key, build_key(
+            np.testing.assert_array_equal(key, oracle_key(
                 base.text_embedding(rec.phrase), base.text_embedding(rec.scene),
                 base.image_embedding(rec.image_id), KeyWeights()))
             np.testing.assert_array_equal(
@@ -1054,3 +1109,12 @@ class TestHashingProvider:
     def test_empty_scene_is_zero(self):
         p = HashingProvider(d_key=8, d_val=4)
         np.testing.assert_array_equal(p.text_embedding(""), np.zeros(8, dtype=np.float32))
+
+
+class TestEmbeddingProviderDims:
+    @pytest.mark.parametrize("dims", [dict(d_key=-3), dict(d_key=0), dict(d_val=0),
+                                      dict(d_key=4, d_val=-1)])
+    def test_dim_below_one_refused(self, dims):
+        with pytest.raises(InvalidInputError, match="dims must be >= 1"):
+            EmbeddingProvider({"cat": np.ones(4, np.float32)},
+                              feature_table={"a": np.ones((2, 2, 3), np.float32)}, **dims)

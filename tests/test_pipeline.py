@@ -1,14 +1,15 @@
+import cProfile
+
 import numpy as np
 import pytest
 
+from vismem import grids
 from vismem import pipeline as pipeline_module
-from vismem.bank import (BankBuildConfig, EmbeddingProvider, KeyWeights, build_bank, build_key,
-                         save_bank)
+from vismem.bank import BankBuildConfig, EmbeddingProvider, HashingProvider, KeyWeights, build_bank
 from vismem.errors import InvalidInputError, VismemError
 from vismem.grids import as_grid
 from vismem.index import FlatIndex, IvfPqParams, ivfpq_add, train_ivfpq
 from vismem.pipeline import (
-    CategoryResult,
     PipelineConfig,
     load_config,
     pipeline_report,
@@ -17,7 +18,8 @@ from vismem.pipeline import (
 )
 from vismem.priors import dense_prior, extract_anchors, radius_cells_to_normalized
 from vismem.refine import RefinementParams, constrain_logits, refine_all, score_prompts
-from vismem.retrieval import _retrieve_all, aggregate_prototype, build_query, retrieve
+from vismem.retrieval import (_check_search, _retrieve_all, aggregate_prototype, build_query,
+                              retrieve)
 from vismem.synthetic import (
     INPUT_IMAGE_ID,
     PlantedRegion,
@@ -399,29 +401,99 @@ class TestRunPipeline:
         assert str(exc.value) == (f"[stage retrieve, category 'dog'] the index holds {half} "
                                   f"entries, the bank {len(bank)}")
 
+    @staticmethod
+    def _index(bank, kind):
+        if kind == "flat":
+            return FlatIndex.from_bank(bank)
+        index = train_ivfpq(bank.keys, IvfPqParams(nlist=4, m=4, nbits=4, kmeans_iters=2))
+        ivfpq_add(index, np.arange(len(bank)), bank.keys)
+        return index
+
+    @staticmethod
+    def _overflowing(s):
+        """The scenario's embeddings as tables, with 'cat' and the scene finite
+        but so large that cat's weighted sum overflows float32; dog's does not."""
+        d = s.spec.d_key
+        text_table = {"dog": s.provider.text_embedding("dog"),
+                      "cat": np.full(d, 3.4e38, np.float32),
+                      s.spec.scene: np.full(d, 3e38, np.float32)}
+        return EmbeddingProvider(
+            text_table, {INPUT_IMAGE_ID: s.provider.image_embedding(INPUT_IMAGE_ID)},
+            {INPUT_IMAGE_ID: s.provider.feature_grid(INPUT_IMAGE_ID)})
+
     @pytest.mark.parametrize("kind", ["flat", "ivfpq"])
-    def test_query_fault_tagged_with_its_category(self, kind, monkeypatch):
-        """A non-finite query of the second category is refused under that
-        category, though all queries are searched in one pass."""
+    def test_query_fault_tagged_with_its_category(self, kind):
+        """A key of the second category that overflows float32 is refused
+        under that category, though all queries are built in one pass."""
+        s = standard_scenario()
+        bank, _ = bank_and_index(s)
+        with pytest.raises(InvalidInputError) as exc:
+            run_pipeline(PipelineConfig(nprobe=4), bank, self._index(bank, kind),
+                         self._overflowing(s), INPUT_IMAGE_ID, ["dog", "cat"],
+                         RefinementParams.zero_init(s.spec.d_val), scene=s.spec.scene)
+        assert str(exc.value) == ("[stage build_query, category 'cat'] "
+                                  "1-D vector contains non-finite entries")
+
+    def test_earlier_category_fault_reported_first(self):
+        """'cat's key overflows and 'eel' has no embedding: cat comes first,
+        so its refusal is raised though eel's lookup fails before any key is
+        built."""
         s = standard_scenario()
         bank, index = bank_and_index(s)
-        if kind == "ivfpq":
-            index = train_ivfpq(bank.keys, IvfPqParams(nlist=4, m=4, nbits=4, kmeans_iters=2))
-            ivfpq_add(index, np.arange(len(bank)), bank.keys)
-        cat = s.provider.text_embedding("cat")
-        def build_key_nan_for_cat(phrase, *context):
-            key = build_key(phrase, *context)
-            return np.full_like(key, np.nan) if np.array_equal(phrase, cat) else key
-        monkeypatch.setattr(pipeline_module, "build_key", build_key_nan_for_cat)
         with pytest.raises(InvalidInputError) as exc:
-            run_pipeline(PipelineConfig(nprobe=4), bank, index, s.provider, INPUT_IMAGE_ID,
-                         ["dog", "cat"], RefinementParams.zero_init(s.spec.d_val),
+            run_pipeline(PipelineConfig(), bank, index, self._overflowing(s), INPUT_IMAGE_ID,
+                         ["dog", "cat", "eel"], RefinementParams.zero_init(s.spec.d_val),
                          scene=s.spec.scene)
-        assert str(exc.value) == "[stage retrieve, category 'cat'] query must be finite"
+        assert str(exc.value) == ("[stage build_query, category 'cat'] "
+                                  "1-D vector contains non-finite entries")
 
-    def test_prompt_overflowing_in_layer_norm_tagged_in_scoring(self):
+    @pytest.mark.parametrize("kind", ["flat", "ivfpq"])
+    def test_query_of_another_dim_refused_once(self, kind, monkeypatch):
+        """Every query has the provider's key dim, so the index and the query
+        width are checked once per call, tagged with the first category."""
+        s = standard_scenario()
+        bank, _ = bank_and_index(s)
+        provider = HashingProvider(d_key=s.spec.d_key + 4, d_val=s.spec.d_val, seed=s.spec.seed,
+                                   feature_table=s.provider.feature_table)
+        checks = []
+        def counted(*args):
+            checks.append(args)
+            return _check_search(*args)
+        monkeypatch.setattr(pipeline_module, "_check_search", counted)
+        with pytest.raises(InvalidInputError) as exc:
+            run_pipeline(PipelineConfig(nprobe=4), bank, self._index(bank, kind), provider,
+                         INPUT_IMAGE_ID, ["dog", "cat", "bird"],
+                         RefinementParams.zero_init(s.spec.d_val), scene=s.spec.scene)
+        assert str(exc.value) == ("[stage retrieve, category 'dog'] "
+                                  f"query dim ({s.spec.d_key + 4},) != index dim {s.spec.d_key}")
+        assert len(checks) == 1
+
+    def test_finite_checks_per_category(self):
+        """Each category adds at most two finite checks to a call: its phrase
+        and its prototype's normalization."""
+        names = [f"c{i}" for i in range(20)]
+        regions = random_regions(20, 48, 48, extent=3, min_separation=7.0, rng=rng_for(3),
+                                 categories=names)
+        s = standard_scenario(seed=2, noise=0.05, regions=regions, grid_h=48, grid_w=48)
+        bank, index = bank_and_index(s)
+        grid = s.provider.feature_grid(INPUT_IMAGE_ID)
+        params = RefinementParams.seeded_init(s.spec.d_val, seed=1)
+        calls = {}
+        for categories in (names[:1], names):
+            profile = cProfile.Profile()
+            results = profile.runcall(
+                run_pipeline, PipelineConfig(peak_threshold=0.3), bank, index, s.provider,
+                INPUT_IMAGE_ID, categories, params, scene=s.spec.scene,
+                scales=[grid, avg_pool(grid, 2)])
+            assert all(r.prompts for r in results.values())
+            calls[len(categories)] = sum(entry.callcount for entry in profile.getstats()
+                                         if entry.code is grids._finite.__code__)
+        assert calls[1] >= 3
+        assert calls[20] - calls[1] <= 2 * 19
+
+    def test_prompt_overflowing_in_layer_norm_tagged_in_refinement(self):
         """A finite layer-norm gain that overflows float32 makes non-finite
-        prompts, which scoring rejects for the first category it scores."""
+        prompts, which refinement refuses for the first category it hits."""
         s = standard_scenario()
         bank, index = bank_and_index(s)
         params = RefinementParams.seeded_init(s.spec.d_val, seed=1)
@@ -430,8 +502,7 @@ class TestRunPipeline:
         with np.errstate(over="ignore"), pytest.raises(InvalidInputError) as exc:
             run_pipeline(PipelineConfig(), bank, index, s.provider, INPUT_IMAGE_ID,
                          ["cat", "dog"], params, scene=s.spec.scene)
-        assert str(exc.value) == ("[stage score_prompts, category 'cat'] "
-                                  "1-D vector contains non-finite entries")
+        assert str(exc.value) == "[stage refine_all, category 'cat'] layer norm overflows float32"
 
     def test_report_structure(self):
         s = standard_scenario()

@@ -7,7 +7,6 @@ from vismem import priors as priors_module
 from vismem.errors import InvalidInputError
 from vismem.grids import _minmax_rescale, gaussian_smooth
 from vismem.priors import (
-    AnchorSet,
     DensePrior,
     _dense_priors,
     dense_prior,

@@ -298,6 +298,28 @@ class TestRefinePrompt:
         parts = _preactivations(params, np.stack([f1, f2]), np.stack([g1, g2])).astype(np.float64)
         np.testing.assert_allclose(lhs, parts[0] + parts[1] - params.e, atol=1e-4)
 
+    def test_summation_order_kept_on_cancelling_terms(self):
+        """W_s = I and f_s = -e with e large, so e + W_s f_s cancels to zero
+        exactly and then + W_d f_d keeps W_d f_d whole. Adding W_d f_d to
+        either other term first loses bits that survive the float32 cast and
+        the layer norm."""
+        dim = 8
+        rng = rng_for(4)
+        e = (1e13 * rng.standard_normal(dim)).astype(np.float32)
+        params = RefinementParams(e=e, w_sparse=np.eye(dim), ln_gain=np.ones(dim),
+                                  w_dense=rng.standard_normal((dim, dim)) / np.sqrt(dim),
+                                  ln_bias=np.zeros(dim))
+        f_s, f_d = -e, rng.standard_normal(dim).astype(np.float32)
+        got = prompt_rows(params, f_s[None], f_d[None])[0]
+        assert got.tobytes() == refine_prompt(params, f_s, f_d).tobytes()
+        e64 = e.astype(np.float64)
+        sparse = params.w_sparse.astype(np.float64) @ f_s
+        dense = params.w_dense.astype(np.float64) @ f_d
+        for pre in (e64 + (sparse + dense), (e64 + dense) + sparse):
+            other = layer_norm(pre.astype(np.float32), params.ln_gain, params.ln_bias,
+                               params.ln_eps)
+            assert other.tobytes() != got.tobytes()
+
     def test_output_moments(self):
         params = RefinementParams.seeded_init(64, seed=1)
         rng = rng_for(9)

@@ -18,7 +18,6 @@ from vismem.retrieval import (
     DEFAULT_RECALL_SIZE,
     DEFAULT_TAU,
     DEFAULT_TOP_K,
-    Prototype,
     RetrievalQuery,
     _prototype,
     _retrieve_all,
