@@ -20,9 +20,8 @@ import numpy as np
 from .errors import FormatError, InvalidInputError, MissingEmbeddingError
 from .grids import (
     Box2D,
-    _box_cells,
+    _box_means,
     _l2_normalize,
-    _pool_cells,
     as_grid,
     as_scalar_map,
     as_vector,
@@ -78,6 +77,18 @@ class GroundingRecord:
     blur_score: float | None = None
 
 
+def _dims(kind: str, d_key, d_val, optional: bool) -> tuple:
+    """d_key and d_val as ints, each an int or np.integer >= 1 (not a bool),
+    or None where optional; anything else is refused."""
+    def ok(dim):
+        return ((dim is None and optional)
+                or (isinstance(dim, (int, np.integer)) and not isinstance(dim, bool) and dim >= 1))
+    if not (ok(d_key) and ok(d_val)):
+        raise InvalidInputError(f"{kind}dims must be >= 1 and integers, "
+                                f"got d_key={d_key!r}, d_val={d_val!r}")
+    return tuple(None if dim is None else int(dim) for dim in (d_key, d_val))
+
+
 class EmbeddingProvider:
     """Lookup tables of precomputed embeddings and feature grids.
 
@@ -87,8 +98,7 @@ class EmbeddingProvider:
 
     def __init__(self, text_table=None, image_table=None, feature_table=None,
                  d_key=None, d_val=None):
-        if any(dim is not None and dim < 1 for dim in (d_key, d_val)):
-            raise InvalidInputError(f"dims must be >= 1, got d_key={d_key}, d_val={d_val}")
+        d_key, d_val = _dims("", d_key, d_val, optional=True)
         self.text_table = {k: as_vector(v) for k, v in (text_table or {}).items()}
         self.image_table = {k: as_vector(v) for k, v in (image_table or {}).items()}
         self.feature_table = {k: as_grid(g) for k, g in (feature_table or {}).items()}
@@ -128,8 +138,7 @@ class HashingProvider(EmbeddingProvider):
     """
 
     def __init__(self, d_key: int, d_val: int, seed: int = 0, feature_table=None):
-        if d_key < 1 or d_val < 1:
-            raise InvalidInputError(f"hashing dims must be >= 1, got d_key={d_key}, d_val={d_val}")
+        _dims("hashing ", d_key, d_val, optional=False)
         super().__init__(feature_table=feature_table, d_key=d_key, d_val=d_val)
         self.seed = seed
 
@@ -357,7 +366,7 @@ def build_bank(records: list[GroundingRecord], provider: EmbeddingProvider,
         survivors = after_merge
     removed_blur = len(after_merge) - len(survivors)
 
-    keys, values = _embed(survivors, provider, config.weights)
+    keys, values, boxes = _embed(survivors, provider, config.weights)
     d_key = provider.d_key or keys.shape[1]
     d_val = provider.d_val or values.shape[1]
     manifest = {
@@ -374,13 +383,13 @@ def build_bank(records: list[GroundingRecord], provider: EmbeddingProvider,
     return MemoryBank._adopt(d_key, d_val, config.weights, manifest, keys=keys, values=values,
                              categories=[r.phrase for r in survivors],
                              image_ids=[r.image_id for r in survivors],
-                             boxes=[r.box.as_list() for r in survivors],
-                             blur=[r.blur_score for r in survivors])
+                             boxes=boxes, blur=[r.blur_score for r in survivors])
 
 
 def _embed(records: list[GroundingRecord], provider: EmbeddingProvider,
-           weights: KeyWeights) -> tuple[np.ndarray, np.ndarray]:
-    """The float32 key and value columns of the records.
+           weights: KeyWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The float32 key and value columns of the records, and their float64
+    boxes.
 
     Each distinct text, image and feature grid is looked up and checked once,
     in the order a record-by-record build asks for them: a record's phrase,
@@ -422,7 +431,7 @@ def _embed(records: list[GroundingRecord], provider: EmbeddingProvider,
             raise InvalidInputError(f"bank column {name!r} is inhomogeneous: "
                                     f"its rows have {sorted(widths)} entries")
     boxes = np.array([r.box.as_list() for r in records], dtype=np.float64).reshape(-1, 4)
-    return keys, _value_column(grids, grid_rows, boxes)
+    return keys, _value_column(grids, grid_rows, boxes), boxes
 
 
 def _key_column(vectors: list[np.ndarray], rows: list[tuple[int, int, int]],
@@ -463,17 +472,9 @@ def _key_column(vectors: list[np.ndarray], rows: list[tuple[int, int, int]],
 def _value_column(grids: list[np.ndarray], rows: list[int], boxes: np.ndarray) -> np.ndarray:
     """The unit float32 value of each record: the mean of the cells of its
     grid whose centres lie in its box (or the one cell holding the box's
-    centre if none do), unit-normalized. The cell ranges come from one search
-    per grid shape, then each record pools its own range."""
-    rows = np.array(rows, dtype=np.intp)
-    shapes = np.array([g.shape[:2] for g in grids], dtype=np.intp).reshape(-1, 2)[rows]
-    cells = np.empty((len(rows), 4), dtype=np.intp)
-    for h, w in np.unique(shapes, axis=0).tolist():
-        same = np.flatnonzero((shapes[:, 0] == h) & (shapes[:, 1] == w))
-        cells[same] = _box_cells(h, w, boxes[same])
-    values = np.empty((len(rows), grids[0].shape[2] if grids else 0), dtype=np.float32)
-    for at, (grid, cell) in enumerate(zip(rows.tolist(), cells.tolist())):
-        values[at] = _pool_cells(grids[grid], cell)
+    centre if none do), pooled by _box_means, stored as float32 and
+    unit-normalized in one _l2_normalize call over the stack."""
+    values = _box_means(grids, rows, boxes)
     return _l2_normalize(values, out=values)
 
 

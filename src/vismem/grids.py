@@ -99,15 +99,23 @@ def l2_normalize(v) -> np.ndarray:
 
 def _l2_normalize(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """l2_normalize of a checked float32 vector, or of each row of a checked
-    (N, D) stack one row at a time, since a batched row norm rounds
-    differently. The result goes to out if one is given; it may be v."""
+    (N, D) stack. A row's norm is the sqrt of its float64 dot product with
+    itself, the x.dot(x) of np.linalg.norm: one np.matmul call over the stack
+    is numpy's vector case, which gives each row a dot product of its own, so
+    every row has the bits it gets alone. The result goes to out if one is
+    given; it may be v."""
     x = v.astype(np.float64)
-    for row in x if x.ndim == 2 else (x,):
-        norm = np.linalg.norm(row)
+    if x.ndim == 1:  # the same dot, without the stack's cost for one row
+        norm = math.sqrt(x.dot(x))
         if norm > EPS_NORM:
-            row /= norm
+            x /= norm
         else:
-            row[...] = 0.0
+            x[...] = 0.0
+    else:
+        norms = np.sqrt(np.matmul(x[:, None, :], x[:, :, None]))[:, 0]
+        keep = norms > EPS_NORM
+        np.divide(x, norms, out=x, where=keep)
+        x[~keep[:, 0]] = 0.0
     if out is None:
         return x.astype(np.float32)
     out[...] = x
@@ -140,14 +148,57 @@ def _box_cells(h: int, w: int, boxes: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _pool_cells(grid: np.ndarray, cells) -> np.ndarray:
-    """The float64 mean of grid[r0:r1, c0:c1] for one range of _box_cells,
-    whose cells come in the row-major order of a whole-grid mask; the float32
-    cell itself for a range (r, r, c, c)."""
-    r0, r1, c0, c1 = cells
-    if r0 == r1:
-        return grid[r0, c0].copy()
-    return grid[r0:r1, c0:c1].astype(np.float64).reshape(-1, grid.shape[2]).mean(axis=0)
+# float64 cell features gathered per pass of _box_means: bounds its (R, K, D) block.
+_POOL_FLOATS = 1 << 18
+
+
+def _box_means(grids: list[np.ndarray], rows, boxes: np.ndarray) -> np.ndarray:
+    """The float32 mean of the cells of grids[rows[i]] whose centres lie in
+    boxes[i], for (N, 4) float64 boxes x0, y0, x1, y1 and checked grids of one
+    D; the one cell holding a box's centre if none do.
+
+    Each mean has the bits of its _box_cells slice, grid[r0:r1, c0:c1] cast to
+    float64 and reshaped to (K, D), averaged with .mean(axis=0). The records
+    are ordered by cell count K, then by grid, with one stable sort, and each
+    pass takes records of one K, at most _POOL_FLOATS floats of them: it
+    gathers each grid's cells with one fancy index into an (R, K, D) float64
+    block and sums that over its K axis. numpy reduces each record's (K, D)
+    cells in that block as it reduces them alone: cell by cell from +0.0 for
+    D >= 2, pairwise for D = 1. (np.add.reduceat does not: it adds the first
+    cell to a pairwise sum of the rest.) The sums are divided by K, as the
+    mean divides them."""
+    rows = np.asarray(rows, dtype=np.intp)
+    shapes = np.array([g.shape[:2] for g in grids], dtype=np.intp).reshape(-1, 2)[rows]
+    cells = np.empty((len(rows), 4), dtype=np.intp)
+    for h, w in np.unique(shapes, axis=0).tolist():
+        same = np.flatnonzero((shapes[:, 0] == h) & (shapes[:, 1] == w))
+        cells[same] = _box_cells(h, w, boxes[same])
+    r0, r1, c0, c1 = cells.T
+    # A range (r, r, c, c) has count 0 and gathers its one cell, which it keeps
+    # as it is: a sum starts from +0.0, so a mean of one -0.0 cell is +0.0.
+    widths = np.maximum(c1 - c0, 1)
+    counts = (r1 - r0) * (c1 - c0)
+    dim = grids[0].shape[2] if grids else 0
+    means = np.empty((len(rows), dim), dtype=np.float32)
+    order = np.lexsort((rows, counts))
+    starts = np.flatnonzero(np.diff(counts[order], prepend=-1)).tolist()
+    for start, end in zip(starts, starts[1:] + [len(order)]):
+        k = int(counts[order[start]])
+        gathered = max(k, 1)
+        step = max(1, _POOL_FLOATS // (gathered * dim))
+        for a in range(start, end, step):
+            at = order[a:min(end, a + step)]
+            # Row-major within each range: cell j is (r0 + j // width, c0 + j % width).
+            width = widths[at, None]
+            rr = r0[at, None] + np.arange(gathered) // width
+            cc = c0[at, None] + np.arange(gathered) % width
+            block = np.empty((len(at), gathered, dim))
+            grid_of = rows[at]
+            cuts = (np.flatnonzero(grid_of[1:] != grid_of[:-1]) + 1).tolist()
+            for x, y in zip([0] + cuts, cuts + [len(at)]):
+                block[x:y] = grids[grid_of[x]][rr[x:y], cc[x:y]]
+            means[at] = block.sum(axis=1) / k if k else block[:, 0]
+    return means
 
 
 def bilinear_sample(grid, p: Point2D) -> np.ndarray:

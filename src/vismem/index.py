@@ -109,7 +109,7 @@ class FlatIndex:
         return _hits(*_top_k(np.arange(scores.size), scores, k))
 
 
-_BLOCK = 4096  # rows per block: bounds the (rows, k) temporaries of _nearest
+_BLOCK = 512  # rows per block: keeps the two (rows, k) buffers of _nearest in cache
 
 
 def _finite_matrix(x, what: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
@@ -136,23 +136,30 @@ def _int64s(x, what: str) -> np.ndarray:
     return x.astype(np.int64, copy=False)
 
 
-def _nearest(points: np.ndarray, centroids: np.ndarray, bias) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(points: np.ndarray, centroids: np.ndarray, bias,
+             cross_at: np.ndarray | None = None) -> np.ndarray:
     """For each row x, the centroid c maximising <x, c> - bias[c] (the first
-    on ties), and that winner's <x, c>.
+    on ties); with cross_at, an (N,) float32 array, also that winner's
+    <x, c>, written there.
 
-    The float32 product is taken in blocks of _BLOCK rows. With bias |c|^2 / 2
-    the choice is the nearest centroid, since |x|^2 is constant per row; with
-    a bias of 0.0 it is the best inner product.
+    The float32 product is taken in blocks of _BLOCK rows, into two buffers
+    reused by every block. With bias |c|^2 / 2 the choice is the nearest
+    centroid, since |x|^2 is constant per row; with a bias of 0.0 it is the
+    best inner product.
     """
     n = points.shape[0]
-    choice = np.empty(n, dtype=np.int64)
-    cross_at = np.empty(n, dtype=np.float32)
+    choice = np.empty(n, dtype=np.intp)
+    cross = np.empty((min(n, _BLOCK), centroids.shape[0]), dtype=np.float32)
+    scored = np.empty_like(cross)
     for a in range(0, n, _BLOCK):
-        cross = points[a:a + _BLOCK] @ centroids.T
-        c = (cross - bias).argmax(axis=1)
-        choice[a:a + _BLOCK] = c
-        cross_at[a:a + _BLOCK] = np.take_along_axis(cross, c[:, None], axis=1)[:, 0]
-    return choice, cross_at
+        b = min(n, a + _BLOCK)
+        block, biased = cross[:b - a], scored[:b - a]
+        np.matmul(points[a:b], centroids.T, out=block)
+        np.subtract(block, bias, out=biased)
+        biased.argmax(axis=1, out=choice[a:b])
+        if cross_at is not None:
+            cross_at[a:b] = np.take_along_axis(block, choice[a:b, None], axis=1)[:, 0]
+    return choice
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -220,10 +227,11 @@ def kmeans(points, k: int, iters: int = 25, seed=0,
     p2 = np.einsum("ij,ij->i", points, points).astype(np.float64)
     points64 = points.astype(np.float64)
     ones, cols = np.ones(n), np.arange(n)
+    at = np.empty(n, dtype=np.float32)  # each point's <x, c> with its centroid
     distortions = []
     for _ in range(iters):
         c2 = np.einsum("ij,ij->i", centroids, centroids)
-        assign, at = _nearest(points, centroids, 0.5 * c2)
+        assign = _nearest(points, centroids, 0.5 * c2, cross_at=at)
         point_d = p2 - 2.0 * at.astype(np.float64) + c2[assign]
         np.maximum(point_d, 0.0, out=point_d)
         distortions.append(float(point_d.sum()))
@@ -332,7 +340,7 @@ class IvfPqIndex:
         half_c2 = 0.5 * np.einsum("mkd,mkd->mk", self.pq_codebooks, self.pq_codebooks)
         codes = np.empty((n, m), dtype=np.uint8)
         for j in range(m):
-            codes[:, j] = _nearest(sub[:, j, :], self.pq_codebooks[j], half_c2[j])[0]
+            codes[:, j] = _nearest(sub[:, j, :], self.pq_codebooks[j], half_c2[j])
         return codes
 
     def decode(self, list_no: int, codes: np.ndarray) -> np.ndarray:
@@ -354,7 +362,7 @@ def train_ivfpq(keys, params: IvfPqParams) -> IvfPqIndex:
     seeds = np.random.SeedSequence(params.seed).spawn(params.m + 1)
     coarse = kmeans(keys, params.nlist, iters=params.kmeans_iters,
                     seed=np.random.Generator(np.random.PCG64(seeds[0])))
-    assign = _nearest(keys, coarse, 0.0)[0]
+    assign = _nearest(keys, coarse, 0.0)
     residuals = coarse[assign]
     np.subtract(keys, residuals, out=residuals)  # no second (N, D) temporary
     dsub = dim // params.m
@@ -387,7 +395,7 @@ def ivfpq_add(index: IvfPqIndex, ids, keys) -> None:
         raise InvalidInputError("duplicate entry id in add")
     # Assignment and probing both use inner product, matching the similarity
     # metric of the search itself.
-    assign = _nearest(keys, index.coarse_centroids, 0.0)[0]
+    assign = _nearest(keys, index.coarse_centroids, 0.0)
     residuals = index.coarse_centroids[assign]
     np.subtract(keys, residuals, out=residuals)
     codes = index.encode_residuals(residuals)

@@ -137,20 +137,20 @@ def _window_sums(features: np.ndarray, heats: np.ndarray, owners: np.ndarray,
 _OVERFLOW = "prompt pre-activation overflows float32"
 
 
-def _preactivations(params: RefinementParams, f_s: np.ndarray, f_d: np.ndarray) -> np.ndarray:
+def _preactivations(weights: tuple[np.ndarray, np.ndarray, np.ndarray], f_s: np.ndarray,
+                    f_d: np.ndarray) -> np.ndarray:
     """e + W_s f_s + W_d f_d, the pre-activation before the layer norm, of
-    each row of two finite float32 (A, D) stacks of the parameters' D, with
-    rows that overflow float32 left non-finite.
-    The parameters are cast to float64 once; each row gets its own
-    matrix-vector product, since one (A, D) @ (D, D) product rounds
+    each row of two finite float32 (A, D) stacks, for one parameter set's e,
+    W_s and W_d already cast to float64, with rows that overflow float32 left
+    non-finite. Each W is applied to all rows in one np.matmul call over an
+    (A, D, 1) stack, numpy's matrix-vector case, which gives each row a
+    matrix-vector product of its own: one (A, D) @ (D, D) product would round
     differently."""
-    e, w_s, w_d, f_s, f_d = (a.astype(np.float64)
-                             for a in (params.e, params.w_sparse, params.w_dense, f_s, f_d))
-    pre = np.empty(f_s.shape, dtype=np.float32)
+    e, w_s, w_d = weights
+    sparse = np.matmul(w_s, f_s.astype(np.float64)[:, :, None])[:, :, 0]
+    dense = np.matmul(w_d, f_d.astype(np.float64)[:, :, None])[:, :, 0]
     with np.errstate(over="ignore"):  # callers report the overflow as an error
-        for i in range(len(pre)):
-            pre[i] = e + w_s @ f_s[i] + w_d @ f_d[i]
-    return pre
+        return (e + sparse + dense).astype(np.float32)
 
 
 def refine_all(scales, prior: DensePrior, anchors: AnchorSet,
@@ -202,11 +202,16 @@ def _refine(scales: list[np.ndarray], heatmaps: list[np.ndarray], anchor_sets: l
     owners = np.repeat(np.arange(len(categories)), counts)
     xs, ys = np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(-1, 2).T
     heats = np.stack(heatmaps)  # (C, H, W)
+    # Each parameter set's float64 e, W_s and W_d, cast once however many scales share it.
+    weights = {}
+    for p in per_scale:
+        if id(p) not in weights:
+            weights[id(p)] = tuple(a.astype(np.float64) for a in (p.e, p.w_sparse, p.w_dense))
     pres = []
     for features, p in zip(scales, per_scale):
         f_s = _bilinear(features, xs, ys)
         f_d = _window_sums(features, heats, owners, xs, ys, p.window)
-        pres.append(_preactivations(p, f_s, f_d))
+        pres.append(_preactivations(weights[id(p)], f_s, f_d))
     with np.errstate(invalid="ignore"):  # a row whose pre-activation overflowed is NaN
         embeddings = [_layer_norm(pre, p.ln_gain, p.ln_bias, p.ln_eps)
                       for pre, p in zip(pres, per_scale)]

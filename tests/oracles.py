@@ -1,8 +1,9 @@
 """Plain reference formulas the library's batched kernels are judged
-against: for the key kernel, one key's float64 loop; for the columnar bank
-build, the whole-grid-mask mean pool and the build loop that made one key and
-one value per record; for refinement, one anchor's dense window feature,
-heatmap resampling and prompt."""
+against: one vector's unit normalization by its own np.linalg.norm; for the
+key kernel, one key's float64 loop; for the columnar bank build, the
+whole-grid-mask mean pool and the build loop that made one key and one value
+per record; for refinement, one anchor's dense window feature, heatmap
+resampling and prompt."""
 
 import math
 
@@ -11,7 +12,15 @@ import numpy as np
 from vismem.bank import BankBuildConfig, MemoryBank
 from vismem.bank import _record_blur_score, blur_filter, filter_small_boxes, merge_duplicates
 from vismem.errors import InvalidInputError, MissingEmbeddingError
-from vismem.grids import as_grid, as_vector, cell_centers, l2_normalize
+from vismem.grids import EPS_NORM, as_grid, as_vector, cell_centers
+
+
+def oracle_l2_normalize(v):
+    """A float32 vector scaled in float64 by its own np.linalg.norm, and
+    stored as float32; the zero vector if that norm is at most EPS_NORM."""
+    x = np.asarray(v, dtype=np.float32).astype(np.float64)
+    norm = np.linalg.norm(x)
+    return (x / norm if norm > EPS_NORM else np.zeros_like(x)).astype(np.float32)
 
 
 def oracle_key(phrase, scene, image, weights):
@@ -25,8 +34,8 @@ def oracle_key(phrase, scene, image, weights):
     acc = np.zeros(vectors[0].shape[0], dtype=np.float64)
     for w, v in zip((weights.w_p, weights.w_s, weights.w_g), vectors):
         acc += float(w) * v.astype(np.float64)
-    with np.errstate(over="ignore"):  # l2_normalize refuses the overflow
-        return l2_normalize(acc.astype(np.float32))
+    with np.errstate(over="ignore"):  # as_vector refuses the overflow
+        return oracle_l2_normalize(as_vector(acc.astype(np.float32)))
 
 
 def mask_mean_pool(grid, box):
@@ -44,7 +53,8 @@ def mask_mean_pool(grid, box):
 
 
 def record_by_record_bank(records, provider, config=None):
-    """build_bank with one oracle_key and one mask_mean_pool call per record."""
+    """build_bank with one oracle_key and one mask_mean_pool call per record,
+    each value normalized by oracle_l2_normalize."""
     config = config or BankBuildConfig()
     stage = [r for r in records if r.image_id not in config.exclude_images]
     after_small = filter_small_boxes(stage, config.min_area)
@@ -66,7 +76,7 @@ def record_by_record_bank(records, provider, config=None):
                                    config.weights))
             if rec.image_id not in grids:
                 grids[rec.image_id] = as_grid(provider.feature_grid(rec.image_id))
-            values.append(l2_normalize(mask_mean_pool(grids[rec.image_id], rec.box)))
+            values.append(oracle_l2_normalize(mask_mean_pool(grids[rec.image_id], rec.box)))
         except MissingEmbeddingError as exc:
             raise MissingEmbeddingError(
                 f"record (image {rec.image_id!r}, phrase {rec.phrase!r}): {exc}") from exc

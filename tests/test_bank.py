@@ -1118,3 +1118,39 @@ class TestEmbeddingProviderDims:
         with pytest.raises(InvalidInputError, match="dims must be >= 1"):
             EmbeddingProvider({"cat": np.ones(4, np.float32)},
                               feature_table={"a": np.ones((2, 2, 3), np.float32)}, **dims)
+
+    @pytest.mark.parametrize("dims", [dict(d_key=2.5), dict(d_val=True), dict(d_key=np.float64(4.0))])
+    def test_non_integer_dim_refused(self, dims):
+        with pytest.raises(InvalidInputError, match="dims must be >= 1 and integers"):
+            EmbeddingProvider({"cat": np.ones(4, np.float32)}, **dims)
+
+    @pytest.mark.parametrize("dims", [dict(d_key=None, d_val=4), dict(d_key=2.5, d_val=4),
+                                      dict(d_key=8, d_val=True), dict(d_key=0, d_val=4)])
+    def test_hashing_dim_refused(self, dims):
+        with pytest.raises(InvalidInputError, match="hashing dims must be >= 1 and integers"):
+            HashingProvider(**dims)
+
+    def test_numpy_integer_dims_taken_as_ints(self, tmp_path):
+        provider = HashingProvider(d_key=np.int64(8), d_val=np.int32(3),
+                                   feature_table={"a": np.ones((2, 2, 3), np.float32)})
+        assert (provider.d_key, provider.d_val) == (8, 3) and type(provider.d_key) is int
+        table = EmbeddingProvider({"cat": np.ones(4, np.float32)}, d_key=np.int64(4))
+        assert table.d_key == 4 and table.text_embedding("").shape == (4,)
+        bank = build_bank([GroundingRecord("a", Box2D(0.0, 0.0, 1.0, 1.0), "cat", blur_score=1.0)],
+                          provider, BankBuildConfig(drop_fraction=0.0))
+        save_bank(bank, tmp_path / "b.pbnk")
+        assert load_bank(tmp_path / "b.pbnk") == bank
+
+
+class TestBoxesOnce:
+    def test_each_records_box_listed_once(self, monkeypatch):
+        """build_bank makes one float64 boxes array and adopts it as the
+        bank's box column."""
+        records, provider = mixed_records(), mixed_provider()
+        calls = []
+        real = Box2D.as_list
+        monkeypatch.setattr(Box2D, "as_list", lambda box: calls.append(box) or real(box))
+        bank = build_bank(records, provider, BankBuildConfig(drop_fraction=0.0))
+        assert len(calls) == len(bank) > 60
+        want = np.array([real(box) for box in calls], dtype=np.float32)
+        np.testing.assert_array_equal(bank.boxes, want)

@@ -15,10 +15,12 @@ from vismem.grids import (
     l2_normalize,
     layer_norm,
 )
-from vismem.grids import _box_cells, _minmax_rescale, _pool_cells
+from vismem import grids as grids_module
+from vismem.bank import _value_column
+from vismem.grids import EPS_NORM, _box_cells, _box_means, _l2_normalize, _minmax_rescale
 from vismem.index import FlatIndex, exact_scores
 
-from oracles import mask_mean_pool
+from oracles import mask_mean_pool, oracle_l2_normalize
 
 
 def rng_for(seed):
@@ -119,9 +121,8 @@ class TestWeightedCombine:
 
 
 def pool_box(grid, box: Box2D) -> np.ndarray:
-    """The bank's pool of one box: _pool_cells over its _box_cells range."""
-    (cells,) = _box_cells(grid.shape[0], grid.shape[1], np.array([box.as_list()]))
-    return _pool_cells(grid, cells).astype(np.float32)
+    """The bank's pool of one box: _box_means of one record."""
+    return _box_means([grid], [0], np.array([box.as_list()]))[0]
 
 
 class TestMeanPoolRegion:
@@ -184,8 +185,9 @@ def seeded_axis_range(rng, n, mode):
 
 class TestMeanPoolOracle:
     """The row-by-column slice of _box_cells pools the same cells, in the same
-    order, as the whole-grid mask, so the means agree bit for bit; and boxes
-    that cover no center pool the cell holding their center."""
+    order, as the whole-grid mask, and _box_means sums them as the mask's mean
+    does, so the means agree bit for bit; and boxes that cover no center pool
+    the cell holding their center."""
 
     @pytest.mark.parametrize("shape", [(1, 7), (6, 1), (5, 8), (9, 9), (16, 3)])
     def test_slice_kernel_matches_mask_oracle(self, shape):
@@ -201,16 +203,177 @@ class TestMeanPoolOracle:
             x0, x1 = seeded_axis_range(rng, w, modes[rng.integers(4)])
             y0, y1 = seeded_axis_range(rng, h, modes[rng.integers(4)])
             boxes.append(Box2D(x0, y0, x1, y1))
-        batch = _box_cells(h, w, np.array([b.as_list() for b in boxes]))
+        coords = np.array([b.as_list() for b in boxes])
+        batch = _box_cells(h, w, coords)
+        means = _box_means([grid], np.zeros(len(boxes), dtype=np.intp), coords)
         on_center = 0
-        for box, cells in zip(boxes, batch):
+        for box, cells, got in zip(boxes, batch, means):
             want = mask_mean_pool(grid, box)
-            got = _pool_cells(grid, cells).astype(np.float32)
             np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
             fallbacks += cells[0] == cells[1]
             on_center += any(np.any(box_edge == (np.arange(n) + 0.5) / n) for box_edge, n in
                              ((box.x0, w), (box.x1, w), (box.y0, h), (box.y1, h)))
         assert fallbacks >= 50 and on_center >= 100
+
+
+def decades_stack(rng, n, d):
+    """n float32 rows of width d whose scales span 10 decades, 1e-5 to 1e5,
+    then rows with norms just above, at and below EPS_NORM, and zero rows."""
+    rows = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-5.0, 5.0, (n, 1))
+    tiny = np.zeros((4, d))
+    tiny[:, 0] = [np.nextafter(np.float32(EPS_NORM), np.float32(1)), EPS_NORM, 1e-13, 0.0]
+    return np.concatenate([rows, tiny, -tiny]).astype(np.float32)
+
+
+class TestBatchedRowNorm:
+    """_l2_normalize takes every row's norm in one np.matmul call, numpy's
+    vector case, which gives each row the dot product np.linalg.norm takes of
+    it alone. If numpy ever dispatches that call otherwise, these fail rather
+    than let a bank's bits drift."""
+
+    @staticmethod
+    def quotients(stack):
+        """Each row divided in float64 by its own np.linalg.norm, or zeros."""
+        x = stack.astype(np.float64)
+        norms = np.array([np.linalg.norm(row) for row in x]).reshape(-1, 1)
+        return np.where(norms > EPS_NORM, x / np.where(norms > EPS_NORM, norms, 1.0), 0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 17, 64, 256])
+    def test_stack_matches_per_row_norm(self, dim):
+        """The float32 rows, and the float64 quotients themselves through a
+        float64 out, where a norm one ulp off cannot hide in the float32 store."""
+        stack = decades_stack(rng_for(dim), 300, dim)
+        want = np.stack([oracle_l2_normalize(row) for row in stack])
+        got = _l2_normalize(stack)
+        assert got.tobytes() == want.tobytes()
+        out = stack.copy()
+        assert _l2_normalize(out, out=out) is out and out.tobytes() == want.tobytes()
+        whole = np.empty(stack.shape)
+        _l2_normalize(stack, out=whole)
+        assert whole.tobytes() == self.quotients(stack).tobytes()
+
+    def test_rows_at_and_below_eps_are_zeroed(self):
+        stack = decades_stack(rng_for(1), 0, 3)
+        got = _l2_normalize(stack)
+        np.testing.assert_array_equal(np.abs(got[:, 0]), [1, 0, 0, 0, 1, 0, 0, 0])
+        assert not got[:, 1:].any()
+
+    @pytest.mark.parametrize("dim", [1, 5, 64])
+    def test_one_row_stack_and_vector(self, dim):
+        for row in decades_stack(rng_for(dim + 7), 20, dim):
+            want = oracle_l2_normalize(row).tobytes()
+            assert _l2_normalize(row[None]).tobytes() == want
+            assert _l2_normalize(row).tobytes() == want
+            whole = np.empty(dim)
+            _l2_normalize(row, out=whole)
+            assert whole.tobytes() == self.quotients(row[None])[0].tobytes()
+
+    def test_empty_stack(self):
+        assert _l2_normalize(np.zeros((0, 4), np.float32)).shape == (0, 4)
+
+
+def pool_oracle(grids, rows, boxes):
+    """mask_mean_pool of each record, one at a time."""
+    return np.stack([mask_mean_pool(grids[g], b) for g, b in zip(rows, boxes)]).reshape(
+        len(boxes), grids[0].shape[2] if grids else 0)
+
+
+def box_array(boxes):
+    return np.array([b.as_list() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+class TestBoxMeans:
+    """_box_means and the bank's _value_column against the whole-grid mask
+    oracle, record by record, bit for bit."""
+
+    @staticmethod
+    def scene(rng, dim, shapes=((7, 9), (1, 6), (8, 1), (12, 12)), n=300):
+        """Grids whose cell scales span 12 decades, so that a different
+        summation order shows, with signed zeros; and records over them in an
+        order that interleaves the grids, with boxes of every kind."""
+        grids = []
+        for h, w in shapes:
+            g = rng.standard_normal((h, w, dim)) * 10.0 ** rng.uniform(-6, 6, (h, w, 1))
+            marks = rng.random((h, w))
+            g[marks < 0.08] = -0.0
+            g[marks > 0.95] = 0.0
+            grids.append(g.astype(np.float32))
+        rows = rng.integers(0, len(grids), n)
+        modes = ("random", "centers", "upper", "gap")
+        boxes = []
+        for g in rows:
+            h, w = shapes[g]
+            x0, x1 = seeded_axis_range(rng, w, modes[rng.integers(4)])
+            y0, y1 = seeded_axis_range(rng, h, modes[rng.integers(4)])
+            boxes.append(Box2D(x0, y0, x1, y1))
+        return grids, rows, boxes
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 32])
+    def test_matches_mask_oracle(self, dim):
+        """dim 1 is where numpy's mean sums pairwise, not cell by cell."""
+        grids, rows, boxes = self.scene(rng_for(dim), dim)
+        want = pool_oracle(grids, rows, boxes)
+        got = _box_means(grids, rows, box_array(boxes))
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+        values = _value_column(grids, rows.tolist(), box_array(boxes))
+        assert values.tobytes() == np.stack([oracle_l2_normalize(v) for v in want]).tobytes()
+
+    def test_one_channel_sums_pairwise(self):
+        """Cells 1e17, 1, 1, 1, -1e17, 1, 1, 1, 1. Added one by one (numpy's
+        mean for D >= 2), the first three 1s are lost to 1e17 and the sum is 4.
+        numpy's pairwise sum for D = 1 adds the 1s to 1e17 and -1e17 in pairs,
+        which loses all but the last, and the sum is 1. Each D keeps its own."""
+        row = np.array([1e17, 1, 1, 1, -1e17, 1, 1, 1, 1], dtype=np.float32)
+        whole = Box2D(0.0, 0.0, 1.0, 1.0)
+        for dim, total in ((1, 1.0), (2, 4.0)):
+            grid = np.repeat(row[None, :, None], dim, axis=2)
+            got = _box_means([grid], [0], box_array([whole]))[0]
+            np.testing.assert_array_equal(got, np.float32(total / 9))
+            assert got.tobytes() == mask_mean_pool(grid, whole).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_row_and_column_boxes(self, dim):
+        """1 x N and N x 1 boxes: one row or one column of cells."""
+        rng = rng_for(10 + dim)
+        grid = rng.standard_normal((6, 10, dim)).astype(np.float32)
+        boxes = ([Box2D(0.0, (r + 0.2) / 6, 1.0, (r + 0.8) / 6) for r in range(6)]
+                 + [Box2D((c + 0.2) / 10, 0.0, (c + 0.8) / 10, 1.0) for c in range(10)])
+        rows = np.zeros(len(boxes), dtype=np.intp)
+        cells = _box_cells(6, 10, box_array(boxes))
+        assert ((cells[:, 1] - cells[:, 0]) * (cells[:, 3] - cells[:, 2]) > 1).all()
+        got = _box_means([grid], rows, box_array(boxes))
+        assert got.tobytes() == pool_oracle([grid], rows, boxes).tobytes()
+
+    def test_fallback_cells_and_signed_zeros(self):
+        """A box that covers no centre copies its cell, -0.0 included; a box
+        that covers one -0.0 cell averages it to +0.0, as the mask's mean does."""
+        grid = np.full((4, 4, 2), -0.0, dtype=np.float32)
+        grid[2, 2] = [1.5, -2.0]
+        boxes = [Box2D(0.26, 0.26, 0.27, 0.27),   # no centre: cell (1, 1)
+                 Box2D(0.3, 0.3, 0.45, 0.45),     # the centre of cell (1, 1)
+                 Box2D(0.51, 0.51, 0.52, 0.52),   # no centre: cell (2, 2)
+                 Box2D(0.0, 0.0, 0.5, 0.5)]       # four -0.0 cells
+        rows = np.zeros(len(boxes), dtype=np.intp)
+        got = _box_means([grid], rows, box_array(boxes))
+        assert got.tobytes() == pool_oracle([grid], rows, boxes).tobytes()
+        assert np.signbit(got[0]).all() and not np.signbit(got[1]).any()
+        assert not np.signbit(got[3]).any()
+        np.testing.assert_array_equal(got[2], [1.5, -2.0])
+
+    def test_no_records(self):
+        assert _box_means([], [], np.empty((0, 4))).shape == (0, 0)
+        grid = np.ones((2, 2, 3), dtype=np.float32)
+        assert _box_means([grid], [], np.empty((0, 4))).shape == (0, 3)
+        assert _value_column([], [], np.empty((0, 4))).shape == (0, 0)
+
+    @pytest.mark.parametrize("cap", [1, 40])
+    def test_pass_size_keeps_the_bits(self, monkeypatch, cap):
+        """One record per pass (cap 1), and passes that split grids' runs."""
+        grids, rows, boxes = self.scene(rng_for(5), 3, n=120)
+        want = _box_means(grids, rows, box_array(boxes))
+        monkeypatch.setattr(grids_module, "_POOL_FLOATS", cap)
+        got = _box_means(grids, rows, box_array(boxes))
+        assert got.tobytes() == want.tobytes() == pool_oracle(grids, rows, boxes).tobytes()
 
 
 class TestBilinearSample:

@@ -14,6 +14,7 @@ from vismem.index import (
     SearchHit,
     _hits,
     _kmeans_pp_init,
+    _nearest,
     _top_k,
     exact_scores,
     ivfpq_add,
@@ -479,6 +480,39 @@ class TestNearestKernel:
         default = saved("default.pivf")
         monkeypatch.setattr(index_module, "_BLOCK", 37)
         assert saved("blocked.pivf") == default
+
+    @pytest.mark.parametrize("block", ["one row", "more than n rows"])
+    def test_block_size_keeps_choices_and_centroids(self, monkeypatch, block):
+        """Blocks of one row and a single block of every row choose the same
+        centroids as the default blocks, so k-means moves its centroids the
+        same way. The winners' products and the distortions keep their bits
+        in any block of two rows or more. A one-row block is numpy's
+        vector-matrix case, a BLAS gemv, whose float32 products round
+        differently from the matrix product's; they agree to that rounding."""
+        rng = rng_for(6)
+        n, k, dsub = 2 * index_module._BLOCK + 100, 16, 8
+        centers = rng.standard_normal((k, dsub))
+        points = (centers[rng.integers(0, k, n)]
+                  + 0.3 * rng.standard_normal((n, dsub))).astype(np.float32)
+
+        def run():
+            cents, dists = kmeans(points, k, iters=5, seed=1, return_distortions=True)
+            cross_at = np.empty(n, dtype=np.float32)
+            half_c2 = 0.5 * np.einsum("ij,ij->i", cents, cents)
+            return cents, dists, _nearest(points, cents, half_c2, cross_at), cross_at
+
+        cents, dists, choice, cross_at = run()
+        monkeypatch.setattr(index_module, "_BLOCK", 1 if block == "one row" else n + 1)
+        got = run()
+        np.testing.assert_array_equal(got[0], cents)
+        np.testing.assert_array_equal(got[2], choice)
+        assert np.array_equal(_nearest(points, cents, 0.0), np.argmax(points @ cents.T, axis=1))
+        if block == "one row":
+            bound = 4 * (dsub + 2) * 2.0**-24 * np.abs(points).sum(axis=1) * np.abs(cents).max()
+            assert np.all(np.abs(got[3].astype(np.float64) - cross_at) <= bound)
+            np.testing.assert_allclose(got[1], dists, rtol=1e-5)
+        else:
+            assert got[3].tobytes() == cross_at.tobytes() and got[1] == dists
 
     @pytest.mark.parametrize("seed", range(3))
     def test_codes_are_nearest_codewords(self, seed):

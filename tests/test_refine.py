@@ -256,10 +256,15 @@ class TestResampleHeatmap:
                        RefinementParams.zero_init(2), "cat")
 
 
+def weights64(params):
+    """A parameter set's e, W_s and W_d as _refine casts them for _preactivations."""
+    return tuple(a.astype(np.float64) for a in (params.e, params.w_sparse, params.w_dense))
+
+
 def prompt_rows(params, f_s, f_d):
     """The prompts _refine makes of (A, D) stacks of sparse and dense features."""
-    return _layer_norm(_preactivations(params, f_s, f_d), params.ln_gain, params.ln_bias,
-                       params.ln_eps)
+    return _layer_norm(_preactivations(weights64(params), f_s, f_d), params.ln_gain,
+                       params.ln_bias, params.ln_eps)
 
 
 class TestRefinePrompt:
@@ -294,8 +299,9 @@ class TestRefinePrompt:
         dim = 8
         params = RefinementParams.seeded_init(dim, seed=seed)
         f1, f2, g1, g2 = (rng.standard_normal(dim).astype(np.float32) for _ in range(4))
-        lhs = _preactivations(params, (f1 + f2)[None], (g1 + g2)[None])[0]
-        parts = _preactivations(params, np.stack([f1, f2]), np.stack([g1, g2])).astype(np.float64)
+        lhs = _preactivations(weights64(params), (f1 + f2)[None], (g1 + g2)[None])[0]
+        parts = _preactivations(weights64(params), np.stack([f1, f2]),
+                                np.stack([g1, g2])).astype(np.float64)
         np.testing.assert_allclose(lhs, parts[0] + parts[1] - params.e, atol=1e-4)
 
     def test_summation_order_kept_on_cancelling_terms(self):
@@ -319,6 +325,55 @@ class TestRefinePrompt:
             other = layer_norm(pre.astype(np.float32), params.ln_gain, params.ln_bias,
                                params.ln_eps)
             assert other.tobytes() != got.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 3, 32, 65])
+    def test_one_matmul_keeps_each_rows_product(self, dim):
+        """_preactivations applies each W to all rows in one np.matmul call,
+        numpy's matrix-vector case: every row keeps the bits of its own
+        float64 W @ f, on a 90-row and a one-row stack. Each W has a column
+        of 1e20 and one of -1e20 where every f holds 1, so a sum that meets
+        1e20 before the small terms loses them and the order of the sum shows
+        through the float32 store; a one (A, D) @ (D, D) product reorders it.
+        If numpy ever dispatches the call otherwise, this fails rather than
+        let the prompts' bits drift."""
+        rng = rng_for(dim)
+        spread = lambda *shape: 10.0 ** rng.uniform(-3.0, 3.0, shape)
+        e, w_s, w_d = (rng.standard_normal(shape) * spread(*shape)
+                       for shape in ((dim,), (dim, dim), (dim, dim)))
+        big = [0, dim // 2] if dim >= 3 else []
+        for w in (w_s, w_d):
+            w[:, big] = [1e20, -1e20][:len(big)]
+        params = RefinementParams(e=e.astype(np.float32), w_sparse=w_s, w_dense=w_d,
+                                  ln_gain=np.ones(dim), ln_bias=np.zeros(dim))
+        weights = weights64(params)
+        for rows in (90, 1):
+            f_s, f_d = ((rng.standard_normal((rows, dim)) * spread(rows, 1)).astype(np.float32)
+                        for _ in range(2))
+            f_s[:, big] = f_d[:, big] = 1.0
+            want = np.stack([(weights[0] + weights[1] @ f_s[i].astype(np.float64)
+                              + weights[2] @ f_d[i].astype(np.float64)).astype(np.float32)
+                             for i in range(rows)])
+            assert _preactivations(weights, f_s, f_d).tobytes() == want.tobytes()
+
+    def test_parameters_cast_once_per_call(self, monkeypatch):
+        """_refine casts a parameter set shared by three scales to float64
+        once, not once per scale."""
+        params = RefinementParams.seeded_init(4, seed=0)
+        casts = []
+        real = np.ndarray.astype
+
+        class Counted(np.ndarray):
+            def astype(self, dtype, *args, **kwargs):
+                if dtype is np.float64:
+                    casts.append(self.shape)
+                return real(np.asarray(self), dtype, *args, **kwargs)
+
+        for name in ("e", "w_sparse", "w_dense"):
+            setattr(params, name, getattr(params, name).view(Counted))
+        scales = [rng_for(s).standard_normal((8, 8, 4)).astype(np.float32) for s in range(3)]
+        anchors = AnchorSet(category="cat", anchors=[(Point2D(0.5, 0.5), 1.0)])
+        _refine(scales, [np.ones((8, 8), np.float32)], [anchors], params, ["cat"])
+        assert sorted(casts) == [(4,), (4, 4), (4, 4)]
 
     def test_output_moments(self):
         params = RefinementParams.seeded_init(64, seed=1)
