@@ -20,6 +20,7 @@ import numpy as np
 from .errors import FormatError, InvalidInputError, MissingEmbeddingError
 from .grids import (
     Box2D,
+    _all_finite,
     _box_means,
     _l2_normalize,
     as_grid,
@@ -302,9 +303,15 @@ def merge_duplicates(records: list[GroundingRecord], iou_threshold: float) -> li
     return kept
 
 
+def _non_finite_blur(rec: GroundingRecord, score: float) -> InvalidInputError:
+    return InvalidInputError(f"record (image {rec.image_id!r}, phrase {rec.phrase!r}) "
+                             f"has a non-finite blur score {score}")
+
+
 def blur_filter(records: list[GroundingRecord], scores: list[float],
                 drop_fraction: float) -> list[GroundingRecord]:
-    """Drop the floor(drop_fraction * N) lowest-scoring records.
+    """Drop the floor(drop_fraction * N) lowest-scoring records; every score
+    must be finite.
 
     Ties at the cutoff are broken by dropping the lower record index first.
     """
@@ -312,12 +319,14 @@ def blur_filter(records: list[GroundingRecord], scores: list[float],
         raise InvalidInputError(f"drop_fraction must be in [0, 1), got {drop_fraction}")
     if len(records) != len(scores):
         raise InvalidInputError("records and scores must have equal length")
+    scores = np.asarray(scores, dtype=np.float64)
+    if not _all_finite(scores):
+        first = int(np.argmax(~np.isfinite(scores)))
+        raise _non_finite_blur(records[first], scores[first])
     n_drop = math.floor(drop_fraction * len(records))
-    if n_drop == 0:
-        return list(records)
-    order = sorted(range(len(records)), key=lambda i: (scores[i], i))
-    dropped = set(order[:n_drop])
-    return [r for i, r in enumerate(records) if i not in dropped]
+    kept = np.ones(len(records), dtype=bool)
+    kept[np.lexsort((scores,))[:n_drop]] = False  # a stable sort: ties keep index order
+    return [r for r, keep in zip(records, kept.tolist()) if keep]
 
 
 @dataclass
@@ -345,10 +354,14 @@ def _record_blur_score(rec: GroundingRecord) -> float:
 def build_bank(records: list[GroundingRecord], provider: EmbeddingProvider,
                config: BankBuildConfig | None = None) -> MemoryBank:
     """Run the construction pipeline: exclusion -> small-box filter ->
-    duplicate merge -> blur filter -> key/value embedding.
+    duplicate merge -> blur filter -> key/value embedding. A record's blur
+    score, where given, must be finite.
     """
     config = config or BankBuildConfig()
     input_count = len(records)
+    for rec in records:  # the bank stores None as NaN, its "no score"
+        if rec.blur_score is not None and not math.isfinite(rec.blur_score):
+            raise _non_finite_blur(rec, rec.blur_score)
 
     stage = [r for r in records if r.image_id not in config.exclude_images]
     removed_excluded = input_count - len(stage)
@@ -459,7 +472,7 @@ def _key_column(vectors: list[np.ndarray], rows: list[tuple[int, int, int]],
     del acc, term
     row_dims = dims[rows]
     mixed = (row_dims[:, 0] != row_dims[:, 1]) | (row_dims[:, 0] != row_dims[:, 2])
-    bad = mixed | ~np.isfinite(keys).all(axis=1)
+    bad = mixed if _all_finite(keys) else mixed | ~np.isfinite(keys).all(axis=1)
     if bad.any():
         first = int(np.argmax(bad))
         with stage(first):
@@ -525,14 +538,36 @@ def save_bank(bank: MemoryBank, path) -> None:
 def _read_records(r, layout: np.dtype, count: int) -> dict[str, np.ndarray]:
     """Each field of the next count records of a `Reader` as an
     array of its own, in native byte order: float32 keys, values, boxes and
-    blur, and the raw 64-byte names."""
+    blur, and the raw 64-byte names. A NaN or inf key or value float, or an
+    infinite blur score, is a FormatError at its offset; each chunk is
+    checked as it is copied, while it is in cache."""
+    at = r.offset
     chunks = r.record_chunks(layout, count)  # refuses a count the file cannot hold
     columns = {name: np.empty((count, *layout[name].shape), layout[name].base.newbyteorder("="))
                for name in layout.names}
     for first, chunk in chunks:
+        rows = slice(first, first + len(chunk))
         for name, column in columns.items():
-            column[first:first + len(chunk)] = chunk[name]
+            column[rows] = chunk[name]
+        keys, values, blur = (columns[name][rows] for name in ("key", "value", "blur"))
+        if not (_all_finite(keys) and _all_finite(values)) or np.isinf(blur).any():
+            _refuse_non_finite(layout, at + first * layout.itemsize, keys, values, blur)
     return columns
+
+
+def _refuse_non_finite(layout: np.dtype, at: int, keys: np.ndarray, values: np.ndarray,
+                       blur: np.ndarray) -> None:
+    """Raise FormatError at the first bad float of records that start at
+    offset at: a NaN or inf key or value float, or an infinite blur score."""
+    found = []
+    for field, what, bad in (("key", "non-finite key", ~np.isfinite(keys)),
+                             ("value", "non-finite value", ~np.isfinite(values)),
+                             ("blur", "infinite blur score", np.isinf(blur)[:, None])):
+        if bad.any():
+            row, col = divmod(int(np.argmax(bad)), bad.shape[1])
+            found.append((at + row * layout.itemsize + layout.fields[field][1] + 4 * col, what))
+    offset, what = min(found)
+    raise FormatError(what, offset=offset)
 
 
 def load_bank(path) -> MemoryBank:

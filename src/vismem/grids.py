@@ -21,12 +21,31 @@ from .errors import InvalidInputError
 EPS_NORM = 1e-12
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every element of a float array is finite: the one finiteness
+    check of the library.
+
+    A contiguous array is read once, as its flat dot product with itself,
+    and nothing of its size is allocated. That sum is finite only if every
+    element is: the square of a NaN or inf is NaN or +inf, and no sum of
+    squares, none negative, turns one back into a finite value. Only a sum
+    that is not finite, or an array that is not contiguous, is checked
+    element by element, which tells squares that overflow from a NaN or inf.
+    """
+    if arr.flags.c_contiguous or arr.flags.f_contiguous:
+        flat = arr.ravel(order="K")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if math.isfinite(np.dot(flat, flat)):
+                return True
+    return bool(np.isfinite(arr).all())
+
+
 def _finite(a, ndims: tuple[int, ...], what: str) -> np.ndarray:
     """a as a non-empty, finite float32 array of one of the given ranks."""
     arr = np.asarray(a, dtype=np.float32)
     if arr.ndim not in ndims or arr.size == 0:
         raise InvalidInputError(f"expected a non-empty {what}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise InvalidInputError(f"{what} contains non-finite entries")
     return arr
 
@@ -247,20 +266,22 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
 
 def gaussian_smooth(scalar_map, sigma: float) -> np.ndarray:
     """Separable Gaussian blur with reflect padding. sigma=0 is a no-op copy."""
-    return _gaussian_smooth(as_scalar_map(scalar_map), sigma)
+    return _gaussian_smooth(as_scalar_map(scalar_map), _smoothing_kernel(sigma))
 
 
-def _check_sigma(sigma: float) -> None:
+def _smoothing_kernel(sigma: float) -> np.ndarray | None:
+    """The kernel of gaussian_smooth at sigma, which must be finite and >= 0;
+    None for sigma = 0, which smooths nothing."""
     if not 0 <= sigma < np.inf:
         raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma}")
+    return gaussian_kernel_1d(sigma) if sigma else None
 
 
-def _gaussian_smooth(scalar_map: np.ndarray, sigma: float) -> np.ndarray:
-    """gaussian_smooth on a map that as_scalar_map has already checked."""
-    _check_sigma(sigma)
-    if sigma == 0:
+def _gaussian_smooth(scalar_map: np.ndarray, kernel: np.ndarray | None) -> np.ndarray:
+    """gaussian_smooth on a map that as_scalar_map has already checked, with
+    the kernel _smoothing_kernel gives."""
+    if kernel is None:
         return scalar_map.copy()
-    kernel = gaussian_kernel_1d(sigma)
     out = scalar_map.astype(np.float64)
     # scipy's "reflect" mode (d c b a | a b c d) conserves total mass.
     out = ndimage.correlate1d(out, kernel, axis=0, mode="reflect")
@@ -293,7 +314,7 @@ def layer_norm(v, gain, bias, eps: float = 1e-5) -> np.ndarray:
     if not 0 < eps < np.inf:
         raise InvalidInputError(f"eps must be finite and > 0, got {eps}")
     out = _layer_norm(v, gain, bias, eps)
-    if not np.all(np.isfinite(out)):
+    if not _all_finite(out):
         raise InvalidInputError(LN_OVERFLOW)
     return out
 

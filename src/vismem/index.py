@@ -17,6 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import FormatError, InvalidInputError
+from .grids import _all_finite
 from .serial import Reader, Writer, atomic_write_bytes, format_errors
 
 INDEX_MAGIC = "PIVF"
@@ -71,7 +72,7 @@ def _check_query(query, dim: int) -> np.ndarray:
     query = np.asarray(query, dtype=np.float32)
     if query.shape != (dim,):
         raise InvalidInputError(f"query dim {query.shape} != index dim {dim}")
-    if not np.isfinite(query).all():
+    if not _all_finite(query):
         raise InvalidInputError("query must be finite")
     return query
 
@@ -119,9 +120,8 @@ def _finite_matrix(x, what: str, shape: tuple[int, ...] | None = None) -> np.nda
     if x.ndim != 2 if shape is None else x.shape != shape:
         raise InvalidInputError(f"{what} must be an array of shape {shape or '(N, D)'}, "
                                 f"got shape {x.shape}")
-    finite = np.isfinite(x)
-    if not finite.all():  # the flat test is cheap; find the rows only on failure
-        bad = np.flatnonzero(~finite.reshape(len(x), -1).all(axis=1))
+    if not _all_finite(x):  # find the rows only on failure
+        bad = np.flatnonzero(~np.isfinite(x).reshape(len(x), -1).all(axis=1))
         raise InvalidInputError(f"{what} must be finite; row {bad[0]} holds NaN or inf "
                                 f"({bad.size} of {len(x)} rows do)")
     return x
@@ -486,8 +486,8 @@ def _finite_f32s(r: Reader, what: str, shape: tuple[int, ...]) -> np.ndarray:
     FormatError at its offset, as training never writes one."""
     at = r.offset
     arr = r.f32_array(math.prod(shape), shape=shape)
-    bad = ~np.isfinite(arr.ravel())
-    if bad.any():
+    if not _all_finite(arr):
+        bad = ~np.isfinite(arr.ravel())
         raise FormatError(f"non-finite {what}", offset=at + 4 * int(np.argmax(bad)))
     return arr
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .grids import (EPS_NORM, Point2D, _check_sigma, _gaussian_smooth, _minmax_rescale,
+from .grids import (EPS_NORM, Point2D, _gaussian_smooth, _minmax_rescale, _smoothing_kernel,
                     as_grid, as_vector)
 from .retrieval import Prototype
 
@@ -72,7 +72,7 @@ def _dense_priors(grid: np.ndarray, protos: list[Prototype], sigma: float) -> li
     product for all prototypes rounds differently.
     """
     h, w, d = grid.shape
-    _check_sigma(sigma)
+    kernel = _smoothing_kernel(sigma)  # one kernel for every map
     for proto in protos:
         if proto.vector.shape[0] != d:
             raise InvalidInputError(f"grid dim {d} != prototype dim {proto.vector.shape[0]}")
@@ -89,7 +89,7 @@ def _dense_priors(grid: np.ndarray, protos: list[Prototype], sigma: float) -> li
     maps = iter(raw)
     return [DensePrior(category=proto.category, sigma=sigma,
                        heatmap=np.zeros((h, w), dtype=np.float32) if proto.is_empty
-                       else _minmax_rescale(_gaussian_smooth(next(maps), sigma)))
+                       else _minmax_rescale(_gaussian_smooth(next(maps), kernel)))
             for proto in protos]
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, InvalidInputError, MissingEmbeddingError
-from .grids import (LN_OVERFLOW, Point2D, _bilinear, _finite, _layer_norm, as_grid, as_scalar_map,
-                    as_vector)
+from .grids import (LN_OVERFLOW, Point2D, _all_finite, _bilinear, _finite, _layer_norm, as_grid,
+                    as_scalar_map, as_vector)
 from .priors import AnchorSet, DensePrior
 from .serial import Reader, Writer, atomic_write_bytes, format_errors
 
@@ -215,11 +215,11 @@ def _refine(scales: list[np.ndarray], heatmaps: list[np.ndarray], anchor_sets: l
     with np.errstate(invalid="ignore"):  # a row whose pre-activation overflowed is NaN
         embeddings = [_layer_norm(pre, p.ln_gain, p.ln_bias, p.ln_eps)
                       for pre, p in zip(pres, per_scale)]
-    finite = np.all([np.isfinite(emb).all(axis=1) for emb in embeddings], axis=0)
-    if not finite.all():
+    if not all(map(_all_finite, embeddings)):  # find the rows only on failure
+        finite = np.all([np.isfinite(emb).all(axis=1) for emb in embeddings], axis=0)
         first = owners[~finite][0]
         with stage(categories[first]):
-            pre_overflow = any(not np.isfinite(pre[owners == first]).all() for pre in pres)
+            pre_overflow = not all(_all_finite(pre[owners == first]) for pre in pres)
             raise InvalidInputError(_OVERFLOW if pre_overflow else LN_OVERFLOW)
     bounds = np.cumsum([0, *counts]).tolist()
     return [np.concatenate([emb[start:end] for emb in embeddings])

@@ -17,7 +17,7 @@ from .bank import EmbeddingProvider, KeyWeights, MemoryBank, build_key
 from .errors import InvalidInputError
 from .index import (FlatIndex, IvfPqIndex, SearchHit, _check_ids, _check_k, _check_probe,
                     _check_query, _hits, _ivfpq_pool, _top_k, exact_scores)
-from .grids import l2_normalize
+from .grids import _all_finite, l2_normalize
 
 DEFAULT_TOP_K = 12
 DEFAULT_TAU = 0.07
@@ -70,7 +70,7 @@ def softmax_weights(scores, tau: float) -> np.ndarray:
     _check_tau(tau)
     with np.errstate(over="ignore"):  # an overflow to inf is refused below
         s = np.asarray(scores, dtype=np.float64) / tau
-    if not s.size or not np.isfinite(s).all():
+    if not s.size or not _all_finite(s):
         raise InvalidInputError(f"softmax needs scores, each finite divided by tau={tau}")
     s -= s.max()
     e = np.exp(s)

@@ -31,6 +31,7 @@ from vismem.bank import (
     save_bank,
     save_embedding_table,
     write_pgm,
+    _record_dtype,
 )
 from vismem.artifacts import load_feature_grid, save_feature_grid
 from vismem.errors import FormatError, InvalidInputError, MissingEmbeddingError
@@ -236,6 +237,16 @@ class TestBlurFilter:
         out = blur_filter(recs, scores, 0.2)
         assert out == recs[2:]
 
+    @pytest.mark.parametrize("drop", [0.0, 0.3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_refused(self, drop, bad):
+        recs = self._recs(10)
+        scores = [float(i) for i in range(10)]
+        scores[4] = scores[7] = bad
+        with pytest.raises(InvalidInputError,
+                           match=r"record \(image 'a', phrase 'p4'\) has a non-finite blur"):
+            blur_filter(recs, scores, drop)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_sorted_oracle(self, seed):
         rng = rng_for(seed)
@@ -343,6 +354,17 @@ class TestBuildBank:
         recs = self._records(50)
         bank = build_bank(recs, prov)
         assert bank.manifest["removed_blur"] == math.floor(0.10 * 50)
+
+    @pytest.mark.parametrize("drop", [0.0, 0.3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_blur_score_refused(self, drop, bad):
+        """NaN would be stored as the bank's "no score" and escape the filter."""
+        recs = self._records(10)
+        for i in (2, 5, 8):
+            recs[i].blur_score = bad
+        with pytest.raises(InvalidInputError, match=r"record \(image 'img2', phrase 'dog'\) "
+                                                    r"has a non-finite blur score"):
+            build_bank(recs, make_provider(), BankBuildConfig(drop_fraction=drop))
 
     def test_keys_and_values_unit_norm(self):
         bank = build_bank(self._records(20), make_provider())
@@ -889,6 +911,31 @@ class TestStreamedLoad:
             r.expect_eof()
         assert [first for first, _ in chunks] == [0, 3, 6, 9]
         assert b"".join(data for _, data in chunks) == raw[start:]
+
+    @pytest.mark.parametrize("records_per_chunk", [1, 3, 1000])
+    @pytest.mark.parametrize("bad, want", [
+        ([(7, "key", 0, np.nan), (4, "value", 1, np.inf)], (4, "value", 1, "non-finite value")),
+        ([(5, "blur", 0, np.inf), (5, "key", 5, -np.inf)], (5, "key", 5, "non-finite key")),
+        ([(6, "key", 2, np.nan), (2, "blur", 0, -np.inf)], (2, "blur", 0, "infinite blur score")),
+    ])
+    def test_first_bad_float_refused_at_its_offset(self, tmp_path, monkeypatch,
+                                                   records_per_chunk, bad, want):
+        """The first NaN or inf key or value float, or inf blur score, in file
+        order, whichever chunk holds it; NaN blur means "no score" and loads."""
+        bank, path = self.saved(tmp_path)
+        layout = _record_dtype(bank.d_key, bank.d_val)
+        raw = bytearray(path.read_bytes())
+        records_at = len(raw) - len(bank) * layout.itemsize
+        def at(row, field, col):
+            return records_at + row * layout.itemsize + layout.fields[field][1] + 4 * col
+        for row, field, col, value in bad:
+            struct.pack_into("<f", raw, at(row, field, col), value)
+        path.write_bytes(bytes(raw))
+        monkeypatch.setattr(serial, "RECORD_CHUNK_BYTES", records_per_chunk * layout.itemsize)
+        assert np.isnan(bank.blur).any()
+        with pytest.raises(FormatError, match=want[3]) as exc:
+            load_bank(path)
+        assert exc.value.offset == at(*want[:3])
 
     def test_truncation_fails_as_a_buffer_read_does(self, tmp_path):
         bank, path = self.saved(tmp_path)

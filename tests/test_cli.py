@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from vismem import artifacts, cli
-from vismem.bank import HashingProvider, KeyWeights, load_bank, save_embedding_table
+from vismem.bank import HashingProvider, KeyWeights, MemoryBank, load_bank, save_embedding_table
 from vismem.cli import build_parser, main
 from vismem.errors import InvalidInputError
 from vismem.index import FlatIndex, IvfPqIndex, IvfPqParams, exact_scores, ivfpq_add, save_index
@@ -409,7 +409,7 @@ class TestConfigErrors:
         assert not (tmp_path / "i.pivf").exists()
 
     def test_nan_key_in_bank_exits_2(self, bank_path, tmp_path, capsys):
-        # load_bank does not check key values, so the bank loads; training refuses it
+        # load_bank refuses the NaN at its offset, before training could see it
         data = bank_path.read_bytes()
         at = data.find(load_bank(bank_path).keys[0].tobytes())
         assert at > 0
@@ -421,7 +421,7 @@ class TestConfigErrors:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
-        assert "row 0" in err
+        assert f"non-finite key (at byte offset {at})" in err
         assert not (tmp_path / "i.pivf").exists()
 
 
@@ -594,8 +594,9 @@ class TestLoadedFilesSupplyConfig:
 
 
 class TestNonFiniteKeys:
-    """A bank whose entry 0 has a NaN key: the flat index refuses it, as
-    build-index does, instead of dropping that entry in silence."""
+    """A bank whose entry 0 has a NaN key: every command refuses its file
+    alike, and the flat index refuses such a bank built in memory, instead
+    of dropping that entry in silence."""
 
     @pytest.fixture()
     def nan_bank(self, bank_path, tmp_path):
@@ -607,9 +608,14 @@ class TestNonFiniteKeys:
         bad.write_bytes(raw[:at] + np.float32(np.nan).tobytes() + raw[at + 4:])
         return bad
 
-    def test_flat_index_refuses(self, nan_bank):
-        bank = load_bank(nan_bank)
-        assert len(bank) == 26 and np.isnan(bank.keys[0, 0])
+    def test_flat_index_refuses(self, bank_path):
+        loaded = load_bank(bank_path)
+        keys = loaded.keys.copy()
+        keys[0, 0] = np.nan
+        bank = MemoryBank(d_key=loaded.d_key, d_val=loaded.d_val, keys=keys,
+                          values=loaded.values, categories=loaded.categories,
+                          image_ids=loaded.image_ids, boxes=loaded.boxes, blur=loaded.blur)
+        assert len(bank) == 26
         with pytest.raises(InvalidInputError, match="row 0 holds NaN"):
             FlatIndex.from_bank(bank)
 

@@ -19,7 +19,9 @@ import pytest
 
 from vismem import artifacts
 from vismem.bank import (
+    KeyWeights,
     MemoryBank,
+    entry_stride,
     load_bank,
     load_embedding_table,
     load_grounding_records,
@@ -233,12 +235,26 @@ PIVF_COARSE_AT = 16 + len(json.dumps(INDEX_PARAMS.as_dict(), sort_keys=True,
                                      separators=(",", ":")))
 PIVF_CODEWORDS_AT = PIVF_COARSE_AT + 4 * 4 * 4
 PIVF_FIRST_LIST_AT = PIVF_CODEWORDS_AT + 4 * 2 * 4 * 2
+# PBNK: magic, version, d_key, d_val, u64 count, JSON length and block, then
+# per entry a 4-float key, a 3-float value, two 64-byte names, the box and
+# the blur score.
+PBNK_RECORDS_AT = 28 + len(json.dumps({"manifest": {"output_count": 3},
+                                       "weights": KeyWeights().as_dict()},
+                                      sort_keys=True, separators=(",", ":")))
+PBNK_STRIDE = entry_stride(4, 3)
+PBNK_BLUR_AT = 4 * 4 + 4 * 3 + 2 * 64 + 4 * 4
 # PMEM: magic, version, dim, u64 count, then u32 length, name and 3 floats
 # per entry: the second name, "dog", starts at 20 + 4 + 3 + 12 + 4.
 PMEM_SECOND_NAME_AT = 43
 
 # Files that once loaded in silence, each refused at its bad value's offset.
 REFUSED_AT_THE_VALUE = [
+    pytest.param(write_bank, load_bank, PBNK_RECORDS_AT + PBNK_STRIDE + 4 * 2, "<f", math.nan,
+                 id="PBNK NaN key"),
+    pytest.param(write_bank, load_bank, PBNK_RECORDS_AT + 2 * PBNK_STRIDE + 4 * 4 + 4 * 1, "<f",
+                 math.inf, id="PBNK inf value"),
+    pytest.param(write_bank, load_bank, PBNK_RECORDS_AT + PBNK_BLUR_AT, "<f", -math.inf,
+                 id="PBNK inf blur score"),
     pytest.param(write_index, load_index, PIVF_COARSE_AT + 4 * 5, "<f", math.nan,
                  id="PIVF NaN coarse centroid"),
     pytest.param(write_index, load_index, PIVF_CODEWORDS_AT + 4 * 3, "<f", -math.inf,

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from vismem.grids import (
 )
 from vismem import grids as grids_module
 from vismem.bank import _value_column
-from vismem.grids import EPS_NORM, _box_cells, _box_means, _l2_normalize, _minmax_rescale
+from vismem.grids import (EPS_NORM, _all_finite, _box_cells, _box_means, _l2_normalize,
+                          _minmax_rescale)
 from vismem.index import FlatIndex, exact_scores
 
 from oracles import mask_mean_pool, oracle_l2_normalize
@@ -25,6 +28,66 @@ from oracles import mask_mean_pool, oracle_l2_normalize
 
 def rng_for(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+class TestAllFinite:
+    """_all_finite, the one finiteness check: the flat dot product of an array
+    with itself, checked element by element only when that is not finite."""
+
+    BAD = [np.nan, np.inf, -np.inf]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("shape", [(1000,), (8, 125), (4, 10, 25)])
+    def test_each_leading_position_and_the_last_refused(self, shape, bad, dtype):
+        arr = rng_for(0).standard_normal(shape).astype(dtype)
+        assert _all_finite(arr)
+        for at in [*range(64), arr.size - 1]:
+            flat = arr.ravel().copy()
+            flat[at] = bad
+            assert not _all_finite(flat.reshape(shape)), at
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_every_position_of_short_vectors_refused(self, bad):
+        """Every length a vectorized kernel may split into blocks and a tail."""
+        for n in range(1, 66):
+            assert _all_finite(np.ones(n, np.float32))
+            for at in range(n):
+                v = np.ones(n, np.float32)
+                v[at] = bad
+                assert not _all_finite(v), (n, at)
+
+    @pytest.mark.parametrize("dtype, big", [(np.float32, 1e20), (np.float64, 1e200)])
+    def test_squares_that_overflow_are_accepted_without_a_warning(self, dtype, big):
+        arr = np.full((3, 70), big, dtype=dtype)
+        arr[1, 5] = -big
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _all_finite(arr)
+            arr[2, 69] = np.nan
+            assert not _all_finite(arr)
+
+    def test_empty_array_is_finite(self):
+        assert _all_finite(np.empty((0, 4), np.float32))
+
+    def test_views_see_only_their_own_elements(self):
+        arr = rng_for(1).standard_normal((6, 40)).astype(np.float32)
+        arr[:, 1::2] = np.nan  # outside every view below but the transpose
+        views = [arr[:, ::2], arr[::2, ::2], arr[:, -2::-2]]
+        assert all(_all_finite(v) for v in views)
+        assert not _all_finite(arr.T)  # F-contiguous: read in memory order
+        arr[2, 38] = np.inf
+        assert not any(_all_finite(v) for v in views)
+
+    def test_contiguous_grid_allocates_almost_nothing(self):
+        grid = rng_for(2).standard_normal((128, 128, 32)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            assert _all_finite(grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.nbytes // 100
 
 
 class TestL2Normalize:

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from vismem import grids as grids_module
 from vismem import priors as priors_module
 from vismem.errors import InvalidInputError
-from vismem.grids import _minmax_rescale, gaussian_smooth
+from vismem.grids import _minmax_rescale, gaussian_kernel_1d, gaussian_smooth
 from vismem.priors import (
     DensePrior,
     _dense_priors,
@@ -71,15 +72,21 @@ class TestDensePrior:
         np.testing.assert_allclose(dense_prior(grid, p, sigma).heatmap, oracle, atol=1e-6)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_dense_priors_share_one_normalized_grid(self, seed):
+    def test_dense_priors_share_one_normalized_grid(self, seed, monkeypatch):
         """Many prototypes over one grid, a zero cell and empty prototypes
-        among them, give the composition oracle's heatmap for each, in order."""
+        among them, give the composition oracle's heatmap for each, in order,
+        from one smoothing kernel."""
         rng = rng_for(seed)
         grid = rng.standard_normal((8, 10, 6)).astype(np.float32)
         grid[2, 3] = 0.0
         protos = [proto_of(rng.standard_normal(6), f"c{i}") for i in range(5)]
         protos[1] = empty_proto(6, "c1")
+        kernels = []
+        monkeypatch.setattr(grids_module, "gaussian_kernel_1d",
+                            lambda sigma: kernels.append(sigma) or gaussian_kernel_1d(sigma))
         priors = _dense_priors(grid, protos, sigma=0.7)
+        monkeypatch.undo()
+        assert kernels == [0.7]
         assert [p.category for p in priors] == [p.category for p in protos]
         g = grid.astype(np.float64)
         norms = np.linalg.norm(g, axis=2, keepdims=True)
