@@ -7,8 +7,6 @@ its values as little-endian float32.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import FormatError
@@ -31,7 +29,7 @@ def _save_array(arr: np.ndarray, magic: str, path) -> None:
 def _load_array(path, magic: str, ndim: int) -> np.ndarray:
     with Reader.stream(path, magic, VERSION) as r:
         shape = tuple(r.u32() for _ in range(ndim))
-        arr = r.f32_array(math.prod(shape), shape=shape)
+        arr = r.f32_array(shape)
         r.expect_eof()
     return arr
 

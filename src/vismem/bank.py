@@ -12,6 +12,7 @@ import hashlib
 import math
 import os
 import re
+from collections.abc import MutableMapping
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
@@ -90,19 +91,63 @@ def _dims(kind: str, d_key, d_val, optional: bool) -> tuple:
     return tuple(None if dim is None else int(dim) for dim in (d_key, d_val))
 
 
+class _CheckedTable(MutableMapping):
+    """A provider table: names mapped to arrays that were checked as they
+    entered and are read-only from then on.
+
+    Every assignment, by item or through the constructor, update or
+    setdefault, runs check (as_vector or as_grid) on the value. The checked
+    array is frozen in place if it owns its data, so the caller's own
+    reference turns read-only too; any other array (a view or a broadcast)
+    is copied first, so nothing outside the table can write into what it
+    holds. A view the caller took of an owning array before it entered can
+    still write to it: that is the caller's to avoid."""
+
+    def __init__(self, name: str, check, items=None):
+        self._name, self._check, self._data = name, check, {}
+        self.update(items or {})
+
+    def __setitem__(self, key, value) -> None:
+        try:
+            arr = self._check(value)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{self._name}[{key!r}]: {exc}") from exc
+        if not arr.flags.owndata:
+            arr = arr.copy()
+        arr.flags.writeable = False
+        self._data[key] = arr
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self._data[key]
+
+    def __delitem__(self, key) -> None:
+        del self._data[key]
+
+    def __contains__(self, key) -> bool:
+        return key in self._data
+
+    def __iter__(self):
+        return iter(self._data)
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+
 class EmbeddingProvider:
     """Lookup tables of precomputed embeddings and feature grids.
 
-    The empty scene string always maps to the zero vector, so the scene term
-    vanishes for images without a descriptor.
+    The three tables check each vector or grid as it enters, in the
+    constructor or by item assignment, and hold it read-only (see
+    _CheckedTable). The empty scene string always maps to the zero vector,
+    so the scene term vanishes for images without a descriptor.
     """
 
     def __init__(self, text_table=None, image_table=None, feature_table=None,
                  d_key=None, d_val=None):
         d_key, d_val = _dims("", d_key, d_val, optional=True)
-        self.text_table = {k: as_vector(v) for k, v in (text_table or {}).items()}
-        self.image_table = {k: as_vector(v) for k, v in (image_table or {}).items()}
-        self.feature_table = {k: as_grid(g) for k, g in (feature_table or {}).items()}
+        self.text_table = _CheckedTable("text_table", as_vector, text_table)
+        self.image_table = _CheckedTable("image_table", as_vector, image_table)
+        self.feature_table = _CheckedTable("feature_table", as_grid, feature_table)
         # Unless given, the dims are those of the first table entry.
         if d_key is None:
             d_key = next((v.shape[0] for table in (self.text_table, self.image_table)
@@ -131,17 +176,34 @@ class EmbeddingProvider:
         return self.feature_table[image_id]
 
 
+def _checked_grid(provider: EmbeddingProvider, image_id: str, grid) -> np.ndarray:
+    """grid, which provider.feature_grid(image_id) returned, as a checked
+    grid: the very array the provider's checked feature table holds for
+    image_id is returned as it is while it is still read-only, since it was
+    checked as it entered; any other (a subclass's own grid, one from a
+    plain dict put in the table's place, or a held grid someone made
+    writable again) goes through as_grid."""
+    table = getattr(provider, "feature_table", None)
+    if (isinstance(table, _CheckedTable) and table._data.get(image_id) is grid
+            and not grid.flags.writeable):
+        return grid
+    return as_grid(grid)
+
+
 class HashingProvider(EmbeddingProvider):
     """Deterministic synthetic embedder: hashes strings to seeded unit vectors.
 
     Enables end-to-end runs and tests without any ML runtime. Feature grids
-    must still be registered explicitly.
+    must still be registered explicitly. Each text vector is drawn once and
+    kept, read-only; image vectors are drawn on every call, since a run over
+    many images would keep one per image.
     """
 
     def __init__(self, d_key: int, d_val: int, seed: int = 0, feature_table=None):
         _dims("hashing ", d_key, d_val, optional=False)
         super().__init__(feature_table=feature_table, d_key=d_key, d_val=d_val)
         self.seed = seed
+        self._texts = {}  # (hashed string, d_key) -> the text vector drawn from them
 
     def _hash_vector(self, kind: str, name: str) -> np.ndarray:
         digest = hashlib.blake2b(
@@ -151,7 +213,14 @@ class HashingProvider(EmbeddingProvider):
         return _l2_normalize(rng.standard_normal(self.d_key).astype(np.float32))
 
     def text_embedding(self, text: str) -> np.ndarray:
-        return super().text_embedding(text) if text == "" else self._hash_vector("text", text)
+        if text == "":
+            return super().text_embedding(text)
+        memo = (f"{self.seed}|text|{text}", self.d_key)  # what _hash_vector draws it from
+        vector = self._texts.get(memo)
+        if vector is None:
+            vector = self._texts[memo] = self._hash_vector("text", text)
+            vector.flags.writeable = False
+        return vector
 
     def image_embedding(self, image_id: str) -> np.ndarray:
         return self._hash_vector("image", image_id)
@@ -406,8 +475,11 @@ def _embed(records: list[GroundingRecord], provider: EmbeddingProvider,
 
     Each distinct text, image and feature grid is looked up and checked once,
     in the order a record-by-record build asks for them: a record's phrase,
-    scene and image, then its grid. The arithmetic then runs on columns, and
-    a refusal is the one that build made at its first failing record."""
+    scene and image, then its grid. A grid the provider's checked table
+    holds, still read-only, was checked as it entered and is not checked
+    again (_checked_grid). The arithmetic
+    then runs on columns, and a refusal is the one that build made at its
+    first failing record."""
     vectors, grids = [], []  # distinct key inputs and grids, in first-use order
     text_at, image_at, grid_at = {}, {}, {}
     key_rows, grid_rows = [], []  # per record: its phrase, scene and image in vectors; its grid
@@ -426,7 +498,8 @@ def _embed(records: list[GroundingRecord], provider: EmbeddingProvider,
             key_rows.append((text_at[rec.phrase], text_at[rec.scene], image_at[rec.image_id]))
             if rec.image_id not in grid_at:
                 grid_at[rec.image_id] = len(grids)
-                grids.append(as_grid(provider.feature_grid(rec.image_id)))
+                grids.append(_checked_grid(provider, rec.image_id,
+                                           provider.feature_grid(rec.image_id)))
             grid_rows.append(grid_at[rec.image_id])
     except (InvalidInputError, MissingEmbeddingError) as exc:
         _key_column(vectors[:checked], key_rows, weights)  # an earlier record's key fails first

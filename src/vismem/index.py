@@ -10,7 +10,6 @@ full-precision keys repairs approximation errors before the final top-K cut.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -485,7 +484,7 @@ def _finite_f32s(r: Reader, what: str, shape: tuple[int, ...]) -> np.ndarray:
     """The next float32 array of this shape; a NaN or inf in it is a
     FormatError at its offset, as training never writes one."""
     at = r.offset
-    arr = r.f32_array(math.prod(shape), shape=shape)
+    arr = r.f32_array(shape)
     if not _all_finite(arr):
         bad = ~np.isfinite(arr.ravel())
         raise FormatError(f"non-finite {what}", offset=at + 4 * int(np.argmax(bad)))

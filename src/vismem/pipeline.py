@@ -13,7 +13,8 @@ from functools import partial
 
 import numpy as np
 
-from .bank import BankBuildConfig, EmbeddingProvider, KeyWeights, MemoryBank, _key_column
+from .bank import (BankBuildConfig, EmbeddingProvider, KeyWeights, MemoryBank, _checked_grid,
+                   _key_column)
 from .errors import InvalidInputError, VismemError
 from .grids import as_grid, as_vector
 from .index import IvfPqParams, SearchHit, _hits
@@ -186,9 +187,12 @@ def run_pipeline(config: PipelineConfig, bank: MemoryBank, index,
     explicit scales are given. Prototypes of non-empty categories serve as
     the stand-in classification embeddings.
 
-    Per-image work is done once: the input grid and every scale are checked
-    on entry, a scale that is the provider's grid object by that one check,
-    each phrase, the scene and the image are looked up and checked once, the
+    Per-image work is done once: the input grid is checked on entry, unless
+    it is the very array the provider's checked feature table holds, which
+    was checked as it entered the table; every explicit scale is checked
+    once, except one that is the object the provider returned, which shares
+    the input grid's check; each phrase, the scene and the image are looked
+    up and checked once, the
     queries are built as one key column, checked against the index on the
     first alone, as all share one width, and searched in one pass, the dense
     priors share one normalized grid, and all categories are refined together,
@@ -206,7 +210,7 @@ def run_pipeline(config: PipelineConfig, bank: MemoryBank, index,
                                     f"a parameter set's window {p.window}")
     with _stage("input_grid"):
         raw_grid = provider.feature_grid(image_id)
-        input_grid = as_grid(raw_grid)
+        input_grid = _checked_grid(provider, image_id, raw_grid)
     with _stage("scales"):
         scales = [input_grid] if scales is None else [
             input_grid if s is raw_grid else as_grid(s) for s in scales]

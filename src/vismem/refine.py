@@ -315,8 +315,8 @@ def load_params(path):
             with format_errors("bad parameter set", r.offset):
                 sets.append(RefinementParams(
                     e=r.f32_array(dim),
-                    w_sparse=r.f32_array(dim * dim, shape=(dim, dim)),
-                    w_dense=r.f32_array(dim * dim, shape=(dim, dim)),
+                    w_sparse=r.f32_array((dim, dim)),
+                    w_dense=r.f32_array((dim, dim)),
                     ln_gain=r.f32_array(dim),
                     ln_bias=r.f32_array(dim),
                     ln_eps=ln_eps,

@@ -190,9 +190,16 @@ class Reader:
     def f32(self) -> float:
         return struct.unpack("<f", self._take(4))[0]
 
-    def f32_array(self, count: int, shape=None) -> np.ndarray:
-        arr = self.records(np.dtype("<f4"), count).astype(np.float32, copy=False)
-        return arr.reshape(shape) if shape is not None else arr
+    def f32_array(self, shape) -> np.ndarray:
+        """The next little-endian float32 values as a new array of the given
+        shape (an int for 1-D) that owns its data: the shaped array is read
+        into, not reshaped from a flat buffer into a view. Its bytes are
+        claimed before it is sized."""
+        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        start = self._advance(4 * math.prod(shape))
+        arr = np.empty(shape, dtype="<f4")
+        self._fill(arr.reshape(-1).view(np.uint8), start)
+        return arr.astype(np.float32, copy=False)
 
     def json_block(self):
         start = self.offset

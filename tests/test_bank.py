@@ -815,6 +815,21 @@ class TestNameColumns:
                              tmp_path / "t.pmem")
         assert_own_memory(list(load_embedding_table(tmp_path / "t.pmem").values()))
 
+    def test_shaped_float_arrays_are_read_into_not_reshaped(self, tmp_path):
+        """A loaded grid owns its data, so it enters a provider's table by
+        being frozen in place, not copied."""
+        rng = rng_for(9)
+        save_feature_grid(rng.standard_normal((2, 3, 4)), tmp_path / "g.pgrd")
+        grid = load_feature_grid(tmp_path / "g.pgrd")
+        assert grid.shape == (2, 3, 4) and grid.base is None and grid.flags.writeable
+        index = train_ivfpq(rng.standard_normal((40, 8)).astype(np.float32),
+                            IvfPqParams(nlist=4, m=2, nbits=2, kmeans_iters=2))
+        save_index(index, tmp_path / "i.pivf")
+        loaded = load_index(tmp_path / "i.pivf")
+        assert loaded.coarse_centroids.base is None and loaded.pq_codebooks.base is None
+        provider = EmbeddingProvider(feature_table={"g": grid})
+        assert provider.feature_grid("g") is grid and not grid.flags.writeable
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_bank_loads_from_a_pipe(self, tmp_path):
         bank = hand_bank(["cat", "caf\u00e9"], ["img0", "img1"], [None, 2.0])
@@ -1156,6 +1171,147 @@ class TestHashingProvider:
     def test_empty_scene_is_zero(self):
         p = HashingProvider(d_key=8, d_val=4)
         np.testing.assert_array_equal(p.text_embedding(""), np.zeros(8, dtype=np.float32))
+        zeros = p.text_embedding("")
+        assert zeros.flags.writeable and p.text_embedding("") is not zeros  # not kept
+
+    def test_text_vector_drawn_once_and_read_only(self):
+        p = HashingProvider(d_key=16, d_val=4, seed=2)
+        v = p.text_embedding("cat")
+        assert p.text_embedding("cat") is v and not v.flags.writeable
+        assert v.tobytes() == p._hash_vector("text", "cat").tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 1.0
+
+    def test_providers_share_no_text_vector(self):
+        a, b = (HashingProvider(d_key=16, d_val=4, seed=seed) for seed in (0, 1))
+        va, vb = a.text_embedding("cat"), b.text_embedding("cat")
+        assert not np.shares_memory(va, vb) and not np.array_equal(va, vb)
+        assert vb.tobytes() == HashingProvider(d_key=16, d_val=4, seed=1).text_embedding("cat").tobytes()
+
+    def test_new_seed_or_dim_draws_anew(self):
+        p = HashingProvider(d_key=16, d_val=4, seed=0)
+        p.text_embedding("cat")
+        p.seed, p.d_key = 1, 8
+        assert p.text_embedding("cat").tobytes() == \
+            HashingProvider(d_key=8, d_val=4, seed=1).text_embedding("cat").tobytes()
+        p.seed = [1]  # a seed that is not hashable still draws
+        assert p.text_embedding("cat").tobytes() == p._hash_vector("text", "cat").tobytes()
+
+    def test_image_vectors_are_not_kept(self):
+        p = HashingProvider(d_key=16, d_val=4)
+        v = p.image_embedding("img")
+        w = p.image_embedding("img")
+        assert w is not v and v.flags.writeable and v.tobytes() == w.tobytes()
+
+
+def nan_grid(shape=(4, 4, 3)):
+    grid = np.ones(shape, np.float32)
+    grid[1, 2, 0] = np.nan
+    return grid
+
+
+def nan_vector(d=4):
+    v = np.ones(d, np.float32)
+    v[2] = np.nan
+    return v
+
+
+class TestCheckedTables:
+    """A provider's text, image and feature tables check each array as it
+    enters and hold it read-only from then on."""
+
+    @pytest.mark.parametrize("table, bad", [("text_table", nan_vector()),
+                                            ("image_table", nan_vector()),
+                                            ("feature_table", nan_grid())])
+    def test_constructor_refuses_non_finite(self, table, bad):
+        with pytest.raises(InvalidInputError, match=rf"{table}\['x'\]: .*non-finite"):
+            EmbeddingProvider(**{table: {"ok": np.abs(np.nan_to_num(bad)), "x": bad}})
+
+    @pytest.mark.parametrize("table, bad", [("text_table", nan_vector()),
+                                            ("image_table", nan_vector()),
+                                            ("feature_table", nan_grid())])
+    def test_item_assignment_refuses_non_finite(self, table, bad):
+        provider = make_provider(d_key=4, d_val=3)
+        tab = getattr(provider, table)
+        before = dict(tab)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            tab["x"] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            tab.update({"y": bad})
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            tab.setdefault("z", bad)
+        assert dict(tab) == before
+
+    def test_a_grid_is_refused_by_shape(self):
+        provider = EmbeddingProvider()
+        with pytest.raises(InvalidInputError, match=r"feature_table\['a'\]: .*feature grid"):
+            provider.feature_table["a"] = np.ones((4, 3), np.float32)
+
+    def test_stored_grid_owning_its_data_is_frozen_in_place(self):
+        grid = np.ones((4, 4, 3), np.float32)
+        provider = EmbeddingProvider(feature_table={"a": grid})
+        provider.feature_table["b"] = later = np.zeros((2, 2, 3), np.float32)
+        assert provider.feature_grid("a") is grid and provider.feature_grid("b") is later
+        for held in (provider.feature_grid("a"), grid, later):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0, 0, 0] = 5.0
+        assert grid[0, 0, 0] == 1.0 and later[0, 0, 0] == 0.0
+
+    @pytest.mark.parametrize("table", ["text_table", "image_table"])
+    def test_stored_vector_is_read_only(self, table):
+        v = np.ones(4, np.float32)
+        tab = getattr(EmbeddingProvider(**{table: {"a": v}}), table)
+        assert tab["a"] is v
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 2.0
+
+    def test_a_view_is_copied_and_its_base_stays_writable(self):
+        base = np.ones((8, 4, 3), np.float32)
+        view = base[:4]
+        provider = EmbeddingProvider(feature_table={"v": view})
+        held = provider.feature_grid("v")
+        assert held is not view and held.flags.owndata and not held.flags.writeable
+        assert base.flags.writeable and view.flags.writeable
+        base[0, 0, 0] = 9.0
+        assert held[0, 0, 0] == 1.0
+
+    def test_a_broadcast_is_copied(self):
+        u = np.array([1.0, 2.0, 2.0], dtype=np.float32)
+        provider = HashingProvider(d_key=4, d_val=3)
+        provider.feature_table["b"] = np.broadcast_to(u, (4, 4, 3))
+        held = provider.feature_grid("b")
+        assert held.flags.owndata and not held.flags.writeable
+        np.testing.assert_array_equal(held, np.broadcast_to(u, (4, 4, 3)))
+
+    def test_a_converted_array_leaves_the_callers_writable(self):
+        grid = np.ones((4, 4, 3), np.float64)
+        provider = EmbeddingProvider(feature_table={"a": grid})
+        held = provider.feature_grid("a")
+        assert held.dtype == np.float32 and not held.flags.writeable and grid.flags.writeable
+
+    def test_a_provider_built_from_another_s_tables_shares_their_arrays(self):
+        base = make_provider()
+        again = EmbeddingProvider(base.text_table, base.image_table, base.feature_table)
+        for name in ("text_table", "image_table", "feature_table"):
+            old, new = getattr(base, name), getattr(again, name)
+            assert new is not old and list(new) == list(old)
+            assert all(new[k] is old[k] for k in old)
+
+    def test_behaves_as_a_dict(self):
+        provider = make_provider(n_images=3)
+        tab = provider.feature_table
+        assert len(tab) == 3 and list(tab) == ["img0", "img1", "img2"]
+        assert "img1" in tab and "nope" not in tab
+        assert tab.get("nope") is None and tab.get("img1") is provider.feature_grid("img1")
+        assert [k for k, _ in tab.items()] == list(tab.keys())
+        popped = tab.pop("img1")
+        assert popped.shape == (6, 6, 8) and "img1" not in tab and tab.pop("img1", None) is None
+        del tab["img0"]
+        assert list(tab) == ["img2"] and len(tab) == 1
+        with pytest.raises(KeyError):
+            del tab["img0"]
+        with pytest.raises(MissingEmbeddingError):
+            provider.feature_grid("img0")
 
 
 class TestEmbeddingProviderDims:

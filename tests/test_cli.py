@@ -286,6 +286,30 @@ class TestPipeline:
         assert "--categories" in assert_one_error_line(capsys)
 
 
+class TestProviderHoldsLoadedGrids:
+    """The provider the CLI builds holds the very grids it loaded: they own
+    their data, so entering its table freezes them and copies nothing."""
+
+    @pytest.mark.parametrize("source", ["scenario", "features_dir"])
+    def test_resolve_provider_holds_the_loaded_grids(self, source, scenario_dir, monkeypatch):
+        loaded, load = {}, artifacts.load_feature_grid
+        def recording(path):
+            loaded[Path(path).stem] = grid = load(path)
+            return grid
+        monkeypatch.setattr(artifacts, "load_feature_grid", recording)
+        args = argparse.Namespace(scenario=None, features_dir=None, hash_key_dim=None,
+                                  text_table=None, image_table=None)
+        if source == "scenario":
+            args.scenario = str(scenario_dir)
+        else:
+            args.features_dir = str(scenario_dir / "features")
+        provider = cli._resolve_provider(args)
+        assert len(loaded) > 1 and list(provider.feature_table) == sorted(loaded)
+        for image_id, grid in loaded.items():
+            assert provider.feature_grid(image_id) is grid
+            assert grid.base is None and not grid.flags.writeable
+
+
 class TestOutOfRangeValuesExit2:
     """Values the commands cannot run with end in one error line and exit
     2, not in a traceback or a file a later command refuses."""

@@ -1,13 +1,16 @@
+import copy
 import cProfile
 
 import numpy as np
 import pytest
 
+from vismem import bank as bank_module
 from vismem import grids
 from vismem import pipeline as pipeline_module
-from vismem.bank import BankBuildConfig, EmbeddingProvider, HashingProvider, KeyWeights, build_bank
+from vismem.bank import (BankBuildConfig, EmbeddingProvider, GroundingRecord, HashingProvider,
+                         KeyWeights, build_bank)
 from vismem.errors import InvalidInputError, VismemError
-from vismem.grids import as_grid
+from vismem.grids import Box2D, as_grid
 from vismem.index import FlatIndex, IvfPqParams, ivfpq_add, train_ivfpq
 from vismem.pipeline import (
     PipelineConfig,
@@ -48,6 +51,22 @@ def bank_and_index(scenario, drop=0.0):
     bank = build_bank(scenario.records, scenario.provider,
                       BankBuildConfig(drop_fraction=drop))
     return bank, FlatIndex.from_bank(bank)
+
+
+class OwnGrids(HashingProvider):
+    """The hashing provider of a scenario whose feature_grid hands out the
+    arrays of its own plain dict where it has one, which no checked table
+    holds, and the table's grids otherwise."""
+
+    def __init__(self, base, own):
+        super().__init__(base.d_key, base.d_val, seed=base.seed,
+                         feature_table=base.feature_table)
+        self.own = own
+
+    def feature_grid(self, image_id):
+        if image_id in self.own:
+            return self.own[image_id]
+        return super().feature_grid(image_id)
 
 
 class TestPipelineConfig:
@@ -634,27 +653,38 @@ class TestPipelineComposesPublicFunctions:
 
     def test_provider_grid_as_a_scale_is_checked_once(self, monkeypatch):
         """A scale that is the provider's grid object reuses the input grid's
-        check; a copy of it is checked on its own. Both give the same bits."""
+        check: for a grid the provider's table holds, the check it had as it
+        entered the table; for a grid a provider hands out from elsewhere,
+        run_pipeline's one check of the input grid. A copy of it is checked
+        on its own. All give the same bits."""
         s = standard_scenario(seed=4, noise=0.05)
         bank, index = bank_and_index(s)
         grid = s.provider.feature_grid(INPUT_IMAGE_ID)
         params = RefinementParams.seeded_init(s.spec.d_val, seed=1)
+        own = OwnGrids(s.provider, {INPUT_IMAGE_ID: np.array(grid)})
+        own_grid = own.feature_grid(INPUT_IMAGE_ID)
         checked = []
         def as_grid_counted(g):
             checked.append(g)
             return as_grid(g)
         monkeypatch.setattr(pipeline_module, "as_grid", as_grid_counted)
+        monkeypatch.setattr(bank_module, "as_grid", as_grid_counted)
         args = (PipelineConfig(peak_threshold=0.3), bank, index, s.provider, INPUT_IMAGE_ID,
                 s.categories, params)
         results = run_pipeline(*args, scene=s.spec.scene, scales=[grid, avg_pool(grid, 2)])
-        assert len(checked) == 2 and checked[0] is grid and checked[1] is not grid
+        assert len(checked) == 1 and checked[0] is not grid
+        checked.clear()
+        own_results = run_pipeline(*args[:3], own, *args[4:], scene=s.spec.scene,
+                                   scales=[own_grid, avg_pool(own_grid, 2)])
+        assert len(checked) == 2 and checked[0] is own_grid and checked[1] is not own_grid
         checked.clear()
         copies = run_pipeline(*args, scene=s.spec.scene,
                               scales=[grid.copy(), avg_pool(grid, 2)])
-        assert len(checked) == 3
+        assert len(checked) == 2
         oracle = {c: (r.hits, r.prototype, r.prior, r.anchors, r.prompts, r.logits)
                   for c, r in copies.items()}
         self._assert_bit_equal(results, oracle, 2)
+        self._assert_bit_equal(own_results, oracle, 2)
 
     @staticmethod
     def _assert_bit_equal(results, oracle, n_scales):
@@ -676,6 +706,80 @@ class TestPipelineComposesPublicFunctions:
             np.testing.assert_array_equal(res.logits.values, logits.values)
             assert (res.logits.categories, res.logits.sources) == \
                 (logits.categories, logits.sources)
+
+
+class TestTableGridsCheckedOnEntry:
+    """A grid the provider's table holds was checked as it entered the table,
+    so neither build_bank nor run_pipeline checks it again; every other grid,
+    a caller's scale or one a provider hands out from elsewhere, is checked
+    exactly once. Checks are counted at grids._all_finite, which every
+    as_grid and as_vector runs."""
+
+    @staticmethod
+    def count_checks(monkeypatch) -> list:
+        seen, real = [], grids._all_finite
+        def counted(arr):
+            seen.append(arr)
+            return real(arr)
+        monkeypatch.setattr(grids, "_all_finite", counted)
+        return seen
+
+    def test_no_table_grid_is_checked_again(self, monkeypatch):
+        s = standard_scenario(seed=4, noise=0.05)
+        held = list(s.provider.feature_table.values())
+        seen = self.count_checks(monkeypatch)
+        bank, index = bank_and_index(s)
+        results = run_pipeline(PipelineConfig(peak_threshold=0.3), bank, index, s.provider,
+                               INPUT_IMAGE_ID, s.categories,
+                               RefinementParams.seeded_init(s.spec.d_val, seed=1),
+                               scene=s.spec.scene)
+        assert len(bank) == len(s.records) and any(r.logits is not None for r in results.values())
+        assert seen  # vectors are still checked
+        assert [a.shape for a in seen for g in held if np.may_share_memory(a, g)] == []
+
+    def test_caller_scale_and_provider_grid_checked_once(self, monkeypatch):
+        s = standard_scenario(seed=4, noise=0.05)
+        bank, index = bank_and_index(s)
+        grid = s.provider.feature_grid(INPUT_IMAGE_ID)
+        own_grid, scale = np.array(grid), avg_pool(grid, 2)
+        provider = OwnGrids(s.provider, {INPUT_IMAGE_ID: own_grid})
+        seen = self.count_checks(monkeypatch)
+        run_pipeline(PipelineConfig(), bank, index, provider, INPUT_IMAGE_ID, s.categories,
+                     RefinementParams.zero_init(s.spec.d_val), scene=s.spec.scene,
+                     scales=[own_grid, scale])
+        assert [sum(a is g for a in seen) for g in (own_grid, scale)] == [1, 1]
+        assert not any(np.may_share_memory(a, grid) for a in seen)
+
+    @pytest.mark.parametrize("how", ["made_writable", "deep_copy"])
+    def test_a_writable_grid_in_the_table_is_checked(self, how):
+        """A held grid made writable again, or a deep copy's grid (numpy
+        copies are writable), can have changed since it entered, so it is
+        checked like any other."""
+        s = standard_scenario()
+        bank, index = bank_and_index(s)
+        provider = copy.deepcopy(s.provider) if how == "deep_copy" else s.provider
+        grid = provider.feature_grid(INPUT_IMAGE_ID)
+        grid.flags.writeable = True
+        grid[3, 5, 0] = np.nan
+        with pytest.raises(InvalidInputError, match=r"\[stage input_grid\].*non-finite"):
+            run_pipeline(PipelineConfig(), bank, index, provider, INPUT_IMAGE_ID,
+                         s.categories, RefinementParams.zero_init(s.spec.d_val),
+                         scene=s.spec.scene)
+        record = GroundingRecord(INPUT_IMAGE_ID, Box2D(0.0, 0.0, 1.0, 1.0), "cat", blur_score=1.0)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            build_bank([record], provider, BankBuildConfig(drop_fraction=0.0))
+
+    def test_provider_grids_checked_once_by_build_bank(self, monkeypatch):
+        s = standard_scenario(seed=4, noise=0.05)
+        own = {image_id: np.array(g) for image_id, g in s.provider.feature_table.items()}
+        provider = OwnGrids(s.provider, own)
+        seen = self.count_checks(monkeypatch)
+        bank = build_bank(s.records, provider, BankBuildConfig(drop_fraction=0.0))
+        used = {r.image_id for r in s.records}
+        assert {image_id: sum(a is g for a in seen) for image_id, g in own.items()} == \
+            {image_id: int(image_id in used) for image_id in own}
+        monkeypatch.undo()
+        assert bank == bank_and_index(s)[0]
 
 
 class TestBadFeatureGrids:
@@ -704,6 +808,9 @@ class TestBadFeatureGrids:
     @pytest.mark.parametrize("empty_bank", [False, True])
     @pytest.mark.parametrize("explicit_scales", [False, True])
     def test_nan_in_input_grid(self, empty_bank, explicit_scales):
+        """A NaN grid is refused as it enters the provider's table, which
+        keeps its grid; one that a provider hands out from elsewhere is
+        refused by run_pipeline's input_grid stage."""
         s = standard_scenario()
         bank, index = bank_and_index(s)
         if empty_bank:
@@ -711,8 +818,12 @@ class TestBadFeatureGrids:
             index = FlatIndex.from_bank(bank)
         grid = s.provider.feature_grid(INPUT_IMAGE_ID)
         scales = [grid] if explicit_scales else None
-        s.provider.feature_table[INPUT_IMAGE_ID] = self._nan_at(grid)
+        bad = self._nan_at(grid)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            s.provider.feature_table[INPUT_IMAGE_ID] = bad
+        assert s.provider.feature_grid(INPUT_IMAGE_ID) is grid
+        provider = OwnGrids(s.provider, {INPUT_IMAGE_ID: bad})
         with pytest.raises(InvalidInputError, match=r"\[stage input_grid\].*non-finite"):
-            run_pipeline(PipelineConfig(), bank, index, s.provider, INPUT_IMAGE_ID,
+            run_pipeline(PipelineConfig(), bank, index, provider, INPUT_IMAGE_ID,
                          s.categories, RefinementParams.zero_init(s.spec.d_val),
                          scene=s.spec.scene, scales=scales)
