@@ -23,6 +23,7 @@ from .grids import (
     Box2D,
     _all_finite,
     _box_means,
+    _check,
     _l2_normalize,
     as_grid,
     as_scalar_map,
@@ -63,6 +64,10 @@ class KeyWeights:
     w_s: float = 0.3
     w_g: float = 0.01
 
+    def __post_init__(self):
+        for name, value in asdict(self).items():
+            object.__setattr__(self, name, _check(name, value))
+
     def as_dict(self) -> dict:
         return asdict(self)
 
@@ -80,15 +85,13 @@ class GroundingRecord:
 
 
 def _dims(kind: str, d_key, d_val, optional: bool) -> tuple:
-    """d_key and d_val as ints, each an int or np.integer >= 1 (not a bool),
-    or None where optional; anything else is refused."""
-    def ok(dim):
-        return ((dim is None and optional)
-                or (isinstance(dim, (int, np.integer)) and not isinstance(dim, bool) and dim >= 1))
-    if not (ok(d_key) and ok(d_val)):
+    """d_key and d_val as ints >= 1, or None where optional; one error for both."""
+    try:
+        return tuple(None if dim is None and optional else _check(name, dim)
+                     for name, dim in (("d_key", d_key), ("d_val", d_val)))
+    except InvalidInputError:
         raise InvalidInputError(f"{kind}dims must be >= 1 and integers, "
-                                f"got d_key={d_key!r}, d_val={d_val!r}")
-    return tuple(None if dim is None else int(dim) for dim in (d_key, d_val))
+                                f"got d_key={d_key!r}, d_val={d_val!r}") from None
 
 
 class _CheckedTable(MutableMapping):
@@ -334,8 +337,7 @@ def build_key(phrase_emb, scene_emb, image_emb, weights: KeyWeights) -> np.ndarr
 
 def filter_small_boxes(records: list[GroundingRecord], min_area: float) -> list[GroundingRecord]:
     """Drop records whose normalized box area is below min_area."""
-    if min_area < 0:
-        raise InvalidInputError(f"min_area must be >= 0, got {min_area}")
+    min_area = _check("min_area", min_area)
     return [r for r in records if r.box.area >= min_area]
 
 
@@ -358,8 +360,7 @@ def laplacian_variance(gray) -> float:
 
 def merge_duplicates(records: list[GroundingRecord], iou_threshold: float) -> list[GroundingRecord]:
     """Keep the first of any same-image, same-phrase group with IoU >= threshold."""
-    if not (0.0 < iou_threshold <= 1.0):
-        raise InvalidInputError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    iou_threshold = _check("iou_threshold", iou_threshold)
     kept: list[GroundingRecord] = []
     kept_by_group: dict[tuple[str, str], list[Box2D]] = {}
     for rec in records:
@@ -384,8 +385,7 @@ def blur_filter(records: list[GroundingRecord], scores: list[float],
 
     Ties at the cutoff are broken by dropping the lower record index first.
     """
-    if not (0.0 <= drop_fraction < 1.0):
-        raise InvalidInputError(f"drop_fraction must be in [0, 1), got {drop_fraction}")
+    drop_fraction = _check("drop_fraction", drop_fraction)
     if len(records) != len(scores):
         raise InvalidInputError("records and scores must have equal length")
     scores = np.asarray(scores, dtype=np.float64)
@@ -651,11 +651,11 @@ def load_bank(path) -> MemoryBank:
         meta_at = r.offset
         meta = r.json_block()
         weights = meta.get("weights") if isinstance(meta, dict) else None
-        if not (isinstance(weights, dict) and weights.keys() == KeyWeights().as_dict().keys()
-                and all(map(is_json_number, weights.values()))
-                and isinstance(meta.get("manifest"), dict)):
-            raise FormatError(f"bad weights or manifest in bank header: {meta!r:.200}",
-                              offset=meta_at)
+        with format_errors("bad weights or manifest in bank header", meta_at):
+            if not (isinstance(weights, dict) and weights.keys() == KeyWeights().as_dict().keys()
+                    and isinstance(meta.get("manifest"), dict)):
+                raise InvalidInputError(f"{meta!r:.200}")
+            weights = KeyWeights(**weights)
         records_at = r.offset
         with format_errors("bad bank record layout", 8):
             layout = _record_dtype(d_key, d_val)
@@ -667,7 +667,7 @@ def load_bank(path) -> MemoryBank:
     with format_errors("bad UTF-8 in a category or image id", records_at):
         categories, image_ids = (_decode_names(columns.pop(name))
                                  for name in ("category", "image_id"))
-    return MemoryBank._adopt(d_key, d_val, KeyWeights(**weights), meta["manifest"],
+    return MemoryBank._adopt(d_key, d_val, weights, meta["manifest"],
                              keys=columns["key"], values=columns["value"],
                              categories=categories, image_ids=image_ids,
                              boxes=columns["box"], blur=columns["blur"])

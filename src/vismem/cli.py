@@ -73,7 +73,7 @@ def _resolve_config(args, bank=None, index=None, params=None) -> PipelineConfig:
             raise _UsageError(str(exc)) from None
     stored = {}  # key: (value, the loaded file that stores it)
     if bank is not None:
-        stored.update({k: (float(v), "bank") for k, v in bank.weights.as_dict().items()})
+        stored.update({k: (v, "bank") for k, v in bank.weights.as_dict().items()})
     if isinstance(index, IvfPqIndex):
         stored.update({k: (getattr(index.params, k), "index")
                        for k in ("nlist", "m", "nbits", "seed", "kmeans_iters")})
@@ -84,12 +84,10 @@ def _resolve_config(args, bank=None, index=None, params=None) -> PipelineConfig:
         if updates.setdefault(key, value) != value:
             raise InvalidInputError(f"--set {key}={updates[key]} disagrees with the loaded "
                                     f"{source}, which has {key}={value}")
-    if isinstance(index, IvfPqIndex):
-        nlist, nprobe = updates["nlist"], updates.get("nprobe", config.nprobe)
-        if not 1 <= nprobe <= nlist:
-            raise InvalidInputError(
-                f"nprobe={nprobe} does not fit the loaded index, which has nlist={nlist}; "
-                f"pass --set nprobe=N with 1 <= N <= {nlist}")
+    nlist, nprobe = updates.get("nlist"), updates.get("nprobe", config.nprobe)
+    if isinstance(index, IvfPqIndex) and nprobe > nlist:
+        raise InvalidInputError(f"nprobe={nprobe} does not fit the loaded index, which has "
+                                f"nlist={nlist}; pass --set nprobe=N with 1 <= N <= {nlist}")
     return replace(config, **updates)
 
 

@@ -10,15 +10,64 @@ cell-center convention: cell (r, c) of an HxW grid is centered at
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import InvalidInputError
 
 # Norms at or below this are treated as zero (degenerate) rather than divided by.
 EPS_NORM = 1e-12
+
+
+def _rule(kind: type, lo=-math.inf, hi=math.inf, ends="[]", odd=False) -> tuple:
+    """A tunable's kind, int or float (a float must be finite), its bounds, each
+    closed or open as ends says ("[" or "(", "]" or ")"), and its oddness."""
+    return kind, lo, hi, ends, odd
+
+
+# The one rule of each tunable, under every name that the config, the stages
+# and the synthetic scenarios give it; the names in a row share its rule.
+_RULES = {
+    **dict.fromkeys(("k", "recall_size", "nprobe", "max_anchors", "nlist", "m", "kmeans_iters",
+                     "iters", "grid_h", "grid_w", "d_key", "d_val"), _rule(int, 1)),
+    **dict.fromkeys(("seed", "count", "entries_per_category", "distractors", "center_row",
+                     "center_col"), _rule(int, 0)),
+    "nbits": _rule(int, 1, 8),  # PQ codes of one byte
+    **dict.fromkeys(("window", "extent"), _rule(int, 1, odd=True)),  # cells about a centre cell
+    **dict.fromkeys(("w_p", "w_s", "w_g"), _rule(float)),
+    **dict.fromkeys(("tau", "tau_p", "radius", "radius_cells", "eps", "ln_eps", "kernel_sigma"),
+                    _rule(float, 0, ends="(]")),
+    **dict.fromkeys(("sigma", "min_area", "noise"), _rule(float, 0)),  # sigma 0 smooths nothing
+    **dict.fromkeys(("threshold", "peak_threshold"), _rule(float, 0, 1)),
+    "iou_threshold": _rule(float, 0, 1, "(]"),
+    "drop_fraction": _rule(float, 0, 1, "[)"),
+}
+
+
+def _check(name: str, value, what: str | None = None):
+    """value as the Python int or float that the rule of `name` allows, or
+    InvalidInputError naming it `what` (name by default). No bool passes, and
+    an int rule takes integers alone: not 2.5, 3.0, inf or nan."""
+    (kind, lo, hi, ends, odd), what = _RULES[name], what or name
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if kind is int else numbers.Real):
+        raise InvalidInputError(f"{what} must be {'an integer' if kind is int else 'a number'}, "
+                                f"got {value!r}")
+    try:
+        v = kind(value)
+    except OverflowError:  # an int too large for a float
+        v = math.inf
+    if ((v > lo if ends[0] == "(" else v >= lo) and (v < hi if ends[1] == ")" else v <= hi)
+            and (kind is int or math.isfinite(v)) and not (odd and v % 2 == 0)):
+        return v
+    words = ["finite"] * (kind is float) + ["odd"] * odd
+    if hi < math.inf:
+        words.append(f"in {ends[0]}{lo:g}, {hi:g}{ends[1]}")
+    elif lo > -math.inf:
+        words.append(f"{'>' if ends[0] == '(' else '>='} {lo:g}")
+    raise InvalidInputError(f"{what} must be {' and '.join(words)}, got {v!r}")
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -256,8 +305,7 @@ def _bilinear(grid: np.ndarray, xs, ys, layers=None) -> np.ndarray:
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     """Normalized 1-D Gaussian kernel with radius ceil(3*sigma), float64;
     sigma must be finite and > 0."""
-    if not 0 < sigma < np.inf:
-        raise InvalidInputError(f"sigma must be finite and > 0, got {sigma}")
+    sigma = _check("kernel_sigma", sigma, "sigma")
     radius = int(math.ceil(3.0 * sigma))
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-0.5 * (x / sigma) ** 2)
@@ -272,9 +320,7 @@ def gaussian_smooth(scalar_map, sigma: float) -> np.ndarray:
 def _smoothing_kernel(sigma: float) -> np.ndarray | None:
     """The kernel of gaussian_smooth at sigma, which must be finite and >= 0;
     None for sigma = 0, which smooths nothing."""
-    if not 0 <= sigma < np.inf:
-        raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma}")
-    return gaussian_kernel_1d(sigma) if sigma else None
+    return gaussian_kernel_1d(sigma) if _check("sigma", sigma) else None
 
 
 def _gaussian_smooth(scalar_map: np.ndarray, kernel: np.ndarray | None) -> np.ndarray:
@@ -282,6 +328,7 @@ def _gaussian_smooth(scalar_map: np.ndarray, kernel: np.ndarray | None) -> np.nd
     the kernel _smoothing_kernel gives."""
     if kernel is None:
         return scalar_map.copy()
+    from scipy import ndimage  # here, not at the top: it is most of the CLI's import time
     out = scalar_map.astype(np.float64)
     # scipy's "reflect" mode (d c b a | a b c d) conserves total mass.
     out = ndimage.correlate1d(out, kernel, axis=0, mode="reflect")
@@ -311,9 +358,7 @@ def layer_norm(v, gain, bias, eps: float = 1e-5) -> np.ndarray:
     bias = as_vector(bias)
     if not (v.shape[-1] == gain.shape[0] == bias.shape[0]):
         raise InvalidInputError("v, gain and bias must share one dimension")
-    if not 0 < eps < np.inf:
-        raise InvalidInputError(f"eps must be finite and > 0, got {eps}")
-    out = _layer_norm(v, gain, bias, eps)
+    out = _layer_norm(v, gain, bias, _check("eps", eps))
     if not _all_finite(out):
         raise InvalidInputError(LN_OVERFLOW)
     return out

@@ -10,13 +10,13 @@ full-precision keys repairs approximation errors before the final top-K cut.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import FormatError, InvalidInputError
-from .grids import _all_finite
+from .grids import _all_finite, _check
 from .serial import Reader, Writer, atomic_write_bytes, format_errors
 
 INDEX_MAGIC = "PIVF"
@@ -31,7 +31,7 @@ class SearchHit:
 
 def _top_k(ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The top-k (ids, scores) by (score desc, id asc): the one ranking of
-    every search. k >= 1 is checked by the caller, with `_check_k`.
+    every search. k >= 1 is checked by the caller.
 
     Only the rows scoring at least the k-th best score, every tie with it
     included, are sorted; that gives the order of a full sort.
@@ -49,14 +49,6 @@ def _top_k(ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.
 def _hits(ids: np.ndarray, scores: np.ndarray) -> list[SearchHit]:
     """The public form of ranked (ids, scores) arrays."""
     return [SearchHit(i, s) for i, s in zip(ids.tolist(), scores.tolist())]
-
-
-def _check_k(k: int, what: str = "k") -> None:
-    """The one check of how many hits a search ranks: an integer >= 1."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise InvalidInputError(f"{what} must be an integer, got {k!r}")
-    if k < 1:
-        raise InvalidInputError(f"{what} must be >= 1, got {k}")
 
 
 def _check_ids(ids: np.ndarray, n: int) -> np.ndarray:
@@ -104,7 +96,7 @@ class FlatIndex:
 
     def search(self, query, k: int) -> list[SearchHit]:
         query = _check_query(query, self.dim)
-        _check_k(k)
+        k = _check("k", k)
         scores = exact_scores(self._keys64, query)
         return _hits(*_top_k(np.arange(scores.size), scores, k))
 
@@ -215,11 +207,9 @@ def kmeans(points, k: int, iters: int = 25, seed=0,
     per empty cluster. Deterministic given the seed; points must be finite.
     """
     points = _finite_matrix(points, "points")
-    n = points.shape[0]
+    n, k, iters = points.shape[0], _check("k", k), _check("iters", iters)
     if k > n:
         raise InvalidInputError(f"k={k} exceeds point count {n}")
-    if k < 1 or iters < 1:
-        raise InvalidInputError("k and iters must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.Generator(np.random.PCG64(seed))
 
     centroids = _kmeans_pp_init(points, k, rng)
@@ -260,12 +250,8 @@ class IvfPqParams:
     kmeans_iters: int = 25
 
     def __post_init__(self):
-        if not (all(type(v) is int for v in self.as_dict().values())
-                and min(self.nlist, self.m, self.kmeans_iters) >= 1
-                and 1 <= self.nbits <= 8 and self.seed >= 0):
-            raise InvalidInputError(
-                f"IVF-PQ parameters must be ints with nlist, m, kmeans_iters >= 1, "
-                f"1 <= nbits <= 8 (one-byte codes) and seed >= 0; got {self.as_dict()}")
+        for f in fields(self):  # each stored as a Python int, which save_index's JSON takes
+            object.__setattr__(self, f.name, _check(f.name, getattr(self, f.name)))
 
     @property
     def ksub(self) -> int:
@@ -411,9 +397,9 @@ def _check_probe(index: IvfPqIndex, query, nprobe: int, recall_size: int) -> np.
     """The checked query of an IVF-PQ search, once the search parameters
     have been checked."""
     query = _check_query(query, index.dim)
-    if nprobe < 1 or nprobe > index.params.nlist:
+    if _check("nprobe", nprobe) > index.params.nlist:
         raise InvalidInputError(f"nprobe must be in [1, nlist], got {nprobe}")
-    _check_k(recall_size, "recall_size")
+    _check("recall_size", recall_size)
     return query
 
 
@@ -459,7 +445,7 @@ def rescore(keys, candidates: list[SearchHit], query, k: int) -> list[SearchHit]
     if keys.ndim != 2:
         raise InvalidInputError(f"keys must be an (N, D) matrix, got shape {keys.shape}")
     query = _check_query(query, keys.shape[1])
-    _check_k(k)
+    k = _check("k", k)
     ids = np.fromiter((h.entry_id for h in candidates), dtype=np.int64, count=len(candidates))
     return _hits(*_top_k(ids, exact_scores(keys[_check_ids(ids, len(keys))], query), k))
 

@@ -16,7 +16,7 @@ import numpy as np
 from .bank import (BankBuildConfig, EmbeddingProvider, KeyWeights, MemoryBank, _checked_grid,
                    _key_column)
 from .errors import InvalidInputError, VismemError
-from .grids import as_grid, as_vector
+from .grids import _check, as_grid, as_vector
 from .index import IvfPqParams, SearchHit, _hits
 from .priors import (DEFAULT_MAX_ANCHORS, DEFAULT_PEAK_THRESHOLD, DEFAULT_RADIUS_CELLS,
                      DEFAULT_SIGMA, AnchorSet, DensePrior, _dense_priors, extract_anchors,
@@ -30,8 +30,8 @@ from .serial import atomic_write_bytes
 
 @dataclass
 class PipelineConfig:
-    """Every tunable of the pipeline, with the published defaults of the
-    modules that use it."""
+    """Every tunable of the pipeline with its stage's published default, checked
+    by its stage's rule and stored as the Python int or float that rule gives."""
 
     w_p: float = KeyWeights.w_p
     w_s: float = KeyWeights.w_s
@@ -66,23 +66,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type in (float, "float") and not math.isfinite(value):
-                raise InvalidInputError(f"config key {f.name!r} must be finite, got {value!r}")
-        if self.k < 1 or self.recall_size < 1 or self.max_anchors < 1:
-            raise InvalidInputError("k, recall_size and max_anchors must be >= 1")
-        if self.tau_p <= 0 or self.sigma < 0:
-            raise InvalidInputError("tau_p must be > 0 and sigma >= 0")
-        if not (0.0 <= self.peak_threshold <= 1.0):
-            raise InvalidInputError("peak_threshold must be in [0, 1]")
-        if not (0.0 <= self.drop_fraction < 1.0):
-            raise InvalidInputError("drop_fraction must be in [0, 1)")
-        if self.min_area < 0 or not 0.0 < self.iou_threshold <= 1.0:
-            raise InvalidInputError("min_area must be >= 0 and iou_threshold in (0, 1]")
-        if self.window < 1 or self.window % 2 == 0:
-            raise InvalidInputError("window must be odd and positive")
-        self.index_params()  # IvfPqParams checks its own fields
-        if not 1 <= self.nprobe <= self.nlist:
+            setattr(self, f.name, _check(f.name, getattr(self, f.name), f"config key {f.name!r}"))
+        if self.nprobe > self.nlist:
             raise InvalidInputError(f"nprobe must be in [1, nlist={self.nlist}], got {self.nprobe}")
 
     def weights(self) -> KeyWeights:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .grids import (EPS_NORM, Point2D, _gaussian_smooth, _minmax_rescale, _smoothing_kernel,
-                    as_grid, as_vector)
+from .grids import (EPS_NORM, Point2D, _check, _gaussian_smooth, _minmax_rescale,
+                    _smoothing_kernel, as_grid, as_vector)
 from .retrieval import Prototype
 
 DEFAULT_SIGMA = 1.0
@@ -48,7 +48,7 @@ class AnchorSet:
 
 def radius_cells_to_normalized(radius_cells: float, height: int, width: int) -> float:
     """Convert a suppression radius in grid cells to normalized coordinates."""
-    return radius_cells / max(height, width)
+    return _check("radius_cells", radius_cells) / max(height, width)
 
 
 def dense_prior(grid, proto: Prototype, sigma: float = DEFAULT_SIGMA) -> DensePrior:
@@ -124,15 +124,10 @@ def extract_anchors(prior: DensePrior, threshold: float = DEFAULT_PEAK_THRESHOLD
     radius is in normalized coordinates; defaults to 3 cells for the
     heatmap's resolution.
     """
-    if not (0.0 <= threshold <= 1.0):
-        raise InvalidInputError(f"threshold must be in [0, 1], got {threshold}")
+    threshold, max_anchors = _check("threshold", threshold), _check("max_anchors", max_anchors)
     h, w = prior.heatmap.shape
-    if radius is None:
-        radius = radius_cells_to_normalized(DEFAULT_RADIUS_CELLS, h, w)
-    if not 0 < radius < math.inf:
-        raise InvalidInputError(f"radius must be finite and > 0, got {radius}")
-    if max_anchors < 1:
-        raise InvalidInputError(f"max_anchors must be >= 1, got {max_anchors}")
+    radius = _check("radius", radius_cells_to_normalized(DEFAULT_RADIUS_CELLS, h, w)
+                    if radius is None else radius)
     accepted: list[tuple[Point2D, float]] = []
     for r, c, resp in find_peaks(prior.heatmap, threshold):
         if len(accepted) >= max_anchors:

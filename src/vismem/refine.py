@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, InvalidInputError, MissingEmbeddingError
-from .grids import (LN_OVERFLOW, Point2D, _all_finite, _bilinear, _finite, _layer_norm, as_grid,
-                    as_scalar_map, as_vector)
+from .grids import (LN_OVERFLOW, Point2D, _all_finite, _bilinear, _check, _finite, _layer_norm,
+                    as_grid, as_scalar_map, as_vector)
 from .priors import AnchorSet, DensePrior
 from .serial import Reader, Writer, atomic_write_bytes, format_errors
 
@@ -52,10 +52,7 @@ class RefinementParams:
             raise InvalidInputError("projection matrices must be (D, D)")
         if self.ln_gain.shape[0] != d or self.ln_bias.shape[0] != d:
             raise InvalidInputError("layer-norm gain/bias must match dimension D")
-        if not 0 < self.ln_eps < np.inf:
-            raise InvalidInputError(f"ln_eps must be finite and > 0, got {self.ln_eps}")
-        if self.window < 1 or self.window % 2 == 0:
-            raise InvalidInputError(f"window must be odd and positive, got {self.window}")
+        self.ln_eps, self.window = _check("ln_eps", self.ln_eps), _check("window", self.window)
 
     @property
     def dim(self) -> int:
@@ -96,6 +93,7 @@ class LogitsMatrix:
     sources: list[str]
 
     def __post_init__(self):
+        self.values = np.asarray(self.values, np.float32)
         if len(set(self.categories)) != len(self.categories):
             raise InvalidInputError("candidate categories must be unique")
         if self.values.shape != (len(self.sources), len(self.categories)):

@@ -15,9 +15,9 @@ import numpy as np
 
 from .bank import EmbeddingProvider, KeyWeights, MemoryBank, build_key
 from .errors import InvalidInputError
-from .index import (FlatIndex, IvfPqIndex, SearchHit, _check_ids, _check_k, _check_probe,
-                    _check_query, _hits, _ivfpq_pool, _top_k, exact_scores)
-from .grids import _all_finite, l2_normalize
+from .index import (FlatIndex, IvfPqIndex, SearchHit, _check_ids, _check_probe, _check_query,
+                    _hits, _ivfpq_pool, _top_k, exact_scores)
+from .grids import _all_finite, _check, l2_normalize
 
 DEFAULT_TOP_K = 12
 DEFAULT_TAU = 0.07
@@ -59,15 +59,10 @@ def build_query(provider: EmbeddingProvider, category: str, scene: str,
     return RetrievalQuery(category=category, vector=vector)
 
 
-def _check_tau(tau: float) -> None:
-    if not 0 < tau < np.inf:
-        raise InvalidInputError(f"tau must be finite and > 0, got {tau}")
-
-
 def softmax_weights(scores, tau: float) -> np.ndarray:
     """Temperature softmax with max-subtraction, accumulated in float64, of
     one or more scores that stay finite divided by tau."""
-    _check_tau(tau)
+    tau = _check("tau", tau)
     with np.errstate(over="ignore"):  # an overflow to inf is refused below
         s = np.asarray(scores, dtype=np.float64) / tau
     if not s.size or not _all_finite(s):
@@ -101,7 +96,7 @@ def _check_search(bank: MemoryBank, index, k: int, nprobe: int, recall_size: int
     """retrieve's checks of k, of the index against the bank and of a query
     vector, which is returned checked; an empty bank finds nothing whatever
     the vector, so it is left as given."""
-    _check_k(k)
+    _check("k", k)
     if isinstance(index, FlatIndex):
         if index.keys.shape != bank.keys.shape:
             raise InvalidInputError(
@@ -161,7 +156,7 @@ def aggregate_prototype(bank: MemoryBank, hits: list[SearchHit],
                         query: RetrievalQuery, tau: float = DEFAULT_TAU) -> Prototype:
     """Combine the values of hits, whose ids must be rows of the bank, with
     softmax weights over exact key scores."""
-    _check_tau(tau)
+    _check("tau", tau)
     ids = np.fromiter((h.entry_id for h in hits), dtype=np.int64, count=len(hits))
     scores = np.fromiter((h.score for h in hits), dtype=np.float64, count=len(hits))
     return _prototype(bank, _check_ids(ids, len(bank)), scores, query.category, tau)

@@ -9,13 +9,13 @@ from a single seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .bank import GroundingRecord, HashingProvider
 from .errors import InvalidInputError
-from .grids import EPS_NORM, Box2D, Point2D, l2_normalize
+from .grids import EPS_NORM, Box2D, Point2D, _check, l2_normalize
 
 INPUT_IMAGE_ID = "input"
 
@@ -26,6 +26,10 @@ class PlantedRegion:
     center_col: int
     extent: int  # square side length in cells, odd
     category: str
+
+    def __post_init__(self):
+        for name in ("center_row", "center_col", "extent"):
+            object.__setattr__(self, name, _check(name, getattr(self, name)))
 
 
 @dataclass
@@ -42,14 +46,9 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.grid_h, self.grid_w, self.d_key, self.d_val) < 1:
-            raise InvalidInputError("grid_h, grid_w, d_key and d_val must be >= 1")
-        if min(self.entries_per_category, self.distractors) < 0:
-            raise InvalidInputError("entries_per_category and distractors must be >= 0")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
-        if not 0 <= self.noise < np.inf:
-            raise InvalidInputError(f"noise must be finite and >= 0, got {self.noise}")
+        for f in fields(self):
+            if f.name not in ("regions", "scene"):
+                setattr(self, f.name, _check(f.name, getattr(self, f.name)))
         for reg in self.regions:
             half = reg.extent // 2
             if not (half <= reg.center_row < self.grid_h - half
@@ -142,9 +141,8 @@ def random_regions(count: int, grid_h: int, grid_w: int, extent: int,
                    min_separation: float, rng: np.random.Generator,
                    categories: list[str]) -> list[PlantedRegion]:
     """Sample non-overlapping planted regions with a minimum center distance."""
+    count, extent = _check("count", count), _check("extent", extent)
     half = extent // 2
-    if count < 0:
-        raise InvalidInputError(f"region count must be >= 0, got {count}")
     if count and not categories:
         raise InvalidInputError(f"no categories to assign {count} regions to")
     if count and min(grid_h, grid_w) <= 2 * half:

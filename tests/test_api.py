@@ -6,6 +6,9 @@ exported set is pinned, so a name is added or deleted on purpose."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -115,3 +118,13 @@ def test_no_unused_imports_in_the_tests_and_demos(directory):
     count, unused = unused_imports_in(ROOT / directory)
     assert count >= 4
     assert unused == {}
+
+
+def test_cli_import_leaves_scipy_ndimage_unloaded():
+    """scipy.ndimage is most of the CLI's import time and only smoothing uses it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = "import sys, vismem.cli; print('scipy.ndimage' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (done.returncode, done.stdout.strip()) == (0, "False"), done.stderr

@@ -128,8 +128,11 @@ class TestPipelineConfig:
         for fields in ({"min_area": -1e-9}, {"iou_threshold": 0.0},
                        {"iou_threshold": -0.5}, {"iou_threshold": 1.0 + 1e-9},
                        {"iou_threshold": 5.0}):
-            with pytest.raises(InvalidInputError, match="min_area must be >= 0 and iou_threshold"):
+            (key, value), = fields.items()
+            words = ">= 0" if key == "min_area" else "in (0, 1]"
+            with pytest.raises(InvalidInputError) as exc:
                 PipelineConfig(**fields)
+            assert str(exc.value) == f"config key '{key}' must be finite and {words}, got {value!r}"
         config = PipelineConfig(min_area=0.0, iou_threshold=1.0)
         assert (config.min_area, config.iou_threshold) == (0.0, 1.0)
 
@@ -235,6 +238,37 @@ class TestGenSynthetic:
     def test_no_regions_need_no_category_or_room(self):
         assert random_regions(0, 2, 2, 3, min_separation=1.0, rng=rng_for(0),
                               categories=[]) == []
+
+    @pytest.mark.parametrize("extent", [-3, 0, 4, 2.5, 3.0, True])
+    def test_planted_extent_is_an_odd_integer_of_at_least_one(self, extent):
+        """Without the check, -3 plants no cell but keeps a ground-truth centre,
+        0 plants one cell and 4 a 5x5 square."""
+        with pytest.raises(InvalidInputError, match="extent must be"):
+            ScenarioSpec(regions=[PlantedRegion(8, 8, extent, "cat")])
+        with pytest.raises(InvalidInputError, match="extent must be"):
+            random_regions(1, 32, 32, extent, min_separation=1.0, rng=rng_for(0),
+                           categories=["cat"])
+
+    @pytest.mark.parametrize("field, value", [
+        ("grid_h", 8.5), ("grid_w", 32.0), ("d_key", True), ("d_val", np.float64(8.0)),
+        ("entries_per_category", 2.5), ("distractors", "5"), ("seed", 1.0), ("noise", None),
+    ])
+    def test_spec_numbers_have_their_kind(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"{field} must be"):
+            ScenarioSpec(**{field: value})
+
+    def test_spec_and_regions_store_python_ints(self):
+        spec = ScenarioSpec(grid_h=np.int64(16), seed=np.uint8(3),
+                            regions=[PlantedRegion(np.int64(8), 8, np.int32(3), "cat")])
+        assert type(spec.grid_h) is int and type(spec.seed) is int
+        assert [type(v) for v in (spec.regions[0].center_row, spec.regions[0].extent)] == [int, int]
+        with pytest.raises(InvalidInputError, match="center_row must be an integer"):
+            PlantedRegion(8.5, 8, 3, "cat")
+
+    def test_region_count_is_an_integer(self):
+        """Without the check, a count of 2.5 places 3 regions."""
+        with pytest.raises(InvalidInputError, match="count must be an integer, got 2.5"):
+            random_regions(2.5, 32, 32, 3, min_separation=1.0, rng=rng_for(0), categories=["a"])
 
     def test_random_regions_respect_separation(self):
         rng = rng_for(0)
@@ -395,8 +429,8 @@ class TestRunPipeline:
             ivfpq_add(index, np.arange(len(bank)), bank.keys)
         elif stage == "dense_prior":  # prototypes have d_val channels, the grid one more
             s.provider.feature_table[INPUT_IMAGE_ID] = wider
-        elif stage == "extract_anchors":
-            config = PipelineConfig(radius_cells=0.0)
+        elif stage == "extract_anchors":  # PipelineConfig refuses 0.0; this is 0.0 once scaled
+            config = PipelineConfig(radius_cells=5e-324)
         else:  # prompts from the wider scale do not match the prototypes' dim
             scales, params = [wider], RefinementParams.zero_init(s.spec.d_val + 1)
         with pytest.raises(VismemError) as exc:

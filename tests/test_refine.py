@@ -600,6 +600,17 @@ class TestOverflowIsAnErrorNotAWarning:
 
 
 class TestScoreAndConstrain:
+    def test_logits_are_stored_as_float32(self):
+        """Stored as given, integer values make constrain_logits raise a bare
+        OverflowError, and a nested list makes the constructor raise
+        AttributeError."""
+        logits = LogitsMatrix([[1, 2], [3, 4]], ["cat", "dog"], ["cat", "dog"])
+        assert logits.values.dtype == np.float32
+        masked = constrain_logits(logits).values
+        np.testing.assert_array_equal(masked, np.array([[1, -np.inf], [-np.inf, 4]], np.float32))
+        values = np.zeros((1, 2), dtype=np.float32)
+        assert LogitsMatrix(values, ["cat", "dog"], ["cat"]).values is values  # no copy
+
     def _prompts(self, sources, dim=4, seed=0):
         rng = rng_for(seed)
         return [MemoryGuidedPrompt(
