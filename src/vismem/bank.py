@@ -30,21 +30,23 @@ from .grids import (
     as_vector,
 )
 from .serial import (Reader, Writer, atomic_write_bytes, format_errors, is_json_number,
-                     json_fields, read_file, read_json_lines)
+                     json_bytes, json_fields, json_value, read_file, read_json_lines, word_sum)
 
 # Fixed width of the category and image id fields in the bank file:
 # zero-padded UTF-8.
 NAME_FIELD_BYTES = 64
 
 BANK_MAGIC = "PBNK"
-BANK_VERSION = 1
+BANK_VERSION = 2
 TABLE_MAGIC = "PMEM"
 TABLE_VERSION = 1
 
 
 def _record_dtype(d_key: int, d_val: int) -> np.dtype:
-    """One v1 bank file entry: key and value as f32, category and image id,
-    box (x0, y0, x1, y1) as 4 f32, blur score as f32 (NaN for none)."""
+    """The fields of one bank entry on disk: key and value as f32, category
+    and image id, box (x0, y0, x1, y1) as 4 f32, blur score as f32 (NaN for
+    none). A v1 file holds one such record per entry; a v2 file holds each
+    field of every entry in a section of its own."""
     name = f"S{NAME_FIELD_BYTES}"
     return np.dtype([("key", "<f4", (d_key,)), ("value", "<f4", (d_val,)),
                      ("category", name), ("image_id", name),
@@ -52,7 +54,8 @@ def _record_dtype(d_key: int, d_val: int) -> np.dtype:
 
 
 def entry_stride(d_key: int, d_val: int) -> int:
-    """On-disk byte size of one bank entry."""
+    """On-disk byte size of one bank entry, 4 * (d_key + d_val) + 148, in
+    either format: a v1 record, or the entry's share of the v2 sections."""
     return _record_dtype(d_key, d_val).itemsize
 
 
@@ -408,6 +411,10 @@ class BankBuildConfig:
     drop_fraction: float = 0.10
     exclude_images: frozenset = frozenset()
 
+    def __post_init__(self):
+        for name in ("min_area", "iou_threshold", "drop_fraction"):
+            setattr(self, name, _check(name, getattr(self, name)))
+
 
 def _record_blur_score(rec: GroundingRecord) -> float:
     if rec.blur_score is not None:
@@ -592,24 +599,58 @@ def _decode_names(column: np.ndarray) -> np.ndarray:
     return np.char.decode(column, "utf-8") if names is None else names
 
 
+def _finite(what: str):
+    """A read_section check that refuses the first NaN or inf float of a
+    piece, naming it what, at its offset."""
+    def check(piece: np.ndarray, at: int) -> None:
+        if not _all_finite(piece):
+            raise FormatError(what, offset=at + 4 * int(np.argmax(~np.isfinite(piece))))
+    return check
+
+
+def _not_inf(piece: np.ndarray, at: int) -> None:
+    """The read_section check of blur scores: NaN is "no score", inf is refused."""
+    inf = np.isinf(piece)
+    if inf.any():
+        raise FormatError("infinite blur score", offset=at + 4 * int(np.argmax(inf)))
+
+
+# The v2 sections, in file order: the record field each holds and the check
+# run on each piece of it as it is read.
+_SECTIONS = {"key": _finite("non-finite key"), "value": _finite("non-finite value"),
+             "box": None, "blur": _not_inf, "category": None, "image_id": None}
+
+
+def _header(d_key: int, d_val: int, count: int, payload: bytes, version: int) -> bytes:
+    """A bank file's header up to its checksum: magic, version, d_key, d_val,
+    the u64 entry count and the JSON block of weights and manifest."""
+    return (Writer().magic(BANK_MAGIC).u32(version).u32(d_key).u32(d_val).u64(count)
+            .block(payload).getvalue())
+
+
 def save_bank(bank: MemoryBank, path) -> None:
-    records = np.zeros(len(bank), dtype=_record_dtype(bank.d_key, bank.d_val))
-    records["key"], records["value"] = bank.keys, bank.values
-    records["box"], records["blur"] = bank.boxes, bank.blur
+    """Write a v2 bank file: the header, then one section per column in
+    _SECTIONS order, each followed by its 8-byte checksum (serial.word_sum),
+    as the header is."""
+    columns = {"key": bank.keys, "value": bank.values, "box": bank.boxes, "blur": bank.blur}
     for name, column in (("category", bank.categories), ("image_id", bank.image_ids)):
         encoded = _encode_names(column)
         if encoded.itemsize > NAME_FIELD_BYTES:
             longest = column[np.argmax(np.char.str_len(encoded))]
             raise FormatError(f"{name} {longest!r} exceeds the {NAME_FIELD_BYTES}-byte field")
-        records[name] = encoded
-    w = Writer().magic(BANK_MAGIC).u32(BANK_VERSION)
-    w.u32(bank.d_key).u32(bank.d_val).u64(len(bank))
-    w.json_block({"weights": bank.weights.as_dict(), "manifest": bank.manifest})
-    atomic_write_bytes(path, w.getvalue(), records)
+        columns[name] = encoded
+    header = _header(bank.d_key, bank.d_val, len(bank), json_bytes(
+        {"weights": bank.weights.as_dict(), "manifest": bank.manifest}), BANK_VERSION)
+    layout = _record_dtype(bank.d_key, bank.d_val)
+    chunks = [header, word_sum(np.frombuffer(header, np.uint8)).to_bytes(8, "little")]
+    for name in _SECTIONS:  # names are zero-padded to their field
+        section = np.ascontiguousarray(columns[name], layout[name].base)
+        chunks += [section, word_sum(section).to_bytes(8, "little")]
+    atomic_write_bytes(path, *chunks)
 
 
 def _read_records(r, layout: np.dtype, count: int) -> dict[str, np.ndarray]:
-    """Each field of the next count records of a `Reader` as an
+    """Each field of the next count v1 records of a `Reader` as an
     array of its own, in native byte order: float32 keys, values, boxes and
     blur, and the raw 64-byte names. A NaN or inf key or value float, or an
     infinite blur score, is a FormatError at its offset; each chunk is
@@ -630,7 +671,7 @@ def _read_records(r, layout: np.dtype, count: int) -> dict[str, np.ndarray]:
 
 def _refuse_non_finite(layout: np.dtype, at: int, keys: np.ndarray, values: np.ndarray,
                        blur: np.ndarray) -> None:
-    """Raise FormatError at the first bad float of records that start at
+    """Raise FormatError at the first bad float of v1 records that start at
     offset at: a NaN or inf key or value float, or an infinite blur score."""
     found = []
     for field, what, bad in (("key", "non-finite key", ~np.isfinite(keys)),
@@ -643,13 +684,39 @@ def _refuse_non_finite(layout: np.dtype, at: int, keys: np.ndarray, values: np.n
     raise FormatError(what, offset=offset)
 
 
+def _read_sections(r, layout: np.dtype, count: int) -> dict[str, np.ndarray]:
+    """The columns of the next count v2 entries of a `Reader`, each read
+    straight from its section into an array of its own: float32 keys,
+    values, boxes and blur, and the raw 64-byte names. The whole body is
+    claimed before any column is sized. A NaN or inf key or value float, or
+    an infinite blur score, is a FormatError at its offset, and so is a
+    section that fails its checksum, at the checksum's offset."""
+    at = r.claim(count * layout.itemsize + 8 * len(_SECTIONS))  # refuses an impossible count
+    columns = {}
+    for name, check in _SECTIONS.items():
+        column = columns[name] = np.empty((count, *layout[name].shape), layout[name].base)
+        r.read_section(column, at, f"bank {name} section", check)
+        at += column.nbytes + 8
+    return {name: column.astype(column.dtype.newbyteorder("="), copy=False)
+            for name, column in columns.items()}
+
+
 def load_bank(path) -> MemoryBank:
-    """Read a bank file. Its records are read a chunk at a time and copied
-    into the bank's columns, so a load holds the bank plus one chunk."""
-    with Reader.stream(path, BANK_MAGIC, BANK_VERSION) as r:
+    """Read a bank file of format v2 or v1. A load holds the bank and, for
+    v1, one chunk of about 1 MiB, never the whole file.
+
+    v2 checks its header against the header's checksum, then reads each
+    section straight into its column (_read_sections). v1 has one record
+    per entry, which is read a chunk at a time and copied into the columns
+    (_read_records)."""
+    with Reader.stream(path, BANK_MAGIC, 1, BANK_VERSION) as r:
         d_key, d_val, count = r.u32(), r.u32(), r.u64()
         meta_at = r.offset
-        meta = r.json_block()
+        payload = r.block()
+        if r.version == BANK_VERSION:
+            header = _header(d_key, d_val, count, payload, r.version)
+            r.expect_sum(word_sum(np.frombuffer(header, np.uint8)), "bank header", r.claim(8))
+        meta = json_value(payload, meta_at)
         weights = meta.get("weights") if isinstance(meta, dict) else None
         with format_errors("bad weights or manifest in bank header", meta_at):
             if not (isinstance(weights, dict) and weights.keys() == KeyWeights().as_dict().keys()
@@ -659,7 +726,8 @@ def load_bank(path) -> MemoryBank:
         records_at = r.offset
         with format_errors("bad bank record layout", 8):
             layout = _record_dtype(d_key, d_val)
-        columns = _read_records(r, layout, count)
+        read = _read_sections if r.version == BANK_VERSION else _read_records
+        columns = read(r, layout, count)
         r.expect_eof()
     x0, y0, x1, y1 = columns["box"].T
     if not np.all((0 <= x0) & (x0 < x1) & (x1 <= 1) & (0 <= y0) & (y0 < y1) & (y1 <= 1)):

@@ -93,7 +93,10 @@ class LogitsMatrix:
     sources: list[str]
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, np.float32)
+        try:
+            self.values = np.asarray(self.values, np.float32)
+        except ValueError as exc:  # ragged rows, or entries that are not numbers
+            raise InvalidInputError(f"logits values: {exc}") from exc
         if len(set(self.categories)) != len(self.categories):
             raise InvalidInputError("candidate categories must be unique")
         if self.values.shape != (len(self.sources), len(self.categories)):

@@ -8,9 +8,11 @@ when it is claimed, after checking the claim against the bytes left, so a
 size taken from a header sizes nothing the file cannot hold. `records` reads
 a run of fixed-size records into a new array of their own, and
 `record_chunks` reads a section of them in chunks of whole records into one
-reused buffer, so the bank loader holds its columns plus one chunk, never
-the whole file. A pipe has no size, so it is read whole first. The file is
-never mapped.
+reused buffer, so the v1 bank loader holds its columns plus one chunk, never
+the whole file. `read_section` reads a claimed section straight into the
+array it fills, a piece at a time, and checks the section against the
+checksum that follows it (`word_sum`). A pipe has no size, so it is read
+whole first. The file is never mapped.
 `format_errors` reports a field that does not build a valid object
 (`InvalidInputError`, or a `ValueError`, `OverflowError` or `RecursionError`
 from numpy, `int()`, UTF-8 or JSON decoding) as `FormatError` at the field's
@@ -35,9 +37,9 @@ import numpy as np
 
 from .errors import FormatError, InvalidInputError
 
-# About how many bytes of records `record_chunks` reads at a time: large
-# enough that the read calls cost nothing, small enough to stay in cache
-# while a loader copies the chunk into its columns.
+# About how many bytes `record_chunks` and `read_section` read at a time:
+# large enough that the read calls cost nothing, small enough to stay in
+# cache while a loader checks the piece or copies it into its columns.
 RECORD_CHUNK_BYTES = 1 << 20
 
 
@@ -95,13 +97,36 @@ class Writer:
         return self
 
     def json_block(self, obj) -> "Writer":
-        payload = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        return self.block(json_bytes(obj))
+
+    def block(self, payload: bytes) -> "Writer":
+        """payload after its u32 length."""
         self.u32(len(payload))
         self._chunks.append(payload)
         return self
 
     def getvalue(self) -> bytes:
         return b"".join(self._chunks)
+
+
+def json_bytes(obj) -> bytes:
+    """obj as the sorted, compact UTF-8 JSON that a JSON block holds."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def word_sum(data: np.ndarray) -> int:
+    """The sum modulo 2**64 of the little-endian 8-byte words of the bytes
+    of the contiguous array data, the last one zero-padded.
+
+    A file section's checksum is the word sum of its bytes. A piece of the
+    section whose length is a multiple of 8 holds exactly its own words, so
+    the sum of its pieces' word sums, modulo 2**64, is the section's. Any
+    change of one byte moves one word by d * 2**(8j), with 0 < |d| < 256 and
+    j < 8, which is never a multiple of 2**64: the sum always changes."""
+    data = data.reshape(-1).view(np.uint8)
+    whole = data.size - data.size % 8
+    total = int(data[:whole].view("<u8").sum(dtype=np.uint64))  # wraps without a warning
+    return (total + int.from_bytes(data[whole:].tobytes(), "little")) % 2**64
 
 
 @contextmanager
@@ -124,11 +149,13 @@ class Reader:
 
     def __init__(self, file, size: int):
         self.file, self.size, self.offset = file, size, 0
+        self.version = None
 
     @classmethod
     @contextmanager
-    def stream(cls, path, magic: str, version: int):
-        """A reader over the open file, past its checked magic and version.
+    def stream(cls, path, magic: str, *versions: int):
+        """A reader over the open file, past its checked magic and a version
+        among versions, which it keeps as `version`.
 
         The size of a regular file is taken once, at open; a pipe has no
         size, so it is read whole first. The file is read, not mapped: a
@@ -142,19 +169,19 @@ class Reader:
             else:
                 data = f.read()
                 r = cls(io.BytesIO(data), len(data))
-            r._expect_header(magic, version)
+            r._expect_header(magic, *versions)
             yield r
 
-    def _expect_header(self, magic: str, version: int) -> None:
+    def _expect_header(self, magic: str, *versions: int) -> None:
         tag = self._take(len(magic))
         if tag != magic.encode("ascii"):
             raise FormatError(f"bad magic {tag!r}, expected {magic!r}", offset=0)
-        found = self.u32()
-        if found != version:
-            raise FormatError(f"unsupported {magic} version {found}, expected {version}",
-                              offset=4)
+        self.version = self.u32()
+        if self.version not in versions:
+            raise FormatError(f"unsupported {magic} version {self.version}, "
+                              f"expected {' or '.join(map(str, versions))}", offset=4)
 
-    def _advance(self, n: int) -> int:
+    def claim(self, n: int) -> int:
         """Claim the next n bytes and return where they start."""
         start = self.offset
         if start + n > self.size:
@@ -175,7 +202,10 @@ class Reader:
             got += n
 
     def _take(self, n: int) -> bytes:
-        start = self._advance(n)
+        return self._read(n, self.claim(n))
+
+    def _read(self, n: int, start: int) -> bytes:
+        """The n bytes at start, which the caller has claimed."""
         data = self.file.read(n)
         if len(data) != n:
             raise FormatError(f"truncated file: need {n} bytes, have {len(data)}", offset=start)
@@ -196,22 +226,52 @@ class Reader:
         into, not reshaped from a flat buffer into a view. Its bytes are
         claimed before it is sized."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        start = self._advance(4 * math.prod(shape))
+        start = self.claim(4 * math.prod(shape))
         arr = np.empty(shape, dtype="<f4")
         self._fill(arr.reshape(-1).view(np.uint8), start)
         return arr.astype(np.float32, copy=False)
 
+    def block(self) -> bytes:
+        """The payload of the next u32-length-prefixed block."""
+        return self._take(self.u32())
+
     def json_block(self):
         start = self.offset
-        payload = self._take(self.u32())
-        with format_errors("bad JSON block", start):
-            return json.loads(payload.decode("utf-8"))
+        return json_value(self.block(), start)
+
+    def expect_sum(self, total: int, what: str, at: int) -> None:
+        """Read the claimed 8-byte checksum at `at` and refuse the section
+        that it ends, named what, at that offset if total (modulo 2**64)
+        differs."""
+        if int.from_bytes(self._read(8, at), "little") != total % 2**64:
+            raise FormatError(f"{what} fails its checksum", offset=at)
+
+    def read_section(self, arr: np.ndarray, start: int, what: str, check=None) -> None:
+        """Read the claimed bytes at start into the C-contiguous array arr,
+        and then the 8-byte checksum that follows them (see word_sum).
+
+        The bytes are read straight into arr's memory in pieces of about
+        RECORD_CHUNK_BYTES, each a whole number of 8-byte words and of arr's
+        elements. While a piece is in cache, check(piece, offset), if given,
+        runs on it as a flat array of arr's dtype with the file offset it
+        starts at, and the piece's word sum is added to the section's."""
+        data = arr.reshape(-1).view(np.uint8)
+        step = math.lcm(8, arr.itemsize)
+        step *= max(1, RECORD_CHUNK_BYTES // step)
+        total = 0
+        for lo in range(0, data.size, step):
+            piece = data[lo:lo + step]
+            self._fill(piece, start + lo)
+            if check is not None:
+                check(piece.view(arr.dtype), start + lo)
+            total += word_sum(piece)
+        self.expect_sum(total, what, start + data.size)
 
     def records(self, dtype: np.dtype, count: int) -> np.ndarray:
         """count fixed-size records as a new array of their own. The bytes are
         claimed before the array is sized, so a count the file cannot hold
         allocates nothing."""
-        start = self._advance(dtype.itemsize * count)
+        start = self.claim(dtype.itemsize * count)
         arr = np.empty(count, dtype=dtype)
         self._fill(arr.view(np.uint8), start)
         return arr
@@ -224,7 +284,7 @@ class Reader:
         The whole section is claimed here, before the first chunk is read:
         a count the file cannot hold is refused before the caller sizes
         anything from it."""
-        start = self._advance(dtype.itemsize * count)
+        start = self.claim(dtype.itemsize * count)
         return self._chunks(dtype, count, start)
 
     def _chunks(self, dtype: np.dtype, count: int, start: int):
@@ -238,6 +298,12 @@ class Reader:
     def expect_eof(self) -> None:
         if self.offset != self.size:
             raise FormatError(f"{self.size - self.offset} trailing bytes", offset=self.offset)
+
+
+def json_value(payload: bytes, offset: int):
+    """The JSON value of a block's payload, which starts at offset."""
+    with format_errors("bad JSON block", offset):
+        return json.loads(payload.decode("utf-8"))
 
 
 def read_file(path) -> bytes:

@@ -3,9 +3,11 @@ against: one vector's unit normalization by its own np.linalg.norm; for the
 key kernel, one key's float64 loop; for the columnar bank build, the
 whole-grid-mask mean pool and the build loop that made one key and one value
 per record; for refinement, one anchor's dense window feature, heatmap
-resampling and prompt."""
+resampling and prompt; for bank files, both formats written one entry and
+one field at a time, with v2's checksums summed as Python ints."""
 
 import math
+import struct
 
 import numpy as np
 
@@ -13,6 +15,7 @@ from vismem.bank import BankBuildConfig, MemoryBank
 from vismem.bank import _record_blur_score, blur_filter, filter_small_boxes, merge_duplicates
 from vismem.errors import InvalidInputError, MissingEmbeddingError
 from vismem.grids import EPS_NORM, as_grid, as_vector, cell_centers
+from vismem.serial import Writer
 
 
 def oracle_l2_normalize(v):
@@ -143,3 +146,72 @@ def refine_prompt(params, f_s, f_d):
     normed = (x - x.mean()) / np.sqrt(x.var() + params.ln_eps)
     return (normed * params.ln_gain.astype(np.float64)
             + params.ln_bias.astype(np.float64)).astype(np.float32)
+
+
+def reference_word_sum(data: bytes) -> bytes:
+    """The 8-byte checksum of a v2 bank section: the sum of its little-endian
+    8-byte words, the last one zero-padded, modulo 2**64."""
+    data += bytes(-len(data) % 8)
+    total = sum(int.from_bytes(data[i:i + 8], "little") for i in range(0, len(data), 8))
+    return (total % 2**64).to_bytes(8, "little")
+
+
+def _name_field(name: str) -> bytes:
+    encoded = name.encode("utf-8")
+    assert len(encoded) <= 64
+    return encoded + b"\x00" * (64 - len(encoded))
+
+
+def v2_widths(d_key: int, d_val: int) -> dict:
+    """The v2 sections in file order, with each one's bytes per entry."""
+    return {"key": 4 * d_key, "value": 4 * d_val, "box": 16, "blur": 4,
+            "category": 64, "image_id": 64}
+
+
+def reference_bank_bytes(bank, version=2):
+    """The bank file written one entry and one field at a time. v1 holds one
+    record per entry: key, value, category, image id, box, blur score. v2
+    holds one section per field: keys, values, boxes, blur scores,
+    categories, image ids; the header and each section are followed by
+    their reference_word_sum."""
+    w = Writer()
+    w.magic("PBNK").u32(version).u32(bank.d_key).u32(bank.d_val).u64(len(bank))
+    w.json_block({"weights": bank.weights.as_dict(), "manifest": bank.manifest})
+    fields = {"key": [], "value": [], "category": [], "image_id": [], "box": [], "blur": []}
+    for e in bank.entries:
+        fields["key"].append(np.asarray(e.key, dtype="<f4").tobytes())
+        fields["value"].append(np.asarray(e.value, dtype="<f4").tobytes())
+        fields["category"].append(_name_field(e.category))
+        fields["image_id"].append(_name_field(e.image_id))
+        fields["box"].append(struct.pack("<4f", *e.box.as_list()))
+        fields["blur"].append(struct.pack("<f", math.nan if e.blur_score is None
+                                          else e.blur_score))
+    header = w.getvalue()
+    if version == 1:
+        return header + b"".join(b"".join(record) for record in zip(*fields.values()))
+    sections = [b"".join(fields[name]) for name in v2_widths(bank.d_key, bank.d_val)]
+    return header + reference_word_sum(header) + b"".join(
+        section + reference_word_sum(section) for section in sections)
+
+
+def v2_parts(raw: bytes) -> dict:
+    """Where the header and each section of a v2 bank file lie, as
+    (start, end) byte offsets; the part's checksum follows at end."""
+    d_key, d_val, count, n = struct.unpack_from("<IIQI", raw, 8)
+    parts, at = {"header": (0, 28 + n)}, 28 + n + 8
+    for name, width in v2_widths(d_key, d_val).items():
+        parts[name] = (at, at + count * width)
+        at = parts[name][1] + 8
+    return parts
+
+
+def resealed(raw: bytes) -> bytes:
+    """A v2 bank file with every checksum recomputed, so that a field patched
+    into it meets the loader's own check of that field, not a checksum. A
+    part that ends past the file, as after a patched count or dim, is left
+    as it is."""
+    out = bytearray(raw)
+    for start, end in v2_parts(raw).values():
+        if end + 8 <= len(out):
+            out[end:end + 8] = reference_word_sum(bytes(out[start:end]))
+    return bytes(out)

@@ -39,9 +39,10 @@ from vismem.grids import Box2D, l2_normalize
 from vismem.index import IvfPqParams, ivfpq_add, load_index, save_index, train_ivfpq
 from vismem.refine import RefinementParams, load_params, save_params
 from vismem import serial
-from vismem.serial import Reader, Writer
+from vismem.serial import Reader
 
-from oracles import mask_mean_pool, oracle_key, record_by_record_bank
+from oracles import (mask_mean_pool, oracle_key, record_by_record_bank, reference_bank_bytes,
+                     resealed, v2_parts)
 
 
 def rng_for(seed):
@@ -475,6 +476,38 @@ def build_outcome(build):
     return type(exc.value), str(exc.value)
 
 
+class TestBankBuildConfig:
+    """The filter fields are checked, by their stages' rules, when the
+    config is made: a NaN drop_fraction used to skip the blur filter in
+    silence and write nan into the manifest, and a string one raised a bare
+    TypeError from build_bank."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("drop_fraction", math.nan, "drop_fraction must be finite and in [0, 1), got nan"),
+        ("drop_fraction", "0.1", "drop_fraction must be a number, got '0.1'"),
+        ("drop_fraction", 1.0, "drop_fraction must be finite and in [0, 1), got 1.0"),
+        ("min_area", -1e-4, "min_area must be finite and >= 0, got -0.0001"),
+        ("min_area", None, "min_area must be a number, got None"),
+        ("iou_threshold", 0.0, "iou_threshold must be finite and in (0, 1], got 0.0"),
+        ("iou_threshold", True, "iou_threshold must be a number, got True"),
+    ])
+    def test_bad_filter_field_refused_when_made(self, field, value, message):
+        with pytest.raises(InvalidInputError) as exc:
+            BankBuildConfig(**{field: value})
+        assert str(exc.value) == message
+
+    def test_fields_stored_as_python_floats(self, tmp_path):
+        config = BankBuildConfig(min_area=0, iou_threshold=np.float32(1.0),
+                                 drop_fraction=np.float64(0.25))
+        assert [(type(v), v) for v in (config.min_area, config.iou_threshold,
+                                       config.drop_fraction)] == [(float, 0.0), (float, 1.0),
+                                                                  (float, 0.25)]
+        bank = build_bank(TestBuildBank()._records(20), make_provider(), config)
+        assert bank.manifest["drop_fraction"] == 0.25 and bank.manifest["removed_blur"] == 5
+        save_bank(bank, tmp_path / "b.pbnk")
+        assert load_bank(tmp_path / "b.pbnk").manifest == bank.manifest
+
+
 class TestBuildBankOracle:
     """The columnar build saves the same bytes as the record-by-record oracle
     and refuses the same first record with the same error."""
@@ -634,22 +667,6 @@ class TestBankPersistence:
         assert not target.exists()
 
 
-def reference_bank_bytes(bank):
-    """The v1 bank file written one entry and one field at a time."""
-    w = Writer()
-    w.magic("PBNK").u32(1).u32(bank.d_key).u32(bank.d_val).u64(len(bank))
-    w.json_block({"weights": bank.weights.as_dict(), "manifest": bank.manifest})
-    for e in bank.entries:
-        w.f32_array(e.key).f32_array(e.value)
-        for name in (e.category, e.image_id):
-            encoded = name.encode("utf-8")
-            assert len(encoded) <= 64
-            w.raw(encoded + b"\x00" * (64 - len(encoded)))
-        w.f32_array(np.asarray(e.box.as_list(), dtype=np.float32))
-        w.f32(math.nan if e.blur_score is None else e.blur_score)
-    return w.getvalue()
-
-
 def hand_bank(categories, image_ids, blur_scores, d_key=6, d_val=3):
     rng = rng_for(11)
     entries = [
@@ -705,37 +722,85 @@ class TestBankEncoding:
             save_bank(hand_bank(["cat"], ["i" * 65], [None]), tmp_path / "b.pbnk")
         assert not (tmp_path / "b.pbnk").exists()
 
+    @staticmethod
+    def patched_files(tmp_path, bank, v1_at, v2_at, data):
+        """The v1 and v2 files of bank with data written at the offset that
+        v1_at(layout, raw) or v2_at(parts) gives; the v2 file is resealed,
+        so that the loader's own check of the field refuses it."""
+        save_bank(bank, tmp_path / "v2.pbnk")
+        v1 = bytearray(reference_bank_bytes(bank, 1))
+        v2 = bytearray((tmp_path / "v2.pbnk").read_bytes())
+        for raw, at in ((v1, v1_at(_record_dtype(bank.d_key, bank.d_val), v1)),
+                        (v2, v2_at(v2_parts(bytes(v2))))):
+            raw[at:at + len(data)] = data
+        (tmp_path / "v1.pbnk").write_bytes(bytes(v1))
+        (tmp_path / "v2.pbnk").write_bytes(resealed(bytes(v2)))
+        return tmp_path / "v1.pbnk", tmp_path / "v2.pbnk"
+
     @pytest.mark.parametrize("corner, value", [(0, -5.0), (2, 0.05), (3, float("nan"))])
     def test_box_out_of_range_rejected(self, tmp_path, corner, value):
         bank = hand_bank(["cat", "dog"], ["img0", "img1"], [None, None])
-        path = tmp_path / "b.pbnk"
-        save_bank(bank, path)
-        raw = bytearray(path.read_bytes())
-        stride = entry_stride(bank.d_key, bank.d_val)
-        box_at = len(raw) - stride + 4 * (bank.d_key + bank.d_val) + 2 * 64
-        raw[box_at + 4 * corner:box_at + 4 * corner + 4] = struct.pack("<f", value)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="box"):
-            load_bank(path)
+        # the last entry's box corner
+        paths = self.patched_files(
+            tmp_path, bank,
+            lambda layout, raw: len(raw) - layout.itemsize + layout.fields["box"][1] + 4 * corner,
+            lambda parts: parts["box"][0] + 16 + 4 * corner, struct.pack("<f", value))
+        for path in paths:
+            with pytest.raises(FormatError, match="box outside"):
+                load_bank(path)
 
     def test_invalid_utf8_name_rejected(self, tmp_path):
         bank = hand_bank(["cat", "dog"], ["img0", "img1"], [None, None])
-        path = tmp_path / "b.pbnk"
-        save_bank(bank, path)
-        raw = bytearray(path.read_bytes())
-        stride = entry_stride(bank.d_key, bank.d_val)
-        records_start = len(raw) - 2 * stride
-        category_at = records_start + stride + 4 * (bank.d_key + bank.d_val)
-        raw[category_at] = 0xFF
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="UTF-8"):
-            load_bank(path)
-        raw[category_at] = ord("d")
-        raw[category_at + 64 + 1] = 0xC3  # truncated two-byte sequence in an image id
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="UTF-8"):
-            load_bank(path)
+        # the second entry's category, then the second byte of its image id
+        for field, col, byte in (("category", 0, 0xFF), ("image_id", 1, 0xC3)):
+            paths = self.patched_files(
+                tmp_path, bank,
+                lambda layout, raw: len(raw) - layout.itemsize + layout.fields[field][1] + col,
+                lambda parts: parts[field][0] + 64 + col, bytes([byte]))
+            for path in paths:
+                with pytest.raises(FormatError, match="UTF-8"):
+                    load_bank(path)
 
+    def test_v2_file_unsealed_after_a_patch_fails_its_checksum(self, tmp_path):
+        bank = hand_bank(["cat", "dog"], ["img0", "img1"], [None, None])
+        save_bank(bank, tmp_path / "b.pbnk")
+        raw = (tmp_path / "b.pbnk").read_bytes()
+        for name, (start, end) in v2_parts(raw).items():
+            bad = bytearray(raw)
+            bad[end - 1] ^= 0x01  # the last byte of the part: an ASCII name or a float
+            (tmp_path / "b.pbnk").write_bytes(bytes(bad))
+            with pytest.raises(FormatError, match="checksum") as exc:
+                load_bank(tmp_path / "b.pbnk")
+            assert exc.value.offset == end, name
+            assert str(exc.value).startswith(f"bank {name} "), name
+
+
+class TestBankMigration:
+    """A v1 bank file still loads; save_bank writes it back as v2, which
+    loads to the same columns, bit for bit."""
+
+    def test_v1_file_loads_and_is_written_back_as_v2(self, tmp_path):
+        bank = hand_bank(TestBankEncoding.NAMES, ["\u00fcber", "img", "y" * 64], [None, 2.5, 0.0])
+        (tmp_path / "v1.pbnk").write_bytes(reference_bank_bytes(bank, 1))
+        from_v1 = load_bank(tmp_path / "v1.pbnk")
+        assert from_v1 == bank and math.isnan(from_v1.blur[0])
+        save_bank(from_v1, tmp_path / "v2.pbnk")
+        raw = (tmp_path / "v2.pbnk").read_bytes()
+        assert struct.unpack_from("<I", raw, 4) == (2,)
+        assert raw == reference_bank_bytes(bank, 2)
+        from_v2 = load_bank(tmp_path / "v2.pbnk")
+        assert from_v2 == from_v1
+        for column in ("keys", "values", "categories", "image_ids", "boxes", "blur"):
+            got, want = getattr(from_v2, column), getattr(from_v1, column)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), column
+
+    def test_non_ascii_names_round_trip_through_v2(self, tmp_path):
+        names = ["caf\u00e9 \u732b", "\u00fc" * 32, "a\x00b"]
+        bank = hand_bank(names, names[::-1], [None, 1.0, None])
+        save_bank(bank, tmp_path / "b.pbnk")
+        loaded = load_bank(tmp_path / "b.pbnk")
+        assert loaded == bank
+        assert loaded.categories.tolist() == names and loaded.image_ids.tolist() == names[::-1]
 
 
 class TestNameColumns:
@@ -862,22 +927,32 @@ def assert_own_memory(arrays):
 def buffer_load_error(raw: bytes) -> str:
     """The FormatError that reading raw as a bank with a Reader over it in
     memory, as a pipe is read, gives, field by field as load_bank reads it,
-    with `records` in place of `record_chunks`; "" if the fields all read."""
+    with one `records` call for the whole body and no checksum checked; ""
+    if the fields all read."""
     try:
         r = Reader(io.BytesIO(raw), len(raw))
-        r._expect_header("PBNK", 1)
+        r._expect_header("PBNK", 1, 2)
         d_key, d_val, count = r.u32(), r.u32(), r.u64()
-        r.json_block()
-        r.records(np.dtype([("x", "u1", (entry_stride(d_key, d_val),))]), count)
+        r.block()
+        if r.version == 2:
+            r.u64()  # the header's checksum
+        r.records(np.dtype(np.uint8), body_bytes(r.version, count, d_key, d_val))
         r.expect_eof()
     except FormatError as exc:
         return str(exc)
     return ""
 
 
+def body_bytes(version, count, d_key, d_val):
+    """The bytes of a bank file after its header: the entries, and in v2
+    each section's 8-byte checksum."""
+    return count * entry_stride(d_key, d_val) + (6 * 8 if version == 2 else 0)
+
+
 class TestStreamedLoad:
-    """load_bank reads the records a chunk at a time into the bank's columns:
-    the bank equals the saved one for any chunk size, and a short, long or
+    """load_bank reads a v2 file's sections straight into the bank's columns,
+    a piece at a time, and a v1 file's records a chunk at a time: the bank
+    equals the saved one for any piece or chunk size, and a short, long or
     oversized file fails as a Reader over the whole file in memory, the pipe
     path, does."""
 
@@ -896,24 +971,34 @@ class TestStreamedLoad:
         save_bank(bank, path)
         return bank, path
 
+    def saved_both(self, tmp_path):
+        """The bank, and its v1 file by the reference encoder and v2 file by
+        save_bank, as (version, path) pairs."""
+        bank, path = self.saved(tmp_path)
+        v1 = tmp_path / "v1.pbnk"
+        v1.write_bytes(reference_bank_bytes(bank, 1))
+        return bank, [(1, v1), (2, path)]
+
     @pytest.mark.parametrize("records_per_chunk", [1, 2.5, 3, 1000])
     def test_any_chunk_size_loads_the_same_bank(self, tmp_path, monkeypatch, records_per_chunk):
         # 2.5 records per chunk read 2 whole records at a time, so neighbouring
-        # non-ASCII names land on both sides of each chunk boundary
-        bank, path = self.saved(tmp_path)
+        # non-ASCII names land on both sides of each chunk boundary; the
+        # pieces of a v2 section are cut at other places again
+        bank, paths = self.saved_both(tmp_path)
         stride = entry_stride(bank.d_key, bank.d_val)
         monkeypatch.setattr(serial, "RECORD_CHUNK_BYTES", int(records_per_chunk * stride))
-        loaded = load_bank(path)
-        assert loaded == bank
-        assert loaded.categories.tolist() == bank.categories.tolist()
-        assert loaded.image_ids.tolist() == bank.image_ids.tolist()
-        for column in ("categories", "image_ids"):
-            names = [name.encode("utf-8") for name in getattr(bank, column).tolist()]
-            want = np.char.decode(np.array(names, dtype="S64"), "utf-8").dtype
-            assert getattr(loaded, column).dtype == want
+        for _, path in paths:
+            loaded = load_bank(path)
+            assert loaded == bank
+            assert loaded.categories.tolist() == bank.categories.tolist()
+            assert loaded.image_ids.tolist() == bank.image_ids.tolist()
+            for column in ("categories", "image_ids"):
+                names = [name.encode("utf-8") for name in getattr(bank, column).tolist()]
+                want = np.char.decode(np.array(names, dtype="S64"), "utf-8").dtype
+                assert getattr(loaded, column).dtype == want
 
     def test_chunks_are_whole_records_read_in_order(self, tmp_path, monkeypatch):
-        bank, path = self.saved(tmp_path)
+        bank, [(_, path), _] = self.saved_both(tmp_path)
         stride = entry_stride(bank.d_key, bank.d_val)
         monkeypatch.setattr(serial, "RECORD_CHUNK_BYTES", 3 * stride + 1)
         raw = path.read_bytes()
@@ -927,6 +1012,26 @@ class TestStreamedLoad:
         assert [first for first, _ in chunks] == [0, 3, 6, 9]
         assert b"".join(data for _, data in chunks) == raw[start:]
 
+    @pytest.mark.parametrize("chunk_bytes, pieces", [(1, [8] * 15), (20, [16] * 7 + [8]),
+                                                     (100, [96, 24]), (10**6, [120])])
+    def test_sections_are_read_in_whole_word_pieces_in_order(self, tmp_path, monkeypatch,
+                                                             chunk_bytes, pieces):
+        """The 10 x 3 float values are read straight into their column, in
+        pieces of whole 8-byte words but for the last, each checked where it
+        starts in the file."""
+        bank, path = self.saved(tmp_path)
+        monkeypatch.setattr(serial, "RECORD_CHUNK_BYTES", chunk_bytes)
+        raw = path.read_bytes()
+        start, end = v2_parts(raw)["value"]
+        column, seen = np.empty((len(bank), bank.d_val), "<f4"), []
+        with Reader.stream(path, "PBNK", 2) as r:
+            r._take(start - r.offset)  # up to the values section
+            r.read_section(column, r.claim(end + 8 - start), "values",
+                           lambda piece, at: seen.append((at, piece.tobytes())))
+        assert [len(data) for _, data in seen] == pieces
+        assert [at for at, _ in seen] == [start + sum(pieces[:i]) for i in range(len(pieces))]
+        assert b"".join(data for _, data in seen) == column.tobytes() == raw[start:end]
+
     @pytest.mark.parametrize("records_per_chunk", [1, 3, 1000])
     @pytest.mark.parametrize("bad, want", [
         ([(7, "key", 0, np.nan), (4, "value", 1, np.inf)], (4, "value", 1, "non-finite value")),
@@ -935,11 +1040,12 @@ class TestStreamedLoad:
     ])
     def test_first_bad_float_refused_at_its_offset(self, tmp_path, monkeypatch,
                                                    records_per_chunk, bad, want):
-        """The first NaN or inf key or value float, or inf blur score, in file
-        order, whichever chunk holds it; NaN blur means "no score" and loads."""
+        """In a v1 file, the first NaN or inf key or value float, or inf blur
+        score, in file order, whichever chunk holds it; NaN blur means "no
+        score" and loads."""
         bank, path = self.saved(tmp_path)
         layout = _record_dtype(bank.d_key, bank.d_val)
-        raw = bytearray(path.read_bytes())
+        raw = bytearray(reference_bank_bytes(bank, 1))
         records_at = len(raw) - len(bank) * layout.itemsize
         def at(row, field, col):
             return records_at + row * layout.itemsize + layout.fields[field][1] + 4 * col
@@ -952,52 +1058,85 @@ class TestStreamedLoad:
             load_bank(path)
         assert exc.value.offset == at(*want[:3])
 
-    def test_truncation_fails_as_a_buffer_read_does(self, tmp_path):
-        bank, path = self.saved(tmp_path)
-        raw = path.read_bytes()
-        stride = entry_stride(bank.d_key, bank.d_val)
-        records_at = len(raw) - len(bank) * stride
-        cuts = {"at a record boundary": records_at + 4 * stride,
-                "mid-record": records_at + 4 * stride + 7,
-                "right after the header": records_at,
-                "inside the JSON block": records_at - 3,
-                "inside the count": 20, "inside the magic": 2}
-        for where, cut in cuts.items():
-            path.write_bytes(raw[:cut])
-            with pytest.raises(FormatError) as exc:
-                load_bank(path)
-            assert str(exc.value) == buffer_load_error(raw[:cut]) != "", where
-            assert "truncated file" in str(exc.value), where
-        path.write_bytes(raw[:records_at + 4 * stride])
-        with pytest.raises(FormatError) as exc:
-            load_bank(path)
-        assert exc.value.offset == records_at
-        assert f"need {len(bank) * stride} bytes, have {4 * stride}" in str(exc.value)
-
-    def test_trailing_bytes_fail_as_a_buffer_read_does(self, tmp_path):
-        _, path = self.saved(tmp_path)
-        raw = path.read_bytes()
-        path.write_bytes(raw + b"\x00" * 5)
-        with pytest.raises(FormatError) as exc:
-            load_bank(path)
-        assert str(exc.value) == buffer_load_error(raw + b"\x00" * 5)
-        assert "5 trailing bytes" in str(exc.value) and exc.value.offset == len(raw)
-
-    def test_count_past_the_file_fails_before_any_column_is_sized(self, tmp_path):
+    @pytest.mark.parametrize("chunk_bytes", [8, 24, 10**6])
+    @pytest.mark.parametrize("bad, want", [
+        ([(7, "key", 0, np.nan), (4, "value", 1, np.inf)], (7, "key", 0, "non-finite key")),
+        ([(7, "key", 0, np.nan), (3, "key", 1, np.inf)], (3, "key", 1, "non-finite key")),
+        ([(2, "blur", 0, -np.inf), (4, "value", 1, np.inf)], (4, "value", 1, "non-finite value")),
+        ([(6, "blur", 0, np.inf), (2, "blur", 0, -np.inf)], (2, "blur", 0, "infinite blur score")),
+    ])
+    def test_first_bad_float_refused_at_its_v2_offset(self, tmp_path, monkeypatch,
+                                                      chunk_bytes, bad, want):
+        """In a v2 file whose checksums hold, the first NaN or inf key or
+        value float, or inf blur score, in file order (keys, values, boxes,
+        blur), whichever piece holds it."""
         bank, path = self.saved(tmp_path)
         raw = bytearray(path.read_bytes())
-        struct.pack_into("<Q", raw, 16, 10**6)  # columns of about 90 MB
-        path.write_bytes(bytes(raw))
-        tracemalloc.start()
-        try:
+        parts = v2_parts(bytes(raw))
+        widths = {"key": 4 * bank.d_key, "value": 4 * bank.d_val, "blur": 4}
+        def at(row, field, col):
+            return parts[field][0] + row * widths[field] + 4 * col
+        for row, field, col, value in bad:
+            struct.pack_into("<f", raw, at(row, field, col), value)
+        path.write_bytes(resealed(bytes(raw)))
+        monkeypatch.setattr(serial, "RECORD_CHUNK_BYTES", chunk_bytes)
+        with pytest.raises(FormatError, match=want[3]) as exc:
+            load_bank(path)
+        assert exc.value.offset == at(*want[:3])
+
+    def test_truncation_fails_as_a_buffer_read_does(self, tmp_path):
+        bank, paths = self.saved_both(tmp_path)
+        stride = entry_stride(bank.d_key, bank.d_val)
+        for version, path in paths:
+            raw = path.read_bytes()
+            body = body_bytes(version, len(bank), bank.d_key, bank.d_val)
+            body_at = len(raw) - body
+            cuts = {"four entries into the body": body_at + 4 * stride,
+                    "mid-entry": body_at + 4 * stride + 7,
+                    "right after the header": body_at,
+                    "inside the header's last field": body_at - 3,
+                    "inside the count": 20, "inside the magic": 2}
+            for where, cut in cuts.items():
+                path.write_bytes(raw[:cut])
+                with pytest.raises(FormatError) as exc:
+                    load_bank(path)
+                assert str(exc.value) == buffer_load_error(raw[:cut]) != "", (version, where)
+                assert "truncated file" in str(exc.value), (version, where)
+            path.write_bytes(raw[:body_at + 4 * stride])
             with pytest.raises(FormatError) as exc:
                 load_bank(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert str(exc.value) == buffer_load_error(bytes(raw))
-        assert f"need {10**6 * entry_stride(bank.d_key, bank.d_val)} bytes" in str(exc.value)
-        assert peak < 2**20
+            assert exc.value.offset == body_at
+            assert f"need {body} bytes, have {4 * stride}" in str(exc.value)
+
+    def test_trailing_bytes_fail_as_a_buffer_read_does(self, tmp_path):
+        _, paths = self.saved_both(tmp_path)
+        for _, path in paths:
+            raw = path.read_bytes()
+            path.write_bytes(raw + b"\x00" * 5)
+            with pytest.raises(FormatError) as exc:
+                load_bank(path)
+            assert str(exc.value) == buffer_load_error(raw + b"\x00" * 5)
+            assert "5 trailing bytes" in str(exc.value) and exc.value.offset == len(raw)
+
+    def test_count_past_the_file_fails_before_any_column_is_sized(self, tmp_path):
+        bank, paths = self.saved_both(tmp_path)
+        for version, path in paths:
+            raw = bytearray(path.read_bytes())
+            struct.pack_into("<Q", raw, 16, 10**6)  # columns of about 90 MB
+            if version == 2:  # a header whose checksum holds
+                raw = resealed(bytes(raw))
+            path.write_bytes(bytes(raw))
+            tracemalloc.start()
+            try:
+                with pytest.raises(FormatError) as exc:
+                    load_bank(path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert str(exc.value) == buffer_load_error(bytes(raw))
+            assert f"need {body_bytes(version, 10**6, bank.d_key, bank.d_val)} bytes" in str(
+                exc.value)
+            assert peak < 2**20
 
     def test_file_that_shrinks_while_read_is_truncated(self):
         dtype = np.dtype([("x", "<f4", (3,))])
@@ -1006,6 +1145,13 @@ class TestStreamedLoad:
             list(r.record_chunks(dtype, 6))
         assert exc.value.offset == 0
         assert f"need {6 * dtype.itemsize} bytes, have {5 * dtype.itemsize}" in str(exc.value)
+
+    def test_section_of_a_file_that_shrinks_is_truncated(self):
+        # 16 bytes of floats read; its checksum, 8 bytes at offset 16, has 4
+        r = serial.Reader(io.BytesIO(bytes(20)), 24)
+        with pytest.raises(FormatError) as exc:
+            r.read_section(np.empty(4, "<f4"), r.claim(24), "section")
+        assert exc.value.offset == 16 and "need 8 bytes, have 4" in str(exc.value)
 
     def test_field_of_a_file_that_shrinks_is_truncated(self):
         r = serial.Reader(io.BytesIO(bytes(6)), 8)

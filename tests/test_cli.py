@@ -18,6 +18,8 @@ from vismem.refine import RefinementParams, save_params
 from vismem.retrieval import build_query
 from vismem.synthetic import ScenarioSpec
 
+from oracles import resealed
+
 
 @pytest.fixture(scope="module")
 def scenario_dir(tmp_path_factory):
@@ -478,7 +480,7 @@ class TestMalformedFilesExit2:
         raw = bytearray(bank_path.read_bytes())
         raw[8:12] = (2**31).to_bytes(4, "little")  # d_key
         bad = tmp_path / "bad.pbnk"
-        bad.write_bytes(bytes(raw))
+        bad.write_bytes(resealed(bytes(raw)))  # the header's checksum holds
         (tmp_path / "cats.txt").write_text("cat-0\n")
         rc = main(["retrieve", "--scenario", str(scenario_dir), "--bank", str(bad),
                    "--categories", str(tmp_path / "cats.txt"), "--image-id", "input"])

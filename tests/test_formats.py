@@ -3,7 +3,8 @@
 A seeded fuzzer corrupts a valid file of each format by byte flips, extreme
 header fields, truncation and appended bytes. A corrupted file may still
 load (a flipped float is still a float), but when loading fails it must fail
-with FormatError. Hand-made cases that once escaped as ValueError,
+with FormatError. A v2 bank file is checksummed, so every change of one of
+its bytes must fail. Hand-made cases that once escaped as ValueError,
 IndexError, TypeError or InvalidInputError, or loaded in silence, must
 raise FormatError.
 """
@@ -35,6 +36,8 @@ from vismem.index import IvfPqIndex, IvfPqParams, ivfpq_add, load_index, save_in
 from vismem.refine import RefinementParams, load_params, save_params
 from vismem.serial import Writer, json_lines, read_json_lines
 
+from oracles import reference_bank_bytes
+
 CORRUPTIONS_PER_FORMAT = 300
 EXTREME_U32 = (0, 1, 3, 2**16, 2**31, 2**32 - 1)
 
@@ -48,13 +51,20 @@ def unit_rows(rng, n, d):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-def write_bank(path):
+def small_bank():
     rng = rng_for(1)
-    bank = MemoryBank(d_key=4, d_val=3, keys=unit_rows(rng, 3, 4), values=unit_rows(rng, 3, 3),
+    return MemoryBank(d_key=4, d_val=3, keys=unit_rows(rng, 3, 4), values=unit_rows(rng, 3, 3),
                       categories=["cat", "dog", "café"], image_ids=["a", "b", "c"],
                       boxes=[[0.1, 0.2, 0.5, 0.6]] * 3, blur=[None, 1.0, 2.5],
                       manifest={"output_count": 3})
-    save_bank(bank, path)
+
+
+def write_bank(path):
+    save_bank(small_bank(), path)
+
+
+def write_bank_v1(path):
+    path.write_bytes(reference_bank_bytes(small_bank(), 1))
 
 
 INDEX_PARAMS = IvfPqParams(nlist=4, m=2, nbits=2, kmeans_iters=1)
@@ -170,6 +180,7 @@ def records_fields(rng, raw):
 # name: (write a valid file, loader, mutation of one header field)
 FORMATS = {
     "PBNK": (write_bank, load_bank, header_u32s(4, 8, 12, 16, 20, 24)),
+    "PBNK v1": (write_bank_v1, load_bank, header_u32s(4, 8, 12, 16, 20, 24)),
     "PIVF": (write_index, load_index, index_u32s),
     "PPRM": (write_params, load_params, header_u32s(4, 8, 12, 16, 20, 24)),
     "PMEM": (write_table, load_embedding_table, header_u32s(4, 8, 12, 16, 20)),
@@ -217,6 +228,28 @@ def test_corruptions_raise_only_format_error(name, tmp_path):
     assert not escapes, f"{len(escapes)} escapes:\n" + "\n".join(escapes[:10])
 
 
+@pytest.mark.parametrize("xor", [0x01, 0x80, 0xFF])
+def test_every_one_byte_change_of_a_v2_bank_is_refused(tmp_path, xor):
+    """A change of any one byte, in the header, a section or a checksum,
+    makes the header or a section fail its checksum, if nothing else
+    refuses the file first."""
+    path = tmp_path / "b.pbnk"
+    write_bank(path)
+    raw = path.read_bytes()
+    assert load_bank(path) == small_bank()
+    loaded = []
+    for at in range(len(raw)):
+        bad = bytearray(raw)
+        bad[at] ^= xor
+        path.write_bytes(bytes(bad))
+        try:
+            load_bank(path)
+        except FormatError:
+            continue
+        loaded.append(at)
+    assert not loaded, f"{len(loaded)} changed files loaded, the first at byte {loaded[0]}"
+
+
 def patched(write, tmp_path, at, fmt, value):
     path = tmp_path / "f"
     write(path)
@@ -235,26 +268,37 @@ PIVF_COARSE_AT = 16 + len(json.dumps(INDEX_PARAMS.as_dict(), sort_keys=True,
                                      separators=(",", ":")))
 PIVF_CODEWORDS_AT = PIVF_COARSE_AT + 4 * 4 * 4
 PIVF_FIRST_LIST_AT = PIVF_CODEWORDS_AT + 4 * 2 * 4 * 2
-# PBNK: magic, version, d_key, d_val, u64 count, JSON length and block, then
-# per entry a 4-float key, a 3-float value, two 64-byte names, the box and
-# the blur score.
-PBNK_RECORDS_AT = 28 + len(json.dumps({"manifest": {"output_count": 3},
+# PBNK: magic, version, d_key, d_val, u64 count, JSON length and block. In
+# v1 there follows per entry a 4-float key, a 3-float value, two 64-byte
+# names, the box and the blur score. In v2 there follow the header's 8-byte
+# checksum and one section per field of the 3 entries, each followed by its
+# checksum: keys, values, boxes, blur scores, then the two name columns.
+PBNK_HEADER_END = 28 + len(json.dumps({"manifest": {"output_count": 3},
                                        "weights": KeyWeights().as_dict()},
                                       sort_keys=True, separators=(",", ":")))
 PBNK_STRIDE = entry_stride(4, 3)
-PBNK_BLUR_AT = 4 * 4 + 4 * 3 + 2 * 64 + 4 * 4
+PBNK_V1_BLUR_AT = 4 * 4 + 4 * 3 + 2 * 64 + 4 * 4
+PBNK_KEYS_AT = PBNK_HEADER_END + 8
+PBNK_VALUES_AT = PBNK_KEYS_AT + 3 * 4 * 4 + 8
+PBNK_BLUR_AT = PBNK_VALUES_AT + 3 * 3 * 4 + 8 + 3 * 4 * 4 + 8
 # PMEM: magic, version, dim, u64 count, then u32 length, name and 3 floats
 # per entry: the second name, "dog", starts at 20 + 4 + 3 + 12 + 4.
 PMEM_SECOND_NAME_AT = 43
 
 # Files that once loaded in silence, each refused at its bad value's offset.
 REFUSED_AT_THE_VALUE = [
-    pytest.param(write_bank, load_bank, PBNK_RECORDS_AT + PBNK_STRIDE + 4 * 2, "<f", math.nan,
+    pytest.param(write_bank, load_bank, PBNK_KEYS_AT + 4 * (4 + 2), "<f", math.nan,
                  id="PBNK NaN key"),
-    pytest.param(write_bank, load_bank, PBNK_RECORDS_AT + 2 * PBNK_STRIDE + 4 * 4 + 4 * 1, "<f",
-                 math.inf, id="PBNK inf value"),
-    pytest.param(write_bank, load_bank, PBNK_RECORDS_AT + PBNK_BLUR_AT, "<f", -math.inf,
+    pytest.param(write_bank, load_bank, PBNK_VALUES_AT + 4 * (2 * 3 + 1), "<f", math.inf,
+                 id="PBNK inf value"),
+    pytest.param(write_bank, load_bank, PBNK_BLUR_AT, "<f", -math.inf,
                  id="PBNK inf blur score"),
+    pytest.param(write_bank_v1, load_bank, PBNK_HEADER_END + PBNK_STRIDE + 4 * 2, "<f",
+                 math.nan, id="PBNK v1 NaN key"),
+    pytest.param(write_bank_v1, load_bank, PBNK_HEADER_END + 2 * PBNK_STRIDE + 4 * 4 + 4 * 1,
+                 "<f", math.inf, id="PBNK v1 inf value"),
+    pytest.param(write_bank_v1, load_bank, PBNK_HEADER_END + PBNK_V1_BLUR_AT, "<f", -math.inf,
+                 id="PBNK v1 inf blur score"),
     pytest.param(write_index, load_index, PIVF_COARSE_AT + 4 * 5, "<f", math.nan,
                  id="PIVF NaN coarse centroid"),
     pytest.param(write_index, load_index, PIVF_CODEWORDS_AT + 4 * 3, "<f", -math.inf,

@@ -611,6 +611,12 @@ class TestScoreAndConstrain:
         values = np.zeros((1, 2), dtype=np.float32)
         assert LogitsMatrix(values, ["cat", "dog"], ["cat"]).values is values  # no copy
 
+    @pytest.mark.parametrize("values", [[[1, 2], [3]], [[1, 2], [3, [4]]], [["a", 2], [3, 4]]])
+    def test_values_that_make_no_matrix_are_invalid_input(self, values):
+        """numpy's bare ValueError once escaped from the constructor."""
+        with pytest.raises(InvalidInputError, match="logits values"):
+            LogitsMatrix(values, ["cat", "dog"], ["cat", "dog"])
+
     def _prompts(self, sources, dim=4, seed=0):
         rng = rng_for(seed)
         return [MemoryGuidedPrompt(
