@@ -14,7 +14,7 @@ import os
 import re
 from collections.abc import MutableMapping
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -68,11 +68,14 @@ class KeyWeights:
     w_g: float = 0.01
 
     def __post_init__(self):
-        for name, value in asdict(self).items():
-            object.__setattr__(self, name, _check(name, value))
+        for name in _WEIGHT_NAMES:
+            object.__setattr__(self, name, _check(name, getattr(self, name)))
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+_WEIGHT_NAMES = tuple(f.name for f in fields(KeyWeights))  # the keys a bank header's weights have
 
 
 @dataclass
@@ -592,11 +595,31 @@ def _encode_names(column: np.ndarray) -> np.ndarray:
     return np.char.encode(column, "utf-8") if encoded is None else encoded
 
 
-def _decode_names(column: np.ndarray) -> np.ndarray:
-    """A column of 64-byte name fields as np.char.decode(column, "utf-8") makes it."""
+def _decode_names(column: np.ndarray, what: str, at: int, stride: int) -> np.ndarray:
+    """A column of 64-byte name fields as np.char.decode(column, "utf-8")
+    makes it. Bad UTF-8 is a FormatError "bad UTF-8 in <what>" at the first
+    bad name's field, which for row i lies at byte offset at + stride * i."""
     units = column.view(np.uint8).reshape(len(column), NAME_FIELD_BYTES)
     names = _ascii_names(units, "U")
-    return np.char.decode(column, "utf-8") if names is None else names
+    if names is not None:
+        return names
+    try:
+        return np.char.decode(column, "utf-8")
+    except UnicodeDecodeError:
+        for row, name in enumerate(column.tolist()):
+            with format_errors(f"bad UTF-8 in {what}", at + stride * row):
+                name.decode("utf-8")
+        raise
+
+
+def _name_fields(layout: np.dtype, count: int, version: int, name: str) -> tuple[int, int]:
+    """Where the name field `name` of the first entry lies, from the start of
+    the entries, and the bytes from one entry's field to the next's. A v2
+    section follows every earlier section and its 8-byte checksum."""
+    if version == 1:
+        return layout.fields[name][1], layout.itemsize
+    earlier = list(_SECTIONS)[:list(_SECTIONS).index(name)]
+    return sum(count * layout[n].itemsize + 8 for n in earlier), layout[name].itemsize
 
 
 def _finite(what: str):
@@ -719,7 +742,7 @@ def load_bank(path) -> MemoryBank:
         meta = json_value(payload, meta_at)
         weights = meta.get("weights") if isinstance(meta, dict) else None
         with format_errors("bad weights or manifest in bank header", meta_at):
-            if not (isinstance(weights, dict) and weights.keys() == KeyWeights().as_dict().keys()
+            if not (isinstance(weights, dict) and weights.keys() == set(_WEIGHT_NAMES)
                     and isinstance(meta.get("manifest"), dict)):
                 raise InvalidInputError(f"{meta!r:.200}")
             weights = KeyWeights(**weights)
@@ -732,9 +755,11 @@ def load_bank(path) -> MemoryBank:
     x0, y0, x1, y1 = columns["box"].T
     if not np.all((0 <= x0) & (x0 < x1) & (x1 <= 1) & (0 <= y0) & (y0 < y1) & (y1 <= 1)):
         raise FormatError("bank has a box outside 0 <= x0 < x1 <= 1, 0 <= y0 < y1 <= 1")
-    with format_errors("bad UTF-8 in a category or image id", records_at):
-        categories, image_ids = (_decode_names(columns.pop(name))
-                                 for name in ("category", "image_id"))
+    names = []
+    for name, what in (("category", "a category"), ("image_id", "an image id")):
+        first, stride = _name_fields(layout, count, r.version, name)
+        names.append(_decode_names(columns.pop(name), what, records_at + first, stride))
+    categories, image_ids = names
     return MemoryBank._adopt(d_key, d_val, weights, meta["manifest"],
                              keys=columns["key"], values=columns["value"],
                              categories=categories, image_ids=image_ids,

@@ -323,27 +323,37 @@ def _smoothing_kernel(sigma: float) -> np.ndarray | None:
     return gaussian_kernel_1d(sigma) if _check("sigma", sigma) else None
 
 
-def _gaussian_smooth(scalar_map: np.ndarray, kernel: np.ndarray | None) -> np.ndarray:
+def _gaussian_smooth(scalar_map: np.ndarray, kernel: np.ndarray | None,
+                     work: np.ndarray | None = None) -> np.ndarray:
     """gaussian_smooth on a map that as_scalar_map has already checked, with
-    the kernel _smoothing_kernel gives."""
+    the kernel _smoothing_kernel gives. work, two float64 maps of its shape,
+    holds the two passes if given; otherwise they are allocated.
+
+    scipy widens each line of the float32 map to float64 as it reads it, so
+    the map is passed as it is: a cast to float64 first gives the same bits."""
     if kernel is None:
         return scalar_map.copy()
     from scipy import ndimage  # here, not at the top: it is most of the CLI's import time
-    out = scalar_map.astype(np.float64)
+    if work is None:
+        work = np.empty((2, *scalar_map.shape))
     # scipy's "reflect" mode (d c b a | a b c d) conserves total mass.
-    out = ndimage.correlate1d(out, kernel, axis=0, mode="reflect")
-    out = ndimage.correlate1d(out, kernel, axis=1, mode="reflect")
-    return out.astype(np.float32)
+    ndimage.correlate1d(scalar_map, kernel, axis=0, output=work[0], mode="reflect")
+    ndimage.correlate1d(work[0], kernel, axis=1, output=work[1], mode="reflect")
+    return work[1].astype(np.float32)
 
 
-def _minmax_rescale(scalar_map: np.ndarray) -> np.ndarray:
-    """Affine rescale of a checked map to [0, 1]. A (near-)constant map
+def _minmax_rescale(scalar_map: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """Affine rescale of a checked float32 map to [0, 1], taken in float64 in
+    work, one float64 map of its shape, if given. A (near-)constant map
     rescales to all zeros."""
     lo = float(scalar_map.min())
     hi = float(scalar_map.max())
     if hi - lo <= EPS_NORM:
         return np.zeros_like(scalar_map)
-    return ((scalar_map.astype(np.float64) - lo) / (hi - lo)).astype(np.float32)
+    # dtype is needed: NumPy 2 takes a float32 array minus a Python float in float32.
+    out = np.subtract(scalar_map, lo, out=work, dtype=np.float64)
+    out /= hi - lo
+    return out.astype(np.float32)
 
 
 LN_OVERFLOW = "layer norm overflows float32"

@@ -3,8 +3,10 @@ against: one vector's unit normalization by its own np.linalg.norm; for the
 key kernel, one key's float64 loop; for the columnar bank build, the
 whole-grid-mask mean pool and the build loop that made one key and one value
 per record; for refinement, one anchor's dense window feature, heatmap
-resampling and prompt; for bank files, both formats written one entry and
-one field at a time, with v2's checksums summed as Python ints."""
+resampling and prompt; for dense priors, one product per prototype and a
+float64 copy of each map before its smoothing and its rescale; for bank
+files, both formats written one entry and one field at a time, with v2's
+checksums summed as Python ints."""
 
 import math
 import struct
@@ -14,7 +16,7 @@ import numpy as np
 from vismem.bank import BankBuildConfig, MemoryBank
 from vismem.bank import _record_blur_score, blur_filter, filter_small_boxes, merge_duplicates
 from vismem.errors import InvalidInputError, MissingEmbeddingError
-from vismem.grids import EPS_NORM, as_grid, as_vector, cell_centers
+from vismem.grids import EPS_NORM, as_grid, as_vector, cell_centers, gaussian_kernel_1d
 from vismem.serial import Writer
 
 
@@ -134,6 +136,42 @@ def resample_heatmap(heat, target_h, target_w):
             bot = (1.0 - fx) * float(heat[r1, c0]) + fx * float(heat[r1, c1])
             out[r, c] = (1.0 - fy) * top + fy * bot
     return out
+
+
+def per_prototype_heatmaps(grid, protos, sigma, block=2048):
+    """The heatmap of each prototype, the zero map for an empty one, as the
+    per-prototype loop made it: per block of whole grid rows (block cells),
+    the float64 cells divided by their np.linalg.norm, zero at or below
+    EPS_NORM, then `block @ v` for each prototype v in turn, stored as
+    float32. Each map is cast to float64, smoothed by two reflect-mode
+    correlate1d passes (none at sigma 0) and stored as float32, then min-max
+    rescaled by (map - lo) / (hi - lo) in float64 from its float32 copy."""
+    from scipy import ndimage
+
+    h, w, _ = grid.shape
+    rows = max(1, block // w)
+    maps = []
+    for proto in protos:
+        if proto.is_empty:
+            maps.append(np.zeros((h, w), dtype=np.float32))
+            continue
+        raw = np.empty((h, w), dtype=np.float32)
+        v = proto.vector.astype(np.float64)
+        for r in range(0, h, rows):
+            cells = grid[r:r + rows].astype(np.float64)
+            norms = np.linalg.norm(cells, axis=2)
+            cells /= np.where(norms > EPS_NORM, norms, 1.0)[:, :, None]
+            cells[norms <= EPS_NORM] = 0.0
+            raw[r:r + rows] = cells @ v
+        smooth = raw.copy()
+        if sigma > 0:
+            kernel = gaussian_kernel_1d(sigma)
+            out = ndimage.correlate1d(raw.astype(np.float64), kernel, axis=0, mode="reflect")
+            smooth = ndimage.correlate1d(out, kernel, axis=1, mode="reflect").astype(np.float32)
+        lo, hi = float(smooth.min()), float(smooth.max())
+        maps.append(np.zeros_like(smooth) if hi - lo <= EPS_NORM
+                    else ((smooth.astype(np.float64) - lo) / (hi - lo)).astype(np.float32))
+    return maps
 
 
 def refine_prompt(params, f_s, f_d):

@@ -761,6 +761,24 @@ class TestBankEncoding:
                 with pytest.raises(FormatError, match="UTF-8"):
                     load_bank(path)
 
+    @pytest.mark.parametrize("field, row, col", [("image_id", 1, 2), ("category", 2, 0),
+                                                 ("category", 0, 5)])
+    def test_invalid_utf8_reported_at_its_own_name(self, tmp_path, field, row, col):
+        """The offset is the bad name's 64-byte field: in v1 its record's
+        offset plus the field's, in v2 its section's start plus 64 per row."""
+        bank = hand_bank(["cat", "dog", "cow"], ["img0", "img1", "img2"], [None, 1.0, None])
+        layout = _record_dtype(bank.d_key, bank.d_val)
+        records_at = len(reference_bank_bytes(bank, 1)) - len(bank) * layout.itemsize
+        v1_field = records_at + row * layout.itemsize + layout.fields[field][1]
+        v2_field = v2_parts(reference_bank_bytes(bank, 2))[field][0] + 64 * row
+        v1, v2 = self.patched_files(tmp_path, bank, lambda layout, raw: v1_field + col,
+                                    lambda parts: v2_field + col, b"\xff")
+        what = "a category" if field == "category" else "an image id"
+        for path, offset in ((v1, v1_field), (v2, v2_field)):
+            with pytest.raises(FormatError, match=f"bad UTF-8 in {what}") as exc:
+                load_bank(path)
+            assert exc.value.offset == offset, path.name
+
     def test_v2_file_unsealed_after_a_patch_fails_its_checksum(self, tmp_path):
         bank = hand_bank(["cat", "dog"], ["img0", "img1"], [None, None])
         save_bank(bank, tmp_path / "b.pbnk")

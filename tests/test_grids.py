@@ -19,8 +19,8 @@ from vismem.grids import (
 )
 from vismem import grids as grids_module
 from vismem.bank import _value_column
-from vismem.grids import (EPS_NORM, _all_finite, _box_cells, _box_means, _l2_normalize,
-                          _minmax_rescale)
+from vismem.grids import (EPS_NORM, _all_finite, _box_cells, _box_means, _gaussian_smooth,
+                          _l2_normalize, _minmax_rescale)
 from vismem.index import FlatIndex, exact_scores
 
 from oracles import mask_mean_pool, oracle_l2_normalize
@@ -548,6 +548,22 @@ class TestGaussianSmooth:
             gaussian_kernel_1d(sigma)
 
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (37, 100), (128, 128)])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 3.0])
+    def test_float32_map_smoothed_as_its_float64_copy(self, shape, sigma):
+        """The map goes to scipy as float32, into float64 scratch: the bits
+        of the float64 copy smoothed by two correlate1d passes."""
+        from scipy import ndimage
+
+        m = rng_for(shape[0] + shape[1]).standard_normal(shape).astype(np.float32)
+        kernel = gaussian_kernel_1d(sigma)
+        once = ndimage.correlate1d(m.astype(np.float64), kernel, axis=0, mode="reflect")
+        expected = ndimage.correlate1d(once, kernel, axis=1, mode="reflect").astype(np.float32)
+        work = np.full((2, *shape), np.nan)
+        for out in (gaussian_smooth(m, sigma), _gaussian_smooth(m, kernel, work)):
+            assert out.dtype == np.float32 and out.tobytes() == expected.tobytes()
+
+
 class TestMinmaxRescale:
     def test_affine_rescale(self):
         out = _minmax_rescale(np.array([[-2.0, 0.0, 2.0]], dtype=np.float32))
@@ -556,6 +572,19 @@ class TestMinmaxRescale:
     def test_constant_maps_to_zeros(self):
         out = _minmax_rescale(np.full((4, 4), 7.0, dtype=np.float32))
         np.testing.assert_array_equal(out, np.zeros((4, 4), dtype=np.float32))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_subtraction_taken_in_float64(self, seed):
+        """map - lo is taken in float64, with or without scratch. NumPy 2
+        takes a float32 array minus a Python float in float32, and that
+        rounds many of these cells to other bits."""
+        m = rng_for(seed).uniform(-1, 1, (16, 16)).astype(np.float32)
+        lo, hi = float(m.min()), float(m.max())
+        expected = ((m.astype(np.float64) - lo) / (hi - lo)).astype(np.float32)
+        in_float32 = ((m - lo).astype(np.float64) / (hi - lo)).astype(np.float32)
+        assert (m - lo).dtype == np.float32 and (in_float32 != expected).sum() > 10
+        for out in (_minmax_rescale(m), _minmax_rescale(m, np.full(m.shape, np.nan))):
+            assert out.dtype == np.float32 and out.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_range_and_order(self, seed):

@@ -17,6 +17,8 @@ from vismem.priors import (
 )
 from vismem.retrieval import Prototype
 
+from oracles import per_prototype_heatmaps
+
 
 def rng_for(seed):
     return np.random.Generator(np.random.PCG64(seed))
@@ -212,6 +214,53 @@ class TestBlockedDensePriors:
             assert prior.heatmap.tobytes() == heatmap_oracle(grid, proto, 0.0).tobytes()
 
 
+class TestStackedProductMatchesPerPrototypeLoop:
+    """One stacked product of each block with every prototype, the norms
+    summed as np.linalg.norm sums them, and the smoothing and rescale in
+    reused float64 scratch give every heatmap the bits of the per-prototype
+    loop with its float64 copies."""
+
+    @staticmethod
+    def _protos(rng, d, layout):
+        """Prototypes in the order layout gives: "p" a random one, "e" an empty one."""
+        return [empty_proto(d, f"e{i}") if kind == "e" else proto_of(rng.standard_normal(d), f"p{i}")
+                for i, kind in enumerate(layout)]
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.6, 1.0, 2.5])
+    @pytest.mark.parametrize("shape", [(37, 100, 8), (128, 128, 32), (64, 64, 32), (9, 2049, 4),
+                                       (37, 1, 40), (1, 37, 3)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_bit_identical_to_per_prototype_oracle(self, shape, sigma):
+        """37 rows of 100 cells are blocks of 20 rows and a short one of 17."""
+        h, w, d = shape
+        rng = rng_for(h + w + d)
+        grid = rng.standard_normal(shape).astype(np.float32)
+        grid[h // 2, w // 3] = 0.0  # an all-zero cell
+        protos = self._protos(rng, d, "pepppep")
+        priors = _dense_priors(grid, protos, sigma)
+        assert [p.category for p in priors] == [p.category for p in protos]
+        for prior, expected in zip(priors, per_prototype_heatmaps(grid, protos, sigma)):
+            assert prior.sigma == sigma and prior.heatmap.dtype == np.float32
+            assert prior.heatmap.tobytes() == expected.tobytes(), prior.category
+
+    @pytest.mark.parametrize("block", [1, 100, 700, 4096])
+    def test_any_block_of_whole_rows_keeps_the_bits(self, block, monkeypatch):
+        monkeypatch.setattr(priors_module, "_BLOCK", block)
+        rng = rng_for(block)
+        grid = rng.standard_normal((37, 100, 8)).astype(np.float32)
+        grid[0, :5] = 0.0
+        protos = self._protos(rng, 8, "pepe")
+        for prior, expected in zip(_dense_priors(grid, protos, 1.0),
+                                   per_prototype_heatmaps(grid, protos, 1.0, block=2048)):
+            assert prior.heatmap.tobytes() == expected.tobytes(), prior.category
+
+    def test_only_empty_prototypes(self):
+        grid = rng_for(2).standard_normal((5, 6, 3)).astype(np.float32)
+        priors = _dense_priors(grid, [empty_proto(3, "a"), empty_proto(3, "b")], 1.0)
+        for prior in priors:
+            assert prior.heatmap.tobytes() == np.zeros((5, 6), np.float32).tobytes()
+
+
 class TestSigmaChecked:
     @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
     @pytest.mark.parametrize("empty_only", [True, False])
@@ -296,6 +345,33 @@ class TestFindPeaks:
         if levels is not None:
             hm = (np.floor(hm * levels) / (levels - 1)).astype(np.float32)
         assert find_peaks(hm, threshold) == peaks_oracle(hm.astype(np.float64), threshold)
+
+
+class TestFindPeaksEdgeMaps:
+    """The flat-index peak finder on degenerate shapes and thresholds."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 13), (13, 1), (2, 2), (128, 128)],
+                             ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
+    def test_thin_maps_match_oracle(self, shape, threshold):
+        hm = rng_for(shape[0] * 31 + shape[1]).uniform(0, 1, shape).astype(np.float32)
+        assert find_peaks(hm, threshold) == peaks_oracle(hm.astype(np.float64), threshold)
+
+    def test_no_cell_above_threshold(self):
+        hm = rng_for(5).uniform(0, 0.4, (9, 11)).astype(np.float32)
+        assert find_peaks(hm, 0.5) == [] == peaks_oracle(hm.astype(np.float64), 0.5)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (5, 7)])
+    def test_constant_map_at_threshold_zero_is_all_peaks_row_major(self, shape):
+        hm = np.full(shape, 0.25, dtype=np.float32)
+        peaks = find_peaks(hm, 0.0)
+        assert peaks == peaks_oracle(hm.astype(np.float64), 0.0)
+        assert [(r, c) for r, c, _ in peaks] == [(r, c) for r in range(shape[0])
+                                                 for c in range(shape[1])]
+
+    def test_non_contiguous_map(self):
+        hm = rng_for(6).uniform(0, 1, (12, 9)).astype(np.float32)
+        assert find_peaks(hm.T, 0.3) == peaks_oracle(hm.T.astype(np.float64), 0.3)
 
 
 def peaks_float64(heatmap, threshold):
