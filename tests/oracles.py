@@ -138,9 +138,9 @@ def resample_heatmap(heat, target_h, target_w):
     return out
 
 
-def per_prototype_heatmaps(grid, protos, sigma, block=2048):
+def per_prototype_heatmaps(grid, protos, sigma):
     """The heatmap of each prototype, the zero map for an empty one, as the
-    per-prototype loop made it: per block of whole grid rows (block cells),
+    per-prototype loop made it: per block of whole grid rows (2048 cells),
     the float64 cells divided by their np.linalg.norm, zero at or below
     EPS_NORM, then `block @ v` for each prototype v in turn, stored as
     float32. Each map is cast to float64, smoothed by two reflect-mode
@@ -149,7 +149,7 @@ def per_prototype_heatmaps(grid, protos, sigma, block=2048):
     from scipy import ndimage
 
     h, w, _ = grid.shape
-    rows = max(1, block // w)
+    rows = max(1, 2048 // w)
     maps = []
     for proto in protos:
         if proto.is_empty:

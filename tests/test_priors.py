@@ -220,12 +220,6 @@ class TestStackedProductMatchesPerPrototypeLoop:
     reused float64 scratch give every heatmap the bits of the per-prototype
     loop with its float64 copies."""
 
-    @staticmethod
-    def _protos(rng, d, layout):
-        """Prototypes in the order layout gives: "p" a random one, "e" an empty one."""
-        return [empty_proto(d, f"e{i}") if kind == "e" else proto_of(rng.standard_normal(d), f"p{i}")
-                for i, kind in enumerate(layout)]
-
     @pytest.mark.parametrize("sigma", [0.0, 0.6, 1.0, 2.5])
     @pytest.mark.parametrize("shape", [(37, 100, 8), (128, 128, 32), (64, 64, 32), (9, 2049, 4),
                                        (37, 1, 40), (1, 37, 3)],
@@ -236,29 +230,13 @@ class TestStackedProductMatchesPerPrototypeLoop:
         rng = rng_for(h + w + d)
         grid = rng.standard_normal(shape).astype(np.float32)
         grid[h // 2, w // 3] = 0.0  # an all-zero cell
-        protos = self._protos(rng, d, "pepppep")
+        protos = [empty_proto(d, f"e{i}") if kind == "e" else proto_of(rng.standard_normal(d), f"p{i}")
+                  for i, kind in enumerate("pepppep")]  # empty ones between non-empty ones
         priors = _dense_priors(grid, protos, sigma)
         assert [p.category for p in priors] == [p.category for p in protos]
         for prior, expected in zip(priors, per_prototype_heatmaps(grid, protos, sigma)):
             assert prior.sigma == sigma and prior.heatmap.dtype == np.float32
             assert prior.heatmap.tobytes() == expected.tobytes(), prior.category
-
-    @pytest.mark.parametrize("block", [1, 100, 700, 4096])
-    def test_any_block_of_whole_rows_keeps_the_bits(self, block, monkeypatch):
-        monkeypatch.setattr(priors_module, "_BLOCK", block)
-        rng = rng_for(block)
-        grid = rng.standard_normal((37, 100, 8)).astype(np.float32)
-        grid[0, :5] = 0.0
-        protos = self._protos(rng, 8, "pepe")
-        for prior, expected in zip(_dense_priors(grid, protos, 1.0),
-                                   per_prototype_heatmaps(grid, protos, 1.0, block=2048)):
-            assert prior.heatmap.tobytes() == expected.tobytes(), prior.category
-
-    def test_only_empty_prototypes(self):
-        grid = rng_for(2).standard_normal((5, 6, 3)).astype(np.float32)
-        priors = _dense_priors(grid, [empty_proto(3, "a"), empty_proto(3, "b")], 1.0)
-        for prior in priors:
-            assert prior.heatmap.tobytes() == np.zeros((5, 6), np.float32).tobytes()
 
 
 class TestSigmaChecked:
