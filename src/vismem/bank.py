@@ -29,8 +29,9 @@ from .grids import (
     as_scalar_map,
     as_vector,
 )
-from .serial import (Reader, Writer, atomic_write_bytes, format_errors, is_json_number,
-                     json_bytes, json_fields, json_value, read_file, read_json_lines, word_sum)
+from .serial import (Reader, Writer, atomic_write_bytes, finite_check, format_errors,
+                     is_json_number, json_bytes, json_fields, json_value, read_file,
+                     read_json_lines, sealed, word_sum)
 
 # Fixed width of the category and image id fields in the bank file:
 # zero-padded UTF-8.
@@ -576,13 +577,34 @@ def _value_column(grids: list[np.ndarray], rows: list[int], boxes: np.ndarray) -
 
 # --- persistence -----------------------------------------------------------
 
+def _or_rows(units: np.ndarray) -> np.ndarray:
+    """The bitwise OR of the rows of a C-contiguous 2-D array of unsigned
+    ints, zeros if it has none, by repeated halving: each step ORs the first
+    h rows with the next h in one long contiguous pass (numpy joins the rows
+    of a contiguous block into one loop) and an odd last row into the first."""
+    acc = units
+    while len(acc) > 1:
+        h = len(acc) // 2
+        head = np.bitwise_or(acc[:h], acc[h:2 * h], out=None if acc is units else acc[:h])
+        if len(acc) % 2:
+            head[0] |= acc[2 * h]
+        acc = head
+    return acc[0] if len(acc) else np.zeros(units.shape[1], units.dtype)
+
+
 def _ascii_names(units: np.ndarray, kind: str) -> np.ndarray | None:
-    """The names whose code units (bytes or UCS-4) are the rows of units, as a
-    column of kind "S" or "U" as wide as the longest name, which is the column
-    np.char.encode or decode makes of them; None if a unit is not ASCII."""
-    if units.size and units.max() >= 128:
+    """The names whose code units (bytes or UCS-4) are the rows of the
+    C-contiguous array units, as a column of kind "S" or "U" as wide as the
+    longest name, which is the column np.char.encode or decode makes of
+    them; None if a unit is not ASCII.
+
+    Both the width and the ASCII test come from the OR of all rows
+    (_or_rows): a unit is at least 128 somewhere exactly when the OR is, and
+    a column holds a non-zero unit exactly when its OR does."""
+    combined = _or_rows(units)
+    if combined.max(initial=0) >= 128:
         return None
-    used = np.flatnonzero(units.any(axis=0))
+    used = np.flatnonzero(combined)
     width = int(used[-1]) + 1 if used.size else 1
     unit = np.uint32 if kind == "U" else np.uint8
     return np.ascontiguousarray(units[:, :width], dtype=unit).view(f"{kind}{width}")[:, 0]
@@ -622,15 +644,6 @@ def _name_fields(layout: np.dtype, count: int, version: int, name: str) -> tuple
     return sum(count * layout[n].itemsize + 8 for n in earlier), layout[name].itemsize
 
 
-def _finite(what: str):
-    """A read_section check that refuses the first NaN or inf float of a
-    piece, naming it what, at its offset."""
-    def check(piece: np.ndarray, at: int) -> None:
-        if not _all_finite(piece):
-            raise FormatError(what, offset=at + 4 * int(np.argmax(~np.isfinite(piece))))
-    return check
-
-
 def _not_inf(piece: np.ndarray, at: int) -> None:
     """The read_section check of blur scores: NaN is "no score", inf is refused."""
     inf = np.isinf(piece)
@@ -640,7 +653,7 @@ def _not_inf(piece: np.ndarray, at: int) -> None:
 
 # The v2 sections, in file order: the record field each holds and the check
 # run on each piece of it as it is read.
-_SECTIONS = {"key": _finite("non-finite key"), "value": _finite("non-finite value"),
+_SECTIONS = {"key": finite_check("non-finite key"), "value": finite_check("non-finite value"),
              "box": None, "blur": _not_inf, "category": None, "image_id": None}
 
 
@@ -665,11 +678,9 @@ def save_bank(bank: MemoryBank, path) -> None:
     header = _header(bank.d_key, bank.d_val, len(bank), json_bytes(
         {"weights": bank.weights.as_dict(), "manifest": bank.manifest}), BANK_VERSION)
     layout = _record_dtype(bank.d_key, bank.d_val)
-    chunks = [header, word_sum(np.frombuffer(header, np.uint8)).to_bytes(8, "little")]
-    for name in _SECTIONS:  # names are zero-padded to their field
-        section = np.ascontiguousarray(columns[name], layout[name].base)
-        chunks += [section, word_sum(section).to_bytes(8, "little")]
-    atomic_write_bytes(path, *chunks)
+    # names are zero-padded to their field
+    atomic_write_bytes(path, *sealed(np.frombuffer(header, np.uint8), *(
+        np.ascontiguousarray(columns[name], layout[name].base) for name in _SECTIONS)))
 
 
 def _read_records(r, layout: np.dtype, count: int) -> dict[str, np.ndarray]:

@@ -10,6 +10,7 @@ full-precision keys repairs approximation errors before the final top-K cut.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -17,10 +18,11 @@ from scipy.sparse import csr_matrix
 
 from .errors import FormatError, InvalidInputError
 from .grids import _all_finite, _check
-from .serial import Reader, Writer, atomic_write_bytes, format_errors
+from .serial import (Reader, Writer, atomic_write_bytes, finite_check, format_errors, json_bytes,
+                     json_value, sealed, word_sum)
 
 INDEX_MAGIC = "PIVF"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -134,16 +136,23 @@ def _nearest(points: np.ndarray, centroids: np.ndarray, bias,
     <x, c>, written there.
 
     The float32 product is taken in blocks of _BLOCK rows, into two buffers
-    reused by every block. With bias |c|^2 / 2 the choice is the nearest
+    reused by every block. A last block of fewer than _BLOCK / 4 rows joins
+    the block before it: BLAS takes a product of a few rows by another
+    kernel (a GEMV for one row), which rounds differently, so a row's
+    product would depend on n. With bias |c|^2 / 2 the choice is the nearest
     centroid, since |x|^2 is constant per row; with a bias of 0.0 it is the
     best inner product.
     """
     n = points.shape[0]
+    starts = list(range(0, n, _BLOCK))
+    if len(starts) > 1 and n - starts[-1] < _BLOCK // 4:
+        starts.pop()
+    bounds = list(zip(starts, starts[1:] + [n]))
     choice = np.empty(n, dtype=np.intp)
-    cross = np.empty((min(n, _BLOCK), centroids.shape[0]), dtype=np.float32)
+    cross = np.empty((max((b - a for a, b in bounds), default=0), centroids.shape[0]),
+                     dtype=np.float32)
     scored = np.empty_like(cross)
-    for a in range(0, n, _BLOCK):
-        b = min(n, a + _BLOCK)
+    for a, b in bounds:
         block, biased = cross[:b - a], scored[:b - a]
         np.matmul(points[a:b], centroids.T, out=block)
         np.subtract(block, bias, out=biased)
@@ -452,22 +461,42 @@ def rescore(keys, candidates: list[SearchHit], query, k: int) -> list[SearchHit]
 
 # --- persistence -----------------------------------------------------------
 
+_PARAM_NAMES = tuple(f.name for f in fields(IvfPqParams))  # the keys an index header has
+
+
+def _header(version: int, payload: bytes, dim: int) -> bytes:
+    """An index file's header up to its checksum: magic, version, the JSON
+    block of the params and the u32 dim."""
+    return Writer().magic(INDEX_MAGIC).u32(version).block(payload).u32(dim).getvalue()
+
+
 def save_index(index: IvfPqIndex, path) -> None:
-    w = Writer()
-    w.magic(INDEX_MAGIC).u32(INDEX_VERSION)
-    w.json_block(index.params.as_dict())
-    w.u32(index.dim)
-    w.f32_array(index.coarse_centroids)
-    w.f32_array(index.pq_codebooks)
-    for a, b in zip(index.offsets[:-1].tolist(), index.offsets[1:].tolist()):
-        w.u64(b - a)
-        w.i64_array(index.ids[a:b])
-        w.u8_array(index.codes[a:b])
-    atomic_write_bytes(path, w.getvalue())
+    """Write an index file of format v2: the header, then one section per
+    array: the coarse centroids and PQ codebooks (float32), the offsets
+    (nlist + 1 int64), the ids (N int64) and the codes (N x m uint8). The
+    header and each section are followed by their 8-byte checksum
+    (serial.word_sum), so any change of one byte of the file fails a
+    checksum if nothing else refuses it first."""
+    header = _header(INDEX_VERSION, json_bytes(index.params.as_dict()), index.dim)
+    atomic_write_bytes(path, *sealed(
+        np.frombuffer(header, np.uint8),
+        np.ascontiguousarray(index.coarse_centroids, "<f4"),
+        np.ascontiguousarray(index.pq_codebooks, "<f4"),
+        np.ascontiguousarray(index.offsets, "<i8"),
+        np.ascontiguousarray(index.ids, "<i8"),
+        np.ascontiguousarray(index.codes, np.uint8)))
+
+
+def _params(header, at: int) -> IvfPqParams:
+    """The params of the header's JSON value, which starts at offset at."""
+    with format_errors("bad index header", at):
+        if not isinstance(header, dict) or header.keys() != set(_PARAM_NAMES):
+            raise InvalidInputError(f"header keys must be exactly {sorted(_PARAM_NAMES)}")
+        return IvfPqParams(**header)
 
 
 def _finite_f32s(r: Reader, what: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The next float32 array of this shape; a NaN or inf in it is a
+    """The next v1 float32 array of this shape; a NaN or inf in it is a
     FormatError at its offset, as training never writes one."""
     at = r.offset
     arr = r.f32_array(shape)
@@ -477,31 +506,78 @@ def _finite_f32s(r: Reader, what: str, shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
+def _read_v1_arrays(r: Reader, params: IvfPqParams, dim: int) -> tuple:
+    """The coarse centroids, codebooks, offsets, ids and codes of a v1 file,
+    which holds per list a u64 size, that many ids and their codes."""
+    coarse = _finite_f32s(r, "coarse centroid", (params.nlist, dim))
+    codebooks = _finite_f32s(r, "PQ codeword", (params.m, params.ksub, dim // params.m))
+    sizes, ids, codes = [], [], []
+    for _ in range(params.nlist):
+        n = r.u64()
+        sizes.append(n)
+        ids.append(r.records(np.dtype("<i8"), n))
+        codes.append(r.records(np.dtype(np.uint8), n * params.m).reshape(n, params.m))
+    return (coarse, codebooks, np.concatenate([[0], np.cumsum(sizes)]),
+            np.concatenate(ids, dtype=np.int64), np.concatenate(codes))
+
+
+def _section(r: Reader, what: str, shape: tuple[int, ...], dtype, check=None) -> np.ndarray:
+    """The next v2 section, of this shape and dtype, read straight into a
+    new array and checked against its checksum; its bytes and checksum are
+    claimed before the array is sized."""
+    dtype = np.dtype(dtype)
+    at = r.claim(dtype.itemsize * math.prod(shape) + 8)
+    arr = np.empty(shape, dtype)
+    r.read_section(arr, at, f"index {what} section", check)
+    return arr
+
+
+def _read_v2_arrays(r: Reader, params: IvfPqParams, dim: int) -> tuple:
+    """The coarse centroids, codebooks, offsets, ids and codes of a v2 file.
+    A NaN or inf float is a FormatError at its offset. The offsets are
+    checked, starting at 0 and never falling, and the ids and codes they
+    count are claimed before either is sized."""
+    coarse = _section(r, "coarse centroids", (params.nlist, dim), "<f4",
+                      finite_check("non-finite coarse centroid"))
+    codebooks = _section(r, "PQ codebooks", (params.m, params.ksub, dim // params.m), "<f4",
+                         finite_check("non-finite PQ codeword"))
+    at = r.offset
+    offsets = _section(r, "offsets", (params.nlist + 1,), "<i8")
+    wrong = np.diff(offsets, prepend=0) < 0  # an offset below the one before it
+    wrong[0] = offsets[0] != 0
+    if wrong.any():
+        raise FormatError("index offsets must start at 0 and never fall",
+                          offset=at + 8 * int(np.argmax(wrong)))
+    n = int(offsets[-1])
+    at = r.claim(n * (8 + params.m) + 16)  # refuses a count the file cannot hold
+    ids, codes = np.empty(n, "<i8"), np.empty((n, params.m), np.uint8)
+    r.read_section(ids, at, "index ids section")
+    r.read_section(codes, at + ids.nbytes + 8, "index codes section")
+    return coarse, codebooks, offsets, ids, codes
+
+
 def load_index(path) -> IvfPqIndex:
-    with Reader.stream(path, INDEX_MAGIC, INDEX_VERSION) as r:
+    """Read an index file of format v2 or v1; saving what v1 loads writes v2.
+
+    v2 checks its header against the header's checksum before it reads a
+    field of it, then reads each section straight into its array
+    (_read_v2_arrays). v1 has no checksums and one run of ids and codes per
+    list (_read_v1_arrays)."""
+    with Reader.stream(path, INDEX_MAGIC, 1, INDEX_VERSION) as r:
         header_at = r.offset
-        header = r.json_block()
-        expected = IvfPqParams().as_dict().keys()
-        with format_errors("bad index header", header_at):
-            if not isinstance(header, dict) or header.keys() != expected:
-                raise InvalidInputError(f"header keys must be exactly {sorted(expected)}")
-            params = IvfPqParams(**header)
-        dim = r.u32()
+        payload = r.block()
+        if r.version == INDEX_VERSION:
+            dim_at, dim = r.offset, r.u32()
+            header = _header(r.version, payload, dim)
+            r.expect_sum(word_sum(np.frombuffer(header, np.uint8)), "index header", r.claim(8))
+        params = _params(json_value(payload, header_at), header_at)
+        if r.version == 1:
+            dim_at, dim = r.offset, r.u32()
         if dim % params.m != 0:
-            raise FormatError(f"index dim {dim} not divisible by m={params.m}",
-                              offset=r.offset - 4)
-        dsub = dim // params.m
-        coarse = _finite_f32s(r, "coarse centroid", (params.nlist, dim))
-        codebooks = _finite_f32s(r, "PQ codeword", (params.m, params.ksub, dsub))
-        sizes, ids, codes = [], [], []
-        for _ in range(params.nlist):
-            n = r.u64()
-            sizes.append(n)
-            ids.append(r.records(np.dtype("<i8"), n))
-            codes.append(r.records(np.dtype(np.uint8), n * params.m).reshape(n, params.m))
+            raise FormatError(f"index dim {dim} not divisible by m={params.m}", offset=dim_at)
+        read = _read_v2_arrays if r.version == INDEX_VERSION else _read_v1_arrays
+        coarse, codebooks, offsets, ids, codes = read(r, params, dim)
         r.expect_eof()
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
     with format_errors("bad index lists"):  # a repeated id or a code past the codebook
         return IvfPqIndex(params=params, dim=dim, coarse_centroids=coarse,
-                          pq_codebooks=codebooks, ids=np.concatenate(ids, dtype=np.int64),
-                          codes=np.concatenate(codes), offsets=offsets)
+                          pq_codebooks=codebooks, ids=ids, codes=codes, offsets=offsets)

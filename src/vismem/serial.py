@@ -11,8 +11,10 @@ a run of fixed-size records into a new array of their own, and
 reused buffer, so the v1 bank loader holds its columns plus one chunk, never
 the whole file. `read_section` reads a claimed section straight into the
 array it fills, a piece at a time, and checks the section against the
-checksum that follows it (`word_sum`). A pipe has no size, so it is read
-whole first. The file is never mapped.
+checksum that follows it (`word_sum`), running a check such as
+`finite_check` on each piece; `sealed` gives the chunks a writer writes for
+such sections. A pipe has no size, so it is read whole first. The file is
+never mapped.
 `format_errors` reports a field that does not build a valid object
 (`InvalidInputError`, or a `ValueError`, `OverflowError` or `RecursionError`
 from numpy, `int()`, UTF-8 or JSON decoding) as `FormatError` at the field's
@@ -36,6 +38,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import FormatError, InvalidInputError
+from .grids import _all_finite
 
 # About how many bytes `record_chunks` and `read_section` read at a time:
 # large enough that the read calls cost nothing, small enough to stay in
@@ -84,14 +87,6 @@ class Writer:
         self._chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
         return self
 
-    def i64_array(self, arr: np.ndarray) -> "Writer":
-        self._chunks.append(np.ascontiguousarray(arr, dtype="<i8").tobytes())
-        return self
-
-    def u8_array(self, arr: np.ndarray) -> "Writer":
-        self._chunks.append(np.ascontiguousarray(arr, dtype=np.uint8).tobytes())
-        return self
-
     def raw(self, data: bytes) -> "Writer":
         self._chunks.append(data)
         return self
@@ -127,6 +122,26 @@ def word_sum(data: np.ndarray) -> int:
     whole = data.size - data.size % 8
     total = int(data[:whole].view("<u8").sum(dtype=np.uint64))  # wraps without a warning
     return (total + int.from_bytes(data[whole:].tobytes(), "little")) % 2**64
+
+
+def sealed(*parts: np.ndarray) -> list:
+    """The chunks of a checksummed file: each contiguous array of parts
+    followed by its 8-byte checksum (word_sum), which `Reader.expect_sum`
+    and `Reader.read_section` check."""
+    chunks = []
+    for part in parts:
+        chunks += [part, word_sum(part).to_bytes(8, "little")]
+    return chunks
+
+
+def finite_check(what: str):
+    """A read_section check that refuses the first NaN or inf float of a
+    piece, as FormatError what at its offset."""
+    def check(piece: np.ndarray, at: int) -> None:
+        if not _all_finite(piece):
+            bad = np.argmax(~np.isfinite(piece))
+            raise FormatError(what, offset=at + piece.itemsize * int(bad))
+    return check
 
 
 @contextmanager

@@ -5,9 +5,12 @@ whole-grid-mask mean pool and the build loop that made one key and one value
 per record; for refinement, one anchor's dense window feature, heatmap
 resampling and prompt; for dense priors, one product per prototype and a
 float64 copy of each map before its smoothing and its rescale; for bank
-files, both formats written one entry and one field at a time, with v2's
-checksums summed as Python ints."""
+files, both formats written one entry and one field at a time, and for index
+files both formats written one list at a time, with v2's checksums summed as
+Python ints."""
 
+import itertools
+import json
 import math
 import struct
 
@@ -243,13 +246,73 @@ def v2_parts(raw: bytes) -> dict:
     return parts
 
 
+def index_v2_parts(raw: bytes) -> dict:
+    """Where the header and each section of a v2 index file lie, as (start,
+    end) byte offsets; the part's checksum follows at end. No more than the
+    header if its JSON holds no params that size the sections, and no ids
+    or codes if the offsets lie past the file."""
+    n = struct.unpack_from("<I", raw, 8)[0]
+    parts = {"header": (0, 16 + n)}
+    try:
+        params = json.loads(raw[12:12 + n])
+        nlist, m, ksub = params["nlist"], params["m"], 2 ** params["nbits"]
+        dim = struct.unpack_from("<I", raw, 12 + n)[0]
+        dsub, rem = divmod(dim, m)
+    except (ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError, struct.error):
+        return parts
+    if rem:
+        return parts
+    at = 24 + n
+    for name, size in (("coarse", 4 * nlist * dim), ("codebooks", 4 * m * ksub * dsub),
+                       ("offsets", 8 * (nlist + 1))):
+        parts[name] = (at, at + size)
+        at += size + 8
+    if at > len(raw):
+        return parts
+    count = struct.unpack_from("<q", raw, at - 16)[0]  # the last offset
+    parts["ids"] = (at, at + 8 * count)
+    parts["codes"] = (at + 8 * count + 8, at + 8 * count + 8 + m * count)
+    return parts
+
+
 def resealed(raw: bytes) -> bytes:
-    """A v2 bank file with every checksum recomputed, so that a field patched
-    into it meets the loader's own check of that field, not a checksum. A
-    part that ends past the file, as after a patched count or dim, is left
-    as it is."""
+    """A v2 bank or index file with every checksum recomputed, so that a
+    field patched into it meets the loader's own check of that field, not a
+    checksum. A part that ends past the file, as after a patched count or
+    dim, is left as it is."""
     out = bytearray(raw)
-    for start, end in v2_parts(raw).values():
+    parts = index_v2_parts(raw) if raw[:4] == b"PIVF" else v2_parts(raw)
+    for start, end in parts.values():
         if end + 8 <= len(out):
             out[end:end + 8] = reference_word_sum(bytes(out[start:end]))
     return bytes(out)
+
+
+def reference_index_bytes(index, version=2):
+    """The index file written one list at a time. Both versions start with
+    magic, version, the JSON block of the params and the u32 dim. v1 then
+    holds the coarse centroids, the PQ codebooks and, per list, its u64
+    size, its int64 ids and its uint8 codes. In v2 the header is followed by
+    its reference_word_sum, then by the sections of coarse centroids, PQ
+    codebooks, offsets, ids and codes, each followed by its
+    reference_word_sum."""
+    w = Writer()
+    w.magic("PIVF").u32(version)
+    w.json_block(index.params.as_dict())
+    w.u32(index.dim)
+    header = w.getvalue()
+    coarse = np.asarray(index.coarse_centroids, dtype="<f4").tobytes()
+    codebooks = np.asarray(index.pq_codebooks, dtype="<f4").tobytes()
+    sizes, ids, codes = [], [], []
+    for list_no in range(index.params.nlist):
+        rows = slice(int(index.offsets[list_no]), int(index.offsets[list_no + 1]))
+        sizes.append(rows.stop - rows.start)
+        ids.append(np.asarray(index.ids[rows], dtype="<i8").tobytes())
+        codes.append(np.asarray(index.codes[rows], dtype=np.uint8).tobytes())
+    if version == 1:
+        return header + coarse + codebooks + b"".join(
+            struct.pack("<Q", size) + list_ids + list_codes
+            for size, list_ids, list_codes in zip(sizes, ids, codes))
+    offsets = struct.pack(f"<{len(sizes) + 1}q", *itertools.accumulate(sizes, initial=0))
+    return b"".join(part + reference_word_sum(part) for part in (
+        header, coarse, codebooks, offsets, b"".join(ids), b"".join(codes)))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from vismem.bank import (
+    NAME_FIELD_BYTES,
     BankBuildConfig,
     EmbeddingProvider,
     GroundingRecord,
@@ -31,6 +32,9 @@ from vismem.bank import (
     save_bank,
     save_embedding_table,
     write_pgm,
+    _ascii_names,
+    _decode_names,
+    _encode_names,
     _record_dtype,
 )
 from vismem.artifacts import load_feature_grid, save_feature_grid
@@ -855,6 +859,50 @@ class TestNameColumns:
         assert loaded.image_ids.dtype == self.decoded_dtype(image_ids)
         save_bank(loaded, tmp_path / "again.pbnk")
         assert (tmp_path / "again.pbnk").read_bytes() == path.read_bytes()
+
+    @staticmethod
+    def names_up_to(width, rows, where):
+        """rows ASCII names of lengths up to width, the one at row where
+        (if any) exactly width long."""
+        names = [chr(97 + i % 26) * ((7 * i) % (width + 1)) for i in range(rows)]
+        if rows:
+            names[where % rows] = "z" * width
+        return names
+
+    @staticmethod
+    def assert_same_column(got, want):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 3, 5, 64, 127])
+    @pytest.mark.parametrize("where", ["first", "last", "middle"])
+    def test_ascii_names_equal_np_char(self, rows, where):
+        """Every longest name of 0 to 64 bytes, at the first row, the last
+        (an odd count's halving remainder) or in between."""
+        at = {"first": 0, "last": -1, "middle": rows // 2}[where]
+        for width in range(NAME_FIELD_BYTES + 1):
+            names = self.names_up_to(width, rows, at)
+            fields = np.array([n.encode() for n in names], dtype=f"S{NAME_FIELD_BYTES}")
+            self.assert_same_column(
+                _ascii_names(fields.view(np.uint8).reshape(rows, NAME_FIELD_BYTES), "U"),
+                np.char.decode(fields, "utf-8"))
+            column = np.array(names, dtype=f"U{NAME_FIELD_BYTES}")
+            self.assert_same_column(
+                _ascii_names(column.view(np.uint32).reshape(rows, NAME_FIELD_BYTES), "S"),
+                np.char.encode(column, "utf-8"))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 64, 127])
+    @pytest.mark.parametrize("where", ["first", "last", "middle"])
+    def test_non_ascii_name_falls_back(self, rows, where):
+        at = {"first": 0, "last": -1, "middle": rows // 2}[where]
+        names = self.names_up_to(10, rows, 0)
+        names[at] = names[at][:3] + "\u00e9"
+        fields = np.array([n.encode() for n in names], dtype=f"S{NAME_FIELD_BYTES}")
+        column = np.array(names, dtype=f"U{NAME_FIELD_BYTES}")
+        assert _ascii_names(fields.view(np.uint8).reshape(rows, NAME_FIELD_BYTES), "U") is None
+        assert _ascii_names(column.view(np.uint32).reshape(rows, NAME_FIELD_BYTES), "S") is None
+        self.assert_same_column(_decode_names(fields, "a name", 0, NAME_FIELD_BYTES),
+                                np.char.decode(fields, "utf-8"))
+        self.assert_same_column(_encode_names(column), np.char.encode(column, "utf-8"))
 
     def test_column_wider_than_its_names(self, tmp_path):
         base = hand_bank(["cat", "dog"], ["img0", "img1"], [None, None])

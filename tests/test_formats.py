@@ -3,10 +3,10 @@
 A seeded fuzzer corrupts a valid file of each format by byte flips, extreme
 header fields, truncation and appended bytes. A corrupted file may still
 load (a flipped float is still a float), but when loading fails it must fail
-with FormatError. A v2 bank file is checksummed, so every change of one of
-its bytes must fail. Hand-made cases that once escaped as ValueError,
-IndexError, TypeError or InvalidInputError, or loaded in silence, must
-raise FormatError.
+with FormatError. v2 bank and index files are checksummed, so every change
+of one of their bytes must fail. Hand-made cases that once escaped as
+ValueError, IndexError, TypeError or InvalidInputError, or loaded in
+silence, must raise FormatError.
 """
 
 import json
@@ -36,7 +36,7 @@ from vismem.index import IvfPqIndex, IvfPqParams, ivfpq_add, load_index, save_in
 from vismem.refine import RefinementParams, load_params, save_params
 from vismem.serial import Writer, json_lines, read_json_lines
 
-from oracles import reference_bank_bytes
+from oracles import reference_bank_bytes, reference_index_bytes, resealed
 
 CORRUPTIONS_PER_FORMAT = 300
 EXTREME_U32 = (0, 1, 3, 2**16, 2**31, 2**32 - 1)
@@ -82,6 +82,10 @@ def make_index():
 
 def write_index(path):
     save_index(make_index(), path)
+
+
+def write_index_v1(path):
+    path.write_bytes(reference_index_bytes(make_index(), 1))
 
 
 def write_params(path):
@@ -182,6 +186,7 @@ FORMATS = {
     "PBNK": (write_bank, load_bank, header_u32s(4, 8, 12, 16, 20, 24)),
     "PBNK v1": (write_bank_v1, load_bank, header_u32s(4, 8, 12, 16, 20, 24)),
     "PIVF": (write_index, load_index, index_u32s),
+    "PIVF v1": (write_index_v1, load_index, index_u32s),
     "PPRM": (write_params, load_params, header_u32s(4, 8, 12, 16, 20, 24)),
     "PMEM": (write_table, load_embedding_table, header_u32s(4, 8, 12, 16, 20)),
     "PGRD": (write_grid, artifacts.load_feature_grid, header_u32s(4, 8, 12, 16)),
@@ -228,6 +233,23 @@ def test_corruptions_raise_only_format_error(name, tmp_path):
     assert not escapes, f"{len(escapes)} escapes:\n" + "\n".join(escapes[:10])
 
 
+def changed_files_that_load(path, load, xor) -> list[int]:
+    """The byte offsets of the file at path whose change by xor still lets
+    the file load."""
+    raw = path.read_bytes()
+    loaded = []
+    for at in range(len(raw)):
+        bad = bytearray(raw)
+        bad[at] ^= xor
+        path.write_bytes(bytes(bad))
+        try:
+            load(path)
+        except FormatError:
+            continue
+        loaded.append(at)
+    return loaded
+
+
 @pytest.mark.parametrize("xor", [0x01, 0x80, 0xFF])
 def test_every_one_byte_change_of_a_v2_bank_is_refused(tmp_path, xor):
     """A change of any one byte, in the header, a section or a checksum,
@@ -235,39 +257,45 @@ def test_every_one_byte_change_of_a_v2_bank_is_refused(tmp_path, xor):
     refuses the file first."""
     path = tmp_path / "b.pbnk"
     write_bank(path)
-    raw = path.read_bytes()
     assert load_bank(path) == small_bank()
-    loaded = []
-    for at in range(len(raw)):
-        bad = bytearray(raw)
-        bad[at] ^= xor
-        path.write_bytes(bytes(bad))
-        try:
-            load_bank(path)
-        except FormatError:
-            continue
-        loaded.append(at)
+    loaded = changed_files_that_load(path, load_bank, xor)
     assert not loaded, f"{len(loaded)} changed files loaded, the first at byte {loaded[0]}"
 
 
-def patched(write, tmp_path, at, fmt, value):
+@pytest.mark.parametrize("xor", [0x01, 0x80, 0xFF])
+def test_every_one_byte_change_of_a_v2_index_is_refused(tmp_path, xor):
+    path = tmp_path / "i.pivf"
+    write_index(path)
+    assert struct.unpack_from("<I", path.read_bytes(), 4) == (2,)
+    loaded = changed_files_that_load(path, load_index, xor)
+    assert not loaded, f"{len(loaded)} changed files loaded, the first at byte {loaded[0]}"
+
+
+def patched(write, tmp_path, at, fmt, value, reseal=False):
+    """The file write makes with value packed at offset at, and with every
+    checksum recomputed if reseal."""
     path = tmp_path / "f"
     write(path)
     raw = bytearray(path.read_bytes())
     struct.pack_into(fmt, raw, at, value)
-    path.write_bytes(bytes(raw))
+    path.write_bytes(resealed(bytes(raw)) if reseal else bytes(raw))
     return path
 
 
 # PPRM: magic, version, dim (8), per_scale (12), count (16), window (20),
 # ln_eps (24), then per set e (D floats) and w_sparse (D x D).
 PPRM_W_SPARSE_AT = 28 + 4 * 3
-# PIVF: magic, version, JSON length, JSON header, dim, then the 4 x 4 coarse
-# centroids, the 2 x 4 x 2 PQ codewords and the first list's u64 size.
-PIVF_COARSE_AT = 16 + len(json.dumps(INDEX_PARAMS.as_dict(), sort_keys=True,
-                                     separators=(",", ":")))
-PIVF_CODEWORDS_AT = PIVF_COARSE_AT + 4 * 4 * 4
-PIVF_FIRST_LIST_AT = PIVF_CODEWORDS_AT + 4 * 2 * 4 * 2
+# PIVF: magic, version, JSON length, JSON header, dim, then in v1 the 4 x 4
+# coarse centroids, the 2 x 4 x 2 PQ codewords and the first list's u64
+# size. In v2 the header's 8-byte checksum follows the dim, and each of the
+# coarse centroids, the codewords and the 5 offsets is followed by its own.
+PIVF_HEADER_END = 16 + len(json.dumps(INDEX_PARAMS.as_dict(), sort_keys=True,
+                                      separators=(",", ":")))
+PIVF_V1_CODEWORDS_AT = PIVF_HEADER_END + 4 * 4 * 4
+PIVF_V1_FIRST_LIST_AT = PIVF_V1_CODEWORDS_AT + 4 * 2 * 4 * 2
+PIVF_COARSE_AT = PIVF_HEADER_END + 8
+PIVF_CODEWORDS_AT = PIVF_COARSE_AT + 4 * 4 * 4 + 8
+PIVF_LAST_OFFSET_AT = PIVF_CODEWORDS_AT + 4 * 2 * 4 * 2 + 8 + 8 * 4
 # PBNK: magic, version, d_key, d_val, u64 count, JSON length and block. In
 # v1 there follows per entry a 4-float key, a 3-float value, two 64-byte
 # names, the box and the blur score. In v2 there follow the header's 8-byte
@@ -303,6 +331,10 @@ REFUSED_AT_THE_VALUE = [
                  id="PIVF NaN coarse centroid"),
     pytest.param(write_index, load_index, PIVF_CODEWORDS_AT + 4 * 3, "<f", -math.inf,
                  id="PIVF inf codeword"),
+    pytest.param(write_index_v1, load_index, PIVF_HEADER_END + 4 * 5, "<f", math.nan,
+                 id="PIVF v1 NaN coarse centroid"),
+    pytest.param(write_index_v1, load_index, PIVF_V1_CODEWORDS_AT + 4 * 3, "<f", -math.inf,
+                 id="PIVF v1 inf codeword"),
     pytest.param(write_table, load_embedding_table, PMEM_SECOND_NAME_AT, "3s", b"cat",
                  id="PMEM repeated name"),
 ]
@@ -321,7 +353,7 @@ REFUSED_AT_THE_VALUE = [
                  id="PPRM NaN projection weight"),
     pytest.param(write_params, load_params, 8, "<I", 0, id="PPRM dim 0"),
     pytest.param(write_table, load_embedding_table, 24, "<B", 0xFF, id="PMEM bad UTF-8 name"),
-    pytest.param(write_index, load_index, 4, "<I", 2, id="PIVF version 2"),
+    pytest.param(write_index, load_index, 4, "<I", 3, id="PIVF version 3"),
     pytest.param(write_grid, artifacts.load_feature_grid, 4, "<I", 0, id="PGRD version 0"),
     *REFUSED_AT_THE_VALUE,
 ])
@@ -339,15 +371,18 @@ def test_refused_at_the_bad_value(tmp_path, write, load, at, fmt, value):
 
 
 @pytest.mark.parametrize("write, load, at, fmt, value", [
-    pytest.param(write_index, load_index, PIVF_FIRST_LIST_AT, "<Q", 10**7,
+    pytest.param(write_index_v1, load_index, PIVF_V1_FIRST_LIST_AT, "<Q", 10**7,
                  id="PIVF list of 10^7 entries"),
+    pytest.param(write_index, load_index, PIVF_LAST_OFFSET_AT, "<q", 10**7,
+                 id="PIVF v2 last offset 10^7"),
     pytest.param(write_grid, artifacts.load_feature_grid, 8, "<I", 2**20,
                  id="PGRD height 2^20"),
 ])
 def test_size_past_the_file_fails_before_any_array_is_sized(tmp_path, write, load, at, fmt,
                                                             value):
-    # either size would take tens of MB: a list's ids, or the grid's floats
-    path = patched(write, tmp_path, at, fmt, value)
+    # each size would take tens of MB: a list's ids, all ids and codes, or
+    # the grid's floats; the v2 offsets pass their checksum
+    path = patched(write, tmp_path, at, fmt, value, reseal=write is write_index)
     tracemalloc.start()
     try:
         with pytest.raises(FormatError, match="truncated file"):
@@ -411,11 +446,18 @@ def test_params_file_with_zero_sets(tmp_path, per_scale):
 
 def test_deeply_nested_json_header(tmp_path):
     path = tmp_path / "i.pivf"
+    nested = b"[" * 100_000
+    write_index_v1(path)
+    path.write_bytes(path.read_bytes()[:8] + struct.pack("<I", len(nested)) + nested)
+    with pytest.raises(FormatError) as exc:
+        load_index(path)
+    assert exc.value.offset == 8
+    # v2 reads the JSON once the dim and the header's checksum are read
     write_index(path)
     raw = path.read_bytes()
-    nested = b"[" * 100_000
-    path.write_bytes(raw[:8] + struct.pack("<I", len(nested)) + nested)
-    with pytest.raises(FormatError) as exc:
+    header = raw[:8] + struct.pack("<I", len(nested)) + nested + raw[PIVF_HEADER_END - 4:]
+    path.write_bytes(resealed(header))
+    with pytest.raises(FormatError, match="bad JSON block") as exc:
         load_index(path)
     assert exc.value.offset == 8
 

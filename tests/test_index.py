@@ -26,7 +26,7 @@ from vismem.index import (
     train_ivfpq,
 )
 
-from oracles import resealed
+from oracles import reference_index_bytes, resealed
 
 
 def rng_for(seed):
@@ -516,6 +516,26 @@ class TestNearestKernel:
         else:
             assert got[3].tobytes() == cross_at.tobytes() and got[1] == dists
 
+    def test_short_last_block_joins_the_one_before(self, monkeypatch):
+        """A last block of 5 rows is taken with the block before it, so at
+        dsub 256 every row's product and choice keep the bits of a single
+        block of every row; 5 rows alone take another BLAS kernel."""
+        rng = rng_for(11)
+        n = 2 * index_module._BLOCK + 5
+        points = rng.standard_normal((n, 256)).astype(np.float32)
+        cents = rng.standard_normal((16, 256)).astype(np.float32)
+        half_c2 = 0.5 * np.einsum("ij,ij->i", cents, cents)
+
+        def run():
+            cross_at = np.empty(n, dtype=np.float32)
+            return _nearest(points, cents, half_c2, cross_at), cross_at
+
+        choice, cross_at = run()
+        monkeypatch.setattr(index_module, "_BLOCK", n + 1)
+        one_choice, one_cross_at = run()
+        np.testing.assert_array_equal(choice, one_choice)
+        assert cross_at.tobytes() == one_cross_at.tobytes()
+
     @pytest.mark.parametrize("seed", range(3))
     def test_codes_are_nearest_codewords(self, seed):
         """Each code's float64 squared distance to its residual's subvector is
@@ -801,15 +821,20 @@ class TestQueryCheck:
                 rescore(keys, [SearchHit(0, 0.0), SearchHit(7, 0.0)], query, k=2)
 
 
+def assert_same_arrays(got, want):
+    assert (got.params, got.dim) == (want.params, want.dim)
+    for name in ("coarse_centroids", "pq_codebooks", "offsets", "ids", "codes"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
 class TestIndexPersistence:
     def test_round_trip_preserves_search(self, tmp_path):
         index, keys = small_index(n=250)
         path = tmp_path / "idx.pivf"
         save_index(index, path)
         loaded = load_index(path)
-        np.testing.assert_array_equal(loaded.coarse_centroids, index.coarse_centroids)
-        np.testing.assert_array_equal(loaded.pq_codebooks, index.pq_codebooks)
-        assert loaded.params == index.params
+        assert_same_arrays(loaded, index)
         q = unit_rows(rng_for(77), 1, 16)[0]
         assert (ivfpq_search(loaded, q, nprobe=8, recall_size=40)
                 == ivfpq_search(index, q, nprobe=8, recall_size=40))
@@ -820,6 +845,34 @@ class TestIndexPersistence:
         save_index(index, p1)
         save_index(load_index(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_v1_file_loads_and_is_written_back_as_v2(self, tmp_path):
+        index, _ = small_index(n=120)
+        (tmp_path / "v1.pivf").write_bytes(reference_index_bytes(index, 1))
+        from_v1 = load_index(tmp_path / "v1.pivf")
+        assert_same_arrays(from_v1, index)
+        save_index(from_v1, tmp_path / "v2.pivf")
+        raw = (tmp_path / "v2.pivf").read_bytes()
+        assert struct.unpack_from("<I", raw, 4) == (2,)
+        assert raw == reference_index_bytes(index, 2)
+        assert_same_arrays(load_index(tmp_path / "v2.pivf"), index)
+
+    @pytest.mark.parametrize("offsets, bad", [([1, 1, 1, 1, 1, 1, 1, 1, 120], 0),
+                                              ([0, 5, 3, 3, 3, 3, 3, 3, 120], 2)])
+    def test_v2_offsets_refused_at_the_bad_one(self, tmp_path, offsets, bad):
+        """Offsets that do not start at 0 or that fall are refused where
+        they go wrong, before the ids and codes are sized, even when their
+        checksum holds."""
+        index, _ = small_index(n=120)
+        path = tmp_path / "i.pivf"
+        save_index(index, path)
+        raw = bytearray(path.read_bytes())
+        at = raw.index(np.asarray(index.offsets, "<i8").tobytes())
+        raw[at:at + 72] = np.asarray(offsets, "<i8").tobytes()
+        path.write_bytes(resealed(bytes(raw)))
+        with pytest.raises(FormatError, match="offsets must start at 0 and never fall") as exc:
+            load_index(path)
+        assert exc.value.offset == at + 8 * bad
 
     def test_corrupt_magic(self, tmp_path):
         index, _ = small_index(n=120)
@@ -882,9 +935,8 @@ class TestHeaderValidation:
                               boxes=[[0, 0, 1, 1]] * 2, blur=[None, 1.0], d_key=2, d_val=2)
             path, at, loader = tmp_path / "f.pbnk", BANK_HEADER_AT, load_bank
             save_bank(bank, path)
-        raw = with_json_header(path.read_bytes(), at, header)
-        # a bank header whose checksum holds meets the check of its fields
-        path.write_bytes(resealed(raw) if kind == "bank" else raw)
+        # a header whose checksum holds meets the check of its fields
+        path.write_bytes(resealed(with_json_header(path.read_bytes(), at, header)))
         with pytest.raises(FormatError) as exc:
             loader(path)
         assert exc.value.offset is not None
@@ -894,7 +946,7 @@ class TestHeaderValidation:
         index, _ = small_index(n=120)
         path = tmp_path / "f.pivf"
         save_index(index, path)
-        path.write_bytes(with_json_header(path.read_bytes(), INDEX_HEADER_AT, PARAMS))
+        path.write_bytes(resealed(with_json_header(path.read_bytes(), INDEX_HEADER_AT, PARAMS)))
         assert load_index(path).params == index.params
 
 
