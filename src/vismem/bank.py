@@ -31,7 +31,7 @@ from .grids import (
 )
 from .serial import (Reader, Writer, atomic_write_bytes, finite_check, format_errors,
                      is_json_number, json_bytes, json_fields, json_value, read_file,
-                     read_json_lines, sealed, word_sum)
+                     read_json_lines, sealed)
 
 # Fixed width of the category and image id fields in the bank file:
 # zero-padded UTF-8.
@@ -645,7 +645,7 @@ def _name_fields(layout: np.dtype, count: int, version: int, name: str) -> tuple
 
 
 def _not_inf(piece: np.ndarray, at: int) -> None:
-    """The read_section check of blur scores: NaN is "no score", inf is refused."""
+    """The Reader.sections check of blur scores: NaN is "no score", inf is refused."""
     inf = np.isinf(piece)
     if inf.any():
         raise FormatError("infinite blur score", offset=at + 4 * int(np.argmax(inf)))
@@ -718,29 +718,14 @@ def _refuse_non_finite(layout: np.dtype, at: int, keys: np.ndarray, values: np.n
     raise FormatError(what, offset=offset)
 
 
-def _read_sections(r, layout: np.dtype, count: int) -> dict[str, np.ndarray]:
-    """The columns of the next count v2 entries of a `Reader`, each read
-    straight from its section into an array of its own: float32 keys,
-    values, boxes and blur, and the raw 64-byte names. The whole body is
-    claimed before any column is sized. A NaN or inf key or value float, or
-    an infinite blur score, is a FormatError at its offset, and so is a
-    section that fails its checksum, at the checksum's offset."""
-    at = r.claim(count * layout.itemsize + 8 * len(_SECTIONS))  # refuses an impossible count
-    columns = {}
-    for name, check in _SECTIONS.items():
-        column = columns[name] = np.empty((count, *layout[name].shape), layout[name].base)
-        r.read_section(column, at, f"bank {name} section", check)
-        at += column.nbytes + 8
-    return {name: column.astype(column.dtype.newbyteorder("="), copy=False)
-            for name, column in columns.items()}
-
-
 def load_bank(path) -> MemoryBank:
     """Read a bank file of format v2 or v1. A load holds the bank and, for
     v1, one chunk of about 1 MiB, never the whole file.
 
-    v2 checks its header against the header's checksum, then reads each
-    section straight into its column (_read_sections). v1 has one record
+    v2 checks its header against the header's checksum, then reads the
+    _SECTIONS as one run of sealed sections straight into their columns;
+    the checks in _SECTIONS refuse a NaN or inf key or value float, or an
+    infinite blur score, at its offset. v1 has one record
     per entry, which is read a chunk at a time and copied into the columns
     (_read_records)."""
     with Reader.stream(path, BANK_MAGIC, 1, BANK_VERSION) as r:
@@ -748,8 +733,7 @@ def load_bank(path) -> MemoryBank:
         meta_at = r.offset
         payload = r.block()
         if r.version == BANK_VERSION:
-            header = _header(d_key, d_val, count, payload, r.version)
-            r.expect_sum(word_sum(np.frombuffer(header, np.uint8)), "bank header", r.claim(8))
+            r.sealed_header(_header(d_key, d_val, count, payload, r.version), "bank header")
         meta = json_value(payload, meta_at)
         weights = meta.get("weights") if isinstance(meta, dict) else None
         with format_errors("bad weights or manifest in bank header", meta_at):
@@ -760,8 +744,11 @@ def load_bank(path) -> MemoryBank:
         records_at = r.offset
         with format_errors("bad bank record layout", 8):
             layout = _record_dtype(d_key, d_val)
-        read = _read_sections if r.version == BANK_VERSION else _read_records
-        columns = read(r, layout, count)
+        if r.version == BANK_VERSION:
+            columns = r.sections({name: ((count, *layout[name].shape), layout[name].base, check)
+                                  for name, check in _SECTIONS.items()}, "bank")
+        else:
+            columns = _read_records(r, layout, count)
         r.expect_eof()
     x0, y0, x1, y1 = columns["box"].T
     if not np.all((0 <= x0) & (x0 < x1) & (x1 <= 1) & (0 <= y0) & (y0 < y1) & (y1 <= 1)):
@@ -795,15 +782,15 @@ def save_embedding_table(table: dict[str, np.ndarray], path) -> None:
 def load_embedding_table(path) -> dict[str, np.ndarray]:
     with Reader.stream(path, TABLE_MAGIC, TABLE_VERSION) as r:
         dim, count = r.u32(), r.u64()
-        table = {}
+        table, finite = {}, finite_check("non-finite embedding value")
         for _ in range(count):
-            encoded = r._take(r.u32())
+            encoded = r.block()
             name_at = r.offset - len(encoded)
             with format_errors("bad UTF-8 name", name_at):
                 name = encoded.decode("utf-8")
             if name in table:
                 raise FormatError(f"repeated name {name!r}", offset=name_at)
-            table[name] = r.f32_array(dim)
+            table[name] = r.array(dim, check=finite)
         r.expect_eof()
     return table
 

@@ -10,7 +10,6 @@ full-precision keys repairs approximation errors before the final top-K cut.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -19,7 +18,7 @@ from scipy.sparse import csr_matrix
 from .errors import FormatError, InvalidInputError
 from .grids import _all_finite, _check
 from .serial import (Reader, Writer, atomic_write_bytes, finite_check, format_errors, json_bytes,
-                     json_value, sealed, word_sum)
+                     json_value, sealed)
 
 INDEX_MAGIC = "PIVF"
 INDEX_VERSION = 2
@@ -495,64 +494,47 @@ def _params(header, at: int) -> IvfPqParams:
         return IvfPqParams(**header)
 
 
-def _finite_f32s(r: Reader, what: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The next v1 float32 array of this shape; a NaN or inf in it is a
-    FormatError at its offset, as training never writes one."""
-    at = r.offset
-    arr = r.f32_array(shape)
-    if not _all_finite(arr):
-        bad = ~np.isfinite(arr.ravel())
-        raise FormatError(f"non-finite {what}", offset=at + 4 * int(np.argmax(bad)))
-    return arr
+def _quantizer_parts(params: IvfPqParams, dim: int) -> dict:
+    """The coarse centroids and PQ codebooks, as `Reader.sections` parts; a
+    NaN or inf float is a FormatError at its offset, as training never
+    writes one."""
+    return {"coarse centroids": ((params.nlist, dim), "<f4",
+                                 finite_check("non-finite coarse centroid")),
+            "PQ codebooks": ((params.m, params.ksub, dim // params.m), "<f4",
+                             finite_check("non-finite PQ codeword"))}
 
 
 def _read_v1_arrays(r: Reader, params: IvfPqParams, dim: int) -> tuple:
     """The coarse centroids, codebooks, offsets, ids and codes of a v1 file,
     which holds per list a u64 size, that many ids and their codes."""
-    coarse = _finite_f32s(r, "coarse centroid", (params.nlist, dim))
-    codebooks = _finite_f32s(r, "PQ codeword", (params.m, params.ksub, dim // params.m))
+    coarse, codebooks = r.sections(_quantizer_parts(params, dim)).values()
     sizes, ids, codes = [], [], []
     for _ in range(params.nlist):
         n = r.u64()
         sizes.append(n)
-        ids.append(r.records(np.dtype("<i8"), n))
-        codes.append(r.records(np.dtype(np.uint8), n * params.m).reshape(n, params.m))
+        ids.append(r.array(n, "<i8"))
+        codes.append(r.array((n, params.m), np.uint8))
     return (coarse, codebooks, np.concatenate([[0], np.cumsum(sizes)]),
             np.concatenate(ids, dtype=np.int64), np.concatenate(codes))
 
 
-def _section(r: Reader, what: str, shape: tuple[int, ...], dtype, check=None) -> np.ndarray:
-    """The next v2 section, of this shape and dtype, read straight into a
-    new array and checked against its checksum; its bytes and checksum are
-    claimed before the array is sized."""
-    dtype = np.dtype(dtype)
-    at = r.claim(dtype.itemsize * math.prod(shape) + 8)
-    arr = np.empty(shape, dtype)
-    r.read_section(arr, at, f"index {what} section", check)
-    return arr
-
-
 def _read_v2_arrays(r: Reader, params: IvfPqParams, dim: int) -> tuple:
-    """The coarse centroids, codebooks, offsets, ids and codes of a v2 file.
-    A NaN or inf float is a FormatError at its offset. The offsets are
-    checked, starting at 0 and never falling, and the ids and codes they
-    count are claimed before either is sized."""
-    coarse = _section(r, "coarse centroids", (params.nlist, dim), "<f4",
-                      finite_check("non-finite coarse centroid"))
-    codebooks = _section(r, "PQ codebooks", (params.m, params.ksub, dim // params.m), "<f4",
-                         finite_check("non-finite PQ codeword"))
-    at = r.offset
-    offsets = _section(r, "offsets", (params.nlist + 1,), "<i8")
+    """The coarse centroids, codebooks, offsets, ids and codes of a v2 file,
+    read as two runs of sealed sections. The offsets end the first run and
+    are checked, starting at 0 and never falling, before the second run
+    claims the ids and codes they count."""
+    coarse, codebooks, offsets = r.sections(
+        {**_quantizer_parts(params, dim), "offsets": (params.nlist + 1, "<i8", None)},
+        "index").values()
     wrong = np.diff(offsets, prepend=0) < 0  # an offset below the one before it
     wrong[0] = offsets[0] != 0
     if wrong.any():
+        at = r.offset - 8 - offsets.nbytes
         raise FormatError("index offsets must start at 0 and never fall",
                           offset=at + 8 * int(np.argmax(wrong)))
     n = int(offsets[-1])
-    at = r.claim(n * (8 + params.m) + 16)  # refuses a count the file cannot hold
-    ids, codes = np.empty(n, "<i8"), np.empty((n, params.m), np.uint8)
-    r.read_section(ids, at, "index ids section")
-    r.read_section(codes, at + ids.nbytes + 8, "index codes section")
+    ids, codes = r.sections({"ids": (n, "<i8", None),
+                             "codes": ((n, params.m), np.uint8, None)}, "index").values()
     return coarse, codebooks, offsets, ids, codes
 
 
@@ -560,7 +542,7 @@ def load_index(path) -> IvfPqIndex:
     """Read an index file of format v2 or v1; saving what v1 loads writes v2.
 
     v2 checks its header against the header's checksum before it reads a
-    field of it, then reads each section straight into its array
+    field of it, then reads each sealed section straight into its array
     (_read_v2_arrays). v1 has no checksums and one run of ids and codes per
     list (_read_v1_arrays)."""
     with Reader.stream(path, INDEX_MAGIC, 1, INDEX_VERSION) as r:
@@ -568,8 +550,7 @@ def load_index(path) -> IvfPqIndex:
         payload = r.block()
         if r.version == INDEX_VERSION:
             dim_at, dim = r.offset, r.u32()
-            header = _header(r.version, payload, dim)
-            r.expect_sum(word_sum(np.frombuffer(header, np.uint8)), "index header", r.claim(8))
+            r.sealed_header(_header(r.version, payload, dim), "index header")
         params = _params(json_value(payload, header_at), header_at)
         if r.version == 1:
             dim_at, dim = r.offset, r.u32()

@@ -315,11 +315,11 @@ def load_params(path):
         for _ in range(count):
             with format_errors("bad parameter set", r.offset):
                 sets.append(RefinementParams(
-                    e=r.f32_array(dim),
-                    w_sparse=r.f32_array((dim, dim)),
-                    w_dense=r.f32_array((dim, dim)),
-                    ln_gain=r.f32_array(dim),
-                    ln_bias=r.f32_array(dim),
+                    e=r.array(dim),
+                    w_sparse=r.array((dim, dim)),
+                    w_dense=r.array((dim, dim)),
+                    ln_gain=r.array(dim),
+                    ln_bias=r.array(dim),
                     ln_eps=ln_eps,
                     window=window,
                 ))

@@ -5,16 +5,18 @@ The loader contract: every binary loader reads its file inside one
 closes the file when the block ends; a short read or trailing bytes are
 `FormatError` at their offset. The reader reads each field from the file
 when it is claimed, after checking the claim against the bytes left, so a
-size taken from a header sizes nothing the file cannot hold. `records` reads
-a run of fixed-size records into a new array of their own, and
-`record_chunks` reads a section of them in chunks of whole records into one
-reused buffer, so the v1 bank loader holds its columns plus one chunk, never
-the whole file. `read_section` reads a claimed section straight into the
-array it fills, a piece at a time, and checks the section against the
-checksum that follows it (`word_sum`), running a check such as
-`finite_check` on each piece; `sealed` gives the chunks a writer writes for
-such sections. A pipe has no size, so it is read whole first. The file is
-never mapped.
+size taken from a header sizes nothing the file cannot hold. One method
+fills arrays: `sections` claims a run of named arrays of declared shape and
+dtype, reads each straight into its own memory a piece at a time, runs a
+check such as `finite_check` on each piece, and, for a `sealed` file, checks
+each array against the checksum that follows it (`word_sum`); `array` is its
+one-part form. Through those checks every loader refuses a NaN or inf float
+that no writer makes at its offset: in a bank's keys or values, an index's
+centroids or codewords, an embedding table, a feature grid, a scalar map or
+a vector file. An empty feature grid or scalar map is refused too.
+`record_chunks` reads v1 bank records in chunks into one reused buffer, so
+the v1 bank loader holds its columns plus one chunk, never the whole file.
+A pipe has no size, so it is read whole first. The file is never mapped.
 `format_errors` reports a field that does not build a valid object
 (`InvalidInputError`, or a `ValueError`, `OverflowError` or `RecursionError`
 from numpy, `int()`, UTF-8 or JSON decoding) as `FormatError` at the field's
@@ -40,7 +42,7 @@ import numpy as np
 from .errors import FormatError, InvalidInputError
 from .grids import _all_finite
 
-# About how many bytes `record_chunks` and `read_section` read at a time:
+# About how many bytes `record_chunks` and `sections` read at a time:
 # large enough that the read calls cost nothing, small enough to stay in
 # cache while a loader checks the piece or copies it into its columns.
 RECORD_CHUNK_BYTES = 1 << 20
@@ -126,8 +128,8 @@ def word_sum(data: np.ndarray) -> int:
 
 def sealed(*parts: np.ndarray) -> list:
     """The chunks of a checksummed file: each contiguous array of parts
-    followed by its 8-byte checksum (word_sum), which `Reader.expect_sum`
-    and `Reader.read_section` check."""
+    followed by its 8-byte checksum (word_sum), which `Reader.sealed_header`
+    and `Reader.sections` check."""
     chunks = []
     for part in parts:
         chunks += [part, word_sum(part).to_bytes(8, "little")]
@@ -135,7 +137,7 @@ def sealed(*parts: np.ndarray) -> list:
 
 
 def finite_check(what: str):
-    """A read_section check that refuses the first NaN or inf float of a
+    """A Reader.sections check that refuses the first NaN or inf float of a
     piece, as FormatError what at its offset."""
     def check(piece: np.ndarray, at: int) -> None:
         if not _all_finite(piece):
@@ -235,17 +237,6 @@ class Reader:
     def f32(self) -> float:
         return struct.unpack("<f", self._take(4))[0]
 
-    def f32_array(self, shape) -> np.ndarray:
-        """The next little-endian float32 values as a new array of the given
-        shape (an int for 1-D) that owns its data: the shaped array is read
-        into, not reshaped from a flat buffer into a view. Its bytes are
-        claimed before it is sized."""
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        start = self.claim(4 * math.prod(shape))
-        arr = np.empty(shape, dtype="<f4")
-        self._fill(arr.reshape(-1).view(np.uint8), start)
-        return arr.astype(np.float32, copy=False)
-
     def block(self) -> bytes:
         """The payload of the next u32-length-prefixed block."""
         return self._take(self.u32())
@@ -254,42 +245,62 @@ class Reader:
         start = self.offset
         return json_value(self.block(), start)
 
-    def expect_sum(self, total: int, what: str, at: int) -> None:
+    def sections(self, parts: dict, sealed: str | None = None) -> dict[str, np.ndarray]:
+        """The arrays of the next run of sections, in the order of parts,
+        which maps each name to (shape, little-endian dtype, check or None);
+        a shape is an int for 1-D.
+
+        The whole run, and an 8-byte checksum (word_sum) after each section
+        if sealed, is claimed before any array is sized, so a shape the file
+        cannot hold allocates nothing. Each array is read straight into its
+        own memory in pieces of about RECORD_CHUNK_BYTES, each a whole number
+        of 8-byte words and of elements. While a piece is in cache,
+        check(piece, offset) runs on it as a flat array of the dtype with the
+        file offset it starts at. A section whose checksum does not match is
+        FormatError "<sealed> <name> section fails its checksum" at the
+        checksum's offset. The arrays are in native byte order and own their
+        data."""
+        parts = {name: ((shape,) if isinstance(shape, int) else tuple(shape),
+                         np.dtype(dtype), check) for name, (shape, dtype, check) in parts.items()}
+        at = self.claim(sum(dtype.itemsize * math.prod(shape) + (8 if sealed else 0)
+                            for shape, dtype, _ in parts.values()))
+        arrays = {}
+        for name, (shape, dtype, check) in parts.items():
+            arr = np.empty(shape, dtype)
+            data = arr.reshape(-1).view(np.uint8)
+            step = math.lcm(8, dtype.itemsize)
+            step *= max(1, RECORD_CHUNK_BYTES // step)
+            total = 0
+            for lo in range(0, data.size, step):
+                piece = data[lo:lo + step]
+                self._fill(piece, at + lo)
+                if check is not None:
+                    check(piece.view(dtype), at + lo)
+                if sealed:
+                    total += word_sum(piece)
+            at += data.size
+            if sealed:
+                self._expect_sum(total, f"{sealed} {name} section", at)
+                at += 8
+            arrays[name] = arr.astype(dtype.newbyteorder("="), copy=False)
+        return arrays
+
+    def array(self, shape, dtype="<f4", check=None) -> np.ndarray:
+        """The next array, unsealed: the one-part form of sections."""
+        return self.sections({"array": (shape, dtype, check)})["array"]
+
+    def sealed_header(self, header: bytes, what: str) -> None:
+        """Claim the 8-byte checksum that follows the header bytes just read
+        and refuse the header, named what, at the checksum's offset unless
+        the checksum is their word sum."""
+        self._expect_sum(word_sum(np.frombuffer(header, np.uint8)), what, self.claim(8))
+
+    def _expect_sum(self, total: int, what: str, at: int) -> None:
         """Read the claimed 8-byte checksum at `at` and refuse the section
         that it ends, named what, at that offset if total (modulo 2**64)
         differs."""
         if int.from_bytes(self._read(8, at), "little") != total % 2**64:
             raise FormatError(f"{what} fails its checksum", offset=at)
-
-    def read_section(self, arr: np.ndarray, start: int, what: str, check=None) -> None:
-        """Read the claimed bytes at start into the C-contiguous array arr,
-        and then the 8-byte checksum that follows them (see word_sum).
-
-        The bytes are read straight into arr's memory in pieces of about
-        RECORD_CHUNK_BYTES, each a whole number of 8-byte words and of arr's
-        elements. While a piece is in cache, check(piece, offset), if given,
-        runs on it as a flat array of arr's dtype with the file offset it
-        starts at, and the piece's word sum is added to the section's."""
-        data = arr.reshape(-1).view(np.uint8)
-        step = math.lcm(8, arr.itemsize)
-        step *= max(1, RECORD_CHUNK_BYTES // step)
-        total = 0
-        for lo in range(0, data.size, step):
-            piece = data[lo:lo + step]
-            self._fill(piece, start + lo)
-            if check is not None:
-                check(piece.view(arr.dtype), start + lo)
-            total += word_sum(piece)
-        self.expect_sum(total, what, start + data.size)
-
-    def records(self, dtype: np.dtype, count: int) -> np.ndarray:
-        """count fixed-size records as a new array of their own. The bytes are
-        claimed before the array is sized, so a count the file cannot hold
-        allocates nothing."""
-        start = self.claim(dtype.itemsize * count)
-        arr = np.empty(count, dtype=dtype)
-        self._fill(arr.view(np.uint8), start)
-        return arr
 
     def record_chunks(self, dtype: np.dtype, count: int):
         """count fixed-size records as (first row, records) chunks of about

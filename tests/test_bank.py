@@ -993,7 +993,7 @@ def assert_own_memory(arrays):
 def buffer_load_error(raw: bytes) -> str:
     """The FormatError that reading raw as a bank with a Reader over it in
     memory, as a pipe is read, gives, field by field as load_bank reads it,
-    with one `records` call for the whole body and no checksum checked; ""
+    with one `array` call for the whole body and no checksum checked; ""
     if the fields all read."""
     try:
         r = Reader(io.BytesIO(raw), len(raw))
@@ -1002,7 +1002,7 @@ def buffer_load_error(raw: bytes) -> str:
         r.block()
         if r.version == 2:
             r.u64()  # the header's checksum
-        r.records(np.dtype(np.uint8), body_bytes(r.version, count, d_key, d_val))
+        r.array(body_bytes(r.version, count, d_key, d_val), np.uint8)
         r.expect_eof()
     except FormatError as exc:
         return str(exc)
@@ -1089,11 +1089,12 @@ class TestStreamedLoad:
         monkeypatch.setattr(serial, "RECORD_CHUNK_BYTES", chunk_bytes)
         raw = path.read_bytes()
         start, end = v2_parts(raw)["value"]
-        column, seen = np.empty((len(bank), bank.d_val), "<f4"), []
+        seen = []
         with Reader.stream(path, "PBNK", 2) as r:
-            r._take(start - r.offset)  # up to the values section
-            r.read_section(column, r.claim(end + 8 - start), "values",
-                           lambda piece, at: seen.append((at, piece.tobytes())))
+            r.array(start - r.offset, np.uint8)  # up to the values section
+            column = r.sections({"value": ((len(bank), bank.d_val), "<f4",
+                                           lambda piece, at: seen.append((at, piece.tobytes())))},
+                                "bank")["value"]
         assert [len(data) for _, data in seen] == pieces
         assert [at for at, _ in seen] == [start + sum(pieces[:i]) for i in range(len(pieces))]
         assert b"".join(data for _, data in seen) == column.tobytes() == raw[start:end]
@@ -1216,7 +1217,7 @@ class TestStreamedLoad:
         # 16 bytes of floats read; its checksum, 8 bytes at offset 16, has 4
         r = serial.Reader(io.BytesIO(bytes(20)), 24)
         with pytest.raises(FormatError) as exc:
-            r.read_section(np.empty(4, "<f4"), r.claim(24), "section")
+            r.sections({"floats": (4, "<f4", None)}, "test")
         assert exc.value.offset == 16 and "need 8 bytes, have 4" in str(exc.value)
 
     def test_field_of_a_file_that_shrinks_is_truncated(self):

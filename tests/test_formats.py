@@ -31,7 +31,7 @@ from vismem.bank import (
     save_embedding_table,
     write_pgm,
 )
-from vismem.errors import FormatError
+from vismem.errors import FormatError, InvalidInputError
 from vismem.index import IvfPqIndex, IvfPqParams, ivfpq_add, load_index, save_index
 from vismem.refine import RefinementParams, load_params, save_params
 from vismem.serial import Writer, json_lines, read_json_lines
@@ -310,8 +310,13 @@ PBNK_KEYS_AT = PBNK_HEADER_END + 8
 PBNK_VALUES_AT = PBNK_KEYS_AT + 3 * 4 * 4 + 8
 PBNK_BLUR_AT = PBNK_VALUES_AT + 3 * 3 * 4 + 8 + 3 * 4 * 4 + 8
 # PMEM: magic, version, dim, u64 count, then u32 length, name and 3 floats
-# per entry: the second name, "dog", starts at 20 + 4 + 3 + 12 + 4.
+# per entry: the first vector, that of "cat", starts at 20 + 4 + 3, and the
+# second name, "dog", at 27 + 12 + 4.
+PMEM_FIRST_VECTOR_AT = 27
 PMEM_SECOND_NAME_AT = 43
+# PGRD, PMAP and PVEC: magic, version, one u32 per axis, then the floats.
+PGRD_VALUES_AT = 8 + 4 * 3
+PMAP_VALUES_AT = PVEC_VALUES_AT = 8 + 4 * 2
 
 # Files that once loaded in silence, each refused at its bad value's offset.
 REFUSED_AT_THE_VALUE = [
@@ -337,6 +342,14 @@ REFUSED_AT_THE_VALUE = [
                  id="PIVF v1 inf codeword"),
     pytest.param(write_table, load_embedding_table, PMEM_SECOND_NAME_AT, "3s", b"cat",
                  id="PMEM repeated name"),
+    pytest.param(write_table, load_embedding_table, PMEM_FIRST_VECTOR_AT + 4 * 2, "<f",
+                 math.nan, id="PMEM NaN embedding value"),
+    pytest.param(write_grid, artifacts.load_feature_grid, PGRD_VALUES_AT + 4 * 7, "<f",
+                 math.nan, id="PGRD NaN value"),
+    pytest.param(write_map, artifacts.load_scalar_map, PMAP_VALUES_AT + 4 * 5, "<f", math.inf,
+                 id="PMAP inf value"),
+    pytest.param(write_vectors, artifacts.load_vectors, PVEC_VALUES_AT + 4 * 1, "<f", -math.inf,
+                 id="PVEC inf value"),
 ]
 
 
@@ -432,6 +445,33 @@ def test_hand_made_pgm_header(tmp_path, header):
     path.write_bytes(header + bytes(12))
     with pytest.raises(FormatError):
         read_pgm(path)
+
+
+@pytest.mark.parametrize("magic, shape, at, load", [
+    pytest.param("PGRD", (0, 5, 3), 8, artifacts.load_feature_grid, id="PGRD no rows"),
+    pytest.param("PGRD", (4, 5, 0), 16, artifacts.load_feature_grid, id="PGRD no channels"),
+    pytest.param("PMAP", (4, 0), 12, artifacts.load_scalar_map, id="PMAP no columns"),
+])
+def test_empty_grid_or_map_refused_at_its_empty_axis(tmp_path, magic, shape, at, load):
+    # neither saver writes one (as_grid and as_scalar_map refuse it); it used to load
+    path = tmp_path / "empty"
+    header = Writer().magic(magic).u32(1)
+    for n in shape:
+        header.u32(n)
+    path.write_bytes(header.getvalue())
+    with pytest.raises(FormatError, match="empty") as exc:
+        load(path)
+    assert exc.value.offset == at
+
+
+def test_vectors_without_rows_round_trip_and_non_finite_ones_are_not_saved(tmp_path):
+    # vismem refine writes a (0, 0) file when it makes no prompts
+    path = tmp_path / "v.pvec"
+    artifacts.save_vectors(np.zeros((0, 0)), path)
+    assert artifacts.load_vectors(path).shape == (0, 0)
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        artifacts.save_vectors([[0.0, math.nan]], path)
+    assert artifacts.load_vectors(path).shape == (0, 0)
 
 
 @pytest.mark.parametrize("per_scale", [0, 1])
