@@ -58,7 +58,7 @@ def load_scalar_map(path) -> np.ndarray:
 def save_vectors(vectors: np.ndarray, path) -> None:
     arr = np.asarray(vectors, dtype=np.float32)
     if arr.ndim != 2:
-        raise FormatError("vectors must be an (N, D) matrix")
+        raise InvalidInputError(f"vectors must be an (N, D) matrix, got shape {arr.shape}")
     if not _all_finite(arr):
         raise InvalidInputError("vectors contain non-finite entries")
     _save_array(arr, VECS_MAGIC, path)

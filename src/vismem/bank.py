@@ -46,8 +46,8 @@ TABLE_VERSION = 1
 def _record_dtype(d_key: int, d_val: int) -> np.dtype:
     """The fields of one bank entry on disk: key and value as f32, category
     and image id, box (x0, y0, x1, y1) as 4 f32, blur score as f32 (NaN for
-    none). A v1 file holds one such record per entry; a v2 file holds each
-    field of every entry in a section of its own."""
+    none). A bank file holds each field of every entry in a section of its
+    own (_SECTIONS)."""
     name = f"S{NAME_FIELD_BYTES}"
     return np.dtype([("key", "<f4", (d_key,)), ("value", "<f4", (d_val,)),
                      ("category", name), ("image_id", name),
@@ -55,8 +55,8 @@ def _record_dtype(d_key: int, d_val: int) -> np.dtype:
 
 
 def entry_stride(d_key: int, d_val: int) -> int:
-    """On-disk byte size of one bank entry, 4 * (d_key + d_val) + 148, in
-    either format: a v1 record, or the entry's share of the v2 sections."""
+    """On-disk byte size of one bank entry, 4 * (d_key + d_val) + 148: its
+    share of the sections of a bank file."""
     return _record_dtype(d_key, d_val).itemsize
 
 
@@ -634,12 +634,10 @@ def _decode_names(column: np.ndarray, what: str, at: int, stride: int) -> np.nda
         raise
 
 
-def _name_fields(layout: np.dtype, count: int, version: int, name: str) -> tuple[int, int]:
+def _name_fields(layout: np.dtype, count: int, name: str) -> tuple[int, int]:
     """Where the name field `name` of the first entry lies, from the start of
-    the entries, and the bytes from one entry's field to the next's. A v2
+    the entries, and the bytes from one entry's field to the next's. A
     section follows every earlier section and its 8-byte checksum."""
-    if version == 1:
-        return layout.fields[name][1], layout.itemsize
     earlier = list(_SECTIONS)[:list(_SECTIONS).index(name)]
     return sum(count * layout[n].itemsize + 8 for n in earlier), layout[name].itemsize
 
@@ -651,16 +649,16 @@ def _not_inf(piece: np.ndarray, at: int) -> None:
         raise FormatError("infinite blur score", offset=at + 4 * int(np.argmax(inf)))
 
 
-# The v2 sections, in file order: the record field each holds and the check
+# The sections, in file order: the record field each holds and the check
 # run on each piece of it as it is read.
 _SECTIONS = {"key": finite_check("non-finite key"), "value": finite_check("non-finite value"),
              "box": None, "blur": _not_inf, "category": None, "image_id": None}
 
 
-def _header(d_key: int, d_val: int, count: int, payload: bytes, version: int) -> bytes:
+def _header(d_key: int, d_val: int, count: int, payload: bytes) -> bytes:
     """A bank file's header up to its checksum: magic, version, d_key, d_val,
     the u64 entry count and the JSON block of weights and manifest."""
-    return (Writer().magic(BANK_MAGIC).u32(version).u32(d_key).u32(d_val).u64(count)
+    return (Writer().magic(BANK_MAGIC).u32(BANK_VERSION).u32(d_key).u32(d_val).u64(count)
             .block(payload).getvalue())
 
 
@@ -676,64 +674,27 @@ def save_bank(bank: MemoryBank, path) -> None:
             raise FormatError(f"{name} {longest!r} exceeds the {NAME_FIELD_BYTES}-byte field")
         columns[name] = encoded
     header = _header(bank.d_key, bank.d_val, len(bank), json_bytes(
-        {"weights": bank.weights.as_dict(), "manifest": bank.manifest}), BANK_VERSION)
+        {"weights": bank.weights.as_dict(), "manifest": bank.manifest}))
     layout = _record_dtype(bank.d_key, bank.d_val)
     # names are zero-padded to their field
     atomic_write_bytes(path, *sealed(np.frombuffer(header, np.uint8), *(
         np.ascontiguousarray(columns[name], layout[name].base) for name in _SECTIONS)))
 
 
-def _read_records(r, layout: np.dtype, count: int) -> dict[str, np.ndarray]:
-    """Each field of the next count v1 records of a `Reader` as an
-    array of its own, in native byte order: float32 keys, values, boxes and
-    blur, and the raw 64-byte names. A NaN or inf key or value float, or an
-    infinite blur score, is a FormatError at its offset; each chunk is
-    checked as it is copied, while it is in cache."""
-    at = r.offset
-    chunks = r.record_chunks(layout, count)  # refuses a count the file cannot hold
-    columns = {name: np.empty((count, *layout[name].shape), layout[name].base.newbyteorder("="))
-               for name in layout.names}
-    for first, chunk in chunks:
-        rows = slice(first, first + len(chunk))
-        for name, column in columns.items():
-            column[rows] = chunk[name]
-        keys, values, blur = (columns[name][rows] for name in ("key", "value", "blur"))
-        if not (_all_finite(keys) and _all_finite(values)) or np.isinf(blur).any():
-            _refuse_non_finite(layout, at + first * layout.itemsize, keys, values, blur)
-    return columns
-
-
-def _refuse_non_finite(layout: np.dtype, at: int, keys: np.ndarray, values: np.ndarray,
-                       blur: np.ndarray) -> None:
-    """Raise FormatError at the first bad float of v1 records that start at
-    offset at: a NaN or inf key or value float, or an infinite blur score."""
-    found = []
-    for field, what, bad in (("key", "non-finite key", ~np.isfinite(keys)),
-                             ("value", "non-finite value", ~np.isfinite(values)),
-                             ("blur", "infinite blur score", np.isinf(blur)[:, None])):
-        if bad.any():
-            row, col = divmod(int(np.argmax(bad)), bad.shape[1])
-            found.append((at + row * layout.itemsize + layout.fields[field][1] + 4 * col, what))
-    offset, what = min(found)
-    raise FormatError(what, offset=offset)
-
-
 def load_bank(path) -> MemoryBank:
-    """Read a bank file of format v2 or v1. A load holds the bank and, for
-    v1, one chunk of about 1 MiB, never the whole file.
+    """Read a bank file of format v2, the one save_bank writes; any other
+    version is a FormatError at offset 4. A load holds the bank, never the
+    whole file.
 
-    v2 checks its header against the header's checksum, then reads the
-    _SECTIONS as one run of sealed sections straight into their columns;
-    the checks in _SECTIONS refuse a NaN or inf key or value float, or an
-    infinite blur score, at its offset. v1 has one record
-    per entry, which is read a chunk at a time and copied into the columns
-    (_read_records)."""
-    with Reader.stream(path, BANK_MAGIC, 1, BANK_VERSION) as r:
+    The header is checked against its checksum before a field of it is
+    read; then the _SECTIONS are read as one run of sealed sections
+    straight into their columns. The checks in _SECTIONS refuse a NaN or
+    inf key or value float, or an infinite blur score, at its offset."""
+    with Reader.stream(path, BANK_MAGIC, BANK_VERSION) as r:
         d_key, d_val, count = r.u32(), r.u32(), r.u64()
         meta_at = r.offset
         payload = r.block()
-        if r.version == BANK_VERSION:
-            r.sealed_header(_header(d_key, d_val, count, payload, r.version), "bank header")
+        r.sealed_header(_header(d_key, d_val, count, payload), "bank header")
         meta = json_value(payload, meta_at)
         weights = meta.get("weights") if isinstance(meta, dict) else None
         with format_errors("bad weights or manifest in bank header", meta_at):
@@ -741,22 +702,19 @@ def load_bank(path) -> MemoryBank:
                     and isinstance(meta.get("manifest"), dict)):
                 raise InvalidInputError(f"{meta!r:.200}")
             weights = KeyWeights(**weights)
-        records_at = r.offset
+        body_at = r.offset
         with format_errors("bad bank record layout", 8):
             layout = _record_dtype(d_key, d_val)
-        if r.version == BANK_VERSION:
-            columns = r.sections({name: ((count, *layout[name].shape), layout[name].base, check)
-                                  for name, check in _SECTIONS.items()}, "bank")
-        else:
-            columns = _read_records(r, layout, count)
+        columns = r.sections({name: ((count, *layout[name].shape), layout[name].base, check)
+                              for name, check in _SECTIONS.items()}, "bank")
         r.expect_eof()
     x0, y0, x1, y1 = columns["box"].T
     if not np.all((0 <= x0) & (x0 < x1) & (x1 <= 1) & (0 <= y0) & (y0 < y1) & (y1 <= 1)):
         raise FormatError("bank has a box outside 0 <= x0 < x1 <= 1, 0 <= y0 < y1 <= 1")
     names = []
     for name, what in (("category", "a category"), ("image_id", "an image id")):
-        first, stride = _name_fields(layout, count, r.version, name)
-        names.append(_decode_names(columns.pop(name), what, records_at + first, stride))
+        first, stride = _name_fields(layout, count, name)
+        names.append(_decode_names(columns.pop(name), what, body_at + first, stride))
     categories, image_ids = names
     return MemoryBank._adopt(d_key, d_val, weights, meta["manifest"],
                              keys=columns["key"], values=columns["value"],

@@ -463,10 +463,10 @@ def rescore(keys, candidates: list[SearchHit], query, k: int) -> list[SearchHit]
 _PARAM_NAMES = tuple(f.name for f in fields(IvfPqParams))  # the keys an index header has
 
 
-def _header(version: int, payload: bytes, dim: int) -> bytes:
+def _header(payload: bytes, dim: int) -> bytes:
     """An index file's header up to its checksum: magic, version, the JSON
     block of the params and the u32 dim."""
-    return Writer().magic(INDEX_MAGIC).u32(version).block(payload).u32(dim).getvalue()
+    return Writer().magic(INDEX_MAGIC).u32(INDEX_VERSION).block(payload).u32(dim).getvalue()
 
 
 def save_index(index: IvfPqIndex, path) -> None:
@@ -476,7 +476,7 @@ def save_index(index: IvfPqIndex, path) -> None:
     header and each section are followed by their 8-byte checksum
     (serial.word_sum), so any change of one byte of the file fails a
     checksum if nothing else refuses it first."""
-    header = _header(INDEX_VERSION, json_bytes(index.params.as_dict()), index.dim)
+    header = _header(json_bytes(index.params.as_dict()), index.dim)
     atomic_write_bytes(path, *sealed(
         np.frombuffer(header, np.uint8),
         np.ascontiguousarray(index.coarse_centroids, "<f4"),
@@ -494,38 +494,19 @@ def _params(header, at: int) -> IvfPqParams:
         return IvfPqParams(**header)
 
 
-def _quantizer_parts(params: IvfPqParams, dim: int) -> dict:
-    """The coarse centroids and PQ codebooks, as `Reader.sections` parts; a
-    NaN or inf float is a FormatError at its offset, as training never
-    writes one."""
-    return {"coarse centroids": ((params.nlist, dim), "<f4",
-                                 finite_check("non-finite coarse centroid")),
-            "PQ codebooks": ((params.m, params.ksub, dim // params.m), "<f4",
-                             finite_check("non-finite PQ codeword"))}
-
-
-def _read_v1_arrays(r: Reader, params: IvfPqParams, dim: int) -> tuple:
-    """The coarse centroids, codebooks, offsets, ids and codes of a v1 file,
-    which holds per list a u64 size, that many ids and their codes."""
-    coarse, codebooks = r.sections(_quantizer_parts(params, dim)).values()
-    sizes, ids, codes = [], [], []
-    for _ in range(params.nlist):
-        n = r.u64()
-        sizes.append(n)
-        ids.append(r.array(n, "<i8"))
-        codes.append(r.array((n, params.m), np.uint8))
-    return (coarse, codebooks, np.concatenate([[0], np.cumsum(sizes)]),
-            np.concatenate(ids, dtype=np.int64), np.concatenate(codes))
-
-
-def _read_v2_arrays(r: Reader, params: IvfPqParams, dim: int) -> tuple:
-    """The coarse centroids, codebooks, offsets, ids and codes of a v2 file,
-    read as two runs of sealed sections. The offsets end the first run and
-    are checked, starting at 0 and never falling, before the second run
-    claims the ids and codes they count."""
+def _read_arrays(r: Reader, params: IvfPqParams, dim: int) -> tuple:
+    """The coarse centroids, codebooks, offsets, ids and codes of an index
+    file, read as two runs of sealed sections. A NaN or inf centroid or
+    codeword float is a FormatError at its offset, as training never writes
+    one. The offsets end the first run and are checked, starting at 0 and
+    never falling, before the second run claims the ids and codes they
+    count."""
     coarse, codebooks, offsets = r.sections(
-        {**_quantizer_parts(params, dim), "offsets": (params.nlist + 1, "<i8", None)},
-        "index").values()
+        {"coarse centroids": ((params.nlist, dim), "<f4",
+                              finite_check("non-finite coarse centroid")),
+         "PQ codebooks": ((params.m, params.ksub, dim // params.m), "<f4",
+                          finite_check("non-finite PQ codeword")),
+         "offsets": (params.nlist + 1, "<i8", None)}, "index").values()
     wrong = np.diff(offsets, prepend=0) < 0  # an offset below the one before it
     wrong[0] = offsets[0] != 0
     if wrong.any():
@@ -539,25 +520,21 @@ def _read_v2_arrays(r: Reader, params: IvfPqParams, dim: int) -> tuple:
 
 
 def load_index(path) -> IvfPqIndex:
-    """Read an index file of format v2 or v1; saving what v1 loads writes v2.
+    """Read an index file of format v2, the one save_index writes; any other
+    version is a FormatError at offset 4.
 
-    v2 checks its header against the header's checksum before it reads a
-    field of it, then reads each sealed section straight into its array
-    (_read_v2_arrays). v1 has no checksums and one run of ids and codes per
-    list (_read_v1_arrays)."""
-    with Reader.stream(path, INDEX_MAGIC, 1, INDEX_VERSION) as r:
+    The header is checked against its checksum before a field of it is
+    read; then each sealed section is read straight into its array
+    (_read_arrays)."""
+    with Reader.stream(path, INDEX_MAGIC, INDEX_VERSION) as r:
         header_at = r.offset
         payload = r.block()
-        if r.version == INDEX_VERSION:
-            dim_at, dim = r.offset, r.u32()
-            r.sealed_header(_header(r.version, payload, dim), "index header")
+        dim_at, dim = r.offset, r.u32()
+        r.sealed_header(_header(payload, dim), "index header")
         params = _params(json_value(payload, header_at), header_at)
-        if r.version == 1:
-            dim_at, dim = r.offset, r.u32()
         if dim % params.m != 0:
             raise FormatError(f"index dim {dim} not divisible by m={params.m}", offset=dim_at)
-        read = _read_v2_arrays if r.version == INDEX_VERSION else _read_v1_arrays
-        coarse, codebooks, offsets, ids, codes = read(r, params, dim)
+        coarse, codebooks, offsets, ids, codes = _read_arrays(r, params, dim)
         r.expect_eof()
     with format_errors("bad index lists"):  # a repeated id or a code past the codebook
         return IvfPqIndex(params=params, dim=dim, coarse_centroids=coarse,

@@ -19,7 +19,7 @@ from .errors import FormatError, InvalidInputError, MissingEmbeddingError
 from .grids import (LN_OVERFLOW, Point2D, _all_finite, _bilinear, _check, _finite, _layer_norm,
                     as_grid, as_scalar_map, as_vector)
 from .priors import AnchorSet, DensePrior
-from .serial import Reader, Writer, atomic_write_bytes, format_errors
+from .serial import Reader, Writer, atomic_write_bytes, finite_check, format_errors
 
 PARAMS_MAGIC = "PPRM"
 PARAMS_VERSION = 1
@@ -303,7 +303,8 @@ def save_params(params, path) -> None:
 
 
 def load_params(path):
-    """Load a PPRM file; returns RefinementParams or a per-scale list."""
+    """Load a PPRM file; returns RefinementParams or a per-scale list. A NaN
+    or inf parameter value is a FormatError at its offset."""
     with Reader.stream(path, PARAMS_MAGIC, PARAMS_VERSION) as r:
         dim, per_scale, count, window = r.u32(), r.u32(), r.u32(), r.u32()
         ln_eps = r.f32()
@@ -311,15 +312,15 @@ def load_params(path):
             raise FormatError(f"a shared parameter file holds one set and a per-scale file at "
                               f"least one; got per_scale={per_scale} with {count} sets",
                               offset=12)
-        sets = []
+        sets, finite = [], finite_check("non-finite parameter value")
         for _ in range(count):
             with format_errors("bad parameter set", r.offset):
                 sets.append(RefinementParams(
-                    e=r.array(dim),
-                    w_sparse=r.array((dim, dim)),
-                    w_dense=r.array((dim, dim)),
-                    ln_gain=r.array(dim),
-                    ln_bias=r.array(dim),
+                    e=r.array(dim, check=finite),
+                    w_sparse=r.array((dim, dim), check=finite),
+                    w_dense=r.array((dim, dim), check=finite),
+                    ln_gain=r.array(dim, check=finite),
+                    ln_bias=r.array(dim, check=finite),
                     ln_eps=ln_eps,
                     window=window,
                 ))

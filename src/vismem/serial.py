@@ -12,11 +12,12 @@ check such as `finite_check` on each piece, and, for a `sealed` file, checks
 each array against the checksum that follows it (`word_sum`); `array` is its
 one-part form. Through those checks every loader refuses a NaN or inf float
 that no writer makes at its offset: in a bank's keys or values, an index's
-centroids or codewords, an embedding table, a feature grid, a scalar map or
-a vector file. An empty feature grid or scalar map is refused too.
-`record_chunks` reads v1 bank records in chunks into one reused buffer, so
-the v1 bank loader holds its columns plus one chunk, never the whole file.
-A pipe has no size, so it is read whole first. The file is never mapped.
+centroids or codewords, a parameter file, an embedding table, a feature
+grid, a scalar map or a vector file. An empty feature grid or scalar map is
+refused too. A loader holds the arrays it returns, not the file as well; a
+pipe has no size, so it is read whole first. The file is never mapped.
+Each format has one version that its loader reads; any other is refused at
+offset 4.
 `format_errors` reports a field that does not build a valid object
 (`InvalidInputError`, or a `ValueError`, `OverflowError` or `RecursionError`
 from numpy, `int()`, UTF-8 or JSON decoding) as `FormatError` at the field's
@@ -42,9 +43,9 @@ import numpy as np
 from .errors import FormatError, InvalidInputError
 from .grids import _all_finite
 
-# About how many bytes `record_chunks` and `sections` read at a time:
-# large enough that the read calls cost nothing, small enough to stay in
-# cache while a loader checks the piece or copies it into its columns.
+# About how many bytes `sections` reads at a time: large enough that the
+# read calls cost nothing, small enough to stay in cache while a loader
+# checks the piece.
 RECORD_CHUNK_BYTES = 1 << 20
 
 
@@ -92,9 +93,6 @@ class Writer:
     def raw(self, data: bytes) -> "Writer":
         self._chunks.append(data)
         return self
-
-    def json_block(self, obj) -> "Writer":
-        return self.block(json_bytes(obj))
 
     def block(self, payload: bytes) -> "Writer":
         """payload after its u32 length."""
@@ -166,13 +164,11 @@ class Reader:
 
     def __init__(self, file, size: int):
         self.file, self.size, self.offset = file, size, 0
-        self.version = None
 
     @classmethod
     @contextmanager
-    def stream(cls, path, magic: str, *versions: int):
-        """A reader over the open file, past its checked magic and a version
-        among versions, which it keeps as `version`.
+    def stream(cls, path, magic: str, version: int):
+        """A reader over the open file, past its checked magic and version.
 
         The size of a regular file is taken once, at open; a pipe has no
         size, so it is read whole first. The file is read, not mapped: a
@@ -186,17 +182,17 @@ class Reader:
             else:
                 data = f.read()
                 r = cls(io.BytesIO(data), len(data))
-            r._expect_header(magic, *versions)
+            r._expect_header(magic, version)
             yield r
 
-    def _expect_header(self, magic: str, *versions: int) -> None:
+    def _expect_header(self, magic: str, version: int) -> None:
         tag = self._take(len(magic))
         if tag != magic.encode("ascii"):
             raise FormatError(f"bad magic {tag!r}, expected {magic!r}", offset=0)
-        self.version = self.u32()
-        if self.version not in versions:
-            raise FormatError(f"unsupported {magic} version {self.version}, "
-                              f"expected {' or '.join(map(str, versions))}", offset=4)
+        found = self.u32()
+        if found != version:
+            raise FormatError(f"unsupported {magic} version {found}, expected {version}",
+                              offset=4)
 
     def claim(self, n: int) -> int:
         """Claim the next n bytes and return where they start."""
@@ -240,10 +236,6 @@ class Reader:
     def block(self) -> bytes:
         """The payload of the next u32-length-prefixed block."""
         return self._take(self.u32())
-
-    def json_block(self):
-        start = self.offset
-        return json_value(self.block(), start)
 
     def sections(self, parts: dict, sealed: str | None = None) -> dict[str, np.ndarray]:
         """The arrays of the next run of sections, in the order of parts,
@@ -301,25 +293,6 @@ class Reader:
         differs."""
         if int.from_bytes(self._read(8, at), "little") != total % 2**64:
             raise FormatError(f"{what} fails its checksum", offset=at)
-
-    def record_chunks(self, dtype: np.dtype, count: int):
-        """count fixed-size records as (first row, records) chunks of about
-        RECORD_CHUNK_BYTES, in order. Every chunk is read into the same
-        buffer, so a chunk is valid only until the next one is read.
-
-        The whole section is claimed here, before the first chunk is read:
-        a count the file cannot hold is refused before the caller sizes
-        anything from it."""
-        start = self.claim(dtype.itemsize * count)
-        return self._chunks(dtype, count, start)
-
-    def _chunks(self, dtype: np.dtype, count: int, start: int):
-        rows = max(1, RECORD_CHUNK_BYTES // dtype.itemsize)
-        buf = np.empty(min(rows, count) * dtype.itemsize, dtype=np.uint8)
-        for first in range(0, count, rows):
-            chunk = buf[:min(rows, count - first) * dtype.itemsize]
-            self._fill(chunk, start + first * dtype.itemsize)
-            yield first, chunk.view(dtype)
 
     def expect_eof(self) -> None:
         if self.offset != self.size:

@@ -5,8 +5,8 @@ whole-grid-mask mean pool and the build loop that made one key and one value
 per record; for refinement, one anchor's dense window feature, heatmap
 resampling and prompt; for dense priors, one product per prototype and a
 float64 copy of each map before its smoothing and its rescale; for bank
-files, both formats written one entry and one field at a time, and for index
-files both formats written one list at a time, with v2's checksums summed as
+files, the file written one entry and one field at a time, and for index
+files the file written one list at a time, with the checksums summed as
 Python ints."""
 
 import itertools
@@ -209,15 +209,20 @@ def v2_widths(d_key: int, d_val: int) -> dict:
             "category": 64, "image_id": 64}
 
 
-def reference_bank_bytes(bank, version=2):
-    """The bank file written one entry and one field at a time. v1 holds one
-    record per entry: key, value, category, image id, box, blur score. v2
-    holds one section per field: keys, values, boxes, blur scores,
-    categories, image ids; the header and each section are followed by
-    their reference_word_sum."""
+def reference_json(obj) -> bytes:
+    """obj as the sorted, compact UTF-8 JSON of a header's JSON block."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def reference_bank_bytes(bank):
+    """The bank file written one entry and one field at a time: magic,
+    version 2, d_key, d_val, the u64 entry count and the JSON block of
+    weights and manifest, then one section per field: keys, values, boxes,
+    blur scores, categories, image ids; the header and each section are
+    followed by their reference_word_sum."""
     w = Writer()
-    w.magic("PBNK").u32(version).u32(bank.d_key).u32(bank.d_val).u64(len(bank))
-    w.json_block({"weights": bank.weights.as_dict(), "manifest": bank.manifest})
+    w.magic("PBNK").u32(2).u32(bank.d_key).u32(bank.d_val).u64(len(bank))
+    w.block(reference_json({"weights": bank.weights.as_dict(), "manifest": bank.manifest}))
     fields = {"key": [], "value": [], "category": [], "image_id": [], "box": [], "blur": []}
     for e in bank.entries:
         fields["key"].append(np.asarray(e.key, dtype="<f4").tobytes())
@@ -228,8 +233,6 @@ def reference_bank_bytes(bank, version=2):
         fields["blur"].append(struct.pack("<f", math.nan if e.blur_score is None
                                           else e.blur_score))
     header = w.getvalue()
-    if version == 1:
-        return header + b"".join(b"".join(record) for record in zip(*fields.values()))
     sections = [b"".join(fields[name]) for name in v2_widths(bank.d_key, bank.d_val)]
     return header + reference_word_sum(header) + b"".join(
         section + reference_word_sum(section) for section in sections)
@@ -288,18 +291,13 @@ def resealed(raw: bytes) -> bytes:
     return bytes(out)
 
 
-def reference_index_bytes(index, version=2):
-    """The index file written one list at a time. Both versions start with
-    magic, version, the JSON block of the params and the u32 dim. v1 then
-    holds the coarse centroids, the PQ codebooks and, per list, its u64
-    size, its int64 ids and its uint8 codes. In v2 the header is followed by
-    its reference_word_sum, then by the sections of coarse centroids, PQ
-    codebooks, offsets, ids and codes, each followed by its
-    reference_word_sum."""
+def reference_index_bytes(index):
+    """The index file written one list at a time: magic, version 2, the JSON
+    block of the params and the u32 dim, then the sections of coarse
+    centroids, PQ codebooks, offsets, ids and codes; the header and each
+    section are followed by their reference_word_sum."""
     w = Writer()
-    w.magic("PIVF").u32(version)
-    w.json_block(index.params.as_dict())
-    w.u32(index.dim)
+    w.magic("PIVF").u32(2).block(reference_json(index.params.as_dict())).u32(index.dim)
     header = w.getvalue()
     coarse = np.asarray(index.coarse_centroids, dtype="<f4").tobytes()
     codebooks = np.asarray(index.pq_codebooks, dtype="<f4").tobytes()
@@ -309,10 +307,6 @@ def reference_index_bytes(index, version=2):
         sizes.append(rows.stop - rows.start)
         ids.append(np.asarray(index.ids[rows], dtype="<i8").tobytes())
         codes.append(np.asarray(index.codes[rows], dtype=np.uint8).tobytes())
-    if version == 1:
-        return header + coarse + codebooks + b"".join(
-            struct.pack("<Q", size) + list_ids + list_codes
-            for size, list_ids, list_codes in zip(sizes, ids, codes))
     offsets = struct.pack(f"<{len(sizes) + 1}q", *itertools.accumulate(sizes, initial=0))
     return b"".join(part + reference_word_sum(part) for part in (
         header, coarse, codebooks, offsets, b"".join(ids), b"".join(codes)))

@@ -35,7 +35,6 @@ from vismem.bank import (
     _ascii_names,
     _decode_names,
     _encode_names,
-    _record_dtype,
 )
 from vismem.artifacts import load_feature_grid, save_feature_grid
 from vismem.errors import FormatError, InvalidInputError, MissingEmbeddingError
@@ -727,61 +726,48 @@ class TestBankEncoding:
         assert not (tmp_path / "b.pbnk").exists()
 
     @staticmethod
-    def patched_files(tmp_path, bank, v1_at, v2_at, data):
-        """The v1 and v2 files of bank with data written at the offset that
-        v1_at(layout, raw) or v2_at(parts) gives; the v2 file is resealed,
-        so that the loader's own check of the field refuses it."""
-        save_bank(bank, tmp_path / "v2.pbnk")
-        v1 = bytearray(reference_bank_bytes(bank, 1))
-        v2 = bytearray((tmp_path / "v2.pbnk").read_bytes())
-        for raw, at in ((v1, v1_at(_record_dtype(bank.d_key, bank.d_val), v1)),
-                        (v2, v2_at(v2_parts(bytes(v2))))):
-            raw[at:at + len(data)] = data
-        (tmp_path / "v1.pbnk").write_bytes(bytes(v1))
-        (tmp_path / "v2.pbnk").write_bytes(resealed(bytes(v2)))
-        return tmp_path / "v1.pbnk", tmp_path / "v2.pbnk"
+    def patched_file(tmp_path, bank, at, data):
+        """The file of bank with data written at the offset that at(parts)
+        gives, resealed, so that the loader's own check of the field
+        refuses it."""
+        path = tmp_path / "b.pbnk"
+        save_bank(bank, path)
+        raw = bytearray(path.read_bytes())
+        start = at(v2_parts(bytes(raw)))
+        raw[start:start + len(data)] = data
+        path.write_bytes(resealed(bytes(raw)))
+        return path
 
     @pytest.mark.parametrize("corner, value", [(0, -5.0), (2, 0.05), (3, float("nan"))])
     def test_box_out_of_range_rejected(self, tmp_path, corner, value):
         bank = hand_bank(["cat", "dog"], ["img0", "img1"], [None, None])
         # the last entry's box corner
-        paths = self.patched_files(
-            tmp_path, bank,
-            lambda layout, raw: len(raw) - layout.itemsize + layout.fields["box"][1] + 4 * corner,
-            lambda parts: parts["box"][0] + 16 + 4 * corner, struct.pack("<f", value))
-        for path in paths:
-            with pytest.raises(FormatError, match="box outside"):
-                load_bank(path)
+        path = self.patched_file(tmp_path, bank, lambda parts: parts["box"][0] + 16 + 4 * corner,
+                                 struct.pack("<f", value))
+        with pytest.raises(FormatError, match="box outside"):
+            load_bank(path)
 
     def test_invalid_utf8_name_rejected(self, tmp_path):
         bank = hand_bank(["cat", "dog"], ["img0", "img1"], [None, None])
         # the second entry's category, then the second byte of its image id
         for field, col, byte in (("category", 0, 0xFF), ("image_id", 1, 0xC3)):
-            paths = self.patched_files(
-                tmp_path, bank,
-                lambda layout, raw: len(raw) - layout.itemsize + layout.fields[field][1] + col,
-                lambda parts: parts[field][0] + 64 + col, bytes([byte]))
-            for path in paths:
-                with pytest.raises(FormatError, match="UTF-8"):
-                    load_bank(path)
+            path = self.patched_file(tmp_path, bank, lambda parts: parts[field][0] + 64 + col,
+                                     bytes([byte]))
+            with pytest.raises(FormatError, match="UTF-8"):
+                load_bank(path)
 
     @pytest.mark.parametrize("field, row, col", [("image_id", 1, 2), ("category", 2, 0),
                                                  ("category", 0, 5)])
     def test_invalid_utf8_reported_at_its_own_name(self, tmp_path, field, row, col):
-        """The offset is the bad name's 64-byte field: in v1 its record's
-        offset plus the field's, in v2 its section's start plus 64 per row."""
+        """The offset is the bad name's 64-byte field: its section's start
+        plus 64 per row."""
         bank = hand_bank(["cat", "dog", "cow"], ["img0", "img1", "img2"], [None, 1.0, None])
-        layout = _record_dtype(bank.d_key, bank.d_val)
-        records_at = len(reference_bank_bytes(bank, 1)) - len(bank) * layout.itemsize
-        v1_field = records_at + row * layout.itemsize + layout.fields[field][1]
-        v2_field = v2_parts(reference_bank_bytes(bank, 2))[field][0] + 64 * row
-        v1, v2 = self.patched_files(tmp_path, bank, lambda layout, raw: v1_field + col,
-                                    lambda parts: v2_field + col, b"\xff")
+        offset = v2_parts(reference_bank_bytes(bank))[field][0] + 64 * row
+        path = self.patched_file(tmp_path, bank, lambda parts: offset + col, b"\xff")
         what = "a category" if field == "category" else "an image id"
-        for path, offset in ((v1, v1_field), (v2, v2_field)):
-            with pytest.raises(FormatError, match=f"bad UTF-8 in {what}") as exc:
-                load_bank(path)
-            assert exc.value.offset == offset, path.name
+        with pytest.raises(FormatError, match=f"bad UTF-8 in {what}") as exc:
+            load_bank(path)
+        assert exc.value.offset == offset
 
     def test_v2_file_unsealed_after_a_patch_fails_its_checksum(self, tmp_path):
         bank = hand_bank(["cat", "dog"], ["img0", "img1"], [None, None])
@@ -798,23 +784,7 @@ class TestBankEncoding:
 
 
 class TestBankMigration:
-    """A v1 bank file still loads; save_bank writes it back as v2, which
-    loads to the same columns, bit for bit."""
-
-    def test_v1_file_loads_and_is_written_back_as_v2(self, tmp_path):
-        bank = hand_bank(TestBankEncoding.NAMES, ["\u00fcber", "img", "y" * 64], [None, 2.5, 0.0])
-        (tmp_path / "v1.pbnk").write_bytes(reference_bank_bytes(bank, 1))
-        from_v1 = load_bank(tmp_path / "v1.pbnk")
-        assert from_v1 == bank and math.isnan(from_v1.blur[0])
-        save_bank(from_v1, tmp_path / "v2.pbnk")
-        raw = (tmp_path / "v2.pbnk").read_bytes()
-        assert struct.unpack_from("<I", raw, 4) == (2,)
-        assert raw == reference_bank_bytes(bank, 2)
-        from_v2 = load_bank(tmp_path / "v2.pbnk")
-        assert from_v2 == from_v1
-        for column in ("keys", "values", "categories", "image_ids", "boxes", "blur"):
-            got, want = getattr(from_v2, column), getattr(from_v1, column)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), column
+    """Names of any UTF-8 round trip through the bank file."""
 
     def test_non_ascii_names_round_trip_through_v2(self, tmp_path):
         names = ["caf\u00e9 \u732b", "\u00fc" * 32, "a\x00b"]
@@ -997,30 +967,28 @@ def buffer_load_error(raw: bytes) -> str:
     if the fields all read."""
     try:
         r = Reader(io.BytesIO(raw), len(raw))
-        r._expect_header("PBNK", 1, 2)
+        r._expect_header("PBNK", 2)
         d_key, d_val, count = r.u32(), r.u32(), r.u64()
         r.block()
-        if r.version == 2:
-            r.u64()  # the header's checksum
-        r.array(body_bytes(r.version, count, d_key, d_val), np.uint8)
+        r.u64()  # the header's checksum
+        r.array(body_bytes(count, d_key, d_val), np.uint8)
         r.expect_eof()
     except FormatError as exc:
         return str(exc)
     return ""
 
 
-def body_bytes(version, count, d_key, d_val):
-    """The bytes of a bank file after its header: the entries, and in v2
-    each section's 8-byte checksum."""
-    return count * entry_stride(d_key, d_val) + (6 * 8 if version == 2 else 0)
+def body_bytes(count, d_key, d_val):
+    """The bytes of a bank file after its header: the entries and each
+    section's 8-byte checksum."""
+    return count * entry_stride(d_key, d_val) + 6 * 8
 
 
 class TestStreamedLoad:
-    """load_bank reads a v2 file's sections straight into the bank's columns,
-    a piece at a time, and a v1 file's records a chunk at a time: the bank
-    equals the saved one for any piece or chunk size, and a short, long or
-    oversized file fails as a Reader over the whole file in memory, the pipe
-    path, does."""
+    """load_bank reads a file's sections straight into the bank's columns,
+    a piece at a time: the bank equals the saved one for any piece size, and
+    a short, long or oversized file fails as a Reader over the whole file in
+    memory, the pipe path, does."""
 
     NAMES = ["caf\u00e9", "dog", "\u732b", "x" * 64, "\u00fc" * 32, "", "cat", "a\x00b"]
 
@@ -1037,46 +1005,21 @@ class TestStreamedLoad:
         save_bank(bank, path)
         return bank, path
 
-    def saved_both(self, tmp_path):
-        """The bank, and its v1 file by the reference encoder and v2 file by
-        save_bank, as (version, path) pairs."""
-        bank, path = self.saved(tmp_path)
-        v1 = tmp_path / "v1.pbnk"
-        v1.write_bytes(reference_bank_bytes(bank, 1))
-        return bank, [(1, v1), (2, path)]
-
     @pytest.mark.parametrize("records_per_chunk", [1, 2.5, 3, 1000])
     def test_any_chunk_size_loads_the_same_bank(self, tmp_path, monkeypatch, records_per_chunk):
-        # 2.5 records per chunk read 2 whole records at a time, so neighbouring
-        # non-ASCII names land on both sides of each chunk boundary; the
-        # pieces of a v2 section are cut at other places again
-        bank, paths = self.saved_both(tmp_path)
+        # each section is cut into pieces at a different place, so
+        # neighbouring non-ASCII names land on both sides of piece boundaries
+        bank, path = self.saved(tmp_path)
         stride = entry_stride(bank.d_key, bank.d_val)
         monkeypatch.setattr(serial, "RECORD_CHUNK_BYTES", int(records_per_chunk * stride))
-        for _, path in paths:
-            loaded = load_bank(path)
-            assert loaded == bank
-            assert loaded.categories.tolist() == bank.categories.tolist()
-            assert loaded.image_ids.tolist() == bank.image_ids.tolist()
-            for column in ("categories", "image_ids"):
-                names = [name.encode("utf-8") for name in getattr(bank, column).tolist()]
-                want = np.char.decode(np.array(names, dtype="S64"), "utf-8").dtype
-                assert getattr(loaded, column).dtype == want
-
-    def test_chunks_are_whole_records_read_in_order(self, tmp_path, monkeypatch):
-        bank, [(_, path), _] = self.saved_both(tmp_path)
-        stride = entry_stride(bank.d_key, bank.d_val)
-        monkeypatch.setattr(serial, "RECORD_CHUNK_BYTES", 3 * stride + 1)
-        raw = path.read_bytes()
-        with Reader.stream(path, "PBNK", 1) as r:
-            d_key, d_val, count = r.u32(), r.u32(), r.u64()
-            r.json_block()
-            start = r.offset
-            dtype = np.dtype([("x", "u1", (stride,))])
-            chunks = [(first, chunk.tobytes()) for first, chunk in r.record_chunks(dtype, count)]
-            r.expect_eof()
-        assert [first for first, _ in chunks] == [0, 3, 6, 9]
-        assert b"".join(data for _, data in chunks) == raw[start:]
+        loaded = load_bank(path)
+        assert loaded == bank
+        assert loaded.categories.tolist() == bank.categories.tolist()
+        assert loaded.image_ids.tolist() == bank.image_ids.tolist()
+        for column in ("categories", "image_ids"):
+            names = [name.encode("utf-8") for name in getattr(bank, column).tolist()]
+            want = np.char.decode(np.array(names, dtype="S64"), "utf-8").dtype
+            assert getattr(loaded, column).dtype == want
 
     @pytest.mark.parametrize("chunk_bytes, pieces", [(1, [8] * 15), (20, [16] * 7 + [8]),
                                                      (100, [96, 24]), (10**6, [120])])
@@ -1098,32 +1041,6 @@ class TestStreamedLoad:
         assert [len(data) for _, data in seen] == pieces
         assert [at for at, _ in seen] == [start + sum(pieces[:i]) for i in range(len(pieces))]
         assert b"".join(data for _, data in seen) == column.tobytes() == raw[start:end]
-
-    @pytest.mark.parametrize("records_per_chunk", [1, 3, 1000])
-    @pytest.mark.parametrize("bad, want", [
-        ([(7, "key", 0, np.nan), (4, "value", 1, np.inf)], (4, "value", 1, "non-finite value")),
-        ([(5, "blur", 0, np.inf), (5, "key", 5, -np.inf)], (5, "key", 5, "non-finite key")),
-        ([(6, "key", 2, np.nan), (2, "blur", 0, -np.inf)], (2, "blur", 0, "infinite blur score")),
-    ])
-    def test_first_bad_float_refused_at_its_offset(self, tmp_path, monkeypatch,
-                                                   records_per_chunk, bad, want):
-        """In a v1 file, the first NaN or inf key or value float, or inf blur
-        score, in file order, whichever chunk holds it; NaN blur means "no
-        score" and loads."""
-        bank, path = self.saved(tmp_path)
-        layout = _record_dtype(bank.d_key, bank.d_val)
-        raw = bytearray(reference_bank_bytes(bank, 1))
-        records_at = len(raw) - len(bank) * layout.itemsize
-        def at(row, field, col):
-            return records_at + row * layout.itemsize + layout.fields[field][1] + 4 * col
-        for row, field, col, value in bad:
-            struct.pack_into("<f", raw, at(row, field, col), value)
-        path.write_bytes(bytes(raw))
-        monkeypatch.setattr(serial, "RECORD_CHUNK_BYTES", records_per_chunk * layout.itemsize)
-        assert np.isnan(bank.blur).any()
-        with pytest.raises(FormatError, match=want[3]) as exc:
-            load_bank(path)
-        assert exc.value.offset == at(*want[:3])
 
     @pytest.mark.parametrize("chunk_bytes", [8, 24, 10**6])
     @pytest.mark.parametrize("bad, want", [
@@ -1152,66 +1069,60 @@ class TestStreamedLoad:
         assert exc.value.offset == at(*want[:3])
 
     def test_truncation_fails_as_a_buffer_read_does(self, tmp_path):
-        bank, paths = self.saved_both(tmp_path)
+        bank, path = self.saved(tmp_path)
         stride = entry_stride(bank.d_key, bank.d_val)
-        for version, path in paths:
-            raw = path.read_bytes()
-            body = body_bytes(version, len(bank), bank.d_key, bank.d_val)
-            body_at = len(raw) - body
-            cuts = {"four entries into the body": body_at + 4 * stride,
-                    "mid-entry": body_at + 4 * stride + 7,
-                    "right after the header": body_at,
-                    "inside the header's last field": body_at - 3,
-                    "inside the count": 20, "inside the magic": 2}
-            for where, cut in cuts.items():
-                path.write_bytes(raw[:cut])
-                with pytest.raises(FormatError) as exc:
-                    load_bank(path)
-                assert str(exc.value) == buffer_load_error(raw[:cut]) != "", (version, where)
-                assert "truncated file" in str(exc.value), (version, where)
-            path.write_bytes(raw[:body_at + 4 * stride])
+        raw = path.read_bytes()
+        body = body_bytes(len(bank), bank.d_key, bank.d_val)
+        body_at = len(raw) - body
+        cuts = {"four entries into the body": body_at + 4 * stride,
+                "mid-entry": body_at + 4 * stride + 7,
+                "right after the header": body_at,
+                "inside the header's last field": body_at - 3,
+                "inside the count": 20, "inside the magic": 2}
+        for where, cut in cuts.items():
+            path.write_bytes(raw[:cut])
             with pytest.raises(FormatError) as exc:
                 load_bank(path)
-            assert exc.value.offset == body_at
-            assert f"need {body} bytes, have {4 * stride}" in str(exc.value)
+            assert str(exc.value) == buffer_load_error(raw[:cut]) != "", where
+            assert "truncated file" in str(exc.value), where
+        path.write_bytes(raw[:body_at + 4 * stride])
+        with pytest.raises(FormatError) as exc:
+            load_bank(path)
+        assert exc.value.offset == body_at
+        assert f"need {body} bytes, have {4 * stride}" in str(exc.value)
 
     def test_trailing_bytes_fail_as_a_buffer_read_does(self, tmp_path):
-        _, paths = self.saved_both(tmp_path)
-        for _, path in paths:
-            raw = path.read_bytes()
-            path.write_bytes(raw + b"\x00" * 5)
-            with pytest.raises(FormatError) as exc:
-                load_bank(path)
-            assert str(exc.value) == buffer_load_error(raw + b"\x00" * 5)
-            assert "5 trailing bytes" in str(exc.value) and exc.value.offset == len(raw)
+        _, path = self.saved(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw + b"\x00" * 5)
+        with pytest.raises(FormatError) as exc:
+            load_bank(path)
+        assert str(exc.value) == buffer_load_error(raw + b"\x00" * 5)
+        assert "5 trailing bytes" in str(exc.value) and exc.value.offset == len(raw)
 
     def test_count_past_the_file_fails_before_any_column_is_sized(self, tmp_path):
-        bank, paths = self.saved_both(tmp_path)
-        for version, path in paths:
-            raw = bytearray(path.read_bytes())
-            struct.pack_into("<Q", raw, 16, 10**6)  # columns of about 90 MB
-            if version == 2:  # a header whose checksum holds
-                raw = resealed(bytes(raw))
-            path.write_bytes(bytes(raw))
-            tracemalloc.start()
-            try:
-                with pytest.raises(FormatError) as exc:
-                    load_bank(path)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert str(exc.value) == buffer_load_error(bytes(raw))
-            assert f"need {body_bytes(version, 10**6, bank.d_key, bank.d_val)} bytes" in str(
-                exc.value)
-            assert peak < 2**20
+        bank, path = self.saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<Q", raw, 16, 10**6)  # columns of about 90 MB
+        raw = resealed(bytes(raw))  # a header whose checksum holds
+        path.write_bytes(raw)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as exc:
+                load_bank(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == buffer_load_error(raw)
+        assert f"need {body_bytes(10**6, bank.d_key, bank.d_val)} bytes" in str(exc.value)
+        assert peak < 2**20
 
     def test_file_that_shrinks_while_read_is_truncated(self):
-        dtype = np.dtype([("x", "<f4", (3,))])
-        r = serial.Reader(io.BytesIO(bytes(5 * dtype.itemsize)), 6 * dtype.itemsize)
+        r = serial.Reader(io.BytesIO(bytes(5 * 12)), 6 * 12)
         with pytest.raises(FormatError) as exc:
-            list(r.record_chunks(dtype, 6))
+            r.array((6, 3))
         assert exc.value.offset == 0
-        assert f"need {6 * dtype.itemsize} bytes, have {5 * dtype.itemsize}" in str(exc.value)
+        assert f"need {6 * 12} bytes, have {5 * 12}" in str(exc.value)
 
     def test_section_of_a_file_that_shrinks_is_truncated(self):
         # 16 bytes of floats read; its checksum, 8 bytes at offset 16, has 4

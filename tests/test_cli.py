@@ -487,6 +487,16 @@ class TestMalformedFilesExit2:
         assert rc == 2
         assert "offset 8" in assert_one_error_line(capsys)
 
+    def test_bank_of_version_1(self, scenario_dir, bank_path, tmp_path, capsys):
+        raw = bytearray(bank_path.read_bytes())
+        raw[4:8] = (1).to_bytes(4, "little")
+        bad = tmp_path / "v1.pbnk"
+        bad.write_bytes(bytes(raw))
+        rc = main(["pipeline", "--scenario", str(scenario_dir), "--bank", str(bad)])
+        assert rc == 2
+        assert "unsupported PBNK version 1, expected 2 (at byte offset 4)" in (
+            assert_one_error_line(capsys))
+
     def test_params_with_zero_sets(self, scenario_dir, tmp_path, capsys):
         params = tmp_path / "p.pprm"
         save_params(RefinementParams.zero_init(16), params)

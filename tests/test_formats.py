@@ -11,6 +11,7 @@ silence, must raise FormatError.
 
 import json
 import math
+import re
 import struct
 import time
 import tracemalloc
@@ -22,7 +23,6 @@ from vismem import artifacts
 from vismem.bank import (
     KeyWeights,
     MemoryBank,
-    entry_stride,
     load_bank,
     load_embedding_table,
     load_grounding_records,
@@ -36,7 +36,7 @@ from vismem.index import IvfPqIndex, IvfPqParams, ivfpq_add, load_index, save_in
 from vismem.refine import RefinementParams, load_params, save_params
 from vismem.serial import Writer, json_lines, read_json_lines
 
-from oracles import reference_bank_bytes, reference_index_bytes, resealed
+from oracles import resealed
 
 CORRUPTIONS_PER_FORMAT = 300
 EXTREME_U32 = (0, 1, 3, 2**16, 2**31, 2**32 - 1)
@@ -63,10 +63,6 @@ def write_bank(path):
     save_bank(small_bank(), path)
 
 
-def write_bank_v1(path):
-    path.write_bytes(reference_bank_bytes(small_bank(), 1))
-
-
 INDEX_PARAMS = IvfPqParams(nlist=4, m=2, nbits=2, kmeans_iters=1)
 
 
@@ -82,10 +78,6 @@ def make_index():
 
 def write_index(path):
     save_index(make_index(), path)
-
-
-def write_index_v1(path):
-    path.write_bytes(reference_index_bytes(make_index(), 1))
 
 
 def write_params(path):
@@ -184,9 +176,7 @@ def records_fields(rng, raw):
 # name: (write a valid file, loader, mutation of one header field)
 FORMATS = {
     "PBNK": (write_bank, load_bank, header_u32s(4, 8, 12, 16, 20, 24)),
-    "PBNK v1": (write_bank_v1, load_bank, header_u32s(4, 8, 12, 16, 20, 24)),
     "PIVF": (write_index, load_index, index_u32s),
-    "PIVF v1": (write_index_v1, load_index, index_u32s),
     "PPRM": (write_params, load_params, header_u32s(4, 8, 12, 16, 20, 24)),
     "PMEM": (write_table, load_embedding_table, header_u32s(4, 8, 12, 16, 20)),
     "PGRD": (write_grid, artifacts.load_feature_grid, header_u32s(4, 8, 12, 16)),
@@ -285,27 +275,21 @@ def patched(write, tmp_path, at, fmt, value, reseal=False):
 # PPRM: magic, version, dim (8), per_scale (12), count (16), window (20),
 # ln_eps (24), then per set e (D floats) and w_sparse (D x D).
 PPRM_W_SPARSE_AT = 28 + 4 * 3
-# PIVF: magic, version, JSON length, JSON header, dim, then in v1 the 4 x 4
-# coarse centroids, the 2 x 4 x 2 PQ codewords and the first list's u64
-# size. In v2 the header's 8-byte checksum follows the dim, and each of the
-# coarse centroids, the codewords and the 5 offsets is followed by its own.
+# PIVF: magic, version, JSON length, JSON header, dim and the header's
+# 8-byte checksum, then the 4 x 4 coarse centroids, the 2 x 4 x 2 PQ
+# codewords and the 5 offsets, each followed by its own checksum.
 PIVF_HEADER_END = 16 + len(json.dumps(INDEX_PARAMS.as_dict(), sort_keys=True,
                                       separators=(",", ":")))
-PIVF_V1_CODEWORDS_AT = PIVF_HEADER_END + 4 * 4 * 4
-PIVF_V1_FIRST_LIST_AT = PIVF_V1_CODEWORDS_AT + 4 * 2 * 4 * 2
 PIVF_COARSE_AT = PIVF_HEADER_END + 8
 PIVF_CODEWORDS_AT = PIVF_COARSE_AT + 4 * 4 * 4 + 8
 PIVF_LAST_OFFSET_AT = PIVF_CODEWORDS_AT + 4 * 2 * 4 * 2 + 8 + 8 * 4
-# PBNK: magic, version, d_key, d_val, u64 count, JSON length and block. In
-# v1 there follows per entry a 4-float key, a 3-float value, two 64-byte
-# names, the box and the blur score. In v2 there follow the header's 8-byte
-# checksum and one section per field of the 3 entries, each followed by its
-# checksum: keys, values, boxes, blur scores, then the two name columns.
+# PBNK: magic, version, d_key, d_val, u64 count, JSON length and block,
+# the header's 8-byte checksum, then one section per field of the 3
+# entries, each followed by its checksum: keys, values, boxes, blur scores,
+# then the two name columns.
 PBNK_HEADER_END = 28 + len(json.dumps({"manifest": {"output_count": 3},
                                        "weights": KeyWeights().as_dict()},
                                       sort_keys=True, separators=(",", ":")))
-PBNK_STRIDE = entry_stride(4, 3)
-PBNK_V1_BLUR_AT = 4 * 4 + 4 * 3 + 2 * 64 + 4 * 4
 PBNK_KEYS_AT = PBNK_HEADER_END + 8
 PBNK_VALUES_AT = PBNK_KEYS_AT + 3 * 4 * 4 + 8
 PBNK_BLUR_AT = PBNK_VALUES_AT + 3 * 3 * 4 + 8 + 3 * 4 * 4 + 8
@@ -326,20 +310,12 @@ REFUSED_AT_THE_VALUE = [
                  id="PBNK inf value"),
     pytest.param(write_bank, load_bank, PBNK_BLUR_AT, "<f", -math.inf,
                  id="PBNK inf blur score"),
-    pytest.param(write_bank_v1, load_bank, PBNK_HEADER_END + PBNK_STRIDE + 4 * 2, "<f",
-                 math.nan, id="PBNK v1 NaN key"),
-    pytest.param(write_bank_v1, load_bank, PBNK_HEADER_END + 2 * PBNK_STRIDE + 4 * 4 + 4 * 1,
-                 "<f", math.inf, id="PBNK v1 inf value"),
-    pytest.param(write_bank_v1, load_bank, PBNK_HEADER_END + PBNK_V1_BLUR_AT, "<f", -math.inf,
-                 id="PBNK v1 inf blur score"),
     pytest.param(write_index, load_index, PIVF_COARSE_AT + 4 * 5, "<f", math.nan,
                  id="PIVF NaN coarse centroid"),
     pytest.param(write_index, load_index, PIVF_CODEWORDS_AT + 4 * 3, "<f", -math.inf,
                  id="PIVF inf codeword"),
-    pytest.param(write_index_v1, load_index, PIVF_HEADER_END + 4 * 5, "<f", math.nan,
-                 id="PIVF v1 NaN coarse centroid"),
-    pytest.param(write_index_v1, load_index, PIVF_V1_CODEWORDS_AT + 4 * 3, "<f", -math.inf,
-                 id="PIVF v1 inf codeword"),
+    pytest.param(write_params, load_params, PPRM_W_SPARSE_AT, "<f", math.nan,
+                 id="PPRM NaN projection weight"),
     pytest.param(write_table, load_embedding_table, PMEM_SECOND_NAME_AT, "3s", b"cat",
                  id="PMEM repeated name"),
     pytest.param(write_table, load_embedding_table, PMEM_FIRST_VECTOR_AT + 4 * 2, "<f",
@@ -353,6 +329,15 @@ REFUSED_AT_THE_VALUE = [
 ]
 
 
+# Bank and index files of a version that no loader reads: v1 files, which
+# no saver has written since v2, and a version from the future.
+UNSUPPORTED_VERSIONS = [
+    pytest.param(write_bank, load_bank, 4, "<I", 1, id="PBNK version 1"),
+    pytest.param(write_index, load_index, 4, "<I", 1, id="PIVF version 1"),
+    pytest.param(write_index, load_index, 4, "<I", 3, id="PIVF version 3"),
+]
+
+
 @pytest.mark.parametrize("write, load, at, fmt, value", [
     pytest.param(write_bank, load_bank, 8, "<I", 2**31, id="PBNK d_key 2^31"),
     pytest.param(write_bank, load_bank, 12, "<I", 2**31, id="PBNK d_val 2^31"),
@@ -362,18 +347,27 @@ REFUSED_AT_THE_VALUE = [
     pytest.param(write_params, load_params, 24, "<f", 0.0, id="PPRM ln_eps 0"),
     pytest.param(write_params, load_params, 24, "<f", math.nan, id="PPRM ln_eps NaN"),
     pytest.param(write_params, load_params, 24, "<f", math.inf, id="PPRM ln_eps inf"),
-    pytest.param(write_params, load_params, PPRM_W_SPARSE_AT, "<f", math.nan,
-                 id="PPRM NaN projection weight"),
     pytest.param(write_params, load_params, 8, "<I", 0, id="PPRM dim 0"),
     pytest.param(write_table, load_embedding_table, 24, "<B", 0xFF, id="PMEM bad UTF-8 name"),
-    pytest.param(write_index, load_index, 4, "<I", 3, id="PIVF version 3"),
     pytest.param(write_grid, artifacts.load_feature_grid, 4, "<I", 0, id="PGRD version 0"),
+    *UNSUPPORTED_VERSIONS,
     *REFUSED_AT_THE_VALUE,
 ])
 def test_hand_made_binary_case(tmp_path, write, load, at, fmt, value):
     with pytest.raises(FormatError) as exc:
         load(patched(write, tmp_path, at, fmt, value))
     assert exc.value.offset is not None
+
+
+@pytest.mark.parametrize("write, load, at, fmt, value", UNSUPPORTED_VERSIONS)
+def test_unsupported_version_refused_at_its_field(tmp_path, write, load, at, fmt, value):
+    path = patched(write, tmp_path, at, fmt, value)
+    magic = path.read_bytes()[:4].decode("ascii")
+    with pytest.raises(FormatError) as exc:
+        load(path)
+    assert str(exc.value) == (f"unsupported {magic} version {value}, expected 2 "
+                              f"(at byte offset 4)")
+    assert exc.value.offset == 4
 
 
 @pytest.mark.parametrize("write, load, at, fmt, value", REFUSED_AT_THE_VALUE)
@@ -384,8 +378,6 @@ def test_refused_at_the_bad_value(tmp_path, write, load, at, fmt, value):
 
 
 @pytest.mark.parametrize("write, load, at, fmt, value", [
-    pytest.param(write_index_v1, load_index, PIVF_V1_FIRST_LIST_AT, "<Q", 10**7,
-                 id="PIVF list of 10^7 entries"),
     pytest.param(write_index, load_index, PIVF_LAST_OFFSET_AT, "<q", 10**7,
                  id="PIVF v2 last offset 10^7"),
     pytest.param(write_grid, artifacts.load_feature_grid, 8, "<I", 2**20,
@@ -393,8 +385,8 @@ def test_refused_at_the_bad_value(tmp_path, write, load, at, fmt, value):
 ])
 def test_size_past_the_file_fails_before_any_array_is_sized(tmp_path, write, load, at, fmt,
                                                             value):
-    # each size would take tens of MB: a list's ids, all ids and codes, or
-    # the grid's floats; the v2 offsets pass their checksum
+    # each size would take tens of MB: all ids and codes, or the grid's
+    # floats; the offsets pass their checksum
     path = patched(write, tmp_path, at, fmt, value, reseal=write is write_index)
     tracemalloc.start()
     try:
@@ -474,6 +466,15 @@ def test_vectors_without_rows_round_trip_and_non_finite_ones_are_not_saved(tmp_p
     assert artifacts.load_vectors(path).shape == (0, 0)
 
 
+def test_vectors_of_wrong_rank_are_not_saved(tmp_path):
+    # a caller's mistake, not a malformed file
+    path = tmp_path / "v.pvec"
+    for vectors, shape in ((np.zeros(3), "(3,)"), (np.zeros((1, 2, 2)), "(1, 2, 2)")):
+        with pytest.raises(InvalidInputError, match=re.escape(f"(N, D) matrix, got shape {shape}")):
+            artifacts.save_vectors(vectors, path)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("per_scale", [0, 1])
 def test_params_file_with_zero_sets(tmp_path, per_scale):
     # a shared file used to fail with IndexError, a per-scale one to load as []
@@ -485,21 +486,19 @@ def test_params_file_with_zero_sets(tmp_path, per_scale):
 
 
 def test_deeply_nested_json_header(tmp_path):
-    path = tmp_path / "i.pivf"
+    # the JSON is read once the fields after it and the header's checksum
+    # are read, so the header is resealed
     nested = b"[" * 100_000
-    write_index_v1(path)
-    path.write_bytes(path.read_bytes()[:8] + struct.pack("<I", len(nested)) + nested)
-    with pytest.raises(FormatError) as exc:
-        load_index(path)
-    assert exc.value.offset == 8
-    # v2 reads the JSON once the dim and the header's checksum are read
-    write_index(path)
-    raw = path.read_bytes()
-    header = raw[:8] + struct.pack("<I", len(nested)) + nested + raw[PIVF_HEADER_END - 4:]
-    path.write_bytes(resealed(header))
-    with pytest.raises(FormatError, match="bad JSON block") as exc:
-        load_index(path)
-    assert exc.value.offset == 8
+    for write, load, at, end in ((write_index, load_index, 8, PIVF_HEADER_END - 4),
+                                 (write_bank, load_bank, 24, PBNK_HEADER_END)):
+        path = tmp_path / "f"
+        write(path)
+        raw = path.read_bytes()
+        header = raw[:at] + struct.pack("<I", len(nested)) + nested + raw[end:]
+        path.write_bytes(resealed(header))
+        with pytest.raises(FormatError, match="bad JSON block") as exc:
+            load(path)
+        assert exc.value.offset == at
 
 
 def test_index_code_out_of_range(tmp_path):

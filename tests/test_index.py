@@ -846,16 +846,13 @@ class TestIndexPersistence:
         save_index(load_index(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_v1_file_loads_and_is_written_back_as_v2(self, tmp_path):
+    def test_save_matches_reference_encoding(self, tmp_path):
         index, _ = small_index(n=120)
-        (tmp_path / "v1.pivf").write_bytes(reference_index_bytes(index, 1))
-        from_v1 = load_index(tmp_path / "v1.pivf")
-        assert_same_arrays(from_v1, index)
-        save_index(from_v1, tmp_path / "v2.pivf")
-        raw = (tmp_path / "v2.pivf").read_bytes()
+        save_index(index, tmp_path / "i.pivf")
+        raw = (tmp_path / "i.pivf").read_bytes()
         assert struct.unpack_from("<I", raw, 4) == (2,)
-        assert raw == reference_index_bytes(index, 2)
-        assert_same_arrays(load_index(tmp_path / "v2.pivf"), index)
+        assert raw == reference_index_bytes(index)
+        assert_same_arrays(load_index(tmp_path / "i.pivf"), index)
 
     @pytest.mark.parametrize("offsets, bad", [([1, 1, 1, 1, 1, 1, 1, 1, 120], 0),
                                               ([0, 5, 3, 3, 3, 3, 3, 3, 120], 2)])
