@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import FormatError, InvalidInputError
 from .grids import _all_finite, as_grid, as_scalar_map
-from .serial import Reader, Writer, atomic_write_bytes, finite_check
+from .serial import Reader, atomic_write_bytes, finite_check, header
 
 GRID_MAGIC = "PGRD"
 MAP_MAGIC = "PMAP"
@@ -21,17 +21,15 @@ VERSION = 1
 
 
 def _save_array(arr: np.ndarray, magic: str, path) -> None:
-    out = Writer().magic(magic).u32(VERSION)
-    for n in arr.shape:
-        out.u32(n)
-    atomic_write_bytes(path, out.f32_array(arr).getvalue())
+    atomic_write_bytes(path, header(magic, VERSION, "I" * arr.ndim, *arr.shape),
+                       np.ascontiguousarray(arr, "<f4"))
 
 
 def _load_array(path, magic: str, ndim: int, what: str, empty_ok: bool = False) -> np.ndarray:
     """The array of a file _save_array wrote. A NaN or inf value is a
     FormatError at its offset, and so is an empty axis unless empty_ok."""
     with Reader.stream(path, magic, VERSION) as r:
-        shape = tuple(r.u32() for _ in range(ndim))
+        shape = r.unpack("I" * ndim)
         if 0 in shape and not empty_ok:
             raise FormatError(f"empty {what} of shape {shape}", offset=8 + 4 * shape.index(0))
         arr = r.array(shape, check=finite_check(f"non-finite {what} value"))

@@ -29,9 +29,9 @@ from .grids import (
     as_scalar_map,
     as_vector,
 )
-from .serial import (Reader, Writer, atomic_write_bytes, finite_check, format_errors,
+from .serial import (Reader, atomic_write_bytes, finite_check, format_errors, header,
                      is_json_number, json_bytes, json_fields, json_value, read_file,
-                     read_json_lines, sealed)
+                     read_json_lines, save_sealed)
 
 # Fixed width of the category and image id fields in the bank file:
 # zero-padded UTF-8.
@@ -655,30 +655,26 @@ _SECTIONS = {"key": finite_check("non-finite key"), "value": finite_check("non-f
              "box": None, "blur": _not_inf, "category": None, "image_id": None}
 
 
-def _header(d_key: int, d_val: int, count: int, payload: bytes) -> bytes:
-    """A bank file's header up to its checksum: magic, version, d_key, d_val,
-    the u64 entry count and the JSON block of weights and manifest."""
-    return (Writer().magic(BANK_MAGIC).u32(BANK_VERSION).u32(d_key).u32(d_val).u64(count)
-            .block(payload).getvalue())
-
-
 def save_bank(bank: MemoryBank, path) -> None:
-    """Write a v2 bank file: the header, then one section per column in
-    _SECTIONS order, each followed by its 8-byte checksum (serial.word_sum),
-    as the header is."""
+    """Write a v2 bank file. Its header is the magic, the version, the u32
+    d_key and d_val, the u64 entry count and the u32-length-prefixed JSON
+    block of weights and manifest. Then come the columns, one section each
+    in _SECTIONS order. The header and each section are followed by their
+    8-byte checksum (serial.word_sum). A category or image id over
+    NAME_FIELD_BYTES UTF-8 bytes is InvalidInputError."""
     columns = {"key": bank.keys, "value": bank.values, "box": bank.boxes, "blur": bank.blur}
     for name, column in (("category", bank.categories), ("image_id", bank.image_ids)):
         encoded = _encode_names(column)
         if encoded.itemsize > NAME_FIELD_BYTES:
             longest = column[np.argmax(np.char.str_len(encoded))]
-            raise FormatError(f"{name} {longest!r} exceeds the {NAME_FIELD_BYTES}-byte field")
+            raise InvalidInputError(f"{name} {longest!r} exceeds the {NAME_FIELD_BYTES}-byte field")
         columns[name] = encoded
-    header = _header(bank.d_key, bank.d_val, len(bank), json_bytes(
-        {"weights": bank.weights.as_dict(), "manifest": bank.manifest}))
+    meta = json_bytes({"weights": bank.weights.as_dict(), "manifest": bank.manifest})
     layout = _record_dtype(bank.d_key, bank.d_val)
     # names are zero-padded to their field
-    atomic_write_bytes(path, *sealed(np.frombuffer(header, np.uint8), *(
-        np.ascontiguousarray(columns[name], layout[name].base) for name in _SECTIONS)))
+    save_sealed(path, header(BANK_MAGIC, BANK_VERSION, f"IIQI{len(meta)}s", bank.d_key,
+                             bank.d_val, len(bank), len(meta), meta),
+                *(np.ascontiguousarray(columns[name], layout[name].base) for name in _SECTIONS))
 
 
 def load_bank(path) -> MemoryBank:
@@ -691,10 +687,10 @@ def load_bank(path) -> MemoryBank:
     straight into their columns. The checks in _SECTIONS refuse a NaN or
     inf key or value float, or an infinite blur score, at its offset."""
     with Reader.stream(path, BANK_MAGIC, BANK_VERSION) as r:
-        d_key, d_val, count = r.u32(), r.u32(), r.u64()
+        d_key, d_val, count = r.unpack("IIQ")
         meta_at = r.offset
         payload = r.block()
-        r.sealed_header(_header(d_key, d_val, count, payload), "bank header")
+        r.sealed_header("bank header")
         meta = json_value(payload, meta_at)
         weights = meta.get("weights") if isinstance(meta, dict) else None
         with format_errors("bad weights or manifest in bank header", meta_at):
@@ -723,23 +719,25 @@ def load_bank(path) -> MemoryBank:
 
 
 def save_embedding_table(table: dict[str, np.ndarray], path) -> None:
-    """Write a named-vector table: PMEM magic, version, dim, count, entries."""
+    """Write a named-vector table: PMEM magic, version, dim, count, entries.
+    A name that is not a str is InvalidInputError."""
+    if not all(isinstance(name, str) for name in table):
+        raise InvalidInputError(f"table names must be str, got {list(table)!r:.80}")
     vecs = {name: as_vector(v) for name, v in table.items()}
     dims = {v.shape[0] for v in vecs.values()}
     if len(dims) > 1:
         raise InvalidInputError(f"mixed dimensions in table: {sorted(dims)}")
     dim = dims.pop() if dims else 0
-    w = Writer()
-    w.magic(TABLE_MAGIC).u32(TABLE_VERSION).u32(dim).u64(len(vecs))
+    entries = []
     for name, vec in vecs.items():
         encoded = name.encode("utf-8")
-        w.u32(len(encoded)).raw(encoded).f32_array(vec)
-    atomic_write_bytes(path, w.getvalue())
+        entries += [len(encoded).to_bytes(4, "little"), encoded, np.ascontiguousarray(vec, "<f4")]
+    atomic_write_bytes(path, header(TABLE_MAGIC, TABLE_VERSION, "IQ", dim, len(vecs)), *entries)
 
 
 def load_embedding_table(path) -> dict[str, np.ndarray]:
     with Reader.stream(path, TABLE_MAGIC, TABLE_VERSION) as r:
-        dim, count = r.u32(), r.u64()
+        dim, count = r.unpack("IQ")
         table, finite = {}, finite_check("non-finite embedding value")
         for _ in range(count):
             encoded = r.block()

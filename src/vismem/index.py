@@ -17,8 +17,7 @@ from scipy.sparse import csr_matrix
 
 from .errors import FormatError, InvalidInputError
 from .grids import _all_finite, _check
-from .serial import (Reader, Writer, atomic_write_bytes, finite_check, format_errors, json_bytes,
-                     json_value, sealed)
+from .serial import Reader, finite_check, format_errors, header, json_bytes, json_value, save_sealed
 
 INDEX_MAGIC = "PIVF"
 INDEX_VERSION = 2
@@ -463,35 +462,31 @@ def rescore(keys, candidates: list[SearchHit], query, k: int) -> list[SearchHit]
 _PARAM_NAMES = tuple(f.name for f in fields(IvfPqParams))  # the keys an index header has
 
 
-def _header(payload: bytes, dim: int) -> bytes:
-    """An index file's header up to its checksum: magic, version, the JSON
-    block of the params and the u32 dim."""
-    return Writer().magic(INDEX_MAGIC).u32(INDEX_VERSION).block(payload).u32(dim).getvalue()
-
-
 def save_index(index: IvfPqIndex, path) -> None:
-    """Write an index file of format v2: the header, then one section per
-    array: the coarse centroids and PQ codebooks (float32), the offsets
-    (nlist + 1 int64), the ids (N int64) and the codes (N x m uint8). The
-    header and each section are followed by their 8-byte checksum
-    (serial.word_sum), so any change of one byte of the file fails a
-    checksum if nothing else refuses it first."""
-    header = _header(json_bytes(index.params.as_dict()), index.dim)
-    atomic_write_bytes(path, *sealed(
-        np.frombuffer(header, np.uint8),
+    """Write an index file of format v2. Its header is the magic, the
+    version, the u32-length-prefixed JSON block of the params and the u32
+    dim. Then come one section per array: the coarse centroids and PQ
+    codebooks (float32), the offsets (nlist + 1 int64), the ids (N int64)
+    and the codes (N x m uint8). The header and each section are followed
+    by their 8-byte checksum (serial.word_sum), so any change of one byte of
+    the file fails a checksum if nothing else refuses it first."""
+    params = json_bytes(index.params.as_dict())
+    save_sealed(
+        path, header(INDEX_MAGIC, INDEX_VERSION, f"I{len(params)}sI", len(params), params,
+                     index.dim),
         np.ascontiguousarray(index.coarse_centroids, "<f4"),
         np.ascontiguousarray(index.pq_codebooks, "<f4"),
         np.ascontiguousarray(index.offsets, "<i8"),
         np.ascontiguousarray(index.ids, "<i8"),
-        np.ascontiguousarray(index.codes, np.uint8)))
+        np.ascontiguousarray(index.codes, np.uint8))
 
 
-def _params(header, at: int) -> IvfPqParams:
+def _params(value, at: int) -> IvfPqParams:
     """The params of the header's JSON value, which starts at offset at."""
     with format_errors("bad index header", at):
-        if not isinstance(header, dict) or header.keys() != set(_PARAM_NAMES):
+        if not isinstance(value, dict) or value.keys() != set(_PARAM_NAMES):
             raise InvalidInputError(f"header keys must be exactly {sorted(_PARAM_NAMES)}")
-        return IvfPqParams(**header)
+        return IvfPqParams(**value)
 
 
 def _read_arrays(r: Reader, params: IvfPqParams, dim: int) -> tuple:
@@ -529,8 +524,8 @@ def load_index(path) -> IvfPqIndex:
     with Reader.stream(path, INDEX_MAGIC, INDEX_VERSION) as r:
         header_at = r.offset
         payload = r.block()
-        dim_at, dim = r.offset, r.u32()
-        r.sealed_header(_header(payload, dim), "index header")
+        dim_at, (dim,) = r.offset, r.unpack("I")
+        r.sealed_header("index header")
         params = _params(json_value(payload, header_at), header_at)
         if dim % params.m != 0:
             raise FormatError(f"index dim {dim} not divisible by m={params.m}", offset=dim_at)

@@ -19,7 +19,7 @@ from .errors import FormatError, InvalidInputError, MissingEmbeddingError
 from .grids import (LN_OVERFLOW, Point2D, _all_finite, _bilinear, _check, _finite, _layer_norm,
                     as_grid, as_scalar_map, as_vector)
 from .priors import AnchorSet, DensePrior
-from .serial import Reader, Writer, atomic_write_bytes, finite_check, format_errors
+from .serial import Reader, atomic_write_bytes, finite_check, format_errors, header
 
 PARAMS_MAGIC = "PPRM"
 PARAMS_VERSION = 1
@@ -282,32 +282,29 @@ def constrain_logits(logits: LogitsMatrix) -> LogitsMatrix:
 # --- parameter persistence ---------------------------------------------------
 
 def save_params(params, path) -> None:
-    """Write one shared parameter set or a per-scale list to a PPRM file."""
+    """Write one shared parameter set or a per-scale list to a PPRM file.
+    An empty list, or one that holds anything but RefinementParams, is
+    InvalidInputError."""
     per_scale = not isinstance(params, RefinementParams)
     sets = list(params) if per_scale else [params]
-    dim = sets[0].dim
-    if any(p.dim != dim or p.window != sets[0].window or p.ln_eps != sets[0].ln_eps
+    if not sets or not all(isinstance(p, RefinementParams) for p in sets):
+        raise InvalidInputError("params must be a RefinementParams or a non-empty list of them")
+    first = sets[0]
+    if any(p.dim != first.dim or p.window != first.window or p.ln_eps != first.ln_eps
            for p in sets):
         raise InvalidInputError("all parameter sets must share dim, window, ln_eps")
-    w = Writer()
-    w.magic(PARAMS_MAGIC).u32(PARAMS_VERSION)
-    w.u32(dim).u32(1 if per_scale else 0).u32(len(sets))
-    w.u32(sets[0].window).f32(sets[0].ln_eps)
-    for p in sets:
-        w.f32_array(p.e)
-        w.f32_array(p.w_sparse)
-        w.f32_array(p.w_dense)
-        w.f32_array(p.ln_gain)
-        w.f32_array(p.ln_bias)
-    atomic_write_bytes(path, w.getvalue())
+    atomic_write_bytes(
+        path, header(PARAMS_MAGIC, PARAMS_VERSION, "IIIIf", first.dim, per_scale, len(sets),
+                     first.window, first.ln_eps),
+        *(np.ascontiguousarray(a, "<f4") for p in sets
+          for a in (p.e, p.w_sparse, p.w_dense, p.ln_gain, p.ln_bias)))
 
 
 def load_params(path):
     """Load a PPRM file; returns RefinementParams or a per-scale list. A NaN
     or inf parameter value is a FormatError at its offset."""
     with Reader.stream(path, PARAMS_MAGIC, PARAMS_VERSION) as r:
-        dim, per_scale, count, window = r.u32(), r.u32(), r.u32(), r.u32()
-        ln_eps = r.f32()
+        dim, per_scale, count, window, ln_eps = r.unpack("IIIIf")
         if per_scale not in (0, 1) or count < 1 or (count > 1 and not per_scale):
             raise FormatError(f"a shared parameter file holds one set and a per-scale file at "
                               f"least one; got per_scale={per_scale} with {count} sets",

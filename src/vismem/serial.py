@@ -17,7 +17,10 @@ grid, a scalar map or a vector file. An empty feature grid or scalar map is
 refused too. A loader holds the arrays it returns, not the file as well; a
 pipe has no size, so it is read whole first. The file is never mapped.
 Each format has one version that its loader reads; any other is refused at
-offset 4.
+offset 4. Each header is one struct format, packed after the magic and
+version by `header` and read back by `Reader.unpack`. `save_sealed` is the
+one sealed writer; `Reader.sealed_header` checks a header's checksum over
+the bytes the reader took, which are the bytes the loader parsed.
 `format_errors` reports a field that does not build a valid object
 (`InvalidInputError`, or a `ValueError`, `OverflowError` or `RecursionError`
 from numpy, `int()`, UTF-8 or JSON decoding) as `FormatError` at the field's
@@ -64,44 +67,11 @@ def atomic_write_bytes(path, *chunks) -> None:
         raise
 
 
-class Writer:
-    """Accumulates a little-endian byte stream."""
-
-    def __init__(self):
-        self._chunks: list[bytes] = []
-
-    def magic(self, tag: str) -> "Writer":
-        self._chunks.append(tag.encode("ascii"))
-        return self
-
-    def u32(self, value: int) -> "Writer":
-        self._chunks.append(struct.pack("<I", value))
-        return self
-
-    def u64(self, value: int) -> "Writer":
-        self._chunks.append(struct.pack("<Q", value))
-        return self
-
-    def f32(self, value: float) -> "Writer":
-        self._chunks.append(struct.pack("<f", value))
-        return self
-
-    def f32_array(self, arr: np.ndarray) -> "Writer":
-        self._chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        return self
-
-    def raw(self, data: bytes) -> "Writer":
-        self._chunks.append(data)
-        return self
-
-    def block(self, payload: bytes) -> "Writer":
-        """payload after its u32 length."""
-        self.u32(len(payload))
-        self._chunks.append(payload)
-        return self
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._chunks)
+def header(magic: str, version: int, fmt: str, *values) -> bytes:
+    """A file's header: the ASCII magic and the u32 version that
+    Reader.stream checks, then values packed by the little-endian struct
+    format fmt, which Reader.unpack reads back."""
+    return struct.pack("<4sI" + fmt, magic.encode("ascii"), version, *values)
 
 
 def json_bytes(obj) -> bytes:
@@ -124,14 +94,14 @@ def word_sum(data: np.ndarray) -> int:
     return (total + int.from_bytes(data[whole:].tobytes(), "little")) % 2**64
 
 
-def sealed(*parts: np.ndarray) -> list:
-    """The chunks of a checksummed file: each contiguous array of parts
-    followed by its 8-byte checksum (word_sum), which `Reader.sealed_header`
-    and `Reader.sections` check."""
+def save_sealed(path, head: bytes, *arrays: np.ndarray) -> None:
+    """Write a checksummed file atomically: the header bytes head, then each
+    contiguous array of arrays, every part followed by its 8-byte checksum
+    (word_sum), which Reader.sealed_header and Reader.sections check."""
     chunks = []
-    for part in parts:
+    for part in (np.frombuffer(head, np.uint8), *arrays):
         chunks += [part, word_sum(part).to_bytes(8, "little")]
-    return chunks
+    atomic_write_bytes(path, *chunks)
 
 
 def finite_check(what: str):
@@ -164,6 +134,7 @@ class Reader:
 
     def __init__(self, file, size: int):
         self.file, self.size, self.offset = file, size, 0
+        self._head = bytearray()  # the bytes taken before the first section run
 
     @classmethod
     @contextmanager
@@ -189,7 +160,7 @@ class Reader:
         tag = self._take(len(magic))
         if tag != magic.encode("ascii"):
             raise FormatError(f"bad magic {tag!r}, expected {magic!r}", offset=0)
-        found = self.u32()
+        (found,) = self.unpack("I")
         if found != version:
             raise FormatError(f"unsupported {magic} version {found}, expected {version}",
                               offset=4)
@@ -215,7 +186,10 @@ class Reader:
             got += n
 
     def _take(self, n: int) -> bytes:
-        return self._read(n, self.claim(n))
+        data = self._read(n, self.claim(n))
+        if self._head is not None:
+            self._head += data
+        return data
 
     def _read(self, n: int, start: int) -> bytes:
         """The n bytes at start, which the caller has claimed."""
@@ -224,18 +198,14 @@ class Reader:
             raise FormatError(f"truncated file: need {n} bytes, have {len(data)}", offset=start)
         return data
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
-
-    def f32(self) -> float:
-        return struct.unpack("<f", self._take(4))[0]
+    def unpack(self, fmt: str) -> tuple:
+        """The next fields, unpacked by the little-endian struct format fmt."""
+        fmt = "<" + fmt
+        return struct.unpack(fmt, self._take(struct.calcsize(fmt)))
 
     def block(self) -> bytes:
         """The payload of the next u32-length-prefixed block."""
-        return self._take(self.u32())
+        return self._take(*self.unpack("I"))
 
     def sections(self, parts: dict, sealed: str | None = None) -> dict[str, np.ndarray]:
         """The arrays of the next run of sections, in the order of parts,
@@ -251,7 +221,9 @@ class Reader:
         file offset it starts at. A section whose checksum does not match is
         FormatError "<sealed> <name> section fails its checksum" at the
         checksum's offset. The arrays are in native byte order and own their
-        data."""
+        data. The bytes taken before the first run are the header that
+        sealed_header checks."""
+        self._head = None
         parts = {name: ((shape,) if isinstance(shape, int) else tuple(shape),
                          np.dtype(dtype), check) for name, (shape, dtype, check) in parts.items()}
         at = self.claim(sum(dtype.itemsize * math.prod(shape) + (8 if sealed else 0)
@@ -281,11 +253,12 @@ class Reader:
         """The next array, unsealed: the one-part form of sections."""
         return self.sections({"array": (shape, dtype, check)})["array"]
 
-    def sealed_header(self, header: bytes, what: str) -> None:
-        """Claim the 8-byte checksum that follows the header bytes just read
-        and refuse the header, named what, at the checksum's offset unless
-        the checksum is their word sum."""
-        self._expect_sum(word_sum(np.frombuffer(header, np.uint8)), what, self.claim(8))
+    def sealed_header(self, what: str) -> None:
+        """Claim the 8-byte checksum that follows the header and refuse the
+        header, named what, at the checksum's offset unless the checksum is
+        the word sum of the bytes taken so far, which are the header the
+        loader parsed."""
+        self._expect_sum(word_sum(np.frombuffer(self._head, np.uint8)), what, self.claim(8))
 
     def _expect_sum(self, total: int, what: str, at: int) -> None:
         """Read the claimed 8-byte checksum at `at` and refuse the section

@@ -7,7 +7,9 @@ resampling and prompt; for dense priors, one product per prototype and a
 float64 copy of each map before its smoothing and its rescale; for bank
 files, the file written one entry and one field at a time, and for index
 files the file written one list at a time, with the checksums summed as
-Python ints."""
+Python ints; for parameter files, embedding tables, feature grids, scalar
+maps and vector files, the file packed one value at a time. Every header is
+packed by struct, not by the library's writer."""
 
 import itertools
 import json
@@ -20,7 +22,6 @@ from vismem.bank import BankBuildConfig, MemoryBank
 from vismem.bank import _record_blur_score, blur_filter, filter_small_boxes, merge_duplicates
 from vismem.errors import InvalidInputError, MissingEmbeddingError
 from vismem.grids import EPS_NORM, as_grid, as_vector, cell_centers, gaussian_kernel_1d
-from vismem.serial import Writer
 
 
 def oracle_l2_normalize(v):
@@ -220,9 +221,9 @@ def reference_bank_bytes(bank):
     weights and manifest, then one section per field: keys, values, boxes,
     blur scores, categories, image ids; the header and each section are
     followed by their reference_word_sum."""
-    w = Writer()
-    w.magic("PBNK").u32(2).u32(bank.d_key).u32(bank.d_val).u64(len(bank))
-    w.block(reference_json({"weights": bank.weights.as_dict(), "manifest": bank.manifest}))
+    meta = reference_json({"weights": bank.weights.as_dict(), "manifest": bank.manifest})
+    header = struct.pack("<4sIIIQI", b"PBNK", 2, bank.d_key, bank.d_val, len(bank),
+                         len(meta)) + meta
     fields = {"key": [], "value": [], "category": [], "image_id": [], "box": [], "blur": []}
     for e in bank.entries:
         fields["key"].append(np.asarray(e.key, dtype="<f4").tobytes())
@@ -232,7 +233,6 @@ def reference_bank_bytes(bank):
         fields["box"].append(struct.pack("<4f", *e.box.as_list()))
         fields["blur"].append(struct.pack("<f", math.nan if e.blur_score is None
                                           else e.blur_score))
-    header = w.getvalue()
     sections = [b"".join(fields[name]) for name in v2_widths(bank.d_key, bank.d_val)]
     return header + reference_word_sum(header) + b"".join(
         section + reference_word_sum(section) for section in sections)
@@ -296,9 +296,9 @@ def reference_index_bytes(index):
     block of the params and the u32 dim, then the sections of coarse
     centroids, PQ codebooks, offsets, ids and codes; the header and each
     section are followed by their reference_word_sum."""
-    w = Writer()
-    w.magic("PIVF").u32(2).block(reference_json(index.params.as_dict())).u32(index.dim)
-    header = w.getvalue()
+    params = reference_json(index.params.as_dict())
+    header = (struct.pack("<4sII", b"PIVF", 2, len(params)) + params
+              + struct.pack("<I", index.dim))
     coarse = np.asarray(index.coarse_centroids, dtype="<f4").tobytes()
     codebooks = np.asarray(index.pq_codebooks, dtype="<f4").tobytes()
     sizes, ids, codes = [], [], []
@@ -310,3 +310,38 @@ def reference_index_bytes(index):
     offsets = struct.pack(f"<{len(sizes) + 1}q", *itertools.accumulate(sizes, initial=0))
     return b"".join(part + reference_word_sum(part) for part in (
         header, coarse, codebooks, offsets, b"".join(ids), b"".join(codes)))
+
+
+def _f32s(arr) -> bytes:
+    """The float32s of arr in C order, packed one value at a time."""
+    values = np.asarray(arr).ravel().tolist()
+    return struct.pack(f"<{len(values)}f", *values)
+
+
+def reference_params_bytes(params):
+    """The PPRM file of one shared parameter set or of a per-scale list:
+    magic, version 1, the u32 dim, per_scale, set count and window and the
+    f32 ln_eps, then each set's e, w_sparse, w_dense, ln_gain and ln_bias."""
+    sets = params if isinstance(params, list) else [params]
+    first = sets[0]
+    return struct.pack("<4sIIIIIf", b"PPRM", 1, first.dim, isinstance(params, list), len(sets),
+                       first.window, first.ln_eps) + b"".join(
+        _f32s(arr) for p in sets for arr in (p.e, p.w_sparse, p.w_dense, p.ln_gain, p.ln_bias))
+
+
+def reference_table_bytes(table):
+    """The PMEM file of a table of float32 vectors of one dim: magic,
+    version 1, the u32 dim and u64 count, then per entry the u32 length of
+    its UTF-8 name, the name and the vector."""
+    dim = len(next(iter(table.values()))) if table else 0
+    out = struct.pack("<4sIIQ", b"PMEM", 1, dim, len(table))
+    for name, vec in table.items():
+        encoded = name.encode("utf-8")
+        out += struct.pack(f"<I{len(encoded)}s", len(encoded), encoded) + _f32s(vec)
+    return out
+
+
+def reference_array_bytes(magic, arr):
+    """The PGRD, PMAP or PVEC file of a float32 array: magic, version 1, one
+    u32 per axis, then the values in C order."""
+    return struct.pack(f"<4sI{arr.ndim}I", magic.encode("ascii"), 1, *arr.shape) + _f32s(arr)

@@ -717,11 +717,12 @@ class TestBankEncoding:
             assert not column.flags.writeable
 
     def test_name_over_64_bytes_rejected(self, tmp_path):
-        # 33 two-byte characters: 33 code points but 66 bytes
+        # 33 two-byte characters: 33 code points but 66 bytes; a caller's
+        # mistake, not a malformed file, as no file is read
         bank = hand_bank(["\u00e9" * 33], ["img"], [None])
-        with pytest.raises(FormatError, match="exceeds"):
+        with pytest.raises(InvalidInputError, match="exceeds"):
             save_bank(bank, tmp_path / "b.pbnk")
-        with pytest.raises(FormatError, match="exceeds"):
+        with pytest.raises(InvalidInputError, match="exceeds"):
             save_bank(hand_bank(["cat"], ["i" * 65], [None]), tmp_path / "b.pbnk")
         assert not (tmp_path / "b.pbnk").exists()
 
@@ -968,9 +969,9 @@ def buffer_load_error(raw: bytes) -> str:
     try:
         r = Reader(io.BytesIO(raw), len(raw))
         r._expect_header("PBNK", 2)
-        d_key, d_val, count = r.u32(), r.u32(), r.u64()
+        d_key, d_val, count = r.unpack("IIQ")
         r.block()
-        r.u64()  # the header's checksum
+        r.unpack("Q")  # the header's checksum
         r.array(body_bytes(count, d_key, d_val), np.uint8)
         r.expect_eof()
     except FormatError as exc:
@@ -1133,9 +1134,9 @@ class TestStreamedLoad:
 
     def test_field_of_a_file_that_shrinks_is_truncated(self):
         r = serial.Reader(io.BytesIO(bytes(6)), 8)
-        assert r.u32() == 0
+        assert r.unpack("I") == (0,)
         with pytest.raises(FormatError) as exc:
-            r.u32()
+            r.unpack("I")
         assert exc.value.offset == 4 and "need 4 bytes, have 2" in str(exc.value)
 
     def test_load_holds_the_columns_plus_one_chunk(self, tmp_path):
@@ -1233,6 +1234,12 @@ class TestEmbeddingTableIO:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             load_embedding_table(path)
+
+    def test_name_that_is_not_a_str_is_not_saved(self, tmp_path):
+        path = tmp_path / "t.pmem"
+        with pytest.raises(InvalidInputError, match=r"names must be str, got \[1\]"):
+            save_embedding_table({1: np.ones(3)}, path)
+        assert not path.exists()
 
 
 class TestPgm:

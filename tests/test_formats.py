@@ -34,9 +34,10 @@ from vismem.bank import (
 from vismem.errors import FormatError, InvalidInputError
 from vismem.index import IvfPqIndex, IvfPqParams, ivfpq_add, load_index, save_index
 from vismem.refine import RefinementParams, load_params, save_params
-from vismem.serial import Writer, json_lines, read_json_lines
+from vismem.serial import json_lines, read_json_lines
 
-from oracles import resealed
+from oracles import (reference_array_bytes, reference_params_bytes, reference_table_bytes,
+                     resealed)
 
 CORRUPTIONS_PER_FORMAT = 300
 EXTREME_U32 = (0, 1, 3, 2**16, 2**31, 2**32 - 1)
@@ -447,10 +448,7 @@ def test_hand_made_pgm_header(tmp_path, header):
 def test_empty_grid_or_map_refused_at_its_empty_axis(tmp_path, magic, shape, at, load):
     # neither saver writes one (as_grid and as_scalar_map refuse it); it used to load
     path = tmp_path / "empty"
-    header = Writer().magic(magic).u32(1)
-    for n in shape:
-        header.u32(n)
-    path.write_bytes(header.getvalue())
+    path.write_bytes(struct.pack(f"<4sI{len(shape)}I", magic.encode(), 1, *shape))
     with pytest.raises(FormatError, match="empty") as exc:
         load(path)
     assert exc.value.offset == at
@@ -475,12 +473,38 @@ def test_vectors_of_wrong_rank_are_not_saved(tmp_path):
     assert not path.exists()
 
 
+def float32s(shape, seed):
+    return rng_for(seed).standard_normal(shape).astype(np.float32)
+
+
+@pytest.mark.parametrize("save, value, reference", [
+    pytest.param(save_params, RefinementParams.seeded_init(3, seed=1, window=3),
+                 reference_params_bytes, id="PPRM shared"),
+    pytest.param(save_params, [RefinementParams.seeded_init(3, seed=s) for s in (1, 2)],
+                 reference_params_bytes, id="PPRM per-scale"),
+    pytest.param(save_embedding_table, {"cat": float32s(3, 1), "caf\u00e9 \u732b": float32s(3, 2)},
+                 reference_table_bytes, id="PMEM"),
+    pytest.param(save_embedding_table, {}, reference_table_bytes, id="PMEM empty"),
+    pytest.param(artifacts.save_feature_grid, float32s((2, 3, 2), 3),
+                 lambda grid: reference_array_bytes("PGRD", grid), id="PGRD"),
+    pytest.param(artifacts.save_scalar_map, float32s((3, 2), 4),
+                 lambda scalar_map: reference_array_bytes("PMAP", scalar_map), id="PMAP"),
+    pytest.param(artifacts.save_vectors, float32s((3, 2), 5),
+                 lambda vectors: reference_array_bytes("PVEC", vectors), id="PVEC"),
+    pytest.param(artifacts.save_vectors, np.zeros((0, 0), np.float32),
+                 lambda vectors: reference_array_bytes("PVEC", vectors), id="PVEC no rows"),
+])
+def test_unsealed_saver_writes_the_reference_bytes(tmp_path, save, value, reference):
+    path = tmp_path / "f"
+    save(value, path)
+    assert path.read_bytes() == reference(value)
+
+
 @pytest.mark.parametrize("per_scale", [0, 1])
 def test_params_file_with_zero_sets(tmp_path, per_scale):
     # a shared file used to fail with IndexError, a per-scale one to load as []
     path = tmp_path / "p.pprm"
-    header = Writer().magic("PPRM").u32(1).u32(3).u32(per_scale).u32(0).u32(3).f32(1e-5)
-    path.write_bytes(header.getvalue())
+    path.write_bytes(struct.pack("<4sIIIIIf", b"PPRM", 1, 3, per_scale, 0, 3, 1e-5))
     with pytest.raises(FormatError, match="0 sets"):
         load_params(path)
 

@@ -772,6 +772,13 @@ class TestParamsPersistence:
             save_params([RefinementParams.zero_init(4), RefinementParams.zero_init(6)],
                         tmp_path / "p.pprm")
 
+    @pytest.mark.parametrize("params", [[], [None]], ids=["no sets", "not a parameter set"])
+    def test_bad_list_is_not_saved(self, tmp_path, params):
+        path = tmp_path / "p.pprm"
+        with pytest.raises(InvalidInputError, match="non-empty list of them"):
+            save_params(params, path)
+        assert not path.exists()
+
 
 class TestParamsValidation:
     def test_even_window_rejected(self):
